@@ -2,8 +2,8 @@
 //! by the paper.
 
 use crate::{
-    find_sparse_six_cycle, find_vi_conformality_violation, is_chordal_bipartite, is_forest_in,
-    is_six_two_chordal_in, is_vi_chordal, is_vi_chordal_in, is_vi_conformal,
+    find_sparse_six_cycle, find_sparse_six_cycle_in, find_vi_conformality_violation,
+    is_chordal_bipartite, is_forest_in, is_vi_chordal, is_vi_chordal_in, is_vi_conformal,
 };
 use mcc_graph::{BipartiteGraph, Side, Workspace};
 use std::fmt;
@@ -147,10 +147,13 @@ pub fn classify_bipartite(bg: &BipartiteGraph) -> BipartiteClassification {
 /// reuses one set of recognizer scratch buffers across instances.
 pub fn classify_bipartite_in(ws: &mut Workspace, bg: &BipartiteGraph) -> BipartiteClassification {
     let _span = mcc_obs::span!(Classify);
+    // (6,2) = (6,1) ∧ no sparse 6-cycle (`six_two` module docs), so
+    // Golumbic–Goss runs once and the 6-cycle scan only when it holds.
+    let six_one = is_chordal_bipartite(bg.graph());
     BipartiteClassification {
         four_one: is_forest_in(ws, bg.graph()),
-        six_two: is_six_two_chordal_in(ws, bg),
-        six_one: is_chordal_bipartite(bg.graph()),
+        six_two: six_one && find_sparse_six_cycle_in(ws, bg).is_none(),
+        six_one,
         v1_chordal: is_vi_chordal_in(ws, bg, Side::V1),
         v1_conformal: is_vi_conformal(bg, Side::V1),
         v2_chordal: is_vi_chordal_in(ws, bg, Side::V2),

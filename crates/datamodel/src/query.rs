@@ -1,8 +1,8 @@
 //! The logically independent query interface of the introduction: the
 //! user names objects; the engine finds a minimal connection.
 
-use crate::classify::audit_relational;
 use crate::relational::{RelationalSchema, RelationalSchemaError};
+use mcc_chordality::{classify_bipartite, BipartiteClassification};
 use mcc_graph::{
     BipartiteGraph, BudgetExceeded, CancelToken, NodeId, NodeSet, Side, SolveBudget, Stage,
     Workspace,
@@ -111,8 +111,7 @@ impl std::error::Error for QueryError {}
 pub struct QueryEngine {
     schema: RelationalSchema,
     bipartite: BipartiteGraph,
-    six_two: bool,
-    alpha: bool,
+    class: BipartiteClassification,
     budget: SolveBudget,
     ws: RefCell<Workspace>,
 }
@@ -132,12 +131,11 @@ impl QueryEngine {
     /// [`QueryError::Budget`].
     pub fn with_budget(schema: RelationalSchema, budget: SolveBudget) -> Result<Self, QueryError> {
         let bipartite = schema.to_bipartite().map_err(QueryError::Schema)?;
-        let report = audit_relational(&schema).map_err(QueryError::Schema)?;
+        let class = classify_bipartite(&bipartite);
         Ok(QueryEngine {
             schema,
             bipartite,
-            six_two: report.classification.six_two,
-            alpha: report.classification.h1_alpha_acyclic(),
+            class,
             budget,
             ws: RefCell::new(Workspace::new()),
         })
@@ -157,6 +155,12 @@ impl QueryEngine {
     /// `V2`).
     pub fn graph(&self) -> &BipartiteGraph {
         &self.bipartite
+    }
+
+    /// The classification computed once at construction; its `six_two`
+    /// and α-acyclicity bits pick every query's route.
+    pub fn classification(&self) -> BipartiteClassification {
+        self.class
     }
 
     /// Resolves query names to node ids.
@@ -254,13 +258,13 @@ impl QueryEngine {
         token: &CancelToken,
     ) -> Result<(SteinerTree, Strategy, Option<Degraded>), QueryError> {
         let g = self.bipartite.graph();
-        if self.six_two {
+        if self.class.six_two {
             let order: Vec<NodeId> = g.nodes().collect();
             let mut ws = self.ws.borrow_mut();
             let tree = algorithm2_budgeted_in(&mut ws, g, terminals, &order, &self.budget, token)
                 .map_err(solve_error)?;
             Ok((tree, Strategy::Algorithm2, None))
-        } else if self.alpha {
+        } else if self.class.h1_alpha_acyclic() {
             let mut ws = self.ws.borrow_mut();
             let out =
                 algorithm1_budgeted_in(&mut ws, &self.bipartite, terminals, &self.budget, token)

@@ -127,3 +127,65 @@ fn fig1_as_er_query_pipeline() {
     assert_eq!(alts[0].node_cost(), 2);
     assert_eq!(alts[1].node_cost(), 3);
 }
+
+/// The engine classifies the bipartite graph it already built; the
+/// result must be exactly the classification the schema audit reports,
+/// so the route each query takes is the one the report explains.
+#[test]
+fn engine_classification_matches_audit() {
+    use mcc::chordality::chordal_bipartite::drop_isolated_v2;
+    use mcc::gen::block_tree::BlockTreeShape;
+    use mcc::gen::join_tree::JoinTreeShape;
+    use mcc_datamodel::er_to_relational;
+
+    let schema_of = |name: &str, bg: &BipartiteGraph| {
+        let (h, _, _) = mcc::hypergraph::h1_of_bipartite(&drop_isolated_v2(bg)).unwrap();
+        RelationalSchema::from_hypergraph(name, &h)
+    };
+    let f2 = mcc::figures::fig2();
+    let f3 = mcc::figures::fig3();
+    let mut schemas = vec![
+        er_to_relational(&mcc::figures::fig1()).unwrap(),
+        RelationalSchema::from_hypergraph("fig2_h1", &f2.h1),
+        RelationalSchema::from_hypergraph("fig2_h2", &f2.h2),
+        schema_of("fig3a", &f3.a),
+        schema_of("fig3b", &f3.b),
+        schema_of("fig3c", &f3.c),
+        schema_of("fig5", &mcc::figures::fig5()),
+        schema_of("fig8", &mcc::figures::fig8().g),
+        university(),
+        alpha_schema(),
+    ];
+    schemas.extend(mcc::datamodel::catalog::all());
+    for seed in 0..12u64 {
+        let shape = JoinTreeShape {
+            num_edges: 10 + seed as usize,
+            ..JoinTreeShape::default()
+        };
+        let (h, _) = mcc::gen::random_alpha_acyclic(shape, seed);
+        schemas.push(RelationalSchema::from_hypergraph("alpha", &h));
+        let shape = BlockTreeShape {
+            blocks: 4 + seed as usize,
+            max_block: 3,
+        };
+        let blocks = mcc::gen::random_six_two_block_tree(shape, seed);
+        schemas.push(schema_of("blocks", &blocks));
+        let off = mcc::gen::random_bipartite(6, 6, 0.45, seed);
+        schemas.push(schema_of("random", &off));
+    }
+    let mut routes = [0usize; 3];
+    for schema in schemas {
+        let audit = audit_relational(&schema).unwrap().classification;
+        let class = QueryEngine::new(schema.clone()).unwrap().classification();
+        assert_eq!(class, audit, "schema {}", schema.name);
+        routes[if class.six_two {
+            0
+        } else if class.h1_alpha_acyclic() {
+            1
+        } else {
+            2
+        }] += 1;
+    }
+    // Every route of the ladder is exercised.
+    assert!(routes.iter().all(|&r| r > 0), "routes {routes:?}");
+}
