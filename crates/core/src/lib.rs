@@ -17,9 +17,9 @@
 //! | V₂-chordal ∧ V₂-conformal (α-acyclic) | NP-complete (Thm 2) | **poly — Algorithm 1** (Thms 3–4) |
 //! | general bipartite | NP-complete | NP-complete |
 //!
-//! This crate is the facade: it re-exports the whole workspace, adds the
-//! auto-dispatching [`Solver`], and reconstructs every figure of the
-//! paper in [`figures`].
+//! This crate is the facade: it re-exports the whole workspace (including
+//! the auto-dispatching [`Solver`] from `mcc-steiner`) and reconstructs
+//! every figure of the paper in [`figures`].
 //!
 //! ```
 //! use mcc::figures;
@@ -35,12 +35,12 @@
 //!   graphs, hypergraphs, duals, acyclicity recognizers);
 //! * [`chordality`] — all recognizers of Definitions 4–5;
 //! * [`steiner`] — exact solvers, Algorithms 1 and 2, heuristics, good
-//!   orderings;
+//!   orderings, the per-schema [`artifacts`] and the one routing
+//!   ladder, [`solver`];
 //! * [`reductions`] — the Theorem 2 (X3C) and Fig. 9 (CSPC) gadgets;
 //! * [`gen`] — seeded workload generators for every class;
 //! * [`datamodel`] — ER/relational schemas and the query interface;
-//! * [`figures`] — the paper's figures as ready-made instances;
-//! * [`solver`] — one-call solving with automatic algorithm selection.
+//! * [`figures`] — the paper's figures as ready-made instances.
 
 #![forbid(unsafe_code)]
 // `clippy::unwrap_used` arrives at warn level from the workspace lint
@@ -58,12 +58,10 @@ pub use mcc_obs as obs;
 pub use mcc_reductions as reductions;
 pub use mcc_steiner as steiner;
 
-/// Precomputed per-schema artifact bundles shared across solvers.
-pub mod artifacts;
 /// Reconstructions of the paper's running figures (Figs. 2-11).
 pub mod figures;
-/// The budgeted, degradation-aware query solver.
-pub mod solver;
+
+pub use mcc_steiner::{artifacts, solver};
 
 pub use artifacts::{ArtifactsError, SchemaArtifacts};
 pub use mcc_graph::{BudgetExceeded, BudgetKind, SolveBudget, Stage};

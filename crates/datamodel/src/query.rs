@@ -2,35 +2,15 @@
 //! user names objects; the engine finds a minimal connection.
 
 use crate::relational::{RelationalSchema, RelationalSchemaError};
-use mcc_chordality::{classify_bipartite, BipartiteClassification};
-use mcc_graph::{
-    BipartiteGraph, BudgetExceeded, CancelToken, NodeId, NodeSet, Side, SolveBudget, Stage,
-    Workspace,
-};
-use mcc_steiner::{
-    algorithm1_budgeted_in, algorithm2_budgeted_in, steiner_exact_budgeted, steiner_kmb_budgeted,
-    Degraded, SolveError, SteinerInstance, SteinerTree,
-};
-use std::cell::RefCell;
+use mcc_chordality::BipartiteClassification;
+use mcc_graph::{BipartiteGraph, BudgetExceeded, NodeId, NodeSet, Side, SolveBudget};
+use mcc_steiner::solver::SolveTrace;
+use mcc_steiner::{Degraded, Solution, SolveError, Solver, SolverConfig, SteinerTree};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which solver produced an interpretation — the provenance the paper's
-/// complexity map dictates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Algorithm 2 (Theorem 5): true minimum-node connection;
-    /// applicable because the schema is (6,2)-chordal.
-    Algorithm2,
-    /// Algorithm 1 (Theorems 3–4): minimum-relation connection;
-    /// applicable because the schema hypergraph is α-acyclic.
-    Algorithm1,
-    /// Exact Dreyfus–Wagner (exponential in the query size): used on
-    /// off-class schemas when the query is small enough.
-    Exact,
-    /// KMB-style heuristic: used as the last resort.
-    Heuristic,
-}
+/// complexity map dictates. The same type the core [`Solver`] reports.
+pub use mcc_steiner::SteinerStrategy as Strategy;
 
 /// One interpretation of a query: a connection over the named objects.
 #[derive(Debug, Clone)]
@@ -47,6 +27,9 @@ pub struct Interpretation {
     /// back to the heuristic — the connection is valid but possibly
     /// non-minimal.
     pub degraded: Option<Degraded>,
+    /// Where the solve spent its time, per tracing stage (see
+    /// [`Solution::trace`]).
+    pub trace: SolveTrace,
 }
 
 impl Interpretation {
@@ -74,8 +57,8 @@ pub enum QueryError {
     /// The solve exhausted its [`SolveBudget`] and no cheaper fallback
     /// remained (the heuristic itself tripped, or none applies).
     Budget(BudgetExceeded),
-    /// A solver invariant broke (or a solver panicked); the engine caught
-    /// it at the query boundary instead of unwinding into the caller.
+    /// A solver invariant broke (or a solver panicked); the [`Solver`]
+    /// caught it at its boundary instead of unwinding into the caller.
     Internal(String),
 }
 
@@ -93,7 +76,11 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// A prepared query engine over a relational schema.
+/// A prepared query engine over a relational schema: a thin front over
+/// one [`Solver`], which owns the schema's artifacts, its workspace, the
+/// routing ladder and the panic boundary. The engine adds name
+/// resolution and picks which problem to solve (see
+/// [`QueryEngine::connect_terminals`]).
 ///
 /// ```
 /// use mcc_datamodel::{QueryEngine, RelationalSchema};
@@ -110,40 +97,38 @@ impl std::error::Error for QueryError {}
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     schema: RelationalSchema,
-    bipartite: BipartiteGraph,
-    class: BipartiteClassification,
-    budget: SolveBudget,
-    ws: RefCell<Workspace>,
+    solver: Solver,
 }
 
 impl QueryEngine {
-    /// Builds the engine: converts the schema and classifies it once.
-    /// Solves run under the default [`SolveBudget`] (no deadline, default
-    /// memory admission); see [`QueryEngine::with_budget`].
+    /// Builds the engine: converts the schema and prepares its
+    /// [`Solver`], which classifies it once. Solves run under the default
+    /// [`SolveBudget`] (no deadline, default memory admission); see
+    /// [`QueryEngine::with_budget`].
     pub fn new(schema: RelationalSchema) -> Result<Self, QueryError> {
         Self::with_budget(schema, SolveBudget::default())
     }
 
-    /// As [`QueryEngine::new`], with every solve governed by `budget`.
-    /// When the polynomial or exact route trips the budget, the engine
-    /// degrades to the heuristic where that can help (recorded on
-    /// [`Interpretation::degraded`]) and otherwise reports
+    /// As [`QueryEngine::new`], with every solve governed by `budget`
+    /// (and the rest of [`SolverConfig::default`]). When the exact route
+    /// trips the budget, the solve degrades to the heuristic (recorded
+    /// on [`Interpretation::degraded`]); otherwise a trip is reported as
     /// [`QueryError::Budget`].
     pub fn with_budget(schema: RelationalSchema, budget: SolveBudget) -> Result<Self, QueryError> {
         let bipartite = schema.to_bipartite().map_err(QueryError::Schema)?;
-        let class = classify_bipartite(&bipartite);
+        let config = SolverConfig {
+            budget,
+            ..SolverConfig::default()
+        };
         Ok(QueryEngine {
             schema,
-            bipartite,
-            class,
-            budget,
-            ws: RefCell::new(Workspace::new()),
+            solver: Solver::with_config(bipartite, config),
         })
     }
 
     /// The budget governing every solve of this engine.
     pub fn budget(&self) -> &SolveBudget {
-        &self.budget
+        &self.solver.config().budget
     }
 
     /// The underlying schema.
@@ -154,18 +139,18 @@ impl QueryEngine {
     /// The schema's bipartite graph (attributes on `V1`, relations on
     /// `V2`).
     pub fn graph(&self) -> &BipartiteGraph {
-        &self.bipartite
+        self.solver.graph()
     }
 
     /// The classification computed once at construction; its `six_two`
     /// and α-acyclicity bits pick every query's route.
     pub fn classification(&self) -> BipartiteClassification {
-        self.class
+        *self.solver.classification()
     }
 
     /// Resolves query names to node ids.
     pub fn resolve(&self, names: &[&str]) -> Result<NodeSet, QueryError> {
-        let g = self.bipartite.graph();
+        let g = self.graph().graph();
         let mut terminals = NodeSet::new(g.node_count());
         for name in names {
             match g.node_by_label(name) {
@@ -187,8 +172,8 @@ impl QueryEngine {
     }
 
     /// Answers several queries in one pass: the schema-level state —
-    /// classification, the bipartite graph with its dense adjacency
-    /// rows, and the warm shared workspace — is reused across members,
+    /// the solver's artifacts, the bipartite graph with its dense
+    /// adjacency rows, and the warm workspace — is reused across members,
     /// so a batch of `k` queries pays schema work zero times and scratch
     /// growth once. Results come back in input order, one per query; a
     /// failing member (unknown name, budget trip, disconnection) does
@@ -222,130 +207,62 @@ impl QueryEngine {
 
     /// As [`QueryEngine::connect`], from already-resolved terminals.
     ///
-    /// Each call starts a fresh [`CancelToken`] from the engine's budget,
-    /// so a wall-clock deadline is per query, not per engine lifetime. A
-    /// panic anywhere in the solve is caught here: the shared workspace
-    /// is poisoned (and healed on the next call) and the panic surfaces
-    /// as [`QueryError::Internal`].
+    /// On (6,2)-chordal schemas this is the [`Solver`]'s Steiner solve
+    /// (Algorithm 2). When only `H¹` is α-acyclic it is the pseudo-Steiner
+    /// solve minimizing relations (Algorithm 1 on the cached Lemma 1
+    /// route). Everywhere else it is the Steiner solve's off-class
+    /// ladder: exact DP up to [`SolverConfig::max_exact_terminals`]
+    /// terminals under the budget's DP-byte admission, degrading to KMB
+    /// on a budget trip, and KMB for larger queries.
+    ///
+    /// Each call starts a fresh budget clock, so a wall-clock deadline is
+    /// per query, not per engine lifetime. A panic anywhere in the solve
+    /// is caught by the solver and surfaces as [`QueryError::Internal`].
     pub fn connect_terminals(&self, terminals: &NodeSet) -> Result<Interpretation, QueryError> {
-        {
-            let mut ws = self.ws.borrow_mut();
-            if ws.is_poisoned() {
-                ws.reset();
-            }
-        }
-        let token = self.budget.start();
-        match catch_unwind(AssertUnwindSafe(|| self.route(terminals, &token))) {
-            Ok(result) => {
-                result.map(|(tree, strategy, degraded)| self.interpret(tree, strategy, degraded))
-            }
-            Err(payload) => {
-                if let Ok(mut ws) = self.ws.try_borrow_mut() {
-                    ws.poison();
-                }
-                Err(QueryError::Internal(panic_message(&payload)))
-            }
-        }
-    }
-
-    /// Picks the strongest licensed algorithm and runs it under `token`.
-    /// The off-class exact route degrades to the heuristic on a budget
-    /// trip (same token: one deadline spans both attempts); the
-    /// polynomial routes do not — nothing cheaper is available.
-    fn route(
-        &self,
-        terminals: &NodeSet,
-        token: &CancelToken,
-    ) -> Result<(SteinerTree, Strategy, Option<Degraded>), QueryError> {
-        let g = self.bipartite.graph();
-        if self.class.six_two {
-            let order: Vec<NodeId> = g.nodes().collect();
-            let mut ws = self.ws.borrow_mut();
-            let tree = algorithm2_budgeted_in(&mut ws, g, terminals, &order, &self.budget, token)
-                .map_err(solve_error)?;
-            Ok((tree, Strategy::Algorithm2, None))
-        } else if self.class.h1_alpha_acyclic() {
-            let mut ws = self.ws.borrow_mut();
-            let out =
-                algorithm1_budgeted_in(&mut ws, &self.bipartite, terminals, &self.budget, token)
-                    .map_err(solve_error)?;
-            Ok((out.tree, Strategy::Algorithm1, None))
-        } else if terminals.len() <= 10 && g.node_count() <= 64 {
-            let inst = SteinerInstance::new(g.clone(), terminals.clone());
-            match steiner_exact_budgeted(&inst, &self.budget, token) {
-                Ok(sol) => Ok((sol.tree, Strategy::Exact, None)),
-                Err(SolveError::Budget(reason)) => {
-                    let tree = steiner_kmb_budgeted(g, terminals, &self.budget, token)
-                        .map_err(solve_error)?;
-                    let degraded = Degraded {
-                        from: Stage::ExactDp,
-                        reason,
-                    };
-                    Ok((tree, Strategy::Heuristic, Some(degraded)))
-                }
-                Err(e) => Err(solve_error(e)),
-            }
+        let class = self.solver.classification();
+        let solution = if !class.six_two && class.h1_alpha_acyclic() {
+            self.solver.solve_pseudo(terminals, Side::V2)
         } else {
-            let tree =
-                steiner_kmb_budgeted(g, terminals, &self.budget, token).map_err(solve_error)?;
-            Ok((tree, Strategy::Heuristic, None))
-        }
+            self.solver.solve_steiner(terminals)
+        };
+        solution.map(|s| self.interpret(s)).map_err(solve_error)
     }
 
-    fn interpret(
-        &self,
-        tree: SteinerTree,
-        strategy: Strategy,
-        degraded: Option<Degraded>,
-    ) -> Interpretation {
-        let g = self.bipartite.graph();
-        let name_of = |v: NodeId| g.label(v).to_string();
-        let relations = tree
-            .nodes
-            .iter()
-            .filter(|&v| self.bipartite.side(v) == Side::V2)
-            .map(name_of)
-            .collect();
-        let attributes = tree
-            .nodes
-            .iter()
-            .filter(|&v| self.bipartite.side(v) == Side::V1)
-            .map(name_of)
-            .collect();
+    fn interpret(&self, solution: Solution) -> Interpretation {
+        let bg = self.graph();
+        let name_of = |v: NodeId| bg.graph().label(v).to_string();
+        let names_on = |side| {
+            solution
+                .tree
+                .nodes
+                .iter()
+                .filter(|&v| bg.side(v) == side)
+                .map(name_of)
+                .collect()
+        };
         Interpretation {
-            tree,
-            strategy,
-            relations,
-            attributes,
-            degraded,
+            relations: names_on(Side::V2),
+            attributes: names_on(Side::V1),
+            tree: solution.tree,
+            strategy: solution.strategy,
+            degraded: solution.degraded,
+            trace: solution.trace,
         }
     }
 }
 
 /// Maps the solver taxonomy onto query errors. `NotAlphaAcyclic` is an
-/// internal contradiction here: the engine only routes to Algorithm 1
-/// after its own classification said the schema is α-acyclic.
+/// internal contradiction here: the engine only asks for the
+/// Algorithm 1 route after the classification said the schema is
+/// α-acyclic.
 fn solve_error(e: SolveError) -> QueryError {
     match e {
         SolveError::Disconnected => QueryError::Disconnected,
         SolveError::Budget(b) => QueryError::Budget(b),
-        SolveError::NotAlphaAcyclic => QueryError::Internal(
-            "schema classified α-acyclic but Algorithm 1 rejected it".to_string(),
-        ),
         SolveError::Internal { stage, detail } => {
             QueryError::Internal(format!("{stage}: {detail}"))
         }
-    }
-}
-
-/// Best-effort rendering of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        other @ SolveError::NotAlphaAcyclic => QueryError::Internal(other.to_string()),
     }
 }
 
@@ -449,7 +366,7 @@ mod tests {
         let it = engine.connect(&["a", "b"]).unwrap();
         assert_eq!(it.strategy, Strategy::Heuristic);
         let d = it.degraded.expect("fallback must be recorded");
-        assert_eq!(d.from, Stage::ExactDp);
+        assert_eq!(d.from, mcc_graph::Stage::ExactDp);
         assert_eq!(d.reason.kind, mcc_graph::BudgetKind::DpTableBytes);
         // The answer is still a valid connection.
         assert!(it.tree.is_valid_tree(engine.graph().graph()));

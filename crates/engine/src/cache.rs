@@ -253,54 +253,55 @@ impl SchemaArtifactCache {
     /// The artifacts for `id`: the cached bundle (a **hit**), or a lazy
     /// rebuild if the slot was invalidated (a **miss**).
     pub fn artifacts(&self, id: SchemaId) -> Result<CachedArtifacts, CacheError> {
-        {
-            let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
-            let slot = slots.get(id.0).ok_or(CacheError::UnknownSchema(id))?;
-            if let Some(a) = &slot.artifacts {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                mcc_obs::incr(mcc_obs::CounterKind::CacheHit, 1);
+        // Each pass either returns or observed a strictly newer
+        // generation than the one it built for. A loop rather than a
+        // retrying call keeps sustained churn from growing the stack.
+        loop {
+            {
+                let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+                let slot = slots.get(id.0).ok_or(CacheError::UnknownSchema(id))?;
+                if let Some(a) = &slot.artifacts {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    mcc_obs::incr(mcc_obs::CounterKind::CacheHit, 1);
+                    return Ok(CachedArtifacts {
+                        generation: slot.generation,
+                        artifacts: Arc::clone(a),
+                    });
+                }
+            }
+            // Rebuild outside any lock (classification is the expensive
+            // part), then install under the write lock — racing rebuilders
+            // may duplicate work but never serve stale artifacts: the
+            // generation is re-checked and a bundle built for an older
+            // generation is discarded.
+            let (schema, generation) = {
+                let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+                let slot = slots.get(id.0).ok_or(CacheError::UnknownSchema(id))?;
+                (Arc::clone(&slot.schema), slot.generation)
+            };
+            let built = self.build_or_load(&schema)?;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            mcc_obs::incr(mcc_obs::CounterKind::CacheMiss, 1);
+            let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+            let slot = slots.get_mut(id.0).ok_or(CacheError::UnknownSchema(id))?;
+            // Generations never move backwards, even across the unlocked
+            // rebuild window (debug-build certificate).
+            debug_assert!(
+                check_cache_coherence(slot, generation),
+                "slot regressed behind an observed generation during rebuild"
+            );
+            if slot.generation == generation {
+                if slot.artifacts.is_none() {
+                    slot.artifacts = Some(Arc::clone(&built));
+                }
+                let a = slot.artifacts.as_ref().unwrap_or(&built);
                 return Ok(CachedArtifacts {
-                    generation: slot.generation,
+                    generation,
                     artifacts: Arc::clone(a),
                 });
             }
-        }
-        // Rebuild outside any lock (classification is the expensive
-        // part), then install under the write lock — racing rebuilders
-        // may duplicate work but never serve stale artifacts: the
-        // generation is re-checked and a bundle built for an older
-        // generation is discarded.
-        let (schema, generation) = {
-            let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
-            let slot = slots.get(id.0).ok_or(CacheError::UnknownSchema(id))?;
-            (Arc::clone(&slot.schema), slot.generation)
-        };
-        let built = self.build_or_load(&schema)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        mcc_obs::incr(mcc_obs::CounterKind::CacheMiss, 1);
-        let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
-        let slot = slots.get_mut(id.0).ok_or(CacheError::UnknownSchema(id))?;
-        // Generations never move backwards, even across the unlocked
-        // rebuild window (debug-build certificate).
-        debug_assert!(
-            check_cache_coherence(slot, generation),
-            "slot regressed behind an observed generation during rebuild"
-        );
-        if slot.generation == generation {
-            if slot.artifacts.is_none() {
-                slot.artifacts = Some(Arc::clone(&built));
-            }
-            let a = slot.artifacts.as_ref().unwrap_or(&built);
-            Ok(CachedArtifacts {
-                generation,
-                artifacts: Arc::clone(a),
-            })
-        } else {
-            // Invalidated again while we were building: retry once
-            // recursively (bounded in practice — each retry observes a
-            // strictly newer generation).
-            drop(slots);
-            self.artifacts(id)
+            // Invalidated again while we were building: discard the
+            // bundle and start over against the newer generation.
         }
     }
 

@@ -115,7 +115,9 @@ pub struct EngineStats {
     /// solves hit; a steady-state engine does **only** per-query work.
     pub cache_hits: u64,
     /// Artifact builds (cold registrations + post-invalidation
-    /// rebuilds) — the only places classification/ordering ever runs.
+    /// rebuilds) — the only places classification and the MCS order
+    /// run. A bundle's Lemma 1 routes are built later, once, by its
+    /// first Algorithm 1 solve (or by the store's write-through encode).
     pub cache_misses: u64,
     /// Bundles the disk tier served in place of a classification pass
     /// (always 0 for a cache without a store).

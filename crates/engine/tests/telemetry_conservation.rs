@@ -12,10 +12,6 @@
 //! Rejected requests are never enqueued and must leave no sample. The
 //! global registry is process-wide, so this suite lives in its own test
 //! binary and measures deltas.
-//!
-//! These laws only hold with telemetry compiled in; the telemetry-off CI
-//! build compiles this file to nothing.
-#![cfg(feature = "telemetry")]
 
 use mcc_datamodel::RelationalSchema;
 use mcc_engine::{Engine, EngineConfig, QueryRequest};

@@ -4,9 +4,10 @@
 //! `Instant::now()` reads to the budget/cancellation layer — everything
 //! else must go through a seam it can fake. This module is that seam for
 //! telemetry: a [`Clock`] trait with one production implementation
-//! ([`MonotonicClock`], the single justified wall-clock read outside
-//! `budget.rs`) and a manually advanced [`TestClock`] so span durations,
-//! queue waits, and the Prometheus snapshot test are byte-deterministic.
+//! ([`MonotonicClock`](crate::clock::MonotonicClock), the single
+//! justified wall-clock read outside `budget.rs`) and a manually
+//! advanced [`TestClock`] so span durations, queue waits, and the
+//! Prometheus snapshot test are byte-deterministic.
 //!
 //! The installed clock is process-global and write-once:
 //! [`install_clock`] succeeds at most once (tests install a `TestClock`
@@ -28,7 +29,6 @@ pub trait Clock: Send + Sync {
 #[derive(Debug, Default)]
 pub struct MonotonicClock;
 
-#[cfg(feature = "telemetry")]
 impl Clock for MonotonicClock {
     fn now_nanos(&self) -> u64 {
         use std::time::Instant;
@@ -38,14 +38,6 @@ impl Clock for MonotonicClock {
         // Every span, queue-wait, and per-class histogram in the workspace
         // derives its timing from this single read (tests swap in TestClock).
         EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-impl Clock for MonotonicClock {
-    /// Telemetry is compiled out: the clock is inert and returns 0.
-    fn now_nanos(&self) -> u64 {
-        0
     }
 }
 
@@ -114,7 +106,6 @@ mod tests {
         assert_eq!(c.now_nanos(), 3);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn monotonic_clock_never_regresses() {
         let a = MonotonicClock.now_nanos();

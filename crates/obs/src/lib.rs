@@ -31,15 +31,11 @@
 //!
 //! ## Turning it off
 //!
-//! Two independent switches:
-//!
-//! * **runtime**: [`set_enabled`]`(false)` suppresses clock reads and
-//!   recording while keeping every call site compiled — what the
-//!   interleaved A/B bench (EXPERIMENTS.md §E14) toggles;
-//! * **compile time**: building with `--no-default-features` (the
-//!   `telemetry-off` configuration) replaces spans, traces, the global
-//!   recorders, and the clock with no-ops of identical signature, so the
-//!   whole layer vanishes from the binary.
+//! [`set_enabled`]`(false)` is the one off-switch: it suppresses clock
+//! reads and recording while keeping every call site compiled — what the
+//! interleaved A/B bench (EXPERIMENTS.md §E14) toggles. That bench finds
+//! recording costs nothing measurable, so there is no compile-time
+//! switch.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -57,10 +53,6 @@ pub mod clock;
 /// Sharded counters, gauges, and log-bucketed histograms.
 pub mod metrics;
 mod names;
-// With telemetry off, the real registry still compiles (local `Registry`
-// instances stay constructible for tests) but its global free functions
-// are unreferenced — the no-op module below replaces them.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 mod registry;
 mod span;
 /// Per-solve structured traces collected from closing spans.
@@ -70,40 +62,11 @@ pub use clock::{install_clock, Clock, TestClock};
 pub use metrics::{Counter, Gauge, Histogram, NUM_BUCKETS};
 pub use names::{ClassLabel, CounterKind, SpanKind, N_CLASSES, N_COUNTERS, N_SPANS};
 pub use registry::Registry;
-#[cfg(feature = "telemetry")]
 pub use registry::{
     enabled, global, incr, now_nanos, record_solve, record_stage, render_global_into, set_enabled,
 };
 pub use span::{span, Span};
 pub use trace::SolveTrace;
-
-#[cfg(not(feature = "telemetry"))]
-mod noop {
-    //! Signature-identical no-ops for the `telemetry-off` build.
-
-    /// No-op: telemetry is compiled out.
-    pub fn incr(_kind: crate::CounterKind, _n: u64) {}
-    /// No-op: telemetry is compiled out.
-    pub fn record_stage(_kind: crate::SpanKind, _nanos: u64) {}
-    /// No-op: telemetry is compiled out.
-    pub fn record_solve(_class: crate::ClassLabel, _nanos: u64) {}
-    /// Always 0: telemetry is compiled out, the clock is never read.
-    pub fn now_nanos() -> u64 {
-        0
-    }
-    /// Always `false`: telemetry is compiled out.
-    pub fn enabled() -> bool {
-        false
-    }
-    /// No-op: telemetry is compiled out.
-    pub fn set_enabled(_on: bool) {}
-    /// Appends nothing: there is no registry to render.
-    pub fn render_global_into(_out: &mut String) {}
-}
-#[cfg(not(feature = "telemetry"))]
-pub use noop::{
-    enabled, incr, now_nanos, record_solve, record_stage, render_global_into, set_enabled,
-};
 
 /// Opens a [`Span`] for the named [`SpanKind`] variant:
 /// `let _guard = mcc_obs::span!(McsOrder);`. The guard records the

@@ -39,8 +39,7 @@ impl Registry {
         }
     }
 
-    /// Whether recording is on (the runtime kill-switch, not the
-    /// compile-time feature).
+    /// Whether recording is on (the runtime kill-switch).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)

@@ -4,16 +4,13 @@
 //! drop, records the elapsed nanoseconds into the global registry's
 //! per-stage histogram and notes itself into the thread's active
 //! [`crate::SolveTrace`] (if one is collecting). When the runtime
-//! kill-switch is off the span is born dead — no clock read, no record —
-//! and with the `telemetry` feature off the type is a unit struct whose
-//! drop is trivially empty.
+//! kill-switch is off the span is born dead — no clock read, no record.
 
 use crate::names::SpanKind;
 
 /// An RAII guard timing one [`SpanKind`] stage. Create via
 /// [`span`] or the [`crate::span!`] macro; the measurement lands when
 /// the guard drops.
-#[cfg(feature = "telemetry")]
 #[derive(Debug)]
 pub struct Span {
     kind: SpanKind,
@@ -21,7 +18,6 @@ pub struct Span {
     live: bool,
 }
 
-#[cfg(feature = "telemetry")]
 impl Span {
     /// Discards the span without recording (for abandoned stages).
     pub fn cancel(mut self) {
@@ -29,7 +25,6 @@ impl Span {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl Drop for Span {
     fn drop(&mut self) {
         if self.live {
@@ -42,7 +37,6 @@ impl Drop for Span {
 
 /// Opens a span for `kind`. Returns a dead (cost-free) guard when the
 /// runtime kill-switch is off.
-#[cfg(feature = "telemetry")]
 #[inline]
 pub fn span(kind: SpanKind) -> Span {
     let live = crate::registry::enabled();
@@ -57,26 +51,7 @@ pub fn span(kind: SpanKind) -> Span {
     }
 }
 
-/// An RAII guard timing one [`SpanKind`] stage (telemetry compiled out:
-/// this is a unit struct and dropping it does nothing).
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug)]
-pub struct Span;
-
-#[cfg(not(feature = "telemetry"))]
-impl Span {
-    /// No-op: telemetry is compiled out.
-    pub fn cancel(self) {}
-}
-
-/// Returns an inert guard: telemetry is compiled out.
-#[cfg(not(feature = "telemetry"))]
-#[inline]
-pub fn span(_kind: SpanKind) -> Span {
-    Span
-}
-
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use crate::names::SpanKind;
     use crate::trace;

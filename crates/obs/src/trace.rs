@@ -14,8 +14,8 @@ use crate::names::{SpanKind, N_SPANS};
 
 /// A structured record of where one solve spent its time: per-stage
 /// span counts and summed durations, indexed by [`SpanKind`]. Attached
-/// to every `Solution`; all-zero when telemetry is disabled (either
-/// switch) or no spans fired.
+/// to every `Solution`; all-zero when telemetry is disabled
+/// ([`crate::set_enabled`]) or no spans fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveTrace {
     counts: [u32; N_SPANS],
@@ -44,7 +44,7 @@ impl SolveTrace {
         Duration::from_nanos(self.nanos(kind))
     }
 
-    /// `true` if no span fired (telemetry off, or nothing traced).
+    /// `true` if no span fired (telemetry disabled, or nothing traced).
     pub fn is_empty(&self) -> bool {
         self.counts.iter().all(|&c| c == 0)
     }
@@ -57,7 +57,6 @@ impl SolveTrace {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     pub(crate) fn set(&mut self, idx: usize, count: u32, nanos: u64) {
         self.counts[idx] = count;
         self.nanos[idx] = nanos;
@@ -87,7 +86,6 @@ impl std::fmt::Display for SolveTrace {
     }
 }
 
-#[cfg(feature = "telemetry")]
 mod active {
     //! The thread-local accumulator spans write into while a solve's
     //! trace collection is active.
@@ -163,37 +161,10 @@ mod active {
     }
 }
 
-#[cfg(feature = "telemetry")]
 pub(crate) use active::note;
-#[cfg(feature = "telemetry")]
 pub use active::{begin, snapshot, TraceGuard};
 
-#[cfg(not(feature = "telemetry"))]
-mod inert {
-    //! Telemetry-off stand-ins: collection never happens, snapshots are
-    //! always empty.
-
-    use super::SolveTrace;
-
-    /// No-op guard: telemetry is compiled out.
-    #[derive(Debug)]
-    pub struct TraceGuard;
-
-    /// Returns an inert guard: telemetry is compiled out.
-    pub fn begin() -> TraceGuard {
-        TraceGuard
-    }
-
-    /// Always [`SolveTrace::EMPTY`]: telemetry is compiled out.
-    pub fn snapshot() -> SolveTrace {
-        SolveTrace::EMPTY
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-pub use inert::{begin, snapshot, TraceGuard};
-
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -8,7 +8,6 @@
 //!
 //! This binary contains exactly one test: the global registry and the
 //! installed clock are process-wide, so nothing else may touch them.
-#![cfg(feature = "telemetry")]
 
 use mcc_obs::{ClassLabel, CounterKind, SpanKind, TestClock};
 

@@ -30,13 +30,19 @@
 //!   (`*_budgeted`) entry point;
 //! * [`ordering`] — good orderings (Definition 11), the machinery behind
 //!   Corollary 5 and the Theorem 6 counterexample;
-//! * [`pseudo`] — side-aware wrappers (Corollary 4's swapped-side route).
+//! * [`pseudo`] — side-aware wrappers (Corollary 4's swapped-side route);
+//! * [`artifacts`] — the per-schema bundle (classification, elimination
+//!   order, Lemma 1 routes built on first use) shared across solvers;
+//! * [`solver`] — the one routing ladder: [`Solver`] picks the strongest
+//!   algorithm the schema's class licenses, under a budget, with the
+//!   Exact → KMB degradation ladder and a panic boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithm1;
 pub mod algorithm2;
+pub mod artifacts;
 pub mod certify;
 pub mod cover;
 pub mod exact;
@@ -46,6 +52,7 @@ pub mod instance;
 pub mod ordering;
 pub mod outcome;
 pub mod pseudo;
+pub mod solver;
 
 pub use algorithm1::{
     algorithm1, algorithm1_budgeted_in, algorithm1_in, algorithm1_with_ordering_budgeted_in,
@@ -56,6 +63,7 @@ pub use algorithm2::{
     algorithm2, algorithm2_budgeted_in, algorithm2_with_order, algorithm2_with_order_in,
     eliminate_nonredundant_budgeted_in, eliminate_nonredundant_in,
 };
+pub use artifacts::{ArtifactsError, SchemaArtifacts};
 pub use certify::{
     check_steiner_solution, is_steiner_tree_for, tree_side_cost, CHECK_STEINER_MAX_NODES,
 };
@@ -73,3 +81,4 @@ pub use instance::{SteinerInstance, SteinerTree};
 pub use ordering::{eliminate_with_ordering, is_good_ordering_for, ordering_landscape};
 pub use outcome::{Degraded, SolveError, SolveOutcome};
 pub use pseudo::{pseudo_steiner, PseudoSide};
+pub use solver::{Solution, SolveStats, Solver, SolverConfig, SolverError, SteinerStrategy};

@@ -8,6 +8,12 @@
 //! instance: one warm-up pass, then a full measured pass that must report
 //! exactly zero allocations.
 //!
+//! The counter is per thread: the test harness runs the tests of this
+//! binary on parallel threads of one process, and a process-wide count
+//! would charge each measured pass with whatever the other tests (and the
+//! harness itself) allocate meanwhile. Every routine measured here runs
+//! entirely on the calling thread.
+//!
 //! (The library forbids `unsafe`, but the allocator shim below needs it;
 //! integration tests compile as their own crates, so the `forbid` does
 //! not reach here.)
@@ -15,28 +21,38 @@
 use mcc_graph::{builder::graph_from_edges, NodeId, NodeSet, Workspace};
 use mcc_steiner::{algorithm2, eliminate_nonredundant_in};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and
+    /// without a destructor, so touching it never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Counts every allocation and reallocation, delegating to the system
-/// allocator. Deallocations are not counted (freeing is allowed — though
-/// the loop under test does not free either).
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread is being torn
+    // down, after its locals may be gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Counts every allocation and reallocation on the calling thread,
+/// delegating to the system allocator. Deallocations are not counted
+/// (freeing is allowed — though the loop under test does not free either).
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -48,8 +64,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A chain of `blocks` squares (C4s) glued at articulation nodes:

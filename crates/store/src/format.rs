@@ -216,6 +216,8 @@ pub fn encode(fingerprint: u64, artifacts: &SchemaArtifacts) -> Vec<u8> {
             node_list_payload(artifacts.elimination_order()),
         ),
     ];
+    // `lemma1` builds a route on its first use, so encoding forces both:
+    // the bytes never depend on which routes were queried before.
     if let Some(l1) = artifacts.lemma1(Side::V2) {
         sections.push((TAG_LEMMA1_V2, lemma1_payload(l1)));
     }

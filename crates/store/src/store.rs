@@ -4,13 +4,16 @@
 //!
 //! ```text
 //! <root>/objects/<fingerprint:016x>.mcca        one artifact bundle
-//! <root>/objects/<fingerprint:016x>.mcca.tmp    in-flight write (swept on open)
+//! <root>/objects/<fingerprint:016x>.mcca.<pid>.<seq>.tmp
+//!                                               in-flight write (swept on open)
 //! <root>/quarantine/<fingerprint:016x>.mcca     failed validation, kept for forensics
 //! ```
 //!
 //! ## Write protocol (crash-safe)
 //!
-//! 1. write the encoded bundle to `<key>.mcca.tmp`;
+//! 1. write the encoded bundle to a temp file of its own,
+//!    `<key>.mcca.<pid>.<seq>.tmp` (unique per write, so concurrent
+//!    writes of one key never share a temp file);
 //! 2. `fsync` the temp file;
 //! 3. `rename` it over `<key>.mcca` (atomic on POSIX);
 //! 4. `fsync` the objects directory (makes the rename durable).
@@ -83,6 +86,8 @@ pub struct ArtifactStore {
     misses: AtomicU64,
     quarantined: AtomicU64,
     stores: AtomicU64,
+    /// Sequence number making each write's temp file name unique.
+    tmp_seq: AtomicU64,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -118,6 +123,7 @@ impl ArtifactStore {
             misses: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             stores: AtomicU64::new(0),
+            tmp_seq: AtomicU64::new(0),
         };
         let ready = store
             .retrying(|io| io.create_dir_all(&store.objects))
@@ -156,9 +162,17 @@ impl ArtifactStore {
         self.objects.join(format!("{fingerprint:016x}.{OBJ_EXT}"))
     }
 
+    /// A fresh temp path for one write of `fingerprint`. The process id
+    /// and a per-store sequence number keep two concurrent writes of the
+    /// same key (two workers rebuilding one schema, or two processes on
+    /// one root) off each other's temp file; the name still ends in
+    /// [`TMP_SUFFIX`], so the open-time sweep removes it after a crash.
     fn tmp_path(&self, fingerprint: u64) -> PathBuf {
-        self.objects
-            .join(format!("{fingerprint:016x}.{OBJ_EXT}{TMP_SUFFIX}"))
+        let pid = std::process::id();
+        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+        self.objects.join(format!(
+            "{fingerprint:016x}.{OBJ_EXT}.{pid}.{seq}{TMP_SUFFIX}"
+        ))
     }
 
     fn quarantine_path(&self, fingerprint: u64) -> PathBuf {

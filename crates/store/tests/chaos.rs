@@ -12,7 +12,7 @@ use mcc::SchemaArtifacts;
 use mcc_store::{
     encode, install_fault_plan, ArtifactStore, FaultKind, FaultOp, FaultPlan, Trigger,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 static PLAN: FaultPlan = FaultPlan::new();
 
@@ -70,7 +70,21 @@ fn assert_served_or_clean_miss(
     }
 }
 
-fn no_stale_tmp(root: &PathBuf) {
+/// Names of the temp files currently in `root`'s objects directory.
+fn tmp_files(root: &Path) -> Vec<String> {
+    std::fs::read_dir(root.join("objects"))
+        .expect("objects dir exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.ends_with(".tmp"))
+        .collect()
+}
+
+fn no_stale_tmp(root: &Path) {
     let objects = root.join("objects");
     for entry in std::fs::read_dir(objects).expect("objects dir exists") {
         let name = entry.expect("dir entry").file_name();
@@ -264,11 +278,14 @@ fn torn_rename_leaves_a_duplicate_that_recovery_sweeps() {
     let store = ArtifactStore::open(&root);
     assert!(store.store(key, &artifacts));
     PLAN.disarm(&root);
-    // The torn rename left both names on disk.
+    // The torn rename left both names on disk: the object and a temp
+    // file of the same key.
     assert!(root
         .join("objects")
-        .join(format!("{key:016x}.mcca.tmp"))
+        .join(format!("{key:016x}.mcca"))
         .exists());
+    assert_eq!(tmp_files(&root).len(), 1);
+    assert!(tmp_files(&root)[0].starts_with(&format!("{key:016x}.mcca.")));
 
     let reopened = ArtifactStore::open(&root);
     assert!(assert_served_or_clean_miss(&reopened, key, &artifacts));
@@ -293,4 +310,37 @@ fn reads_hitting_a_dead_disk_degrade_and_miss_cleanly() {
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses, stats.quarantined), (0, 1, 0));
     PLAN.disarm(&root);
+}
+
+/// Regression: concurrent write-throughs of one schema (two engine
+/// workers rebuilding the same slot) once shared one temp path, so the
+/// loser's rename failed and degraded the whole store to memory-only.
+/// Every write now has a temp file of its own.
+#[test]
+fn concurrent_writes_of_one_key_never_collide() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 25;
+    let root = chaos_root("concurrent-writes");
+    let (key, artifacts) = artifacts_of(&schema_b());
+    let store = ArtifactStore::open(&root);
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    assert!(store.store(key, &artifacts), "a write-through failed");
+                }
+            });
+        }
+    });
+    assert!(!store.is_degraded(), "concurrent writes degraded the store");
+    assert_eq!(store.stats().stores, (THREADS * ROUNDS) as u64);
+    assert!(tmp_files(&root).is_empty(), "a write left its temp file");
+    assert!(assert_served_or_clean_miss(&store, key, &artifacts));
+    assert!(assert_served_or_clean_miss(
+        &ArtifactStore::open(&root),
+        key,
+        &artifacts
+    ));
 }

@@ -3,7 +3,8 @@
 //! conclusions.
 
 use mcc::prelude::*;
-use mcc_datamodel::{audit_relational, enumerate_tree_interpretations, Strategy};
+use mcc::SolverConfig;
+use mcc_datamodel::{audit_relational, enumerate_tree_interpretations, QueryError, Strategy};
 use mcc_hypergraph::AcyclicityDegree;
 
 /// A small university schema that is γ-acyclic (interval-structured), so
@@ -188,4 +189,147 @@ fn engine_classification_matches_audit() {
     }
     // Every route of the ladder is exercised.
     assert!(routes.iter().all(|&r| r > 0), "routes {routes:?}");
+}
+
+/// `schema_of` for generated bipartite graphs: relations are `H¹`'s
+/// edges (isolated relations dropped, as a schema cannot declare them).
+fn generated_schema(name: &str, bg: &BipartiteGraph) -> RelationalSchema {
+    let cleaned = mcc::chordality::chordal_bipartite::drop_isolated_v2(bg);
+    let (h, _, _) = mcc::hypergraph::h1_of_bipartite(&cleaned).unwrap();
+    RelationalSchema::from_hypergraph(name, &h)
+}
+
+/// The call the one ladder makes for `class`: Algorithm 2's Steiner solve
+/// on (6,2) schemas, the `V2` pseudo-Steiner solve (Algorithm 1) when
+/// only `H¹` is α-acyclic, the Steiner solve's off-class ladder otherwise.
+fn matching_solver_call(
+    solver: &Solver,
+    terminals: &NodeSet,
+) -> (bool, Result<Solution, SolveError>) {
+    let class = solver.classification();
+    if !class.six_two && class.h1_alpha_acyclic() {
+        (true, solver.solve_pseudo(terminals, Side::V2))
+    } else {
+        (false, solver.solve_steiner(terminals))
+    }
+}
+
+/// `QueryEngine` is a front over the core `Solver`: over seeded (6,2),
+/// α-acyclic and off-class schemas (some above 64 nodes), every query
+/// answers with the strategy, cost and degradation of the matching
+/// `Solver` call, and each class lands on the route its theorem licenses.
+#[test]
+fn query_engine_and_solver_are_one_ladder() {
+    use mcc::gen::block_tree::BlockTreeShape;
+    use mcc::gen::join_tree::JoinTreeShape;
+
+    let mut schemas = Vec::new();
+    for seed in 0..8u64 {
+        let shape = BlockTreeShape {
+            blocks: 4 + 3 * seed as usize,
+            max_block: 4,
+        };
+        let blocks = mcc::gen::random_six_two_block_tree(shape, seed);
+        schemas.push(generated_schema("six_two", &blocks));
+        let shape = JoinTreeShape {
+            num_edges: 6 + 3 * seed as usize,
+            ..JoinTreeShape::default()
+        };
+        let (h, _) = mcc::gen::random_alpha_acyclic(shape, seed);
+        schemas.push(RelationalSchema::from_hypergraph("alpha", &h));
+        let (n1, n2) = if seed % 2 == 0 { (7, 7) } else { (40, 30) };
+        let off = mcc::gen::random_bipartite(n1, n2, 0.2, seed);
+        schemas.push(generated_schema("off_class", &off));
+    }
+    let mut routes = [0usize; 4];
+    let mut above_64 = 0;
+    for schema in schemas {
+        let engine = QueryEngine::new(schema.clone()).unwrap();
+        let solver = Solver::new(schema.to_bipartite().unwrap());
+        let g = solver.graph().graph();
+        let class = *solver.classification();
+        above_64 += usize::from(g.node_count() > 64);
+        for (k, seed) in [(2, 1), (3, 2), (5, 3), (6, 4)] {
+            let terminals = mcc::gen::random_terminals(g, None, k.min(g.node_count()), seed);
+            let (pseudo, expected) = matching_solver_call(&solver, &terminals);
+            let got = engine.connect_terminals(&terminals);
+            let (it, sol) = match (got, expected) {
+                (Ok(it), Ok(sol)) => (it, sol),
+                (Err(QueryError::Disconnected), Err(SolveError::Disconnected)) => continue,
+                (got, expected) => panic!("{}: {got:?} vs {expected:?}", schema.name),
+            };
+            let cost = if pseudo {
+                it.relations.len()
+            } else {
+                it.node_cost()
+            };
+            assert_eq!(it.strategy, sol.strategy, "{}", schema.name);
+            assert_eq!(cost, sol.cost, "{}", schema.name);
+            assert_eq!(it.degraded, sol.degraded, "{}", schema.name);
+            assert!(it.tree.is_valid_tree(g));
+            let route = match it.strategy {
+                Strategy::Algorithm2 => 0,
+                Strategy::Algorithm1 => 1,
+                Strategy::Exact => 2,
+                Strategy::Heuristic => 3,
+            };
+            routes[route] += 1;
+            let licensed = if class.six_two {
+                Strategy::Algorithm2
+            } else if class.h1_alpha_acyclic() {
+                Strategy::Algorithm1
+            } else {
+                Strategy::Exact
+            };
+            assert_eq!(it.strategy, licensed, "{}", schema.name);
+        }
+    }
+    assert!(routes[..3].iter().all(|&r| r > 0), "routes {routes:?}");
+    assert!(above_64 >= 6, "only {above_64} schemas above 64 nodes");
+}
+
+/// The exact-DP gate is the `Solver`'s: at most `max_exact_terminals`
+/// terminals under DP-byte admission, with no node cap. An off-class
+/// schema above 64 nodes (which the old ≤64-node gate sent to KMB) now
+/// answers exactly, so does an 11-terminal query (the old gate stopped at
+/// 10), and a zero DP-byte budget degrades the exact route to KMB.
+#[test]
+fn off_class_exact_gate_has_no_node_cap() {
+    let bg = mcc::gen::random_bipartite(40, 30, 0.2, 1);
+    let schema = generated_schema("off_class", &bg);
+    let engine = QueryEngine::new(schema.clone()).unwrap();
+    let class = engine.classification();
+    assert!(!class.six_two && !class.h1_alpha_acyclic());
+    let g = engine.graph().graph();
+    assert!(g.node_count() > 64);
+    let terminals = mcc::gen::random_terminals(g, None, 4, 7);
+    assert!(terminals.len() <= SolverConfig::default().max_exact_terminals);
+
+    let it = engine.connect_terminals(&terminals).unwrap();
+    assert_eq!(it.strategy, Strategy::Exact);
+    assert!(it.degraded.is_none());
+    let exact =
+        mcc_steiner::steiner_exact(&SteinerInstance::new(g.clone(), terminals.clone())).unwrap();
+    assert_eq!(it.node_cost() as u64, exact.cost);
+
+    let small = generated_schema("off_class_small", &mcc::gen::random_bipartite(8, 8, 0.3, 2));
+    let small = QueryEngine::new(small).unwrap();
+    let class = small.classification();
+    assert!(!class.six_two && !class.h1_alpha_acyclic());
+    let eleven = mcc::gen::random_terminals(small.graph().graph(), None, 11, 3);
+    assert_eq!(eleven.len(), 11);
+    let it = small.connect_terminals(&eleven).unwrap();
+    assert_eq!(it.strategy, Strategy::Exact);
+
+    let no_dp = SolveBudget {
+        max_dp_bytes: 0,
+        ..SolveBudget::default()
+    };
+    let engine = QueryEngine::with_budget(schema, no_dp).unwrap();
+    let it = engine.connect_terminals(&terminals).unwrap();
+    assert_eq!(it.strategy, Strategy::Heuristic);
+    let d = it.degraded.expect("the DP admission refusal is recorded");
+    assert_eq!(d.from, Stage::ExactDp);
+    assert_eq!(d.reason.kind, mcc::BudgetKind::DpTableBytes);
+    assert!(it.tree.is_valid_tree(engine.graph().graph()));
 }
