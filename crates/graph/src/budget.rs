@@ -139,9 +139,9 @@ pub struct SolveBudget {
     /// Maximum terminal count admitted to the exact DP (hard-capped at
     /// 24 regardless — the mask dimension).
     pub max_exact_terminals: usize,
-    /// Maximum bytes the exact DP may commit to its tables (the DP rows
-    /// plus the all-pairs distance/parent matrices), *checked before
-    /// allocating*.
+    /// Maximum bytes the exact DP may commit to its tables
+    /// ([`dp_table_bytes`]: `2^(k−1)·n` entries of 12 bytes for `k`
+    /// terminals on `n` nodes), *checked before allocating*.
     pub max_dp_bytes: u64,
     /// Maximum node count admitted to any route.
     pub max_nodes: usize,
@@ -242,15 +242,17 @@ impl SolveBudget {
     }
 }
 
-/// Projected memory footprint of the Dreyfus–Wagner tables for `k`
-/// terminals on `n` nodes: `2^k` DP rows of `n` `u64`s plus the all-pairs
-/// distance and parent matrices (`n²` `u64`s and `n²` `usize`s).
+/// Memory footprint of the Dreyfus–Wagner tables for `k` terminals on
+/// `n` nodes, exactly what the DP allocates: rooted at one terminal, it
+/// keeps `2^(k−1)` rows of `n` entries, each a `u64` value and a `u32`
+/// back-pointer (12 bytes). With fewer than two terminals the DP answers
+/// without tables.
 pub fn dp_table_bytes(k: usize, n: usize) -> u64 {
-    let n = n as u64;
-    let rows = 1u64.checked_shl(k as u32).unwrap_or(u64::MAX);
-    rows.saturating_mul(n)
-        .saturating_mul(8)
-        .saturating_add(n.saturating_mul(n).saturating_mul(16))
+    if k < 2 {
+        return 0;
+    }
+    let rows = 1u64.checked_shl(k as u32 - 1).unwrap_or(u64::MAX);
+    rows.saturating_mul(n as u64).saturating_mul(12)
 }
 
 /// A cooperative cancellation handle.
@@ -392,6 +394,30 @@ mod tests {
         let e = b.admit_exact_dp(24, 2000).unwrap_err();
         assert_eq!(e.kind, BudgetKind::DpTableBytes);
         assert!(e.observed > e.limit);
+    }
+
+    #[test]
+    fn dp_bytes_charge_the_rooted_tables_exactly() {
+        // 2^(k−1) rows of n entries, 8 value bytes + 4 back-pointer bytes.
+        assert_eq!(dp_table_bytes(2, 10), 2 * 10 * 12);
+        assert_eq!(dp_table_bytes(7, 92), 64 * 92 * 12);
+        assert_eq!(dp_table_bytes(24, 30), (1 << 23) * 30 * 12);
+        // No tables below two terminals, and no n² term at any size.
+        assert_eq!(dp_table_bytes(0, 1000), 0);
+        assert_eq!(dp_table_bytes(1, 1000), 0);
+        assert_eq!(dp_table_bytes(3, 100_000), 4 * 100_000 * 12);
+    }
+
+    #[test]
+    fn seven_terminals_on_ninety_two_nodes_fit_a_150_kb_cap() {
+        let b = SolveBudget {
+            max_exact_terminals: 7,
+            max_dp_bytes: 150_000,
+            ..SolveBudget::default()
+        };
+        assert!(b.admit_exact_dp(7, 92).is_ok());
+        let e = b.admit_exact_dp(8, 92).unwrap_err();
+        assert_eq!(e.kind, BudgetKind::ExactTerminals);
     }
 
     #[test]

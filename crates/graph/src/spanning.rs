@@ -20,7 +20,9 @@ pub fn spanning_tree(g: &Graph, alive: &NodeSet) -> Option<Vec<(NodeId, NodeId)>
     };
     let mut seen = NodeSet::new(g.node_count());
     seen.insert(start);
-    let mut queue = VecDeque::new();
+    // Sized up front: the allocation count stays independent of the
+    // tree's size.
+    let mut queue = VecDeque::with_capacity(alive.len());
     queue.push_back(start);
     let mut edges = Vec::with_capacity(alive.len().saturating_sub(1));
     while let Some(v) = queue.pop_front() {

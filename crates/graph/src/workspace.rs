@@ -528,7 +528,10 @@ mod tests {
         ws.return_bit_row(r2);
     }
 
+    // The check is a `debug_assert!`, so release builds have nothing to
+    // reject.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "across a workspace reset")]
     fn stale_bit_row_is_rejected_on_return() {
         let mut ws = Workspace::new();

@@ -8,13 +8,28 @@
 //! exponential baseline the NP-hardness experiments (Theorem 2) push
 //! until it blows up.
 //!
-//! Complexity `O(3^k·n + 2^k·n²)` for `k` terminals on `n` nodes, after
-//! `n` node-weighted Dijkstra passes.
+//! The DP is Erickson–Monma–Veinott's form of Dreyfus–Wagner. The tree is
+//! rooted at the first terminal `t₀`; for every mask `S` over the other
+//! `k − 1` terminals, `dp[S][v]` is the least weight of a tree holding
+//! `{tᵢ : i ∈ S} ∪ {v}`. Each mask takes two steps:
+//!
+//! 1. **merge** — `dp[S][v] = min dp[A][v] + dp[S∖A][v] − w(v)` over the
+//!    splits of `S` (a terminal's own row is seeded at that terminal);
+//! 2. **relax** — one multi-source Dijkstra over the CSR graph, seeded by
+//!    the merged row, with `dp[S][u] ≤ dp[S][v] + w(u)` along every edge.
+//!
+//! The answer is `dp[all][t₀]`; the last mask's Dijkstra stops once `t₀`
+//! settles. Time is `O(3^k·n + 2^k·(n + m)·log n)` for `k` terminals on
+//! `n` nodes and `m` edges, and memory is the two flat tables of
+//! `2^(k−1)·n` entries: the `u64` values and a `u32` back-pointer per entry
+//! ("relaxed from neighbour `u`", or "seed or merge"). The tree is read
+//! back from the back-pointers with an explicit stack; a merge re-finds
+//! its split at that node.
 //!
 //! The `*_budgeted` entry points are the governed versions: the DP table
 //! footprint is checked against the [`SolveBudget`] *before* anything is
-//! allocated, the Dijkstra and merge loops tick a [`CancelToken`], and a
-//! reconstruction inconsistency comes back as
+//! allocated, the merge, relaxation and read-back loops tick a
+//! [`CancelToken`], and a reconstruction inconsistency comes back as
 //! [`SolveError::Internal`] instead of aborting the process.
 
 use crate::{SolveError, SolveOutcome, SteinerInstance, SteinerTree};
@@ -23,6 +38,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 const INF: u64 = u64::MAX / 4;
+
+/// Back-pointer of a DP entry set by the seed or merge step rather than
+/// relaxed from a neighbour. Node ids stay below it: a graph of `2³²`
+/// nodes would need a 96 GiB table for two terminals.
+const SEED: u32 = u32::MAX;
+
+/// One pending heap entry of the relaxation: (distance, node).
+type HeapEntry = Reverse<(u64, u32)>;
 
 /// An exact solution: the tree plus its weighted cost.
 #[derive(Debug, Clone)]
@@ -95,11 +118,12 @@ pub fn steiner_exact_node_weighted(
 /// [`steiner_exact_node_weighted`] under a [`SolveBudget`].
 ///
 /// Admission happens first: instance size against the budget's node/edge
-/// caps and the *projected* DP footprint ([`mcc_graph::budget::dp_table_bytes`])
-/// against `max_dp_bytes`/`max_exact_terminals` — so an oversized request
-/// is rejected in microseconds, before any table is allocated. The
-/// Dijkstra passes, the subset-merge loop, and the reconstruction all
-/// tick `token`, so a wall-clock deadline interrupts mid-DP.
+/// caps and the *projected* DP footprint ([`mcc_graph::budget::dp_table_bytes`],
+/// exactly the two tables allocated below) against
+/// `max_dp_bytes`/`max_exact_terminals` — so an oversized request is
+/// rejected in microseconds, before any table is allocated. The merge
+/// step, the relaxations and the reconstruction all tick `token`, so a
+/// wall-clock deadline interrupts mid-DP.
 pub fn steiner_exact_node_weighted_budgeted(
     g: &Graph,
     terminals: &NodeSet,
@@ -110,13 +134,12 @@ pub fn steiner_exact_node_weighted_budgeted(
     let _span = mcc_obs::span!(ExactDp);
     let n = g.node_count();
     assert_eq!(weights.len(), n, "one weight per node");
-    let ts: Vec<NodeId> = terminals.to_vec();
-    let k = ts.len();
+    let k = terminals.len();
     budget.admit_graph(Stage::ExactDp, n, g.edge_count())?;
     budget.admit_exact_dp(k, n)?;
     token.checkpoint(Stage::ExactDp)?;
 
-    if k == 0 {
+    let Some(t0) = terminals.first() else {
         return Ok(ExactSolution {
             tree: SteinerTree {
                 nodes: NodeSet::new(n),
@@ -124,111 +147,53 @@ pub fn steiner_exact_node_weighted_budgeted(
             },
             cost: 0,
         });
-    }
+    };
     if k == 1 {
-        let t = ts[0];
         return Ok(ExactSolution {
             tree: SteinerTree {
-                nodes: NodeSet::from_nodes(n, [t]),
+                nodes: NodeSet::from_nodes(n, [t0]),
                 edges: vec![],
             },
-            cost: weights[t.index()],
+            cost: weights[t0.index()],
         });
     }
 
-    // Node-weighted shortest paths: dist[u][v] = min over u→v paths of
-    // Σ w(x) over path nodes except u; parent pointers for extraction.
-    let mut dist = vec![vec![INF; n]; n];
-    let mut parent = vec![vec![usize::MAX; n]; n];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for u in 0..n {
-        dijkstra_from(
+    // Rooted at t0: mask bit i stands for ts[i], the i-th other terminal.
+    let mut ts = Vec::with_capacity(k - 1);
+    ts.extend(terminals.iter().skip(1));
+    let rows = 1usize << (k - 1);
+    let full = rows - 1;
+    let mut dp = vec![INF; rows * n];
+    let mut bp = vec![SEED; rows * n];
+    // Every entry is a seed or a strict improvement along a directed
+    // edge, so one relaxation never holds more than n + 2m entries.
+    let mut heap: Vec<HeapEntry> = Vec::with_capacity(n + 2 * g.edge_count());
+    for mask in 1..=full {
+        let (done, rest) = dp.split_at_mut(mask * n);
+        let row = &mut rest[..n];
+        if mask.is_power_of_two() {
+            let t = ts[mask.trailing_zeros() as usize].index();
+            row[t] = weights[t];
+        } else {
+            merge(done, row, weights, mask, n, token)?;
+        }
+        let stop = (mask == full).then_some(t0.index());
+        relax(
             g,
             weights,
-            u,
-            &mut dist[u],
-            &mut parent[u],
+            row,
+            &mut bp[mask * n..(mask + 1) * n],
+            stop,
             &mut heap,
             token,
         )?;
     }
 
-    // dp[mask][v] = min weight of a tree containing {t_i : i ∈ mask} ∪ {v}.
-    let full: usize = (1 << k) - 1;
-    let mut dp = vec![vec![INF; n]; full + 1];
-    for (i, &t) in ts.iter().enumerate() {
-        let row = &mut dp[1 << i];
-        for v in 0..n {
-            let d = dist[t.index()][v];
-            if d < INF {
-                row[v] = weights[t.index()] + d;
-            }
-        }
-    }
-    // One merge buffer reused across all 2^k masks (refilled, not
-    // re-allocated, per iteration).
-    let mut tmp = vec![INF; n];
-    for mask in 1..=full {
-        if mask.count_ones() < 2 {
-            continue;
-        }
-        // Merge step at every node, then one relaxation through the
-        // distance matrix.
-        tmp.fill(INF);
-        let mut sub = (mask - 1) & mask;
-        while sub > 0 {
-            let rest = mask ^ sub;
-            if sub < rest {
-                // each unordered split once
-                token.tick(Stage::ExactDp, n as u64)?;
-                for v in 0..n {
-                    let (a, b) = (dp[sub][v], dp[rest][v]);
-                    if a < INF && b < INF {
-                        let c = a + b - weights[v];
-                        if c < tmp[v] {
-                            tmp[v] = c;
-                        }
-                    }
-                }
-            }
-            sub = (sub - 1) & mask;
-        }
-        let row = &mut dp[mask];
-        for v in 0..n {
-            token.tick(Stage::ExactDp, n as u64)?;
-            let mut best = tmp[v];
-            for u in 0..n {
-                if tmp[u] < INF && dist[u][v] < INF {
-                    best = best.min(tmp[u] + dist[u][v]);
-                }
-            }
-            row[v] = best;
-        }
-    }
-
-    // Root the answer at t_0.
-    let t0 = ts[0];
-    let rest_mask = full & !1;
-    let cost = dp[rest_mask][t0.index()];
+    let cost = dp[full * n + t0.index()];
     if cost >= INF {
         return Err(SolveError::Disconnected);
     }
-
-    // Reconstruct by replaying the argmins.
-    let mut nodes = NodeSet::new(n);
-    nodes.insert(t0);
-    reconstruct(
-        g,
-        weights,
-        &ts,
-        &dist,
-        &parent,
-        &dp,
-        rest_mask,
-        t0.index(),
-        &mut nodes,
-        token,
-    )?;
+    let nodes = read_back(&dp, &bp, weights, &ts, (full, t0.index()), token)?;
     let tree = SteinerTree::from_cover(g, &nodes).ok_or_else(|| SolveError::Internal {
         stage: Stage::ExactDp,
         detail: "reconstructed cover is not connected".to_string(),
@@ -249,103 +214,153 @@ pub fn steiner_exact_node_weighted_budgeted(
     Ok(ExactSolution { tree, cost })
 }
 
-fn dijkstra_from(
-    g: &Graph,
+/// The unordered splits `(A, S∖A)` of a mask with at least two bits, each
+/// once: `A` runs over the proper submasks of `S` holding its lowest bit.
+fn splits(mask: usize) -> impl Iterator<Item = (usize, usize)> {
+    let high = mask & (mask - 1);
+    let low = mask ^ high;
+    let mut next = Some((high - 1) & high);
+    std::iter::from_fn(move || {
+        let s = next?;
+        next = s.checked_sub(1).map(|p| p & high);
+        Some((s | low, mask ^ s ^ low))
+    })
+}
+
+/// The merge step of `mask`: `row[v]` becomes the cheapest join at `v` of
+/// two subtrees over a split of the mask. `done` holds the rows of every
+/// smaller mask.
+fn merge(
+    done: &[u64],
+    row: &mut [u64],
     w: &[u64],
-    src: usize,
-    dist: &mut [u64],
-    parent: &mut [usize],
-    heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    mask: usize,
+    n: usize,
     token: &CancelToken,
 ) -> SolveOutcome<()> {
-    dist[src] = 0;
-    heap.clear();
-    heap.push(Reverse((0, src)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v] {
-            continue;
-        }
-        let nbrs = g.neighbors(NodeId::from_index(v));
-        token.tick(Stage::ExactDp, 1 + nbrs.len() as u64)?;
-        for &u in nbrs {
-            let nd = d + w[u.index()];
-            if nd < dist[u.index()] {
-                dist[u.index()] = nd;
-                parent[u.index()] = v;
-                heap.push(Reverse((nd, u.index())));
+    for (a, b) in splits(mask) {
+        token.tick(Stage::ExactDp, n as u64)?;
+        let (ra, rb) = (&done[a * n..(a + 1) * n], &done[b * n..(b + 1) * n]);
+        for (v, cell) in row.iter_mut().enumerate() {
+            let (x, y) = (ra[v], rb[v]);
+            if x < INF && y < INF {
+                *cell = (*cell).min(x + y - w[v]);
             }
         }
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn reconstruct(
+/// One multi-source Dijkstra over `g`, seeded by every finite entry of
+/// `row`: afterwards `row[u] ≤ row[v] + w(u)` along every edge, and
+/// `bp[u]` names the neighbour an improved entry was relaxed from. With
+/// `stop`, the search ends once that node settles.
+fn relax(
     g: &Graph,
     w: &[u64],
-    ts: &[NodeId],
-    dist: &[Vec<u64>],
-    parent: &[Vec<usize>],
-    dp: &[Vec<u64>],
-    mask: usize,
-    v: usize,
-    nodes: &mut NodeSet,
+    row: &mut [u64],
+    bp: &mut [u32],
+    stop: Option<usize>,
+    heap: &mut Vec<HeapEntry>,
     token: &CancelToken,
 ) -> SolveOutcome<()> {
-    let target = dp[mask][v];
-    debug_assert!(target < INF);
-    if mask.count_ones() == 1 {
-        let i = mask.trailing_zeros() as usize;
-        let t = ts[i].index();
-        add_path(parent, t, v, nodes);
-        nodes.insert(ts[i]);
-        return Ok(());
-    }
-    // Find u and a split (sub, rest) with dp[sub][u] + dp[rest][u] - w(u)
-    // + dist[u][v] == dp[mask][v].
-    for u in 0..g.node_count() {
-        token.tick(Stage::ExactDp, 1)?;
-        if dist[u][v] >= INF {
+    heap.clear();
+    heap.extend(
+        (0..row.len())
+            .filter(|&v| row[v] < INF)
+            .map(|v| Reverse((row[v], v as u32))),
+    );
+    // Heapify in place and hand the buffer back afterwards, so the
+    // relaxations of all masks share one allocation.
+    let mut queue = BinaryHeap::from(std::mem::take(heap));
+    while let Some(Reverse((d, v))) = queue.pop() {
+        let v = v as usize;
+        if d > row[v] {
             continue;
         }
-        let need = match target.checked_sub(dist[u][v]) {
-            Some(x) => x,
-            None => continue,
-        };
-        let mut sub = (mask - 1) & mask;
-        while sub > 0 {
-            let rest = mask ^ sub;
-            if sub < rest
-                && dp[sub][u] < INF
-                && dp[rest][u] < INF
-                && dp[sub][u] + dp[rest][u] - w[u] == need
-            {
-                add_path(parent, u, v, nodes);
-                nodes.insert(NodeId::from_index(u));
-                reconstruct(g, w, ts, dist, parent, dp, sub, u, nodes, token)?;
-                reconstruct(g, w, ts, dist, parent, dp, rest, u, nodes, token)?;
-                return Ok(());
+        if stop == Some(v) {
+            break;
+        }
+        let nbrs = g.neighbors(NodeId::from_index(v));
+        token.tick(Stage::ExactDp, 1 + nbrs.len() as u64)?;
+        for &u in nbrs {
+            let nd = d + w[u.index()];
+            if nd < row[u.index()] {
+                row[u.index()] = nd;
+                bp[u.index()] = v as u32;
+                queue.push(Reverse((nd, u.0)));
             }
-            sub = (sub - 1) & mask;
         }
     }
-    // A DP value with no witness is a solver bug; surface it as data so
-    // one bad query degrades instead of aborting the process.
-    Err(SolveError::Internal {
-        stage: Stage::ExactDp,
-        detail: format!("DP value {target} for mask {mask:b} at node {v} has no witness"),
-    })
+    *heap = queue.into_vec();
+    Ok(())
 }
 
-/// Adds the nodes of the stored shortest path from `src` to `v`
-/// (exclusive of `src`, inclusive of `v` — `src` is added by the caller).
-fn add_path(parent: &[Vec<usize>], src: usize, v: usize, nodes: &mut NodeSet) {
-    let mut cur = v;
-    while cur != src {
-        nodes.insert(NodeId::from_index(cur));
-        cur = parent[src][cur];
-        debug_assert_ne!(cur, usize::MAX, "path must lead back to the source");
+/// Reads the tree behind `dp[root]` back from the tables: walk the
+/// back-pointers of one mask to the entry its value was seeded at, then
+/// either stop at the mask's terminal or re-find the merge's split there
+/// and continue with both halves.
+fn read_back(
+    dp: &[u64],
+    bp: &[u32],
+    w: &[u64],
+    ts: &[NodeId],
+    root: (usize, usize),
+    token: &CancelToken,
+) -> SolveOutcome<NodeSet> {
+    let n = w.len();
+    let internal = |detail: String| SolveError::Internal {
+        stage: Stage::ExactDp,
+        detail,
+    };
+    let mut nodes = NodeSet::new(n);
+    // Pending masks are disjoint parts of the root mask: at most k − 1.
+    let mut stack = Vec::with_capacity(ts.len());
+    stack.push(root);
+    // A correct read-back visits each table entry at most once; more
+    // steps than entries means the back-pointers are cyclic.
+    let mut steps = 0usize;
+    while let Some((mask, mut v)) = stack.pop() {
+        let row = mask * n;
+        loop {
+            steps += 1;
+            if steps > dp.len() {
+                return Err(internal(format!(
+                    "back-pointers of mask {mask:b} do not end at a seed"
+                )));
+            }
+            token.tick(Stage::ExactDp, 1)?;
+            nodes.insert(NodeId::from_index(v));
+            match bp[row + v] {
+                SEED => break,
+                u => v = u as usize,
+            }
+        }
+        if mask.is_power_of_two() {
+            if v != ts[mask.trailing_zeros() as usize].index() {
+                return Err(internal(format!(
+                    "mask {mask:b} is seeded at node {v}, not at its terminal"
+                )));
+            }
+            continue;
+        }
+        let target = dp[row + v];
+        debug_assert!(target < INF);
+        let split = splits(mask).find(|&(a, b)| {
+            let (x, y) = (dp[a * n + v], dp[b * n + v]);
+            x < INF && y < INF && x + y - w[v] == target
+        });
+        // A DP value with no witness is a solver bug; surface it as data
+        // so one bad query degrades instead of aborting the process.
+        let Some((a, b)) = split else {
+            return Err(internal(format!(
+                "DP value {target} for mask {mask:b} at node {v} has no witness"
+            )));
+        };
+        stack.push((a, v));
+        stack.push((b, v));
     }
+    Ok(nodes)
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 
 use crate::artifacts::SchemaArtifacts;
 use crate::{
-    algorithm1_with_ordering_budgeted_in, algorithm2_budgeted_in, steiner_exact_budgeted,
-    steiner_exact_node_weighted_budgeted, steiner_kmb_budgeted, SteinerInstance, SteinerTree,
+    algorithm1_with_ordering_budgeted_in, algorithm2_budgeted_in,
+    steiner_exact_node_weighted_budgeted, steiner_kmb_budgeted, SteinerTree,
 };
 use mcc_chordality::BipartiteClassification;
 use mcc_graph::{
@@ -327,11 +327,8 @@ impl Solver {
         }
         let stats = SolveStats::default();
         if terminals.len() <= self.config.max_exact_terminals {
-            match steiner_exact_budgeted(
-                &SteinerInstance::new(g.clone(), terminals.clone()),
-                budget,
-                token,
-            ) {
+            let unit = vec![1u64; g.node_count()];
+            match steiner_exact_node_weighted_budgeted(g, terminals, &unit, budget, token) {
                 Ok(sol) => {
                     let cost = sol.tree.node_cost();
                     return Ok(Solution {

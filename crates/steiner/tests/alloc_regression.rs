@@ -1,4 +1,5 @@
-//! Allocation regression test for Algorithm 2's elimination loop.
+//! Allocation regression tests for Algorithm 2's elimination loop and
+//! the exact DP.
 //!
 //! The whole point of the workspace refactor is that Step 1 of
 //! Algorithm 2 — `O(|V|)` terminal-connectivity BFS tests against a
@@ -233,4 +234,64 @@ fn telemetry_spans_add_zero_allocations_on_the_budgeted_route() {
         on_allocs, off_allocs,
         "recording spans must not allocate: {on_allocs} (on) vs {off_allocs} (off)"
     );
+}
+
+/// One exact DP solve allocates a fixed number of times, whatever the
+/// terminal count or the graph size: two flat tables, one heap buffer,
+/// one read-back stack and the result, never a row per mask. A return of
+/// per-mask `Vec` rows (or of per-node matrices) makes the count grow
+/// with `k` (or `n`) and fails this test.
+///
+/// Debug builds also run the DP's own solution certificate, whose graph
+/// rebuild allocates in proportion to the tree; the same certificate is
+/// measured on the returned tree and subtracted, so the pin holds in both
+/// build profiles.
+#[test]
+fn exact_dp_allocation_count_is_independent_of_k_and_n() {
+    use mcc_graph::{CancelToken, SolveBudget};
+    use mcc_steiner::{
+        check_steiner_solution, steiner_exact_node_weighted_budgeted, CHECK_STEINER_MAX_NODES,
+    };
+
+    let budget = SolveBudget::unbounded();
+    let measure = |blocks: usize, k: usize| -> u64 {
+        let (g, _) = c4_chain(blocks);
+        let n = g.node_count();
+        // k articulation nodes a_i, spread along the chain.
+        let terminals =
+            NodeSet::from_nodes(n, (0..k).map(|i| NodeId((i * blocks / (k - 1)) as u32)));
+        assert_eq!(terminals.len(), k);
+        let w = vec![1u64; n];
+        let token = CancelToken::unbounded();
+        let before = allocation_count();
+        let sol = steiner_exact_node_weighted_budgeted(&g, &terminals, &w, &budget, &token)
+            .expect("terminals connected");
+        let mut allocs = allocation_count() - before;
+        // On a C4 chain the optimum is the a-path between the outermost
+        // terminals plus one midpoint per block.
+        assert_eq!(sol.cost as usize, 2 * blocks + 1);
+        if cfg!(debug_assertions) && n <= CHECK_STEINER_MAX_NODES {
+            let before = allocation_count();
+            assert!(check_steiner_solution(
+                &g,
+                &NodeSet::full(n),
+                &terminals,
+                &sol.tree
+            ));
+            allocs -= allocation_count() - before;
+        }
+        allocs
+    };
+
+    // Warm-up: the first span on this thread sets up its telemetry shard.
+    let _ = measure(4, 2);
+
+    let baseline = measure(4, 2);
+    for (blocks, k) in [(4, 4), (10, 2), (10, 7), (40, 3), (40, 8)] {
+        assert_eq!(
+            measure(blocks, k),
+            baseline,
+            "exact DP allocation count moved with size ({blocks} blocks, k = {k})"
+        );
+    }
 }
