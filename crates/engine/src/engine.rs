@@ -19,16 +19,45 @@
 //! flag under the queue lock — nothing new is admitted, but workers keep
 //! draining until the queue is empty, so every admitted request gets its
 //! answer before [`Engine::shutdown`] returns.
+//!
+//! ## Handoff
+//!
+//! A request crosses threads twice: submit → worker and reply → client.
+//! Both crossings avoid a futex round trip when the peer is about to be
+//! ready, with one bounded spin-then-yield poll ([`backoff`], an
+//! iteration count — no clock, no knob) before parking:
+//!
+//! * **Pickup.** A worker that finds the queue empty tries to take the
+//!   engine-wide *spin token*, so at most one worker spins at a time, and
+//!   at most once per idle period. The holder releases the queue lock,
+//!   polls an atomic mirror of the queue length, then clears the token,
+//!   re-locks and re-checks before it parks on `work_ready`. `submit`
+//!   skips its `notify_one` syscall when the job it pushed is the only
+//!   one queued and the token is held: the spinner will find it.
+//! * **Reply.** The [`Ticket`] is a one-shot slot: the client polls its
+//!   `ready` flag before parking, and the worker signals the slot's
+//!   condvar only if the client parked.
+//!
+//! No wakeup is lost when `submit` skips the signal. The spinner clears
+//! the token (`SeqCst`) *before* it re-locks the queue, and `submit`
+//! reads the token (`SeqCst`) *after* pushing under the lock. If that
+//! read saw the token held, the holder's clear comes later in the
+//! token's modification order, so the holder's re-lock cannot precede
+//! `submit`'s push (that would make the clear happen-before the read,
+//! which would then see it): the holder re-locks after the push and
+//! finds the job. Every other wakeup is a predicate loop under the lock.
 
 use crate::cache::{CachedArtifacts, SchemaArtifactCache, SchemaId};
-use crate::request::{EngineError, QueryKind, QueryRequest, Rejected, Response, Ticket};
+use crate::request::{
+    backoff, reply_slot, EngineError, QueryKind, QueryRequest, Rejected, Reply, Response, Ticket,
+};
 use crate::stats::{Counters, EngineStats};
 use mcc::{SolveError, Solver, SolverConfig};
 use mcc_graph::{NodeSet, Stage};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
 /// Engine sizing and solver tuning.
@@ -77,22 +106,22 @@ enum Job {
 
 struct SingleJob {
     request: QueryRequest,
-    reply: mpsc::Sender<Response>,
+    reply: Reply,
     /// Admission timestamp from the `mcc-obs` clock; a worker records
     /// `now − enqueued_nanos` into the queue-wait histogram at pickup.
     /// 0 when telemetry is disabled (the record is a no-op then too).
     enqueued_nanos: u64,
 }
 
-/// One admitted request and the channel its answer goes back on.
-type BatchMember = (QueryRequest, mpsc::Sender<Response>);
+/// One admitted request and the slot its answer goes back in.
+type BatchMember = (QueryRequest, Reply);
 
 struct BatchJob {
     /// The schema every member shares (structurally equal schemas share
     /// one id — the cache dedups by fingerprint at registration, so
     /// grouping by id *is* grouping by fingerprint).
     schema: SchemaId,
-    /// Members in submission order, each with its reply channel.
+    /// Members in submission order, each with its reply slot.
     members: Vec<BatchMember>,
     enqueued_nanos: u64,
 }
@@ -105,9 +134,59 @@ struct QueueState {
 struct Shared {
     queue: Mutex<QueueState>,
     work_ready: Condvar,
+    /// `queue.jobs.len()`, stored under the queue lock at every push and
+    /// pop, so the spinning worker can poll it without the lock. Only a
+    /// hint: the spinner re-checks the queue itself under the lock.
+    queued: AtomicUsize,
+    /// The spin token: held by the one idle worker allowed to poll
+    /// `queued` instead of parking. See the module doc's handoff section.
+    spinner: AtomicBool,
+    #[cfg(test)]
+    probe: tests::Probe,
     capacity: usize,
     counters: Counters,
     cache: Arc<SchemaArtifactCache>,
+}
+
+impl Shared {
+    fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes a worker for freshly pushed jobs, after the queue lock is
+    /// released. `lone` means the push left exactly one job queued: if
+    /// the spin token is held, its holder will find that job, so the
+    /// signal (a syscall even with no one parked) is skipped.
+    fn wake_workers(&self, lone: bool, jobs: usize) {
+        if lone && self.spinner.load(Ordering::SeqCst) {
+            return;
+        }
+        if jobs == 1 {
+            self.work_ready.notify_one();
+        } else {
+            self.work_ready.notify_all();
+        }
+    }
+
+    /// Takes the engine-wide spin token if no other worker holds it.
+    fn take_spin_token(&self) -> bool {
+        let taken = self
+            .spinner
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        #[cfg(test)]
+        if taken {
+            let now = self.probe.spinning.fetch_add(1, Ordering::SeqCst) + 1;
+            self.probe.spin_high_water.fetch_max(now, Ordering::SeqCst);
+        }
+        taken
+    }
+
+    fn release_spin_token(&self) {
+        #[cfg(test)]
+        self.probe.spinning.fetch_sub(1, Ordering::SeqCst);
+        self.spinner.store(false, Ordering::SeqCst);
+    }
 }
 
 /// The concurrent query-serving engine. See the crate docs for the
@@ -148,6 +227,10 @@ impl Engine {
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
+            queued: AtomicUsize::new(0),
+            spinner: AtomicBool::new(false),
+            #[cfg(test)]
+            probe: tests::Probe::default(),
             capacity: config.queue_capacity.max(1),
             counters: Counters::default(),
             cache,
@@ -193,13 +276,9 @@ impl Engine {
     /// [`Ticket`] resolves to the answer; dropping the ticket abandons
     /// the answer but the request is still served (and counted).
     pub fn submit(&self, request: QueryRequest) -> Result<Ticket, Rejected> {
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+        let (reply, ticket) = reply_slot();
+        let lone = {
+            let mut q = self.shared.lock_queue();
             if q.shutdown {
                 self.shared
                     .counters
@@ -216,9 +295,10 @@ impl Engine {
             }
             q.jobs.push_back(Job::Single(SingleJob {
                 request,
-                reply: tx,
+                reply,
                 enqueued_nanos: mcc_obs::now_nanos(),
             }));
+            self.shared.queued.store(q.jobs.len(), Ordering::Relaxed);
             // Counted while still holding the queue lock (and `SeqCst`,
             // like the worker-side counters): a worker can only pop this
             // job after the lock is released, so its `solved`/`completed`
@@ -230,9 +310,10 @@ impl Engine {
                 .counters
                 .submitted
                 .fetch_add(1, Ordering::SeqCst);
-        }
-        self.shared.work_ready.notify_one();
-        Ok(Ticket { rx })
+            q.jobs.len() == 1
+        };
+        self.shared.wake_workers(lone, 1);
+        Ok(ticket)
     }
 
     /// Admits a whole batch through one front-door pass, grouping the
@@ -261,19 +342,16 @@ impl Engine {
         let mut groups: Vec<(SchemaId, Vec<BatchMember>)> = Vec::new();
         let mut tickets = Vec::with_capacity(requests.len());
         for request in requests {
-            let (tx, rx) = mpsc::channel();
-            tickets.push(Ticket { rx });
+            let (reply, ticket) = reply_slot();
+            tickets.push(ticket);
             match groups.iter_mut().find(|(s, _)| *s == request.schema) {
-                Some((_, members)) => members.push((request, tx)),
-                None => groups.push((request.schema, vec![(request, tx)])),
+                Some((_, members)) => members.push((request, reply)),
+                None => groups.push((request.schema, vec![(request, reply)])),
             }
         }
-        {
-            let mut q = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+        let n_groups = groups.len();
+        let lone = {
+            let mut q = self.shared.lock_queue();
             if q.shutdown {
                 self.shared
                     .counters
@@ -289,7 +367,6 @@ impl Engine {
                 return (Vec::new(), Some((0, Rejected::QueueFull)));
             }
             let enqueued_nanos = mcc_obs::now_nanos();
-            let n_groups = groups.len() as u64;
             for (schema, members) in groups {
                 q.jobs.push_back(Job::Batch(BatchJob {
                     schema,
@@ -297,6 +374,7 @@ impl Engine {
                     enqueued_nanos,
                 }));
             }
+            self.shared.queued.store(q.jobs.len(), Ordering::Relaxed);
             // Same discipline as `submit`: counted inside the lock,
             // `SeqCst`, and in the reverse of the snapshot's read order
             // (`submitted`, then `batched_requests`, then `batches`) so
@@ -313,21 +391,16 @@ impl Engine {
             self.shared
                 .counters
                 .batches
-                .fetch_add(n_groups, Ordering::SeqCst);
-        }
-        self.shared.work_ready.notify_all();
+                .fetch_add(n_groups as u64, Ordering::SeqCst);
+            q.jobs.len() == 1
+        };
+        self.shared.wake_workers(lone, n_groups);
         (tickets, None)
     }
 
     /// A point-in-time activity snapshot.
     pub fn stats(&self) -> EngineStats {
-        let depth = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .jobs
-            .len();
+        let depth = self.shared.lock_queue().jobs.len();
         EngineStats::snapshot(
             &self.shared.counters,
             depth,
@@ -349,18 +422,20 @@ impl Engine {
     }
 
     fn begin_shutdown(&self) {
-        let mut q = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut q = self.shared.lock_queue();
         q.shutdown = true;
-        if self.workers.is_empty() {
-            // No one will ever drain: drop pending jobs so their tickets
-            // resolve to `Lost` instead of hanging.
-            q.jobs.clear();
-        }
+        // No one will ever drain a zero-worker engine: drop its pending
+        // jobs so their tickets resolve to `Lost` instead of hanging —
+        // after the queue lock is released, since each reply end takes
+        // its slot's lock as it drops.
+        let abandoned = if self.workers.is_empty() {
+            self.shared.queued.store(0, Ordering::Relaxed);
+            std::mem::take(&mut q.jobs)
+        } else {
+            VecDeque::new()
+        };
         drop(q);
+        drop(abandoned);
         self.shared.work_ready.notify_all();
     }
 }
@@ -382,22 +457,40 @@ fn worker_loop(shared: &Shared, solver_config: SolverConfig) {
     let mut solvers: HashMap<SchemaId, (u64, Solver)> = HashMap::new();
     loop {
         let job = {
-            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut q = shared.lock_queue();
+            let mut spun = false;
             // Condvar discipline: re-check the predicate (job available or
             // shutdown) on every wakeup — `Condvar::wait` may wake
             // spuriously, and `notify_one` may race a worker that grabbed
             // the job on its own.
             loop {
                 if let Some(job) = q.jobs.pop_front() {
+                    shared.queued.store(q.jobs.len(), Ordering::Relaxed);
                     break Some(job);
                 }
                 if q.shutdown {
                     break None;
                 }
+                if !spun && shared.take_spin_token() {
+                    // Poll for the next job without the lock (at most
+                    // once per idle period), then release the token
+                    // *before* re-locking: the module doc's lost-wakeup
+                    // argument rests on that order.
+                    spun = true;
+                    drop(q);
+                    backoff(|| shared.queued.load(Ordering::Relaxed) != 0);
+                    shared.release_spin_token();
+                    q = shared.lock_queue();
+                    continue;
+                }
+                #[cfg(test)]
+                shared.probe.parked.fetch_add(1, Ordering::SeqCst);
                 q = shared
                     .work_ready
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
+                #[cfg(test)]
+                shared.probe.parked.fetch_sub(1, Ordering::SeqCst);
             }
         };
         let Some(job) = job else { return };
@@ -417,7 +510,7 @@ fn worker_loop(shared: &Shared, solver_config: SolverConfig) {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     serve(shared, &mut solvers, solver_config, &job.request)
                 }));
-                deliver(shared, &mut solvers, outcome, &job.reply);
+                deliver(shared, &mut solvers, outcome, job.reply);
             }
             Job::Batch(batch) => {
                 mcc_obs::record_stage(
@@ -444,7 +537,7 @@ fn deliver(
     shared: &Shared,
     solvers: &mut HashMap<SchemaId, (u64, Solver)>,
     outcome: std::thread::Result<Response>,
-    reply: &mpsc::Sender<Response>,
+    reply: Reply,
 ) {
     let result = match outcome {
         Ok(result) => result,
@@ -474,7 +567,7 @@ fn deliver(
     }
     // A dropped ticket is not an error: the request was served and
     // counted either way.
-    let _ = reply.send(result);
+    reply.send(result);
     shared.counters.completed.fetch_add(1, Ordering::SeqCst);
 }
 
@@ -505,7 +598,7 @@ fn serve_batch(
                     shared,
                     solvers,
                     Ok(Err(EngineError::Cache(e.clone()))),
-                    &reply,
+                    reply,
                 );
             }
             return;
@@ -519,7 +612,7 @@ fn serve_batch(
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             serve_with_artifacts(&cached, solvers, solver_config, &request)
         }));
-        deliver(shared, solvers, outcome, &reply);
+        deliver(shared, solvers, outcome, reply);
     }
 }
 
@@ -607,6 +700,18 @@ fn serve_with_artifacts(
 mod tests {
     use super::*;
     use mcc_datamodel::RelationalSchema;
+    use std::time::Duration;
+
+    /// Test-only view of the workers' handoff state.
+    #[derive(Default)]
+    pub(super) struct Probe {
+        /// Workers currently holding the spin token.
+        pub(super) spinning: AtomicUsize,
+        /// Most workers ever seen holding the spin token at once.
+        pub(super) spin_high_water: AtomicUsize,
+        /// Workers parked on `work_ready` (bumped under the queue lock).
+        pub(super) parked: AtomicUsize,
+    }
 
     fn acyclic() -> RelationalSchema {
         RelationalSchema::from_lists(
@@ -726,6 +831,123 @@ mod tests {
         assert_eq!(stats.solved, 1);
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.queue_depth, 0);
+    }
+
+    #[test]
+    fn answer_to_a_dropped_ticket_is_still_counted() {
+        let engine = Engine::new(EngineConfig::with_workers(1));
+        let id = engine.register(acyclic()).unwrap();
+        drop(
+            engine
+                .submit(QueryRequest::steiner(id, &["name", "budget"]))
+                .unwrap(),
+        );
+        let stats = engine.shutdown();
+        assert_eq!(stats.submitted, 1);
+        assert_eq!(stats.solved, 1);
+        assert_eq!(stats.completed, 1);
+    }
+
+    /// Oversubscribed load (more client threads than cores) through both
+    /// front doors, on one and on two workers, with a final round that
+    /// shuts down mid-load. A lost wakeup on either handoff would leave a
+    /// ticket unanswered: every wait is bounded, so it fails instead of
+    /// hanging.
+    #[test]
+    fn handoff_stays_live_under_oversubscribed_load() {
+        const ROUNDS: usize = 6;
+        const CLIENTS: usize = 8;
+        const WINDOW: usize = 4;
+        const PER_CLIENT: usize = 60;
+        const TIMEOUT: Duration = Duration::from_secs(30);
+        const QUERIES: [&[&str]; 4] = [
+            &["name", "budget"],
+            &["emp_id", "dept"],
+            &["name", "dept", "budget"],
+            &["emp_id"],
+        ];
+        let mut high_water = 0;
+        for round in 0..ROUNDS {
+            let shutdown_mid_load = round == ROUNDS - 1;
+            let engine = Engine::new(EngineConfig::with_workers(1 + round % 2));
+            let shared = Arc::clone(&engine.shared);
+            let id = engine.register(acyclic()).unwrap();
+            let settle = |ticket: Ticket| {
+                let start = std::time::Instant::now();
+                let answer = ticket.wait_timeout(TIMEOUT);
+                // A reply that lands without waking its parked ticket is
+                // only seen when the wait times out: fail on that too.
+                assert!(start.elapsed() < TIMEOUT, "round {round}: lost wakeup");
+                assert!(
+                    matches!(answer, Some(Ok(_))),
+                    "round {round}: ticket resolved to {answer:?}"
+                );
+            };
+            thread::scope(|s| {
+                for client in 0..CLIENTS {
+                    let (engine, settle) = (&engine, &settle);
+                    s.spawn(move || {
+                        let mut inflight = VecDeque::new();
+                        for i in 0..PER_CLIENT {
+                            while inflight.len() >= WINDOW {
+                                settle(inflight.pop_front().unwrap());
+                            }
+                            let request =
+                                |k: usize| QueryRequest::steiner(id, QUERIES[(client + k) % 4]);
+                            if i % 3 == 0 {
+                                let (tickets, rejected) =
+                                    engine.submit_batch([request(i), request(i + 1)]);
+                                inflight.extend(tickets);
+                                if rejected.is_some() {
+                                    break;
+                                }
+                            } else {
+                                match engine.submit(request(i)) {
+                                    Ok(ticket) => inflight.push_back(ticket),
+                                    Err(_) => break,
+                                }
+                            }
+                        }
+                        inflight.into_iter().for_each(settle);
+                    });
+                }
+                if shutdown_mid_load {
+                    while engine.stats().completed < (CLIENTS * PER_CLIENT / 4) as u64 {
+                        thread::yield_now();
+                    }
+                    engine.begin_shutdown();
+                }
+            });
+            let stats = engine.shutdown();
+            assert_eq!(stats.completed, stats.submitted, "round {round}");
+            assert_eq!(stats.queue_depth, 0);
+            let round_high_water = shared.probe.spin_high_water.load(Ordering::SeqCst);
+            assert!(round_high_water <= 1, "round {round}: two spinners");
+            high_water = high_water.max(round_high_water);
+        }
+        assert_eq!(high_water, 1, "no worker ever took the spin token");
+    }
+
+    /// The one case where `submit` must signal: every worker is parked.
+    /// The probe's parked count is bumped under the queue lock just
+    /// before the wait releases it, so a submit that follows it finds
+    /// every worker inside `Condvar::wait`.
+    #[test]
+    fn a_lone_submit_wakes_a_fully_parked_pool() {
+        for workers in [1, 2] {
+            let engine = Engine::new(EngineConfig::with_workers(workers));
+            let id = engine.register(acyclic()).unwrap();
+            for _ in 0..20 {
+                while engine.shared.probe.parked.load(Ordering::SeqCst) < workers {
+                    thread::yield_now();
+                }
+                let answer = engine
+                    .submit(QueryRequest::steiner(id, &["name", "budget"]))
+                    .unwrap()
+                    .wait_timeout(Duration::from_secs(30));
+                assert!(matches!(answer, Some(Ok(_))), "lost wakeup: {answer:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!   substrate), built on registration and invalidated when the schema
 //!   changes. Hit/miss counters make the "warm solves skip schema work"
 //!   claim observable.
-//! * [`Engine`] — a worker-pool executor (`std::thread` + channels, no
-//!   async runtime). Each worker owns its solvers and their `Workspace`s
-//!   outright — scratch memory is never shared, only the read-only
-//!   artifacts are. Per-request [`SolveBudget`]s ride on the request.
+//! * [`Engine`] — a worker-pool executor (`std::thread`, a bounded
+//!   queue and one-shot reply slots, no async runtime). Each worker owns
+//!   its solvers and their `Workspace`s outright — scratch memory is
+//!   never shared, only the read-only artifacts are. Per-request
+//!   [`SolveBudget`]s ride on the request.
 //! * the **front door** — [`Engine::submit`] never blocks: a bounded
 //!   queue admits work, [`Rejected::QueueFull`] /
 //!   [`Rejected::Shutdown`] push back, [`Engine::shutdown`] drains what
@@ -45,6 +46,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
 mod cache;

@@ -3,8 +3,8 @@
 //! Clippy and rustc enforce language-level hygiene; this crate enforces
 //! *repo*-level invariants that no general-purpose tool knows about —
 //! the tick discipline for wall-clock reads, the `*_in` zero-alloc
-//! hot-path convention, the engine's typed poison-handling requirement,
-//! the lock-acquisition order across `engine`/`store`, and the
+//! hot-path convention, the lock-acquisition order across
+//! `engine`/`store`, and the
 //! `// PROVABLY:` justification protocol for panicking calls.
 //!
 //! The pass runs in two phases. Per-file lexical rules work straight off

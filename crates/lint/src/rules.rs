@@ -72,12 +72,6 @@ pub const RULES: &[Rule] = &[
         kind: RuleKind::File(hot_path_adjacency),
     },
     Rule {
-        name: "engine-lock-unwrap",
-        desc: "no lock().unwrap() in crates/{engine,store} — handle PoisonError \
-               explicitly",
-        kind: RuleKind::File(engine_lock_unwrap),
-    },
-    Rule {
         name: "missing-docs",
         desc: "every pub item in crates/{core,engine,datamodel,obs,store} carries \
                a doc comment",
@@ -253,71 +247,6 @@ pub fn hot_path_adjacency(ctx: &FileCtx, a: &Analysis, out: &mut Vec<Diagnostic>
                     t.text
                 ),
             ));
-        }
-    }
-}
-
-/// Rule: in `crates/engine` and `crates/store`, lock acquisition must go
-/// through the typed poison-handling path, never `.unwrap()`.
-pub fn engine_lock_unwrap(ctx: &FileCtx, a: &Analysis, out: &mut Vec<Diagnostic>) {
-    if ctx.crate_name != "engine" && ctx.crate_name != "store" {
-        return;
-    }
-    const LOCKISH: &[&str] = &["lock", "read", "write", "wait", "wait_timeout", "try_lock"];
-    let toks = &a.tokens;
-    for i in 2..toks.len() {
-        if toks[i].text != "unwrap"
-            || toks[i - 1].text != "."
-            || toks.get(i + 1).map(|n| n.text.as_str()) != Some("(")
-        {
-            continue;
-        }
-        if a.is_test_line(toks[i].line) {
-            continue;
-        }
-        // Receiver must be a call: `)` right before the `.`; match back to
-        // its `(` and look at the callee name.
-        if toks[i - 2].text != ")" {
-            continue;
-        }
-        let mut depth = 0usize;
-        let mut j = i - 2;
-        let callee = loop {
-            match toks[j].text.as_str() {
-                ")" => depth += 1,
-                "(" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break j.checked_sub(1);
-                    }
-                }
-                _ => {}
-            }
-            if j == 0 {
-                break None;
-            }
-            j -= 1;
-        };
-        if let Some(k) = callee {
-            let name = toks[k].text.as_str();
-            // Method calls only: `guard.read().unwrap()` acquires a lock,
-            // `fs::read(path).unwrap()` does not (that's the no-panic
-            // rule's jurisdiction).
-            let is_method = k > 0 && toks[k - 1].text == ".";
-            if is_method
-                && LOCKISH.contains(&name)
-                && !a.allowed_at(toks[i].line, "engine-lock-unwrap")
-            {
-                out.push(ctx.diag(
-                    toks[i].line,
-                    "engine-lock-unwrap",
-                    &format!(
-                        "`{name}().unwrap()` in crates/{} — use the PoisonError \
-                         recovery path (unwrap_or_else(PoisonError::into_inner))",
-                        ctx.crate_name
-                    ),
-                ));
-            }
         }
     }
 }

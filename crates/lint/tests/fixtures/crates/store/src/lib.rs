@@ -21,29 +21,6 @@ pub fn allowed_load(path: &Path) -> Vec<u8> {
     std::fs::read(path).unwrap()
 }
 
-use std::sync::RwLock;
-
-/// A scope table guarded the way the real store guards its scopes.
-pub struct Scopes {
-    scopes: RwLock<Vec<String>>,
-}
-
-impl Scopes {
-    /// Violation (engine-lock-unwrap, and no-panic): an unwrapped read
-    /// lock — the rule extends to store code.
-    pub fn bad_list(&self) -> usize {
-        self.scopes.read().unwrap().len()
-    }
-
-    /// Exempt: the typed poison-recovery path.
-    pub fn good_list(&self) -> usize {
-        self.scopes
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
