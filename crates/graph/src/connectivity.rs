@@ -49,7 +49,10 @@ pub fn is_cover_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet, terminals: &N
 /// set as a whole may temporarily contain stranded non-terminal pieces,
 /// which later elimination steps clean up. (Testing full connectivity of
 /// the alive set instead would let a one-pass sweep keep redundant
-/// nodes; see `mcc-steiner`'s module docs.)
+/// nodes; see `mcc-steiner`'s module docs.) The sweeps themselves answer
+/// it from one block pass and block-local searches
+/// ([`crate::remove_if_redundant_in`]); this whole-graph form is their
+/// test oracle.
 ///
 /// An empty terminal set is vacuously connected.
 pub fn terminals_connected(g: &Graph, alive: &NodeSet, terminals: &NodeSet) -> bool {
@@ -59,13 +62,6 @@ pub fn terminals_connected(g: &Graph, alive: &NodeSet, terminals: &NodeSet) -> b
 /// Allocation-free [`terminals_connected`]: one BFS from the first
 /// terminal, counting terminals as they are reached and stopping early
 /// once all of them have been seen. No component set is materialized.
-///
-/// Graphs carrying dense bitset rows take a **level-synchronous**
-/// frontier sweep instead of the per-neighbor queue BFS: each level is a
-/// handful of whole-word row ORs and mask ANDs, so 64 visited checks
-/// collapse into one word op. Sparse graphs (no dense rows) keep the
-/// queue BFS — their diameter can be `Θ(n)`, where per-level set sweeps
-/// would cost `O(n²/64)`.
 pub fn terminals_connected_in(
     ws: &mut Workspace,
     g: &Graph,
@@ -80,9 +76,6 @@ pub fn terminals_connected_in(
     };
     let want = terminals.len();
     ws.stats.bfs_runs += 1;
-    if g.has_dense_rows() {
-        return terminals_connected_frontier_in(ws, g, alive, terminals, t0, want);
-    }
     ws.begin_visit(g.node_count());
     ws.queue.clear();
     ws.mark(t0);
@@ -105,78 +98,6 @@ pub fn terminals_connected_in(
         }
     }
     found == want
-}
-
-/// The word-parallel half of [`terminals_connected_in`]: advance the
-/// whole BFS frontier one level at a time, **direction-optimized** the
-/// way large-graph BFS engines do it. A *top-down* level accumulates
-/// each frontier node's dense row by whole-word OR (cost
-/// `frontier · words`); a *bottom-up* level scans the still-unvisited
-/// alive nodes asking "does your row intersect the frontier?" — one AND
-/// with early break (cost about `unvisited` words). Dense graphs hit
-/// the crossover after one level, exactly where per-bit marking was
-/// wasting its time. All working sets come from the workspace pool, so
-/// the warm loop stays allocation-free.
-fn terminals_connected_frontier_in(
-    ws: &mut Workspace,
-    g: &Graph,
-    alive: &NodeSet,
-    terminals: &NodeSet,
-    t0: NodeId,
-    want: usize,
-) -> bool {
-    let n = g.node_count();
-    let words = n.div_ceil(64);
-    let mut unvisited = ws.take_set_buf(n);
-    let mut frontier = ws.take_set_buf(n);
-    let mut next = ws.take_set_buf(n);
-    unvisited.union_with(alive);
-    unvisited.remove(t0);
-    frontier.insert(t0);
-    let mut found = 1;
-    while found < want && !frontier.is_empty() {
-        next.clear();
-        if frontier.len() * words <= unvisited.len() * 2 {
-            // Top-down: OR the frontier's rows, then mask to the
-            // unvisited alive nodes (`unvisited` is exactly
-            // `alive ∖ visited`, so one intersection does both).
-            for v in frontier.iter() {
-                match g.neighbors_bits(v) {
-                    Some(row) => next.or_words(row),
-                    None => {
-                        for &u in g.neighbors(v) {
-                            if unvisited.contains(u) {
-                                next.insert(u);
-                            }
-                        }
-                    }
-                }
-            }
-            // `or_words` defers length maintenance; `intersect_with`
-            // restores an exact count while applying the mask.
-            next.intersect_with(&unvisited);
-        } else {
-            // Bottom-up: ask each unvisited node whether it touches the
-            // frontier.
-            for u in unvisited.iter() {
-                let hit = match g.neighbors_bits(u) {
-                    Some(row) => row.iter().zip(frontier.words()).any(|(r, f)| r & f != 0),
-                    None => g.neighbors(u).iter().any(|&w| frontier.contains(w)),
-                };
-                if hit {
-                    next.insert(u);
-                }
-            }
-        }
-        found += next.intersection_len(terminals);
-        unvisited.difference_with(&next);
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    let ok = found == want;
-    ws.return_set_buf(next);
-    ws.return_set_buf(frontier);
-    ws.return_set_buf(unvisited);
-    ok
 }
 
 /// The connected components of the subgraph induced by `alive`, each as a

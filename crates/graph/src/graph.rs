@@ -236,9 +236,8 @@ impl Graph {
     }
 
     /// `true` iff any node currently carries a dense bitset row — the
-    /// cue for level-synchronous word-parallel sweeps (e.g. the frontier
-    /// BFS in [`crate::terminals_connected_in`]) to pay off. A graph with
-    /// no dense rows is sparse enough that per-neighbor scans win.
+    /// cue for level-synchronous word-parallel sweeps to pay off. A graph
+    /// with no dense rows is sparse enough that per-neighbor scans win.
     #[inline]
     pub fn has_dense_rows(&self) -> bool {
         !self.bit_words.is_empty()

@@ -42,7 +42,9 @@ pub mod subgraph;
 pub mod traversal;
 pub mod workspace;
 
-pub use biconnected::{biconnected_components, Biconnected};
+pub use biconnected::{
+    biconnected_components, remove_if_redundant_in, terminal_blocks_in, Biconnected,
+};
 pub use bipartite::{BipartiteGraph, Side};
 pub use budget::{BudgetExceeded, BudgetKind, CancelToken, SolveBudget, Stage};
 pub use builder::GraphBuilder;

@@ -12,7 +12,7 @@ const WORD_BITS: usize = 64;
 /// elimination algorithms: the paper's Algorithms 1 and 2 "delete" nodes
 /// from the graph, which we realize by shrinking an *alive* mask and running
 /// connectivity tests restricted to the mask.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct NodeSet {
     words: Vec<u64>,
     capacity: usize,
@@ -32,17 +32,19 @@ impl NodeSet {
     /// The full set `{0, …, capacity-1}`.
     pub fn full(capacity: usize) -> Self {
         let mut s = NodeSet::new(capacity);
-        for w in &mut s.words {
-            *w = u64::MAX;
-        }
-        // Clear the bits beyond `capacity` in the last word.
-        let extra = s.words.len() * WORD_BITS - capacity;
-        if extra > 0 {
-            let last = s.words.len() - 1;
-            s.words[last] >>= extra;
-        }
-        s.len = capacity;
+        s.fill();
         s
+    }
+
+    /// Inserts every node of the universe, keeping the allocation.
+    pub fn fill(&mut self) {
+        self.words.fill(u64::MAX);
+        // Clear the bits beyond `capacity` in the last word.
+        let extra = self.words.len() * WORD_BITS - self.capacity;
+        if let Some(last) = self.words.last_mut() {
+            *last >>= extra;
+        }
+        self.len = self.capacity;
     }
 
     /// Builds a set from an iterator of nodes over the given universe size.

@@ -12,6 +12,7 @@
 //! The original allocating signatures (`bfs_order`, `component_of`, …)
 //! remain available as thin wrappers over a transient workspace.
 
+use crate::biconnected::BlockScratch;
 use crate::{Graph, NodeId, NodeSet};
 
 /// A pooled row of `u64` scratch words for word-parallel set sweeps —
@@ -157,7 +158,11 @@ impl BitRow {
 /// these before/after a solve are surfaced as `SolveStats` by `mcc-core`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
-    /// Number of BFS sweeps run through this workspace.
+    /// Number of BFS sweeps run through this workspace. The elimination
+    /// sweeps of Algorithms 1 and 2 count one per connectivity test they
+    /// still search, and each such test is confined to one biconnected
+    /// block (`remove_if_redundant_in`); their one block pass per sweep
+    /// is a DFS and is not counted.
     pub bfs_runs: u64,
     /// Number of elimination-candidate tests recorded by the Steiner
     /// algorithms (incremented by `mcc-steiner`, not by this crate).
@@ -181,7 +186,9 @@ pub struct WorkspaceStats {
 #[derive(Debug, Clone)]
 pub struct Workspace {
     /// `visited[v] == epoch` means `v` is marked in the current sweep.
-    visited: Vec<u32>,
+    /// The block pass borrows it for DFS discovery times between two
+    /// [`Workspace::clear_visited`] calls.
+    pub(crate) visited: Vec<u32>,
     epoch: u32,
     /// BFS queue; after a sweep, `queue[..]` is the BFS order (the head
     /// pointer is a local index, so pushed order and visit order agree).
@@ -199,6 +206,8 @@ pub struct Workspace {
     /// Epoch stamped onto every [`BitRow`] handed out; bumped by
     /// [`Workspace::reset`] so stale rows are detected on return.
     bit_epoch: u32,
+    /// The last block pass (see `crate::biconnected`).
+    pub(crate) blocks: BlockScratch,
     /// Set when a solve panicked mid-flight while holding this workspace;
     /// see [`Workspace::poison`].
     poisoned: bool,
@@ -225,6 +234,7 @@ impl Workspace {
             bucket_lists: Vec::new(),
             bit_rows: Vec::new(),
             bit_epoch: 0,
+            blocks: BlockScratch::default(),
             poisoned: false,
             stats: WorkspaceStats::default(),
         }
@@ -249,6 +259,16 @@ impl Workspace {
             self.epoch = 0;
         }
         self.epoch += 1;
+    }
+
+    /// Zeroes the visited array, grown to at least `n` nodes, and
+    /// restarts the epochs.
+    pub(crate) fn clear_visited(&mut self, n: usize) {
+        if self.visited.len() < n {
+            self.visited.resize(n, 0);
+        }
+        self.visited.fill(0);
+        self.epoch = 0;
     }
 
     /// Mark `v` in the current sweep; returns `true` if it was unmarked.
@@ -371,8 +391,7 @@ impl Workspace {
     /// (capacity retained) and lifts poisoning. Buffers lost to an
     /// unwound borrower are simply re-pooled on next use.
     pub fn reset(&mut self) {
-        self.visited.fill(0);
-        self.epoch = 0;
+        self.clear_visited(0);
         self.queue.clear();
         self.bit_epoch = self.bit_epoch.wrapping_add(1);
         self.poisoned = false;
@@ -405,6 +424,7 @@ impl Workspace {
             + usize_bufs
             + buckets
             + bit_rows
+            + self.blocks.bytes()
     }
 
     /// Core BFS inside the *current* sweep: traverses the component of

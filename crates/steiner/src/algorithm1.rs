@@ -1,6 +1,8 @@
 //! The paper's **Algorithm 1** (Theorem 3): pseudo-Steiner trees w.r.t.
 //! `V₂` on V₂-chordal, V₂-conformal bipartite graphs, in `O(|V|·|A|)`
-//! (Theorem 4).
+//! (Theorem 4). This implementation runs Step 2 in
+//! `O(|V| + |A| + Σ_B |V_B|·|A_B|)` over the biconnected blocks `B`, plus
+//! the private-neighbour scans, which is linear on trees of small blocks.
 //!
 //! ```text
 //! Step 1. order the V₂ nodes as W = ⟨v₁², …, v_q²⟩ per Lemma 1;
@@ -17,14 +19,28 @@
 //! proof of Theorem 4 prescribes: run the Tarjan–Yannakakis maximum
 //! cardinality search on the edges of `H¹_G` (each edge is a `V₂` node)
 //! and reverse the resulting running-intersection ordering.
+//!
+//! ## Block-local elimination
+//!
+//! Step 2 settles its candidates the way Algorithm 2's Step 1 does (see
+//! the proof in [`mod@crate::algorithm2`]): one block pass per solve, then
+//! each `V₂` candidate is free, separating, or tested by a BFS confined
+//! to its one relevant block. The private neighbours removed with a
+//! candidate have no other alive neighbour, so they lie on no simple path
+//! between terminals and never change the verdict, unless one of them is
+//! a terminal: then the removal fails, as it does when the candidate is a
+//! terminal itself. The results are node-identical to the whole-graph
+//! test (`tests/elimination_differential.rs`).
 
+use crate::algorithm2::block_pass_in;
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_chordality::chordal_bipartite::drop_isolated_v2;
 use mcc_graph::{
-    component_of_in, terminals_connected_in, BipartiteGraph, CancelToken, NodeId, NodeSet, Side,
+    component_of_in, remove_if_redundant_in, BipartiteGraph, CancelToken, NodeId, NodeSet, Side,
     SolveBudget, Stage, Workspace,
 };
 use mcc_hypergraph::{h1_of_bipartite, running_intersection_ordering, JoinTree};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Failure modes of Algorithm 1.
@@ -187,10 +203,11 @@ pub fn algorithm1_in(
 }
 
 /// [`algorithm1_in`] under a [`SolveBudget`]: instance-size admission up
-/// front, a token tick per elimination candidate (weight `|V|`, the cost
-/// of the connectivity test), and the unified [`SolveError`] taxonomy.
-/// The zero-steady-state-allocation property of the elimination loop is
-/// unchanged — a tick is a [`std::cell::Cell`] decrement.
+/// front, token ticks for the block pass and each elimination candidate
+/// (see [`algorithm1_with_ordering_budgeted_in`]), and the unified
+/// [`SolveError`] taxonomy. The zero-steady-state-allocation property of
+/// the elimination loop is unchanged — a tick is a [`std::cell::Cell`]
+/// decrement.
 pub fn algorithm1_budgeted_in(
     ws: &mut Workspace,
     bg: &BipartiteGraph,
@@ -198,19 +215,23 @@ pub fn algorithm1_budgeted_in(
     budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<Algorithm1Output> {
-    algorithm1_dispatch(ws, bg, terminals, None, budget, token)
+    algorithm1_run(ws, bg, terminals, None, budget, token).map(Pseudo::into_output)
 }
 
 /// [`algorithm1_budgeted_in`] with a **precomputed** Lemma 1 ordering
 /// (see [`lemma1_ordering`]): runs only Steps 2–3, skipping the `H¹`
 /// construction and join-tree search that are a pure function of the
-/// schema. This is the warm-cache entry point used by the solver's
-/// schema artifacts and the `mcc-engine` serving layer.
+/// schema. The ordering is copied into the output as its certificate;
+/// the solver's warm route borrows it instead.
 ///
 /// `ordering` must be a Lemma 1 ordering of `bg` (the caller is trusted;
 /// [`verify_lemma1_ordering`] checks the property when in doubt). A wrong
 /// ordering costs optimality, not soundness: the result is still a valid
 /// connection, just possibly not `V₂`-minimum.
+///
+/// Token charges: `|V| + |A|` units for the block pass; per candidate
+/// its degree (the private-neighbour scan) plus the nodes its
+/// block-local test visits, if it needs one.
 pub fn algorithm1_with_ordering_budgeted_in(
     ws: &mut Workspace,
     bg: &BipartiteGraph,
@@ -219,20 +240,51 @@ pub fn algorithm1_with_ordering_budgeted_in(
     budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<Algorithm1Output> {
-    algorithm1_dispatch(ws, bg, terminals, Some(ordering), budget, token)
+    algorithm1_run(ws, bg, terminals, Some(ordering), budget, token).map(Pseudo::into_output)
 }
 
-/// The shared body: admission, degenerate cases, component restriction,
-/// then Step 1 (only when no precomputed ordering was supplied) and the
-/// Steps 2–3 elimination.
-fn algorithm1_dispatch(
+/// The solver's warm route: [`algorithm1_with_ordering_budgeted_in`]
+/// without the certificate copy. Returns the tree and its `V₂` count.
+pub(crate) fn algorithm1_cached_in(
     ws: &mut Workspace,
     bg: &BipartiteGraph,
     terminals: &NodeSet,
-    precomputed: Option<&[NodeId]>,
+    ordering: &[NodeId],
     budget: &SolveBudget,
     token: &CancelToken,
-) -> SolveOutcome<Algorithm1Output> {
+) -> SolveOutcome<(SteinerTree, usize)> {
+    algorithm1_run(ws, bg, terminals, Some(ordering), budget, token).map(|p| (p.tree, p.v2_cost))
+}
+
+/// Algorithm 1's answer with the ordering it eliminated along, borrowed
+/// when the caller supplied it.
+struct Pseudo<'o> {
+    tree: SteinerTree,
+    v2_cost: usize,
+    ordering: Cow<'o, [NodeId]>,
+}
+
+impl Pseudo<'_> {
+    fn into_output(self) -> Algorithm1Output {
+        Algorithm1Output {
+            tree: self.tree,
+            v2_cost: self.v2_cost,
+            ordering: self.ordering.into_owned(),
+        }
+    }
+}
+
+/// The shared body: admission, degenerate cases, the block pass, then
+/// Step 1 (only when no precomputed ordering was supplied) and the
+/// Steps 2–3 elimination.
+fn algorithm1_run<'o>(
+    ws: &mut Workspace,
+    bg: &BipartiteGraph,
+    terminals: &NodeSet,
+    precomputed: Option<&'o [NodeId]>,
+    budget: &SolveBudget,
+    token: &CancelToken,
+) -> SolveOutcome<Pseudo<'o>> {
     let _span = mcc_obs::span!(Algorithm1);
     let g = bg.graph();
     let n = g.node_count();
@@ -240,62 +292,57 @@ fn algorithm1_dispatch(
     budget.admit_graph(Stage::Algorithm1, n, g.edge_count())?;
     token.checkpoint(Stage::Algorithm1)?;
 
-    if terminals.is_empty() {
-        return Ok(Algorithm1Output {
+    let Some(t0) = terminals.first() else {
+        return Ok(Pseudo {
             tree: SteinerTree {
                 nodes: NodeSet::new(n),
                 edges: vec![],
             },
             v2_cost: 0,
-            ordering: vec![],
+            ordering: Cow::Borrowed(&[]),
         });
-    }
+    };
     if terminals.len() == 1 {
         // Degenerate case the elimination cannot reach: the last relation
         // adjacent to the lone terminal can never be dropped (the terminal
         // would go with it as a private neighbor), yet the singleton tree
         // is plainly V2-minimum. Return it directly.
-        // PROVABLY: this branch handles exactly one terminal.
-        let t = terminals.first().expect("nonempty");
-        let v2_cost = usize::from(bg.side(t) == Side::V2);
-        return Ok(Algorithm1Output {
+        return Ok(Pseudo {
             tree: SteinerTree {
                 nodes: terminals.clone(),
                 edges: vec![],
             },
-            v2_cost,
-            ordering: vec![],
+            v2_cost: usize::from(bg.side(t0) == Side::V2),
+            ordering: Cow::Borrowed(&[]),
         });
     }
 
-    // Restrict to the component containing the terminals.
-    // PROVABLY: the empty-terminal case returned above.
-    let t0 = terminals.first().expect("nonempty");
-    let mut full = ws.take_set_buf(n);
-    for v in g.nodes() {
-        full.insert(v);
-    }
+    // The block pass over the whole graph doubles as the connectivity
+    // check: nodes outside the terminals' component are free.
     let mut alive = ws.take_set_buf(n);
-    component_of_in(ws, g, &full, t0, &mut alive);
-    ws.return_set_buf(full);
-    if !terminals.is_subset_of(&alive) {
-        ws.return_set_buf(alive);
-        return Err(SolveError::Disconnected);
+    alive.fill();
+    match block_pass_in(ws, g, &alive, terminals, Stage::Algorithm1, token) {
+        Ok(true) => {}
+        Ok(false) => {
+            ws.return_set_buf(alive);
+            return Err(SolveError::Disconnected);
+        }
+        Err(e) => {
+            ws.return_set_buf(alive);
+            return Err(e.into());
+        }
     }
 
     // Step 1: Lemma 1 ordering — precomputed (warm cache) or derived
     // here from H¹'s join tree (see `lemma1_ordering`).
-    let ordering: Vec<NodeId> = match precomputed {
-        // lint:allow(hot-path-alloc): copies the cached ordering into
-        // the solve's owned output once per solve, not per elimination
-        // step; the ordering is returned as a replayable certificate.
-        Some(order) => order.to_vec(),
+    let ordering: Cow<'o, [NodeId]> = match precomputed {
+        Some(order) => Cow::Borrowed(order),
         // lint:allow(hot-path-alloc): the cold-path fallback — Step 1
         // derives the ordering (building H¹ and its join tree, which
         // are returned certificates, not scratch) only when the schema
         // has no cached artifacts; warm solves take the arm above.
         None => match lemma1_ordering(bg) {
-            Some(l1) => l1.order,
+            Some(l1) => Cow::Owned(l1.order),
             None => {
                 ws.return_set_buf(alive);
                 return Err(SolveError::NotAlphaAcyclic);
@@ -310,32 +357,27 @@ fn algorithm1_dispatch(
         return Err(e.into());
     }
 
-    // Step 2: elimination within the component, on one alive mask.
+    // Step 2: elimination on one alive mask. A removal that takes a
+    // terminal (the candidate or one of its private neighbours) always
+    // fails.
     let mut private = ws.take_node_buf();
     let mut tripped = None;
-    for &v2 in &ordering {
+    for &v2 in ordering.iter() {
         if !alive.contains(v2) {
-            continue; // outside the component (or already private-removed)
-        }
-        // One candidate costs a connectivity test: ~|V| node visits.
-        if let Err(e) = token.tick(Stage::Algorithm1, n as u64) {
-            tripped = Some(e);
-            break;
+            continue; // already private-removed, or eliminated before
         }
         ws.stats.elimination_steps += 1;
         g.private_neighbors_into(v2, &alive, &mut private);
-        alive.remove(v2);
-        for &u in &private {
-            alive.remove(u);
-        }
-        // Elimination test: the terminals must stay mutually connected
-        // (see the interpretation note in `algorithm2`'s module docs —
-        // the same relaxation applies here). On failure, undo the removal.
-        if !terminals_connected_in(ws, g, &alive, terminals) {
-            alive.insert(v2);
-            for &u in &private {
-                alive.insert(u);
-            }
+        let takes_terminal =
+            terminals.contains(v2) || private.iter().any(|&u| terminals.contains(u));
+        let visited = if takes_terminal {
+            0
+        } else {
+            remove_if_redundant_in(ws, g, &mut alive, v2, &private)
+        };
+        if let Err(e) = token.tick(Stage::Algorithm1, (g.degree(v2) + visited) as u64) {
+            tripped = Some(e);
+            break;
         }
     }
     ws.return_node_buf(private);
@@ -343,9 +385,8 @@ fn algorithm1_dispatch(
         ws.return_set_buf(alive);
         return Err(e.into());
     }
-    // Defensive trim: drop anything not in the terminals' component
-    // (cannot occur when every V2 node is processed, but cheap to
-    // guarantee).
+    // Trim to the terminals' component: outside it, the V1 nodes and any
+    // V2 node the ordering skips are still alive.
     let mut trimmed = ws.take_set_buf(n);
     component_of_in(ws, g, &alive, t0, &mut trimmed);
     ws.return_set_buf(alive);
@@ -370,9 +411,9 @@ fn algorithm1_dispatch(
             || crate::certify::check_steiner_solution(g, &trimmed, terminals, &tree),
         "Algorithm 1 produced a tree failing its own certificate"
     );
-    let v2_cost = trimmed.intersection(&bg.v2_set()).len();
+    let v2_cost = trimmed.iter().filter(|&v| bg.side(v) == Side::V2).count();
     ws.return_set_buf(trimmed);
-    Ok(Algorithm1Output {
+    Ok(Pseudo {
         tree,
         v2_cost,
         ordering,

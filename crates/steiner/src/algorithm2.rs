@@ -1,5 +1,8 @@
 //! The paper's **Algorithm 2** (Theorem 5): Steiner trees on
-//! (6,2)-chordal bipartite graphs in `O(|V|·|A|)`.
+//! (6,2)-chordal bipartite graphs in `O(|V|·|A|)`; this implementation
+//! runs Step 1 in `O(|V| + |A| + Σ_B |V_B|·|A_B|)` over the biconnected
+//! blocks `B` (see *Block-local elimination* below), which is linear on
+//! trees of small blocks such as the (6,2) block trees.
 //!
 //! ```text
 //! Step 1. for every v in V − P̄: if G − v is a cover of P̄ then G := G − v
@@ -28,11 +31,46 @@
 //! nodes are deleted), one pass yields a nonredundant cover, and
 //! Lemma 5 then makes it minimum — which the property tests verify
 //! against the exact solver.
+//!
+//! ## Block-local elimination
+//!
+//! The paper tests each candidate with a search of the whole graph. This
+//! sweep runs one block pass first ([`terminal_blocks_in`]: a
+//! Hopcroft–Tarjan DFS from a terminal) and returns exactly the node set
+//! the whole-graph sweep returns, for any order, on-class or off-class.
+//! The argument, for a sweep that keeps the terminals connected (each
+//! step does):
+//!
+//! - A simple path between two terminals stays inside the blocks on
+//!   their path in the tree of blocks: once it leaves a block through a
+//!   cut vertex it can come back only through that same vertex. Call
+//!   these blocks *relevant*.
+//! - A candidate in no relevant block (a *free* node) lies on no such
+//!   path, so removing it keeps the terminals connected: it goes with no
+//!   search.
+//! - A cut vertex that tops a relevant block (a *separating* node) has
+//!   terminals on both sides, so removing it disconnects them: it stays
+//!   with no search.
+//! - Any other candidate lies in exactly one relevant block `B`. Every
+//!   terminal path crosses `B` between two of its *ports* (its top, its
+//!   terminals, and its cut vertices that lead to terminals), so the
+//!   terminals stay connected without the candidate iff the ports stay
+//!   connected inside `B`: one BFS confined to `B`
+//!   ([`remove_if_redundant_in`]). The ports never leave the alive set:
+//!   terminals are never candidates and separating nodes always stay.
+//! - Both settled verdicts are monotone as the alive set shrinks: a
+//!   simple path of the smaller set is one of the larger, so it still
+//!   avoids a free node, and a set that a separating node cut still falls
+//!   apart without it. So one pass serves the whole sweep.
+//!
+//! A search costs its block's nodes and their adjacency rows, whence the
+//! bound above. `tests/elimination_differential.rs` keeps the
+//! whole-graph sweep as an oracle and checks node-identical results.
 
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{
-    component_of_in, terminals_connected_in, BudgetExceeded, CancelToken, Graph, NodeId, NodeSet,
-    SolveBudget, Stage, Workspace,
+    component_of_in, remove_if_redundant_in, terminal_blocks_in, BudgetExceeded, CancelToken,
+    Graph, NodeId, NodeSet, SolveBudget, Stage, Workspace,
 };
 
 /// Runs Algorithm 2 with the default elimination order (increasing node
@@ -109,36 +147,31 @@ pub fn algorithm2_budgeted_in(
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
     budget.admit_graph(Stage::Algorithm2, n, g.edge_count())?;
     token.checkpoint(Stage::Algorithm2)?;
-    if terminals.is_empty() {
+    let Some(t0) = terminals.first() else {
         return Ok(SteinerTree {
             nodes: NodeSet::new(n),
             edges: vec![],
         });
-    }
-    // PROVABLY: the empty-terminal case returned above.
-    let t0 = terminals.first().expect("nonempty");
-    // Start from the component containing the terminals (the rest of the
-    // graph is certainly removable; skipping it keeps Step 1 at |C| tests).
-    let full = ws.take_set_buf(n);
-    let mut full = full;
-    for v in g.nodes() {
-        full.insert(v);
-    }
+    };
+    // The block pass replaces a search for the terminals' component:
+    // nodes outside it are free, and the final trim drops any that the
+    // order left alive.
     let mut alive = ws.take_set_buf(n);
-    component_of_in(ws, g, &full, t0, &mut alive);
-    ws.return_set_buf(full);
-    if !terminals.is_subset_of(&alive) {
+    alive.fill();
+    let swept = match block_pass_in(ws, g, &alive, terminals, Stage::Algorithm2, token) {
+        Ok(true) => sweep_in(ws, g, terminals, order, &mut alive, token).map_err(SolveError::from),
+        Ok(false) => Err(SolveError::Disconnected),
+        Err(e) => Err(e.into()),
+    };
+    if let Err(e) = swept {
         ws.return_set_buf(alive);
-        return Err(SolveError::Disconnected);
+        return Err(e);
     }
-    if let Err(e) = eliminate_nonredundant_budgeted_in(ws, g, terminals, order, &mut alive, token) {
-        ws.return_set_buf(alive);
-        return Err(e.into());
-    }
-    // When `order` covers every candidate the surviving set is already
-    // connected (every kept node separates terminals, hence lies on a
-    // terminal path); with a partial order, stranded never-eliminated
-    // nodes may remain — trim to the terminals' component.
+    // When `order` covers every candidate of the terminals' component the
+    // survivors there are already connected (every kept node separates
+    // terminals, hence lies on a terminal path); nodes the order skips,
+    // in or out of that component, may remain — trim to the terminals'
+    // component.
     let mut trimmed = ws.take_set_buf(n);
     component_of_in(ws, g, &alive, t0, &mut trimmed);
     ws.return_set_buf(alive);
@@ -163,12 +196,14 @@ pub fn algorithm2_budgeted_in(
 
 /// Algorithm 2's **Step 1** in isolation: shrink `alive` to a
 /// nonredundant cover of `terminals` by attempting, in `order`, to delete
-/// each non-terminal node (remove → terminal-connectivity test →
-/// re-insert on failure).
+/// each non-terminal node, keeping the deletion only when the terminals
+/// stay connected.
 ///
-/// Every test runs through the workspace's epoch-stamped visited array
-/// and reusable queue, and the alive mask is the caller's — so once the
-/// workspace has warmed up to this graph size, the loop performs **zero
+/// The result is node for node that of testing each deletion with a
+/// search of the whole graph (the module docs give the proof); one block
+/// pass and block-local searches make it cheaper. Everything runs through
+/// the workspace and the alive mask is the caller's, so once the
+/// workspace has warmed up to this graph size the sweep performs **zero
 /// heap allocations**, which `tests/alloc_regression.rs` asserts with a
 /// counting global allocator.
 pub fn eliminate_nonredundant_in(
@@ -183,12 +218,13 @@ pub fn eliminate_nonredundant_in(
     let _ = eliminate_nonredundant_budgeted_in(ws, g, terminals, order, alive, &token);
 }
 
-/// [`eliminate_nonredundant_in`] with cooperative cancellation: one token
-/// tick (weight `|V|`, the cost of the connectivity test) per candidate.
-/// On a budget trip the sweep stops early; `alive` is left as a *valid
-/// cover* of the terminals (each step is remove → test → undo-on-failure,
-/// so connectivity holds at every prefix) — it is merely not yet
-/// nonredundant.
+/// [`eliminate_nonredundant_in`] with cooperative cancellation. The block
+/// pass is charged `|V| + |A|` token units, a candidate the pass settles
+/// one unit, and a block-local test the nodes it visits. On a budget trip
+/// the sweep stops early; `alive` is left as a *valid cover* of the
+/// terminals (every step leaves them connected) — it is merely not yet
+/// nonredundant. When the terminals are not connected within `alive`,
+/// no deletion keeps them connected and `alive` is left as it is.
 ///
 /// The zero-allocation guarantee is unchanged: a tick is a
 /// [`std::cell::Cell`] decrement and the clock is consulted only every
@@ -203,17 +239,46 @@ pub fn eliminate_nonredundant_budgeted_in(
     alive: &mut NodeSet,
     token: &CancelToken,
 ) -> Result<(), BudgetExceeded> {
-    let n = g.node_count() as u64;
+    if block_pass_in(ws, g, alive, terminals, Stage::Algorithm2, token)? {
+        sweep_in(ws, g, terminals, order, alive, token)?;
+    }
+    Ok(())
+}
+
+/// Runs [`terminal_blocks_in`] over `alive` and charges it `|V| + |A|`
+/// token units. `Ok(false)` means the terminals are not connected within
+/// `alive`.
+pub(crate) fn block_pass_in(
+    ws: &mut Workspace,
+    g: &Graph,
+    alive: &NodeSet,
+    terminals: &NodeSet,
+    stage: Stage,
+    token: &CancelToken,
+) -> Result<bool, BudgetExceeded> {
+    if !terminal_blocks_in(ws, g, alive, terminals) {
+        return Ok(false);
+    }
+    token.tick(stage, (g.node_count() + g.edge_count()) as u64)?;
+    Ok(true)
+}
+
+/// Step 1 after a successful block pass over `alive`.
+fn sweep_in(
+    ws: &mut Workspace,
+    g: &Graph,
+    terminals: &NodeSet,
+    order: &[NodeId],
+    alive: &mut NodeSet,
+    token: &CancelToken,
+) -> Result<(), BudgetExceeded> {
     for &v in order {
         if terminals.contains(v) || !alive.contains(v) {
             continue;
         }
-        token.tick(Stage::Algorithm2, n)?;
         ws.stats.elimination_steps += 1;
-        alive.remove(v);
-        if !terminals_connected_in(ws, g, alive, terminals) {
-            alive.insert(v);
-        }
+        let visited = remove_if_redundant_in(ws, g, alive, v, &[]);
+        token.tick(Stage::Algorithm2, 1 + visited as u64)?;
     }
     Ok(())
 }

@@ -5,10 +5,10 @@
 //! on adversarial instances, and is panic-isolated so a bug in one query
 //! cannot take down a long-lived solver shared across sessions.
 
+use crate::algorithm1::algorithm1_cached_in;
 use crate::artifacts::SchemaArtifacts;
 use crate::{
-    algorithm1_with_ordering_budgeted_in, algorithm2_budgeted_in,
-    steiner_exact_node_weighted_budgeted, steiner_kmb_budgeted, SteinerTree,
+    algorithm2_budgeted_in, steiner_exact_node_weighted_budgeted, steiner_kmb_budgeted, SteinerTree,
 };
 use mcc_chordality::BipartiteClassification;
 use mcc_graph::{
@@ -387,15 +387,15 @@ impl Solver {
             // reoriented graph) are schema artifacts — the per-solve cost
             // is just the Step 2 elimination loop. Before the artifact
             // bundle existed this route cloned the whole graph and
-            // rebuilt H¹'s join tree on every solve.
+            // rebuilt H¹'s join tree on every solve. The ordering is
+            // borrowed, not copied.
             let mut ws = self.ws.borrow_mut();
-            let out = algorithm1_with_ordering_budgeted_in(
-                &mut ws, oriented, terminals, &l1.order, budget, token,
-            )?;
+            let (tree, cost) =
+                algorithm1_cached_in(&mut ws, oriented, terminals, &l1.order, budget, token)?;
             return Ok(Solution {
-                tree: out.tree,
+                tree,
                 strategy: SteinerStrategy::Algorithm1,
-                cost: out.v2_cost,
+                cost,
                 stats: SolveStats::default(),
                 degraded: None,
                 trace: SolveTrace::EMPTY,

@@ -1,10 +1,11 @@
-//! Allocation regression tests for Algorithm 2's elimination loop and
-//! the exact DP.
+//! Allocation regression tests for Algorithm 2's elimination loop, the
+//! solver's warm Algorithm 1 route and the exact DP.
 //!
 //! The whole point of the workspace refactor is that Step 1 of
-//! Algorithm 2 — `O(|V|)` terminal-connectivity BFS tests against a
-//! shrinking alive mask — touches the heap **zero** times once the
-//! workspace has warmed up to the graph size. This test installs a
+//! Algorithm 2 — one block pass, then `O(|V|)` candidates settled by it
+//! or tested inside one block, against a shrinking alive mask — touches
+//! the heap **zero** times once the workspace has warmed up to the graph
+//! size. This test installs a
 //! counting global allocator and pins that down on a (6,2)-chordal
 //! instance: one warm-up pass, then a full measured pass that must report
 //! exactly zero allocations.
@@ -292,6 +293,67 @@ fn exact_dp_allocation_count_is_independent_of_k_and_n() {
             measure(blocks, k),
             baseline,
             "exact DP allocation count moved with size ({blocks} blocks, k = {k})"
+        );
+    }
+}
+
+/// A warm `Solver::solve_pseudo` on Algorithm 1's route allocates
+/// exactly what building its result tree allocates, whatever the schema
+/// size: never a copy of the cached Lemma 1 ordering or a side set of the
+/// graph. Each solver is warmed by one solve first (the Lemma 1 route is
+/// built on first use, and the workspace grows to the schema).
+///
+/// Debug builds also run the route's tree certificate, whose graph
+/// rebuild allocates in proportion to the tree; the same certificate is
+/// measured on the returned tree and subtracted, so the pin holds in both
+/// build profiles.
+#[test]
+fn warm_solve_pseudo_allocates_only_its_result() {
+    use mcc_gen::join_tree::JoinTreeShape;
+    use mcc_gen::{random_alpha_acyclic, random_terminals};
+    use mcc_graph::Side;
+    use mcc_steiner::{
+        check_steiner_solution, Solver, SteinerStrategy, SteinerTree, CHECK_STEINER_MAX_NODES,
+    };
+
+    for num_edges in [4, 8, 20, 60, 150] {
+        let shape = JoinTreeShape {
+            num_edges,
+            ..JoinTreeShape::default()
+        };
+        let (_, bg) = random_alpha_acyclic(shape, 3);
+        let v1 = bg.v1_set();
+        let terminals = random_terminals(bg.graph(), Some(&v1), 3, 5);
+        let solver = Solver::new(bg);
+        let warm = solver
+            .solve_pseudo(&terminals, Side::V2)
+            .expect("connected");
+        assert_eq!(warm.strategy, SteinerStrategy::Algorithm1);
+
+        let before = allocation_count();
+        let sol = solver
+            .solve_pseudo(&terminals, Side::V2)
+            .expect("connected");
+        let mut allocs = allocation_count() - before;
+        assert_eq!(sol.tree, warm.tree);
+        let g = solver.graph().graph();
+        if cfg!(debug_assertions) && g.node_count() <= CHECK_STEINER_MAX_NODES {
+            let before = allocation_count();
+            assert!(check_steiner_solution(
+                g,
+                &sol.tree.nodes,
+                &terminals,
+                &sol.tree
+            ));
+            allocs -= allocation_count() - before;
+        }
+        let before = allocation_count();
+        let result = SteinerTree::from_cover(g, &sol.tree.nodes);
+        let result_allocs = allocation_count() - before;
+        assert_eq!(result.as_ref(), Some(&sol.tree));
+        assert_eq!(
+            allocs, result_allocs,
+            "warm solve_pseudo allocated beyond its result tree ({num_edges} relations)"
         );
     }
 }
