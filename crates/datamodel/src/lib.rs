@@ -26,7 +26,6 @@
 //! solver panics at the boundary instead of unwinding into the caller.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // User input flows through this crate (DSL parsing, schema encoding,
 // query resolution); recoverable failures must be `Err`s, not unwraps.
 // `clippy::unwrap_used` arrives at warn level from the workspace lint

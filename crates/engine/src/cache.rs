@@ -168,7 +168,6 @@ impl SchemaArtifactCache {
                 .position(|s| s.fingerprint == fingerprint && *s.schema == schema)
             {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                mcc_obs::incr(mcc_obs::CounterKind::CacheHit, 1);
                 return Ok(SchemaId(i));
             }
         }
@@ -184,11 +183,9 @@ impl SchemaArtifactCache {
             .position(|s| s.fingerprint == fingerprint && *s.schema == schema)
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            mcc_obs::incr(mcc_obs::CounterKind::CacheHit, 1);
             return Ok(SchemaId(i));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        mcc_obs::incr(mcc_obs::CounterKind::CacheMiss, 1);
         slots.push(Slot {
             schema: Arc::new(schema),
             fingerprint,
@@ -262,7 +259,6 @@ impl SchemaArtifactCache {
                 let slot = slots.get(id.0).ok_or(CacheError::UnknownSchema(id))?;
                 if let Some(a) = &slot.artifacts {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    mcc_obs::incr(mcc_obs::CounterKind::CacheHit, 1);
                     return Ok(CachedArtifacts {
                         generation: slot.generation,
                         artifacts: Arc::clone(a),
@@ -281,7 +277,6 @@ impl SchemaArtifactCache {
             };
             let built = self.build_or_load(&schema)?;
             self.misses.fetch_add(1, Ordering::Relaxed);
-            mcc_obs::incr(mcc_obs::CounterKind::CacheMiss, 1);
             let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
             let slot = slots.get_mut(id.0).ok_or(CacheError::UnknownSchema(id))?;
             // Generations never move backwards, even across the unlocked
@@ -317,7 +312,6 @@ impl SchemaArtifactCache {
             return;
         }
         self.hits.fetch_add(extra, Ordering::Relaxed);
-        mcc_obs::incr(mcc_obs::CounterKind::CacheHit, extra);
     }
 
     /// The schema behind `id`, if registered.

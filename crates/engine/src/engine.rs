@@ -583,11 +583,6 @@ fn serve_batch(
     solver_config: SolverConfig,
     batch: BatchJob,
 ) {
-    mcc_obs::incr(mcc_obs::CounterKind::BatchGroup, 1);
-    mcc_obs::incr(
-        mcc_obs::CounterKind::BatchedRequest,
-        batch.members.len() as u64,
-    );
     let cached = match shared.cache.artifacts(batch.schema) {
         Ok(cached) => cached,
         Err(e) => {

@@ -47,7 +47,6 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-#![warn(missing_docs)]
 
 mod cache;
 mod engine;

@@ -2,9 +2,16 @@
 //!
 //! The render is a pure function of a `Copy` snapshot, so a hand-built
 //! snapshot pins the full scrape text — names, `# HELP`/`# TYPE`
-//! headers, order, and values — without any concurrency in sight.
+//! headers, order, and values — without any concurrency in sight. The
+//! last test composes it with the global registry's render and checks
+//! that the combined scrape names every family once.
 
-use mcc_engine::{EngineStats, ENGINE_METRICS};
+use mcc_datamodel::RelationalSchema;
+use mcc_engine::{
+    ArtifactStore, Engine, EngineConfig, EngineStats, QueryRequest, SchemaArtifactCache,
+    ENGINE_METRICS,
+};
+use std::sync::Arc;
 
 fn sample() -> EngineStats {
     EngineStats {
@@ -110,4 +117,70 @@ fn render_into_appends() {
     let mut out = String::from("# prefix\n");
     sample().render_prometheus_into(&mut out);
     assert!(out.starts_with("# prefix\n# HELP mcc_engine_queue_depth"));
+}
+
+/// The `# TYPE` names of a scrape body, in order.
+fn type_names(scrape: &str) -> Vec<&str> {
+    scrape
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .collect()
+}
+
+/// One book of metrics: cache, batch and store events are counted by
+/// the engine and the store alone, so the engine's render and the
+/// global registry's render share no family, and the registry renders
+/// only what no component owns. Only names are checked, so other tests
+/// recording into the process-wide registry cannot disturb this one.
+#[test]
+fn combined_scrape_names_every_family_once() {
+    let root = std::env::temp_dir().join(format!("mcc-one-book-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = Arc::new(ArtifactStore::open(&root));
+    let cache = SchemaArtifactCache::with_store(Arc::clone(&store));
+    let engine = Engine::with_cache(EngineConfig::default(), Arc::new(cache));
+    let id = engine
+        .register(RelationalSchema::from_lists(
+            "hr",
+            &["emp", "dept", "budget"],
+            &[("WORKS_IN", &[0, 1]), ("FUNDING", &[1, 2])],
+        ))
+        .expect("registered");
+    let single = engine
+        .submit(QueryRequest::steiner(id, &["emp", "budget"]))
+        .expect("admitted");
+    let (batch, rejected) = engine.submit_batch([
+        QueryRequest::steiner(id, &["emp", "dept"]),
+        QueryRequest::steiner(id, &["dept", "budget"]),
+    ]);
+    assert!(rejected.is_none());
+    for ticket in std::iter::once(single).chain(batch) {
+        ticket.wait().expect("served");
+    }
+    let stats = engine.shutdown();
+    assert!(stats.cache_hits > 0 && stats.batches == 1 && stats.store_misses > 0);
+
+    let mut scrape = stats.render_prometheus();
+    let engine_len = scrape.len();
+    mcc_obs::render_global_into(&mut scrape);
+
+    let names = type_names(&scrape);
+    for name in &names {
+        assert_eq!(
+            names.iter().filter(|n| *n == name).count(),
+            1,
+            "family {name} is rendered more than once"
+        );
+    }
+    assert_eq!(
+        type_names(&scrape[engine_len..]),
+        [
+            "mcc_stage_duration_nanos",
+            "mcc_solve_duration_nanos",
+            "mcc_degraded_total"
+        ],
+        "the global registry renders only what no component counts"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

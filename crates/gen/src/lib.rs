@@ -23,7 +23,6 @@
 // table ([lints] in Cargo.toml), promoted to an error in CI; unit
 // tests are exempt -- tests should unwrap.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-#![warn(missing_docs)]
 
 pub mod bipartite;
 pub mod block_tree;

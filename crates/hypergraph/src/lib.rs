@@ -37,7 +37,6 @@
 // table ([lints] in Cargo.toml), promoted to an error in CI; unit
 // tests are exempt -- tests should unwrap.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-#![warn(missing_docs)]
 
 pub mod acyclicity;
 pub mod berge;

@@ -386,7 +386,6 @@ mod tests {
                 crate_name: krate.into(),
                 file_name: "lib.rs".into(),
                 is_binary: false,
-                is_lib_root: true,
             },
             analysis: lexer::analyze(src),
         }

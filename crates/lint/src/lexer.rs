@@ -13,8 +13,7 @@
 //!   single punctuation characters) with a source line per token;
 //! * per-line **directives** harvested from comments — the
 //!   `// lint:allow(<rule>)` escape hatch and the `// PROVABLY:`
-//!   justification convention — plus doc-comment and attribute-line
-//!   markers used by the `missing-docs` rule;
+//!   justification convention;
 //! * **test-region** marking: every brace block introduced by a
 //!   `#[cfg(test)]` or `#[test]` attribute.
 //!
@@ -41,15 +40,9 @@ pub struct LineInfo {
     pub allows: Vec<String>,
     /// Whether a `PROVABLY:` justification comment appears on this line.
     pub provably: bool,
-    /// Whether a doc comment (`///`, `//!`, `/** */`, `/*! */`) touches
-    /// this line.
-    pub doc: bool,
     /// Whether the line holds only comment text (no code) — directives on
     /// such lines extend downward to the next code line.
     pub comment_only: bool,
-    /// Whether the line is (part of) an outer attribute `#[...]` — the
-    /// `missing-docs` rule walks doc comments across attribute lines.
-    pub attr: bool,
     /// Whether the line lies inside a `#[cfg(test)]` / `#[test]` block.
     pub test: bool,
 }
@@ -129,15 +122,12 @@ pub fn analyze(src: &str) -> Analysis {
                     i += 1;
                 }
                 let text: String = chars[start..i].iter().collect();
-                let doc = text.starts_with("///") || text.starts_with("//!");
-                harvest(&text, &mut lines[line], doc);
+                harvest(&text, &mut lines[line]);
                 blank(&mut sanitized, i - start);
             }
             '/' if i + 1 < n && chars[i + 1] == '*' => {
                 // Block comment (nesting per Rust), blanked; directives
-                // and doc status are applied per line it spans.
-                let doc = matches!(chars.get(i + 2), Some('*') | Some('!'))
-                    && chars.get(i + 3) != Some(&'/');
+                // are applied per line it spans.
                 let mut depth = 1usize;
                 let mut text = String::new();
                 i += 2;
@@ -152,7 +142,7 @@ pub fn analyze(src: &str) -> Analysis {
                         sanitized.push_str("  ");
                         i += 2;
                     } else if chars[i] == '\n' {
-                        harvest(&text, &mut lines[line], doc);
+                        harvest(&text, &mut lines[line]);
                         text.clear();
                         sanitized.push('\n');
                         line += 1;
@@ -163,7 +153,7 @@ pub fn analyze(src: &str) -> Analysis {
                         i += 1;
                     }
                 }
-                harvest(&text, &mut lines[line], doc);
+                harvest(&text, &mut lines[line]);
             }
             '"' => {
                 i = lex_string(&chars, i, &mut sanitized, &mut line);
@@ -190,7 +180,6 @@ pub fn analyze(src: &str) -> Analysis {
     }
 
     let tokens = tokenize(&sanitized);
-    mark_attr_lines(&tokens, &mut lines);
     mark_test_regions(&tokens, &mut lines);
     Analysis {
         sanitized,
@@ -205,12 +194,9 @@ fn blank(out: &mut String, count: usize) {
     }
 }
 
-/// Pulls `lint:allow(a, b)` and `PROVABLY:` directives (and the doc flag)
-/// out of one comment's text into `info`.
-fn harvest(text: &str, info: &mut LineInfo, doc: bool) {
-    if doc {
-        info.doc = true;
-    }
+/// Pulls `lint:allow(a, b)` and `PROVABLY:` directives out of one
+/// comment's text into `info`.
+fn harvest(text: &str, info: &mut LineInfo) {
     if text.contains("PROVABLY:") {
         info.provably = true;
     }
@@ -408,38 +394,6 @@ fn tokenize(sanitized: &str) -> Vec<Tok> {
     tokens
 }
 
-/// Marks every line spanned by an outer attribute `#[...]`.
-fn mark_attr_lines(tokens: &[Tok], lines: &mut [LineInfo]) {
-    let mut i = 0usize;
-    while i + 1 < tokens.len() {
-        if tokens[i].text == "#" && tokens[i + 1].text == "[" {
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            while j < tokens.len() {
-                match tokens[j].text.as_str() {
-                    "[" => depth += 1,
-                    "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            for t in &tokens[i..=j.min(tokens.len() - 1)] {
-                if let Some(info) = lines.get_mut(t.line) {
-                    info.attr = true;
-                }
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-}
-
 /// Marks the brace block following each `#[test]` / `#[cfg(...test...)]`
 /// attribute as test code. An item with no block before the next `;`
 /// (e.g. `#[cfg(test)] mod tests;` or an attributed statement) marks
@@ -587,14 +541,5 @@ let y = 1; /* panic!() */ let z = 'a';
         let src = "fn f() {\n    #[cfg(test)]\n    inject(request);\n    real();\n}\n";
         let a = analyze(src);
         assert!(!a.is_test_line(3));
-    }
-
-    #[test]
-    fn attributes_and_docs_are_marked() {
-        let src = "/// Docs.\n#[derive(Debug)]\npub struct S;\n";
-        let a = analyze(src);
-        assert!(a.lines[0].doc);
-        assert!(a.lines[1].attr);
-        assert!(!a.lines[2].attr);
     }
 }

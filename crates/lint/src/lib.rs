@@ -70,8 +70,6 @@ pub struct FileCtx {
     /// Whether the file belongs to a binary target (`src/bin/**` or
     /// `src/main.rs`).
     pub is_binary: bool,
-    /// Whether this file is the crate's `lib.rs`.
-    pub is_lib_root: bool,
 }
 
 impl FileCtx {
@@ -141,12 +139,11 @@ pub fn load_workspace(crates_dir: &Path) -> Result<Workspace, String> {
         let mut paths = Vec::new();
         collect_rs_files(&src, &mut paths)?;
         paths.sort();
-        let has_lib = src.join("lib.rs").is_file();
         for path in &paths {
             let text =
                 fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
             let analysis = lexer::analyze(&text);
-            let ctx = file_ctx(path, crates_dir, &crate_name, has_lib);
+            let ctx = file_ctx(path, crates_dir, &crate_name);
             files.push(SourceFile { ctx, analysis });
         }
     }
@@ -282,7 +279,7 @@ fn file_name_of(path: &Path) -> String {
         .unwrap_or_default()
 }
 
-fn file_ctx(path: &Path, crates_dir: &Path, crate_name: &str, has_lib: bool) -> FileCtx {
+fn file_ctx(path: &Path, crates_dir: &Path, crate_name: &str) -> FileCtx {
     let rel = path.strip_prefix(crates_dir).unwrap_or(path);
     let rel_path = {
         let mut s = String::from("crates");
@@ -294,13 +291,11 @@ fn file_ctx(path: &Path, crates_dir: &Path, crate_name: &str, has_lib: bool) -> 
     };
     let file_name = file_name_of(path);
     let is_binary = rel_path.contains("/src/bin/") || file_name == "main.rs";
-    let is_lib_root = has_lib && file_name == "lib.rs" && !is_binary;
     FileCtx {
         rel_path,
         crate_name: crate_name.to_string(),
         file_name,
         is_binary,
-        is_lib_root,
     }
 }
 

@@ -11,7 +11,7 @@
 //! * "library code" excludes binary targets (`src/bin/**`, `src/main.rs`)
 //!   — binaries are allowed to be chattier;
 //! * test code (`#[cfg(test)]` / `#[test]` regions) is exempt from the
-//!   panic, allocation, and doc rules — tests *should* unwrap — and is
+//!   panic and allocation rules — tests *should* unwrap — and is
 //!   excluded from the call graph entirely;
 //! * every rule honors the inline `// lint:allow(<rule>)` escape hatch on
 //!   the offending line or the comment block directly above it.
@@ -42,12 +42,6 @@ pub struct Rule {
 /// Every rule, in execution order.
 pub const RULES: &[Rule] = &[
     Rule {
-        name: "forbid-unsafe",
-        desc: "every library crate's lib.rs declares #![forbid(unsafe_code)] \
-               as an inner attribute",
-        kind: RuleKind::File(forbid_unsafe),
-    },
-    Rule {
         name: "no-panic",
         desc: "no unwrap()/expect()/panic!/unreachable! reachable from public \
                library code without a // PROVABLY: justification (transitive)",
@@ -72,12 +66,6 @@ pub const RULES: &[Rule] = &[
         kind: RuleKind::File(hot_path_adjacency),
     },
     Rule {
-        name: "missing-docs",
-        desc: "every pub item in crates/{core,engine,datamodel,obs,store} carries \
-               a doc comment",
-        kind: RuleKind::File(missing_docs),
-    },
-    Rule {
         name: "lock-order",
         desc: "the workspace lock-acquisition order graph is acyclic — any cycle \
                is reported as a potential deadlock with witness chains",
@@ -96,59 +84,6 @@ pub const RULES: &[Rule] = &[
         kind: RuleKind::Workspace(propagate::condvar_discipline),
     },
 ];
-
-/// Rule: the crate's `lib.rs` must carry `#![forbid(unsafe_code)]` as an
-/// **inner attribute**. A bare `forbid(unsafe_code)` elsewhere — an
-/// outer `#[forbid(unsafe_code)]` on one item, a `cfg_attr` branch — is
-/// not crate-wide and does not count.
-pub fn forbid_unsafe(ctx: &FileCtx, a: &Analysis, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_lib_root {
-        return;
-    }
-    let toks = &a.tokens;
-    let mut found = false;
-    let mut i = 0usize;
-    while i + 2 < toks.len() {
-        // Inner attribute head: `#` `!` `[`.
-        if toks[i].text != "#" || toks[i + 1].text != "!" || toks[i + 2].text != "[" {
-            i += 1;
-            continue;
-        }
-        // Collect the attribute body to its matching `]`.
-        let mut depth = 0usize;
-        let mut j = i + 2;
-        let mut body: Vec<&str> = Vec::new();
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                other => body.push(other),
-            }
-            j += 1;
-        }
-        if body
-            .windows(4)
-            .any(|w| w == ["forbid", "(", "unsafe_code", ")"])
-        {
-            found = true;
-            break;
-        }
-        i = j + 1;
-    }
-    if !found {
-        out.push(ctx.diag(
-            0,
-            "forbid-unsafe",
-            "library crate does not declare #![forbid(unsafe_code)] as an inner \
-             attribute in lib.rs",
-        ));
-    }
-}
 
 /// Rule: wall-clock reads are confined to the budget/cancellation
 /// layer, or carry a `// PROVABLY:` justification (the observability
@@ -245,78 +180,6 @@ pub fn hot_path_adjacency(ctx: &FileCtx, a: &Analysis, out: &mut Vec<Diagnostic>
                 &format!(
                     "`.{}()` inside a `*_in` hot path — use the word-parallel `{fast}`",
                     t.text
-                ),
-            ));
-        }
-    }
-}
-
-/// Rule: public API in the user-facing crates must be documented.
-pub fn missing_docs(ctx: &FileCtx, a: &Analysis, out: &mut Vec<Diagnostic>) {
-    if ctx.is_binary
-        || !matches!(
-            ctx.crate_name.as_str(),
-            "core" | "engine" | "datamodel" | "obs" | "store"
-        )
-    {
-        return;
-    }
-    // Item keywords that can follow `pub` (modifiers like async/unsafe/
-    // extern/const fold in: whatever follows is still an item head).
-    const ITEM: &[&str] = &[
-        "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "union", "async",
-        "unsafe", "extern",
-    ];
-    let toks = &a.tokens;
-    let sanitized_lines: Vec<&str> = a.sanitized.split('\n').collect();
-    for i in 0..toks.len() {
-        if toks[i].text != "pub" {
-            continue;
-        }
-        let line = toks[i].line;
-        if a.is_test_line(line) || a.allowed_at(line, "missing-docs") {
-            continue;
-        }
-        let Some(next) = toks.get(i + 1) else {
-            continue;
-        };
-        // `pub(crate)` / `pub(super)` are not public API; `pub use`
-        // re-exports inherit the original item's docs.
-        if next.text == "(" || next.text == "use" {
-            continue;
-        }
-        if !ITEM.contains(&next.text.as_str()) {
-            continue; // struct fields (`pub name:`) and the like
-        }
-        // Walk upward over the item's attributes and doc comments; finding
-        // any doc line (or a #[doc(...)] attribute) satisfies the rule.
-        let mut documented = a.lines[line].doc;
-        let mut hidden = false;
-        let mut l = line;
-        while l > 0 {
-            let info = &a.lines[l - 1];
-            if info.doc {
-                documented = true;
-            } else if info.attr {
-                let text = sanitized_lines.get(l - 1).copied().unwrap_or("");
-                if text.contains("doc") {
-                    documented = true;
-                    if text.contains("hidden") {
-                        hidden = true;
-                    }
-                }
-            } else {
-                break;
-            }
-            l -= 1;
-        }
-        if !documented && !hidden {
-            out.push(ctx.diag(
-                line,
-                "missing-docs",
-                &format!(
-                    "undocumented `pub {}` — public API in {} requires a doc comment",
-                    next.text, ctx.crate_name
                 ),
             ));
         }

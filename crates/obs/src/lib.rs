@@ -8,9 +8,11 @@
 //! *which* chordality class each solve landed in. Three pieces:
 //!
 //! * a **metrics registry** ([`Registry`], [`metrics`]) that is lock-free
-//!   on the hot path: sharded monotonic counters, gauges, and fixed
-//!   log2-bucket histograms, all plain atomics — solve loops never
-//!   contend on a lock, and scrapes merge the shards;
+//!   on the hot path: fixed log2-bucket histograms per stage and per
+//!   chordality class, plus the solver's degradation count, all plain
+//!   atomics — solve loops never contend on a lock. Cache, batch and
+//!   store events are counted once, by the engine and the store that
+//!   own them, not here;
 //! * lightweight **tracing spans** ([`span!`], [`Span`]): RAII guards
 //!   that time a stage ([`SpanKind`]) into the global registry and into
 //!   the calling thread's active [`SolveTrace`], with **zero heap
@@ -39,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-#![warn(missing_docs)]
 // `const Z: AtomicU64 = AtomicU64::new(0); [Z; N]` is the array-repetition
 // idiom this crate uses to `const`-construct its atomic arrays (required
 // for the registry to live in `static` position). Each such const is a
@@ -50,7 +51,7 @@
 
 /// The workspace's clock seam: the monotonic default and the test clock.
 pub mod clock;
-/// Sharded counters, gauges, and log-bucketed histograms.
+/// Log-bucketed histograms.
 pub mod metrics;
 mod names;
 mod registry;
@@ -59,11 +60,11 @@ mod span;
 pub mod trace;
 
 pub use clock::{install_clock, Clock, TestClock};
-pub use metrics::{Counter, Gauge, Histogram, NUM_BUCKETS};
-pub use names::{ClassLabel, CounterKind, SpanKind, N_CLASSES, N_COUNTERS, N_SPANS};
+pub use metrics::{Histogram, NUM_BUCKETS};
+pub use names::{ClassLabel, SpanKind, N_CLASSES, N_SPANS};
 pub use registry::Registry;
 pub use registry::{
-    enabled, global, incr, now_nanos, record_solve, record_stage, render_global_into, set_enabled,
+    enabled, global, now_nanos, record_solve, record_stage, render_global_into, set_enabled,
 };
 pub use span::{span, Span};
 pub use trace::SolveTrace;

@@ -1,141 +1,8 @@
-//! The metric primitives: sharded counters, gauges, and fixed-bucket
-//! log2 histograms. All three are `const`-constructible (so the global
-//! registry is a plain `static`), built from `AtomicU64` only, and
-//! lock-free on the record path. Scrapes pay the merge cost instead.
+//! The metric primitive: a fixed-bucket log2 histogram. It is
+//! `const`-constructible (so the global registry is a plain `static`),
+//! built from `AtomicU64` only, and lock-free on the record path.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-/// Shards per [`Counter`]. Worker threads spread their increments across
-/// shards (round-robin by a per-thread home index) so concurrent solves
-/// don't all bounce one cache line; a scrape sums the shards.
-pub const COUNTER_SHARDS: usize = 8;
-
-/// One cache line's worth of counter, padded so neighbouring shards in
-/// the shard array never share a line.
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-impl PaddedU64 {
-    const fn new() -> Self {
-        PaddedU64(AtomicU64::new(0))
-    }
-}
-
-thread_local! {
-    /// This thread's home shard, assigned lazily from a global
-    /// round-robin so threads spread evenly. `Cell<usize>` keeps the
-    /// fast path a plain load (const-init: no lazy-init branch either).
-    static HOME_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-static NEXT_SHARD: AtomicU64 = AtomicU64::new(0);
-
-#[inline]
-fn home_shard() -> usize {
-    HOME_SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = (NEXT_SHARD.fetch_add(1, Ordering::Relaxed) as usize) % COUNTER_SHARDS;
-            s.set(v);
-            v
-        }
-    })
-}
-
-/// A monotonic counter, sharded to keep concurrent increments from
-/// contending on one cache line. Increment is one `fetch_add` on the
-/// calling thread's home shard; [`Counter::get`] sums all shards.
-pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
-
-impl Counter {
-    /// A zeroed counter, usable in `static` position.
-    pub const fn new() -> Self {
-        const Z: PaddedU64 = PaddedU64::new();
-        Counter {
-            shards: [Z; COUNTER_SHARDS],
-        }
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.shards[home_shard()].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds 1 to the counter.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The current total across all shards. Each shard is monotonic, so
-    /// the sum never undercounts completed increments, but a concurrent
-    /// scrape may observe a partially applied burst.
-    pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Counter")
-            .field("value", &self.get())
-            .finish()
-    }
-}
-
-/// A signed instantaneous gauge (queue depth, live workers). Gauges are
-/// scrape-rare and write-rare, so a single atomic suffices.
-#[derive(Debug)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A zeroed gauge, usable in `static` position.
-    pub const fn new() -> Self {
-        Gauge {
-            value: AtomicI64::new(0),
-        }
-    }
-
-    /// Sets the gauge to an absolute value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the gauge by a signed delta.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::new()
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buckets per [`Histogram`]. Bucket `i` holds observations with upper
 /// bound `2^i` (inclusive); the last bucket is unbounded above.
@@ -235,42 +102,6 @@ impl std::fmt::Debug for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_sums_across_shards() {
-        let c = Counter::new();
-        for _ in 0..10 {
-            c.inc();
-        }
-        c.add(5);
-        assert_eq!(c.get(), 15);
-    }
-
-    #[test]
-    fn counter_concurrent_increments_all_land() {
-        let c = std::sync::Arc::new(Counter::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = std::sync::Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.inc();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 8000);
-    }
-
-    #[test]
-    fn gauge_set_and_add() {
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
-    }
 
     #[test]
     fn bucket_index_boundaries() {

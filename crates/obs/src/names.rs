@@ -1,5 +1,5 @@
-//! The fixed metric taxonomy: span kinds (stages), chordality classes,
-//! and counters. Enum-indexed so the registry is plain arrays — no
+//! The fixed metric taxonomy: span kinds (stages) and chordality
+//! classes. Enum-indexed so the registry is plain arrays — no
 //! hashing, no interning, no allocation on the record path — and so the
 //! Prometheus exposition order is total and stable by construction.
 
@@ -132,91 +132,6 @@ impl ClassLabel {
     }
 }
 
-/// Global event counters kept in the registry (beyond what histograms
-/// already count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum CounterKind {
-    /// Artifact-cache lookups served without schema-level work.
-    CacheHit = 0,
-    /// Artifact builds (cold registrations + post-invalidation rebuilds).
-    CacheMiss = 1,
-    /// Solves that stepped down the degradation ladder (Exact → KMB).
-    Degraded = 2,
-    /// Same-schema request groups served by the engine's batched path
-    /// (one artifact fetch and solver revalidation amortized per group).
-    BatchGroup = 3,
-    /// Requests served as members of batched groups. The mean batch
-    /// size — the amortization factor — is this over `BatchGroup`.
-    BatchedRequest = 4,
-    /// Artifact bundles served from the on-disk store (validated loads
-    /// that skipped classification/ordering entirely).
-    StoreHit = 5,
-    /// Store lookups that found no (valid) artifact on disk — the bundle
-    /// was rebuilt from the schema and written through.
-    StoreMiss = 6,
-    /// Artifact files that failed validation (bad magic, CRC mismatch,
-    /// truncation, decode error) and were moved to quarantine.
-    StoreQuarantine = 7,
-    /// Times a store degraded to memory-only mode after persistent I/O
-    /// failures (the engine keeps serving without the disk tier).
-    StoreDegraded = 8,
-}
-
-/// Number of [`CounterKind`] variants (array dimension).
-pub const N_COUNTERS: usize = 9;
-
-impl CounterKind {
-    /// Every variant, in index order.
-    pub const ALL: [CounterKind; N_COUNTERS] = [
-        CounterKind::CacheHit,
-        CounterKind::CacheMiss,
-        CounterKind::Degraded,
-        CounterKind::BatchGroup,
-        CounterKind::BatchedRequest,
-        CounterKind::StoreHit,
-        CounterKind::StoreMiss,
-        CounterKind::StoreQuarantine,
-        CounterKind::StoreDegraded,
-    ];
-
-    /// The stable Prometheus metric name for this counter.
-    pub const fn metric_name(self) -> &'static str {
-        match self {
-            CounterKind::CacheHit => "mcc_cache_hits_total",
-            CounterKind::CacheMiss => "mcc_cache_misses_total",
-            CounterKind::Degraded => "mcc_degraded_total",
-            CounterKind::BatchGroup => "mcc_batch_groups_total",
-            CounterKind::BatchedRequest => "mcc_batched_requests_total",
-            CounterKind::StoreHit => "mcc_store_hits_total",
-            CounterKind::StoreMiss => "mcc_store_misses_total",
-            CounterKind::StoreQuarantine => "mcc_store_corrupt_quarantined_total",
-            CounterKind::StoreDegraded => "mcc_store_degraded_total",
-        }
-    }
-
-    /// One-line help text for the Prometheus exposition.
-    pub const fn help(self) -> &'static str {
-        match self {
-            CounterKind::CacheHit => "Artifact-cache lookups served without schema-level work.",
-            CounterKind::CacheMiss => "Artifact builds: cold registrations plus rebuilds.",
-            CounterKind::Degraded => "Solves that stepped down the degradation ladder.",
-            CounterKind::BatchGroup => "Same-schema request groups served by the batched path.",
-            CounterKind::BatchedRequest => "Requests served as members of batched groups.",
-            CounterKind::StoreHit => "Artifact bundles served from the on-disk store.",
-            CounterKind::StoreMiss => "Store lookups that found no valid on-disk artifact.",
-            CounterKind::StoreQuarantine => "Artifact files quarantined after failing validation.",
-            CounterKind::StoreDegraded => "Stores degraded to memory-only after I/O failures.",
-        }
-    }
-
-    /// The array index of this variant.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,9 +142,6 @@ mod tests {
             assert_eq!(k.index(), i);
         }
         for (i, c) in ClassLabel::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i);
-        }
-        for (i, c) in CounterKind::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
     }
@@ -243,6 +155,5 @@ mod tests {
         };
         assert!(SpanKind::ALL.iter().all(|k| ok(k.label())));
         assert!(ClassLabel::ALL.iter().all(|c| ok(c.label())));
-        assert!(CounterKind::ALL.iter().all(|c| ok(c.metric_name())));
     }
 }

@@ -1,5 +1,6 @@
-//! The metrics registry: enum-indexed arrays of histograms and counters,
-//! a process-global instance, and the Prometheus text exposition.
+//! The metrics registry: enum-indexed arrays of histograms plus the
+//! solver's degradation count, a process-global instance, and the
+//! Prometheus text exposition.
 //!
 //! The registry is deliberately *not* open-ended — the metric taxonomy
 //! is the fixed enums in [`crate::names`], so registration is `const`,
@@ -7,21 +8,24 @@
 //! index order), which is what makes the snapshot test byte-stable.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::clock::active_clock;
-use crate::metrics::{bucket_bound, Counter, Gauge, Histogram};
-use crate::names::{ClassLabel, CounterKind, SpanKind, N_CLASSES, N_COUNTERS, N_SPANS};
+use crate::metrics::{bucket_bound, Histogram};
+use crate::names::{ClassLabel, SpanKind, N_CLASSES, N_SPANS};
 
 /// All metrics for one process (or one test): per-stage duration
-/// histograms, per-chordality-class solve histograms, event counters,
-/// and an instantaneous queue-depth gauge. Everything is atomics, so
-/// `&Registry` is freely shared across worker threads.
+/// histograms, per-chordality-class solve histograms, and the count of
+/// solves that stepped down the degradation ladder. Everything is
+/// atomics, so `&Registry` is freely shared across worker threads.
+///
+/// Events that a component owns — cache, batch and store traffic — are
+/// counted once, by that component (`EngineStats`, `StoreStats`), and
+/// are not repeated here.
 pub struct Registry {
     stage: [Histogram; N_SPANS],
     solve_class: [Histogram; N_CLASSES],
-    counters: [Counter; N_COUNTERS],
-    queue_depth: Gauge,
+    degraded: AtomicU64,
     enabled: AtomicBool,
 }
 
@@ -29,12 +33,10 @@ impl Registry {
     /// A zeroed, enabled registry, usable in `static` position.
     pub const fn new() -> Self {
         const HZ: Histogram = Histogram::new();
-        const CZ: Counter = Counter::new();
         Registry {
             stage: [HZ; N_SPANS],
             solve_class: [HZ; N_CLASSES],
-            counters: [CZ; N_COUNTERS],
-            queue_depth: Gauge::new(),
+            degraded: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
         }
     }
@@ -68,11 +70,13 @@ impl Registry {
         }
     }
 
-    /// Bumps an event counter by `n`.
+    /// Counts one solve that stepped down the degradation ladder. The
+    /// `Solver` records it, so embedded solves that no engine sees are
+    /// counted too.
     #[inline]
-    pub fn incr(&self, kind: CounterKind, n: u64) {
+    pub fn record_degraded(&self) {
         if self.enabled() {
-            self.counters[kind.index()].add(n);
+            self.degraded.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -86,14 +90,9 @@ impl Registry {
         &self.solve_class[class.index()]
     }
 
-    /// The event counter for `kind`.
-    pub fn counter(&self, kind: CounterKind) -> &Counter {
-        &self.counters[kind.index()]
-    }
-
-    /// The instantaneous queue-depth gauge (maintained by the engine).
-    pub fn queue_depth(&self) -> &Gauge {
-        &self.queue_depth
+    /// Solves that stepped down the degradation ladder so far.
+    pub fn degraded(&self) -> u64 {
+        self.degraded.load(Ordering::Relaxed)
     }
 
     /// Renders the registry in the Prometheus text exposition format.
@@ -137,21 +136,12 @@ impl Registry {
             );
         }
 
-        // Event counters, one family each.
-        for kind in CounterKind::ALL {
-            let name = kind.metric_name();
-            let _ = writeln!(out, "# HELP {name} {}", kind.help());
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", self.counter(kind).get());
-        }
-
-        // Queue depth gauge.
         let _ = writeln!(
             out,
-            "# HELP mcc_queue_depth Requests admitted but not yet picked up by a worker."
+            "# HELP mcc_degraded_total Solves that stepped down the degradation ladder."
         );
-        let _ = writeln!(out, "# TYPE mcc_queue_depth gauge");
-        let _ = writeln!(out, "mcc_queue_depth {}", self.queue_depth.get());
+        let _ = writeln!(out, "# TYPE mcc_degraded_total counter");
+        let _ = writeln!(out, "mcc_degraded_total {}", self.degraded());
     }
 }
 
@@ -225,12 +215,6 @@ pub fn now_nanos() -> u64 {
     }
 }
 
-/// Bumps a global event counter by `n`.
-#[inline]
-pub fn incr(kind: CounterKind, n: u64) {
-    GLOBAL.incr(kind, n);
-}
-
 /// Records a stage duration into the global registry.
 #[inline]
 pub fn record_stage(kind: SpanKind, nanos: u64) {
@@ -258,10 +242,10 @@ mod tests {
         r.set_enabled(false);
         r.record_stage(SpanKind::McsOrder, 100);
         r.record_solve(ClassLabel::FourOne, 100);
-        r.incr(CounterKind::CacheHit, 1);
+        r.record_degraded();
         assert_eq!(r.stage(SpanKind::McsOrder).count(), 0);
         assert_eq!(r.solve_class(ClassLabel::FourOne).count(), 0);
-        assert_eq!(r.counter(CounterKind::CacheHit).get(), 0);
+        assert_eq!(r.degraded(), 0);
         r.set_enabled(true);
         r.record_stage(SpanKind::McsOrder, 100);
         assert_eq!(r.stage(SpanKind::McsOrder).count(), 1);
@@ -273,8 +257,8 @@ mod tests {
         r.record_stage(SpanKind::Classify, 3);
         r.record_stage(SpanKind::ExactDp, 900);
         r.record_solve(ClassLabel::SixTwo, 42);
-        r.incr(CounterKind::CacheMiss, 2);
-        r.queue_depth().set(5);
+        r.record_degraded();
+        r.record_degraded();
 
         let mut a = String::new();
         r.render_prometheus_into(&mut a);
@@ -282,14 +266,12 @@ mod tests {
         r.render_prometheus_into(&mut b);
         assert_eq!(a, b, "two scrapes of the same state must be byte-identical");
 
-        // Family order is fixed: stages, solves, counters, gauge.
+        // Family order is fixed: stages, solves, degradations.
         let stage_at = a.find("mcc_stage_duration_nanos").unwrap();
         let solve_at = a.find("mcc_solve_duration_nanos").unwrap();
-        let counter_at = a.find("mcc_cache_hits_total").unwrap();
-        let gauge_at = a.find("mcc_queue_depth").unwrap();
-        assert!(stage_at < solve_at && solve_at < counter_at && counter_at < gauge_at);
-        assert!(a.contains("mcc_queue_depth 5"));
-        assert!(a.contains("mcc_cache_misses_total 2"));
+        let degraded_at = a.find("mcc_degraded_total").unwrap();
+        assert!(stage_at < solve_at && solve_at < degraded_at);
+        assert!(a.contains("mcc_degraded_total 2\n"));
         // Cumulative bucket counts end at the total.
         assert!(a.contains("mcc_stage_duration_nanos_bucket{stage=\"exact_dp\",le=\"+Inf\"} 1"));
     }

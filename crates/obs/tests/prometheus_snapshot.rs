@@ -9,7 +9,7 @@
 //! This binary contains exactly one test: the global registry and the
 //! installed clock are process-wide, so nothing else may touch them.
 
-use mcc_obs::{ClassLabel, CounterKind, SpanKind, TestClock};
+use mcc_obs::{ClassLabel, SpanKind, TestClock};
 
 static CLOCK: TestClock = TestClock::new();
 
@@ -33,14 +33,11 @@ fn global_render_is_byte_identical_to_golden() {
     assert_eq!(trace.count(SpanKind::McsOrder), 1);
     assert_eq!(trace.nanos(SpanKind::McsOrder), 1_000);
 
-    // …one exact-DP span of exactly 2ms, a classified solve, cache
-    // traffic, and a queue depth.
+    // …one exact-DP span of exactly 2ms and a classified solve.
     let span = mcc_obs::span!(ExactDp);
     CLOCK.advance(2_000_000);
     drop(span);
     mcc_obs::record_solve(ClassLabel::SixTwo, 4_096);
-    mcc_obs::incr(CounterKind::CacheHit, 3);
-    mcc_obs::global().queue_depth().set(2);
 
     let mut out = String::new();
     mcc_obs::render_global_into(&mut out);

@@ -24,7 +24,6 @@
 // table ([lints] in Cargo.toml), promoted to an error in CI; unit
 // tests are exempt -- tests should unwrap.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-#![warn(missing_docs)]
 
 pub mod cspc;
 pub mod x3c;

@@ -15,7 +15,7 @@ use mcc_graph::{
     BipartiteGraph, BudgetExceeded, BudgetKind, CancelToken, NodeSet, Side, SolveBudget, Stage,
     Workspace, WorkspaceStats,
 };
-use mcc_obs::{ClassLabel, CounterKind, SpanKind};
+use mcc_obs::{ClassLabel, SpanKind};
 use std::cell::RefCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -285,7 +285,7 @@ impl Solver {
                         sol.trace.nanos(SpanKind::SolveTotal),
                     );
                     if sol.degraded.is_some() {
-                        mcc_obs::incr(CounterKind::Degraded, 1);
+                        mcc_obs::global().record_degraded();
                     }
                 }
                 result

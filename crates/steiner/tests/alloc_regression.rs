@@ -18,7 +18,10 @@
 //!
 //! (The library forbids `unsafe`, but the allocator shim below needs it;
 //! integration tests compile as their own crates, so the `forbid` does
-//! not reach here.)
+//! not reach here, and the workspace-level `deny` is lowered below.)
+
+// A counting `GlobalAlloc` cannot be written without `unsafe impl`.
+#![allow(unsafe_code)]
 
 use mcc_graph::{builder::graph_from_edges, NodeId, NodeSet, Workspace};
 use mcc_steiner::{algorithm2, eliminate_nonredundant_in};

@@ -48,7 +48,6 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-#![warn(missing_docs)]
 
 mod crc;
 /// The versioned, checksummed on-disk representation.

@@ -31,14 +31,14 @@
 //! * validation failure → quarantine the blob, count it, report a miss;
 //! * any other I/O error → flip to **degraded memory-only mode**: all
 //!   further disk traffic short-circuits, the engine keeps serving from
-//!   the in-memory tier, and `mcc_store_degraded_total` records the
-//!   transition. Degradation is one-way for the store's lifetime — a
-//!   disk that failed once is not trusted again until reopen.
+//!   the in-memory tier, and [`StoreStats::degraded`] (scraped by the
+//!   engine as `mcc_engine_store_degraded`) records the transition.
+//!   Degradation is one-way for the store's lifetime — a disk that
+//!   failed once is not trusted again until reopen.
 
 use crate::format::{decode, encode, FormatError};
 use crate::io::{is_kill, StoreIo, SystemIo};
 use mcc::SchemaArtifacts;
-use mcc_obs::CounterKind;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -197,11 +197,9 @@ impl ArtifactStore {
         }
     }
 
-    /// Flips to degraded memory-only mode (idempotent; counted once).
+    /// Flips to degraded memory-only mode (idempotent).
     fn degrade(&self, _cause: &io::Error) {
-        if !self.degraded.swap(true, Ordering::SeqCst) {
-            mcc_obs::incr(CounterKind::StoreDegraded, 1);
-        }
+        self.degraded.store(true, Ordering::SeqCst);
     }
 
     /// Whether the store has given up on the disk for this lifetime.
@@ -238,7 +236,6 @@ impl ArtifactStore {
         match decode(&bytes, Some(fingerprint)) {
             Ok((_, artifacts)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                mcc_obs::incr(CounterKind::StoreHit, 1);
                 Some(artifacts)
             }
             Err(why) => {
@@ -251,7 +248,6 @@ impl ArtifactStore {
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        mcc_obs::incr(CounterKind::StoreMiss, 1);
     }
 
     /// Moves a blob that failed validation out of the serving path. The
@@ -259,7 +255,6 @@ impl ArtifactStore {
     /// bytes are preserved under `quarantine/` for forensics.
     fn quarantine_object(&self, fingerprint: u64, path: &Path, _why: &FormatError) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
-        mcc_obs::incr(CounterKind::StoreQuarantine, 1);
         let dest = self.quarantine_path(fingerprint);
         if self.retrying(|io| io.rename(path, &dest)).is_err() {
             // The rename failed: at minimum get the corrupt blob out of

@@ -222,3 +222,42 @@ proptest! {
         }
     }
 }
+
+/// The global `mcc_degraded_total` value, read off the rendered scrape.
+fn scraped_degraded_total() -> u64 {
+    let mut scrape = String::new();
+    mcc::obs::render_global_into(&mut scrape);
+    scrape
+        .lines()
+        .find_map(|l| l.strip_prefix("mcc_degraded_total "))
+        .and_then(|v| v.parse().ok())
+        .expect("the global scrape carries mcc_degraded_total")
+}
+
+/// The `Solver` counts its own ladder steps, so an embedded solve that
+/// no engine sees still shows up in the global scrape. The registry is
+/// process-wide and other tests in this binary may degrade concurrently,
+/// so the check is a lower bound on the delta.
+#[test]
+fn embedded_degraded_solve_raises_the_global_ladder_counter() {
+    let solver = Solver::with_config(
+        off_class(),
+        SolverConfig {
+            budget: SolveBudget {
+                max_dp_bytes: 0,
+                ..SolveBudget::default()
+            },
+            ..SolverConfig::default()
+        },
+    );
+    let n = solver.graph().graph().node_count();
+    let terminals = NodeSet::from_nodes(n, [NodeId(0), NodeId(2)]);
+    let before = scraped_degraded_total();
+    let sol = solver
+        .solve_steiner(&terminals)
+        .expect("must degrade, not fail");
+    assert_eq!(sol.strategy, SteinerStrategy::Heuristic);
+    let d = sol.degraded.expect("the DP admission refusal is recorded");
+    assert_eq!(d.reason.kind, BudgetKind::DpTableBytes);
+    assert!(scraped_degraded_total() > before);
+}
