@@ -1,24 +1,32 @@
-//! Regenerates every experiment table of EXPERIMENTS.md.
+//! Regenerates the paper-series tables of EXPERIMENTS.md (E1–E8 and the
+//! figure checklist), asserting each theorem's claim as it goes.
 //!
 //! ```sh
 //! cargo run --release -p mcc-bench --bin tables            # everything
 //! cargo run --release -p mcc-bench --bin tables -- e3 e5   # a subset
 //! ```
 //!
+//! Table names: `e1`, `hierarchy` (E2), `e3` … `e8`, `figures`.
+//!
 //! The paper is a theory paper: its "results" are theorems and worked
 //! figures. Each table below is the empirical face of one of them — the
 //! complexity *shapes* (exponential vs polynomial, optimal vs heuristic,
 //! class frequencies) are what must reproduce, not absolute timings.
 
-use mcc::chordality::classify_bipartite;
+// Timing the experiments is this binary's job, so it reads the wall
+// clock directly.
+#![allow(clippy::disallowed_methods)]
+
+use mcc::chordality::{
+    classify_bipartite, is_chordal_bipartite, is_chordal_bipartite_via_beta, is_six_two_chordal,
+};
 use mcc::figures;
 use mcc::gen::{random_bipartite, random_terminals};
-use mcc::graph::NodeId;
+use mcc::graph::{NodeId, Side};
 use mcc::hypergraph::{h1_of_bipartite, AcyclicityDegree};
 use mcc::steiner::{
     algorithm1, algorithm2, algorithm2_with_order, eliminate_with_ordering,
-    minimum_cover_bruteforce, pseudo_steiner, steiner_exact, steiner_kmb, PseudoSide,
-    SteinerInstance,
+    minimum_cover_bruteforce, pseudo_steiner, steiner_exact, steiner_kmb, SteinerInstance,
 };
 use mcc_bench::{alpha_workload, offclass_workload, six_two_workload, x3c_workload};
 use std::time::Instant;
@@ -27,6 +35,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
+    if want("e1") {
+        exp_e1_recognizers();
+    }
     if want("hierarchy") {
         exp_hierarchy();
     }
@@ -51,6 +62,48 @@ fn main() {
     if want("figures") {
         exp_figures();
     }
+}
+
+/// Runs `f` once; returns its value and the elapsed microseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64() * 1e6)
+}
+
+/// E1 — Theorem 1's recognizers on (6,2)-chordal block trees: the
+/// bisimplicial-elimination (6,1) test against the β-acyclicity route
+/// (Brault-Baron's β-elimination on `H¹`), which Theorem 1(iii) says
+/// decide the same class, plus the (6,2) test and the full
+/// classification every schema pays once.
+fn exp_e1_recognizers() {
+    println!("## E1: recognizer runtimes on (6,2)-chordal block trees (single shot)");
+    println!();
+    println!(
+        "| blocks | nodes | (6,2) us | (6,1) bisimplicial us | (6,1) via beta us | classify us |"
+    );
+    println!("|---|---|---|---|---|---|");
+    for blocks in [4usize, 8, 16] {
+        let w = six_two_workload(blocks, 3, 7);
+        let (six_two, six_two_us) = timed(|| is_six_two_chordal(&w.bipartite));
+        let (bisimplicial, bisimplicial_us) = timed(|| is_chordal_bipartite(w.graph()));
+        let (via_beta, via_beta_us) = timed(|| is_chordal_bipartite_via_beta(&w.bipartite));
+        let (class, classify_us) = timed(|| classify_bipartite(&w.bipartite));
+        assert_eq!(
+            bisimplicial, via_beta,
+            "Theorem 1(iii): the (6,1) routes disagree"
+        );
+        assert!(
+            six_two && bisimplicial,
+            "block trees are (6,2)-, hence (6,1)-chordal"
+        );
+        assert!(class.six_two && class.six_one, "classification disagrees");
+        println!(
+            "| {blocks} | {} | {six_two_us:.1} | {bisimplicial_us:.1} | {via_beta_us:.1} | {classify_us:.1} |",
+            w.graph().node_count()
+        );
+    }
+    println!();
 }
 
 /// E2 — the acyclicity hierarchy on random bipartite graphs: class
@@ -156,7 +209,7 @@ fn exp_e4_algorithm1() {
             let weights: Vec<u64> = w
                 .graph()
                 .nodes()
-                .map(|v| u64::from(w.bipartite.side(v) == mcc::graph::Side::V2))
+                .map(|v| u64::from(w.bipartite.side(v) == Side::V2))
                 .collect();
             let exact =
                 mcc::steiner::steiner_exact_node_weighted(w.graph(), &w.terminals, &weights)
@@ -245,10 +298,10 @@ fn exp_e6_corollary4() {
             .clone();
         let k = 3.min(biggest.len());
         let terminals = random_terminals(&g, Some(&biggest), k, seed + 500);
-        for side in [PseudoSide::V1, PseudoSide::V2] {
+        for side in [Side::V1, Side::V2] {
             let side_set = match side {
-                PseudoSide::V1 => bg.v1_set(),
-                PseudoSide::V2 => bg.v2_set(),
+                Side::V1 => bg.v1_set(),
+                Side::V2 => bg.v2_set(),
             };
             match pseudo_steiner(&bg, &terminals, side) {
                 Ok(sol) => {

@@ -1,6 +1,6 @@
-//! Shared workload construction for the benchmark suite (experiments
-//! E1–E9 of DESIGN.md). Everything is seed-deterministic so Criterion
-//! runs and the `tables` binary measure identical instances.
+//! Shared workload construction for the `tables` binary (experiments
+//! E1–E8 of EXPERIMENTS.md). Everything is seed-deterministic, so every
+//! run measures identical instances.
 
 #![forbid(unsafe_code)]
 
@@ -70,37 +70,6 @@ pub fn alpha_workload(edges: usize, terms: usize, seed: u64) -> Workload {
         bipartite: bg,
         terminals,
     }
-}
-
-/// A serving workload (experiment E12): an α-acyclic relational schema
-/// with `edges` relations plus a seed-deterministic batch of `queries`
-/// attribute-name queries (2–4 terminals each). The same batch drives
-/// the single-threaded `QueryEngine` baseline and the `mcc-engine`
-/// worker pool, so their throughputs are directly comparable.
-pub fn serving_workload(
-    edges: usize,
-    queries: usize,
-    seed: u64,
-) -> (mcc::datamodel::RelationalSchema, Vec<Vec<String>>) {
-    let shape = JoinTreeShape {
-        num_edges: edges,
-        max_shared: 3,
-        max_fresh: 3,
-    };
-    let (h, bg) = random_alpha_acyclic(shape, seed);
-    let schema = mcc::datamodel::RelationalSchema::from_hypergraph(&format!("serve/e{edges}"), &h);
-    let v1 = bg.v1_set();
-    let batch = (0..queries)
-        .map(|i| {
-            let k = 2 + i % 3;
-            let salt = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            random_terminals(bg.graph(), Some(&v1), k, salt)
-                .iter()
-                .map(|v| bg.graph().label(v).to_string())
-                .collect()
-        })
-        .collect();
-    (schema, batch)
 }
 
 /// A Theorem 2 gadget for a planted X3C instance of size `q` (experiment

@@ -171,40 +171,6 @@ impl QueryEngine {
         self.connect_terminals(&terminals)
     }
 
-    /// Answers several queries in one pass: the schema-level state —
-    /// the solver's artifacts, the bipartite graph with its dense
-    /// adjacency rows, and the warm workspace — is reused across members,
-    /// so a batch of `k` queries pays schema work zero times and scratch
-    /// growth once. Results come back in input order, one per query; a
-    /// failing member (unknown name, budget trip, disconnection) does
-    /// not abort the rest.
-    ///
-    /// ```
-    /// use mcc_datamodel::{QueryEngine, RelationalSchema};
-    ///
-    /// let schema = RelationalSchema::from_lists(
-    ///     "hr",
-    ///     &["emp", "dept", "budget"],
-    ///     &[("WORKS_IN", &[0, 1]), ("FUNDING", &[1, 2])],
-    /// );
-    /// let engine = QueryEngine::new(schema).unwrap();
-    /// let answers = engine.solve_batch(&[
-    ///     &["emp", "budget"][..],
-    ///     &["emp", "nonsense"][..],
-    /// ]);
-    /// assert!(answers[0].is_ok());
-    /// assert!(answers[1].is_err()); // unknown name fails alone
-    /// ```
-    pub fn solve_batch(&self, queries: &[&[&str]]) -> Vec<Result<Interpretation, QueryError>> {
-        queries
-            .iter()
-            .map(|names| {
-                let terminals = self.resolve(names)?;
-                self.connect_terminals(&terminals)
-            })
-            .collect()
-    }
-
     /// As [`QueryEngine::connect`], from already-resolved terminals.
     ///
     /// On (6,2)-chordal schemas this is the [`Solver`]'s Steiner solve
@@ -386,21 +352,6 @@ mod tests {
         // The engine stays usable: an unbudgeted clone answers.
         let engine = QueryEngine::new(acyclic_schema()).unwrap();
         assert!(engine.connect(&["name", "budget"]).is_ok());
-    }
-
-    #[test]
-    fn solve_batch_matches_sequential_connects() {
-        let engine = QueryEngine::new(acyclic_schema()).unwrap();
-        let queries: [&[&str]; 3] = [&["name", "budget"], &["name", "salary"], &["emp_id"]];
-        let batch = engine.solve_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (got, names) in batch.iter().zip(queries) {
-            match (got, engine.connect(names)) {
-                (Ok(b), Ok(s)) => assert_eq!(*b, s),
-                (Err(b), Err(s)) => assert_eq!(*b, s),
-                (b, s) => panic!("batch/sequential disagree: {b:?} vs {s:?}"),
-            }
-        }
     }
 
     #[test]

@@ -849,6 +849,8 @@ mod tests {
     /// ticket unanswered: every wait is bounded, so it fails instead of
     /// hanging.
     #[test]
+    // Each wait is timed to catch a wakeup that lands only at the timeout.
+    #[allow(clippy::disallowed_methods)]
     fn handoff_stays_live_under_oversubscribed_load() {
         const ROUNDS: usize = 6;
         const CLIENTS: usize = 8;

@@ -273,6 +273,8 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
+    // The deadline clock is this layer's whole job.
+    #[allow(clippy::disallowed_methods)]
     fn new(wall_clock: Option<Duration>) -> Self {
         let started = Instant::now();
         CancelToken {
@@ -303,6 +305,8 @@ impl CancelToken {
     }
 
     /// Unconditionally checks the deadline (used at stage boundaries).
+    // The deadline check is the one per-tick wall-clock read.
+    #[allow(clippy::disallowed_methods)]
     pub fn checkpoint(&self, stage: Stage) -> Result<(), BudgetExceeded> {
         self.checks.set(self.checks.get() + 1);
         match self.deadline {

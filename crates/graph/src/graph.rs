@@ -118,9 +118,8 @@ impl Graph {
     /// every node of degree `≥ min_degree` gets a dense row. `0` forces a
     /// dense row for every non-isolated node (an all-zero row for a
     /// degree-0 node would change nothing), `usize::MAX` forces pure CSR.
-    /// Intended
-    /// for the differential tests and the density-sweep benchmarks; the
-    /// builder installs [`Graph::default_dense_threshold`] automatically.
+    /// Intended for the differential tests; the builder installs
+    /// [`Graph::default_dense_threshold`] automatically.
     pub fn rebuild_bit_rows(&mut self, min_degree: usize) {
         let n = self.node_count();
         self.words_per_row = n.div_ceil(64);

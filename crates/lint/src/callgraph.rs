@@ -384,7 +384,6 @@ mod tests {
             ctx: FileCtx {
                 rel_path: format!("crates/{krate}/src/lib.rs"),
                 crate_name: krate.into(),
-                file_name: "lib.rs".into(),
                 is_binary: false,
             },
             analysis: lexer::analyze(src),

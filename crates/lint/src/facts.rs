@@ -5,9 +5,9 @@
 //! [`FactDb`]: every function with its span, outgoing calls, lock
 //! acquisitions (receiver field matched against declared `Mutex`/
 //! `RwLock`/`Condvar` fields), condvar waits, panicking constructs,
-//! allocations, wall-clock reads, slow adjacency calls, and blocking
-//! I/O (`fs::`/`File::`/fsync) — each site annotated with the set of
-//! locks lexically held at that point.
+//! allocations, slow adjacency calls, and blocking I/O (`fs::`/`File::`/
+//! fsync) — each site annotated with the set of locks lexically held at
+//! that point.
 //!
 //! The lock-lifetime model is deliberately over-approximate: a guard
 //! acquired at brace depth *d* is considered held until the block at
@@ -119,8 +119,8 @@ pub struct WaitSite {
     pub exempt: bool,
 }
 
-/// A pattern occurrence (panic construct, allocation, clock read,
-/// adjacency call, blocking I/O) inside a function.
+/// A pattern occurrence (panic construct, allocation, adjacency call,
+/// blocking I/O) inside a function.
 #[derive(Debug, Clone)]
 pub struct PatternSite {
     /// Human-readable pattern (e.g. `` `unwrap` ``, `` `fs::write` ``).
@@ -172,8 +172,6 @@ pub struct FnFact {
     pub panics: Vec<PatternSite>,
     /// Allocations (`Vec::new`/`Box::new`/`.to_vec()`/`.collect()`).
     pub allocs: Vec<PatternSite>,
-    /// Wall-clock reads (`Instant::now`/`SystemTime::now`).
-    pub clocks: Vec<PatternSite>,
     /// Slow adjacency calls (`.has_edge()`/`.adjacent_to_set()`).
     pub adjacency: Vec<PatternSite>,
     /// Blocking I/O (`fs::*`, `File::*`, `.sync_all()`, `.sync_data()`).
@@ -573,7 +571,6 @@ impl<'a> Walker<'a> {
                 waits: Vec::new(),
                 panics: Vec::new(),
                 allocs: Vec::new(),
-                clocks: Vec::new(),
                 adjacency: Vec::new(),
                 blocking: Vec::new(),
             });
@@ -667,7 +664,7 @@ impl<'a> Walker<'a> {
     }
 
     /// Classifies the identifier at `i` as a lock acquisition, wait,
-    /// panic/alloc/clock/adjacency/blocking pattern, guard drop, or
+    /// panic/alloc/adjacency/blocking pattern, guard drop, or
     /// call; returns the next index.
     fn record_site(&mut self, toks: &[Tok], i: usize, db: &mut FactDb) -> usize {
         let t = &toks[i];
@@ -798,20 +795,6 @@ impl<'a> Walker<'a> {
                 return i + 3;
             }
             return i + 1;
-        }
-
-        // Wall-clock reads.
-        if (t.text == "Instant" || t.text == "SystemTime")
-            && next == Some("::")
-            && toks.get(i + 2).map(|n| n.text.as_str()) == Some("now")
-        {
-            db.functions[cur].clocks.push(PatternSite {
-                what: format!("`{}::now`", t.text),
-                line,
-                exempt: test || a.provably_at(line) || a.allowed_at(line, "no-wall-clock"),
-                held,
-            });
-            return i + 3;
         }
 
         // Slow adjacency entry points.
@@ -980,7 +963,6 @@ mod tests {
             ctx: FileCtx {
                 rel_path: "crates/x/src/lib.rs".into(),
                 crate_name: "x".into(),
-                file_name: "lib.rs".into(),
                 is_binary: false,
             },
             analysis: lexer::analyze(src),

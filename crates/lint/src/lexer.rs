@@ -520,7 +520,7 @@ let y = 1; /* panic!() */ let z = 'a';
         let a = analyze(src);
         assert!(a.allowed_at(1, "no-panic"));
         assert!(a.allowed_at(1, "hot-path-alloc"));
-        assert!(!a.allowed_at(1, "no-wall-clock"));
+        assert!(!a.allowed_at(1, "lock-order"));
         assert!(a.provably_at(3));
         assert!(!a.provably_at(1));
     }

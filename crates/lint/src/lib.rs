@@ -2,10 +2,9 @@
 //!
 //! Clippy and rustc enforce language-level hygiene; this crate enforces
 //! *repo*-level invariants that no general-purpose tool knows about —
-//! the tick discipline for wall-clock reads, the `*_in` zero-alloc
-//! hot-path convention, the lock-acquisition order across
-//! `engine`/`store`, and the
-//! `// PROVABLY:` justification protocol for panicking calls.
+//! the `*_in` zero-alloc hot-path convention, the lock-acquisition order
+//! across `engine`/`store`, and the `// PROVABLY:` justification
+//! protocol for panicking calls.
 //!
 //! The pass runs in two phases. Per-file lexical rules work straight off
 //! the [`lexer`] token stream. The interprocedural rules build a
@@ -65,8 +64,6 @@ pub struct FileCtx {
     pub rel_path: String,
     /// The crate directory name (e.g. `engine` for `crates/engine`).
     pub crate_name: String,
-    /// Final path component (e.g. `budget.rs`).
-    pub file_name: String,
     /// Whether the file belongs to a binary target (`src/bin/**` or
     /// `src/main.rs`).
     pub is_binary: bool,
@@ -289,12 +286,10 @@ fn file_ctx(path: &Path, crates_dir: &Path, crate_name: &str) -> FileCtx {
         }
         s
     };
-    let file_name = file_name_of(path);
-    let is_binary = rel_path.contains("/src/bin/") || file_name == "main.rs";
+    let is_binary = rel_path.contains("/src/bin/") || file_name_of(path) == "main.rs";
     FileCtx {
         rel_path,
         crate_name: crate_name.to_string(),
-        file_name,
         is_binary,
     }
 }

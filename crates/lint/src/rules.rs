@@ -48,12 +48,6 @@ pub const RULES: &[Rule] = &[
         kind: RuleKind::Workspace(propagate::no_panic),
     },
     Rule {
-        name: "no-wall-clock",
-        desc: "no Instant::now()/SystemTime::now() outside CancelToken/budget code \
-               without a // PROVABLY: justification (tick discipline)",
-        kind: RuleKind::File(no_wall_clock),
-    },
-    Rule {
         name: "hot-path-alloc",
         desc: "no Vec::new/Box::new/to_vec/collect reachable from *_in functions \
                (zero-alloc hot-path convention, transitive)",
@@ -84,40 +78,6 @@ pub const RULES: &[Rule] = &[
         kind: RuleKind::Workspace(propagate::condvar_discipline),
     },
 ];
-
-/// Rule: wall-clock reads are confined to the budget/cancellation
-/// layer, or carry a `// PROVABLY:` justification (the observability
-/// clock's single monotonic-epoch read is the intended user — see
-/// `crates/obs/src/clock.rs`).
-pub fn no_wall_clock(ctx: &FileCtx, a: &Analysis, out: &mut Vec<Diagnostic>) {
-    // The tick discipline lives in `CancelToken` (crates/graph budget.rs);
-    // benches measure wall time by definition.
-    if ctx.crate_name == "bench" || ctx.file_name.contains("budget") {
-        return;
-    }
-    let toks = &a.tokens;
-    for w in toks.windows(3) {
-        let t = &w[0];
-        if a.is_test_line(t.line) {
-            continue;
-        }
-        if (t.text == "Instant" || t.text == "SystemTime")
-            && w[1].text == "::"
-            && w[2].text == "now"
-            && !a.provably_at(t.line)
-            && !a.allowed_at(t.line, "no-wall-clock")
-        {
-            out.push(ctx.diag(
-                t.line,
-                "no-wall-clock",
-                &format!(
-                    "`{}::now()` outside CancelToken/budget code breaks the tick discipline",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
 
 /// Rule: inside `*_in` hot paths the slow adjacency entry points are
 /// forbidden — `.has_edge()` has the O(1) word-probe `has_edge_fast()`

@@ -3,7 +3,7 @@
 //! never scanned by the real pass) must be reported with exact
 //! `file:line` locations, and every exemption mechanism — `lint:allow`
 //! on a site, `lint:allow` as a chain-break on a call line, `//
-//! PROVABLY:`, `#[cfg(test)]` regions, budget files, binaries, predicate
+//! PROVABLY:`, `#[cfg(test)]` regions, binaries, predicate
 //! loops — must produce *no* diagnostic.
 
 use mcc_lint::{run, Config, Diagnostic};
@@ -31,7 +31,7 @@ fn seeded_violations_are_reported_with_exact_locations() {
         .collect();
     // One entry per seeded violation — anything beyond this list would
     // mean an exemption (lint:allow, chain-break allow, PROVABLY,
-    // cfg(test), budget file, binary, predicate loop)
+    // cfg(test), binary, predicate loop)
     // failed to suppress.
     let expected = vec![
         ("crates/chains/src/lib.rs", 16, "no-panic"),
@@ -41,10 +41,9 @@ fn seeded_violations_are_reported_with_exact_locations() {
         ("crates/locks/src/lib.rs", 59, "blocking-under-lock"),
         ("crates/locks/src/lib.rs", 66, "blocking-under-lock"),
         ("crates/store/src/lib.rs", 10, "no-panic"),
-        ("crates/widgets/src/lib.rs", 10, "no-panic"),
-        ("crates/widgets/src/lib.rs", 27, "no-wall-clock"),
-        ("crates/widgets/src/lib.rs", 44, "hot-path-alloc"),
-        ("crates/widgets/src/lib.rs", 56, "hot-path-adjacency"),
+        ("crates/widgets/src/lib.rs", 8, "no-panic"),
+        ("crates/widgets/src/lib.rs", 25, "hot-path-alloc"),
+        ("crates/widgets/src/lib.rs", 37, "hot-path-adjacency"),
     ];
     assert_eq!(got, expected);
 }
@@ -82,7 +81,7 @@ fn diagnostics_render_as_file_line_rule() {
     assert!(
         rendered
             .iter()
-            .any(|s| s.starts_with("crates/widgets/src/lib.rs:27: [no-wall-clock]")),
+            .any(|s| s.starts_with("crates/widgets/src/lib.rs:37: [hot-path-adjacency]")),
         "diagnostic rendering drifted: {rendered:?}"
     );
 }
@@ -187,6 +186,6 @@ fn allow_flag_disables_a_rule_wholesale() {
     );
     // Other rules still fire — including the one in the same fixture file
     // as a suppressed no-panic hit.
-    assert!(diags.iter().any(|d| d.rule == "no-wall-clock"));
-    assert_eq!(diags.len(), 8);
+    assert!(diags.iter().any(|d| d.rule == "hot-path-adjacency"));
+    assert_eq!(diags.len(), 7);
 }

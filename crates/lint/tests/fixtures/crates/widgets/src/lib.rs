@@ -3,8 +3,6 @@
 //! fixture tests, which assert exact file:line:rule locations.
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
 /// Violation (no-panic): a naked unwrap in non-test library code.
 pub fn naked_unwrap(x: Option<u32>) -> u32 {
     x.unwrap()
@@ -20,23 +18,6 @@ pub fn justified_unwrap(x: Option<u32>) -> u32 {
 pub fn allowed_panic() {
     // lint:allow(no-panic): fixture exercises the escape hatch.
     panic!("allowed");
-}
-
-/// Violation (no-wall-clock): a wall-clock read outside budget code.
-pub fn reads_clock() -> Instant {
-    Instant::now()
-}
-
-/// Exempt: the escape hatch.
-pub fn allowed_clock() -> Instant {
-    // lint:allow(no-wall-clock): fixture exercises the escape hatch.
-    Instant::now()
-}
-
-/// Exempt: a justified clock read (the obs clock's epoch seam).
-pub fn justified_clock() -> Instant {
-    // PROVABLY: monotonic-epoch read, the one sanctioned wall-clock seam.
-    Instant::now()
 }
 
 /// Violation (hot-path-alloc): an allocation inside a `*_in` hot path.

@@ -1,6 +1,6 @@
 //! The workspace's clock seam.
 //!
-//! The `no-wall-clock` lint rule (see `crates/lint`) confines raw
+//! Clippy's `disallowed-methods` list (root `clippy.toml`) confines raw
 //! `Instant::now()` reads to the budget/cancellation layer — everything
 //! else must go through a seam it can fake. This module is that seam for
 //! telemetry: a [`Clock`] trait with one production implementation
@@ -30,13 +30,12 @@ pub trait Clock: Send + Sync {
 pub struct MonotonicClock;
 
 impl Clock for MonotonicClock {
+    // The telemetry clock seam itself: every span, queue-wait and
+    // per-class histogram derives its timing from this read.
+    #[allow(clippy::disallowed_methods)]
     fn now_nanos(&self) -> u64 {
         use std::time::Instant;
         static EPOCH: OnceLock<Instant> = OnceLock::new();
-        // PROVABLY: this is the telemetry clock seam itself — the one place
-        // outside CancelToken/budget code allowed to read the wall clock.
-        // Every span, queue-wait, and per-class histogram in the workspace
-        // derives its timing from this single read (tests swap in TestClock).
         EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
 }

@@ -26,10 +26,10 @@
 //! ## The clock seam
 //!
 //! Wall-clock reads are confined to [`clock`]: a [`Clock`] trait with a
-//! monotonic production implementation (the workspace's single
-//! `// PROVABLY:` exemption from the `no-wall-clock` lint rule) and a
-//! manually advanced [`TestClock`] so tests — including the Prometheus
-//! snapshot test — are byte-deterministic.
+//! monotonic production implementation (the one library exemption from
+//! clippy's `disallowed-methods` list outside the budget layer) and a
+//! manually advanced [`TestClock`] so tests — including the
+//! Prometheus snapshot test — are byte-deterministic.
 //!
 //! ## Turning it off
 //!

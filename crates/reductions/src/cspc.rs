@@ -105,7 +105,7 @@ mod tests {
     use super::*;
     use mcc_chordality::{is_chordal, is_vi_chordal, is_vi_conformal};
     use mcc_graph::builder::graph_from_edges;
-    use mcc_steiner::{pseudo_steiner, PseudoSide};
+    use mcc_steiner::pseudo_steiner;
 
     #[test]
     fn gadget_shape() {
@@ -175,6 +175,6 @@ mod tests {
         let src = sample_chordal_source().unwrap();
         let g = CspcGadget::build(&src);
         let terms = g.lift_terminals(&NodeSet::from_nodes(5, [NodeId(0), NodeId(4)]));
-        assert!(pseudo_steiner(&g.graph, &terms, PseudoSide::V2).is_err());
+        assert!(pseudo_steiner(&g.graph, &terms, Side::V2).is_err());
     }
 }

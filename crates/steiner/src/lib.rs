@@ -80,5 +80,5 @@ pub use heuristic::{steiner_kmb, steiner_kmb_budgeted};
 pub use instance::{SteinerInstance, SteinerTree};
 pub use ordering::{eliminate_with_ordering, is_good_ordering_for, ordering_landscape};
 pub use outcome::{Degraded, SolveError, SolveOutcome};
-pub use pseudo::{pseudo_steiner, PseudoSide};
+pub use pseudo::pseudo_steiner;
 pub use solver::{Solution, SolveStats, Solver, SolverConfig, SolverError, SteinerStrategy};

@@ -3,25 +3,6 @@
 use crate::{algorithm1, Algorithm1Error, SteinerTree};
 use mcc_graph::{BipartiteGraph, NodeSet, Side};
 
-/// Which side's node count the pseudo-Steiner problem minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PseudoSide {
-    /// Minimize `|V′ ∩ V1|`.
-    V1,
-    /// Minimize `|V′ ∩ V2|` (the "minimize relations" reading).
-    V2,
-}
-
-impl PseudoSide {
-    /// The graph side whose nodes are counted.
-    pub fn side(self) -> Side {
-        match self {
-            PseudoSide::V1 => Side::V1,
-            PseudoSide::V2 => Side::V2,
-        }
-    }
-}
-
 /// Result of a pseudo-Steiner solve.
 #[derive(Debug, Clone)]
 pub struct PseudoSolution {
@@ -31,7 +12,8 @@ pub struct PseudoSolution {
     pub side_cost: usize,
 }
 
-/// Solves the pseudo-Steiner problem w.r.t. `side`.
+/// Solves the pseudo-Steiner problem w.r.t. `side`: minimizes the number
+/// of tree nodes on that side (`V2` is the "minimize relations" reading).
 ///
 /// * `side = V2`: Algorithm 1 directly (Theorems 3–4); requires `H¹_G`
 ///   α-acyclic (the graph V₂-chordal and V₂-conformal).
@@ -43,11 +25,11 @@ pub struct PseudoSolution {
 pub fn pseudo_steiner(
     bg: &BipartiteGraph,
     terminals: &NodeSet,
-    side: PseudoSide,
+    side: Side,
 ) -> Result<PseudoSolution, Algorithm1Error> {
     let out = match side {
-        PseudoSide::V2 => algorithm1(bg, terminals)?,
-        PseudoSide::V1 => algorithm1(&bg.swap_sides(), terminals)?,
+        Side::V2 => algorithm1(bg, terminals)?,
+        Side::V1 => algorithm1(&bg.swap_sides(), terminals)?,
     };
     Ok(PseudoSolution {
         tree: out.tree,
@@ -78,13 +60,13 @@ mod tests {
         let bg = six_one_graph();
         let n = bg.graph().node_count();
         let terminals = NodeSet::from_nodes(n, [NodeId(0), NodeId(2)]); // x1, x3
-        for side in [PseudoSide::V1, PseudoSide::V2] {
+        for side in [Side::V1, Side::V2] {
             let sol = pseudo_steiner(&bg, &terminals, side).expect("Corollary 4 applies");
             assert!(sol.tree.is_valid_tree(bg.graph()));
             assert!(terminals.is_subset_of(&sol.tree.nodes));
             let side_set = match side {
-                PseudoSide::V1 => bg.v1_set(),
-                PseudoSide::V2 => bg.v2_set(),
+                Side::V1 => bg.v1_set(),
+                Side::V2 => bg.v2_set(),
             };
             let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &side_set).unwrap();
             assert_eq!(
@@ -100,10 +82,10 @@ mod tests {
         let bg = six_one_graph();
         let n = bg.graph().node_count();
         let terminals = NodeSet::from_nodes(n, [NodeId(0), NodeId(1)]); // x1, x2
-        let sol = pseudo_steiner(&bg, &terminals, PseudoSide::V2).unwrap();
+        let sol = pseudo_steiner(&bg, &terminals, Side::V2).unwrap();
         // x1 and x2 connect through one relation node (y1).
         assert_eq!(sol.side_cost, 1);
-        let sol = pseudo_steiner(&bg, &terminals, PseudoSide::V1).unwrap();
+        let sol = pseudo_steiner(&bg, &terminals, Side::V1).unwrap();
         // Tree x1-y1-x2 has two V1 nodes (the terminals themselves).
         assert_eq!(sol.side_cost, 2);
     }
@@ -138,14 +120,8 @@ mod tests {
 
         // Algorithm 1 still delivers a V2-minimum tree (its actual
         // contract); node count is allowed to exceed the Steiner optimum.
-        let sol = pseudo_steiner(&bg, &terminals, PseudoSide::V2).unwrap();
+        let sol = pseudo_steiner(&bg, &terminals, Side::V2).unwrap();
         assert_eq!(sol.side_cost, 1);
         assert!(sol.tree.node_cost() >= node_min.len());
-    }
-
-    #[test]
-    fn pseudo_side_maps_to_graph_side() {
-        assert_eq!(PseudoSide::V1.side(), Side::V1);
-        assert_eq!(PseudoSide::V2.side(), Side::V2);
     }
 }

@@ -117,13 +117,11 @@ pub struct Solution {
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
     /// Route to the exact solver when the terminal count is at most this
-    /// (a *routing* preference — larger instances go straight to the
-    /// heuristic without a `Degraded` mark).
+    /// (a *routing* preference — larger Steiner instances go straight to
+    /// the heuristic without a `Degraded` mark; larger pseudo-Steiner
+    /// instances with no Algorithm 1 route are refused with an
+    /// `ExactTerminals` budget error).
     pub max_exact_terminals: usize,
-    /// Permit the KMB heuristic, both as the off-class route for large
-    /// terminal sets and as the degradation-ladder fallback when the
-    /// exact solver exceeds its budget.
-    pub allow_heuristic: bool,
     /// Resource limits for every solve (deadline, DP table bytes,
     /// instance size). The deadline spans the whole ladder: an exact
     /// attempt and its heuristic fallback share one clock.
@@ -134,7 +132,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             max_exact_terminals: 12,
-            allow_heuristic: true,
             budget: SolveBudget::default(),
         }
     }
@@ -342,7 +339,7 @@ impl Solver {
                 }
                 // The ladder: a budget trip in the exact route falls to
                 // the heuristic under the same (partly consumed) clock.
-                Err(SolveError::Budget(reason)) if self.config.allow_heuristic => {
+                Err(SolveError::Budget(reason)) => {
                     let tree = steiner_kmb_budgeted(g, terminals, budget, token)?;
                     let cost = tree.node_cost();
                     return Ok(Solution {
@@ -360,19 +357,16 @@ impl Solver {
                 Err(e) => return Err(e),
             }
         }
-        if self.config.allow_heuristic {
-            let tree = steiner_kmb_budgeted(g, terminals, budget, token)?;
-            let cost = tree.node_cost();
-            return Ok(Solution {
-                tree,
-                strategy: SteinerStrategy::Heuristic,
-                cost,
-                stats,
-                degraded: None,
-                trace: SolveTrace::EMPTY,
-            });
-        }
-        Err(SolveError::Budget(self.too_many_terminals(terminals.len())))
+        let tree = steiner_kmb_budgeted(g, terminals, budget, token)?;
+        let cost = tree.node_cost();
+        Ok(Solution {
+            tree,
+            strategy: SteinerStrategy::Heuristic,
+            cost,
+            stats,
+            degraded: None,
+            trace: SolveTrace::EMPTY,
+        })
     }
 
     fn solve_pseudo_inner(
@@ -419,7 +413,7 @@ impl Solver {
                 }
                 // Ladder: best-effort KMB tree; its side cost carries no
                 // optimality guarantee, which `degraded` records.
-                Err(SolveError::Budget(reason)) if self.config.allow_heuristic => {
+                Err(SolveError::Budget(reason)) => {
                     let tree = steiner_kmb_budgeted(g, terminals, budget, token)?;
                     let side_set = match side {
                         Side::V1 => bg.v1_set(),
@@ -641,24 +635,18 @@ mod tests {
         let terminals = NodeSet::from_nodes(n, [mcc_graph::NodeId(0), mcc_graph::NodeId(1)]);
         let cfg = SolverConfig {
             max_exact_terminals: 0,
-            allow_heuristic: false,
             ..SolverConfig::default()
         };
-        let solver = Solver::with_config(bg.clone(), cfg);
-        // The routing cap is reported in the budget vocabulary.
-        match solver.solve_steiner(&terminals) {
+        let solver = Solver::with_config(bg, cfg);
+        // H¹ is a triangle, so the pseudo route has no Algorithm 1 and no
+        // heuristic: the routing cap is reported in the budget vocabulary.
+        match solver.solve_pseudo(&terminals, Side::V2) {
             Err(SolveError::Budget(b)) => {
                 assert_eq!(b.kind, BudgetKind::ExactTerminals);
                 assert_eq!((b.limit, b.observed), (0, 2));
             }
             other => panic!("expected a terminal-cap budget error, got {other:?}"),
         }
-        let cfg = SolverConfig {
-            max_exact_terminals: 0,
-            allow_heuristic: true,
-            ..SolverConfig::default()
-        };
-        let solver = Solver::with_config(bg, cfg);
         let sol = solver.solve_steiner(&terminals).unwrap();
         assert_eq!(sol.strategy, SteinerStrategy::Heuristic);
         // Routed (not degraded): k exceeded the routing preference, no

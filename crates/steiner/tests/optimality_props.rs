@@ -6,8 +6,7 @@ use mcc_chordality::{is_six_two_chordal, is_vi_chordal, is_vi_conformal};
 use mcc_graph::{builder::graph_from_edges, BipartiteGraph, NodeId, NodeSet, Side};
 use mcc_steiner::{
     algorithm1, algorithm2, algorithm2_with_order, minimum_cover_bruteforce, pseudo_steiner,
-    side_minimum_cover_bruteforce, steiner_exact, steiner_kmb, Algorithm1Error, PseudoSide,
-    SteinerInstance,
+    side_minimum_cover_bruteforce, steiner_exact, steiner_kmb, Algorithm1Error, SteinerInstance,
 };
 use proptest::prelude::*;
 
@@ -77,7 +76,7 @@ proptest! {
     /// graph is V₁-minimum whenever it applies.
     #[test]
     fn pseudo_v1_is_v1_minimum_on_class((bg, terminals) in bipartite_with_terminals()) {
-        if let Ok(sol) = pseudo_steiner(&bg, &terminals, PseudoSide::V1) {
+        if let Ok(sol) = pseudo_steiner(&bg, &terminals, Side::V1) {
             let v1 = bg.v1_set();
             let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &v1)
                 .expect("feasible");

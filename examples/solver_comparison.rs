@@ -10,6 +10,9 @@
 //! cargo run --release --example solver_comparison
 //! ```
 
+// Timing the solvers is this example's job.
+#![allow(clippy::disallowed_methods)]
+
 use mcc::prelude::*;
 use mcc_gen::{random_bipartite, random_six_two_block_tree, random_terminals};
 use mcc_steiner::{algorithm2, steiner_exact, steiner_exact_ids, steiner_kmb};

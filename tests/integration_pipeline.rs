@@ -1,6 +1,9 @@
 //! Generator → recognizer → solver → certificate pipelines: the glue the
 //! benchmark harness relies on, exercised at test scale.
 
+// The scale checks time themselves against the wall clock.
+#![allow(clippy::disallowed_methods)]
+
 use mcc::prelude::*;
 use mcc_chordality::classify_bipartite;
 use mcc_gen::{

@@ -6,6 +6,9 @@
 //! degrades to the heuristic inside the same deadline, and no input —
 //! however degenerate — unwinds out of `Solver`.
 
+// The deadline tests time the solver against the wall clock.
+#![allow(clippy::disallowed_methods)]
+
 use mcc::prelude::*;
 use mcc::{BudgetKind, SolverConfig};
 use mcc_gen::{random_bipartite, random_six_two_block_tree, random_terminals};
@@ -132,7 +135,6 @@ fn assert_degrades_under_100ms_budget(n_side: usize, p: f64, seed: u64) {
         SolverConfig {
             max_exact_terminals: 24,
             budget: SolveBudget::with_deadline(Duration::from_millis(100)),
-            ..SolverConfig::default()
         },
     );
     assert!(

@@ -10,7 +10,7 @@ use mcc_graph::NodeId;
 use mcc_reductions::Theorem2Gadget;
 use mcc_steiner::{
     algorithm1, algorithm2_with_order, minimum_cover_bruteforce, pseudo_steiner,
-    side_minimum_cover_bruteforce, steiner_exact, PseudoSide,
+    side_minimum_cover_bruteforce, steiner_exact,
 };
 
 /// Theorem 2 end-to-end: the X3C instance is solvable **iff** the gadget
@@ -168,12 +168,12 @@ fn corollary4_both_sides_on_interval_schemas() {
         let (_, bg) = mcc_gen::random_interval_hypergraph(shape, seed);
         let g = bg.graph();
         let terminals = random_terminals(g, None, 2, seed + 100);
-        for side in [PseudoSide::V1, PseudoSide::V2] {
+        for side in [Side::V1, Side::V2] {
             match pseudo_steiner(&bg, &terminals, side) {
                 Ok(sol) => {
                     let side_set = match side {
-                        PseudoSide::V1 => bg.v1_set(),
-                        PseudoSide::V2 => bg.v2_set(),
+                        Side::V1 => bg.v1_set(),
+                        Side::V2 => bg.v2_set(),
                     };
                     let bf =
                         side_minimum_cover_bruteforce(g, &terminals, &side_set).expect("feasible");
