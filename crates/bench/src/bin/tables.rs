@@ -18,7 +18,8 @@
 #![allow(clippy::disallowed_methods)]
 
 use mcc::chordality::{
-    classify_bipartite, is_chordal_bipartite, is_chordal_bipartite_via_beta, is_six_two_chordal,
+    classify_bipartite, is_chordal_bipartite, is_chordal_bipartite_via_beta, is_forest,
+    is_six_two_chordal, is_vi_chordal, is_vi_conformal, BipartiteClassification,
 };
 use mcc::figures;
 use mcc::gen::{random_bipartite, random_terminals};
@@ -37,6 +38,7 @@ fn main() {
 
     if want("e1") {
         exp_e1_recognizers();
+        exp_e1_registration();
     }
     if want("hierarchy") {
         exp_hierarchy();
@@ -101,6 +103,53 @@ fn exp_e1_recognizers() {
         println!(
             "| {blocks} | {} | {six_two_us:.1} | {bisimplicial_us:.1} | {via_beta_us:.1} | {classify_us:.1} |",
             w.graph().node_count()
+        );
+    }
+    println!();
+}
+
+/// E1, registration series — what one schema registration pays for
+/// classification at block-tree scale and off the class. The classifier
+/// tests the strongest class first and skips the Vᵢ tests on (6,1)
+/// graphs (Corollary 2), so every row checks each field against the
+/// standalone recognizer that decides it directly. The β route stays on
+/// the small rows above: it is far slower at these sizes.
+fn exp_e1_registration() {
+    println!("## E1: registration — classify_bipartite by schema (single shot)");
+    println!();
+    println!("| schema | nodes | edges | classify us | standalone recognizers us |");
+    println!("|---|---|---|---|---|");
+    let offclass = (0..)
+        .map(|seed| random_bipartite(40, 40, 0.1, seed))
+        .find(|bg| !is_chordal_bipartite(bg.graph()))
+        .expect("random graphs at this density are mostly off-class");
+    for (tag, bg) in [
+        (
+            "block tree, 256 blocks",
+            six_two_workload(256, 3, 7).bipartite,
+        ),
+        (
+            "block tree, 1024 blocks",
+            six_two_workload(1024, 3, 7).bipartite,
+        ),
+        ("random 40+40 off-class", offclass),
+    ] {
+        let g = bg.graph();
+        let (class, classify_us) = timed(|| classify_bipartite(&bg));
+        let (standalone, standalone_us) = timed(|| BipartiteClassification {
+            four_one: is_forest(g),
+            six_two: is_six_two_chordal(&bg),
+            six_one: is_chordal_bipartite(g),
+            v1_chordal: is_vi_chordal(&bg, Side::V1),
+            v1_conformal: is_vi_conformal(&bg, Side::V1),
+            v2_chordal: is_vi_chordal(&bg, Side::V2),
+            v2_conformal: is_vi_conformal(&bg, Side::V2),
+        });
+        assert_eq!(class, standalone, "{tag}: classification disagrees");
+        println!(
+            "| {tag} | {} | {} | {classify_us:.1} | {standalone_us:.1} |",
+            g.node_count(),
+            g.edge_count()
         );
     }
     println!();

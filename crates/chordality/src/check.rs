@@ -8,7 +8,7 @@
 //! it through `debug_assert!`, so the cross-check runs on every debug
 //! test execution and costs nothing in release builds.
 
-use mcc_graph::{Graph, NodeId};
+use mcc_graph::{Adjacency, NodeId, Workspace};
 
 /// Largest graph the definitional PEO re-check runs on; above this the
 /// callers skip the certificate (the naive check is quadratic in the
@@ -25,19 +25,44 @@ pub const CHECK_PEO_MAX_NODES: usize = 512;
 /// deliberately independent of the deferred `R(v)\{p(v)} ⊆ R(p(v))`
 /// check used by [`crate::is_perfect_elimination_ordering_in`], so the
 /// two validate each other when cross-asserted in debug builds.
-pub fn check_peo(g: &Graph, order: &[NodeId]) -> bool {
+pub fn check_peo<G: Adjacency + ?Sized>(g: &G, order: &[NodeId]) -> bool {
+    check_peo_in(&mut Workspace::new(), g, order)
+}
+
+/// [`check_peo`] with its position table and later-neighbor list taken
+/// from `ws`, so the debug-build certificate inside the recognizers adds
+/// no allocation to a warm call.
+pub(crate) fn check_peo_in<G: Adjacency + ?Sized>(
+    ws: &mut Workspace,
+    g: &G,
+    order: &[NodeId],
+) -> bool {
     let n = g.node_count();
     if order.len() != n {
         return false;
     }
-    let mut pos = vec![usize::MAX; n];
+    let mut pos = ws.take_usize_buf();
+    pos.resize(n, usize::MAX);
+    let mut later = ws.take_node_buf();
+    let ok = definitional_peo(g, order, &mut pos, &mut later);
+    ws.return_node_buf(later);
+    ws.return_usize_buf(pos);
+    ok
+}
+
+fn definitional_peo<G: Adjacency + ?Sized>(
+    g: &G,
+    order: &[NodeId],
+    pos: &mut [usize],
+    later: &mut Vec<NodeId>,
+) -> bool {
+    let n = pos.len();
     for (i, &v) in order.iter().enumerate() {
         if v.index() >= n || pos[v.index()] != usize::MAX {
             return false; // out of range or duplicate
         }
         pos[v.index()] = i;
     }
-    let mut later: Vec<NodeId> = Vec::new();
     for &v in order {
         later.clear();
         later.extend(
@@ -48,7 +73,7 @@ pub fn check_peo(g: &Graph, order: &[NodeId]) -> bool {
         );
         for (i, &a) in later.iter().enumerate() {
             for &b in &later[i + 1..] {
-                if !g.has_edge(a, b) {
+                if g.neighbors(a).binary_search(&b).is_err() {
                     return false;
                 }
             }

@@ -1,7 +1,7 @@
 //! Chordal ((4,1)-chordal, "triangulated") graph recognition.
 
 use crate::{is_perfect_elimination_ordering_in, lexbfs_order_in, mcs_order_in};
-use mcc_graph::{Graph, Workspace};
+use mcc_graph::{Adjacency, Graph, Workspace};
 
 /// `true` iff `g` is a chordal graph (every cycle of length ≥ 4 has a
 /// chord).
@@ -16,8 +16,9 @@ pub fn is_chordal(g: &Graph) -> bool {
 /// elimination ordering — the Tarjan–Yannakakis method the paper cites as
 /// reference \[12\]. All scratch (ordering, weights, position table) comes
 /// from the workspace pools, so repeated classification calls stop
-/// re-allocating.
-pub fn is_chordal_in(ws: &mut Workspace, g: &Graph) -> bool {
+/// re-allocating. Runs on any [`Adjacency`], including the unlabelled
+/// side projections the Vᵢ-chordality recognizer builds.
+pub fn is_chordal_in<G: Adjacency + ?Sized>(ws: &mut Workspace, g: &G) -> bool {
     let mut order = ws.take_node_buf();
     mcs_order_in(ws, g, &mut order);
     order.reverse();
@@ -26,9 +27,7 @@ pub fn is_chordal_in(ws: &mut Workspace, g: &Graph) -> bool {
     // verdict must agree with the literal all-pairs PEO definition.
     debug_assert!(
         g.node_count() > crate::check::CHECK_PEO_MAX_NODES
-            // lint:allow(hot-path-alloc): debug-only certificate — this
-            // call is compiled out of release hot paths.
-            || ok == crate::check::check_peo(g, &order),
+            || ok == crate::check::check_peo_in(ws, g, &order),
         "deferred PEO check disagrees with the definitional certificate (MCS order)"
     );
     ws.return_node_buf(order);
@@ -53,9 +52,7 @@ pub fn is_chordal_lexbfs_in(ws: &mut Workspace, g: &Graph) -> bool {
     let ok = is_perfect_elimination_ordering_in(ws, g, &order);
     debug_assert!(
         g.node_count() > crate::check::CHECK_PEO_MAX_NODES
-            // lint:allow(hot-path-alloc): debug-only certificate — this
-            // call is compiled out of release hot paths.
-            || ok == crate::check::check_peo(g, &order),
+            || ok == crate::check::check_peo_in(ws, g, &order),
         "deferred PEO check disagrees with the definitional certificate (LexBFS order)"
     );
     ws.return_node_buf(order);

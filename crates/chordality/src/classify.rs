@@ -1,9 +1,10 @@
 //! One-call classification of a bipartite graph into every class studied
 //! by the paper.
 
+use crate::six_two::sparse_six_cycle_in;
 use crate::{
-    find_sparse_six_cycle, find_sparse_six_cycle_in, find_vi_conformality_violation,
-    is_chordal_bipartite, is_forest_in, is_vi_chordal, is_vi_chordal_in, is_vi_conformal,
+    find_sparse_six_cycle, find_vi_conformality_violation, is_chordal_bipartite_in, is_forest_in,
+    is_vi_chordal_in, is_vi_conformal_in,
 };
 use mcc_graph::{BipartiteGraph, Side, Workspace};
 use std::fmt;
@@ -117,7 +118,7 @@ impl fmt::Display for BipartiteClassification {
     }
 }
 
-/// Runs every recognizer on `bg`.
+/// Classifies `bg` into every class of Theorem 1, strongest first.
 ///
 /// ```
 /// use mcc_chordality::classify_bipartite;
@@ -138,26 +139,45 @@ pub fn classify_bipartite(bg: &BipartiteGraph) -> BipartiteClassification {
     classify_bipartite_in(&mut Workspace::new(), bg)
 }
 
-// lint:allow(hot-path-alloc): classification is registration-time work,
-// not a hot path — the blocking-under-lock rule treats it as blocking
-// precisely because it builds projections/hypergraphs; `_in` means the
-// recognizers share the caller's scratch, not that they are alloc-free.
 /// [`classify_bipartite`] through a workspace, so a long-lived caller
-/// (e.g. the `mcc-core` solver, which classifies before every dispatch)
-/// reuses one set of recognizer scratch buffers across instances.
+/// (schema registration, through `SchemaArtifacts`) reuses one set of
+/// recognizer scratch buffers across schemas. Every recognizer reads the
+/// bipartite CSR and its dense bit rows directly — no labelled graph,
+/// hypergraph or side-swapped copy is built — so a warm call allocates
+/// nothing.
+///
+/// The classes are tested from the strongest down, as Theorem 1 and
+/// Corollary 2 order them: (4,1) ⊂ (6,2) ⊂ (6,1) ⊂ Vᵢ-chordal ∧
+/// Vᵢ-conformal on both sides. A forest is (6,1) with no elimination
+/// run; when (6,1) holds, all four Vᵢ fields are true by Corollary 2 (both
+/// `Hⁱ` are β-, hence α-acyclic) and their tests are skipped, and only
+/// then does the sparse-6-cycle scan decide (6,2). The Vᵢ tests run only
+/// when (6,1) fails. The differential suite
+/// (`tests/exhaustive_differential.rs`) checks every field against an
+/// independent recognizer on all graphs with `|V1| = |V2| = 4`.
 pub fn classify_bipartite_in(ws: &mut Workspace, bg: &BipartiteGraph) -> BipartiteClassification {
     let _span = mcc_obs::span!(Classify);
-    // (6,2) = (6,1) ∧ no sparse 6-cycle (`six_two` module docs), so
-    // Golumbic–Goss runs once and the 6-cycle scan only when it holds.
-    let six_one = is_chordal_bipartite(bg.graph());
+    let four_one = is_forest_in(ws, bg.graph());
+    if four_one || is_chordal_bipartite_in(ws, bg.graph()) {
+        return BipartiteClassification {
+            four_one,
+            // (6,2) = (6,1) ∧ no sparse 6-cycle (`six_two` module docs).
+            six_two: four_one || sparse_six_cycle_in(ws, bg).is_none(),
+            six_one: true,
+            v1_chordal: true,
+            v1_conformal: true,
+            v2_chordal: true,
+            v2_conformal: true,
+        };
+    }
     BipartiteClassification {
-        four_one: is_forest_in(ws, bg.graph()),
-        six_two: six_one && find_sparse_six_cycle_in(ws, bg).is_none(),
-        six_one,
+        four_one,
+        six_two: false,
+        six_one: false,
         v1_chordal: is_vi_chordal_in(ws, bg, Side::V1),
-        v1_conformal: is_vi_conformal(bg, Side::V1),
+        v1_conformal: is_vi_conformal_in(ws, bg, Side::V1),
         v2_chordal: is_vi_chordal_in(ws, bg, Side::V2),
-        v2_conformal: is_vi_conformal(bg, Side::V2),
+        v2_conformal: is_vi_conformal_in(ws, bg, Side::V2),
     }
 }
 
@@ -165,7 +185,9 @@ pub fn classify_bipartite_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Biparti
 /// misses, with concrete witnesses (labelled nodes). Companion to
 /// [`classify_bipartite`] for interfaces that must explain themselves —
 /// the paper's query-interface scenario wants exactly this when a schema
-/// falls outside the tractable classes.
+/// falls outside the tractable classes. The verdicts are the
+/// classification's fields; a witness is computed only for a field that
+/// fails.
 pub fn explain_classification(bg: &BipartiteGraph) -> String {
     let c = classify_bipartite(bg);
     let g = bg.graph();
@@ -192,8 +214,11 @@ pub fn explain_classification(bg: &BipartiteGraph) -> String {
         out.push_str("not (6,1)-chordal: some cycle of length >= 6 is chordless.\n");
     }
     for side in [Side::V2, Side::V1] {
-        let tag = if side == Side::V2 { "V2" } else { "V1" };
-        if !is_vi_chordal(bg, side) {
+        let (tag, chordal, conformal) = match side {
+            Side::V2 => ("V2", c.v2_chordal, c.v2_conformal),
+            Side::V1 => ("V1", c.v1_chordal, c.v1_conformal),
+        };
+        if !chordal {
             let (proj, to_parent) = crate::project_onto(bg, side.opposite());
             if let Some(cycle) = crate::chordal::find_chordless_cycle(&proj) {
                 let lifted: Vec<mcc_graph::NodeId> =
@@ -204,7 +229,7 @@ pub fn explain_classification(bg: &BipartiteGraph) -> String {
                 ));
             }
         }
-        if !is_vi_conformal(bg, side) {
+        if !conformal {
             if let Some(w) = find_vi_conformality_violation(bg, side) {
                 out.push_str(&format!(
                     "not {tag}-conformal: [{}] pairwise share neighbors but no single {tag} node covers them all.\n",

@@ -71,7 +71,9 @@ pub use check::{check_peo, CHECK_PEO_MAX_NODES};
 pub use chordal::{
     find_chordless_cycle, is_chordal, is_chordal_in, is_chordal_lexbfs, is_chordal_lexbfs_in,
 };
-pub use chordal_bipartite::{is_chordal_bipartite, is_chordal_bipartite_via_beta};
+pub use chordal_bipartite::{
+    is_chordal_bipartite, is_chordal_bipartite_in, is_chordal_bipartite_via_beta,
+};
 pub use classify::{
     classify_bipartite, classify_bipartite_in, explain_classification, BipartiteClassification,
 };
@@ -87,5 +89,5 @@ pub use six_two::{
 };
 pub use vi_chordal::{is_vi_chordal, is_vi_chordal_bruteforce, is_vi_chordal_in};
 pub use vi_conformal::{
-    find_vi_conformality_violation, is_vi_conformal, is_vi_conformal_bruteforce,
+    find_vi_conformality_violation, is_vi_conformal, is_vi_conformal_bruteforce, is_vi_conformal_in,
 };

@@ -1,6 +1,6 @@
 //! Maximum cardinality search on graphs (Tarjan–Yannakakis).
 
-use mcc_graph::{Graph, NodeId, Workspace};
+use mcc_graph::{Adjacency, Graph, NodeId, Workspace};
 
 /// Computes a maximum-cardinality-search ordering: repeatedly select an
 /// unvisited node adjacent to the largest number of visited nodes (ties
@@ -21,8 +21,9 @@ pub fn mcs_order(g: &Graph) -> Vec<NodeId> {
 /// into `out` (cleared first).
 ///
 /// This implementation keeps per-node weights and scans buckets, giving
-/// `O(n + m)` up to the bucket bookkeeping.
-pub fn mcs_order_in(ws: &mut Workspace, g: &Graph, out: &mut Vec<NodeId>) {
+/// `O(n + m)` up to the bucket bookkeeping. It runs on any
+/// [`Adjacency`]: a [`Graph`], or an unlabelled [`mcc_graph::CsrRef`].
+pub fn mcs_order_in<G: Adjacency + ?Sized>(ws: &mut Workspace, g: &G, out: &mut Vec<NodeId>) {
     let _span = mcc_obs::span!(McsOrder);
     let n = g.node_count();
     out.clear();
@@ -35,27 +36,35 @@ pub fn mcs_order_in(ws: &mut Workspace, g: &Graph, out: &mut Vec<NodeId>) {
         // lint:allow(hot-path-alloc): warm-up growth of the pooled bucket spine; steady state is allocation-free (pinned by alloc_regression.rs).
         buckets.push(Vec::new());
     }
-    buckets[0].extend(g.nodes());
+    buckets[0].extend((0..n).map(NodeId::from_index));
     // Unvisited nodes as a bitset so the neighbor sweep can run
     // word-parallel against dense adjacency rows.
     let mut unvisited = ws.take_set_buf(n);
-    for v in g.nodes() {
-        unvisited.insert(v);
-    }
+    unvisited.fill();
     let mut max_weight = 0usize;
     while out.len() < n {
         // Find the highest non-empty bucket with an unvisited node; ties
         // break toward the smallest id for determinism.
         let v = loop {
-            // Purge stale entries (visited, or promoted to a higher
-            // bucket), then take the minimum survivor.
-            buckets[max_weight]
-                .retain(|c| unvisited.contains(*c) && weight[c.index()] == max_weight);
-            match buckets[max_weight].iter().copied().min() {
-                Some(v) => {
-                    buckets[max_weight].retain(|&c| c != v);
-                    break v;
+            // One pass purges stale entries (visited, or promoted to a
+            // higher bucket) and finds the minimum survivor, which is
+            // then removed; bucket order is irrelevant to the choice.
+            let bucket = &mut buckets[max_weight];
+            let mut kept = 0;
+            let mut best: Option<usize> = None;
+            for r in 0..bucket.len() {
+                let c = bucket[r];
+                if unvisited.contains(c) && weight[c.index()] == max_weight {
+                    bucket[kept] = c;
+                    if best.map_or(true, |b| c < bucket[b]) {
+                        best = Some(kept);
+                    }
+                    kept += 1;
                 }
+            }
+            bucket.truncate(kept);
+            match best {
+                Some(b) => break bucket.swap_remove(b),
                 None => {
                     assert!(max_weight > 0, "weight-0 bucket holds all unvisited nodes");
                     max_weight -= 1;

@@ -1,9 +1,6 @@
 //! The literal Definition 4 predicate, and the (4,1)-bipartite case.
 
-use mcc_graph::{
-    chords_of_cycle, connected_components_in, enumerate_cycles, CycleLimits, Graph, NodeSet,
-    Workspace,
-};
+use mcc_graph::{chords_of_cycle, enumerate_cycles, CycleLimits, Graph, Workspace};
 
 /// Definitional `(m, n)`-chordality: every cycle of length ≥ `m` has at
 /// least `n` chords.
@@ -32,12 +29,33 @@ pub fn is_forest(g: &Graph) -> bool {
     is_forest_in(&mut Workspace::new(), g)
 }
 
-/// [`is_forest`] through a workspace, so hot callers (the classifier)
-/// reuse the component sweep's scratch instead of building a fresh
-/// workspace per call.
+/// [`is_forest`] through a workspace: `m + c = n` with the `c`
+/// components counted by a search on the workspace's epoch marks and a
+/// pooled stack, so a warm call allocates nothing.
 pub fn is_forest_in(ws: &mut Workspace, g: &Graph) -> bool {
-    let comps = connected_components_in(ws, g, &NodeSet::full(g.node_count()));
-    g.edge_count() + comps.len() == g.node_count()
+    let n = g.node_count();
+    if g.edge_count() >= n {
+        return n == 0 && g.edge_count() == 0;
+    }
+    let mut stack = ws.take_node_buf();
+    let mut components = 0;
+    ws.begin_visit(n);
+    for root in g.nodes() {
+        if !ws.mark(root) {
+            continue;
+        }
+        components += 1;
+        stack.push(root);
+        while let Some(v) = stack.pop() {
+            for &u in g.neighbors(v) {
+                if ws.mark(u) {
+                    stack.push(u);
+                }
+            }
+        }
+    }
+    ws.return_node_buf(stack);
+    g.edge_count() + components == n
 }
 
 #[cfg(test)]

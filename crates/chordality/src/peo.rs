@@ -1,6 +1,6 @@
 //! Perfect elimination orderings.
 
-use mcc_graph::{Graph, NodeId, Workspace};
+use mcc_graph::{Adjacency, Graph, NodeId, Workspace};
 
 /// Checks whether `order` (an elimination order: `order[0]` is eliminated
 /// first) is a **perfect elimination ordering** of `g`: for every node
@@ -22,7 +22,11 @@ pub fn is_perfect_elimination_ordering(g: &Graph, order: &[NodeId]) -> bool {
 /// `O(n + m·deg)` overall instead of testing all pairs.
 ///
 /// Returns `false` when `order` is not a permutation of the nodes.
-pub fn is_perfect_elimination_ordering_in(ws: &mut Workspace, g: &Graph, order: &[NodeId]) -> bool {
+pub fn is_perfect_elimination_ordering_in<G: Adjacency + ?Sized>(
+    ws: &mut Workspace,
+    g: &G,
+    order: &[NodeId],
+) -> bool {
     let n = g.node_count();
     if order.len() != n {
         return false;

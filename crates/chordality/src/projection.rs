@@ -1,6 +1,6 @@
 //! Side projections of bipartite graphs (the primal graphs of `H¹`/`H²`).
 
-use mcc_graph::{BipartiteGraph, Graph, NodeId, Side};
+use mcc_graph::{BipartiteGraph, Graph, NodeId, Side, Workspace};
 
 /// The projection of `bg` onto side `s`: a graph whose nodes are the
 /// `s`-side nodes of `bg`, with an arc between two of them iff they share
@@ -42,6 +42,54 @@ pub fn project_onto(bg: &BipartiteGraph, s: Side) -> (Graph, Vec<NodeId>) {
     (b.build(), to_parent)
 }
 
+/// [`project_onto`] without labels: writes the projection of `bg` onto
+/// side `s` as an unlabelled CSR into `offsets` and `targets` (both
+/// cleared first; wrap them in [`mcc_graph::CsrRef`]). Node `i` is the
+/// `i`-th node of side `s` in increasing id order — the numbering of
+/// [`project_onto`]. Each row is the OR of the neighbors' adjacency rows
+/// ([`mcc_graph::Graph::or_neighbors_into`]), read back in increasing
+/// order, so rows come out sorted and duplicate-free with no sort. All
+/// scratch comes from `ws`; a warm call allocates nothing. Cost
+/// `O(Σ_{v ∈ s} (Σ_{w ∈ N(v)} min(deg w, ⌈n/64⌉) + ⌈n/64⌉))` word
+/// operations.
+pub(crate) fn project_csr_in(
+    ws: &mut Workspace,
+    bg: &BipartiteGraph,
+    s: Side,
+    offsets: &mut Vec<usize>,
+    targets: &mut Vec<NodeId>,
+) {
+    let g = bg.graph();
+    let n = g.node_count();
+    let words = n.div_ceil(64);
+    let mut index = ws.take_usize_buf();
+    index.resize(n, usize::MAX);
+    for (i, v) in bg.side_nodes(s).enumerate() {
+        index[v.index()] = i;
+    }
+    let mut row = ws.take_word_buf();
+    row.resize(words, 0);
+    offsets.clear();
+    targets.clear();
+    for v in bg.side_nodes(s) {
+        offsets.push(targets.len());
+        for &w in g.neighbors(v) {
+            g.or_neighbors_into(w, &mut row);
+        }
+        row[v.index() / 64] &= !(1 << (v.index() % 64));
+        for (wi, word) in row.iter_mut().enumerate() {
+            while *word != 0 {
+                let u = wi * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                targets.push(NodeId::from_index(index[u]));
+            }
+        }
+    }
+    offsets.push(targets.len());
+    ws.return_word_buf(row);
+    ws.return_usize_buf(index);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +126,32 @@ mod tests {
         let (p, _) = project_onto(&bg, Side::V1);
         assert_eq!(p.node_count(), 2);
         assert_eq!(p.edge_count(), 0);
+    }
+
+    #[test]
+    fn csr_projection_matches_the_labelled_one() {
+        use mcc_graph::{Adjacency, CsrRef};
+        let bg = bipartite_from_lists(
+            &["a", "b", "c", "d"],
+            &["x", "y", "z"],
+            &[(0, 0), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2)],
+        );
+        // Also with pure CSR rows, so the scatter path runs too.
+        let mut sparse = bg.graph().clone();
+        sparse.rebuild_bit_rows(usize::MAX);
+        let sides = bg.graph().nodes().map(|v| bg.side(v)).collect();
+        let sparse = BipartiteGraph::new(sparse, sides).unwrap();
+        let mut ws = Workspace::new();
+        for (bg, side) in [(&bg, Side::V1), (&bg, Side::V2), (&sparse, Side::V1)] {
+            let (p, _) = project_onto(bg, side);
+            let (mut offsets, mut targets) = (Vec::new(), Vec::new());
+            project_csr_in(&mut ws, bg, side, &mut offsets, &mut targets);
+            let csr = CsrRef::new(&offsets, &targets);
+            assert_eq!(csr.node_count(), p.node_count());
+            for v in p.nodes() {
+                assert_eq!(csr.neighbors(v), p.neighbors(v), "{side:?} {v:?}");
+            }
+        }
     }
 
     #[test]

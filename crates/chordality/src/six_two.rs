@@ -28,10 +28,13 @@
 //! violating 6-cycle (≤ 1 chord) therefore exists iff for some `V1`-triple
 //! two of the pairwise-private connector sets are nonempty while the
 //! remaining pairwise intersection is nonempty. That check is pure set
-//! algebra per triple: `O(|V1|³)` set operations, no cycle enumeration.
+//! algebra per triple, no cycle enumeration, and only triples that
+//! pairwise share a neighbor — the triangles of the projection onto
+//! `V1` — need it (`sparse_six_cycle_in`).
 
-use crate::{is_chordal_bipartite, is_mn_chordal_bruteforce};
+use crate::{is_chordal_bipartite_in, is_mn_chordal_bruteforce};
 use mcc_graph::{BipartiteGraph, CycleLimits, Graph, NodeId, Side, Workspace};
+use mcc_hypergraph::{Incidence, SideIncidence};
 
 /// Production (6,2)-chordality recognizer. See module docs.
 ///
@@ -41,11 +44,10 @@ pub fn is_six_two_chordal(bg: &BipartiteGraph) -> bool {
     is_six_two_chordal_in(&mut Workspace::new(), bg)
 }
 
-/// [`is_six_two_chordal`] through a workspace: the triple-intersection
-/// scan runs on pooled [`mcc_graph::BitRow`] scratch, so repeated
-/// classification calls stop re-allocating.
+/// [`is_six_two_chordal`] through a workspace: both recognizers run on
+/// pooled scratch, so repeated classification calls stop re-allocating.
 pub fn is_six_two_chordal_in(ws: &mut Workspace, bg: &BipartiteGraph) -> bool {
-    is_chordal_bipartite(bg.graph()) && find_sparse_six_cycle_in(ws, bg).is_none()
+    is_chordal_bipartite_in(ws, bg.graph()) && sparse_six_cycle_in(ws, bg).is_none()
 }
 
 /// `true` iff some 6-cycle of `bg` has at most one chord.
@@ -63,17 +65,35 @@ pub fn find_sparse_six_cycle(bg: &BipartiteGraph) -> Option<Vec<NodeId>> {
     find_sparse_six_cycle_in(&mut Workspace::new(), bg)
 }
 
-/// [`find_sparse_six_cycle`] through a workspace. The per-triple set
-/// algebra runs word-parallel on pooled [`mcc_graph::BitRow`] scratch:
-/// each adjacency row is loaded once per loop level (a `memcpy` when the
-/// graph keeps a dense bitset row for that node), and the pairwise /
-/// triple connector sets are computed by whole-word AND sweeps. The only
-/// steady-state allocation is the returned witness itself.
+/// [`find_sparse_six_cycle`] through a workspace. The scan (module docs)
+/// runs on pooled scratch; the only steady-state allocation is the
+/// returned witness itself.
 pub fn find_sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Option<Vec<NodeId>> {
+    // lint:allow(hot-path-alloc): the witness is the function's result, not scratch.
+    sparse_six_cycle_in(ws, bg).map(|c| c.to_vec())
+}
+
+/// The scan behind [`find_sparse_six_cycle_in`], returning the witness
+/// by value so a warm call allocates nothing.
+///
+/// Only `V1`-triples that pairwise share a neighbor can carry a 6-cycle,
+/// so the scan visits exactly the triangles of the projection onto `V1`
+/// (its 2-section), as Gilmore's conformality scan does: for each `x₁`
+/// it marks its partners (the higher `V1` nodes sharing a neighbor, from
+/// [`Incidence::higher_partners_in`] on the graph read as `H²`), and for
+/// each partner `x₂` walks `x₂`'s partners `x₃`, keeping the marked
+/// ones. Triples come in increasing `i < j < k` order, as in a
+/// scan of all triples, so the witness is the same. The per-triple set
+/// algebra runs word-parallel on pooled [`mcc_graph::BitRow`] scratch:
+/// each adjacency row is loaded once per loop level (a `memcpy` when
+/// the graph keeps a dense bitset row for that node), and the pairwise
+/// and triple connector sets are computed by whole-word AND sweeps.
+pub(crate) fn sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Option<[NodeId; 6]> {
     let g = bg.graph();
     let n = g.node_count();
-    let mut v1 = ws.take_node_buf();
-    v1.extend(bg.side_nodes(Side::V1));
+    let mut offsets = ws.take_usize_buf();
+    let mut partners = ws.take_usize_buf();
+    SideIncidence::new(bg, Side::V1).higher_partners_in(ws, &mut offsets, &mut partners);
     let mut row_i = ws.take_bit_row(n);
     let mut row_j = ws.take_bit_row(n);
     let mut row_k = ws.take_bit_row(n);
@@ -83,27 +103,32 @@ pub fn find_sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Opti
     let mut c123 = ws.take_bit_row(n);
 
     let mut witness = None;
-    'search: for i in 0..v1.len() {
-        row_i.load_neighbors(g, v1[i]);
-        for j in (i + 1)..v1.len() {
-            row_j.load_neighbors(g, v1[j]);
+    'search: for x1 in bg.side_nodes(Side::V1) {
+        let pi = &partners[offsets[x1.index()]..offsets[x1.index() + 1]];
+        if pi.len() < 2 {
+            continue; // a triple needs two partners of `x₁`
+        }
+        ws.begin_visit(n);
+        for &j in pi {
+            ws.mark(NodeId::from_index(j));
+        }
+        row_i.load_neighbors(g, x1);
+        for &j in pi {
+            let x2 = NodeId::from_index(j);
+            row_j.load_neighbors(g, x2);
             c12.copy_from(&row_i);
             c12.and_with(&row_j);
-            if c12.first().is_none() {
-                continue;
-            }
-            for k in (j + 1)..v1.len() {
-                row_k.load_neighbors(g, v1[k]);
+            for &k in &partners[offsets[j]..offsets[j + 1]] {
+                let x3 = NodeId::from_index(k);
+                if !ws.is_marked(x3) {
+                    continue;
+                }
+                // Partnership makes all three connector sets nonempty.
+                row_k.load_neighbors(g, x3);
                 c23.copy_from(&row_j);
                 c23.and_with(&row_k);
-                if c23.first().is_none() {
-                    continue;
-                }
                 c31.copy_from(&row_k);
                 c31.and_with(&row_i);
-                if c31.first().is_none() {
-                    continue;
-                }
                 c123.copy_from(&c12);
                 c123.and_with(&row_k);
                 let a = c12.first_andnot(&c123); // connector missing the x3 chord
@@ -113,23 +138,14 @@ pub fn find_sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Opti
                                                  // from different pair-sets (the third connector is then
                                                  // automatically distinct from both); the remaining slot
                                                  // takes any connector of its pair.
-                let (x1, x2, x3) = (v1[i], v1[j], v1[k]);
-                witness = if let (Some(y12), Some(y23)) = (a, b) {
-                    // PROVABLY: every pair-connector set was checked nonempty when this triple was selected.
-                    let y31 = c31.first().expect("checked nonempty");
-                    Some(vec![x1, y12, x2, y23, x3, y31])
-                } else if let (Some(y23), Some(y31)) = (b, d) {
-                    // PROVABLY: every pair-connector set was checked nonempty when this triple was selected.
-                    let y12 = c12.first().expect("checked nonempty");
-                    Some(vec![x1, y12, x2, y23, x3, y31])
-                } else if let (Some(y12), Some(y31)) = (a, d) {
-                    // PROVABLY: every pair-connector set was checked nonempty when this triple was selected.
-                    let y23 = c23.first().expect("checked nonempty");
-                    Some(vec![x1, y12, x2, y23, x3, y31])
-                } else {
-                    None
+                let cycle = match (a, b, d) {
+                    (Some(y12), Some(y23), _) => c31.first().map(|y31| (y12, y23, y31)),
+                    (_, Some(y23), Some(y31)) => c12.first().map(|y12| (y12, y23, y31)),
+                    (Some(y12), _, Some(y31)) => c23.first().map(|y23| (y12, y23, y31)),
+                    _ => None,
                 };
-                if witness.is_some() {
+                if let Some((y12, y23, y31)) = cycle {
+                    witness = Some([x1, y12, x2, y23, x3, y31]);
                     break 'search;
                 }
             }
@@ -142,7 +158,8 @@ pub fn find_sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Opti
     ws.return_bit_row(row_k);
     ws.return_bit_row(row_j);
     ws.return_bit_row(row_i);
-    ws.return_node_buf(v1);
+    ws.return_usize_buf(partners);
+    ws.return_usize_buf(offsets);
     witness
 }
 
@@ -205,7 +222,7 @@ mod tests {
         let mut e = c6_edges();
         e.push((1, 4));
         let bg = bipartite(6, &e);
-        assert!(is_chordal_bipartite(bg.graph()));
+        assert!(crate::is_chordal_bipartite(bg.graph()));
         assert!(has_sparse_six_cycle(&bg));
         assert!(!is_six_two_chordal(&bg));
         // Two chords: (6,2) — Fig. 3(b) shape.

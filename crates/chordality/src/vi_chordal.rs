@@ -8,8 +8,11 @@
 //! `G` onto `V_{3-i}` (the primal graph of the hypergraph whose edges
 //! come from `Vᵢ`) is chordal.
 
-use crate::{is_chordal_in, project_onto};
-use mcc_graph::{chords_of_cycle, enumerate_cycles, BipartiteGraph, CycleLimits, Side, Workspace};
+use crate::is_chordal_in;
+use crate::projection::project_csr_in;
+use mcc_graph::{
+    chords_of_cycle, enumerate_cycles, BipartiteGraph, CsrRef, CycleLimits, Side, Workspace,
+};
 
 /// Production Vᵢ-chordality test: chordality of the projection of `bg`
 /// onto the side opposite the witness side.
@@ -19,12 +22,18 @@ pub fn is_vi_chordal(bg: &BipartiteGraph, witness_side: Side) -> bool {
     is_vi_chordal_in(&mut Workspace::new(), bg, witness_side)
 }
 
-/// [`is_vi_chordal`] through a workspace. The projection itself still
-/// builds a fresh [`mcc_graph::Graph`] (it is a returned object, not
-/// scratch), but the chordality test on it runs allocation-free.
+/// [`is_vi_chordal`] through a workspace: the projection is an
+/// unlabelled CSR in workspace buffers (no labels, no `Graph`) and the
+/// linear MCS + PEO check runs on it directly, so a warm call allocates
+/// nothing.
 pub fn is_vi_chordal_in(ws: &mut Workspace, bg: &BipartiteGraph, witness_side: Side) -> bool {
-    let (proj, _) = project_onto(bg, witness_side.opposite());
-    is_chordal_in(ws, &proj)
+    let mut offsets = ws.take_usize_buf();
+    let mut targets = ws.take_node_buf();
+    project_csr_in(ws, bg, witness_side.opposite(), &mut offsets, &mut targets);
+    let chordal = is_chordal_in(ws, &CsrRef::new(&offsets, &targets));
+    ws.return_node_buf(targets);
+    ws.return_usize_buf(offsets);
+    chordal
 }
 
 /// Definitional Vᵢ-chordality: enumerate cycles of length ≥ 8 and look

@@ -8,14 +8,15 @@
 
 use crate::chordal_bipartite::drop_isolated_v2;
 use crate::project_onto;
-use mcc_graph::{BipartiteGraph, Side};
+use mcc_graph::{BipartiteGraph, Side, Workspace};
 use mcc_hypergraph::conformal::maximal_cliques;
-use mcc_hypergraph::{h1_of_bipartite, is_conformal, Hypergraph};
+use mcc_hypergraph::{h1_of_bipartite, side_conformality_violation_in, Hypergraph};
 
 /// Builds the hypergraph whose **edges** come from side `witness_side` of
 /// `bg` (so `witness_side = V2` gives `H¹_G`), dropping isolated
 /// witness-side nodes, which would contribute empty edges and carry no
-/// conformality information.
+/// conformality information. The labelled object behind the
+/// differential tests; the recognizers read `bg` directly.
 pub fn hypergraph_of_witness_side(bg: &BipartiteGraph, witness_side: Side) -> Hypergraph {
     let oriented = match witness_side {
         Side::V2 => bg.clone(),
@@ -28,9 +29,20 @@ pub fn hypergraph_of_witness_side(bg: &BipartiteGraph, witness_side: Side) -> Hy
 }
 
 /// Production Vᵢ-conformity: Gilmore's criterion on the witness-side
-/// hypergraph.
+/// hypergraph, read straight off `bg`.
+///
+/// Thin wrapper over [`is_vi_conformal_in`] with a transient workspace.
 pub fn is_vi_conformal(bg: &BipartiteGraph, witness_side: Side) -> bool {
-    is_conformal(&hypergraph_of_witness_side(bg, witness_side))
+    is_vi_conformal_in(&mut Workspace::new(), bg, witness_side)
+}
+
+/// [`is_vi_conformal`] through a workspace. Gilmore's scan runs on the
+/// witness-side nodes' neighborhoods as the edges and `neighbors(v)` as
+/// the incidence lists ([`side_conformality_violation_in`]), with no
+/// labelled hypergraph or side-swapped copy; a warm call allocates
+/// nothing.
+pub fn is_vi_conformal_in(ws: &mut Workspace, bg: &BipartiteGraph, witness_side: Side) -> bool {
+    !side_conformality_violation_in(ws, bg, witness_side, None)
 }
 
 /// The witness version: a set `S ⊆ V_{3-i}` of nodes at mutual distance
@@ -41,27 +53,9 @@ pub fn find_vi_conformality_violation(
     bg: &BipartiteGraph,
     witness_side: Side,
 ) -> Option<mcc_graph::NodeSet> {
-    let oriented = match witness_side {
-        Side::V2 => bg.clone(),
-        Side::V1 => bg.swap_sides(),
-    };
-    let cleaned = drop_isolated_v2(&oriented);
-    // PROVABLY: `h1_of_bipartite` fails only on isolated V2 nodes, just dropped.
-    let (h, node_map, _) = h1_of_bipartite(&cleaned).expect("isolated edge-side nodes dropped");
-    let violation = mcc_hypergraph::conformal::find_conformality_violation(&h)?;
-    // h node → cleaned id → original id (cleaning preserves node order,
-    // and side-swapping preserves ids).
-    let g = oriented.graph();
-    let kept: Vec<mcc_graph::NodeId> = g
-        .nodes()
-        .filter(|&v| oriented.side(v) == Side::V1 || g.degree(v) > 0)
-        .collect();
-    Some(mcc_graph::NodeSet::from_nodes(
-        bg.graph().node_count(),
-        violation
-            .iter()
-            .map(|hv| kept[node_map[hv.index()].index()]),
-    ))
+    let mut witness = mcc_graph::NodeSet::new(bg.graph().node_count());
+    side_conformality_violation_in(&mut Workspace::new(), bg, witness_side, Some(&mut witness))
+        .then_some(witness)
 }
 
 /// Definitional Vᵢ-conformity: sets of `V_{3-i}` nodes at mutual distance

@@ -362,6 +362,32 @@ impl Graph {
         out.recount();
     }
 
+    /// ORs `Adj(v)` into the word row `row` (`⌈n/64⌉` words, bit `u`
+    /// for node `u`): a word sweep of the dense row when `v` has one,
+    /// else a scatter of its CSR slice. ORing the rows of `v`'s
+    /// neighbors yields the nodes at distance ≤ 2, the step behind the
+    /// side projections and partner lists of the recognizers.
+    #[inline]
+    pub fn or_neighbors_into(&self, v: NodeId, row: &mut [u64]) {
+        debug_assert_eq!(
+            row.len(),
+            self.node_count().div_ceil(64),
+            "row length mismatch"
+        );
+        match self.neighbors_bits(v) {
+            Some(bits) => {
+                for (a, b) in row.iter_mut().zip(bits) {
+                    *a |= b;
+                }
+            }
+            None => {
+                for &u in self.neighbors(v) {
+                    row[u.index() / 64] |= 1 << (u.index() % 64);
+                }
+            }
+        }
+    }
+
     /// The set `Adj*(v)` used by the paper's Algorithm 1: nodes adjacent to
     /// `v` **and to no other alive node** (private neighbors of `v` within
     /// the subgraph induced by `alive`).
@@ -407,6 +433,97 @@ impl Graph {
                 .neighbors(u)
                 .iter()
                 .all(|&w| w == v || !alive.contains(w)),
+        }
+    }
+}
+
+/// The read-only adjacency that maximum cardinality search and the
+/// perfect-elimination check run on: a [`Graph`], or an unlabelled
+/// [`CsrRef`] whose arrays live in workspace buffers (the side
+/// projections the Vᵢ-chordality recognizer builds per call).
+pub trait Adjacency {
+    /// Number of nodes; ids are `0..node_count()`.
+    fn node_count(&self) -> usize;
+    /// The sorted, duplicate-free adjacency list of `v`.
+    fn neighbors(&self, v: NodeId) -> &[NodeId];
+    /// `Adj(v) ∩ alive`; see [`Graph::alive_neighbors`].
+    fn alive_neighbors<'a>(&'a self, v: NodeId, alive: &'a NodeSet) -> AliveNeighbors<'a>;
+    /// `true` iff `a` and `b` are adjacent; see [`Graph::has_edge_fast`].
+    fn has_edge_fast(&self, a: NodeId, b: NodeId) -> bool;
+}
+
+impl Adjacency for Graph {
+    #[inline]
+    fn node_count(&self) -> usize {
+        Graph::node_count(self)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        Graph::neighbors(self, v)
+    }
+
+    #[inline]
+    fn alive_neighbors<'a>(&'a self, v: NodeId, alive: &'a NodeSet) -> AliveNeighbors<'a> {
+        Graph::alive_neighbors(self, v, alive)
+    }
+
+    #[inline]
+    fn has_edge_fast(&self, a: NodeId, b: NodeId) -> bool {
+        Graph::has_edge_fast(self, a, b)
+    }
+}
+
+/// A borrowed, unlabelled CSR adjacency: node `v`'s neighbors are
+/// `targets[offsets[v]..offsets[v + 1]]`, sorted and duplicate-free,
+/// with every edge stored in both directions. The caller owns the two
+/// arrays (typically workspace buffers), so building one allocates
+/// nothing once the buffers are warm.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrRef<'a> {
+    offsets: &'a [usize],
+    targets: &'a [NodeId],
+}
+
+impl<'a> CsrRef<'a> {
+    /// Wraps `offsets` (`node_count + 1` non-decreasing entries starting
+    /// at 0 and ending at `targets.len()`) and `targets`.
+    pub fn new(offsets: &'a [usize], targets: &'a [NodeId]) -> Self {
+        debug_assert!(offsets.first().map_or(true, |&o| o == 0));
+        debug_assert!(offsets.last().map_or(true, |&o| o == targets.len()));
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        CsrRef { offsets, targets }
+    }
+}
+
+impl Adjacency for CsrRef<'_> {
+    #[inline]
+    fn node_count(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.targets[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+    }
+
+    #[inline]
+    fn alive_neighbors<'b>(&'b self, v: NodeId, alive: &'b NodeSet) -> AliveNeighbors<'b> {
+        AliveNeighbors {
+            inner: AliveInner::Sparse {
+                iter: self.neighbors(v).iter(),
+                alive,
+            },
+        }
+    }
+
+    #[inline]
+    fn has_edge_fast(&self, a: NodeId, b: NodeId) -> bool {
+        let (na, nb) = (self.neighbors(a), self.neighbors(b));
+        if na.len() <= nb.len() {
+            na.binary_search(&b).is_ok()
+        } else {
+            nb.binary_search(&a).is_ok()
         }
     }
 }

@@ -55,7 +55,9 @@ pub use connectivity::{
 };
 pub use cycles::{chords_of_cycle, enumerate_cycles, Cycle, CycleLimits};
 pub use error::GraphError;
-pub use graph::{check_adjacency_symmetric, AliveNeighbors, Graph, CHECK_ADJACENCY_MAX_NODES};
+pub use graph::{
+    check_adjacency_symmetric, Adjacency, AliveNeighbors, CsrRef, Graph, CHECK_ADJACENCY_MAX_NODES,
+};
 pub use ids::NodeId;
 pub use nodeset::NodeSet;
 pub use paths::{all_pairs_distances, bfs_distances, shortest_path, INFINITE_DISTANCE};

@@ -235,11 +235,11 @@ impl NodeSet {
     }
 
     /// The raw `u64` words backing this set (bit `i % 64` of word
-    /// `i / 64` is node `i`). Crate-internal: the graph's word-parallel
-    /// adjacency sweeps read these directly; the representation stays
-    /// private outside the crate.
+    /// `i / 64` is node `i`; bits at or beyond the capacity are zero).
+    /// Word-parallel sweeps read these directly, such as the adjacency
+    /// probes here and the conformality scan over hyperedge rows.
     #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u64] {
         &self.words
     }
 

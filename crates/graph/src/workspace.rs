@@ -199,6 +199,8 @@ pub struct Workspace {
     set_bufs: Vec<NodeSet>,
     /// Pool of `Vec<usize>` scratch buffers (see [`Workspace::take_usize_buf`]).
     usize_bufs: Vec<Vec<usize>>,
+    /// Pool of `Vec<u64>` word buffers (see [`Workspace::take_word_buf`]).
+    word_bufs: Vec<Vec<u64>>,
     /// Pool of bucket lists for the ordering algorithms (MCS, LexBFS).
     bucket_lists: Vec<Vec<Vec<NodeId>>>,
     /// Pool of [`BitRow`] scratch rows (see [`Workspace::take_bit_row`]).
@@ -231,6 +233,7 @@ impl Workspace {
             node_bufs: Vec::new(),
             set_bufs: Vec::new(),
             usize_bufs: Vec::new(),
+            word_bufs: Vec::new(),
             bucket_lists: Vec::new(),
             bit_rows: Vec::new(),
             bit_epoch: 0,
@@ -330,6 +333,21 @@ impl Workspace {
         self.usize_bufs.push(buf);
     }
 
+    /// Borrow a scratch `Vec<u64>` from the pool (empty, capacity
+    /// retained) — flat storage for several bit rows at once, such as
+    /// the witness-side rows of the Vᵢ-conformity scan. Pair with
+    /// [`Workspace::return_word_buf`].
+    pub fn take_word_buf(&mut self) -> Vec<u64> {
+        let mut buf = self.word_bufs.pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    /// Return a buffer taken with [`Workspace::take_word_buf`].
+    pub fn return_word_buf(&mut self, buf: Vec<u64>) {
+        self.word_bufs.push(buf);
+    }
+
     /// Borrow a bucket list (a `Vec<Vec<NodeId>>` with every inner vector
     /// emptied but its capacity retained, outer length preserved from
     /// earlier use). Pair with [`Workspace::return_bucket_list`].
@@ -411,6 +429,7 @@ impl Workspace {
             .iter()
             .map(|b| b.capacity() * std::mem::size_of::<usize>())
             .sum();
+        let word_bufs: usize = self.word_bufs.iter().map(|b| b.capacity() * 8).sum();
         let buckets: usize = self
             .bucket_lists
             .iter()
@@ -422,6 +441,7 @@ impl Workspace {
             + node_bufs
             + set_bufs
             + usize_bufs
+            + word_bufs
             + buckets
             + bit_rows
             + self.blocks.bytes()

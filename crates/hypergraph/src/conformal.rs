@@ -27,35 +27,266 @@
 //!
 //! ## The scan
 //!
-//! [`find_conformality_violation`] therefore only visits triangles of
-//! the *edge-intersection graph*: for each edge `i` it takes its
-//! partners (the higher-indexed edges sharing a node with it, built once
-//! from the incidence lists), marks them, and for each partner `j` walks
-//! `j`'s partners `k`, keeping those that are marked. Each surviving
-//! triple is dropped as soon as one pairwise intersection lies inside the
-//! third edge. Only then is `need` tested, and only against the edges
-//! containing one of its nodes: a covering edge must contain every node
-//! of `need`.
+//! The scan therefore only visits triangles of the *edge-intersection
+//! graph*: for each edge `i` it takes its partners
+//! (the higher-indexed edges sharing a node with it, built once by
+//! [`Incidence::higher_partners_in`]), marks them, and for each partner
+//! `j` walks `j`'s partners `k`, keeping those that are marked.
+//! Each surviving triple is dropped as soon as one pairwise intersection
+//! lies inside the third edge. Only then is `need` tested, and only
+//! against the edges containing one of its nodes: a covering edge must
+//! contain every node of `need`.
 //!
 //! Write `d(v)` for the number of edges containing node `v`, `W` for
 //! the number of paths `i–j–k` (`i < j < k`) in the edge-intersection
 //! graph, and `T ≤ W` for the number of triples of pairwise-intersecting
-//! edges. Building the partner lists takes `O(Σᵥ d(v)²)` steps, the
+//! edges. Building the partner lists takes `O(Σᵥ d(v)²)` steps plus a
+//! sort of each list (word-row ORs and no sort on a bipartite view), the
 //! enumeration one mark test per path (`O(W)`), and the set algebra
-//! `O(T · (1 + max d) · ⌈|N|/64⌉)` word operations. The dense criterion
-//! visits all `|E|³/6` triples however sparsely the edges overlap and
-//! tests each against up to `|E|` edges. All
-//! scratch (three node rows, the partner lists and one edge mark row) is
-//! allocated once per call; the only other allocation is the returned
-//! witness. Triples are visited in the lexicographic order of the dense
-//! criterion, so the witness is the same one the dense scan would return.
+//! `O(T · (1 + max d) · ⌈|N|/64⌉)` word operations.
+//! The dense criterion visits all `|E|³/6` triples however sparsely the
+//! edges overlap and tests each against up to `|E|` edges. All scratch
+//! (three word rows, the partner lists) comes from the caller's
+//! [`Workspace`], and the partner marks use its epoch array, so a warm
+//! scan allocates nothing. Triples are visited in the lexicographic
+//! order of the dense criterion, so the witness is the same one the
+//! dense scan would return.
+//!
+//! ## One scan, two views
+//!
+//! The scan reads its input through [`Incidence`] plus edge rows: a
+//! [`Hypergraph`] is one such view, and [`SideIncidence`] is another —
+//! a bipartite graph read as the hypergraph whose edges are the
+//! neighborhoods of one side's nodes (`H¹_G` for side `V2`), with no
+//! labelled copy. The Vᵢ-conformity recognizer of `mcc-chordality` runs
+//! the scan on the latter, so its witnesses come out in the ids of the
+//! bipartite graph.
 
 use crate::{primal_graph, EdgeId, Hypergraph};
-use mcc_graph::{Graph, NodeId, NodeSet};
+use mcc_graph::{BipartiteGraph, Graph, NodeId, NodeSet, Side, Workspace};
+
+/// The incidence structure the partner lists are built from: edges with
+/// dense ids below [`Incidence::edge_bound`], their member nodes, and for
+/// each node the edges containing it.
+pub trait Incidence {
+    /// Every edge id is below this bound (ids that are not edges are
+    /// allowed and simply never visited).
+    fn edge_bound(&self) -> usize;
+    /// The edge ids, ascending.
+    fn edges(&self) -> impl Iterator<Item = usize> + '_;
+    /// The nodes of edge `e`.
+    fn members(&self, e: usize) -> impl Iterator<Item = NodeId> + '_;
+    /// The edges containing node `v`, ascending.
+    fn containing(&self, v: NodeId) -> impl Iterator<Item = usize> + '_;
+
+    /// For every edge `i`, the edges `k > i` that share a node with it,
+    /// in increasing order, as one flat list: those of `i` are
+    /// `partners[offsets[i]..offsets[i + 1]]` (empty for ids that are not
+    /// edges). Both buffers are cleared first.
+    ///
+    /// The provided version walks the incidence lists, deduplicates with
+    /// the workspace's epoch marks and sorts each list once:
+    /// `O(Σᵥ d(v)²)` steps plus the sorts.
+    fn higher_partners_in(
+        &self,
+        ws: &mut Workspace,
+        offsets: &mut Vec<usize>,
+        partners: &mut Vec<usize>,
+    ) {
+        let bound = self.edge_bound();
+        offsets.clear();
+        offsets.resize(bound + 1, 0);
+        partners.clear();
+        let mut next = 0;
+        for i in self.edges() {
+            // Ids between edges get empty lists.
+            for slot in &mut offsets[next..=i] {
+                *slot = partners.len();
+            }
+            next = i + 1;
+            let start = partners.len();
+            ws.begin_visit(bound);
+            for v in self.members(i) {
+                for k in self.containing(v) {
+                    if k > i && ws.mark(NodeId::from_index(k)) {
+                        partners.push(k);
+                    }
+                }
+            }
+            partners[start..].sort_unstable();
+        }
+        for slot in &mut offsets[next..] {
+            *slot = partners.len();
+        }
+    }
+}
+
+/// An [`Incidence`] whose edges are also available as word rows over
+/// the node universe — what Gilmore's set algebra runs on.
+pub(crate) trait EdgeRows: Incidence {
+    /// Size of the node universe (bits per edge row).
+    fn node_count(&self) -> usize;
+    /// Edge `e` as `⌈node_count / 64⌉` words, bit `v` set iff `v ∈ e`.
+    fn edge_row(&self, e: usize) -> &[u64];
+}
+
+impl Incidence for Hypergraph {
+    fn edge_bound(&self) -> usize {
+        self.edge_count()
+    }
+
+    fn edges(&self) -> impl Iterator<Item = usize> + '_ {
+        0..self.edge_count()
+    }
+
+    fn members(&self, e: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.edge(EdgeId::from_index(e)).iter()
+    }
+
+    fn containing(&self, v: NodeId) -> impl Iterator<Item = usize> + '_ {
+        self.edges_containing(v).iter().map(|e| e.index())
+    }
+}
+
+impl EdgeRows for Hypergraph {
+    fn node_count(&self) -> usize {
+        Hypergraph::node_count(self)
+    }
+
+    fn edge_row(&self, e: usize) -> &[u64] {
+        self.edge(EdgeId::from_index(e)).words()
+    }
+}
+
+/// A bipartite graph read as the hypergraph whose edges are the
+/// neighborhoods of the `edge_side` nodes: edge ids and node ids are
+/// both ids of the bipartite graph. With `edge_side = V2` this is `H¹_G`
+/// (and `V1` gives `H²_G`), except that isolated `edge_side` nodes
+/// become empty edges, which intersect nothing and so never matter to
+/// the scans here.
+#[derive(Debug, Clone, Copy)]
+pub struct SideIncidence<'a> {
+    bg: &'a BipartiteGraph,
+    edge_side: Side,
+}
+
+impl<'a> SideIncidence<'a> {
+    /// The view of `bg` whose edges come from `edge_side`.
+    pub fn new(bg: &'a BipartiteGraph, edge_side: Side) -> Self {
+        SideIncidence { bg, edge_side }
+    }
+}
+
+impl Incidence for SideIncidence<'_> {
+    fn edge_bound(&self) -> usize {
+        self.bg.graph().node_count()
+    }
+
+    fn edges(&self) -> impl Iterator<Item = usize> + '_ {
+        self.bg.side_nodes(self.edge_side).map(NodeId::index)
+    }
+
+    fn members(&self, e: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.bg
+            .graph()
+            .neighbors(NodeId::from_index(e))
+            .iter()
+            .copied()
+    }
+
+    fn containing(&self, v: NodeId) -> impl Iterator<Item = usize> + '_ {
+        self.bg.graph().neighbors(v).iter().map(|u| u.index())
+    }
+
+    /// The partners of edge-side node `e` are the edge-side nodes above
+    /// it at distance 2: the OR of its neighbors' adjacency rows
+    /// ([`mcc_graph::Graph::or_neighbors_into`]) read back in increasing
+    /// order, so no marks or sorts are needed.
+    fn higher_partners_in(
+        &self,
+        ws: &mut Workspace,
+        offsets: &mut Vec<usize>,
+        partners: &mut Vec<usize>,
+    ) {
+        let g = self.bg.graph();
+        let mut row = ws.take_word_buf();
+        row.resize(g.node_count().div_ceil(64), 0);
+        offsets.clear();
+        partners.clear();
+        for e in g.nodes() {
+            offsets.push(partners.len());
+            if self.bg.side(e) != self.edge_side {
+                continue;
+            }
+            for &v in g.neighbors(e) {
+                g.or_neighbors_into(v, &mut row);
+            }
+            // Reading a word back clears it, so the row ends zeroed.
+            for (wi, word) in row.iter_mut().enumerate() {
+                while *word != 0 {
+                    let k = wi * 64 + word.trailing_zeros() as usize;
+                    *word &= *word - 1;
+                    if k > e.index() {
+                        partners.push(k);
+                    }
+                }
+            }
+        }
+        offsets.push(partners.len());
+        ws.return_word_buf(row);
+    }
+}
+
+/// [`SideIncidence`] plus its edge rows, laid out in a caller-owned word
+/// buffer: row `slot[w]` holds the neighborhood of edge-side node `w`.
+struct SideRows<'a> {
+    inc: SideIncidence<'a>,
+    rows: &'a [u64],
+    slot: &'a [usize],
+    words: usize,
+}
+
+impl Incidence for SideRows<'_> {
+    fn edge_bound(&self) -> usize {
+        self.inc.edge_bound()
+    }
+
+    fn edges(&self) -> impl Iterator<Item = usize> + '_ {
+        self.inc.edges()
+    }
+
+    fn members(&self, e: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.inc.members(e)
+    }
+
+    fn containing(&self, v: NodeId) -> impl Iterator<Item = usize> + '_ {
+        self.inc.containing(v)
+    }
+
+    fn higher_partners_in(
+        &self,
+        ws: &mut Workspace,
+        offsets: &mut Vec<usize>,
+        partners: &mut Vec<usize>,
+    ) {
+        self.inc.higher_partners_in(ws, offsets, partners);
+    }
+}
+
+impl EdgeRows for SideRows<'_> {
+    fn node_count(&self) -> usize {
+        self.inc.edge_bound()
+    }
+
+    fn edge_row(&self, e: usize) -> &[u64] {
+        let start = self.slot[e] * self.words;
+        &self.rows[start..start + self.words]
+    }
+}
 
 /// Gilmore's polynomial conformality test.
 pub fn is_conformal(h: &Hypergraph) -> bool {
-    find_conformality_violation(h).is_none()
+    !conformality_violation_in(&mut Workspace::new(), h, None)
 }
 
 /// The witness version of Gilmore's test: a set of nodes that pairwise
@@ -64,81 +295,158 @@ pub fn is_conformal(h: &Hypergraph) -> bool {
 /// intersecting edges are examined; see the module docs for the lemma
 /// that licenses the pruning and for the cost.
 pub fn find_conformality_violation(h: &Hypergraph) -> Option<NodeSet> {
-    let partners = higher_partners(h);
-    let n = h.node_count();
-    let mut marked = vec![false; h.edge_count()];
-    let mut ij = NodeSet::new(n);
-    let mut ik = NodeSet::new(n);
-    let mut jk = NodeSet::new(n);
-    for i in h.edge_ids() {
-        let ei = h.edge(i);
-        let pi = &partners[i.index()];
+    let mut witness = NodeSet::new(h.node_count());
+    conformality_violation_in(&mut Workspace::new(), h, Some(&mut witness)).then_some(witness)
+}
+
+/// Gilmore's test on the hypergraph whose edges are the neighborhoods of
+/// `bg`'s `edge_side` nodes, read straight off the graph (see
+/// [`SideIncidence`]): `true` iff it is **not** conformal. When
+/// `witness` is given and a violation is found, it is overwritten with
+/// the violating node set, in the ids of `bg`. The edge rows are laid
+/// out in workspace buffers, so a warm call allocates nothing.
+pub fn side_conformality_violation_in(
+    ws: &mut Workspace,
+    bg: &BipartiteGraph,
+    edge_side: Side,
+    witness: Option<&mut NodeSet>,
+) -> bool {
+    let g = bg.graph();
+    let n = g.node_count();
+    let words = n.div_ceil(64);
+    let mut slot = ws.take_usize_buf();
+    slot.resize(n, usize::MAX);
+    let mut rows = ws.take_word_buf();
+    let mut next = 0;
+    for w in bg.side_nodes(edge_side) {
+        slot[w.index()] = next;
+        next += 1;
+    }
+    rows.resize(next * words, 0);
+    for w in bg.side_nodes(edge_side) {
+        let row = &mut rows[slot[w.index()] * words..][..words];
+        match g.neighbors_bits(w) {
+            Some(bits) => row.copy_from_slice(bits),
+            None => {
+                for &u in g.neighbors(w) {
+                    row[u.index() / 64] |= 1 << (u.index() % 64);
+                }
+            }
+        }
+    }
+    let view = SideRows {
+        inc: SideIncidence::new(bg, edge_side),
+        rows: &rows,
+        slot: &slot,
+        words,
+    };
+    let found = conformality_violation_in(ws, &view, witness);
+    ws.return_word_buf(rows);
+    ws.return_usize_buf(slot);
+    found
+}
+
+/// The scan of the module docs on any `EdgeRows` view: `true` iff the
+/// view is **not** conformal. When `witness` is given and a violation is
+/// found, it is overwritten with the first violating node set in the
+/// dense criterion's triple order. All scratch comes from `ws`.
+pub(crate) fn conformality_violation_in<V: EdgeRows + ?Sized>(
+    ws: &mut Workspace,
+    view: &V,
+    witness: Option<&mut NodeSet>,
+) -> bool {
+    let n = view.node_count();
+    let words = n.div_ceil(64);
+    let mut offsets = ws.take_usize_buf();
+    let mut partners = ws.take_usize_buf();
+    view.higher_partners_in(ws, &mut offsets, &mut partners);
+    let mut scratch = ws.take_word_buf();
+    scratch.resize(3 * words, 0);
+    let (ij, rest) = scratch.split_at_mut(words);
+    let (ik, jk) = rest.split_at_mut(words);
+    let mut found = false;
+    'scan: for i in view.edges() {
+        let pi = &partners[offsets[i]..offsets[i + 1]];
+        if pi.len() < 2 {
+            continue; // a triple needs two partners of `i`
+        }
+        let ei = view.edge_row(i);
+        ws.begin_visit(view.edge_bound());
         for &j in pi {
-            marked[j.index()] = true;
+            ws.mark(NodeId::from_index(j));
         }
         for &j in pi {
-            let ej = h.edge(j);
-            ij.clear();
-            ij.union_with(ei);
-            ij.intersect_with(ej);
-            for &k in &partners[j.index()] {
-                if !marked[k.index()] {
+            let ej = view.edge_row(j);
+            and_into(ij, ei, ej);
+            for &k in &partners[offsets[j]..offsets[j + 1]] {
+                if !ws.is_marked(NodeId::from_index(k)) {
                     continue;
                 }
-                let ek = h.edge(k);
-                if ij.is_subset_of(ek) {
+                let ek = view.edge_row(k);
+                if is_subset(ij, ek) {
                     continue;
                 }
-                ik.clear();
-                ik.union_with(ei);
-                ik.intersect_with(ek);
-                if ik.is_subset_of(ej) {
+                and_into(ik, ei, ek);
+                if is_subset(ik, ej) {
                     continue;
                 }
-                jk.clear();
-                jk.union_with(ej);
-                jk.intersect_with(ek);
-                if jk.is_subset_of(ei) {
+                and_into(jk, ej, ek);
+                if is_subset(jk, ei) {
                     continue;
                 }
                 // `ik` becomes `need`; a covering edge contains its first node.
-                ik.union_with(&ij);
-                ik.union_with(&jk);
-                let need = &ik;
-                let uncovered = need.first().is_some_and(|v| {
-                    !h.edges_containing(v)
-                        .iter()
-                        .any(|&e| need.is_subset_of(h.edge(e)))
+                for ((a, b), c) in ik.iter_mut().zip(ij.iter()).zip(jk.iter()) {
+                    *a |= b | c;
+                }
+                let need: &[u64] = ik;
+                let uncovered = bits(need).next().is_some_and(|v| {
+                    !view
+                        .containing(v)
+                        .any(|e| is_subset(need, view.edge_row(e)))
                 });
                 if uncovered {
-                    return Some(ik);
+                    if let Some(out) = witness {
+                        out.reset(n);
+                        for v in bits(need) {
+                            out.insert(v);
+                        }
+                    }
+                    found = true;
+                    break 'scan;
                 }
             }
         }
-        for &j in pi {
-            marked[j.index()] = false;
-        }
     }
-    None
+    ws.return_word_buf(scratch);
+    ws.return_usize_buf(partners);
+    ws.return_usize_buf(offsets);
+    found
 }
 
-/// For every edge `i`, the edges `k > i` that share a node with it, in
-/// increasing order. Found from the incidence lists with `k` ascending,
-/// so each list is built sorted and a repeat of `k` is always its tail.
-fn higher_partners(h: &Hypergraph) -> Vec<Vec<EdgeId>> {
-    let mut partners: Vec<Vec<EdgeId>> = vec![Vec::new(); h.edge_count()];
-    for k in h.edge_ids() {
-        for v in h.edge(k).iter() {
-            // Incidence lists are sorted: the lower-indexed edges come first.
-            for &i in h.edges_containing(v).iter().take_while(|&&i| i < k) {
-                let list = &mut partners[i.index()];
-                if list.last() != Some(&k) {
-                    list.push(k);
-                }
-            }
-        }
+/// `out = a & b`, word by word.
+fn and_into(out: &mut [u64], a: &[u64], b: &[u64]) {
+    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
+        *o = x & y;
     }
-    partners
+}
+
+/// `a ⊆ b` on word rows.
+fn is_subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & !y == 0)
+}
+
+/// The set bits of a word row, ascending.
+fn bits(row: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
+    row.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut w = word;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let tz = w.trailing_zeros() as usize;
+                w &= w - 1;
+                NodeId::from_index(wi * 64 + tz)
+            })
+        })
+    })
 }
 
 /// Ground-truth conformality: enumerate the maximal cliques of the primal

@@ -56,7 +56,10 @@ pub use acyclicity::{is_alpha_acyclic, is_beta_acyclic, is_gamma_acyclic, Acycli
 pub use berge::{find_berge_cycle, find_beta_cycle, find_gamma_cycle, is_berge_acyclic};
 pub use builder::HypergraphBuilder;
 pub use check::{check_join_tree, CHECK_JOIN_TREE_MAX_EDGES};
-pub use conformal::{find_conformality_violation, is_conformal, is_conformal_bruteforce};
+pub use conformal::{
+    find_conformality_violation, is_conformal, is_conformal_bruteforce,
+    side_conformality_violation_in, Incidence, SideIncidence,
+};
 pub use dual::{check_dual_node_ordering, dual, dual_node_ordering};
 pub use error::HypergraphError;
 pub use gyo::{gyo_reduce, GyoOutcome};

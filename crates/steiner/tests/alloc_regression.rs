@@ -198,6 +198,47 @@ fn sparse_six_cycle_scan_allocates_nothing_after_warmup() {
     );
 }
 
+/// A warm `classify_bipartite_in` reads the bipartite CSR through
+/// pooled scratch only, so its allocation count does not depend on the
+/// schema: the same on an 80-node off-class graph, where every
+/// recognizer runs (the Vᵢ tests included), as on a 1,224-node
+/// (6,2)-chordal block tree, where (6,1) holds and the Vᵢ tests are
+/// skipped. Each graph gets its own workspace, warmed by two calls.
+#[test]
+fn warm_classification_allocation_count_is_independent_of_n() {
+    use mcc_chordality::{classify_bipartite_in, BipartiteClassification};
+    use mcc_gen::block_tree::BlockTreeShape;
+    use mcc_gen::{random_bipartite, random_six_two_block_tree};
+    use mcc_graph::BipartiteGraph;
+
+    let measure = |bg: &BipartiteGraph| -> (u64, BipartiteClassification) {
+        let mut ws = Workspace::new();
+        classify_bipartite_in(&mut ws, bg);
+        classify_bipartite_in(&mut ws, bg);
+        let before = allocation_count();
+        let class = classify_bipartite_in(&mut ws, bg);
+        (allocation_count() - before, class)
+    };
+
+    let offclass = random_bipartite(40, 40, 0.1, 3);
+    let shape = BlockTreeShape {
+        blocks: 256,
+        max_block: 4,
+    };
+    let tree = random_six_two_block_tree(shape, 7);
+    assert_eq!(tree.graph().node_count(), 1224);
+
+    let (small, class) = measure(&offclass);
+    assert!(!class.six_one, "the 80-node graph must be off-class");
+    let (large, class) = measure(&tree);
+    assert!(class.six_two, "block trees are (6,2)-chordal");
+    assert_eq!(
+        small, large,
+        "warm classification allocations moved with n ({small} at 80 nodes, {large} at 1,224)"
+    );
+    assert_eq!(small, 0, "warm classification must not allocate");
+}
+
 /// The tracing span in `algorithm2_budgeted_in` must not change the
 /// function's allocation profile: recording is `Cell`/atomic arithmetic
 /// only. The budgeted route allocates for its *result tree* (that is
