@@ -13,9 +13,14 @@
 //! complexity *shapes* (exponential vs polynomial, optimal vs heuristic,
 //! class frequencies) are what must reproduce, not absolute timings.
 
-// Timing the experiments is this binary's job, so it reads the wall
-// clock directly.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "timing the experiments is this binary's job, so it reads the wall clock directly"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "a failed lookup or solve in a table run is a broken claim, reported by panicking"
+)]
 
 use mcc::chordality::{
     classify_bipartite, is_chordal_bipartite, is_chordal_bipartite_via_beta, is_forest,

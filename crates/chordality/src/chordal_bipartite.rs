@@ -231,7 +231,10 @@ impl Elimination<'_> {
 fn arc_position(g: &Graph, a: NodeId, b: NodeId) -> usize {
     match g.neighbors(a).binary_search(&b) {
         Ok(p) => p,
-        // PROVABLY: adjacency is stored symmetrically, so every edge is in both rows.
+        #[expect(
+            clippy::unreachable,
+            reason = "adjacency is stored symmetrically, so every edge is in both rows"
+        )]
         Err(_) => unreachable!("asymmetric CSR row"),
     }
 }
@@ -254,13 +257,20 @@ fn clear_bit(words: &mut [u64], i: usize) {
 pub fn is_chordal_bipartite_via_beta(bg: &BipartiteGraph) -> bool {
     match h1_of_bipartite(&drop_isolated_v2(bg)) {
         Ok((h, _, _)) => is_beta_acyclic(&h),
-        // PROVABLY: `h1_of_bipartite` fails only on isolated V2 nodes, just dropped.
+        #[expect(
+            clippy::unreachable,
+            reason = "`h1_of_bipartite` fails only on isolated V2 nodes, just dropped"
+        )]
         Err(_) => unreachable!("isolated V2 nodes were dropped"),
     }
 }
 
 /// Returns a copy of `bg` with isolated `V2` nodes removed (they carry no
 /// cycle or conformality information but would produce empty hyperedges).
+#[expect(
+    clippy::expect_used,
+    reason = "kept ids are remapped through `index`, which covers every retained node, and sides are copied from the input graph"
+)]
 pub fn drop_isolated_v2(bg: &BipartiteGraph) -> BipartiteGraph {
     use mcc_graph::Side;
     let g = bg.graph();
@@ -279,11 +289,9 @@ pub fn drop_isolated_v2(bg: &BipartiteGraph) -> BipartiteGraph {
             NodeId::from_index(index[a.index()]),
             NodeId::from_index(index[c.index()]),
         )
-        // PROVABLY: kept ids were remapped through `index`, which covers every retained node.
         .expect("kept ids valid");
     }
     let side = keep.iter().map(|&v| bg.side(v)).collect();
-    // PROVABLY: sides are copied from the input graph, whose edges already cross sides.
     BipartiteGraph::new(b.build(), side).expect("partition preserved")
 }
 

@@ -204,7 +204,10 @@ pub fn explain_classification(bg: &BipartiteGraph) -> String {
         return out;
     }
     if c.six_one {
-        // PROVABLY: a (6,1) graph that is not (6,2)-chordal has a sparse 6-cycle by definition.
+        #[expect(
+            clippy::expect_used,
+            reason = "a (6,1) graph that is not (6,2)-chordal has a sparse 6-cycle by definition"
+        )]
         let cyc = find_sparse_six_cycle(bg).expect("(6,1) but not (6,2) has a sparse 6-cycle");
         out.push_str(&format!(
             "not (6,2)-chordal: the 6-cycle [{}] has at most one chord.\n",

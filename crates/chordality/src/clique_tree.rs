@@ -78,13 +78,19 @@ pub fn clique_tree(g: &Graph) -> Option<(JoinTree, Vec<NodeSet>)> {
         b.add_node(g.label(v));
     }
     for (i, c) in cliques.iter().enumerate() {
+        #[expect(
+            clippy::expect_used,
+            reason = "maximal cliques are nonempty, `add_edge`'s only failure mode here"
+        )]
         b.add_edge(format!("K{i}"), c.iter())
-            // PROVABLY: maximal cliques are nonempty, `add_edge`'s only failure mode here.
             .expect("cliques nonempty");
     }
     let h = b.build();
+    #[expect(
+        clippy::expect_used,
+        reason = "the clique hypergraph of a chordal graph is alpha-acyclic (Gavril), so a running-intersection ordering exists"
+    )]
     let jt = running_intersection_ordering(&h)
-        // PROVABLY: the clique hypergraph of a chordal graph is alpha-acyclic (Gavril), so a running-intersection ordering exists.
         .expect("clique hypergraphs of chordal graphs are alpha-acyclic");
     Some((jt, cliques))
 }

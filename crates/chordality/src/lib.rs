@@ -51,7 +51,6 @@
 //!   every class the paper studies.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod check;
 pub mod chordal;

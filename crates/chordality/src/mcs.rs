@@ -33,7 +33,8 @@ pub fn mcs_order_in<G: Adjacency + ?Sized>(ws: &mut Workspace, g: &G, out: &mut 
     // buckets[w] = nodes with current weight w (lazily cleaned).
     let mut buckets = ws.take_bucket_list();
     if buckets.is_empty() {
-        // lint:allow(hot-path-alloc): warm-up growth of the pooled bucket spine; steady state is allocation-free (pinned by alloc_regression.rs).
+        // Warm-up growth of the pooled bucket spine; steady state is
+        // allocation-free (pinned by alloc_regression.rs).
         buckets.push(Vec::new());
     }
     buckets[0].extend((0..n).map(NodeId::from_index));
@@ -77,7 +78,8 @@ pub fn mcs_order_in<G: Adjacency + ?Sized>(ws: &mut Workspace, g: &G, out: &mut 
             weight[u.index()] += 1;
             let w = weight[u.index()];
             if w >= buckets.len() {
-                // lint:allow(hot-path-alloc): bucket-spine growth to the max weight seen, amortized away across reuse (pinned by alloc_regression.rs).
+                // Bucket-spine growth to the max weight seen, amortized
+                // away across reuse (pinned by alloc_regression.rs).
                 buckets.resize(w + 1, Vec::new());
             }
             buckets[w].push(u);

@@ -63,7 +63,7 @@ pub fn is_perfect_elimination_ordering_in<G: Adjacency + ?Sized>(
         // row answers each membership probe in O(1) words.
         let p = later[0];
         for &u in &later[1..] {
-            if !g.has_edge_fast(p, u) {
+            if !g.has_edge(p, u) {
                 return done(ws, pos, later, false);
             }
         }

@@ -13,8 +13,6 @@ use mcc_graph::{BipartiteGraph, Graph, NodeId, Side, Workspace};
 /// ids.
 pub fn project_onto(bg: &BipartiteGraph, s: Side) -> (Graph, Vec<NodeId>) {
     let g = bg.graph();
-    // lint:allow(hot-path-alloc): the id map is half of the function's
-    // return value, not scratch.
     let mut to_parent: Vec<NodeId> = Vec::new();
     let mut index = vec![usize::MAX; g.node_count()];
     for v in bg.side_nodes(s) {
@@ -30,11 +28,14 @@ pub fn project_onto(bg: &BipartiteGraph, s: Side) -> (Graph, Vec<NodeId>) {
         let nbrs = g.neighbors(w);
         for i in 0..nbrs.len() {
             for j in (i + 1)..nbrs.len() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "projected ids come from the `index` remap built over exactly the kept nodes"
+                )]
                 b.add_edge(
                     NodeId::from_index(index[nbrs[i].index()]),
                     NodeId::from_index(index[nbrs[j].index()]),
                 )
-                // PROVABLY: projected ids come from the `index` remap built over exactly the kept nodes.
                 .expect("projected ids valid");
             }
         }

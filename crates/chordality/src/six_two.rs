@@ -69,7 +69,6 @@ pub fn find_sparse_six_cycle(bg: &BipartiteGraph) -> Option<Vec<NodeId>> {
 /// runs on pooled scratch; the only steady-state allocation is the
 /// returned witness itself.
 pub fn find_sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Option<Vec<NodeId>> {
-    // lint:allow(hot-path-alloc): the witness is the function's result, not scratch.
     sparse_six_cycle_in(ws, bg).map(|c| c.to_vec())
 }
 
@@ -188,8 +187,11 @@ pub fn is_six_two_chordal_blockwise(bg: &BipartiteGraph) -> bool {
             .iter()
             .map(|&p| bg.side(p))
             .collect::<Vec<_>>();
+        #[expect(
+            clippy::expect_used,
+            reason = "an induced subgraph of a bipartite graph keeps a valid 2-coloring"
+        )]
         let sub_bg = mcc_graph::BipartiteGraph::new(sub.graph, side)
-            // PROVABLY: an induced subgraph of a bipartite graph keeps a valid 2-coloring.
             .expect("induced subgraph of a bipartite graph is bipartite");
         if !is_six_two_chordal(&sub_bg) {
             return false;

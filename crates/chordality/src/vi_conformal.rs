@@ -23,7 +23,10 @@ pub fn hypergraph_of_witness_side(bg: &BipartiteGraph, witness_side: Side) -> Hy
         Side::V1 => bg.swap_sides(),
     };
     let cleaned = drop_isolated_v2(&oriented);
-    // PROVABLY: `h1_of_bipartite` fails only on isolated V2 nodes, just dropped.
+    #[expect(
+        clippy::expect_used,
+        reason = "`h1_of_bipartite` fails only on isolated V2 nodes, just dropped"
+    )]
     let (h, _, _) = h1_of_bipartite(&cleaned).expect("isolated edge-side nodes dropped");
     h
 }

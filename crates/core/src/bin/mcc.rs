@@ -74,7 +74,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "demo" => {
-            let schema = parse_schema(DEMO_SCHEMA).expect("demo schema is valid");
+            let schema = parse_schema(DEMO_SCHEMA).map_err(|e| e.to_string())?;
             classify(&schema)?;
             println!();
             connect(&schema, &["student".into(), "room".into()])?;

@@ -56,9 +56,15 @@ pub fn fig2() -> Fig2 {
             (2, 3), // 4 = {A, B, C}
         ],
     );
-    // PROVABLY: Fig. 2's static edge list leaves no V2 node isolated.
+    #[expect(
+        clippy::expect_used,
+        reason = "Fig. 2's static edge list leaves no V2 node isolated"
+    )]
     let (h1, _, _) = mcc_hypergraph::h1_of_bipartite(&g).expect("no isolated V2 nodes");
-    // PROVABLY: ... and no V1 node isolated either.
+    #[expect(
+        clippy::expect_used,
+        reason = "Fig. 2's static edge list leaves no V1 node isolated"
+    )]
     let (h2, _, _) = mcc_hypergraph::h2_of_bipartite(&g).expect("no isolated V1 nodes");
     Fig2 { g, h1, h2 }
 }
@@ -123,9 +129,12 @@ pub struct Fig4 {
 /// Builds Fig. 4 from Fig. 3 through the Definition 2 correspondence.
 pub fn fig4() -> Fig4 {
     let f3 = fig3();
+    #[expect(
+        clippy::expect_used,
+        reason = "Fig. 3's static edge lists leave no V2 node isolated"
+    )]
     let h = |bg: &BipartiteGraph| {
         mcc_hypergraph::h1_of_bipartite(bg)
-            // PROVABLY: Fig. 3's static edge lists leave no V2 node isolated.
             .expect("no isolated V2 nodes in fig3")
             .0
     };
@@ -219,12 +228,15 @@ pub fn fig8() -> Fig8 {
             (4, 4), // E-5
         ],
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "labels come from the static list Fig. 8 was built from"
+    )]
     let set = |labels: &[&str]| {
         NodeSet::from_nodes(
             g.graph().node_count(),
             labels
                 .iter()
-                // PROVABLY: labels come from the static list Fig. 8 was built from.
                 .map(|l| g.graph().node_by_label(l).expect("fig8 label")),
         )
     };
@@ -239,8 +251,11 @@ pub fn fig8() -> Fig8 {
 }
 
 /// Fig. 9: the CSPC reduction applied to a small chordal source graph.
+#[expect(
+    clippy::expect_used,
+    reason = "the sample source graph is fixed static data"
+)]
 pub fn fig9() -> CspcGadget {
-    // PROVABLY: the sample source graph is fixed static data.
     CspcGadget::build(&mcc_reductions::cspc::sample_chordal_source().expect("static data"))
 }
 
@@ -266,7 +281,10 @@ pub fn fig10() -> Fig10 {
     // cycle x1-y1-x2-y2-x3-y3-x1, chord x1-y2.
     edges.push((0, 1));
     let g = bipartite_from_lists(&["x1", "x2", "x3"], &["y1", "y2", "y3"], &edges);
-    // PROVABLY: the closure is only called with Fig. 10's own static labels.
+    #[expect(
+        clippy::expect_used,
+        reason = "the closure is only called with Fig. 10's own static labels"
+    )]
     let n = |l: &str| g.graph().node_by_label(l).expect("fig10 label");
     Fig10 {
         v1: n("x2"),
@@ -323,7 +341,10 @@ pub fn fig11() -> Fig11 {
             (5, 5), // F ~ 2,6
         ],
     );
-    // PROVABLY: the closure is only called with Fig. 11's own static labels.
+    #[expect(
+        clippy::expect_used,
+        reason = "the closure is only called with Fig. 11's own static labels"
+    )]
     let n = |l: &str| g.graph().node_by_label(l).expect("fig11 label");
     let set =
         |labels: &[&str]| NodeSet::from_nodes(g.graph().node_count(), labels.iter().map(|l| n(l)));

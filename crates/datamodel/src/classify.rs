@@ -88,15 +88,16 @@ pub fn apply_repair_suggestion(
 ) -> RelationalSchema {
     let mut out = schema.clone();
     for (i, attrs) in report.repair_suggestion.iter().enumerate() {
+        #[expect(
+            clippy::expect_used,
+            reason = "`repair_suggestion` is built by `audit_relational` from this very attribute list, and repairs only append relations, never attributes"
+        )]
         let indices = attrs
             .iter()
             .map(|a| {
                 out.attributes
                     .iter()
                     .position(|x| x == a)
-                    // PROVABLY: `repair_suggestion` is built by
-                    // `audit_relational` from this very attribute list,
-                    // and repairs only append relations, never attributes.
                     .expect("repair names come from the same schema")
             })
             .collect();

@@ -145,9 +145,10 @@ impl ErSchema {
                 }
                 let av = attr_node(&mut b, &mut kind, &mut by_name, a);
                 by_name.insert(a, av);
-                // PROVABLY: `ev` and `av` both came from this builder's
-                // `add_node`, so the only failure mode (out-of-range id)
-                // cannot occur.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`ev` and `av` both came from this builder's `add_node`, so the only failure mode (out-of-range id) cannot occur"
+                )]
                 b.add_edge(ev, av).expect("fresh ids");
             }
         }
@@ -169,7 +170,10 @@ impl ErSchema {
                         entity: en.clone(),
                     });
                 };
-                // PROVABLY: both ids were minted by this builder above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both ids were minted by this builder above"
+                )]
                 b.add_edge(rv, ev).expect("ids valid");
             }
             for a in &rl.attributes {
@@ -178,7 +182,10 @@ impl ErSchema {
                 }
                 let av = attr_node(&mut b, &mut kind, &mut by_name, a);
                 by_name.insert(a, av);
-                // PROVABLY: both ids were minted by this builder above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both ids were minted by this builder above"
+                )]
                 b.add_edge(rv, av).expect("ids valid");
             }
         }

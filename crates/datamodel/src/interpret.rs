@@ -36,7 +36,10 @@ pub fn enumerate_connections(
 ) -> Vec<NodeSet> {
     match try_enumerate_connections(g, terminals, max_results, max_slack) {
         Ok(covers) => covers,
-        // lint:allow(no-panic): unbudgeted convenience wrapper -- residual errors are internal bugs; `try_enumerate_connections` is the fallible production path.
+        #[expect(
+            clippy::panic,
+            reason = "the `# Panics` contract of this unbudgeted convenience wrapper; `try_enumerate_connections` is the fallible production path"
+        )]
         Err(e) => panic!("interpretation enumeration is for concept-graph scale: {e}"),
     }
 }
@@ -113,7 +116,10 @@ pub fn enumerate_tree_interpretations(
 ) -> Vec<mcc_steiner::SteinerTree> {
     match try_enumerate_tree_interpretations(g, terminals, max_results, max_slack) {
         Ok(trees) => trees,
-        // lint:allow(no-panic): unbudgeted convenience wrapper -- `try_enumerate_tree_interpretations` is the fallible production path.
+        #[expect(
+            clippy::panic,
+            reason = "the `# Panics` contract of this unbudgeted convenience wrapper; `try_enumerate_tree_interpretations` is the fallible production path"
+        )]
         Err(e) => panic!("tree interpretation enumeration is for concept-graph scale: {e}"),
     }
 }

@@ -31,7 +31,6 @@
 // `clippy::unwrap_used` arrives at warn level from the workspace lint
 // table ([lints] in Cargo.toml), promoted to an error in CI; unit
 // tests are exempt -- tests should unwrap.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 /// Named example schemas used across tests and docs.
 pub mod catalog;

@@ -92,10 +92,11 @@ impl RelationalSchema {
                     });
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "emptiness and index range were both rejected with an `Err` just above, which are `add_edge`'s only failure modes"
+            )]
             b.add_edge(&r.name, r.attributes.iter().map(|&i| nodes[i]))
-                // PROVABLY: emptiness and index range were both rejected
-                // with an `Err` just above, which are `add_edge`'s only
-                // failure modes.
                 .expect("validated nonempty");
         }
         Ok(b.build())

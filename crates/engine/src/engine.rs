@@ -235,6 +235,10 @@ impl Engine {
             counters: Counters::default(),
             cache,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn failure during construction is fatal by design: no engine exists yet to surface an error through"
+        )]
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -242,7 +246,6 @@ impl Engine {
                 thread::Builder::new()
                     .name(format!("mcc-engine-worker-{i}"))
                     .spawn(move || worker_loop(&shared, solver_config))
-                    // lint:allow(no-panic): spawn failure during construction is fatal by design -- no engine exists yet to surface an error through.
                     .expect("spawning an engine worker thread")
             })
             .collect();

@@ -46,7 +46,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod cache;
 mod engine;

@@ -199,9 +199,10 @@ struct Slot {
     resolved: Condvar,
 }
 
-// One slot per request, behind an `Arc`: the answer moves in place, and
-// boxing it would add an allocation per reply.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one slot per request, behind an `Arc`: the answer moves in place, and boxing it would add an allocation per reply"
+)]
 enum SlotState {
     /// No answer yet; `parked` is set by a ticket about to wait on the
     /// condvar, telling the reply end it must signal.

@@ -6,6 +6,10 @@ use rand::Rng;
 
 /// Erdős–Rényi bipartite graph: `n1 + n2` nodes, each of the `n1·n2`
 /// possible arcs present independently with probability `p`.
+#[expect(
+    clippy::expect_used,
+    reason = "both endpoint ids were minted by this builder, and every edge joins a V1 index to a V2 index"
+)]
 pub fn random_bipartite(n1: usize, n2: usize, p: f64, seed: u64) -> BipartiteGraph {
     let mut r = rng(seed);
     let mut b = Graph::builder();
@@ -19,19 +23,21 @@ pub fn random_bipartite(n1: usize, n2: usize, p: f64, seed: u64) -> BipartiteGra
         for j in 0..n2 {
             if r.gen_bool(p) {
                 b.add_edge(NodeId::from_index(i), NodeId::from_index(n1 + j))
-                    // PROVABLY: both endpoint ids were minted by this builder above.
                     .expect("ids valid");
             }
         }
     }
     let mut side = vec![Side::V1; n1];
     side.extend(std::iter::repeat(Side::V2).take(n2));
-    // PROVABLY: every edge joins a V1 index to a V2 index by construction.
     BipartiteGraph::new(b.build(), side).expect("bipartite by construction")
 }
 
 /// Random tree on `n` nodes by uniform random attachment, two-colored by
 /// BFS depth — a (4,1)-chordal bipartite graph.
+#[expect(
+    clippy::expect_used,
+    reason = "`parent < i`, so both ids were already minted, and tree edges join consecutive depths, which alternate sides"
+)]
 pub fn random_tree_bipartite(n: usize, seed: u64) -> BipartiteGraph {
     let mut r = rng(seed);
     let mut b = Graph::builder();
@@ -43,7 +49,6 @@ pub fn random_tree_bipartite(n: usize, seed: u64) -> BipartiteGraph {
         } else {
             let parent = r.gen_range(0..i);
             b.add_edge(NodeId::from_index(i), NodeId::from_index(parent))
-                // PROVABLY: `parent < i`, so both ids were already minted.
                 .expect("ids valid");
             depth.push(depth[parent] + 1);
         }
@@ -52,7 +57,6 @@ pub fn random_tree_bipartite(n: usize, seed: u64) -> BipartiteGraph {
         .into_iter()
         .map(|d| if d % 2 == 0 { Side::V1 } else { Side::V2 })
         .collect();
-    // PROVABLY: tree edges join consecutive depths, which alternate sides.
     BipartiteGraph::new(b.build(), side).expect("trees are bipartite")
 }
 

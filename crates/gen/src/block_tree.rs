@@ -39,6 +39,10 @@ impl Default for BlockTreeShape {
 /// let bg = random_six_two_block_tree(BlockTreeShape::default(), 42);
 /// assert!(is_six_two_chordal(&bg)); // always on-class
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "block members were minted by this builder, and every block edge joins the two sides assigned to it"
+)]
 pub fn random_six_two_block_tree(shape: BlockTreeShape, seed: u64) -> BipartiteGraph {
     assert!(
         shape.blocks >= 1 && shape.max_block >= 2,
@@ -83,12 +87,10 @@ pub fn random_six_two_block_tree(shape: BlockTreeShape, seed: u64) -> BipartiteG
         }
         for &x in &left {
             for &y in &right {
-                // PROVABLY: block members were minted by this builder above.
                 b.add_edge(x, y).expect("ids valid");
             }
         }
     }
-    // PROVABLY: every block edge joins the two sides assigned above.
     BipartiteGraph::new(b.build(), side).expect("blocks respect sides")
 }
 

@@ -49,8 +49,11 @@ pub fn random_interval_hypergraph(shape: IntervalShape, seed: u64) -> (Hypergrap
     for e in 0..shape.edges {
         let len = r.gen_range(1..=shape.max_len.min(shape.nodes));
         let lo = r.gen_range(0..=shape.nodes - len);
+        #[expect(
+            clippy::expect_used,
+            reason = "`len >= 1`, so the interval slice is nonempty"
+        )]
         b.add_edge(format!("I{}", e + 1), nodes[lo..lo + len].iter().copied())
-            // PROVABLY: `len >= 1`, so the interval slice is nonempty.
             .expect("nonempty interval");
     }
     let h = b.build();

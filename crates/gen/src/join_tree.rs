@@ -69,8 +69,11 @@ pub fn random_alpha_acyclic(shape: JoinTreeShape, seed: u64) -> (Hypergraph, Bip
             members.push(b.add_node(format!("A{}", b.node_count())));
         }
         debug_assert!(!members.is_empty(), "share ≥ 1 whenever a parent exists");
+        #[expect(
+            clippy::expect_used,
+            reason = "`members` holds at least the attributes shared with the parent (share >= 1)"
+        )]
         b.add_edge(format!("R{}", e + 1), members.clone())
-            // PROVABLY: `members` holds at least the attributes shared with the parent (share >= 1).
             .expect("nonempty edge");
         edges.push(members);
     }

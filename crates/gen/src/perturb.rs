@@ -41,6 +41,10 @@ pub fn add_random_edge(bg: &BipartiteGraph, seed: u64) -> Option<BipartiteGraph>
     Some(rebuild(bg, |_| true, Some(new_edge)))
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the rebuilt graph reuses the input graph's id space, and sides are copied verbatim from the input bipartite graph"
+)]
 fn rebuild(
     bg: &BipartiteGraph,
     keep: impl Fn((NodeId, NodeId)) -> bool,
@@ -53,16 +57,13 @@ fn rebuild(
     }
     for e in g.edges() {
         if keep(e) {
-            // PROVABLY: the rebuilt graph reuses the input graph's id space.
             b.add_edge(e.0, e.1).expect("same id space");
         }
     }
     if let Some((a, c)) = extra {
-        // PROVABLY: `a` and `c` are nodes of the input graph.
         b.add_edge(a, c).expect("same id space");
     }
     let side = g.nodes().map(|v| bg.side(v)).collect();
-    // PROVABLY: sides are copied verbatim from the input bipartite graph.
     BipartiteGraph::new(b.build(), side).expect("sides unchanged")
 }
 
@@ -80,7 +81,10 @@ pub fn remove_random_edge_graph(g: &Graph, seed: u64) -> Option<Graph> {
     }
     for e in g.edges() {
         if e != victim {
-            // PROVABLY: the rebuilt graph reuses the input graph's id space.
+            #[expect(
+                clippy::expect_used,
+                reason = "the rebuilt graph reuses the input graph's id space"
+            )]
             b.add_edge(e.0, e.1).expect("same id space");
         }
     }

@@ -74,7 +74,10 @@ impl BipartiteGraph {
             side[start.index()] = Some(Side::V1);
             queue.push_back(start);
             while let Some(v) = queue.pop_front() {
-                // PROVABLY: every dequeued node was colored when it was enqueued.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every dequeued node was colored when it was enqueued"
+                )]
                 let sv = side[v.index()].expect("visited nodes are colored");
                 for &u in graph.neighbors(v) {
                     match side[u.index()] {
@@ -90,9 +93,12 @@ impl BipartiteGraph {
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the sweep above started a BFS from every uncolored node"
+        )]
         let side = side
             .into_iter()
-            // PROVABLY: the sweep above started a BFS from every uncolored node.
             .map(|s| s.expect("all nodes colored"))
             .collect();
         Ok(BipartiteGraph { graph, side })
@@ -176,6 +182,10 @@ impl std::fmt::Debug for BipartiteGraph {
 ///
 /// # Panics
 /// Panics on out-of-range indices (programmer error in fixed data).
+#[expect(
+    clippy::expect_used,
+    reason = "static fixture constructor: malformed compile-time edge lists must fail loudly, and sides follow list membership"
+)]
 pub fn bipartite_from_lists(
     v1_labels: &[&str],
     v2_labels: &[&str],
@@ -186,13 +196,11 @@ pub fn bipartite_from_lists(
     let v2: Vec<NodeId> = v2_labels.iter().map(|l| b.add_node(*l)).collect();
     for &(i, j) in edges {
         b.add_edge(v1[i], v2[j])
-            // lint:allow(no-panic): static fixture constructor -- malformed compile-time edge lists must fail loudly.
             .expect("invalid edge in bipartite list");
     }
     let graph = b.build();
     let mut side = vec![Side::V1; v1_labels.len()];
     side.extend(std::iter::repeat(Side::V2).take(v2_labels.len()));
-    // PROVABLY: sides follow list membership and edges only cross the two lists.
     BipartiteGraph::new(graph, side).expect("lists construction is bipartite by shape")
 }
 

@@ -273,8 +273,10 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    // The deadline clock is this layer's whole job.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline clock is this layer's whole job"
+    )]
     fn new(wall_clock: Option<Duration>) -> Self {
         let started = Instant::now();
         CancelToken {
@@ -305,8 +307,10 @@ impl CancelToken {
     }
 
     /// Unconditionally checks the deadline (used at stage boundaries).
-    // The deadline check is the one per-tick wall-clock read.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline check is the one per-tick wall-clock read"
+    )]
     pub fn checkpoint(&self, stage: Stage) -> Result<(), BudgetExceeded> {
         self.checks.set(self.checks.get() + 1);
         match self.deadline {

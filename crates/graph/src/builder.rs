@@ -114,8 +114,11 @@ impl GraphBuilder {
 pub fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> Graph {
     let mut b = GraphBuilder::with_nodes(n);
     for &(a, bb) in edges {
+        #[expect(
+            clippy::expect_used,
+            reason = "static fixture constructor: malformed compile-time edge lists must fail loudly"
+        )]
         b.add_edge(NodeId::from_index(a), NodeId::from_index(bb))
-            // lint:allow(no-panic): static fixture constructor -- malformed compile-time edge lists must fail loudly.
             .expect("invalid edge in static edge list");
     }
     b.build()

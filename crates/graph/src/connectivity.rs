@@ -111,7 +111,6 @@ pub fn connected_components(g: &Graph, alive: &NodeSet) -> Vec<NodeSet> {
 /// each component from it. (The output sets themselves are still
 /// allocated — they are the result.)
 pub fn connected_components_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet) -> Vec<NodeSet> {
-    // lint:allow(hot-path-alloc): the component list is the function's result, not scratch.
     let mut comps = Vec::new();
     ws.begin_visit(g.node_count());
     for start in alive.iter() {

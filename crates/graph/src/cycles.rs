@@ -93,7 +93,10 @@ fn extend(
     if out.len() >= limits.max_cycles {
         return;
     }
-    // PROVABLY: the recursion pushes a node before descending, so `path` is never empty here.
+    #[expect(
+        clippy::expect_used,
+        reason = "the recursion pushes a node before descending, so `path` is never empty here"
+    )]
     let last = *path.last().expect("path never empty");
     for &u in g.neighbors(last) {
         if u == root {

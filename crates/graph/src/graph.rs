@@ -36,7 +36,7 @@ pub const CHECK_ADJACENCY_MAX_NODES: usize = 2048;
 /// neighbor, `⌈n/64⌉` words per row. A node gets a dense row exactly when
 /// walking its bitset words costs no more than walking its CSR slice
 /// (`degree ≥ ⌈n/64⌉`), which bounds the extra memory by `O(m)` words
-/// total while turning the hot probes ([`Graph::has_edge_fast`],
+/// total while turning the hot probes ([`Graph::has_edge`],
 /// [`Graph::intersect_count`], [`Graph::neighbors_subset_of`],
 /// [`Graph::alive_neighbors`]) into word-AND/popcount sweeps on exactly
 /// the rows where that wins. Low-degree rows fall back to the CSR slice,
@@ -214,9 +214,24 @@ impl Graph {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
-    /// `true` iff `a` and `b` are adjacent. `O(log deg)`.
+    /// `true` iff `a` and `b` are adjacent: an `O(1)` bit test when
+    /// either endpoint has a dense row, else a binary search probing the
+    /// lower-degree endpoint's CSR row.
     #[inline]
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
+        if let Some(row) = self.neighbors_bits(a) {
+            let i = b.index();
+            return (row[i / 64] >> (i % 64)) & 1 == 1;
+        }
+        if let Some(row) = self.neighbors_bits(b) {
+            let i = a.index();
+            return (row[i / 64] >> (i % 64)) & 1 == 1;
+        }
+        let (a, b) = if self.degree(a) <= self.degree(b) {
+            (a, b)
+        } else {
+            (b, a)
+        };
         self.neighbors(a).binary_search(&b).is_ok()
     }
 
@@ -240,27 +255,6 @@ impl Graph {
     #[inline]
     pub fn has_dense_rows(&self) -> bool {
         !self.bit_words.is_empty()
-    }
-
-    /// [`Graph::has_edge`] through the hybrid representation: an `O(1)`
-    /// bit test when either endpoint has a dense row, else a binary
-    /// search probing the lower-degree endpoint. Answers are identical to
-    /// `has_edge` (the differential suite pins this).
-    #[inline]
-    pub fn has_edge_fast(&self, a: NodeId, b: NodeId) -> bool {
-        if let Some(row) = self.neighbors_bits(a) {
-            let i = b.index();
-            return (row[i / 64] >> (i % 64)) & 1 == 1;
-        }
-        if let Some(row) = self.neighbors_bits(b) {
-            let i = a.index();
-            return (row[i / 64] >> (i % 64)) & 1 == 1;
-        }
-        if self.degree(a) <= self.degree(b) {
-            self.has_edge(a, b)
-        } else {
-            self.has_edge(b, a)
-        }
     }
 
     /// `|Adj(v) ∩ set|`: a word-AND/popcount sweep when `v` has a dense
@@ -448,8 +442,8 @@ pub trait Adjacency {
     fn neighbors(&self, v: NodeId) -> &[NodeId];
     /// `Adj(v) ∩ alive`; see [`Graph::alive_neighbors`].
     fn alive_neighbors<'a>(&'a self, v: NodeId, alive: &'a NodeSet) -> AliveNeighbors<'a>;
-    /// `true` iff `a` and `b` are adjacent; see [`Graph::has_edge_fast`].
-    fn has_edge_fast(&self, a: NodeId, b: NodeId) -> bool;
+    /// `true` iff `a` and `b` are adjacent; see [`Graph::has_edge`].
+    fn has_edge(&self, a: NodeId, b: NodeId) -> bool;
 }
 
 impl Adjacency for Graph {
@@ -469,8 +463,8 @@ impl Adjacency for Graph {
     }
 
     #[inline]
-    fn has_edge_fast(&self, a: NodeId, b: NodeId) -> bool {
-        Graph::has_edge_fast(self, a, b)
+    fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
+        Graph::has_edge(self, a, b)
     }
 }
 
@@ -518,7 +512,7 @@ impl Adjacency for CsrRef<'_> {
     }
 
     #[inline]
-    fn has_edge_fast(&self, a: NodeId, b: NodeId) -> bool {
+    fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         let (na, nb) = (self.neighbors(a), self.neighbors(b));
         if na.len() <= nb.len() {
             na.binary_search(&b).is_ok()
@@ -572,10 +566,10 @@ impl Iterator for AliveNeighbors<'_> {
 /// Debug-build certificate for the adjacency substrate (PR-4 style):
 /// every CSR row is strictly sorted (so deduplicated) and self-loop
 /// free, every edge is stored symmetrically, and every dense bitset row
-/// agrees bit-for-bit with its CSR row — which makes
-/// [`Graph::has_edge_fast`] and [`Graph::has_edge`] provably
-/// interchangeable. `Graph::from_parts` asserts this in debug builds up
-/// to [`CHECK_ADJACENCY_MAX_NODES`] nodes.
+/// agrees bit-for-bit with its CSR row — which makes the bit test and
+/// the CSR search inside [`Graph::has_edge`] provably interchangeable.
+/// `Graph::from_parts` asserts this in debug builds up to
+/// [`CHECK_ADJACENCY_MAX_NODES`] nodes.
 pub fn check_adjacency_symmetric(g: &Graph) -> bool {
     for v in g.nodes() {
         let row = g.neighbors(v);
@@ -583,7 +577,7 @@ pub fn check_adjacency_symmetric(g: &Graph) -> bool {
             return false; // unsorted or duplicated entries
         }
         for &u in row {
-            if u == v || u.index() >= g.node_count() || !g.has_edge(u, v) {
+            if u == v || u.index() >= g.node_count() || g.neighbors(u).binary_search(&v).is_err() {
                 return false; // self-loop, out of range, or asymmetric
             }
         }
@@ -729,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_fast_agrees_under_every_threshold() {
+    fn has_edge_agrees_under_every_threshold() {
         let mut g = k5_pendant();
         for threshold in [0, 3, usize::MAX] {
             g.rebuild_bit_rows(threshold);
@@ -737,13 +731,13 @@ mod tests {
             for a in g.nodes() {
                 for b in g.nodes() {
                     assert_eq!(
-                        g.has_edge_fast(a, b),
                         g.has_edge(a, b),
+                        g.neighbors(a).binary_search(&b).is_ok(),
                         "threshold {threshold}, pair ({a:?}, {b:?})"
                     );
                 }
                 // No self-loops through either path.
-                assert!(!g.has_edge_fast(a, a));
+                assert!(!g.has_edge(a, a));
             }
         }
     }

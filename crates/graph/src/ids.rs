@@ -24,8 +24,11 @@ impl NodeId {
     /// # Panics
     /// Panics if `index` does not fit in `u32`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `# Panics` contract is the documented API; graphs beyond u32 nodes are unsupported"
+    )]
     pub fn from_index(index: usize) -> Self {
-        // lint:allow(no-panic): the `# Panics` contract above is the documented API; graphs beyond u32 nodes are unsupported.
         NodeId(u32::try_from(index).expect("node index exceeds u32::MAX"))
     }
 }

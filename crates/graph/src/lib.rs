@@ -22,7 +22,6 @@
 //! dense `u32` index), which keeps every per-node table a flat `Vec`.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod biconnected;
 pub mod bipartite;

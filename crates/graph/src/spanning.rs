@@ -14,8 +14,6 @@ use std::collections::VecDeque;
 /// exists). An empty or singleton alive set yields `Some(vec![])`.
 pub fn spanning_tree(g: &Graph, alive: &NodeSet) -> Option<Vec<(NodeId, NodeId)>> {
     let Some(start) = alive.first() else {
-        // lint:allow(hot-path-alloc): the edge list is the returned
-        // tree (empty here); callers own the result.
         return Some(Vec::new());
     };
     let mut seen = NodeSet::new(g.node_count());

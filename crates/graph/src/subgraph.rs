@@ -36,12 +36,18 @@ pub fn induced_subgraph(g: &Graph, nodes: &NodeSet) -> InducedSubgraph {
         to_parent.push(p);
     }
     for p in nodes.iter() {
-        // PROVABLY: every member node was mapped in the loop above.
+        #[expect(
+            clippy::expect_used,
+            reason = "every member node was mapped in the loop above"
+        )]
         let a = from_parent[p.index()].expect("member mapped");
         for &q in g.neighbors(p) {
             if q > p {
                 if let Some(bq) = from_parent[q.index()] {
-                    // PROVABLY: both endpoints were mapped when their nodes were added above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "both endpoints were mapped when their nodes were added above"
+                    )]
                     b.add_edge(a, bq).expect("mapped ids valid");
                 }
             }

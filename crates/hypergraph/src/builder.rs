@@ -82,6 +82,10 @@ impl HypergraphBuilder {
 /// # Panics
 /// Panics on empty edges or out-of-range indices (programmer error in
 /// fixed data).
+#[expect(
+    clippy::expect_used,
+    reason = "static fixture constructor: malformed compile-time hypergraph data must fail loudly"
+)]
 pub fn hypergraph_from_lists(node_labels: &[&str], edges: &[(&str, &[usize])]) -> Hypergraph {
     let mut b = HypergraphBuilder::new();
     for l in node_labels {
@@ -89,7 +93,6 @@ pub fn hypergraph_from_lists(node_labels: &[&str], edges: &[(&str, &[usize])]) -
     }
     for (label, members) in edges {
         b.add_edge(*label, members.iter().map(|&i| NodeId::from_index(i)))
-            // lint:allow(no-panic): static fixture constructor -- malformed compile-time hypergraph data must fail loudly.
             .expect("invalid edge in static hypergraph data");
     }
     b.build()

@@ -493,11 +493,14 @@ fn bron_kerbosch(nbr: &[NodeSet], r: &mut NodeSet, p: NodeSet, x: NodeSet, out: 
         return;
     }
     // Pivot: the vertex of P ∪ X with most neighbors in P.
+    #[expect(
+        clippy::expect_used,
+        reason = "the empty-P-and-X case returned at the top of the function"
+    )]
     let pivot = p
         .iter()
         .chain(x.iter())
         .max_by_key(|&u| nbr[u.index()].intersection(&p).len())
-        // PROVABLY: the empty-P-and-X case returned at the top of the function.
         .expect("P ∪ X nonempty");
     let candidates: Vec<NodeId> = p.difference(&nbr[pivot.index()]).to_vec();
     let mut p = p;

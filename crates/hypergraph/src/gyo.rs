@@ -94,7 +94,10 @@ pub fn gyo_reduce(h: &Hypergraph) -> GyoOutcome {
                 // Ties (equal edges) break toward deleting the higher id,
                 // so exactly one copy of a duplicate pair survives.
                 if e.is_subset_of(f) && (e != f || ei > fi) {
-                    // PROVABLY: `e` above came from this very `Some` entry.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`e` above came from this very `Some` entry"
+                    )]
                     for v in edges[ei].as_ref().expect("checked Some").iter() {
                         occurrences[v.index()] -= 1;
                     }

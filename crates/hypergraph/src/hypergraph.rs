@@ -25,8 +25,11 @@ impl EdgeId {
     /// # Panics
     /// Panics if `index` does not fit in `u32`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `# Panics` contract is the documented API; hypergraphs beyond u32 edges are unsupported"
+    )]
     pub fn from_index(index: usize) -> Self {
-        // lint:allow(no-panic): the `# Panics` contract above is the documented API; hypergraphs beyond u32 edges are unsupported.
         EdgeId(u32::try_from(index).expect("edge index exceeds u32::MAX"))
     }
 }

@@ -105,7 +105,10 @@ pub fn mcs_edge_ordering(h: &Hypergraph) -> Vec<EdgeId> {
                 best = Some((w, i));
             }
         }
-        // PROVABLY: the outer loop runs while an unused edge remains, so the scan finds one.
+        #[expect(
+            clippy::expect_used,
+            reason = "the outer loop runs while an unused edge remains, so the scan finds one"
+        )]
         let (_, i) = best.expect("an unused edge remains");
         used[i] = true;
         let e = EdgeId::from_index(i);

@@ -15,8 +15,11 @@ pub fn primal_graph(h: &Hypergraph) -> Graph {
         let members = h.edge(e).to_vec();
         for i in 0..members.len() {
             for j in (i + 1)..members.len() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "hyperedge members are valid node ids of the same hypergraph"
+                )]
                 b.add_edge(members[i], members[j])
-                    // PROVABLY: hyperedge members are valid node ids of the same hypergraph.
                     .expect("members are valid nodes");
             }
         }

@@ -81,13 +81,19 @@ pub fn apply_repair(h: &Hypergraph, repair: &AlphaRepair) -> Hypergraph {
         b.add_node(h.node_label(v));
     }
     for e in h.edge_ids() {
+        #[expect(
+            clippy::expect_used,
+            reason = "edges copied from an existing hypergraph are valid and nonempty"
+        )]
         b.add_edge(h.edge_label(e), h.edge(e).iter())
-            // PROVABLY: edges copied from an existing hypergraph are valid and nonempty.
             .expect("existing edges valid");
     }
     for (i, e) in repair.new_edges.iter().enumerate() {
+        #[expect(
+            clippy::expect_used,
+            reason = "repair edges are attribute sets the audit verified nonempty"
+        )]
         b.add_edge(format!("fix{}", i + 1), e.iter())
-            // PROVABLY: repair edges are attribute sets the audit verified nonempty.
             .expect("repair edges nonempty");
     }
     b.build()

@@ -20,7 +20,7 @@
 //! * `name(…)` resolves against free functions, same crate preferred.
 //!
 //! Functions in `#[cfg(test)]` regions and binary targets are excluded
-//! from the graph entirely: they are neither roots, nor targets, nor
+//! from the graph entirely: they are neither callers, nor targets, nor
 //! carriers of transitive facts.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -248,76 +248,6 @@ fn prefer_crate(db: &FactDb, candidates: Vec<usize>, caller_crate: &str) -> Vec<
     }
 }
 
-/// How a function was first reached in a breadth-first sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ReachInfo {
-    /// `Some((parent fn, call line in parent))`, or `None` for roots.
-    pub from: Option<(usize, usize)>,
-}
-
-/// Multi-source BFS from `roots` (already sorted for determinism);
-/// returns per-function reach info (`None` = unreachable). Adjacency is
-/// sorted, so first-visit parents — and therefore every printed call
-/// chain — are deterministic.
-pub fn reach_from(graph: &CallGraph, roots: &[usize]) -> Vec<Option<ReachInfo>> {
-    reach_from_filtered(graph, roots, |_, _| false)
-}
-
-/// [`reach_from`] with edge pruning: `skip(caller, edge)` returning
-/// `true` removes that call edge from the sweep. The reachability rules
-/// use this to honor **chain-break** `lint:allow` directives placed on a
-/// call line — "everything reached only through this call is fine"
-/// (e.g. a `debug_assert!`-guarded certificate compiled out of release
-/// builds). Sites reachable through an unpruned path are still flagged.
-pub fn reach_from_filtered(
-    graph: &CallGraph,
-    roots: &[usize],
-    mut skip: impl FnMut(usize, &Edge) -> bool,
-) -> Vec<Option<ReachInfo>> {
-    let mut reach: Vec<Option<ReachInfo>> = vec![None; graph.edges.len()];
-    let mut queue = std::collections::VecDeque::new();
-    for &r in roots {
-        if reach[r].is_none() {
-            reach[r] = Some(ReachInfo { from: None });
-            queue.push_back(r);
-        }
-    }
-    while let Some(f) = queue.pop_front() {
-        for e in &graph.edges[f] {
-            if reach[e.callee].is_none() && !skip(f, e) {
-                reach[e.callee] = Some(ReachInfo {
-                    from: Some((f, e.line)),
-                });
-                queue.push_back(e.callee);
-            }
-        }
-    }
-    reach
-}
-
-/// Reconstructs the root-to-`f` chain from [`reach_from`] output: a list
-/// of `(function, line of its call to the next chain entry)`; the final
-/// entry has no call line.
-pub fn chain_to(reach: &[Option<ReachInfo>], f: usize) -> Vec<(usize, Option<usize>)> {
-    let mut rev: Vec<(usize, Option<usize>)> = Vec::new();
-    let mut cur = f;
-    let mut next_line: Option<usize> = None;
-    loop {
-        rev.push((cur, next_line));
-        match reach.get(cur).and_then(|r| *r) {
-            Some(ReachInfo {
-                from: Some((p, line)),
-            }) => {
-                next_line = Some(line);
-                cur = p;
-            }
-            _ => break,
-        }
-    }
-    rev.reverse();
-    rev
-}
-
 /// One step of a forward witness path: the function visited and the
 /// line of its call to the next step (`None` on the last step).
 #[derive(Debug, Clone, Copy)]
@@ -404,8 +334,8 @@ mod tests {
         let callees: Vec<usize> = mk
             .map(|m| g.edges[m].iter().map(|e| e.callee).collect())
             .unwrap_or_default();
-        // W::new resolves (workspace impl); Vec::new is an alloc fact,
-        // not an edge; other() resolves bare.
+        // W::new resolves (workspace impl); Vec::new has no workspace
+        // impl, so no edge; other() resolves bare.
         assert_eq!(
             callees,
             vec![w_new, other].into_iter().flatten().collect::<Vec<_>>()
@@ -441,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn chains_reconstruct_with_call_lines() {
+    fn paths_reconstruct_with_call_lines() {
         let src = "pub fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n";
         let db = facts::extract(&[file("x", src)]);
         let g = build(&db, &CrateDeps::new());
@@ -450,15 +380,16 @@ mod tests {
         let (Some(root), Some(leaf)) = (root, leaf) else {
             panic!("fns not extracted");
         };
-        let reach = reach_from(&g, &[root]);
-        let chain = chain_to(&reach, leaf);
-        let names: Vec<&str> = chain
+        let Some(path) = path_to(&g, root, |f| f == leaf) else {
+            panic!("leaf unreachable from root");
+        };
+        let names: Vec<&str> = path
             .iter()
-            .map(|(f, _)| db.functions[*f].name.as_str())
+            .map(|s| db.functions[s.func].name.as_str())
             .collect();
         assert_eq!(names, vec!["root", "mid", "leaf"]);
-        assert_eq!(chain[0].1, Some(0));
-        assert_eq!(chain[1].1, Some(1));
-        assert_eq!(chain[2].1, None);
+        assert_eq!(path[0].line_to_next, Some(0));
+        assert_eq!(path[1].line_to_next, Some(1));
+        assert_eq!(path[2].line_to_next, None);
     }
 }

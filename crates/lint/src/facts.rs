@@ -4,10 +4,9 @@
 //! One token walk per file (over the [`crate::lexer`] stream) produces a
 //! [`FactDb`]: every function with its span, outgoing calls, lock
 //! acquisitions (receiver field matched against declared `Mutex`/
-//! `RwLock`/`Condvar` fields), condvar waits, panicking constructs,
-//! allocations, slow adjacency calls, and blocking I/O (`fs::`/`File::`/
-//! fsync) — each site annotated with the set of locks lexically held at
-//! that point.
+//! `RwLock`/`Condvar` fields), condvar waits, and blocking I/O
+//! (`fs::`/`File::`/fsync) — each site annotated with the set of locks
+//! lexically held at that point.
 //!
 //! The lock-lifetime model is deliberately over-approximate: a guard
 //! acquired at brace depth *d* is considered held until the block at
@@ -119,19 +118,17 @@ pub struct WaitSite {
     pub exempt: bool,
 }
 
-/// A pattern occurrence (panic construct, allocation, adjacency call,
-/// blocking I/O) inside a function.
+/// One blocking I/O call inside a function.
 #[derive(Debug, Clone)]
-pub struct PatternSite {
-    /// Human-readable pattern (e.g. `` `unwrap` ``, `` `fs::write` ``).
+pub struct BlockingSite {
+    /// Human-readable call (e.g. `` `fs::write` ``, `` `.sync_all()` ``).
     pub what: String,
     /// 0-based line.
     pub line: usize,
-    /// Exempt via the pattern's escape hatch (`PROVABLY:` or
-    /// `lint:allow(<rule>)`) or test code.
+    /// `lint:allow(blocking-under-lock)` on the line, or test code.
     pub exempt: bool,
     /// Indices into the owning function's `lock_sites` held at the
-    /// site (meaningful for blocking I/O).
+    /// site.
     pub held: Vec<usize>,
 }
 
@@ -144,11 +141,6 @@ pub struct FnFact {
     pub impl_type: Option<String>,
     /// Whether the first parameter is `self`.
     pub has_self: bool,
-    /// `pub` (unrestricted — `pub(crate)` does not count).
-    pub is_pub: bool,
-    /// Defined inside an `impl Trait for Type` block (trait-impl
-    /// methods are reachable through the trait regardless of `pub`).
-    pub in_trait_impl: bool,
     /// The implemented trait's last path segment, for trait-impl
     /// methods (so `dyn Trait` receivers resolve through the trait).
     pub trait_name: Option<String>,
@@ -168,14 +160,8 @@ pub struct FnFact {
     pub lock_sites: Vec<LockSite>,
     /// Condvar waits.
     pub waits: Vec<WaitSite>,
-    /// Panicking constructs (`unwrap`/`expect`/`panic!`/`unreachable!`).
-    pub panics: Vec<PatternSite>,
-    /// Allocations (`Vec::new`/`Box::new`/`.to_vec()`/`.collect()`).
-    pub allocs: Vec<PatternSite>,
-    /// Slow adjacency calls (`.has_edge()`/`.adjacent_to_set()`).
-    pub adjacency: Vec<PatternSite>,
     /// Blocking I/O (`fs::*`, `File::*`, `.sync_all()`, `.sync_data()`).
-    pub blocking: Vec<PatternSite>,
+    pub blocking: Vec<BlockingSite>,
 }
 
 impl FnFact {
@@ -185,11 +171,6 @@ impl FnFact {
             Some(ty) => format!("{ty}::{}", self.name),
             None => self.name.clone(),
         }
-    }
-
-    /// Location string `file:line` (1-based line).
-    pub fn at(&self) -> String {
-        format!("{}:{}", self.file, self.line + 1)
     }
 }
 
@@ -424,7 +405,6 @@ fn starts_upper(s: &str) -> bool {
 struct PendingFn {
     name: String,
     line: usize,
-    is_pub: bool,
     has_self: bool,
 }
 
@@ -499,7 +479,6 @@ impl<'a> Walker<'a> {
                     self.pending_fn = Some(PendingFn {
                         name: name.text.clone(),
                         line: t.line,
-                        is_pub: self.pub_before(toks, i),
                         has_self: has_self_param(toks, i + 2),
                     });
                     self.sig_depth = 0;
@@ -558,8 +537,6 @@ impl<'a> Walker<'a> {
                 name: p.name,
                 impl_type,
                 has_self: p.has_self,
-                is_pub: p.is_pub,
-                in_trait_impl: trait_name.is_some(),
                 trait_name,
                 crate_name: self.sf.ctx.crate_name.clone(),
                 file: self.sf.ctx.rel_path.clone(),
@@ -569,9 +546,6 @@ impl<'a> Walker<'a> {
                 calls: Vec::new(),
                 lock_sites: Vec::new(),
                 waits: Vec::new(),
-                panics: Vec::new(),
-                allocs: Vec::new(),
-                adjacency: Vec::new(),
                 blocking: Vec::new(),
             });
             let idx = db.functions.len() - 1;
@@ -608,20 +582,6 @@ impl<'a> Walker<'a> {
             }
         }
         self.depth = d.saturating_sub(1);
-    }
-
-    /// Was the `fn` at `i` preceded by an unrestricted `pub`?
-    fn pub_before(&self, toks: &[Tok], i: usize) -> bool {
-        let mut j = i;
-        while j > 0 {
-            j -= 1;
-            match toks[j].text.as_str() {
-                "const" | "async" | "unsafe" | "extern" | "\"" => continue,
-                "pub" => return true,
-                _ => return false,
-            }
-        }
-        false
     }
 
     /// Locks currently held by the innermost function, as indices into
@@ -664,8 +624,7 @@ impl<'a> Walker<'a> {
     }
 
     /// Classifies the identifier at `i` as a lock acquisition, wait,
-    /// panic/alloc/adjacency/blocking pattern, guard drop, or
-    /// call; returns the next index.
+    /// blocking I/O, guard drop, or call; returns the next index.
     fn record_site(&mut self, toks: &[Tok], i: usize, db: &mut FactDb) -> usize {
         let t = &toks[i];
         let a = &self.sf.analysis;
@@ -745,7 +704,7 @@ impl<'a> Walker<'a> {
             }
             // fsync-style blocking methods.
             if matches!(t.text.as_str(), "sync_all" | "sync_data") {
-                db.functions[cur].blocking.push(PatternSite {
+                db.functions[cur].blocking.push(BlockingSite {
                     what: format!("`.{}()`", t.text),
                     line,
                     exempt: test || a.allowed_at(line, "blocking-under-lock"),
@@ -755,62 +714,6 @@ impl<'a> Walker<'a> {
             }
         }
 
-        // Panicking constructs.
-        let panic_hit = match t.text.as_str() {
-            "unwrap" | "expect" => prev == "." && next == Some("("),
-            "panic" | "unreachable" => next == Some("!"),
-            _ => false,
-        };
-        if panic_hit && !self.sf.ctx.is_binary {
-            db.functions[cur].panics.push(PatternSite {
-                what: format!("`{}`", t.text),
-                line,
-                exempt: test || a.provably_at(line) || a.allowed_at(line, "no-panic"),
-                held,
-            });
-            return i + 1;
-        }
-
-        // Allocations.
-        let alloc = match t.text.as_str() {
-            "Vec" | "Box" => {
-                next == Some("::") && toks.get(i + 2).map(|n| n.text.as_str()) == Some("new")
-            }
-            "to_vec" | "collect" => prev == ".",
-            _ => false,
-        };
-        if alloc {
-            let what = match t.text.as_str() {
-                "Vec" | "Box" => format!("`{}::new`", t.text),
-                other => format!("`{other}`"),
-            };
-            db.functions[cur].allocs.push(PatternSite {
-                what,
-                line,
-                exempt: test || a.allowed_at(line, "hot-path-alloc"),
-                held,
-            });
-            // Skip `::new` so one call yields one site.
-            if t.text == "Vec" || t.text == "Box" {
-                return i + 3;
-            }
-            return i + 1;
-        }
-
-        // Slow adjacency entry points.
-        if matches!(t.text.as_str(), "has_edge" | "adjacent_to_set")
-            && prev == "."
-            && next == Some("(")
-        {
-            db.functions[cur].adjacency.push(PatternSite {
-                what: format!("`.{}()`", t.text),
-                line,
-                exempt: test || a.allowed_at(line, "hot-path-adjacency"),
-                held,
-            });
-            return i + 1;
-        }
-
         // Blocking I/O: `fs::name(` / `File::name(` path calls. These are
         // recorded as blocking facts, never as call edges (resolving
         // `fs::read` by bare name would alias std into the workspace).
@@ -818,7 +721,7 @@ impl<'a> Walker<'a> {
             let qual = i.checked_sub(2).and_then(|q| toks.get(q));
             if let Some(q) = qual {
                 if q.text == "fs" || q.text == "File" {
-                    db.functions[cur].blocking.push(PatternSite {
+                    db.functions[cur].blocking.push(BlockingSite {
                         what: format!("`{}::{}`", q.text, t.text),
                         line,
                         exempt: test || a.allowed_at(line, "blocking-under-lock"),
@@ -1046,12 +949,15 @@ mod tests {
         let db = extract(&[file(src)]);
         let fmt = db.functions.iter().find(|f| f.name == "fmt");
         assert_eq!(fmt.map(|f| f.impl_type.clone()), Some(Some("Cache".into())));
-        assert_eq!(fmt.map(|f| f.in_trait_impl), Some(true));
+        assert_eq!(
+            fmt.map(|f| f.trait_name.clone()),
+            Some(Some("Debug".into()))
+        );
         let get = db.functions.iter().find(|f| f.name == "get");
         assert_eq!(
             get.map(|f| f.impl_type.clone()),
             Some(Some("Wrapper".into()))
         );
-        assert_eq!(get.map(|f| f.in_trait_impl), Some(false));
+        assert_eq!(get.map(|f| f.trait_name.clone()), Some(None));
     }
 }

@@ -1,7 +1,7 @@
 //! A minimal, dependency-free Rust lexer for the lint pass.
 //!
 //! The rules in [`crate::rules`] never need a full parse — they need to
-//! know, reliably, that a pattern like `.unwrap()` occurs in *code*
+//! know, reliably, that a pattern like `.lock()` occurs in *code*
 //! rather than inside a string literal or a comment, which function a
 //! token belongs to, and whether a region is `#[cfg(test)]`-gated. This
 //! module produces exactly that much structure:
@@ -12,8 +12,7 @@
 //! * a **token stream** over the sanitized text (identifiers, `::`, and
 //!   single punctuation characters) with a source line per token;
 //! * per-line **directives** harvested from comments — the
-//!   `// lint:allow(<rule>)` escape hatch and the `// PROVABLY:`
-//!   justification convention;
+//!   `// lint:allow(<rule>)` escape hatch;
 //! * **test-region** marking: every brace block introduced by a
 //!   `#[cfg(test)]` or `#[test]` attribute.
 //!
@@ -38,8 +37,6 @@ pub struct LineInfo {
     /// Rules named by `lint:allow(...)` directives in comments on this
     /// line.
     pub allows: Vec<String>,
-    /// Whether a `PROVABLY:` justification comment appears on this line.
-    pub provably: bool,
     /// Whether the line holds only comment text (no code) — directives on
     /// such lines extend downward to the next code line.
     pub comment_only: bool,
@@ -63,16 +60,7 @@ impl Analysis {
     /// the directive may sit on the line itself or on the contiguous run
     /// of comment-only lines immediately above it.
     pub fn allowed_at(&self, line: usize, rule: &str) -> bool {
-        self.directive_at(line, |info| info.allows.iter().any(|a| a == rule))
-    }
-
-    /// Whether a `PROVABLY:` justification covers `line` (same placement
-    /// rules as [`Analysis::allowed_at`]).
-    pub fn provably_at(&self, line: usize) -> bool {
-        self.directive_at(line, |info| info.provably)
-    }
-
-    fn directive_at(&self, line: usize, pred: impl Fn(&LineInfo) -> bool) -> bool {
+        let pred = |info: &LineInfo| info.allows.iter().any(|a| a == rule);
         if line >= self.lines.len() {
             return false;
         }
@@ -194,12 +182,9 @@ fn blank(out: &mut String, count: usize) {
     }
 }
 
-/// Pulls `lint:allow(a, b)` and `PROVABLY:` directives out of one
-/// comment's text into `info`.
+/// Pulls `lint:allow(a, b)` directives out of one comment's text into
+/// `info`.
 fn harvest(text: &str, info: &mut LineInfo) {
-    if text.contains("PROVABLY:") {
-        info.provably = true;
-    }
     let mut rest = text;
     while let Some(pos) = rest.find("lint:allow(") {
         rest = &rest[pos + "lint:allow(".len()..];
@@ -516,13 +501,12 @@ let y = 1; /* panic!() */ let z = 'a';
 
     #[test]
     fn directives_are_harvested() {
-        let src = "// lint:allow(no-panic, hot-path-alloc)\nlet x = 1;\n// PROVABLY: nonempty by the check above\nlet y = 2;\n";
+        let src = "// lint:allow(lock-order, blocking-under-lock)\nlet x = 1;\nlet y = 2;\n";
         let a = analyze(src);
-        assert!(a.allowed_at(1, "no-panic"));
-        assert!(a.allowed_at(1, "hot-path-alloc"));
-        assert!(!a.allowed_at(1, "lock-order"));
-        assert!(a.provably_at(3));
-        assert!(!a.provably_at(1));
+        assert!(a.allowed_at(1, "lock-order"));
+        assert!(a.allowed_at(1, "blocking-under-lock"));
+        assert!(!a.allowed_at(1, "condvar-discipline"));
+        assert!(!a.allowed_at(2, "lock-order"));
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! `mcc-lint`: the workspace's project-specific static-analysis pass.
 //!
-//! Clippy and rustc enforce language-level hygiene; this crate enforces
-//! *repo*-level invariants that no general-purpose tool knows about —
-//! the `*_in` zero-alloc hot-path convention, the lock-acquisition order
-//! across `engine`/`store`, and the `// PROVABLY:` justification
-//! protocol for panicking calls.
+//! Rustc and clippy enforce language-level hygiene, including the
+//! no-panic policy for library code; this crate checks only the
+//! concurrency invariants no compiler lint knows about — the
+//! lock-acquisition order across `engine`/`store`, no blocking work
+//! under a lock, and predicate loops around every `Condvar` wait.
 //!
-//! The pass runs in two phases. Per-file lexical rules work straight off
-//! the [`lexer`] token stream. The interprocedural rules build a
-//! [`facts::FactDb`] (per-function calls, lock acquisitions, panics,
-//! allocations, blocking I/O), resolve a workspace [`callgraph`], and
-//! run fixed-point [`propagate`] analyses on top — so `no-panic` and
-//! `hot-path-alloc` see through function boundaries, and `lock-order`/
-//! `blocking-under-lock`/`condvar-discipline` reason about what happens
-//! while a lock is held anywhere downstream.
+//! The pass builds a [`facts::FactDb`] from the [`lexer`] token stream
+//! (per-function calls, lock acquisitions, condvar waits, blocking I/O),
+//! resolves a workspace [`callgraph`], and runs fixed-point
+//! [`propagate`] analyses on top, so `lock-order`, `blocking-under-lock`
+//! and `condvar-discipline` reason about what happens while a lock is
+//! held anywhere downstream.
 //!
 //! The pass is intentionally lexical: it never typechecks and never
 //! needs the network, so it runs in milliseconds on a bare toolchain
@@ -21,7 +19,6 @@
 //! byte-deterministic in every format (see [`report`]).
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod callgraph;
 pub mod facts;
@@ -58,7 +55,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Per-file context handed to each rule.
+/// Per-file identity and scoping, read by fact extraction.
 pub struct FileCtx {
     /// Workspace-relative path, `/`-separated.
     pub rel_path: String,
@@ -69,18 +66,6 @@ pub struct FileCtx {
     pub is_binary: bool,
 }
 
-impl FileCtx {
-    /// Builds a diagnostic at 0-based `line` (stored 1-based).
-    pub fn diag(&self, line: usize, rule: &'static str, message: &str) -> Diagnostic {
-        Diagnostic {
-            file: self.rel_path.clone(),
-            line: line + 1,
-            rule,
-            message: message.to_string(),
-        }
-    }
-}
-
 /// One loaded source file: its context plus its lexical analysis.
 pub struct SourceFile {
     /// File identity and scoping.
@@ -89,7 +74,7 @@ pub struct SourceFile {
     pub analysis: lexer::Analysis,
 }
 
-/// The fully-analyzed workspace handed to interprocedural rules.
+/// The fully-analyzed workspace handed to every rule.
 pub struct Workspace {
     /// Every `crates/*/src` file, in sorted walk order.
     pub files: Vec<SourceFile>,
@@ -108,15 +93,6 @@ impl Workspace {
             .get(file)
             .is_some_and(|&i| self.files[i].analysis.allowed_at(line, rule))
     }
-}
-
-/// What to run and what to suppress.
-pub struct Config {
-    /// Directory containing the crate subdirectories (normally
-    /// `<workspace>/crates`).
-    pub crates_dir: PathBuf,
-    /// Rules disabled wholesale via `--allow`.
-    pub allow: BTreeSet<String>,
 }
 
 /// Loads every `crates/*/src/**/*.rs` file under `crates_dir`.
@@ -167,24 +143,15 @@ pub fn load_workspace(crates_dir: &Path) -> Result<Workspace, String> {
     })
 }
 
-/// Runs every enabled rule over the workspace under `config.crates_dir`.
+/// Runs every rule over the workspace under `crates_dir` (the directory
+/// holding the crate subdirectories, normally `<workspace>/crates`).
 /// Diagnostics come back sorted by (file, line, rule). I/O errors
 /// (unreadable dirs/files) are reported as `Err`.
-pub fn run(config: &Config) -> Result<Vec<Diagnostic>, String> {
-    let ws = load_workspace(&config.crates_dir)?;
+pub fn run(crates_dir: &Path) -> Result<Vec<Diagnostic>, String> {
+    let ws = load_workspace(crates_dir)?;
     let mut out = Vec::new();
     for rule in rules::RULES {
-        if config.allow.contains(rule.name) {
-            continue;
-        }
-        match rule.kind {
-            rules::RuleKind::File(f) => {
-                for sf in &ws.files {
-                    f(&sf.ctx, &sf.analysis, &mut out);
-                }
-            }
-            rules::RuleKind::Workspace(f) => f(&ws, &mut out),
-        }
+        (rule.check)(&ws, &mut out);
     }
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out.dedup();
@@ -331,12 +298,12 @@ mod tests {
         let d = Diagnostic {
             file: "crates/core/src/solver.rs".into(),
             line: 42,
-            rule: "no-panic",
+            rule: "lock-order",
             message: "boom".into(),
         };
         assert_eq!(
             d.to_string(),
-            "crates/core/src/solver.rs:42: [no-panic] boom"
+            "crates/core/src/solver.rs:42: [lock-order] boom"
         );
     }
 

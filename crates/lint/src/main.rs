@@ -1,23 +1,17 @@
 //! `mcc-lint` CLI — run the workspace static-analysis pass.
 //!
 //! ```text
-//! mcc-lint [--root DIR] [--allow RULE]... [--format text|json|sarif]
-//!          [--output FILE] [--baseline FILE] [--write-baseline FILE]
-//!          [--list-rules]
+//! mcc-lint [--root DIR] [--format text|json|sarif] [--output FILE] [--list-rules]
 //! ```
 //!
-//! With `--baseline`, diagnostics listed in the baseline file are
-//! accepted: they are excluded from the report and do not fail the run.
 //! `--format json|sarif` emits a byte-deterministic machine report (to
 //! stdout, or to `--output FILE`); the human summary goes to stderr.
 //!
-//! Exit codes: 0 clean (after baseline), 1 diagnostics reported, 2
-//! usage or I/O error.
+//! Exit codes: 0 clean, 1 diagnostics reported, 2 usage or I/O error.
 
-use std::collections::BTreeSet;
 use std::process::ExitCode;
 
-use mcc_lint::{report, resolve_root, rules, Config, Diagnostic};
+use mcc_lint::{report, resolve_root, rules, Diagnostic};
 
 /// Output format selection.
 enum Format {
@@ -26,13 +20,13 @@ enum Format {
     Sarif,
 }
 
+const USAGE: &str =
+    "mcc-lint [--root DIR] [--format text|json|sarif] [--output FILE] [--list-rules]";
+
 fn main() -> ExitCode {
     let mut root: Option<String> = None;
-    let mut allow: BTreeSet<String> = BTreeSet::new();
     let mut format = Format::Text;
     let mut output: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -45,15 +39,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(dir) => root = Some(dir),
                 None => return usage("--root requires a directory"),
-            },
-            "--allow" => match args.next() {
-                Some(rule) => {
-                    if !rules::RULES.iter().any(|r| r.name == rule) {
-                        return usage(&format!("unknown rule `{rule}` (see --list-rules)"));
-                    }
-                    allow.insert(rule);
-                }
-                None => return usage("--allow requires a rule name"),
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
@@ -68,20 +53,10 @@ fn main() -> ExitCode {
                 Some(path) => output = Some(path),
                 None => return usage("--output requires a file path"),
             },
-            "--baseline" => match args.next() {
-                Some(path) => baseline = Some(path),
-                None => return usage("--baseline requires a file path"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(path) => write_baseline = Some(path),
-                None => return usage("--write-baseline requires a file path"),
-            },
             "--help" | "-h" => {
                 println!(
-                    "mcc-lint [--root DIR] [--allow RULE]... [--format text|json|sarif]\n\
-                     \x20        [--output FILE] [--baseline FILE] [--write-baseline FILE]\n\
-                     \x20        [--list-rules]\n\
-                     Workspace static analysis: repo invariants as machine-checked rules."
+                    "{USAGE}\n\
+                     Workspace static analysis: repo concurrency invariants as machine-checked rules."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -90,51 +65,12 @@ fn main() -> ExitCode {
     }
 
     let root = resolve_root(root.as_deref());
-    let config = Config {
-        crates_dir: root.join("crates"),
-        allow,
-    };
-    let diags = match mcc_lint::run(&config) {
+    let diags = match mcc_lint::run(&root.join("crates")) {
         Ok(diags) => diags,
         Err(e) => {
             eprintln!("mcc-lint: error: {e}");
             return ExitCode::from(2);
         }
-    };
-
-    if let Some(path) = write_baseline {
-        let text = report::render_baseline(&diags);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("mcc-lint: error: writing {path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "mcc-lint: wrote {} baseline entr(ies) to {path}",
-            diags.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Apply the baseline: accepted diagnostics neither print nor fail.
-    let (diags, accepted) = match baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("mcc-lint: error: reading {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let set = match report::parse_baseline(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("mcc-lint: error: {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            report::apply_baseline(diags, &set)
-        }
-        None => (diags, Vec::new()),
     };
 
     let rendered = match format {
@@ -154,18 +90,13 @@ fn main() -> ExitCode {
         }
     }
 
-    summarize(&diags, accepted.len(), matches!(format, Format::Text))
+    summarize(&diags, matches!(format, Format::Text))
 }
 
 /// Prints the human-facing summary and picks the exit code.
-fn summarize(diags: &[Diagnostic], accepted: usize, text_mode: bool) -> ExitCode {
-    let note = if accepted > 0 {
-        format!(" ({accepted} baselined)")
-    } else {
-        String::new()
-    };
+fn summarize(diags: &[Diagnostic], text_mode: bool) -> ExitCode {
     if diags.is_empty() {
-        eprintln!("mcc-lint: clean ({} rules){note}", rules::RULES.len());
+        eprintln!("mcc-lint: clean ({} rules)", rules::RULES.len());
         return ExitCode::SUCCESS;
     }
     if text_mode {
@@ -173,15 +104,12 @@ fn summarize(diags: &[Diagnostic], accepted: usize, text_mode: bool) -> ExitCode
             eprintln!("{d}");
         }
     }
-    eprintln!("mcc-lint: {} violation(s){note}", diags.len());
+    eprintln!("mcc-lint: {} violation(s)", diags.len());
     ExitCode::FAILURE
 }
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("mcc-lint: {msg}");
-    eprintln!(
-        "usage: mcc-lint [--root DIR] [--allow RULE]... [--format text|json|sarif]\n\
-         \x20      [--output FILE] [--baseline FILE] [--write-baseline FILE] [--list-rules]"
-    );
+    eprintln!("usage: {USAGE}");
     ExitCode::from(2)
 }

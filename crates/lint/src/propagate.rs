@@ -1,16 +1,9 @@
-//! Fixed-point propagation over the call graph: the workspace-scoped
-//! rules.
+//! Fixed-point propagation over the call graph: the workspace rules.
 //!
-//! Four analyses run here, all deterministic (functions are visited in
+//! Three analyses run here, all deterministic (functions are visited in
 //! database order, which follows the sorted file walk; adjacency is
 //! sorted; lock sets are bitmasks):
 //!
-//! * **no-panic** — multi-source BFS from the panic roots (public
-//!   functions and trait-impl methods in non-test library code); every
-//!   non-exempt panicking construct in a reachable function is flagged
-//!   at its own line, with the root-to-site call chain in the message.
-//! * **hot-path-alloc** — same sweep from the `*_in` hot-path roots
-//!   over allocation sites.
 //! * **lock-order** — transitive lock sets per function (fixed point),
 //!   then an order graph: lock A → lock B when some function acquires
 //!   B — directly or through calls — while holding A. Any cycle is a
@@ -20,9 +13,8 @@
 //!   and artifact classification must not be reachable while any lock
 //!   is held: direct sites and call sites are both flagged, the latter
 //!   with the call path down to the I/O.
-//!
-//! `condvar-discipline` also lives here (it reads facts only): every
-//! `Condvar::wait`/`wait_timeout` must sit inside a predicate loop.
+//! * **condvar-discipline** — reads facts only: every
+//!   `Condvar::wait`/`wait_timeout` must sit inside a predicate loop.
 
 use std::collections::BTreeMap;
 
@@ -44,136 +36,6 @@ fn mask_of(lock: usize) -> LockMask {
 
 fn loc(f: &FnFact, line: usize) -> String {
     format!("{}:{}", f.file, line + 1)
-}
-
-/// Renders a root-to-site chain: `root (file:line) → mid (file:line) →
-/// leaf`, where each location is the call site in that function.
-fn render_chain(db: &FactDb, chain: &[(usize, Option<usize>)]) -> String {
-    let parts: Vec<String> = chain
-        .iter()
-        .map(|&(f, line)| {
-            let ff = &db.functions[f];
-            match line {
-                Some(l) => format!("{} ({})", ff.display(), loc(ff, l)),
-                None => ff.display(),
-            }
-        })
-        .collect();
-    parts.join(" → ")
-}
-
-/// Shared driver for the two reachability rules.
-///
-/// A `lint:allow(<rule>)` directive on a call line is a **chain-break**:
-/// the call edge is pruned from the sweep, so sites reachable only
-/// through that call are not flagged (used for `debug_assert!`-guarded
-/// certificate calls, which release builds compile out).
-fn flag_reachable(
-    ws: &Workspace,
-    roots: Vec<usize>,
-    rule: &'static str,
-    sites: impl Fn(&FnFact) -> Vec<(usize, String)>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let db = &ws.facts;
-    let reach = callgraph::reach_from_filtered(&ws.graph, &roots, |fi, e| {
-        ws.allowed_at(&db.functions[fi].file, e.line, rule)
-    });
-    for (fi, f) in db.functions.iter().enumerate() {
-        if reach[fi].is_none() {
-            continue;
-        }
-        for (line, base) in sites(f) {
-            let chain = callgraph::chain_to(&reach, fi);
-            let message = if chain.len() > 1 {
-                format!("{base}; call chain: {}", render_chain(db, &chain))
-            } else {
-                base
-            };
-            out.push(Diagnostic {
-                file: f.file.clone(),
-                line: line + 1,
-                rule,
-                message,
-            });
-        }
-    }
-}
-
-/// Transitive `no-panic`: panic sites reachable from public/trait-impl
-/// roots.
-pub fn no_panic(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let roots: Vec<usize> = ws
-        .facts
-        .functions
-        .iter()
-        .enumerate()
-        .filter(|(i, f)| ws.graph.included[*i] && (f.is_pub || f.in_trait_impl))
-        .map(|(i, _)| i)
-        .collect();
-    flag_reachable(
-        ws,
-        roots,
-        "no-panic",
-        |f| {
-            f.panics
-                .iter()
-                .filter(|s| !s.exempt)
-                .map(|s| {
-                    (
-                        s.line,
-                        format!(
-                            "{} in non-test library code without a // PROVABLY: justification",
-                            s.what
-                        ),
-                    )
-                })
-                .collect()
-        },
-        out,
-    );
-}
-
-/// Transitive `hot-path-alloc`: allocation sites reachable from `*_in`
-/// hot-path roots.
-///
-/// A `lint:allow(hot-path-alloc)` directive on the `fn` declaration line
-/// (or its comment run) opts the function **out of the root set** — for
-/// `*_in` functions whose suffix means "reuses a caller's workspace"
-/// rather than "allocation-free steady state" (e.g. one-time artifact
-/// constructors). Its allocation sites are still flagged when reached
-/// from a genuine hot root.
-pub fn hot_path_alloc(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let roots: Vec<usize> = ws
-        .facts
-        .functions
-        .iter()
-        .enumerate()
-        .filter(|(i, f)| {
-            ws.graph.included[*i]
-                && f.name.ends_with("_in")
-                && !ws.allowed_at(&f.file, f.line, "hot-path-alloc")
-        })
-        .map(|(i, _)| i)
-        .collect();
-    flag_reachable(
-        ws,
-        roots,
-        "hot-path-alloc",
-        |f| {
-            f.allocs
-                .iter()
-                .filter(|s| !s.exempt)
-                .map(|s| {
-                    (
-                        s.line,
-                        format!("{} allocates inside a `*_in` zero-alloc hot path", s.what),
-                    )
-                })
-                .collect()
-        },
-        out,
-    );
 }
 
 /// `condvar-discipline`: every wait sits inside a predicate loop.

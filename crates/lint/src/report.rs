@@ -1,16 +1,10 @@
 //! Machine-readable reporting: byte-deterministic JSON and SARIF 2.1.0
-//! writers, and the checked-in baseline format.
+//! writers.
 //!
 //! Determinism is load-bearing: CI archives the SARIF artifact and the
 //! golden tests pin both formats byte-for-byte, so the writers are
 //! hand-rolled (no dependency, no map-iteration-order hazards — the
 //! diagnostic list arrives already sorted by (file, line, rule)).
-//!
-//! The baseline file lets a new rule adopt incrementally: one line per
-//! accepted diagnostic, `file:line: [rule]` (messages are excluded so
-//! wording changes don't churn the baseline), `#` comments ignored.
-
-use std::collections::BTreeSet;
 
 use crate::rules::RULES;
 use crate::Diagnostic;
@@ -108,63 +102,6 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// One baseline entry: an accepted diagnostic location.
-pub type BaselineEntry = (String, usize, String);
-
-/// Parses a baseline file body into its entry set. Lines are
-/// `file:line: [rule]`; blank lines and `#` comments are skipped;
-/// malformed lines are reported as errors (a silently dropped entry
-/// would un-suppress a finding).
-pub fn parse_baseline(text: &str) -> Result<BTreeSet<BaselineEntry>, String> {
-    let mut set = BTreeSet::new();
-    for (n, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parsed = (|| {
-            let open = line.find('[')?;
-            let close = line.rfind(']')?;
-            let rule = line.get(open + 1..close)?.to_string();
-            let head = line.get(..open)?.trim().trim_end_matches(':').trim();
-            let colon = head.rfind(':')?;
-            let file = head.get(..colon)?.to_string();
-            let lineno: usize = head.get(colon + 1..)?.parse().ok()?;
-            Some((file, lineno, rule))
-        })();
-        match parsed {
-            Some(entry) => {
-                set.insert(entry);
-            }
-            None => return Err(format!("baseline line {}: malformed entry `{raw}`", n + 1)),
-        }
-    }
-    Ok(set)
-}
-
-/// Renders diagnostics in baseline format (for `--write-baseline`).
-pub fn render_baseline(diags: &[Diagnostic]) -> String {
-    let mut out = String::from(
-        "# mcc-lint baseline: accepted diagnostics, one `file:line: [rule]` per line.\n\
-         # Regenerate with `cargo run -p mcc-lint -- --write-baseline lint-baseline.txt`.\n\
-         # The goal state is an empty list: fix or justify, don't accumulate.\n",
-    );
-    for d in diags {
-        out.push_str(&format!("{}:{}: [{}]\n", d.file, d.line, d.rule));
-    }
-    out
-}
-
-/// Splits diagnostics into (new, baselined) against a baseline set.
-pub fn apply_baseline(
-    diags: Vec<Diagnostic>,
-    baseline: &BTreeSet<BaselineEntry>,
-) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-    diags
-        .into_iter()
-        .partition(|d| !baseline.contains(&(d.file.clone(), d.line, d.rule.to_string())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +117,7 @@ mod tests {
 
     #[test]
     fn json_escapes_and_counts() {
-        let d = vec![diag("a.rs", 3, "no-panic", "say \"hi\"\nthere")];
+        let d = vec![diag("a.rs", 3, "lock-order", "say \"hi\"\nthere")];
         let j = to_json(&d);
         assert!(j.contains("\\\"hi\\\"\\nthere"));
         assert!(j.contains("\"count\": 1"));
@@ -188,30 +125,10 @@ mod tests {
 
     #[test]
     fn sarif_lists_all_rules_and_results() {
-        let d = vec![diag("a.rs", 3, "no-panic", "m")];
+        let d = vec![diag("a.rs", 3, "condvar-discipline", "m")];
         let s = to_sarif(&d);
         assert!(s.contains("\"version\": \"2.1.0\""));
         assert!(s.contains("\"id\": \"lock-order\""));
         assert!(s.contains("\"startLine\": 3"));
-    }
-
-    #[test]
-    fn baseline_round_trips() {
-        let d = vec![
-            diag("crates/a/src/lib.rs", 10, "no-panic", "m"),
-            diag("crates/b/src/lib.rs", 2, "lock-order", "m"),
-        ];
-        let text = render_baseline(&d);
-        let set = parse_baseline(&text).unwrap_or_default();
-        assert_eq!(set.len(), 2);
-        let (new, old) = apply_baseline(d, &set);
-        assert!(new.is_empty());
-        assert_eq!(old.len(), 2);
-    }
-
-    #[test]
-    fn malformed_baseline_lines_are_errors() {
-        assert!(parse_baseline("not an entry\n").is_err());
-        assert!(parse_baseline("# comment\n\n").is_ok());
     }
 }

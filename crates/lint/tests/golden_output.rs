@@ -1,9 +1,8 @@
 //! Machine-readable output is a CI interface: these tests pin the JSON
 //! and SARIF bytes for the fixture tree against checked-in golden files,
-//! prove the writers are deterministic across runs, round-trip the
-//! baseline format end to end, and self-host the linter — the real
-//! workspace's `crates/lint` must come out clean without a single
-//! `lint:allow` directive in its sources.
+//! prove the writers are deterministic across runs, and self-host the
+//! linter — the real workspace's `crates/lint` must come out clean
+//! without a single `lint:allow` directive in its sources.
 //!
 //! Regenerate the goldens after an intentional format or fixture change:
 //!
@@ -14,24 +13,19 @@
 //!     --format sarif --output crates/lint/tests/golden/fixtures.sarif
 //! ```
 
-use mcc_lint::{report, run, Config, Diagnostic};
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+use mcc_lint::{report, run, Diagnostic};
+use std::path::{Path, PathBuf};
 
 fn manifest_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-fn run_tree(crates_dir: PathBuf) -> Vec<Diagnostic> {
-    let config = Config {
-        crates_dir,
-        allow: BTreeSet::new(),
-    };
-    run(&config).expect("crate tree is readable")
+fn run_tree(crates_dir: &Path) -> Vec<Diagnostic> {
+    run(crates_dir).expect("crate tree is readable")
 }
 
 fn run_fixtures() -> Vec<Diagnostic> {
-    run_tree(manifest_dir().join("tests/fixtures/crates"))
+    run_tree(&manifest_dir().join("tests/fixtures/crates"))
 }
 
 /// The real workspace's `crates/` directory — `crates/lint` is two
@@ -81,45 +75,13 @@ fn sarif_output_matches_the_checked_in_golden() {
     );
 }
 
-#[test]
-fn baseline_round_trip_suppresses_every_fixture_diagnostic() {
-    let diags = run_fixtures();
-    let total = diags.len();
-    assert!(total > 0, "fixture tree must seed violations");
-    let rendered = report::render_baseline(&diags);
-    let accepted = report::parse_baseline(&rendered).expect("rendered baseline parses back");
-    let (new, baselined) = report::apply_baseline(diags, &accepted);
-    assert!(
-        new.is_empty(),
-        "a freshly written baseline must accept its own diagnostics; \
-         leaked: {new:?}"
-    );
-    assert_eq!(baselined.len(), total);
-}
-
-#[test]
-fn the_checked_in_workspace_baseline_is_empty_and_parses() {
-    let path = workspace_crates_dir()
-        .parent()
-        .expect("workspace root")
-        .join("lint-baseline.txt");
-    let text = std::fs::read_to_string(path).expect("lint-baseline.txt is checked in");
-    let accepted = report::parse_baseline(&text).expect("workspace baseline parses");
-    assert!(
-        accepted.is_empty(),
-        "the workspace baseline's goal state is an empty list — new \
-         violations should be fixed or lint:allow'd with a reason, not \
-         baselined: {accepted:?}"
-    );
-}
-
 /// Self-hosting: the linter passes over its own crate with **zero**
 /// allows — no diagnostic anchored under `crates/lint/`, and no
 /// `lint:allow` directive anywhere in its sources (doc comments may
 /// *mention* the directive; none may *be* one).
 #[test]
 fn lint_crate_self_hosts_with_zero_allows() {
-    let diags = run_tree(workspace_crates_dir());
+    let diags = run_tree(&workspace_crates_dir());
     let own: Vec<&Diagnostic> = diags
         .iter()
         .filter(|d| d.file.starts_with("crates/lint/"))
@@ -146,10 +108,10 @@ fn lint_crate_self_hosts_with_zero_allows() {
 
 /// The deadlock detector's most important property on the real tree:
 /// the workspace lock-acquisition graph is acyclic. A cycle here is a
-/// potential deadlock and must be re-ordered, never baselined.
+/// potential deadlock and must be re-ordered, never waived.
 #[test]
 fn real_workspace_has_no_lock_order_cycles() {
-    let diags = run_tree(workspace_crates_dir());
+    let diags = run_tree(&workspace_crates_dir());
     let cycles: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "lock-order").collect();
     assert!(
         cycles.is_empty(),

@@ -30,9 +30,10 @@ pub trait Clock: Send + Sync {
 pub struct MonotonicClock;
 
 impl Clock for MonotonicClock {
-    // The telemetry clock seam itself: every span, queue-wait and
-    // per-class histogram derives its timing from this read.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the telemetry clock seam itself: every span, queue-wait and per-class histogram derives its timing from this read"
+    )]
     fn now_nanos(&self) -> u64 {
         use std::time::Instant;
         static EPOCH: OnceLock<Instant> = OnceLock::new();

@@ -40,14 +40,16 @@
 //! switch.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 // `const Z: AtomicU64 = AtomicU64::new(0); [Z; N]` is the array-repetition
 // idiom this crate uses to `const`-construct its atomic arrays (required
 // for the registry to live in `static` position). Each such const is a
 // zero template consumed immediately by one repeat expression — never a
 // shared constant anyone reads through — so the lint's footgun (silently
 // copying an atomic) cannot arise.
-#![allow(clippy::declare_interior_mutable_const)]
+#![allow(
+    clippy::declare_interior_mutable_const,
+    reason = "each atomic const is a zero template for one array-repeat expression"
+)]
 
 /// The workspace's clock seam: the monotonic default and the test clock.
 pub mod clock;

@@ -46,9 +46,15 @@ impl CspcGadget {
         let mut arc_nodes = Vec::with_capacity(arcs.len());
         for (i, &(a, c)) in arcs.iter().enumerate() {
             let u = b.add_node(format!("a{}", i + 1));
-            // PROVABLY: `a` is a node id of the embedded source graph.
+            #[expect(
+                clippy::expect_used,
+                reason = "`a` is a node id of the embedded source graph"
+            )]
             b.add_edge(u, a).expect("source ids valid");
-            // PROVABLY: `c` is a node id of the embedded source graph.
+            #[expect(
+                clippy::expect_used,
+                reason = "`c` is a node id of the embedded source graph"
+            )]
             b.add_edge(u, c).expect("source ids valid");
             arc_nodes.push(u);
         }
@@ -56,7 +62,10 @@ impl CspcGadget {
         let side: Vec<Side> = (0..g.node_count())
             .map(|i| if i < n { Side::V1 } else { Side::V2 })
             .collect();
-        // PROVABLY: arc nodes connect only to source nodes, so the incidence graph is bipartite.
+        #[expect(
+            clippy::expect_used,
+            reason = "arc nodes connect only to source nodes, so the incidence graph is bipartite"
+        )]
         let graph = BipartiteGraph::new(g, side).expect("incidence graphs are bipartite");
         CspcGadget {
             source: source.clone(),

@@ -101,7 +101,10 @@ pub struct Lemma1Ordering {
 pub fn lemma1_ordering(bg: &BipartiteGraph) -> Option<Lemma1Ordering> {
     let _span = mcc_obs::span!(Lemma1Order);
     let cleaned = drop_isolated_v2(bg);
-    // PROVABLY: `h1_of_bipartite` fails only on isolated V2 nodes, just dropped.
+    #[expect(
+        clippy::expect_used,
+        reason = "`h1_of_bipartite` fails only on isolated V2 nodes, just dropped"
+    )]
     let (h1, _node_map, edge_map) = h1_of_bipartite(&cleaned).expect("isolated V2 nodes dropped");
     let jt = running_intersection_ordering(&h1)?;
     // Edge ids of H¹ → V2 node ids in `cleaned` → ids in `bg`. The
@@ -112,15 +115,11 @@ pub fn lemma1_ordering(bg: &BipartiteGraph) -> Option<Lemma1Ordering> {
         .order
         .iter()
         .map(|e| cleaned_to_orig[edge_map[e.index()].index()])
-        // lint:allow(hot-path-alloc): the ordering is the returned
-        // certificate — built once per schema, cached in the artifacts.
         .collect();
     order.reverse();
     // Certificate (debug builds only): the reversed RIP ordering must
     // satisfy the two Lemma 1 properties it was constructed to provide.
     debug_assert!(
-        // lint:allow(hot-path-alloc): debug-only certificate — this
-        // call is compiled out of release hot paths.
         check_lemma1_order(bg, &order),
         "reversed running-intersection ordering fails the Lemma 1 certificate"
     );
@@ -197,7 +196,10 @@ pub fn algorithm1_in(
         Ok(out) => Ok(out),
         Err(SolveError::Disconnected) => Err(Algorithm1Error::Infeasible),
         Err(SolveError::NotAlphaAcyclic) => Err(Algorithm1Error::NotAlphaAcyclic),
-        // lint:allow(no-panic): unbudgeted wrapper -- the unlimited budget cannot be exceeded, so residual errors are internal bugs; `algorithm1_budgeted_in` is the production path.
+        #[expect(
+            clippy::panic,
+            reason = "unbudgeted wrapper: the unlimited budget cannot be exceeded, so residual errors are internal bugs; `algorithm1_budgeted_in` is the production path"
+        )]
         Err(e) => panic!("unbudgeted Algorithm 1 failed: {e}"),
     }
 }
@@ -337,10 +339,9 @@ fn algorithm1_run<'o>(
     // here from H¹'s join tree (see `lemma1_ordering`).
     let ordering: Cow<'o, [NodeId]> = match precomputed {
         Some(order) => Cow::Borrowed(order),
-        // lint:allow(hot-path-alloc): the cold-path fallback — Step 1
-        // derives the ordering (building H¹ and its join tree, which
-        // are returned certificates, not scratch) only when the schema
-        // has no cached artifacts; warm solves take the arm above.
+        // The cold-path fallback: Step 1 derives the ordering (building
+        // H¹ and its join tree) only when the schema has no cached
+        // artifacts; warm solves take the arm above.
         None => match lemma1_ordering(bg) {
             Some(l1) => Cow::Owned(l1.order),
             None => {
@@ -406,8 +407,6 @@ fn algorithm1_run<'o>(
     // connected, nodes drawn from the trimmed alive set.
     debug_assert!(
         n > crate::certify::CHECK_STEINER_MAX_NODES
-            // lint:allow(hot-path-alloc): debug-only certificate —
-            // this call is compiled out of release hot paths.
             || crate::certify::check_steiner_solution(g, &trimmed, terminals, &tree),
         "Algorithm 1 produced a tree failing its own certificate"
     );
@@ -490,8 +489,6 @@ fn cleaned_id_map(bg: &BipartiteGraph, cleaned: &BipartiteGraph) -> Vec<NodeId> 
     let kept: Vec<NodeId> = g
         .nodes()
         .filter(|&v| bg.side(v) == Side::V1 || g.degree(v) > 0)
-        // lint:allow(hot-path-alloc): the id translation is the
-        // function's result, derived once per ordering construction.
         .collect();
     debug_assert_eq!(kept.len(), cleaned.graph().node_count());
     kept

@@ -123,7 +123,10 @@ pub fn algorithm2_with_order_in(
     match algorithm2_budgeted_in(ws, g, terminals, order, &budget, &token) {
         Ok(tree) => Some(tree),
         Err(SolveError::Disconnected) => None,
-        // lint:allow(no-panic): unbudgeted wrapper -- residual errors are internal bugs; `algorithm2_budgeted_in` is the production path.
+        #[expect(
+            clippy::panic,
+            reason = "unbudgeted wrapper: residual errors are internal bugs; `algorithm2_budgeted_in` is the production path"
+        )]
         Err(e) => panic!("unbudgeted Algorithm 2 failed: {e}"),
     }
 }
@@ -181,8 +184,6 @@ pub fn algorithm2_budgeted_in(
     if let Some(t) = &tree {
         debug_assert!(
             n > crate::certify::CHECK_STEINER_MAX_NODES
-                // lint:allow(hot-path-alloc): debug-only certificate —
-                // this call is compiled out of release hot paths.
                 || crate::certify::check_steiner_solution(g, &trimmed, terminals, t),
             "Algorithm 2 produced a tree failing its own certificate"
         );

@@ -110,7 +110,10 @@ pub fn steiner_exact_node_weighted(
     match steiner_exact_node_weighted_budgeted(g, terminals, weights, &budget, &token) {
         Ok(sol) => Some(sol),
         Err(SolveError::Disconnected) => None,
-        // lint:allow(no-panic): unbudgeted wrapper -- residual errors are internal bugs; the budgeted twin is the production path.
+        #[expect(
+            clippy::panic,
+            reason = "unbudgeted wrapper: residual errors are internal bugs; the budgeted twin is the production path"
+        )]
         Err(e) => panic!("unbudgeted exact solve failed: {e}"),
     }
 }

@@ -35,7 +35,10 @@ pub fn steiner_exact_ids(g: &Graph, terminals: &NodeSet) -> Option<ExactSolution
     match steiner_exact_ids_budgeted(g, terminals, &budget, &token) {
         Ok(sol) => Some(sol),
         Err(SolveError::Disconnected) => None,
-        // lint:allow(no-panic): unbudgeted wrapper -- residual errors are internal bugs; the budgeted twin is the production path.
+        #[expect(
+            clippy::panic,
+            reason = "unbudgeted wrapper: residual errors are internal bugs; the budgeted twin is the production path"
+        )]
         Err(e) => panic!("unbudgeted iterative-deepening solve failed: {e}"),
     }
 }
@@ -63,7 +66,7 @@ pub fn steiner_exact_ids_budgeted(
             cost: 0,
         });
     }
-    // PROVABLY: the empty-terminal case returned above.
+    #[expect(clippy::expect_used, reason = "the empty-terminal case returned above")]
     let root = terminals.first().expect("nonempty");
     let full = NodeSet::full(n);
     // Feasibility + lower bound: every terminal must be reachable, and a

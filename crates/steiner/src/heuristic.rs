@@ -24,7 +24,10 @@ pub fn steiner_kmb(g: &Graph, terminals: &NodeSet) -> Option<SteinerTree> {
     match steiner_kmb_budgeted(g, terminals, &budget, &token) {
         Ok(tree) => Some(tree),
         Err(SolveError::Disconnected) => None,
-        // lint:allow(no-panic): unbudgeted wrapper -- residual errors are internal bugs; the budgeted twin is the production path.
+        #[expect(
+            clippy::panic,
+            reason = "unbudgeted wrapper: residual errors are internal bugs; the budgeted twin is the production path"
+        )]
         Err(e) => panic!("unbudgeted KMB heuristic failed: {e}"),
     }
 }
@@ -108,10 +111,13 @@ pub fn steiner_kmb_budgeted(
     // union keeps this cheap), then span.
     let order: Vec<NodeId> = union.to_vec();
     let sub = restrict_graph(g, &union);
+    #[expect(
+        clippy::expect_used,
+        reason = "terminals seeded the union, so each has a mapping in the subgraph"
+    )]
     let local_terminals = NodeSet::from_nodes(
         sub.graph.node_count(),
         ts.iter()
-            // PROVABLY: terminals seeded the union, so each has a mapping in the subgraph.
             .map(|&t| sub.from_parent[t.index()].expect("terminal in union")),
     );
     let local_order: Vec<NodeId> = (0..order.len()).map(NodeId::from_index).collect();

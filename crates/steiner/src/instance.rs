@@ -32,7 +32,10 @@ impl SteinerInstance {
         if self.terminals.is_empty() {
             return true;
         }
-        // PROVABLY: the empty-terminal case returned `true` above.
+        #[expect(
+            clippy::expect_used,
+            reason = "the empty-terminal case returned `true` above"
+        )]
         let start = self.terminals.first().expect("nonempty");
         let comp = mcc_graph::connectivity::component_of(
             &self.graph,
@@ -89,7 +92,10 @@ impl SteinerTree {
             builder.add_node("");
         }
         for &(a, b) in &self.edges {
-            // PROVABLY: edge endpoints were range-checked above.
+            #[expect(
+                clippy::expect_used,
+                reason = "edge endpoints were range-checked above"
+            )]
             builder.add_edge(a, b).expect("checked above");
         }
         let skeleton = builder.build();

@@ -38,7 +38,6 @@
 //!   Exact → KMB degradation ladder and a panic boundary.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod algorithm1;
 pub mod algorithm2;

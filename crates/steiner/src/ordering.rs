@@ -61,8 +61,11 @@ pub fn find_bad_terminal_set(g: &Graph, order: &[NodeId]) -> Option<NodeSet> {
         let Some(got) = eliminate_with_ordering(g, order, &terminals) else {
             continue;
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "feasibility was established above, so a minimum cover exists"
+        )]
         let min =
-            // PROVABLY: feasibility was established above, so a minimum cover exists.
             minimum_cover_bruteforce(g, &terminals).expect("feasible set has a minimum cover");
         if got.len() != min.len() {
             return Some(terminals);

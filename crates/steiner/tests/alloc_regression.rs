@@ -1,5 +1,6 @@
 //! Allocation regression tests for Algorithm 2's elimination loop, the
-//! solver's warm Algorithm 1 route and the exact DP.
+//! solver's warm Algorithm 1 and Algorithm 2 routes, the Theorem 1
+//! recognizers and the exact DP.
 //!
 //! The whole point of the workspace refactor is that Step 1 of
 //! Algorithm 2 — one block pass, then `O(|V|)` candidates settled by it
@@ -398,6 +399,61 @@ fn warm_solve_pseudo_allocates_only_its_result() {
         assert_eq!(
             allocs, result_allocs,
             "warm solve_pseudo allocated beyond its result tree ({num_edges} relations)"
+        );
+    }
+}
+
+/// A warm `Solver::solve_steiner` on Algorithm 2's route allocates
+/// exactly what building its result tree allocates, whatever the schema
+/// size: the cached elimination order is borrowed, and the elimination
+/// loop runs on the solver's warm workspace. Each solver is warmed by one
+/// solve first (the workspace grows to the schema).
+///
+/// Debug builds also run the route's tree certificate, whose graph
+/// rebuild allocates in proportion to the tree; the same certificate is
+/// measured on the returned tree and subtracted, so the pin holds in both
+/// build profiles.
+#[test]
+fn warm_solve_steiner_allocates_only_its_result() {
+    use mcc_gen::block_tree::{random_six_two_block_tree, BlockTreeShape};
+    use mcc_gen::random_terminals;
+    use mcc_steiner::{
+        check_steiner_solution, Solver, SteinerStrategy, SteinerTree, CHECK_STEINER_MAX_NODES,
+    };
+
+    for blocks in [2, 6, 20, 60, 150] {
+        let shape = BlockTreeShape {
+            blocks,
+            ..BlockTreeShape::default()
+        };
+        let bg = random_six_two_block_tree(shape, 3);
+        let terminals = random_terminals(bg.graph(), None, 4, 5);
+        let solver = Solver::new(bg);
+        let warm = solver.solve_steiner(&terminals).expect("connected");
+        assert_eq!(warm.strategy, SteinerStrategy::Algorithm2);
+
+        let before = allocation_count();
+        let sol = solver.solve_steiner(&terminals).expect("connected");
+        let mut allocs = allocation_count() - before;
+        assert_eq!(sol.tree, warm.tree);
+        let g = solver.graph().graph();
+        if cfg!(debug_assertions) && g.node_count() <= CHECK_STEINER_MAX_NODES {
+            let before = allocation_count();
+            assert!(check_steiner_solution(
+                g,
+                &sol.tree.nodes,
+                &terminals,
+                &sol.tree
+            ));
+            allocs -= allocation_count() - before;
+        }
+        let before = allocation_count();
+        let result = SteinerTree::from_cover(g, &sol.tree.nodes);
+        let result_allocs = allocation_count() - before;
+        assert_eq!(result.as_ref(), Some(&sol.tree));
+        assert_eq!(
+            allocs, result_allocs,
+            "warm solve_steiner allocated beyond its result tree ({blocks} blocks)"
         );
     }
 }

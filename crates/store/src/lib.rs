@@ -47,7 +47,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod crc;
 /// The versioned, checksummed on-disk representation.
