@@ -7,6 +7,7 @@ use crate::{
     is_vi_chordal_in, is_vi_conformal_in,
 };
 use mcc_graph::{BipartiteGraph, Side, Workspace};
+use mcc_hypergraph::AcyclicityDegree;
 use std::fmt;
 
 /// Membership of a bipartite graph in each of the paper's classes, plus
@@ -37,6 +38,24 @@ impl BipartiteClassification {
     /// relations = `V2`) is α-acyclic.
     pub fn h1_alpha_acyclic(&self) -> bool {
         self.v2_chordal && self.v2_conformal
+    }
+
+    /// The acyclicity degree of `H¹_G`, read off the graph-side classes by
+    /// Theorem 1 (i)–(iii) and (v): the strongest class that holds names
+    /// the degree. [`AcyclicityDegree::of`] derives the same answer on the
+    /// hypergraph itself and stays as the test oracle.
+    pub fn h1_degree(&self) -> AcyclicityDegree {
+        if self.four_one {
+            AcyclicityDegree::Berge
+        } else if self.six_two {
+            AcyclicityDegree::Gamma
+        } else if self.six_one {
+            AcyclicityDegree::Beta
+        } else if self.h1_alpha_acyclic() {
+            AcyclicityDegree::Alpha
+        } else {
+            AcyclicityDegree::Cyclic
+        }
     }
 
     /// `H²_G` is α-acyclic ⟺ V₁-chordal ∧ V₁-conformal (Theorem 1(vi)).

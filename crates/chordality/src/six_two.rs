@@ -50,11 +50,6 @@ pub fn is_six_two_chordal_in(ws: &mut Workspace, bg: &BipartiteGraph) -> bool {
     is_chordal_bipartite_in(ws, bg.graph()) && sparse_six_cycle_in(ws, bg).is_none()
 }
 
-/// `true` iff some 6-cycle of `bg` has at most one chord.
-pub fn has_sparse_six_cycle(bg: &BipartiteGraph) -> bool {
-    find_sparse_six_cycle(bg).is_some()
-}
-
 /// Finds a concrete 6-cycle with at most one chord, as its node sequence
 /// `x₁ y₁₂ x₂ y₂₃ x₃ y₃₁` — the violation witness behind a negative
 /// (6,2) verdict. `None` when every 6-cycle has ≥ 2 chords.
@@ -225,7 +220,7 @@ mod tests {
         e.push((1, 4));
         let bg = bipartite(6, &e);
         assert!(crate::is_chordal_bipartite(bg.graph()));
-        assert!(has_sparse_six_cycle(&bg));
+        assert!(find_sparse_six_cycle(&bg).is_some());
         assert!(!is_six_two_chordal(&bg));
         // Two chords: (6,2) — Fig. 3(b) shape.
         e.push((0, 3));
@@ -251,7 +246,7 @@ mod tests {
         }
         let bg = bipartite(6, &edges);
         assert!(is_six_two_chordal(&bg));
-        assert!(!has_sparse_six_cycle(&bg));
+        assert!(find_sparse_six_cycle(&bg).is_none());
     }
 
     #[test]

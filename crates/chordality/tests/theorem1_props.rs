@@ -7,6 +7,13 @@
 //! points, γ-triples, GYO/MCS) are implemented independently, each
 //! equivalence below is a genuine check of the theorem, not a tautology.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_chordality::{
     chordal_bipartite::drop_isolated_v2, classify_bipartite, is_chordal_bipartite, is_forest,
     is_mn_chordal_bruteforce, is_six_two_chordal, is_six_two_chordal_bruteforce, is_vi_chordal,

@@ -11,6 +11,13 @@
 //! Algorithm 2 node cost. Any divergence is a word-parallel fast path
 //! disagreeing with the reference CSR semantics.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc::chordality::classify_bipartite;
 use mcc::gen::{random_bipartite, random_terminals};
 use mcc::graph::{BipartiteGraph, Graph};

@@ -58,13 +58,17 @@ impl fmt::Display for SchemaReport {
 }
 
 /// Audits a relational schema.
+///
+/// The acyclicity degree comes from the graph-side classification by
+/// Theorem 1 ([`BipartiteClassification::h1_degree`]); the schema
+/// hypergraph is built only when a cyclic schema needs a repair.
 pub fn audit_relational(schema: &RelationalSchema) -> Result<SchemaReport, RelationalSchemaError> {
-    let h = schema.to_hypergraph()?;
-    let bg = schema.to_bipartite()?;
-    let degree = AcyclicityDegree::of(&h);
+    let classification = classify_bipartite(&schema.to_bipartite()?);
+    let degree = classification.h1_degree();
     let repair_suggestion = if degree >= AcyclicityDegree::Alpha {
         vec![]
     } else {
+        let h = schema.to_hypergraph()?;
         suggest_alpha_repair(&h)
             .new_edges
             .iter()
@@ -73,7 +77,7 @@ pub fn audit_relational(schema: &RelationalSchema) -> Result<SchemaReport, Relat
     };
     Ok(SchemaReport {
         schema: schema.name.clone(),
-        classification: classify_bipartite(&bg),
+        classification,
         degree,
         repair_suggestion,
     })

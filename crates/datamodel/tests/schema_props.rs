@@ -1,6 +1,13 @@
 //! Property tests for the data-model layer: DSL round trips, audit
 //! consistency, and query-engine soundness on random schemas.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_datamodel::relational::Relation;
 use mcc_datamodel::{
     audit_relational, parse_schema, render_schema, QueryEngine, QueryError, RelationalSchema,
@@ -113,6 +120,15 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The audit's degree, read off the bipartite classes by Theorem 1,
+    /// equals the one the hypergraph-side recognizers derive.
+    #[test]
+    fn audit_degree_matches_the_hypergraph_oracle(schema in small_schema()) {
+        let report = audit_relational(&schema).expect("valid");
+        let h = schema.to_hypergraph().expect("valid");
+        prop_assert_eq!(report.degree, AcyclicityDegree::of(&h));
     }
 
     /// Repair suggestions always work: applying them yields an α-acyclic

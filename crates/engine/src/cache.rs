@@ -300,20 +300,6 @@ impl SchemaArtifactCache {
         }
     }
 
-    /// Credits `extra` additional **hits** without performing lookups.
-    ///
-    /// The engine's batched serving path fetches a group's artifacts
-    /// once (one real lookup) and serves every member off that bundle;
-    /// crediting the remaining members here keeps the external invariant
-    /// that warm requests and cache hits stay in one-to-one
-    /// correspondence whether or not they were batched.
-    pub fn record_batch_hits(&self, extra: u64) {
-        if extra == 0 {
-            return;
-        }
-        self.hits.fetch_add(extra, Ordering::Relaxed);
-    }
-
     /// The schema behind `id`, if registered.
     pub fn schema(&self, id: SchemaId) -> Option<Arc<RelationalSchema>> {
         let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);

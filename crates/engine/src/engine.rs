@@ -47,7 +47,7 @@
 //! which would then see it): the holder re-locks after the push and
 //! finds the job. Every other wakeup is a predicate loop under the lock.
 
-use crate::cache::{CachedArtifacts, SchemaArtifactCache, SchemaId};
+use crate::cache::{SchemaArtifactCache, SchemaId};
 use crate::request::{
     backoff, reply_slot, EngineError, QueryKind, QueryRequest, Rejected, Reply, Response, Ticket,
 };
@@ -95,15 +95,7 @@ impl EngineConfig {
     }
 }
 
-/// One unit of queued work: a lone request, or a same-schema group
-/// admitted together. A group occupies **one** queue slot and is served
-/// off a single artifact fetch and solver revalidation at pickup —
-/// that is the amortization [`Engine::submit_batch`] buys.
-enum Job {
-    Single(SingleJob),
-    Batch(BatchJob),
-}
-
+/// One admitted request and the slot its answer goes back in.
 struct SingleJob {
     request: QueryRequest,
     reply: Reply,
@@ -113,21 +105,8 @@ struct SingleJob {
     enqueued_nanos: u64,
 }
 
-/// One admitted request and the slot its answer goes back in.
-type BatchMember = (QueryRequest, Reply);
-
-struct BatchJob {
-    /// The schema every member shares (structurally equal schemas share
-    /// one id — the cache dedups by fingerprint at registration, so
-    /// grouping by id *is* grouping by fingerprint).
-    schema: SchemaId,
-    /// Members in submission order, each with its reply slot.
-    members: Vec<BatchMember>,
-    enqueued_nanos: u64,
-}
-
 struct QueueState {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<SingleJob>,
     shutdown: bool,
 }
 
@@ -153,19 +132,15 @@ impl Shared {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wakes a worker for freshly pushed jobs, after the queue lock is
+    /// Wakes a worker for a freshly pushed job, after the queue lock is
     /// released. `lone` means the push left exactly one job queued: if
     /// the spin token is held, its holder will find that job, so the
     /// signal (a syscall even with no one parked) is skipped.
-    fn wake_workers(&self, lone: bool, jobs: usize) {
+    fn wake_workers(&self, lone: bool) {
         if lone && self.spinner.load(Ordering::SeqCst) {
             return;
         }
-        if jobs == 1 {
-            self.work_ready.notify_one();
-        } else {
-            self.work_ready.notify_all();
-        }
+        self.work_ready.notify_one();
     }
 
     /// Takes the engine-wide spin token if no other worker holds it.
@@ -296,11 +271,11 @@ impl Engine {
                     .fetch_add(1, Ordering::Relaxed);
                 return Err(Rejected::QueueFull);
             }
-            q.jobs.push_back(Job::Single(SingleJob {
+            q.jobs.push_back(SingleJob {
                 request,
                 reply,
                 enqueued_nanos: mcc_obs::now_nanos(),
-            }));
+            });
             self.shared.queued.store(q.jobs.len(), Ordering::Relaxed);
             // Counted while still holding the queue lock (and `SeqCst`,
             // like the worker-side counters): a worker can only pop this
@@ -315,90 +290,8 @@ impl Engine {
                 .fetch_add(1, Ordering::SeqCst);
             q.jobs.len() == 1
         };
-        self.shared.wake_workers(lone, 1);
+        self.shared.wake_workers(lone);
         Ok(ticket)
-    }
-
-    /// Admits a whole batch through one front-door pass, grouping the
-    /// requests by schema: each same-schema group occupies **one** queue
-    /// slot and is served off a single artifact fetch and solver
-    /// revalidation (per-request [`mcc_graph::SolveBudget`]s are still
-    /// honored per member). Schema ids are cache slots keyed by
-    /// fingerprint, so structurally equal schemas land in one group.
-    ///
-    /// Admission is all-or-nothing: either every request is admitted
-    /// (one ticket each, in input order) or none is, with the rejection
-    /// reported as `Some((0, rejection))` and every request counted as
-    /// refused. An empty batch is a no-op.
-    pub fn submit_batch(
-        &self,
-        requests: impl IntoIterator<Item = QueryRequest>,
-    ) -> (Vec<Ticket>, Option<(usize, Rejected)>) {
-        let requests: Vec<QueryRequest> = requests.into_iter().collect();
-        if requests.is_empty() {
-            return (Vec::new(), None);
-        }
-        let n = requests.len() as u64;
-        // Group by schema id, preserving the groups' first-appearance
-        // order and the input order within each group. Batches are
-        // small and schema counts smaller, so a linear scan beats a map.
-        let mut groups: Vec<(SchemaId, Vec<BatchMember>)> = Vec::new();
-        let mut tickets = Vec::with_capacity(requests.len());
-        for request in requests {
-            let (reply, ticket) = reply_slot();
-            tickets.push(ticket);
-            match groups.iter_mut().find(|(s, _)| *s == request.schema) {
-                Some((_, members)) => members.push((request, reply)),
-                None => groups.push((request.schema, vec![(request, reply)])),
-            }
-        }
-        let n_groups = groups.len();
-        let lone = {
-            let mut q = self.shared.lock_queue();
-            if q.shutdown {
-                self.shared
-                    .counters
-                    .rejected_shutdown
-                    .fetch_add(n, Ordering::Relaxed);
-                return (Vec::new(), Some((0, Rejected::Shutdown)));
-            }
-            if q.jobs.len() + groups.len() > self.shared.capacity {
-                self.shared
-                    .counters
-                    .rejected_full
-                    .fetch_add(n, Ordering::Relaxed);
-                return (Vec::new(), Some((0, Rejected::QueueFull)));
-            }
-            let enqueued_nanos = mcc_obs::now_nanos();
-            for (schema, members) in groups {
-                q.jobs.push_back(Job::Batch(BatchJob {
-                    schema,
-                    members,
-                    enqueued_nanos,
-                }));
-            }
-            self.shared.queued.store(q.jobs.len(), Ordering::Relaxed);
-            // Same discipline as `submit`: counted inside the lock,
-            // `SeqCst`, and in the reverse of the snapshot's read order
-            // (`submitted`, then `batched_requests`, then `batches`) so
-            // a mid-load scrape always observes
-            // `batches ≤ batched_requests ≤ submitted`.
-            self.shared
-                .counters
-                .submitted
-                .fetch_add(n, Ordering::SeqCst);
-            self.shared
-                .counters
-                .batched_requests
-                .fetch_add(n, Ordering::SeqCst);
-            self.shared
-                .counters
-                .batches
-                .fetch_add(n_groups as u64, Ordering::SeqCst);
-            q.jobs.len() == 1
-        };
-        self.shared.wake_workers(lone, n_groups);
-        (tickets, None)
     }
 
     /// A point-in-time activity snapshot.
@@ -497,32 +390,20 @@ fn worker_loop(shared: &Shared, solver_config: SolverConfig) {
             }
         };
         let Some(job) = job else { return };
-        match job {
-            Job::Single(job) => {
-                // Queue wait: admission (under the lock) to pickup (now).
-                mcc_obs::record_stage(
-                    mcc_obs::SpanKind::QueueWait,
-                    mcc_obs::now_nanos().saturating_sub(job.enqueued_nanos),
-                );
-                let _serve_span = mcc_obs::span!(Serve);
-                // Panic isolation: a panicking solve must cost one query,
-                // not the worker — a dead worker stops draining the queue
-                // and breaks the shutdown guarantee that every admitted
-                // request is answered. No lock is held across `serve`, so
-                // nothing is poisoned.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    serve(shared, &mut solvers, solver_config, &job.request)
-                }));
-                deliver(shared, &mut solvers, outcome, job.reply);
-            }
-            Job::Batch(batch) => {
-                mcc_obs::record_stage(
-                    mcc_obs::SpanKind::QueueWait,
-                    mcc_obs::now_nanos().saturating_sub(batch.enqueued_nanos),
-                );
-                serve_batch(shared, &mut solvers, solver_config, batch);
-            }
-        }
+        // Queue wait: admission (under the lock) to pickup (now).
+        mcc_obs::record_stage(
+            mcc_obs::SpanKind::QueueWait,
+            mcc_obs::now_nanos().saturating_sub(job.enqueued_nanos),
+        );
+        let _serve_span = mcc_obs::span!(Serve);
+        // Panic isolation: a panicking solve must cost one query, not the
+        // worker — a dead worker stops draining the queue and breaks the
+        // shutdown guarantee that every admitted request is answered. No
+        // lock is held across `serve`, so nothing is poisoned.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            serve(shared, &mut solvers, solver_config, &job.request)
+        }));
+        deliver(shared, &mut solvers, outcome, job.reply);
     }
 }
 
@@ -574,46 +455,6 @@ fn deliver(
     shared.counters.completed.fetch_add(1, Ordering::SeqCst);
 }
 
-/// Serves one same-schema group: one artifact fetch and one solver
-/// revalidation amortized over every member, with per-member panic
-/// isolation, budgets, counters, and replies. The single fetch is
-/// credited as one cache hit per member
-/// ([`SchemaArtifactCache::record_batch_hits`]) so the warm-request ↔
-/// cache-hit correspondence survives batching.
-fn serve_batch(
-    shared: &Shared,
-    solvers: &mut HashMap<SchemaId, (u64, Solver)>,
-    solver_config: SolverConfig,
-    batch: BatchJob,
-) {
-    let cached = match shared.cache.artifacts(batch.schema) {
-        Ok(cached) => cached,
-        Err(e) => {
-            // The whole group fails the same way; each member is still
-            // answered and counted individually.
-            for (_, reply) in batch.members {
-                deliver(
-                    shared,
-                    solvers,
-                    Ok(Err(EngineError::Cache(e.clone()))),
-                    reply,
-                );
-            }
-            return;
-        }
-    };
-    shared
-        .cache
-        .record_batch_hits(batch.members.len() as u64 - 1);
-    for (request, reply) in batch.members {
-        let _serve_span = mcc_obs::span!(Serve);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_with_artifacts(&cached, solvers, solver_config, &request)
-        }));
-        deliver(shared, solvers, outcome, reply);
-    }
-}
-
 /// Serves one request on the calling worker thread.
 fn serve(
     shared: &Shared,
@@ -625,18 +466,6 @@ fn serve(
         .cache
         .artifacts(request.schema)
         .map_err(EngineError::Cache)?;
-    serve_with_artifacts(&cached, solvers, solver_config, request)
-}
-
-/// Serves one request against an already-fetched artifact bundle — the
-/// shared tail of the single and batched paths. The batched path calls
-/// this once per member with the group's one fetch.
-fn serve_with_artifacts(
-    cached: &CachedArtifacts,
-    solvers: &mut HashMap<SchemaId, (u64, Solver)>,
-    solver_config: SolverConfig,
-    request: &QueryRequest,
-) -> Response {
     // Test-only fault injection: a reserved object name panics inside the
     // serve path, letting the isolation regression tests exercise the
     // worker's catch_unwind without a real solver bug.
@@ -846,14 +675,16 @@ mod tests {
         assert_eq!(stats.completed, 1);
     }
 
-    /// Oversubscribed load (more client threads than cores) through both
-    /// front doors, on one and on two workers, with a final round that
-    /// shuts down mid-load. A lost wakeup on either handoff would leave a
-    /// ticket unanswered: every wait is bounded, so it fails instead of
-    /// hanging.
+    /// Oversubscribed load (more client threads than cores), in single
+    /// submits and back-to-back pairs, on one and on two workers, with a
+    /// final round that shuts down mid-load. A lost wakeup on either
+    /// handoff would leave a ticket unanswered: every wait is bounded, so
+    /// it fails instead of hanging.
     #[test]
-    // Each wait is timed to catch a wakeup that lands only at the timeout.
-    #[allow(clippy::disallowed_methods)]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "each wait is timed to catch a wakeup that lands only at the timeout"
+    )]
     fn handoff_stays_live_under_oversubscribed_load() {
         const ROUNDS: usize = 6;
         const CLIENTS: usize = 8;
@@ -894,18 +725,21 @@ mod tests {
                             }
                             let request =
                                 |k: usize| QueryRequest::steiner(id, QUERIES[(client + k) % 4]);
-                            if i % 3 == 0 {
-                                let (tickets, rejected) =
-                                    engine.submit_batch([request(i), request(i + 1)]);
-                                inflight.extend(tickets);
-                                if rejected.is_some() {
-                                    break;
-                                }
-                            } else {
-                                match engine.submit(request(i)) {
+                            // Every third step submits two requests back to
+                            // back, so a push often finds a job still queued.
+                            let burst = if i % 3 == 0 { 2 } else { 1 };
+                            let mut rejected = false;
+                            for k in i..i + burst {
+                                match engine.submit(request(k)) {
                                     Ok(ticket) => inflight.push_back(ticket),
-                                    Err(_) => break,
+                                    Err(_) => {
+                                        rejected = true;
+                                        break;
+                                    }
                                 }
+                            }
+                            if rejected {
+                                break;
                             }
                         }
                         inflight.into_iter().for_each(settle);

@@ -16,10 +16,13 @@
 //!   changes. Hit/miss counters make the "warm solves skip schema work"
 //!   claim observable.
 //! * [`Engine`] — a worker-pool executor (`std::thread`, a bounded
-//!   queue and one-shot reply slots, no async runtime). Each worker owns
-//!   its solvers and their `Workspace`s outright — scratch memory is
-//!   never shared, only the read-only artifacts are. Per-request
-//!   [`SolveBudget`]s ride on the request.
+//!   queue and one-shot reply slots, no async runtime). The queue holds
+//!   one kind of job, a single request: with the schema work cached,
+//!   grouping requests would have nothing left to amortize. Each worker
+//!   owns its solvers and their `Workspace`s outright — scratch memory
+//!   is never shared, only the read-only artifacts are. A per-request
+//!   [`SolveBudget`] (a deadline and a DP table byte cap) rides on the
+//!   request.
 //! * the **front door** — [`Engine::submit`] never blocks: a bounded
 //!   queue admits work, [`Rejected::QueueFull`] /
 //!   [`Rejected::Shutdown`] push back, [`Engine::shutdown`] drains what

@@ -30,13 +30,6 @@ pub(crate) struct Counters {
     pub degraded: AtomicU64,
     pub rejected_full: AtomicU64,
     pub rejected_shutdown: AtomicU64,
-    /// Same-schema groups admitted by [`crate::Engine::submit_batch`].
-    /// Bumped after `batched_requests`, which is bumped after
-    /// `submitted` (all inside the queue lock), so the snapshot's
-    /// reverse-order reads keep `batches ≤ batched_requests ≤ submitted`.
-    pub batches: AtomicU64,
-    /// Requests admitted as members of batch groups.
-    pub batched_requests: AtomicU64,
 }
 
 /// The counter fields of one consistent snapshot (everything in
@@ -49,8 +42,6 @@ pub(crate) struct CounterSnapshot {
     pub degraded: u64,
     pub rejected_full: u64,
     pub rejected_shutdown: u64,
-    pub batches: u64,
-    pub batched_requests: u64,
 }
 
 impl Counters {
@@ -59,8 +50,6 @@ impl Counters {
     /// with `SeqCst` increments, keeps `solved + failed ≤ submitted` in
     /// every snapshot).
     pub(crate) fn snapshot(&self) -> CounterSnapshot {
-        let batches = self.batches.load(Ordering::SeqCst);
-        let batched_requests = self.batched_requests.load(Ordering::SeqCst);
         let completed = self.completed.load(Ordering::SeqCst);
         let degraded = self.degraded.load(Ordering::SeqCst);
         let solved = self.solved.load(Ordering::SeqCst);
@@ -76,8 +65,6 @@ impl Counters {
             degraded,
             rejected_full,
             rejected_shutdown,
-            batches,
-            batched_requests,
         }
     }
 }
@@ -104,13 +91,6 @@ pub struct EngineStats {
     pub rejected_full: u64,
     /// Submissions refused because the engine was shutting down.
     pub rejected_shutdown: u64,
-    /// Same-schema request groups admitted by
-    /// [`crate::Engine::submit_batch`] — each costs one queue slot and
-    /// one artifact fetch plus solver revalidation at pickup.
-    pub batches: u64,
-    /// Requests admitted as members of batch groups; `batched_requests /
-    /// batches` is the mean batch size (the amortization factor).
-    pub batched_requests: u64,
     /// Artifact-cache lookups served without schema-level work. Warm
     /// solves hit; a steady-state engine does **only** per-query work.
     pub cache_hits: u64,
@@ -134,7 +114,7 @@ pub struct EngineStats {
 /// The engine-level metric families [`EngineStats::render_prometheus`]
 /// emits, in output order: `(name, type, help)`. Public so the snapshot
 /// test (and any scrape consumer) can assert the name table.
-pub const ENGINE_METRICS: [(&str, &str, &str); 16] = [
+pub const ENGINE_METRICS: [(&str, &str, &str); 14] = [
     (
         "mcc_engine_queue_depth",
         "gauge",
@@ -174,16 +154,6 @@ pub const ENGINE_METRICS: [(&str, &str, &str); 16] = [
         "mcc_engine_rejected_shutdown_total",
         "counter",
         "Submissions refused because the engine was shutting down.",
-    ),
-    (
-        "mcc_engine_batches_total",
-        "counter",
-        "Same-schema request groups admitted by submit_batch.",
-    ),
-    (
-        "mcc_engine_batched_requests_total",
-        "counter",
-        "Requests admitted as members of batch groups.",
     ),
     (
         "mcc_engine_cache_hits_total",
@@ -235,8 +205,6 @@ impl EngineStats {
             degraded: c.degraded,
             rejected_full: c.rejected_full,
             rejected_shutdown: c.rejected_shutdown,
-            batches: c.batches,
-            batched_requests: c.batched_requests,
             cache_hits,
             cache_misses,
             store_hits: store.hits,
@@ -260,7 +228,7 @@ impl EngineStats {
 
     /// [`EngineStats::render_prometheus`], appending into `out`.
     pub fn render_prometheus_into(&self, out: &mut String) {
-        let values: [u64; 16] = [
+        let values: [u64; 14] = [
             self.queue_depth as u64,
             self.submitted,
             self.completed,
@@ -269,8 +237,6 @@ impl EngineStats {
             self.degraded,
             self.rejected_full,
             self.rejected_shutdown,
-            self.batches,
-            self.batched_requests,
             self.cache_hits,
             self.cache_misses,
             self.store_hits,
@@ -292,7 +258,7 @@ impl fmt::Display for EngineStats {
         write!(
             f,
             "queue {} deep; {} submitted, {} completed ({} solved, {} failed, {} degraded); \
-             rejected {} full + {} shutdown; {} batches / {} batched requests; \
+             rejected {} full + {} shutdown; \
              cache {} hits / {} misses; store {} hits / {} misses / {} quarantined{}",
             self.queue_depth,
             self.submitted,
@@ -302,8 +268,6 @@ impl fmt::Display for EngineStats {
             self.degraded,
             self.rejected_full,
             self.rejected_shutdown,
-            self.batches,
-            self.batched_requests,
             self.cache_hits,
             self.cache_misses,
             self.store_hits,

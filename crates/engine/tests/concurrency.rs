@@ -3,6 +3,13 @@
 //! load draining, and the warm-cache acceptance assertion that a
 //! steady-state engine does no schema-level work at all.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc::{Solver, SolverConfig};
 use mcc_datamodel::relational::Relation;
 use mcc_datamodel::RelationalSchema;
@@ -126,9 +133,13 @@ fn warm_solves_skip_schema_work_per_engine_stats() {
     const N: usize = 40;
     let objects = span_query(&schema);
     let names: Vec<&str> = objects.iter().map(String::as_str).collect();
-    let (tickets, rejected) =
-        engine.submit_batch((0..N).map(|_| QueryRequest::steiner(id, &names)));
-    assert!(rejected.is_none());
+    let tickets: Vec<_> = (0..N)
+        .map(|_| {
+            engine
+                .submit(QueryRequest::steiner(id, &names))
+                .expect("admitted")
+        })
+        .collect();
     for t in tickets {
         t.wait().expect("warm solve succeeds");
     }
@@ -166,7 +177,7 @@ fn assert_matches_reference(
 }
 
 #[test]
-fn mixed_schema_batches_interleave_with_single_solves() {
+fn mixed_schema_submits_starve_only_the_budgeted_request() {
     use mcc::SolveBudget;
 
     const THREADS: usize = 6;
@@ -184,7 +195,7 @@ fn mixed_schema_batches_interleave_with_single_solves() {
         .map(|(s, q)| cold_reference(s, q, QueryKind::Steiner))
         .collect();
     // A zero-duration deadline trips at the first check of its own
-    // solve, wherever in a batch group that member lands.
+    // solve, wherever in the queue that request lands.
     let starved = SolveBudget::with_deadline(std::time::Duration::ZERO);
 
     std::thread::scope(|scope| {
@@ -195,43 +206,40 @@ fn mixed_schema_batches_interleave_with_single_solves() {
             let expected = &expected;
             scope.spawn(move || {
                 for r in 0..ROUNDS {
-                    // Two members per schema (so same-schema grouping is
-                    // real) plus one starved member whose per-request
-                    // budget must be enforced inside its group.
-                    let mut members = Vec::new();
+                    // Two requests per schema, interleaved across schemas,
+                    // plus one starved request whose per-request budget
+                    // must not leak into its neighbours.
+                    let mut requests = Vec::new();
                     for k in 0..2 * ids.len() {
                         let which = (t + r + k) % ids.len();
                         let names: Vec<&str> = queries[which].iter().map(String::as_str).collect();
-                        members.push((which, QueryRequest::steiner(ids[which], &names)));
+                        requests.push((which, QueryRequest::steiner(ids[which], &names)));
                     }
-                    let starved_at = members.len();
+                    let starved_at = ids.len();
                     let names: Vec<&str> = queries[0].iter().map(String::as_str).collect();
-                    members.push((
-                        usize::MAX,
-                        QueryRequest::steiner(ids[0], &names).with_budget(starved),
-                    ));
-                    let (tickets, rejected) =
-                        engine.submit_batch(members.iter().map(|(_, req)| req.clone()));
-                    assert!(rejected.is_none(), "queue sized for the load");
-                    assert_eq!(tickets.len(), members.len());
+                    requests.insert(
+                        starved_at,
+                        (
+                            usize::MAX,
+                            QueryRequest::steiner(ids[0], &names).with_budget(starved),
+                        ),
+                    );
+                    let tickets: Vec<_> = requests
+                        .iter()
+                        .map(|(_, req)| {
+                            engine
+                                .submit(req.clone())
+                                .expect("queue sized for the load")
+                        })
+                        .collect();
 
-                    // An interleaved single solve races the batch.
-                    let which = (t + r) % ids.len();
-                    let names: Vec<&str> = queries[which].iter().map(String::as_str).collect();
-                    let single = engine
-                        .submit(QueryRequest::steiner(ids[which], &names))
-                        .expect("admitted")
-                        .wait();
-                    assert_matches_reference(&single, &expected[which]);
-
-                    // Tickets map positionally onto the submitted batch,
-                    // whatever schema groups the front door formed.
-                    for (i, (ticket, (which, _))) in tickets.into_iter().zip(&members).enumerate() {
+                    for (i, (ticket, (which, _))) in tickets.into_iter().zip(&requests).enumerate()
+                    {
                         let got = ticket.wait();
                         if i == starved_at {
                             assert!(
                                 matches!(got, Err(EngineError::Solve(mcc::SolveError::Budget(_)))),
-                                "starved member must trip its own budget"
+                                "starved request must trip its own budget"
                             );
                         } else {
                             assert_matches_reference(&got, &expected[*which]);
@@ -243,16 +251,11 @@ fn mixed_schema_batches_interleave_with_single_solves() {
     });
 
     let stats = engine.shutdown();
-    let per_batch = 2 * schemas.len() + 1;
-    let batch_members = (THREADS * ROUNDS * per_batch) as u64;
-    let singles = (THREADS * ROUNDS) as u64;
-    assert_eq!(stats.submitted, batch_members + singles);
+    let per_round = 2 * schemas.len() + 1;
+    assert_eq!(stats.submitted, (THREADS * ROUNDS * per_round) as u64);
     assert_eq!(stats.completed, stats.submitted);
     assert_eq!(stats.solved + stats.failed, stats.completed);
-    assert_eq!(stats.failed, (THREADS * ROUNDS) as u64); // the starved members
-    assert_eq!(stats.batched_requests, batch_members);
-    // Every batch covers all three schemas, so it forms three groups.
-    assert_eq!(stats.batches, (THREADS * ROUNDS * schemas.len()) as u64);
+    assert_eq!(stats.failed, (THREADS * ROUNDS) as u64); // the starved requests
     assert_eq!(stats.queue_depth, 0);
 }
 
@@ -268,17 +271,18 @@ fn shutdown_under_load_drains_every_admitted_request() {
     let id = engine.register(schema.clone()).expect("register");
     let objects = span_query(&schema);
     let names: Vec<&str> = objects.iter().map(String::as_str).collect();
-    let (tickets, rejected) =
-        engine.submit_batch((0..LOAD).map(|_| QueryRequest::steiner(id, &names)));
-    assert!(rejected.is_none(), "queue sized for the whole load");
-    // Shut down immediately, while (almost) everything is still queued:
+    let tickets: Vec<_> = (0..LOAD)
+        .map(|_| {
+            engine
+                .submit(QueryRequest::steiner(id, &names))
+                .expect("queue sized for the whole load")
+        })
+        .collect();
+    // Shut down immediately, while much of the load is still queued:
     // the drain contract says every admitted request is still answered.
     let stats = engine.shutdown();
+    assert_eq!(stats.submitted, LOAD as u64);
     assert_eq!(stats.completed, LOAD as u64);
-    // Batch accounting is conserved across the drain: every admitted
-    // member was counted at admission and served before exit.
-    assert_eq!(stats.batched_requests, LOAD as u64);
-    assert_eq!(stats.batches, 1, "one schema, one group");
     assert_eq!(stats.queue_depth, 0);
     for t in tickets {
         assert!(

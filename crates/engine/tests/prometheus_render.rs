@@ -23,8 +23,6 @@ fn sample() -> EngineStats {
         degraded: 7,
         rejected_full: 2,
         rejected_shutdown: 1,
-        batches: 6,
-        batched_requests: 48,
         cache_hits: 88,
         cache_misses: 5,
         store_hits: 3,
@@ -61,12 +59,6 @@ mcc_engine_rejected_full_total 2
 # HELP mcc_engine_rejected_shutdown_total Submissions refused because the engine was shutting down.
 # TYPE mcc_engine_rejected_shutdown_total counter
 mcc_engine_rejected_shutdown_total 1
-# HELP mcc_engine_batches_total Same-schema request groups admitted by submit_batch.
-# TYPE mcc_engine_batches_total counter
-mcc_engine_batches_total 6
-# HELP mcc_engine_batched_requests_total Requests admitted as members of batch groups.
-# TYPE mcc_engine_batched_requests_total counter
-mcc_engine_batched_requests_total 48
 # HELP mcc_engine_cache_hits_total Artifact-cache lookups served without schema-level work.
 # TYPE mcc_engine_cache_hits_total counter
 mcc_engine_cache_hits_total 88
@@ -128,7 +120,7 @@ fn type_names(scrape: &str) -> Vec<&str> {
         .collect()
 }
 
-/// One book of metrics: cache, batch and store events are counted by
+/// One book of metrics: cache and store events are counted by
 /// the engine and the store alone, so the engine's render and the
 /// global registry's render share no family, and the registry renders
 /// only what no component owns. Only names are checked, so other tests
@@ -147,19 +139,19 @@ fn combined_scrape_names_every_family_once() {
             &[("WORKS_IN", &[0, 1]), ("FUNDING", &[1, 2])],
         ))
         .expect("registered");
-    let single = engine
-        .submit(QueryRequest::steiner(id, &["emp", "budget"]))
-        .expect("admitted");
-    let (batch, rejected) = engine.submit_batch([
-        QueryRequest::steiner(id, &["emp", "dept"]),
-        QueryRequest::steiner(id, &["dept", "budget"]),
-    ]);
-    assert!(rejected.is_none());
-    for ticket in std::iter::once(single).chain(batch) {
+    let tickets: Vec<_> = [["emp", "budget"], ["emp", "dept"], ["dept", "budget"]]
+        .into_iter()
+        .map(|names| {
+            engine
+                .submit(QueryRequest::steiner(id, &names))
+                .expect("admitted")
+        })
+        .collect();
+    for ticket in tickets {
         ticket.wait().expect("served");
     }
     let stats = engine.shutdown();
-    assert!(stats.cache_hits > 0 && stats.batches == 1 && stats.store_misses > 0);
+    assert!(stats.cache_hits == 3 && stats.store_misses > 0);
 
     let mut scrape = stats.render_prometheus();
     let engine_len = scrape.len();

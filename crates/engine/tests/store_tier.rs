@@ -1,7 +1,7 @@
 //! The engine-facing contract of the disk tier: warm starts skip
 //! reclassification, degradation is invisible to serving, and — the
 //! regression this file exists for — a generation bump (invalidate /
-//! replace) racing a `submit_batch` can never cause a stale-generation
+//! replace) racing a burst of `submit`s can never cause a stale-generation
 //! bundle to be served *from disk* for the new generation.
 
 use mcc_datamodel::RelationalSchema;
@@ -141,13 +141,12 @@ fn degraded_store_keeps_the_memory_tier_serving() {
     let _ = std::fs::remove_file(&root);
 }
 
-/// The regression: hammer `submit_batch` while another thread flips the
-/// schema back and forth with `replace`. Every answer must be
-/// consistent with *some* version of the schema (cost 5 for v1, 3 for
-/// v2) — never an error, never a mix *within* one batch (a batch is
-/// served off one artifact fetch) — and the final quiesced batch must
-/// reflect the final version. Before invalidate/replace evicted the
-/// disk object under the slot lock, a racing rebuilder could reload the
+/// The regression: hammer `submit` with bursts of requests while another
+/// thread flips the schema back and forth with `replace`. Every answer
+/// must be consistent with *some* version of the schema (cost 5 for v1,
+/// 3 for v2) — never an error — and the quiesced final requests must
+/// reflect the final version. Before invalidate/replace evicted the disk
+/// object under the slot lock, a racing rebuilder could reload the
 /// pre-bump bundle from disk and serve it for the new generation.
 #[test]
 fn generation_bump_mid_batch_never_serves_a_stale_disk_artifact() {
@@ -183,7 +182,7 @@ fn generation_bump_mid_batch_never_serves_a_stale_disk_artifact() {
                 flips += 1;
                 std::thread::yield_now();
             }
-            // Leave the schema at v1 for the quiesced final batch.
+            // Leave the schema at v1 for the quiesced final requests.
             if flips % 2 == 1 {
                 cache.replace(id, schema_v1()).expect("final replace");
             }
@@ -191,11 +190,13 @@ fn generation_bump_mid_batch_never_serves_a_stale_disk_artifact() {
     };
 
     for _ in 0..40 {
-        let batch: Vec<QueryRequest> = (0..4)
-            .map(|_| QueryRequest::steiner(id, &["emp", "budget"]))
+        let tickets: Vec<_> = (0..4)
+            .map(|_| {
+                engine
+                    .submit(QueryRequest::steiner(id, &["emp", "budget"]))
+                    .expect("queue sized for the test load")
+            })
             .collect();
-        let (tickets, rejected) = engine.submit_batch(batch);
-        assert!(rejected.is_none(), "queue sized for the test load");
         let costs: Vec<usize> = tickets
             .into_iter()
             .map(|t| {
@@ -210,23 +211,22 @@ fn generation_bump_mid_batch_never_serves_a_stale_disk_artifact() {
                 "cost {c} matches neither schema version — a stale/garbage bundle was served"
             );
         }
-        assert!(
-            costs.windows(2).all(|w| w[0] == w[1]),
-            "one batch mixed schema versions across members: {costs:?}"
-        );
     }
 
     stop.store(true, Ordering::Relaxed);
     mutator.join().expect("mutator thread");
 
-    // Quiesced: the final version (v1) is what a fresh batch serves.
-    let (tickets, _) = engine.submit_batch(vec![
-        QueryRequest::steiner(id, &["emp", "budget"]),
-        QueryRequest::steiner(id, &["emp", "dept"]),
-    ]);
-    let final_costs: Vec<usize> = tickets
+    // Quiesced: the final version (v1) is what fresh requests see.
+    let final_costs: Vec<usize> = [&["emp", "budget"], &["emp", "dept"]]
         .into_iter()
-        .map(|t| t.wait().expect("served").cost)
+        .map(|names| {
+            engine
+                .submit(QueryRequest::steiner(id, names))
+                .expect("admitted")
+                .wait()
+                .expect("served")
+                .cost
+        })
         .collect();
     assert_eq!(final_costs, vec![5, 3], "the final generation must win");
     engine.shutdown();

@@ -13,6 +13,13 @@
 //! global registry is process-wide, so this suite lives in its own test
 //! binary and measures deltas.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_datamodel::RelationalSchema;
 use mcc_engine::{Engine, EngineConfig, QueryRequest};
 use mcc_obs::SpanKind;

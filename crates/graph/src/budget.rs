@@ -7,8 +7,12 @@
 //! terminals on an off-class graph) must not wedge the process. This
 //! module provides the mechanism:
 //!
-//! * [`SolveBudget`] — declarative resource limits (wall-clock deadline,
-//!   exact-DP terminal count, DP table bytes, node/edge counts);
+//! * [`SolveBudget`] — the two declarative limits on one solve: a
+//!   wall-clock deadline and the exact DP's table bytes. Theorem 2 puts
+//!   the hardness in the terminal count alone, so instance size is not a
+//!   budget: which terminal counts reach the exact DP at all is a routing
+//!   decision (`SolverConfig::max_exact_terminals` in `mcc-steiner`),
+//!   and the DP's table bytes are what that count costs;
 //! * [`CancelToken`] — a cheap, tick-based cooperative cancellation
 //!   handle threaded through the hot loops. Ticks are a counter
 //!   decrement; the clock is consulted only every [`TICK_PERIOD`] units
@@ -81,10 +85,9 @@ pub enum BudgetKind {
     ExactTerminals,
     /// The exact-DP table-size cap (limit/observed in bytes).
     DpTableBytes,
-    /// The instance node-count cap.
+    /// A node-count cap (the data-model layer's interpretation size
+    /// caps report in this unit).
     Nodes,
-    /// The instance edge-count cap.
-    Edges,
 }
 
 impl fmt::Display for BudgetKind {
@@ -94,7 +97,6 @@ impl fmt::Display for BudgetKind {
             BudgetKind::ExactTerminals => "exact terminals",
             BudgetKind::DpTableBytes => "DP table bytes",
             BudgetKind::Nodes => "nodes",
-            BudgetKind::Edges => "edges",
         };
         f.write_str(s)
     }
@@ -127,26 +129,19 @@ impl std::error::Error for BudgetExceeded {}
 
 /// Declarative resource limits for one solve.
 ///
-/// The default budget is production-lenient: no deadline, the hard
-/// 24-terminal Dreyfus–Wagner cap, 256 MiB of DP tables, unlimited
-/// instance size. [`SolveBudget::unbounded`] lifts everything except the
-/// 24-terminal mask-width cap (a `u32` mask cannot hold more).
+/// The default budget is production-lenient: no deadline and 256 MiB of
+/// DP tables. [`SolveBudget::unbounded`] lifts both. Neither touches the
+/// 24-terminal mask-width cap ([`HARD_MAX_EXACT_TERMINALS`]: a `u32`
+/// mask cannot hold more).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveBudget {
     /// Wall-clock deadline for the whole solve (including degradation
     /// fallbacks — the ladder shares one clock). `None`: no deadline.
     pub wall_clock: Option<Duration>,
-    /// Maximum terminal count admitted to the exact DP (hard-capped at
-    /// 24 regardless — the mask dimension).
-    pub max_exact_terminals: usize,
     /// Maximum bytes the exact DP may commit to its tables
     /// ([`dp_table_bytes`]: `2^(k−1)·n` entries of 12 bytes for `k`
     /// terminals on `n` nodes), *checked before allocating*.
     pub max_dp_bytes: u64,
-    /// Maximum node count admitted to any route.
-    pub max_nodes: usize,
-    /// Maximum edge count admitted to any route.
-    pub max_edges: usize,
 }
 
 /// The Dreyfus–Wagner mask width: more terminals than this cannot be
@@ -157,10 +152,7 @@ impl Default for SolveBudget {
     fn default() -> Self {
         SolveBudget {
             wall_clock: None,
-            max_exact_terminals: HARD_MAX_EXACT_TERMINALS,
             max_dp_bytes: 256 << 20,
-            max_nodes: usize::MAX,
-            max_edges: usize::MAX,
         }
     }
 }
@@ -171,10 +163,7 @@ impl SolveBudget {
     pub fn unbounded() -> Self {
         SolveBudget {
             wall_clock: None,
-            max_exact_terminals: HARD_MAX_EXACT_TERMINALS,
             max_dp_bytes: u64::MAX,
-            max_nodes: usize::MAX,
-            max_edges: usize::MAX,
         }
     }
 
@@ -191,41 +180,14 @@ impl SolveBudget {
         CancelToken::new(self.wall_clock)
     }
 
-    /// Admission check for instance size, charged to `stage`.
-    pub fn admit_graph(
-        &self,
-        stage: Stage,
-        nodes: usize,
-        edges: usize,
-    ) -> Result<(), BudgetExceeded> {
-        if nodes > self.max_nodes {
-            return Err(BudgetExceeded {
-                stage,
-                kind: BudgetKind::Nodes,
-                limit: self.max_nodes as u64,
-                observed: nodes as u64,
-            });
-        }
-        if edges > self.max_edges {
-            return Err(BudgetExceeded {
-                stage,
-                kind: BudgetKind::Edges,
-                limit: self.max_edges as u64,
-                observed: edges as u64,
-            });
-        }
-        Ok(())
-    }
-
-    /// Admission check for the exact DP: terminal count and the projected
-    /// table footprint, *before* anything is allocated.
+    /// Admission check for the exact DP: the mask-width cap and the
+    /// projected table footprint, *before* anything is allocated.
     pub fn admit_exact_dp(&self, k: usize, n: usize) -> Result<(), BudgetExceeded> {
-        let cap = self.max_exact_terminals.min(HARD_MAX_EXACT_TERMINALS);
-        if k > cap {
+        if k > HARD_MAX_EXACT_TERMINALS {
             return Err(BudgetExceeded {
                 stage: Stage::ExactDp,
                 kind: BudgetKind::ExactTerminals,
-                limit: cap as u64,
+                limit: HARD_MAX_EXACT_TERMINALS as u64,
                 observed: k as u64,
             });
         }
@@ -378,21 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_checks_report_structured_verdicts() {
-        let b = SolveBudget {
-            max_nodes: 10,
-            max_edges: 20,
-            ..SolveBudget::default()
-        };
-        assert!(b.admit_graph(Stage::Session, 10, 20).is_ok());
-        let e = b.admit_graph(Stage::Session, 11, 0).unwrap_err();
-        assert_eq!(e.kind, BudgetKind::Nodes);
-        assert_eq!((e.limit, e.observed), (10, 11));
-        let e = b.admit_graph(Stage::Session, 5, 21).unwrap_err();
-        assert_eq!(e.kind, BudgetKind::Edges);
-    }
-
-    #[test]
     fn exact_dp_admission_gates_terminals_and_bytes() {
         let b = SolveBudget::default();
         assert!(b.admit_exact_dp(10, 100).is_ok());
@@ -419,13 +366,10 @@ mod tests {
     #[test]
     fn seven_terminals_on_ninety_two_nodes_fit_a_150_kb_cap() {
         let b = SolveBudget {
-            max_exact_terminals: 7,
             max_dp_bytes: 150_000,
             ..SolveBudget::default()
         };
         assert!(b.admit_exact_dp(7, 92).is_ok());
-        let e = b.admit_exact_dp(8, 92).unwrap_err();
-        assert_eq!(e.kind, BudgetKind::ExactTerminals);
     }
 
     #[test]

@@ -129,7 +129,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "symmetry is m[i][j] == m[j][i]: both indices are needed"
+    )]
     fn all_pairs_matrix_is_symmetric() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let m = all_pairs_distances(&g, &NodeSet::full(4));

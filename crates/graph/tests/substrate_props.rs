@@ -2,8 +2,16 @@
 //! invariants, spanning trees, and the cycle enumerator's self-
 //! consistency. Everything downstream leans on these primitives.
 
-// Index loops below mirror the naive adjacency model they check against.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the naive adjacency model they check against"
+)]
 
 use mcc_graph::{
     bfs_distances, bfs_order, bfs_order_in, biconnected_components, check_adjacency_symmetric,

@@ -4,6 +4,13 @@
 //! debug checker ([`mcc_hypergraph::check_join_tree`]) and the
 //! incremental RIP validator ([`JoinTree::is_valid`]).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_hypergraph::{
     check_join_tree, running_intersection_ordering, Hypergraph, HypergraphBuilder,
 };
@@ -25,8 +32,8 @@ fn random_acyclic_hypergraph() -> impl Strategy<Value = Hypergraph> {
             for (i, &(parent, which)) in choices.iter().enumerate() {
                 let attach_to = &edge_nodes[parent % edge_nodes.len()];
                 let shared = attach_to[which % attach_to.len()];
-                let fresh = b.add_node(&format!("n{}", i + 2));
-                b.add_edge(&format!("e{}", i + 1), [shared, fresh])
+                let fresh = b.add_node(format!("n{}", i + 2));
+                b.add_edge(format!("e{}", i + 1), [shared, fresh])
                     .expect("nonempty edge");
                 edge_nodes.push(vec![shared, fresh]);
             }

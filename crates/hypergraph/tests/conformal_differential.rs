@@ -9,6 +9,13 @@
 //! edges (which close uncovered triangles), the empty hypergraph, and
 //! node universes wider than one 64-bit word.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_graph::NodeSet;
 use mcc_hypergraph::{
     find_conformality_violation, is_conformal_bruteforce, primal_graph, EdgeId, Hypergraph,

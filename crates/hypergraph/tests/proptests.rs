@@ -1,6 +1,13 @@
 //! Property-based cross-validation of the acyclicity recognizers against
 //! the definitional (Definition 6) cycle finders and against each other.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_hypergraph::{
     dual::{dual, index_identical},
     find_beta_cycle, find_gamma_cycle, gyo_reduce, incidence_bipartite, is_alpha_acyclic,

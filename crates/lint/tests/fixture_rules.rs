@@ -4,6 +4,13 @@
 //! `file:line` locations, and every exemption — `lint:allow` on a site
 //! or on a call line, predicate loops — must produce *no* diagnostic.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_lint::{run, Diagnostic};
 use std::collections::BTreeSet;
 use std::path::PathBuf;

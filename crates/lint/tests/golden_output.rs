@@ -13,6 +13,13 @@
 //!     --format sarif --output crates/lint/tests/golden/fixtures.sarif
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_lint::{report, run, Diagnostic};
 use std::path::{Path, PathBuf};
 

@@ -37,7 +37,7 @@ use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_chordality::chordal_bipartite::drop_isolated_v2;
 use mcc_graph::{
     component_of_in, remove_if_redundant_in, BipartiteGraph, CancelToken, NodeId, NodeSet, Side,
-    SolveBudget, Stage, Workspace,
+    Stage, Workspace,
 };
 use mcc_hypergraph::{h1_of_bipartite, running_intersection_ordering, JoinTree};
 use std::borrow::Cow;
@@ -171,53 +171,46 @@ pub struct Algorithm1Output {
 /// The Theorem 3 guarantee is that the returned tree is `V₂`-minimum
 /// among all trees over the terminals.
 ///
-/// Thin wrapper over [`algorithm1_in`] with a transient workspace.
+/// Thin wrapper over [`algorithm1_budgeted_in`] with a transient
+/// workspace and a token that never cancels.
 pub fn algorithm1(
     bg: &BipartiteGraph,
     terminals: &NodeSet,
 ) -> Result<Algorithm1Output, Algorithm1Error> {
-    algorithm1_in(&mut Workspace::new(), bg, terminals)
-}
-
-/// [`algorithm1`] through a workspace. Step 2's elimination loop mutates a
-/// single alive mask in place — remove the candidate `V₂` node and its
-/// private neighbors, test terminal connectivity through the workspace,
-/// re-insert on failure — so its steady state allocates nothing. The
-/// Lemma 1 ordering construction (Step 1) still builds `H¹` and its join
-/// tree, which are returned certificates rather than scratch.
-pub fn algorithm1_in(
-    ws: &mut Workspace,
-    bg: &BipartiteGraph,
-    terminals: &NodeSet,
-) -> Result<Algorithm1Output, Algorithm1Error> {
-    let budget = SolveBudget::unbounded();
-    let token = CancelToken::unbounded();
-    match algorithm1_budgeted_in(ws, bg, terminals, &budget, &token) {
+    match algorithm1_budgeted_in(
+        &mut Workspace::new(),
+        bg,
+        terminals,
+        &CancelToken::unbounded(),
+    ) {
         Ok(out) => Ok(out),
         Err(SolveError::Disconnected) => Err(Algorithm1Error::Infeasible),
         Err(SolveError::NotAlphaAcyclic) => Err(Algorithm1Error::NotAlphaAcyclic),
         #[expect(
             clippy::panic,
-            reason = "unbudgeted wrapper: the unlimited budget cannot be exceeded, so residual errors are internal bugs; `algorithm1_budgeted_in` is the production path"
+            reason = "unbudgeted wrapper: a token without a deadline never cancels, so residual errors are internal bugs; `algorithm1_budgeted_in` is the production path"
         )]
         Err(e) => panic!("unbudgeted Algorithm 1 failed: {e}"),
     }
 }
 
-/// [`algorithm1_in`] under a [`SolveBudget`]: instance-size admission up
-/// front, token ticks for the block pass and each elimination candidate
-/// (see [`algorithm1_with_ordering_budgeted_in`]), and the unified
-/// [`SolveError`] taxonomy. The zero-steady-state-allocation property of
-/// the elimination loop is unchanged — a tick is a [`std::cell::Cell`]
-/// decrement.
+/// [`algorithm1`] through a workspace and under a [`CancelToken`]: token
+/// ticks for the block pass and each elimination candidate (see
+/// [`algorithm1_with_ordering_budgeted_in`]), and the unified
+/// [`SolveError`] taxonomy. Step 2's elimination loop mutates a single
+/// alive mask in place — remove the candidate `V₂` node and its private
+/// neighbors, test terminal connectivity through the workspace, re-insert
+/// on failure — so its steady state allocates nothing (a tick is a
+/// [`std::cell::Cell`] decrement). The Lemma 1 ordering construction
+/// (Step 1) still builds `H¹` and its join tree, which are returned
+/// certificates rather than scratch.
 pub fn algorithm1_budgeted_in(
     ws: &mut Workspace,
     bg: &BipartiteGraph,
     terminals: &NodeSet,
-    budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<Algorithm1Output> {
-    algorithm1_run(ws, bg, terminals, None, budget, token).map(Pseudo::into_output)
+    algorithm1_run(ws, bg, terminals, None, token).map(Pseudo::into_output)
 }
 
 /// [`algorithm1_budgeted_in`] with a **precomputed** Lemma 1 ordering
@@ -239,10 +232,9 @@ pub fn algorithm1_with_ordering_budgeted_in(
     bg: &BipartiteGraph,
     terminals: &NodeSet,
     ordering: &[NodeId],
-    budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<Algorithm1Output> {
-    algorithm1_run(ws, bg, terminals, Some(ordering), budget, token).map(Pseudo::into_output)
+    algorithm1_run(ws, bg, terminals, Some(ordering), token).map(Pseudo::into_output)
 }
 
 /// The solver's warm route: [`algorithm1_with_ordering_budgeted_in`]
@@ -252,10 +244,9 @@ pub(crate) fn algorithm1_cached_in(
     bg: &BipartiteGraph,
     terminals: &NodeSet,
     ordering: &[NodeId],
-    budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<(SteinerTree, usize)> {
-    algorithm1_run(ws, bg, terminals, Some(ordering), budget, token).map(|p| (p.tree, p.v2_cost))
+    algorithm1_run(ws, bg, terminals, Some(ordering), token).map(|p| (p.tree, p.v2_cost))
 }
 
 /// Algorithm 1's answer with the ordering it eliminated along, borrowed
@@ -284,14 +275,12 @@ fn algorithm1_run<'o>(
     bg: &BipartiteGraph,
     terminals: &NodeSet,
     precomputed: Option<&'o [NodeId]>,
-    budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<Pseudo<'o>> {
     let _span = mcc_obs::span!(Algorithm1);
     let g = bg.graph();
     let n = g.node_count();
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
-    budget.admit_graph(Stage::Algorithm1, n, g.edge_count())?;
     token.checkpoint(Stage::Algorithm1)?;
 
     let Some(t0) = terminals.first() else {
@@ -507,6 +496,7 @@ mod tests {
     use super::*;
     use crate::cover::side_minimum_cover_bruteforce;
     use mcc_graph::bipartite::bipartite_from_lists;
+    use mcc_graph::SolveBudget;
 
     /// A small α-acyclic schema: relations r1={a,b}, r2={b,c}, r3={b,c,d}.
     fn acyclic_schema() -> BipartiteGraph {
@@ -545,24 +535,16 @@ mod tests {
         let l1 = lemma1_ordering(&bg).expect("alpha-acyclic");
         assert!(verify_lemma1_ordering(&bg, &l1.order));
         assert!(l1.join_tree.order.len() == l1.order.len());
-        let budget = SolveBudget::unbounded();
         for labels in [&["a", "d"][..], &["a", "c"], &["b", "d"], &["a", "b", "d"]] {
             let terminals = ids(&bg, labels);
             let mut ws = Workspace::new();
-            let cold = algorithm1_budgeted_in(
-                &mut ws,
-                &bg,
-                &terminals,
-                &budget,
-                &CancelToken::unbounded(),
-            )
-            .unwrap();
+            let cold = algorithm1_budgeted_in(&mut ws, &bg, &terminals, &CancelToken::unbounded())
+                .unwrap();
             let warm = algorithm1_with_ordering_budgeted_in(
                 &mut ws,
                 &bg,
                 &terminals,
                 &l1.order,
-                &budget,
                 &CancelToken::unbounded(),
             )
             .unwrap();
@@ -655,25 +637,12 @@ mod tests {
         let token = budget.start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let mut ws = Workspace::new();
-        let e = algorithm1_budgeted_in(&mut ws, &bg, &terminals, &budget, &token).unwrap_err();
+        let e = algorithm1_budgeted_in(&mut ws, &bg, &terminals, &token).unwrap_err();
         assert!(e.budget().is_some());
-        // The workspace stays usable: the unbudgeted path still solves.
-        let out = algorithm1_in(&mut ws, &bg, &terminals).unwrap();
+        // The workspace stays usable: an unbounded token still solves.
+        let out =
+            algorithm1_budgeted_in(&mut ws, &bg, &terminals, &CancelToken::unbounded()).unwrap();
         assert_eq!(out.v2_cost, 2);
-    }
-
-    #[test]
-    fn budgeted_admission_rejects_oversized_instances() {
-        let bg = acyclic_schema();
-        let terminals = ids(&bg, &["a", "d"]);
-        let budget = SolveBudget {
-            max_nodes: 2,
-            ..SolveBudget::default()
-        };
-        let token = budget.start();
-        let mut ws = Workspace::new();
-        let e = algorithm1_budgeted_in(&mut ws, &bg, &terminals, &budget, &token).unwrap_err();
-        assert_eq!(e.budget().unwrap().kind, mcc_graph::BudgetKind::Nodes);
     }
 
     #[test]

@@ -70,7 +70,7 @@
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{
     component_of_in, remove_if_redundant_in, terminal_blocks_in, BudgetExceeded, CancelToken,
-    Graph, NodeId, NodeSet, SolveBudget, Stage, Workspace,
+    Graph, NodeId, NodeSet, Stage, Workspace,
 };
 
 /// Runs Algorithm 2 with the default elimination order (increasing node
@@ -118,9 +118,7 @@ pub fn algorithm2_with_order_in(
     terminals: &NodeSet,
     order: &[NodeId],
 ) -> Option<SteinerTree> {
-    let budget = SolveBudget::unbounded();
-    let token = CancelToken::unbounded();
-    match algorithm2_budgeted_in(ws, g, terminals, order, &budget, &token) {
+    match algorithm2_budgeted_in(ws, g, terminals, order, &CancelToken::unbounded()) {
         Ok(tree) => Some(tree),
         Err(SolveError::Disconnected) => None,
         #[expect(
@@ -131,24 +129,22 @@ pub fn algorithm2_with_order_in(
     }
 }
 
-/// [`algorithm2_with_order_in`] under a [`SolveBudget`]: instance-size
-/// admission up front, a token tick per elimination candidate, and the
-/// unified [`SolveError`] taxonomy (disconnection is an error, not
-/// `None`). The Step 1 loop keeps its zero-steady-state-allocation
-/// property — a tick is a [`std::cell::Cell`] decrement, and the clock is
-/// consulted only every [`mcc_graph::budget::TICK_PERIOD`] work units.
+/// [`algorithm2_with_order_in`] under a [`CancelToken`]: a token tick per
+/// elimination candidate, and the unified [`SolveError`] taxonomy
+/// (disconnection is an error, not `None`). The Step 1 loop keeps its
+/// zero-steady-state-allocation property — a tick is a
+/// [`std::cell::Cell`] decrement, and the clock is consulted only every
+/// [`mcc_graph::budget::TICK_PERIOD`] work units.
 pub fn algorithm2_budgeted_in(
     ws: &mut Workspace,
     g: &Graph,
     terminals: &NodeSet,
     order: &[NodeId],
-    budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<SteinerTree> {
     let _span = mcc_obs::span!(Algorithm2);
     let n = g.node_count();
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
-    budget.admit_graph(Stage::Algorithm2, n, g.edge_count())?;
     token.checkpoint(Stage::Algorithm2)?;
     let Some(t0) = terminals.first() else {
         return Ok(SteinerTree {
@@ -206,7 +202,9 @@ pub fn algorithm2_budgeted_in(
 /// the workspace and the alive mask is the caller's, so once the
 /// workspace has warmed up to this graph size the sweep performs **zero
 /// heap allocations**, which `tests/alloc_regression.rs` asserts with a
-/// counting global allocator.
+/// counting global allocator. When the terminals are not connected
+/// within `alive`, no deletion keeps them connected and `alive` is left
+/// as it is.
 pub fn eliminate_nonredundant_in(
     ws: &mut Workspace,
     g: &Graph,
@@ -214,36 +212,11 @@ pub fn eliminate_nonredundant_in(
     order: &[NodeId],
     alive: &mut NodeSet,
 ) {
-    let token = CancelToken::unbounded();
     // An unbounded token never cancels; the sweep always completes.
-    let _ = eliminate_nonredundant_budgeted_in(ws, g, terminals, order, alive, &token);
-}
-
-/// [`eliminate_nonredundant_in`] with cooperative cancellation. The block
-/// pass is charged `|V| + |A|` token units, a candidate the pass settles
-/// one unit, and a block-local test the nodes it visits. On a budget trip
-/// the sweep stops early; `alive` is left as a *valid cover* of the
-/// terminals (every step leaves them connected) — it is merely not yet
-/// nonredundant. When the terminals are not connected within `alive`,
-/// no deletion keeps them connected and `alive` is left as it is.
-///
-/// The zero-allocation guarantee is unchanged: a tick is a
-/// [`std::cell::Cell`] decrement and the clock is consulted only every
-/// [`mcc_graph::budget::TICK_PERIOD`] work units —
-/// `tests/alloc_regression.rs` still pins the warm loop at zero heap
-/// allocations.
-pub fn eliminate_nonredundant_budgeted_in(
-    ws: &mut Workspace,
-    g: &Graph,
-    terminals: &NodeSet,
-    order: &[NodeId],
-    alive: &mut NodeSet,
-    token: &CancelToken,
-) -> Result<(), BudgetExceeded> {
-    if block_pass_in(ws, g, alive, terminals, Stage::Algorithm2, token)? {
-        sweep_in(ws, g, terminals, order, alive, token)?;
+    let token = CancelToken::unbounded();
+    if let Ok(true) = block_pass_in(ws, g, alive, terminals, Stage::Algorithm2, &token) {
+        let _ = sweep_in(ws, g, terminals, order, alive, &token);
     }
-    Ok(())
 }
 
 /// Runs [`terminal_blocks_in`] over `alive` and charges it `|V| + |A|`
@@ -264,7 +237,11 @@ pub(crate) fn block_pass_in(
     Ok(true)
 }
 
-/// Step 1 after a successful block pass over `alive`.
+/// Step 1 after a successful block pass over `alive`. A candidate the
+/// pass settles costs one token unit, a block-local test the nodes it
+/// visits. On a budget trip the sweep stops early and `alive` is left a
+/// *valid cover* of the terminals (every step leaves them connected),
+/// merely not yet nonredundant.
 fn sweep_in(
     ws: &mut Workspace,
     g: &Graph,
@@ -289,6 +266,7 @@ mod tests {
     use super::*;
     use crate::cover::{is_nonredundant_cover, minimum_cover_bruteforce};
     use mcc_graph::builder::graph_from_edges;
+    use mcc_graph::SolveBudget;
 
     fn terminals(n: usize, ts: &[u32]) -> NodeSet {
         NodeSet::from_nodes(n, ts.iter().map(|&t| NodeId(t)))
@@ -347,23 +325,19 @@ mod tests {
     #[test]
     fn budgeted_reports_disconnection_and_deadline() {
         let g = graph_from_edges(4, &[(0, 1), (2, 3)]);
-        let budget = SolveBudget::default();
-        let token = budget.start();
+        let token = SolveBudget::default().start();
         let mut ws = Workspace::new();
         let order: Vec<NodeId> = g.nodes().collect();
-        let e =
-            algorithm2_budgeted_in(&mut ws, &g, &terminals(4, &[0, 2]), &order, &budget, &token)
-                .unwrap_err();
+        let e = algorithm2_budgeted_in(&mut ws, &g, &terminals(4, &[0, 2]), &order, &token)
+            .unwrap_err();
         assert_eq!(e, SolveError::Disconnected);
 
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]);
-        let budget = SolveBudget::with_deadline(std::time::Duration::ZERO);
-        let token = budget.start();
+        let token = SolveBudget::with_deadline(std::time::Duration::ZERO).start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let order: Vec<NodeId> = g.nodes().collect();
-        let e =
-            algorithm2_budgeted_in(&mut ws, &g, &terminals(5, &[1, 3]), &order, &budget, &token)
-                .unwrap_err();
+        let e = algorithm2_budgeted_in(&mut ws, &g, &terminals(5, &[1, 3]), &order, &token)
+            .unwrap_err();
         assert!(e.budget().is_some());
         // The workspace survives a trip: the legacy path still solves.
         let t = algorithm2_with_order_in(&mut ws, &g, &terminals(5, &[1, 3]), &order).unwrap();
@@ -376,13 +350,18 @@ mod tests {
         let p = terminals(6, &[0, 3]);
         let mut ws = Workspace::new();
         let mut alive = NodeSet::full(6);
-        let budget = SolveBudget::with_deadline(std::time::Duration::ZERO);
-        let token = budget.start();
+        let token = SolveBudget::with_deadline(std::time::Duration::ZERO).start();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        // Burn the fuel so the very first candidate consults the clock.
-        let _ = token.tick(Stage::Algorithm2, mcc_graph::budget::TICK_PERIOD - 1);
+        assert_eq!(
+            block_pass_in(&mut ws, &g, &alive, &p, Stage::Algorithm2, &token),
+            Ok(true)
+        );
+        // The pass charged |V| + |A| units; burn the rest of the fuel so
+        // the very first candidate consults the clock.
+        let pass = (g.node_count() + g.edge_count()) as u64;
+        let _ = token.tick(Stage::Algorithm2, mcc_graph::budget::TICK_PERIOD - pass - 1);
         let order: Vec<NodeId> = g.nodes().collect();
-        let r = eliminate_nonredundant_budgeted_in(&mut ws, &g, &p, &order, &mut alive, &token);
+        let r = sweep_in(&mut ws, &g, &p, &order, &mut alive, &token);
         assert!(r.is_err());
         // Whatever survived is still a cover: terminals stay connected.
         assert!(mcc_graph::terminals_connected_in(&mut ws, &g, &alive, &p));

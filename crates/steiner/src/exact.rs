@@ -26,10 +26,10 @@
 //! back from the back-pointers with an explicit stack; a merge re-finds
 //! its split at that node.
 //!
-//! The `*_budgeted` entry points are the governed versions: the DP table
-//! footprint is checked against the [`SolveBudget`] *before* anything is
-//! allocated, the merge, relaxation and read-back loops tick a
-//! [`CancelToken`], and a reconstruction inconsistency comes back as
+//! [`steiner_exact_node_weighted_budgeted`] is the governed version: the
+//! DP table footprint is checked against the [`SolveBudget`] *before*
+//! anything is allocated, the merge, relaxation and read-back loops tick
+//! a [`CancelToken`], and a reconstruction inconsistency comes back as
 //! [`SolveError::Internal`] instead of aborting the process.
 
 use crate::{SolveError, SolveOutcome, SteinerInstance, SteinerTree};
@@ -75,17 +75,6 @@ pub fn steiner_exact(inst: &SteinerInstance) -> Option<ExactSolution> {
     steiner_exact_node_weighted(&inst.graph, &inst.terminals, &w)
 }
 
-/// [`steiner_exact`] under a [`SolveBudget`]: unit weights, cooperative
-/// cancellation, disconnection as [`SolveError::Disconnected`].
-pub fn steiner_exact_budgeted(
-    inst: &SteinerInstance,
-    budget: &SolveBudget,
-    token: &CancelToken,
-) -> SolveOutcome<ExactSolution> {
-    let w = vec![1u64; inst.graph.node_count()];
-    steiner_exact_node_weighted_budgeted(&inst.graph, &inst.terminals, &w, budget, token)
-}
-
 /// Exact minimum-weight Steiner tree under arbitrary non-negative node
 /// weights. See module docs for the recurrence; the terminal count is the
 /// exponential dimension.
@@ -120,11 +109,13 @@ pub fn steiner_exact_node_weighted(
 
 /// [`steiner_exact_node_weighted`] under a [`SolveBudget`].
 ///
-/// Admission happens first: instance size against the budget's node/edge
-/// caps and the *projected* DP footprint ([`mcc_graph::budget::dp_table_bytes`],
-/// exactly the two tables allocated below) against
-/// `max_dp_bytes`/`max_exact_terminals` — so an oversized request is
-/// rejected in microseconds, before any table is allocated. The merge
+/// Admission happens first: the terminal count against the 24-terminal
+/// mask width ([`mcc_graph::budget::HARD_MAX_EXACT_TERMINALS`]) and the
+/// *projected* DP footprint ([`mcc_graph::budget::dp_table_bytes`],
+/// exactly the two tables allocated below) against `max_dp_bytes` — so an
+/// oversized request is rejected in microseconds, before any table is
+/// allocated. Which terminal counts reach the DP at all is the router's
+/// call (`SolverConfig::max_exact_terminals`), not the budget's. The merge
 /// step, the relaxations and the reconstruction all tick `token`, so a
 /// wall-clock deadline interrupts mid-DP.
 pub fn steiner_exact_node_weighted_budgeted(
@@ -138,7 +129,6 @@ pub fn steiner_exact_node_weighted_budgeted(
     let n = g.node_count();
     assert_eq!(weights.len(), n, "one weight per node");
     let k = terminals.len();
-    budget.admit_graph(Stage::ExactDp, n, g.edge_count())?;
     budget.admit_exact_dp(k, n)?;
     token.checkpoint(Stage::ExactDp)?;
 
@@ -420,8 +410,9 @@ mod tests {
         let terminals = NodeSet::from_nodes(4, [NodeId(0), NodeId(3)]);
         let budget = SolveBudget::default();
         let token = budget.start();
-        let e = steiner_exact_budgeted(&SteinerInstance::new(g, terminals), &budget, &token)
-            .unwrap_err();
+        let w = vec![1u64; 4];
+        let e =
+            steiner_exact_node_weighted_budgeted(&g, &terminals, &w, &budget, &token).unwrap_err();
         assert_eq!(e, SolveError::Disconnected);
     }
 
@@ -461,9 +452,8 @@ mod tests {
         let terminals = NodeSet::from_nodes(5, [NodeId(0), NodeId(2)]);
         let budget = SolveBudget::default();
         let token = budget.start();
-        let s =
-            steiner_exact_budgeted(&SteinerInstance::new(g.clone(), terminals), &budget, &token)
-                .unwrap();
+        let w = vec![1u64; 5];
+        let s = steiner_exact_node_weighted_budgeted(&g, &terminals, &w, &budget, &token).unwrap();
         assert_eq!(s.cost, 3);
         assert!(s.tree.is_valid_tree(&g));
     }

@@ -22,17 +22,13 @@
 //! the deadline instead of enumerating forever.
 
 use crate::{ExactSolution, SolveError, SolveOutcome, SteinerTree};
-use mcc_graph::{
-    bfs_distances, CancelToken, Graph, NodeId, NodeSet, SolveBudget, Stage, INFINITE_DISTANCE,
-};
+use mcc_graph::{bfs_distances, CancelToken, Graph, NodeId, NodeSet, Stage, INFINITE_DISTANCE};
 
 /// Exact minimum-node Steiner tree by iterative deepening. Returns
 /// `None` when the terminals are disconnected. Equivalent to
 /// [`crate::steiner_exact`] (unit weights), by a different algorithm.
 pub fn steiner_exact_ids(g: &Graph, terminals: &NodeSet) -> Option<ExactSolution> {
-    let budget = SolveBudget::unbounded();
-    let token = CancelToken::unbounded();
-    match steiner_exact_ids_budgeted(g, terminals, &budget, &token) {
+    match steiner_exact_ids_budgeted(g, terminals, &CancelToken::unbounded()) {
         Ok(sol) => Some(sol),
         Err(SolveError::Disconnected) => None,
         #[expect(
@@ -43,19 +39,17 @@ pub fn steiner_exact_ids(g: &Graph, terminals: &NodeSet) -> Option<ExactSolution
     }
 }
 
-/// [`steiner_exact_ids`] under a [`SolveBudget`]: instance-size admission
-/// up front, a token tick per search node, disconnection as
-/// [`SolveError::Disconnected`], and the "spanning set always succeeds"
-/// invariant surfaced as [`SolveError::Internal`] instead of a panic.
+/// [`steiner_exact_ids`] under a [`CancelToken`]: a tick per search node,
+/// disconnection as [`SolveError::Disconnected`], and the "spanning set
+/// always succeeds" invariant surfaced as [`SolveError::Internal`]
+/// instead of a panic.
 pub fn steiner_exact_ids_budgeted(
     g: &Graph,
     terminals: &NodeSet,
-    budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<ExactSolution> {
     let n = g.node_count();
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
-    budget.admit_graph(Stage::ExactIds, n, g.edge_count())?;
     token.checkpoint(Stage::ExactIds)?;
     if terminals.is_empty() {
         return Ok(ExactSolution {
@@ -254,7 +248,7 @@ mod tests {
     use super::*;
     use crate::{steiner_exact, SteinerInstance};
     use mcc_graph::builder::graph_from_edges;
-    use mcc_graph::BudgetKind;
+    use mcc_graph::{BudgetKind, SolveBudget};
     use std::time::Duration;
 
     fn terminals(n: usize, ts: &[u32]) -> NodeSet {
@@ -316,24 +310,10 @@ mod tests {
     fn budgeted_cancels_on_expired_deadline() {
         let g = graph_from_edges(40, &(0..39).map(|i| (i, i + 1)).collect::<Vec<_>>());
         let p = terminals(40, &[0, 13, 26, 39]);
-        let budget = SolveBudget::with_deadline(Duration::ZERO);
-        let token = budget.start();
+        let token = SolveBudget::with_deadline(Duration::ZERO).start();
         std::thread::sleep(Duration::from_millis(2));
-        let e = steiner_exact_ids_budgeted(&g, &p, &budget, &token).unwrap_err();
+        let e = steiner_exact_ids_budgeted(&g, &p, &token).unwrap_err();
         assert_eq!(e.budget().unwrap().kind, BudgetKind::WallClockMs);
-    }
-
-    #[test]
-    fn budgeted_admission_rejects_oversized_instances() {
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let p = terminals(6, &[0, 5]);
-        let budget = SolveBudget {
-            max_nodes: 4,
-            ..SolveBudget::default()
-        };
-        let token = budget.start();
-        let e = steiner_exact_ids_budgeted(&g, &p, &budget, &token).unwrap_err();
-        assert_eq!(e.budget().unwrap().kind, BudgetKind::Nodes);
     }
 
     #[test]

@@ -12,16 +12,14 @@
 
 use crate::{algorithm2_budgeted_in, SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{
-    bfs_distances, shortest_path, CancelToken, Graph, NodeId, NodeSet, SolveBudget, Stage,
-    Workspace, INFINITE_DISTANCE,
+    bfs_distances, shortest_path, CancelToken, Graph, NodeId, NodeSet, Stage, Workspace,
+    INFINITE_DISTANCE,
 };
 
 /// Runs the KMB-style heuristic. Returns `None` when the terminals are
 /// not connected.
 pub fn steiner_kmb(g: &Graph, terminals: &NodeSet) -> Option<SteinerTree> {
-    let budget = SolveBudget::unbounded();
-    let token = CancelToken::unbounded();
-    match steiner_kmb_budgeted(g, terminals, &budget, &token) {
+    match steiner_kmb_budgeted(g, terminals, &CancelToken::unbounded()) {
         Ok(tree) => Some(tree),
         Err(SolveError::Disconnected) => None,
         #[expect(
@@ -32,22 +30,19 @@ pub fn steiner_kmb(g: &Graph, terminals: &NodeSet) -> Option<SteinerTree> {
     }
 }
 
-/// [`steiner_kmb`] under a [`SolveBudget`]: instance-size admission up
-/// front, a token tick per BFS row / Prim round / pruning candidate, and
-/// disconnection as [`SolveError::Disconnected`]. This is the fallback
-/// rung of the degradation ladder, so it shares the ladder's one
-/// [`CancelToken`] — a deadline spans the exact attempt *and* this
-/// fallback.
+/// [`steiner_kmb`] under a [`CancelToken`]: a tick per BFS row / Prim
+/// round / pruning candidate, and disconnection as
+/// [`SolveError::Disconnected`]. This is the fallback rung of the
+/// degradation ladder, so it shares the ladder's one token — a deadline
+/// spans the exact attempt *and* this fallback.
 pub fn steiner_kmb_budgeted(
     g: &Graph,
     terminals: &NodeSet,
-    budget: &SolveBudget,
     token: &CancelToken,
 ) -> SolveOutcome<SteinerTree> {
     let _span = mcc_obs::span!(Kmb);
     let n = g.node_count();
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
-    budget.admit_graph(Stage::Heuristic, n, g.edge_count())?;
     token.checkpoint(Stage::Heuristic)?;
     let ts: Vec<NodeId> = terminals.to_vec();
     if ts.is_empty() {
@@ -126,7 +121,6 @@ pub fn steiner_kmb_budgeted(
         &sub.graph,
         &local_terminals,
         &local_order,
-        budget,
         token,
     )?;
     // Lift back to parent ids.
@@ -147,7 +141,7 @@ mod tests {
     use crate::exact::steiner_exact;
     use crate::SteinerInstance;
     use mcc_graph::builder::graph_from_edges;
-    use mcc_graph::BudgetKind;
+    use mcc_graph::{BudgetKind, SolveBudget};
     use std::time::Duration;
 
     fn terminals(n: usize, ts: &[u32]) -> NodeSet {
@@ -207,19 +201,17 @@ mod tests {
     #[test]
     fn budgeted_solves_within_a_generous_deadline() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let budget = SolveBudget::with_deadline(Duration::from_secs(30));
-        let token = budget.start();
-        let t = steiner_kmb_budgeted(&g, &terminals(5, &[0, 2]), &budget, &token).unwrap();
+        let token = SolveBudget::with_deadline(Duration::from_secs(30)).start();
+        let t = steiner_kmb_budgeted(&g, &terminals(5, &[0, 2]), &token).unwrap();
         assert_eq!(t.node_cost(), 3);
     }
 
     #[test]
     fn budgeted_trips_on_expired_deadline() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let budget = SolveBudget::with_deadline(Duration::ZERO);
-        let token = budget.start();
+        let token = SolveBudget::with_deadline(Duration::ZERO).start();
         std::thread::sleep(Duration::from_millis(2));
-        let e = steiner_kmb_budgeted(&g, &terminals(5, &[0, 2]), &budget, &token).unwrap_err();
+        let e = steiner_kmb_budgeted(&g, &terminals(5, &[0, 2]), &token).unwrap_err();
         assert_eq!(e.budget().unwrap().kind, BudgetKind::WallClockMs);
     }
 

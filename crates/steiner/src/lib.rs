@@ -54,13 +54,13 @@ pub mod pseudo;
 pub mod solver;
 
 pub use algorithm1::{
-    algorithm1, algorithm1_budgeted_in, algorithm1_in, algorithm1_with_ordering_budgeted_in,
-    check_lemma1_order, lemma1_ordering, verify_lemma1_ordering, Algorithm1Error, Lemma1Ordering,
+    algorithm1, algorithm1_budgeted_in, algorithm1_with_ordering_budgeted_in, check_lemma1_order,
+    lemma1_ordering, verify_lemma1_ordering, Algorithm1Error, Lemma1Ordering,
     CHECK_LEMMA1_MAX_NODES,
 };
 pub use algorithm2::{
     algorithm2, algorithm2_budgeted_in, algorithm2_with_order, algorithm2_with_order_in,
-    eliminate_nonredundant_budgeted_in, eliminate_nonredundant_in,
+    eliminate_nonredundant_in,
 };
 pub use artifacts::{ArtifactsError, SchemaArtifacts};
 pub use certify::{
@@ -71,8 +71,7 @@ pub use cover::{
     side_minimum_cover_bruteforce,
 };
 pub use exact::{
-    steiner_exact, steiner_exact_budgeted, steiner_exact_node_weighted,
-    steiner_exact_node_weighted_budgeted, ExactSolution,
+    steiner_exact, steiner_exact_node_weighted, steiner_exact_node_weighted_budgeted, ExactSolution,
 };
 pub use exact_ids::{steiner_exact_ids, steiner_exact_ids_budgeted};
 pub use heuristic::{steiner_kmb, steiner_kmb_budgeted};

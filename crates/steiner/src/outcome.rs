@@ -30,7 +30,7 @@ pub enum SolveError {
     /// V₂-conformal (its `H¹` is not α-acyclic), so no Lemma 1 ordering
     /// exists and the optimality guarantee is void.
     NotAlphaAcyclic,
-    /// A resource budget tripped (deadline, DP size, instance size). The
+    /// A resource budget tripped (deadline, DP size, terminal cap). The
     /// payload says which stage, which knob, and how much was consumed.
     Budget(BudgetExceeded),
     /// An internal invariant failed (e.g. a DP value with no witness

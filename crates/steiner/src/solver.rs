@@ -122,9 +122,9 @@ pub struct SolverConfig {
     /// instances with no Algorithm 1 route are refused with an
     /// `ExactTerminals` budget error).
     pub max_exact_terminals: usize,
-    /// Resource limits for every solve (deadline, DP table bytes,
-    /// instance size). The deadline spans the whole ladder: an exact
-    /// attempt and its heuristic fallback share one clock.
+    /// Resource limits for every solve (deadline, DP table bytes). The
+    /// deadline spans the whole ladder: an exact attempt and its
+    /// heuristic fallback share one clock.
     pub budget: SolveBudget,
 }
 
@@ -311,7 +311,7 @@ impl Solver {
             // per-solve ordering work, just the elimination loop.
             let mut ws = self.ws.borrow_mut();
             let order = self.artifacts.elimination_order();
-            let tree = algorithm2_budgeted_in(&mut ws, g, terminals, order, budget, token)?;
+            let tree = algorithm2_budgeted_in(&mut ws, g, terminals, order, token)?;
             let cost = tree.node_cost();
             return Ok(Solution {
                 tree,
@@ -340,7 +340,7 @@ impl Solver {
                 // The ladder: a budget trip in the exact route falls to
                 // the heuristic under the same (partly consumed) clock.
                 Err(SolveError::Budget(reason)) => {
-                    let tree = steiner_kmb_budgeted(g, terminals, budget, token)?;
+                    let tree = steiner_kmb_budgeted(g, terminals, token)?;
                     let cost = tree.node_cost();
                     return Ok(Solution {
                         tree,
@@ -357,7 +357,7 @@ impl Solver {
                 Err(e) => return Err(e),
             }
         }
-        let tree = steiner_kmb_budgeted(g, terminals, budget, token)?;
+        let tree = steiner_kmb_budgeted(g, terminals, token)?;
         let cost = tree.node_cost();
         Ok(Solution {
             tree,
@@ -385,7 +385,7 @@ impl Solver {
             // borrowed, not copied.
             let mut ws = self.ws.borrow_mut();
             let (tree, cost) =
-                algorithm1_cached_in(&mut ws, oriented, terminals, &l1.order, budget, token)?;
+                algorithm1_cached_in(&mut ws, oriented, terminals, &l1.order, token)?;
             return Ok(Solution {
                 tree,
                 strategy: SteinerStrategy::Algorithm1,
@@ -414,7 +414,7 @@ impl Solver {
                 // Ladder: best-effort KMB tree; its side cost carries no
                 // optimality guarantee, which `degraded` records.
                 Err(SolveError::Budget(reason)) => {
-                    let tree = steiner_kmb_budgeted(g, terminals, budget, token)?;
+                    let tree = steiner_kmb_budgeted(g, terminals, token)?;
                     let side_set = match side {
                         Side::V1 => bg.v1_set(),
                         Side::V2 => bg.v2_set(),
@@ -652,6 +652,45 @@ mod tests {
         // Routed (not degraded): k exceeded the routing preference, no
         // budget tripped.
         assert!(sol.degraded.is_none());
+    }
+
+    /// The exact route's terminal cap is the router's, not the budget's:
+    /// on a 92-node off-class graph under a 150 kB DP cap, seven
+    /// terminals go to the exact DP, while eight go straight to KMB with
+    /// no `Degraded` mark, although their tables (141 kB) would fit.
+    #[test]
+    fn eight_terminals_over_a_routing_cap_of_seven_go_to_kmb_undegraded() {
+        // A chordless 92-cycle x0 y0 x1 y1 … x45 y45: not even (6,1).
+        let xs: Vec<String> = (0..46).map(|i| format!("x{i}")).collect();
+        let ys: Vec<String> = (0..46).map(|i| format!("y{i}")).collect();
+        let xs: Vec<&str> = xs.iter().map(String::as_str).collect();
+        let ys: Vec<&str> = ys.iter().map(String::as_str).collect();
+        let edges: Vec<(usize, usize)> =
+            (0..46).flat_map(|i| [(i, i), ((i + 1) % 46, i)]).collect();
+        let bg = bipartite_from_lists(&xs, &ys, &edges);
+        let n = bg.graph().node_count();
+        assert_eq!(n, 92);
+        let cfg = SolverConfig {
+            max_exact_terminals: 7,
+            budget: SolveBudget {
+                max_dp_bytes: 150_000,
+                ..SolveBudget::default()
+            },
+        };
+        assert!(mcc_graph::budget::dp_table_bytes(8, n) <= cfg.budget.max_dp_bytes);
+        let solver = Solver::with_config(bg, cfg);
+        assert!(!solver.classification().six_two);
+        let spread = |k: u32| NodeSet::from_nodes(n, (0..k).map(|i| mcc_graph::NodeId(i * 5)));
+
+        let sol = solver.solve_steiner(&spread(7)).unwrap();
+        assert_eq!(sol.strategy, SteinerStrategy::Exact);
+        assert!(sol.degraded.is_none());
+
+        let terminals = spread(8);
+        let sol = solver.solve_steiner(&terminals).unwrap();
+        assert_eq!(sol.strategy, SteinerStrategy::Heuristic);
+        assert!(sol.degraded.is_none(), "routed, not degraded");
+        assert!(terminals.is_subset_of(&sol.tree.nodes));
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //! integration tests compile as their own crates, so the `forbid` does
 //! not reach here, and the workspace-level `deny` is lowered below.)
 
-// A counting `GlobalAlloc` cannot be written without `unsafe impl`.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "a counting `GlobalAlloc` cannot be written without `unsafe impl`"
+)]
 
 use mcc_graph::{builder::graph_from_edges, NodeId, NodeSet, Workspace};
 use mcc_steiner::{algorithm2, eliminate_nonredundant_in};
@@ -259,7 +261,7 @@ fn telemetry_spans_add_zero_allocations_on_the_budgeted_route() {
     let measure = |ws: &mut Workspace| {
         let token = budget.start();
         let before = allocation_count();
-        let tree = algorithm2_budgeted_in(ws, &g, &terminals, &order, &budget, &token)
+        let tree = algorithm2_budgeted_in(ws, &g, &terminals, &order, &token)
             .expect("terminals connected");
         let allocs = allocation_count() - before;
         (allocs, tree.node_cost())

@@ -23,7 +23,7 @@ use mcc_gen::{
 use mcc_graph::builder::graph_from_edges;
 use mcc_graph::{
     component_of, shortest_path, terminals_connected, BipartiteGraph, CancelToken, Graph, NodeId,
-    NodeSet, Side, SolveBudget, Workspace,
+    NodeSet, Side, Workspace,
 };
 use mcc_steiner::{
     algorithm1_with_ordering_budgeted_in, algorithm2_with_order_in, eliminate_nonredundant_in,
@@ -150,9 +150,8 @@ fn check_algorithm1(
     terminals: &NodeSet,
     ordering: &[NodeId],
 ) {
-    let budget = SolveBudget::unbounded();
     let token = CancelToken::unbounded();
-    let fast = algorithm1_with_ordering_budgeted_in(ws, bg, terminals, ordering, &budget, &token)
+    let fast = algorithm1_with_ordering_budgeted_in(ws, bg, terminals, ordering, &token)
         .map(|out| (out.tree.nodes, out.v2_cost));
     let slow = oracle::algorithm1(bg, terminals, ordering);
     assert_eq!(

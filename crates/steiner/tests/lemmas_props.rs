@@ -4,6 +4,13 @@
 //! "if and only if" in the paper, and both are checked here against the
 //! independent (6,2) recognizer.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_chordality::{is_six_two_chordal, is_vi_chordal, is_vi_conformal};
 use mcc_graph::{builder::graph_from_edges, BipartiteGraph, NodeId, NodeSet, Side};
 use mcc_steiner::{is_minimum_path, is_nonredundant_cover, is_nonredundant_path};

@@ -2,6 +2,13 @@
 //! against exhaustive and exact baselines (Theorems 3 and 5,
 //! Corollaries 4 and 5).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc_chordality::{is_six_two_chordal, is_vi_chordal, is_vi_conformal};
 use mcc_graph::{builder::graph_from_edges, BipartiteGraph, NodeId, NodeSet, Side};
 use mcc_steiner::{

@@ -7,6 +7,13 @@
 //! obs `TestClock`); each test arms its own scope keyed by its private
 //! temp root, so the scenarios run in parallel without interfering.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc::prelude::*;
 use mcc::SchemaArtifacts;
 use mcc_store::{

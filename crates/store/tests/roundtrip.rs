@@ -3,6 +3,13 @@
 //! "equivalent" to a cold build — they drive `Solver::from_artifacts`
 //! to **identical solutions**.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc::{SchemaArtifacts, Solver, SolverConfig};
 use mcc_graph::{builder::graph_from_edges, BipartiteGraph, NodeId, NodeSet, Side};
 use mcc_store::{decode, encode};

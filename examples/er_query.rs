@@ -10,7 +10,7 @@ use mcc::figures;
 use mcc_datamodel::{enumerate_tree_interpretations, DisambiguationSession};
 use mcc_graph::NodeSet;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = figures::fig1();
     println!("ER schema {:?}:", schema.name);
     for e in &schema.entities {
@@ -26,16 +26,16 @@ fn main() {
     }
     println!();
 
-    let er = schema.to_graph().expect("fig1 is valid");
+    let er = schema.to_graph()?;
     let g = &er.graph;
 
     // The user query: "EMPLOYEE, DATE" — no aggregation knowledge needed.
     let query = ["EMPLOYEE", "DATE"];
     println!("query: {query:?}");
-    let terminals = NodeSet::from_nodes(
-        g.node_count(),
-        query.iter().map(|l| er.node(l).expect("concept exists")),
-    );
+    let mut terminals = NodeSet::new(g.node_count());
+    for label in query {
+        terminals.insert(er.node(label).ok_or("unknown concept")?);
+    }
 
     // Enumerate interpretations, minimal first — the paper's interactive
     // disambiguation loop: disclose as few auxiliary concepts as possible.
@@ -66,10 +66,10 @@ fn main() {
     // only on rejection.
     println!();
     println!("interactive disambiguation (user rejects the first reading):");
-    let mut session = DisambiguationSession::open(g, &terminals, 5, 2).expect("connected query");
+    let mut session = DisambiguationSession::open(g, &terminals, 5, 2)?;
     println!(
         "  system: {}",
-        session.describe_current().expect("has proposal")
+        session.describe_current().ok_or("no proposal")?
     );
     println!("  user:   no, the other one");
     session.reject();
@@ -80,6 +80,7 @@ fn main() {
             session.disclosed_count()
         );
     }
-    let accepted = session.accept().expect("accepted");
+    let accepted = session.accept().ok_or("nothing to accept")?;
     println!("  accepted: {} objects", accepted.node_cost());
+    Ok(())
 }

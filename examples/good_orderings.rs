@@ -10,7 +10,7 @@ use mcc::graph::NodeId;
 use mcc::steiner::{eliminate_with_ordering, minimum_cover_bruteforce, ordering_landscape};
 use mcc_graph::builder::graph_from_edges;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Part 1 — Corollary 5: on a (6,2)-chordal graph EVERY ordering is
     // good. Exhaustively, over all 120 orderings of a 5-node example.
     let six_two = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]);
@@ -40,9 +40,11 @@ fn main() {
         let mut order: Vec<NodeId> = vec![*first];
         order.extend(g.nodes().filter(|v| v != first));
         let got = eliminate_with_ordering(g, &order, terms)
-            .expect("feasible")
+            .ok_or("infeasible case")?
             .len();
-        let min = minimum_cover_bruteforce(g, terms).expect("feasible").len();
+        let min = minimum_cover_bruteforce(g, terms)
+            .ok_or("infeasible case")?
+            .len();
         let labels: Vec<&str> = terms.iter().map(|v| g.label(v)).collect();
         println!(
             "{:<8} {:<22} {:>7} {:>8}",
@@ -57,4 +59,5 @@ fn main() {
     println!("so every ordering fails at least one terminal set: no good");
     println!("ordering exists — yet each case alone is solvable by an");
     println!("ordering that defers its central node (run the tests to see).");
+    Ok(())
 }

@@ -8,7 +8,7 @@
 use mcc::prelude::*;
 use mcc_graph::bipartite::bipartite_from_lists;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small library schema as a bipartite graph: attributes on V1,
     // relations on V2.
     //   LOANS(reader, book, due)   BOOKS(book, title)   READERS(reader, name)
@@ -36,15 +36,11 @@ fn main() {
     // 2. Solve: connect `name` and `title` with the fewest objects.
     let solver = Solver::new(bg);
     let g = solver.graph().graph();
-    let terminals = NodeSet::from_nodes(
-        g.node_count(),
-        ["name", "title"]
-            .iter()
-            .map(|l| g.node_by_label(l).expect("known label")),
-    );
-    let sol = solver
-        .solve_steiner(&terminals)
-        .expect("schema is connected");
+    let mut terminals = NodeSet::new(g.node_count());
+    for label in ["name", "title"] {
+        terminals.insert(g.node_by_label(label).ok_or("unknown label")?);
+    }
+    let sol = solver.solve_steiner(&terminals)?;
 
     println!("=== minimal connection: name -- title ===");
     println!(
@@ -63,13 +59,12 @@ fn main() {
 
     // 3. Pseudo-Steiner: the same query minimizing only the *relation*
     //    count (the paper's Algorithm 1 territory).
-    let pseudo = solver
-        .solve_pseudo(&terminals, Side::V2)
-        .expect("schema is alpha-acyclic");
+    let pseudo = solver.solve_pseudo(&terminals, Side::V2)?;
     println!();
     println!("=== minimum-relation connection ===");
     println!(
         "strategy: {:?}, relations used: {}",
         pseudo.strategy, pseudo.cost
     );
+    Ok(())
 }

@@ -10,7 +10,7 @@ use mcc::prelude::*;
 use mcc_datamodel::audit_relational;
 use mcc_gen::random_alpha_acyclic;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut schemas: Vec<RelationalSchema> = vec![
         // A textbook 3NF-ish sales schema: a join tree, hence γ-acyclic.
         RelationalSchema::from_lists(
@@ -66,7 +66,7 @@ fn main() {
         "schema", "(4,1)", "(6,2)", "(6,1)", "alpha"
     );
     for schema in &schemas {
-        let r = audit_relational(schema).expect("validated above");
+        let r = audit_relational(schema)?;
         let c = r.classification;
         println!(
             "{:<16} {:>8} {:>8} {:>8} {:>8}",
@@ -77,4 +77,5 @@ fn main() {
             c.h1_alpha_acyclic()
         );
     }
+    Ok(())
 }

@@ -10,15 +10,17 @@
 //! cargo run --release --example solver_comparison
 //! ```
 
-// Timing the solvers is this example's job.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing the solvers is this example's job"
+)]
 
 use mcc::prelude::*;
 use mcc_gen::{random_bipartite, random_six_two_block_tree, random_terminals};
 use mcc_steiner::{algorithm2, steiner_exact, steiner_exact_ids, steiner_kmb};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- on-class: (6,2)-chordal block trees ---");
     println!(
         "{:>4} {:>6} {:>6} {:>7} {:>7} {:>7} {:>10} {:>10}",
@@ -34,18 +36,18 @@ fn main() {
         let terminals = random_terminals(&g, None, 5, seed + 1000);
 
         let t0 = Instant::now();
-        let a2 = algorithm2(&g, &terminals).expect("block trees are connected");
+        let a2 = algorithm2(&g, &terminals).ok_or("block trees are connected")?;
         let alg2_us = t0.elapsed().as_micros();
 
         let t0 = Instant::now();
-        let exact =
-            steiner_exact(&SteinerInstance::new(g.clone(), terminals.clone())).expect("connected");
+        let exact = steiner_exact(&SteinerInstance::new(g.clone(), terminals.clone()))
+            .ok_or("block trees are connected")?;
         let exact_us = t0.elapsed().as_micros();
 
-        let kmb = steiner_kmb(&g, &terminals).expect("connected");
+        let kmb = steiner_kmb(&g, &terminals).ok_or("block trees are connected")?;
         assert_eq!(a2.node_cost() as u64, exact.cost, "Theorem 5 must hold");
         // Second exact baseline agrees too (different algorithm).
-        let ids = steiner_exact_ids(&g, &terminals).expect("connected");
+        let ids = steiner_exact_ids(&g, &terminals).ok_or("block trees are connected")?;
         assert_eq!(ids.cost, exact.cost, "exact solvers must agree");
         println!(
             "{:>4} {:>6} {:>6} {:>7} {:>7} {:>7} {:>10} {:>10}",
@@ -113,7 +115,7 @@ fn main() {
         let bg = random_six_two_block_tree(shape, seed);
         let terminals = random_terminals(bg.graph(), None, 5, seed + 1000);
         let solver = Solver::new(bg);
-        let sol = solver.solve_steiner(&terminals).expect("connected");
+        let sol = solver.solve_steiner(&terminals)?;
         println!(
             "{:>4} {:>6} {:>10} {:>10} {:>10} {:>12}",
             seed,
@@ -125,8 +127,9 @@ fn main() {
         );
         // Repeat query through the same solver: the scratch footprint has
         // stabilized (no new buffers), the traffic repeats.
-        let again = solver.solve_steiner(&terminals).expect("connected");
+        let again = solver.solve_steiner(&terminals)?;
         assert_eq!(again.stats.scratch_bytes, sol.stats.scratch_bytes);
     }
     println!("(scratch bytes stay flat across repeat queries: the workspace reuses its buffers)");
+    Ok(())
 }

@@ -14,6 +14,13 @@
 //!   (Algorithm 2, exact, Algorithm 1 under V₂ weights) must *equal*
 //!   it, and the KMB heuristic must never beat it (cost ≥ exact).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc::prelude::*;
 use mcc::SolverConfig;
 use mcc_gen::block_tree::BlockTreeShape;
@@ -215,7 +222,7 @@ fn check_against_exact(bg: &BipartiteGraph, terminals: &NodeSet) -> bool {
         // Terminals disconnected: the solver must agree.
         let err = Solver::new(bg.clone()).solve_steiner(terminals);
         assert!(
-            matches!(err, Err(SolveError::Disconnected { .. })),
+            matches!(err, Err(SolveError::Disconnected)),
             "exact says disconnected, solver says {err:?}"
         );
         return false;
@@ -254,7 +261,7 @@ fn off_class_heuristic_route_never_beats_exact() {
         };
         let sol = match Solver::with_config(bg.clone(), config).solve_steiner(&terminals) {
             Ok(sol) => sol,
-            Err(SolveError::Disconnected { .. }) => continue,
+            Err(SolveError::Disconnected) => continue,
             Err(e) => panic!("unexpected solve error: {e:?}"),
         };
         assert!(sol.tree.is_valid_tree(bg.graph()));

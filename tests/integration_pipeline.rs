@@ -1,8 +1,10 @@
 //! Generator → recognizer → solver → certificate pipelines: the glue the
 //! benchmark harness relies on, exercised at test scale.
 
-// The scale checks time themselves against the wall clock.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the scale checks time themselves against the wall clock"
+)]
 
 use mcc::prelude::*;
 use mcc_chordality::classify_bipartite;

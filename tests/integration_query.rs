@@ -2,6 +2,13 @@
 //! the universal-relation scenario of the paper's introduction and
 //! conclusions.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
 use mcc::prelude::*;
 use mcc::SolverConfig;
 use mcc_datamodel::{audit_relational, enumerate_tree_interpretations, QueryError, Strategy};

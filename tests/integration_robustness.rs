@@ -6,8 +6,16 @@
 //! degrades to the heuristic inside the same deadline, and no input —
 //! however degenerate — unwinds out of `Solver`.
 
-// The deadline tests time the solver against the wall clock.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the deadline tests time the solver against the wall clock"
+)]
 
 use mcc::prelude::*;
 use mcc::{BudgetKind, SolverConfig};
