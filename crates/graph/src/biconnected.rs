@@ -76,9 +76,13 @@ impl BlockScratch {
         self.next.resize(n, 0);
         self.block.clear();
         self.block.resize(n, NO_BLOCK);
+        // Sized once: every block holds a node other than its top, so
+        // there are fewer than `n` of them.
         self.top.clear();
+        self.top.reserve(n);
         self.top.push(0);
         self.ports.clear();
+        self.ports.reserve(n);
         self.ports.push(0);
         self.seen.reset(n);
     }
@@ -112,6 +116,9 @@ impl BlockScratch {
         self.next[root.index()] = 0;
         calls.clear();
         verts.clear();
+        // Sized once: neither stack holds a node twice.
+        calls.reserve(g.node_count());
+        verts.reserve(g.node_count());
         calls.push(root);
         while let Some(&v) = calls.last() {
             let vi = v.index();

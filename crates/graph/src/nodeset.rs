@@ -150,9 +150,12 @@ impl NodeSet {
             })
     }
 
-    /// Collects the members into a vector (increasing order).
+    /// Collects the members into a vector (increasing order), allocated
+    /// once at its final length.
     pub fn to_vec(&self) -> Vec<NodeId> {
-        self.iter().collect()
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.iter());
+        out
     }
 
     /// In-place union.

@@ -10,9 +10,9 @@
 //! * a **metrics registry** ([`Registry`], [`metrics`]) that is lock-free
 //!   on the hot path: fixed log2-bucket histograms per stage and per
 //!   chordality class, plus the solver's degradation count, all plain
-//!   atomics — solve loops never contend on a lock. Cache, batch and
-//!   store events are counted once, by the engine and the store that
-//!   own them, not here;
+//!   atomics — solve loops never contend on a lock. Cache and store
+//!   events are counted once, by the engine and the store that own
+//!   them, not here;
 //! * lightweight **tracing spans** ([`span!`], [`Span`]): RAII guards
 //!   that time a stage ([`SpanKind`]) into the global registry and into
 //!   the calling thread's active [`SolveTrace`], with **zero heap

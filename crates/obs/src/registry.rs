@@ -19,7 +19,7 @@ use crate::names::{ClassLabel, SpanKind, N_CLASSES, N_SPANS};
 /// solves that stepped down the degradation ladder. Everything is
 /// atomics, so `&Registry` is freely shared across worker threads.
 ///
-/// Events that a component owns — cache, batch and store traffic — are
+/// Events that a component owns — cache and store traffic — are
 /// counted once, by that component (`EngineStats`, `StoreStats`), and
 /// are not repeated here.
 pub struct Registry {

@@ -312,7 +312,16 @@ fn algorithm1_run<'o>(
     // check: nodes outside the terminals' component are free.
     let mut alive = ws.take_set_buf(n);
     alive.fill();
-    match block_pass_in(ws, g, &alive, terminals, Stage::Algorithm1, token) {
+    let pass_cost = (n + g.edge_count()) as u64;
+    match block_pass_in(
+        ws,
+        g,
+        &alive,
+        terminals,
+        pass_cost,
+        Stage::Algorithm1,
+        token,
+    ) {
         Ok(true) => {}
         Ok(false) => {
             ws.return_set_buf(alive);

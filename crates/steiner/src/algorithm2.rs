@@ -146,18 +146,49 @@ pub fn algorithm2_budgeted_in(
     let n = g.node_count();
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
     token.checkpoint(Stage::Algorithm2)?;
-    let Some(t0) = terminals.first() else {
-        return Ok(SteinerTree {
-            nodes: NodeSet::new(n),
-            edges: vec![],
-        });
-    };
     // The block pass replaces a search for the terminals' component:
     // nodes outside it are free, and the final trim drops any that the
     // order left alive.
     let mut alive = ws.take_set_buf(n);
     alive.fill();
-    let swept = match block_pass_in(ws, g, &alive, terminals, Stage::Algorithm2, token) {
+    let pass_cost = (n + g.edge_count()) as u64;
+    prune_and_span_in(ws, g, terminals, order, alive, pass_cost, token)
+}
+
+/// Steps 1 and 2 over a caller-given `alive` set (a pooled set of `ws`,
+/// which this returns to the pool): the block pass, charged `pass_cost`
+/// token units, the sweep along `order`, the trim to the terminals'
+/// component and the spanning tree on `g` itself, certified in debug
+/// builds. Algorithm 2 passes the whole
+/// graph; KMB passes its union of shortest paths, which is the same
+/// sweep as on the induced subgraph because connectivity within `alive`
+/// reads only edges between alive nodes.
+pub(crate) fn prune_and_span_in(
+    ws: &mut Workspace,
+    g: &Graph,
+    terminals: &NodeSet,
+    order: &[NodeId],
+    mut alive: NodeSet,
+    pass_cost: u64,
+    token: &CancelToken,
+) -> SolveOutcome<SteinerTree> {
+    let n = g.node_count();
+    let Some(t0) = terminals.first() else {
+        ws.return_set_buf(alive);
+        return Ok(SteinerTree {
+            nodes: NodeSet::new(n),
+            edges: vec![],
+        });
+    };
+    let swept = match block_pass_in(
+        ws,
+        g,
+        &alive,
+        terminals,
+        pass_cost,
+        Stage::Algorithm2,
+        token,
+    ) {
         Ok(true) => sweep_in(ws, g, terminals, order, &mut alive, token).map_err(SolveError::from),
         Ok(false) => Err(SolveError::Disconnected),
         Err(e) => Err(e.into()),
@@ -214,26 +245,27 @@ pub fn eliminate_nonredundant_in(
 ) {
     // An unbounded token never cancels; the sweep always completes.
     let token = CancelToken::unbounded();
-    if let Ok(true) = block_pass_in(ws, g, alive, terminals, Stage::Algorithm2, &token) {
+    if let Ok(true) = block_pass_in(ws, g, alive, terminals, 0, Stage::Algorithm2, &token) {
         let _ = sweep_in(ws, g, terminals, order, alive, &token);
     }
 }
 
-/// Runs [`terminal_blocks_in`] over `alive` and charges it `|V| + |A|`
-/// token units. `Ok(false)` means the terminals are not connected within
-/// `alive`.
+/// Runs [`terminal_blocks_in`] over `alive` and charges it `cost` token
+/// units (`|V| + |A|` of the graph `alive` induces). `Ok(false)` means
+/// the terminals are not connected within `alive`.
 pub(crate) fn block_pass_in(
     ws: &mut Workspace,
     g: &Graph,
     alive: &NodeSet,
     terminals: &NodeSet,
+    cost: u64,
     stage: Stage,
     token: &CancelToken,
 ) -> Result<bool, BudgetExceeded> {
     if !terminal_blocks_in(ws, g, alive, terminals) {
         return Ok(false);
     }
-    token.tick(stage, (g.node_count() + g.edge_count()) as u64)?;
+    token.tick(stage, cost)?;
     Ok(true)
 }
 
@@ -352,13 +384,13 @@ mod tests {
         let mut alive = NodeSet::full(6);
         let token = SolveBudget::with_deadline(std::time::Duration::ZERO).start();
         std::thread::sleep(std::time::Duration::from_millis(2));
+        let pass = (g.node_count() + g.edge_count()) as u64;
         assert_eq!(
-            block_pass_in(&mut ws, &g, &alive, &p, Stage::Algorithm2, &token),
+            block_pass_in(&mut ws, &g, &alive, &p, pass, Stage::Algorithm2, &token),
             Ok(true)
         );
         // The pass charged |V| + |A| units; burn the rest of the fuel so
         // the very first candidate consults the clock.
-        let pass = (g.node_count() + g.edge_count()) as u64;
         let _ = token.tick(Stage::Algorithm2, mcc_graph::budget::TICK_PERIOD - pass - 1);
         let order: Vec<NodeId> = g.nodes().collect();
         let r = sweep_in(&mut ws, &g, &p, &order, &mut alive, &token);

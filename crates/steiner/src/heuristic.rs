@@ -3,18 +3,54 @@
 //! the last rung of the solver's degradation ladder (cheap enough to run
 //! inside whatever deadline remains after an exact attempt trips).
 //!
-//! 1. build the metric closure of the terminals (BFS distances);
-//! 2. take a minimum spanning tree of the closure (Prim);
-//! 3. expand closure edges into shortest paths and union their nodes;
-//! 4. prune: eliminate redundant nodes (an Algorithm-2-style sweep),
-//!    yielding a nonredundant cover;
-//! 5. return a spanning tree.
+//! Everything runs on the schema graph itself; no subgraph is copied.
+//!
+//! 1. **Closure rows.** The metric closure of the `k` terminals is one
+//!    BFS per terminal, into two flat `k·n` `u32` buffers: distances and
+//!    BFS parents. A row stops as soon as it has discovered every other
+//!    terminal, since only terminal distances enter the closure.
+//! 2. **Prim** over the closure, ties to the lowest terminal.
+//! 3. **Paths.** Each closure edge the spanning tree takes is expanded
+//!    into a shortest path by walking its source terminal's parent row
+//!    back from the target; no second search runs. The path nodes form
+//!    the union.
+//! 4. **Pruning.** Algorithm 2's Step 1 runs in place with the union as
+//!    the alive set, in increasing id order, and the surviving
+//!    nonredundant cover is spanned on the graph itself.
+//!
+//! ## Same trees as a subgraph copy
+//!
+//! The textbook form runs a full BFS per terminal, a second BFS per
+//! closure edge for its path, and Algorithm 2 on a copy of the subgraph
+//! the union induces. This form returns node- and edge-identical trees:
+//!
+//! - A BFS discovers nodes in a fixed order, because adjacency rows are
+//!   sorted and every neighbour loop walks them in increasing id order.
+//!   So a row's parents equal those of a fresh BFS from the same
+//!   terminal for every node it discovers, and the nodes on a path to a
+//!   terminal are discovered before that terminal. Stopping early
+//!   changes no terminal distance and no parent on any terminal path.
+//! - The sweep tests connectivity within the alive set, which reads only
+//!   edges between alive nodes: over the union it is the sweep on the
+//!   induced subgraph, node for node. The block-local sweep keeps
+//!   exactly the whole-graph sweep's node set for any alive set and
+//!   order (the `algorithm2` module docs), and the spanning tree of the
+//!   cover is built on the graph itself either way.
+//!
+//! `tests/kmb_differential.rs` keeps the textbook form as an oracle and
+//! checks equal trees and equal disconnection verdicts.
+//!
+//! ## Scratch
+//!
+//! The rows and the sweep's scratch are allocated per call, each once
+//! from `k` and `n`, and freed on return. The solver's own workspace is
+//! not used: the engine keeps one solver per worker and schema, and
+//! rows kept warm in each of them cost more resident memory than
+//! allocating them per call costs time (EXPERIMENTS §E23).
 
-use crate::{algorithm2_budgeted_in, SolveError, SolveOutcome, SteinerTree};
-use mcc_graph::{
-    bfs_distances, shortest_path, CancelToken, Graph, NodeId, NodeSet, Stage, Workspace,
-    INFINITE_DISTANCE,
-};
+use crate::algorithm2::prune_and_span_in;
+use crate::{SolveError, SolveOutcome, SteinerTree};
+use mcc_graph::{CancelToken, Graph, NodeId, NodeSet, Stage, Workspace, INFINITE_DISTANCE};
 
 /// Runs the KMB-style heuristic. Returns `None` when the terminals are
 /// not connected.
@@ -45,31 +81,39 @@ pub fn steiner_kmb_budgeted(
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
     token.checkpoint(Stage::Heuristic)?;
     let ts: Vec<NodeId> = terminals.to_vec();
-    if ts.is_empty() {
+    let k = ts.len();
+    if k == 0 {
         return Ok(SteinerTree {
             nodes: NodeSet::new(n),
             edges: vec![],
         });
     }
-    let full = NodeSet::full(n);
-    // Metric closure rows for terminals only. One BFS visits every node
-    // and edge once: charge |V| + 2|A| units per row.
+    // Closure rows for terminals only. Each is charged a full BFS,
+    // |V| + 2|A| units, whether or not it stops early.
     let row_cost = (n + 2 * g.edge_count()) as u64;
-    let mut dist: Vec<Vec<u32>> = Vec::with_capacity(ts.len());
-    for &t in &ts {
+    let mut dist = vec![INFINITE_DISTANCE; k * n];
+    let mut parent = vec![0u32; k * n];
+    let mut queue = Vec::with_capacity(n);
+    for (i, &t) in ts.iter().enumerate() {
         token.tick(Stage::Heuristic, row_cost)?;
-        dist.push(bfs_distances(g, &full, t));
+        let row = i * n..(i + 1) * n;
+        closure_row(
+            g,
+            terminals,
+            t,
+            &mut dist[row.clone()],
+            &mut parent[row],
+            &mut queue,
+        );
     }
-    // Prim over the closure.
-    let k = ts.len();
+    let dist_to = |i: usize, j: usize| dist[i * n + ts[j].index()];
+    // Prim over the closure; the pruning's scratch holds the union.
+    let mut ws = Workspace::with_capacity(n);
+    let mut union = ws.take_set_buf(n);
     let mut in_tree = vec![false; k];
-    let mut best = vec![u32::MAX; k];
+    let mut best: Vec<u32> = (0..k).map(|j| dist_to(0, j)).collect();
     let mut best_from = vec![0usize; k];
     in_tree[0] = true;
-    for (i, b) in best.iter_mut().enumerate() {
-        *b = dist[0][ts[i].index()];
-    }
-    let mut union = NodeSet::new(n);
     union.insert(ts[0]);
     for _ in 1..k {
         token.tick(Stage::Heuristic, (k + n) as u64)?;
@@ -85,54 +129,66 @@ pub fn steiner_kmb_budgeted(
             return Err(SolveError::Disconnected);
         }
         in_tree[i] = true;
-        // Expand the chosen closure edge into a concrete shortest path.
-        let path = shortest_path(g, &full, ts[best_from[i]], ts[i]).ok_or_else(|| {
-            SolveError::Internal {
-                stage: Stage::Heuristic,
-                detail: "finite closure distance but no realizing path".to_string(),
-            }
-        })?;
-        for v in path {
+        // Expand the chosen closure edge along the source row's parents;
+        // the source is in the union already.
+        let (src, row) = (ts[best_from[i]], &parent[best_from[i] * n..]);
+        let mut v = ts[i];
+        while v != src {
             union.insert(v);
+            v = NodeId(row[v.index()]);
         }
         for j in 0..k {
-            if !in_tree[j] && dist[i][ts[j].index()] < best[j] {
-                best[j] = dist[i][ts[j].index()];
+            if !in_tree[j] && dist_to(i, j) < best[j] {
+                best[j] = dist_to(i, j);
                 best_from[j] = i;
             }
         }
     }
-    // Prune to a nonredundant cover (restricting elimination to the
-    // union keeps this cheap), then span.
-    let order: Vec<NodeId> = union.to_vec();
-    let sub = restrict_graph(g, &union);
-    #[expect(
-        clippy::expect_used,
-        reason = "terminals seeded the union, so each has a mapping in the subgraph"
-    )]
-    let local_terminals = NodeSet::from_nodes(
-        sub.graph.node_count(),
-        ts.iter()
-            .map(|&t| sub.from_parent[t.index()].expect("terminal in union")),
-    );
-    let local_order: Vec<NodeId> = (0..order.len()).map(NodeId::from_index).collect();
-    let t_local = algorithm2_budgeted_in(
-        &mut Workspace::new(),
-        &sub.graph,
-        &local_terminals,
-        &local_order,
-        token,
-    )?;
-    // Lift back to parent ids.
-    let nodes = NodeSet::from_nodes(n, t_local.nodes.iter().map(|v| sub.to_parent[v.index()]));
-    SteinerTree::from_cover(g, &nodes).ok_or_else(|| SolveError::Internal {
-        stage: Stage::Heuristic,
-        detail: "pruned union lost terminal connectivity".to_string(),
-    })
+    // Prune to a nonredundant cover, in place, then span. The block pass
+    // is charged the size of the graph the union induces.
+    let order = union.to_vec();
+    let union_edges: usize = order.iter().map(|&v| g.intersect_count(v, &union)).sum();
+    let pass_cost = (order.len() + union_edges / 2) as u64;
+    let _prune = mcc_obs::span!(Algorithm2);
+    token.checkpoint(Stage::Algorithm2)?;
+    prune_and_span_in(&mut ws, g, terminals, &order, union, pass_cost, token)
 }
 
-fn restrict_graph(g: &Graph, keep: &NodeSet) -> mcc_graph::InducedSubgraph {
-    mcc_graph::induced_subgraph(g, keep)
+/// One closure row: a BFS from terminal `t` over the whole graph that
+/// writes each discovered node's distance and BFS parent, and stops once
+/// every terminal has been discovered. `queue` is an empty buffer with
+/// room for `n` nodes; it is left empty.
+fn closure_row(
+    g: &Graph,
+    terminals: &NodeSet,
+    t: NodeId,
+    dist: &mut [u32],
+    parent: &mut [u32],
+    queue: &mut Vec<NodeId>,
+) {
+    let mut missing = terminals.len() - 1;
+    dist[t.index()] = 0;
+    queue.push(t);
+    let mut head = 0;
+    'bfs: while missing > 0 && head < queue.len() {
+        let v = queue[head];
+        head += 1;
+        let dv = dist[v.index()] + 1;
+        for &u in g.neighbors(v) {
+            if dist[u.index()] == INFINITE_DISTANCE {
+                dist[u.index()] = dv;
+                parent[u.index()] = v.0;
+                queue.push(u);
+                if terminals.contains(u) {
+                    missing -= 1;
+                    if missing == 0 {
+                        break 'bfs;
+                    }
+                }
+            }
+        }
+    }
+    queue.clear();
 }
 
 #[cfg(test)]

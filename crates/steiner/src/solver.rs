@@ -483,6 +483,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
+/// The textbook KMB, shared with `tests/kmb_differential.rs`.
+#[cfg(test)]
+#[path = "../tests/support/kmb_oracle.rs"]
+mod kmb_oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,6 +724,56 @@ mod tests {
         assert_eq!(d.from, Stage::ExactDp);
         assert_eq!(d.reason.kind, BudgetKind::DpTableBytes);
         assert!(terminals.is_subset_of(&sol.tree.nodes));
+    }
+
+    /// Both ways off the ladder onto KMB return the oracle's tree, with
+    /// one `Kmb` span and one `Algorithm2` span (the pruning) in their
+    /// traces: nine terminals over a routing cap of seven, and nine
+    /// terminals under the default cap whose DP tables the byte cap
+    /// refuses.
+    #[test]
+    fn ladder_to_kmb_returns_the_oracle_tree_and_traces_its_prune() {
+        let bg = mcc_gen::random_bipartite(40, 40, 0.1, 3);
+        let g = bg.graph();
+        let n = g.node_count();
+        let reach = mcc_graph::component_of(g, &NodeSet::full(n), mcc_graph::NodeId(0));
+        let terminals = random_terminals(g, Some(&reach), 9, 5);
+        let oracle = kmb_oracle::steiner_kmb(g, &terminals).unwrap();
+
+        let routed = Solver::with_config(
+            bg.clone(),
+            SolverConfig {
+                max_exact_terminals: 7,
+                ..SolverConfig::default()
+            },
+        );
+        assert!(!routed.classification().six_two);
+        let refused = Solver::with_config(
+            bg,
+            SolverConfig {
+                budget: SolveBudget {
+                    max_dp_bytes: 150_000,
+                    ..SolveBudget::default()
+                },
+                ..SolverConfig::default()
+            },
+        );
+        assert!(mcc_graph::budget::dp_table_bytes(9, n) > 150_000);
+
+        let sol = routed.solve_steiner(&terminals).unwrap();
+        assert_eq!(sol.strategy, SteinerStrategy::Heuristic);
+        assert!(sol.degraded.is_none(), "routed, not degraded");
+        assert_eq!(sol.tree, oracle);
+        let degraded = refused.solve_steiner(&terminals).unwrap();
+        assert_eq!(degraded.strategy, SteinerStrategy::Heuristic);
+        let d = degraded.degraded.expect("must record the downgrade");
+        assert_eq!(d.from, Stage::ExactDp);
+        assert_eq!(d.reason.kind, BudgetKind::DpTableBytes);
+        assert_eq!(degraded.tree, oracle);
+        for trace in [sol.trace, degraded.trace] {
+            assert_eq!(trace.count(SpanKind::Kmb), 1);
+            assert_eq!(trace.count(SpanKind::Algorithm2), 1);
+        }
     }
 
     #[test]

@@ -459,3 +459,68 @@ fn warm_solve_steiner_allocates_only_its_result() {
         );
     }
 }
+
+/// One KMB solve allocates a fixed number of times, whatever the
+/// terminal count or the graph size: the two flat `k·n` closure
+/// buffers, one queue, the Prim arrays, the pruning's workspace (each
+/// buffer sized once from `n`) and the result. A closure row or a path
+/// allocated per terminal, or a buffer that grows inside a loop, makes
+/// the count move with `k` or `n` and fails this test.
+///
+/// The result tree's own allocations are measured by rebuilding it with
+/// `SteinerTree::from_cover` and subtracted. Debug builds also run the
+/// pruning's solution certificate, which is measured on the returned
+/// tree and subtracted too, so the pin holds in both build profiles.
+#[test]
+fn kmb_allocation_count_is_independent_of_k_and_n() {
+    use mcc_graph::CancelToken;
+    use mcc_steiner::{
+        check_steiner_solution, steiner_kmb_budgeted, SteinerTree, CHECK_STEINER_MAX_NODES,
+    };
+
+    let measure = |blocks: usize, k: usize| -> u64 {
+        let (g, _) = c4_chain(blocks);
+        let n = g.node_count();
+        // k articulation nodes a_i, spread along the chain.
+        let terminals =
+            NodeSet::from_nodes(n, (0..k).map(|i| NodeId((i * blocks / (k - 1)) as u32)));
+        assert_eq!(terminals.len(), k);
+        let token = CancelToken::unbounded();
+        let before = allocation_count();
+        let tree = steiner_kmb_budgeted(&g, &terminals, &token).expect("terminals connected");
+        let mut allocs = allocation_count() - before;
+        // The a-path between the outermost terminals plus one midpoint
+        // per block: the optimum, which the pruning reaches here.
+        assert_eq!(tree.node_cost(), 2 * blocks + 1);
+        if cfg!(debug_assertions) && n <= CHECK_STEINER_MAX_NODES {
+            let before = allocation_count();
+            assert!(check_steiner_solution(&g, &tree.nodes, &terminals, &tree));
+            allocs -= allocation_count() - before;
+        }
+        let before = allocation_count();
+        let result = SteinerTree::from_cover(&g, &tree.nodes);
+        allocs -= allocation_count() - before;
+        assert_eq!(result.as_ref(), Some(&tree));
+        allocs
+    };
+
+    // Warm-up: the first span on this thread sets up its telemetry shard.
+    let _ = measure(16, 2);
+
+    let baseline = measure(16, 2);
+    for (blocks, k) in [
+        (16, 5),
+        (16, 10),
+        (16, 16),
+        (60, 2),
+        (60, 16),
+        (150, 5),
+        (150, 16),
+    ] {
+        assert_eq!(
+            measure(blocks, k),
+            baseline,
+            "KMB allocation count moved with size ({blocks} blocks, k = {k})"
+        );
+    }
+}
