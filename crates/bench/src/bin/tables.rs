@@ -32,7 +32,7 @@ use mcc::graph::{NodeId, Side};
 use mcc::hypergraph::{h1_of_bipartite, AcyclicityDegree};
 use mcc::steiner::{
     algorithm1, algorithm2, algorithm2_with_order, eliminate_with_ordering,
-    minimum_cover_bruteforce, pseudo_steiner, steiner_exact, steiner_kmb, SteinerInstance,
+    minimum_cover_bruteforce, steiner_exact, steiner_kmb, SteinerInstance,
 };
 use mcc_bench::{alpha_workload, offclass_workload, six_two_workload, x3c_workload};
 use std::time::Instant;
@@ -229,9 +229,9 @@ fn exp_e3_np_hardness() {
         };
         assert_eq!(ids_cost, sol.cost, "exact solvers must agree");
         let t0 = Instant::now();
-        let a1 = algorithm1(&w.bipartite, &w.terminals).expect("gadget alpha-acyclic");
+        let a1 = algorithm1(&w.bipartite, &w.terminals, Side::V2).expect("gadget alpha-acyclic");
         let alg1_us = t0.elapsed().as_micros().max(1);
-        assert_eq!(a1.v2_cost, 3 * q + 1);
+        assert_eq!(a1.side_cost, 3 * q + 1);
         println!(
             "| {q} | {} | {} | {} | {} | {} | {:.1} |",
             w.graph().node_count(),
@@ -256,7 +256,7 @@ fn exp_e4_algorithm1() {
     for edges in [8usize, 16, 32, 64, 128, 256] {
         let w = alpha_workload(edges, 4, 5);
         let t0 = Instant::now();
-        let out = algorithm1(&w.bipartite, &w.terminals).expect("on-class");
+        let out = algorithm1(&w.bipartite, &w.terminals, Side::V2).expect("on-class");
         let us = t0.elapsed().as_micros().max(1);
         // Exact cross-check with node weights where affordable.
         let optimal = if w.graph().node_count() <= 120 && w.terminals.len() <= 8 {
@@ -268,7 +268,7 @@ fn exp_e4_algorithm1() {
             let exact =
                 mcc::steiner::steiner_exact_node_weighted(w.graph(), &w.terminals, &weights)
                     .expect("feasible");
-            if exact.cost as usize == out.v2_cost {
+            if exact.cost as usize == out.side_cost {
                 "yes"
             } else {
                 "NO"
@@ -357,7 +357,7 @@ fn exp_e6_corollary4() {
                 Side::V1 => bg.v1_set(),
                 Side::V2 => bg.v2_set(),
             };
-            match pseudo_steiner(&bg, &terminals, side) {
+            match algorithm1(&bg, &terminals, side) {
                 Ok(sol) => {
                     let bf = mcc::steiner::side_minimum_cover_bruteforce(&g, &terminals, &side_set)
                         .expect("feasible");

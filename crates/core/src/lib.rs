@@ -64,8 +64,7 @@ pub use mcc_steiner::{artifacts, solver};
 pub use artifacts::{ArtifactsError, SchemaArtifacts};
 pub use mcc_graph::{BudgetExceeded, BudgetKind, SolveBudget, Stage};
 pub use solver::{
-    Degraded, Solution, SolveError, SolveOutcome, SolveStats, Solver, SolverConfig, SolverError,
-    SteinerStrategy,
+    Degraded, Solution, SolveError, SolveOutcome, SolveStats, Solver, SolverConfig, SteinerStrategy,
 };
 
 /// The most common imports in one place.

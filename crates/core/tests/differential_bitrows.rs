@@ -20,7 +20,7 @@
 
 use mcc::chordality::classify_bipartite;
 use mcc::gen::{random_bipartite, random_terminals};
-use mcc::graph::{BipartiteGraph, Graph};
+use mcc::graph::{BipartiteGraph, Graph, Side};
 use mcc::steiner::{algorithm1, algorithm2};
 
 /// Sizes × edge probabilities covering sparse, mid, and near-complete
@@ -76,13 +76,13 @@ fn algorithm1_agrees_across_representations() {
                 let bg = random_bipartite(n1, n2, p, seed);
                 let k = (n1 / 2).max(2);
                 let terminals = random_terminals(bg.graph(), Some(&bg.v1_set()), k, seed ^ 0xA1);
-                let reference = algorithm1(&bg, &terminals);
+                let reference = algorithm1(&bg, &terminals, Side::V2);
                 for (name, variant) in variants(&bg) {
-                    let got = algorithm1(&variant, &terminals);
+                    let got = algorithm1(&variant, &terminals, Side::V2);
                     match (&reference, &got) {
                         (Ok(want), Ok(have)) => {
                             assert_eq!(
-                                want.v2_cost, have.v2_cost,
+                                want.side_cost, have.side_cost,
                                 "V2 cost diverged on {name} (n1={n1} n2={n2} p={p} seed={seed})"
                             );
                             assert_eq!(

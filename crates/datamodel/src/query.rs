@@ -37,11 +37,6 @@ impl Interpretation {
     pub fn node_cost(&self) -> usize {
         self.tree.node_cost()
     }
-
-    /// Number of auxiliary objects (beyond the query's own terminals).
-    pub fn auxiliary_cost(&self, terminals: &NodeSet) -> usize {
-        self.tree.node_cost() - terminals.len()
-    }
 }
 
 /// Query failures.

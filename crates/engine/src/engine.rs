@@ -70,8 +70,9 @@ pub struct EngineConfig {
     /// Submission-queue capacity; the front door rejects with
     /// [`Rejected::QueueFull`] beyond this.
     pub queue_capacity: usize,
-    /// Per-solve configuration (budget, routing caps, heuristic
-    /// permission) applied to every request without its own budget.
+    /// Per-solve configuration (the exact route's terminal cap and the
+    /// budget) applied to every request; a request's own budget replaces
+    /// only the budget.
     pub solver: SolverConfig,
 }
 
@@ -282,8 +283,7 @@ impl Engine {
             // job after the lock is released, so its `solved`/`completed`
             // increments are ordered after this one and a mid-load
             // `stats()` snapshot can never report more outcomes than
-            // submissions. (Previously this sat outside the lock, and a
-            // fast worker could complete the job first.)
+            // submissions.
             self.shared
                 .counters
                 .submitted

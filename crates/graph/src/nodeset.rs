@@ -221,16 +221,6 @@ impl NodeSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// `|self ∩ other|` without materializing the intersection.
-    pub fn intersection_len(&self, other: &NodeSet) -> usize {
-        assert_eq!(self.capacity, other.capacity, "NodeSet universes differ");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// `true` iff the two sets share no member.
     pub fn is_disjoint_from(&self, other: &NodeSet) -> bool {
         assert_eq!(self.capacity, other.capacity, "NodeSet universes differ");

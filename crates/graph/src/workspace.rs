@@ -155,7 +155,8 @@ impl BitRow {
 }
 
 /// Counters describing the traffic a [`Workspace`] has served. Deltas of
-/// these before/after a solve are surfaced as `SolveStats` by `mcc-core`.
+/// these before/after a solve are surfaced as `SolveStats` by
+/// `mcc-steiner`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Number of BFS sweeps run through this workspace. The elimination

@@ -30,40 +30,68 @@ use mcc_graph::{bipartite::bipartite_from_lists, BipartiteGraph, NodeId, NodeSet
 pub fn h1_of_bipartite(
     g: &BipartiteGraph,
 ) -> Result<(Hypergraph, Vec<NodeId>, Vec<NodeId>), HypergraphError> {
+    without_isolated(g, Side::V2)
+}
+
+/// The symmetric construction `H²_G` (nodes = `V2`, one edge per
+/// `V1`-node), index-identical to `h1_of_bipartite(&g.swap_sides())`.
+pub fn h2_of_bipartite(
+    g: &BipartiteGraph,
+) -> Result<(Hypergraph, Vec<NodeId>, Vec<NodeId>), HypergraphError> {
+    without_isolated(g, Side::V1)
+}
+
+/// [`side_hypergraph`], or the first isolated `edge_side` node as an
+/// error.
+fn without_isolated(
+    g: &BipartiteGraph,
+    edge_side: Side,
+) -> Result<(Hypergraph, Vec<NodeId>, Vec<NodeId>), HypergraphError> {
+    match g.side_nodes(edge_side).find(|&w| g.graph().degree(w) == 0) {
+        Some(w) => Err(HypergraphError::IsolatedEdgeSideNode(w)),
+        None => Ok(side_hypergraph(g, edge_side)),
+    }
+}
+
+/// The hypergraph whose edges come from `edge_side`: its nodes are the
+/// opposite side's nodes in id order (isolated ones included), and each
+/// `edge_side` node with at least one neighbor contributes the edge of
+/// its neighbors, in id order. Isolated `edge_side` nodes are skipped
+/// rather than rejected, so this is `H¹_G` (`edge_side = V2`) or `H²_G`
+/// (`V1`) of `g` with those nodes dropped. Returns `(h, node_map,
+/// edge_map)` as [`h1_of_bipartite`] does.
+#[expect(
+    clippy::expect_used,
+    reason = "a bipartite node's neighbors all lie on the opposite side, which `node_index` covers"
+)]
+pub fn side_hypergraph(
+    g: &BipartiteGraph,
+    edge_side: Side,
+) -> (Hypergraph, Vec<NodeId>, Vec<NodeId>) {
+    let graph = g.graph();
     let mut node_map: Vec<NodeId> = Vec::new();
-    let mut node_index = vec![usize::MAX; g.graph().node_count()];
-    for v in g.side_nodes(Side::V1) {
+    let mut node_index = vec![usize::MAX; graph.node_count()];
+    for v in g.side_nodes(edge_side.opposite()) {
         node_index[v.index()] = node_map.len();
         node_map.push(v);
     }
     let mut b = Hypergraph::builder();
     for &v in &node_map {
-        b.add_node(g.graph().label(v));
+        b.add_node(graph.label(v));
     }
     let mut edge_map = Vec::new();
-    for w in g.side_nodes(Side::V2) {
-        if g.graph().degree(w) == 0 {
-            return Err(HypergraphError::IsolatedEdgeSideNode(w));
-        }
+    for w in g.side_nodes(edge_side).filter(|&w| graph.degree(w) > 0) {
         b.add_edge(
-            g.graph().label(w),
-            g.graph()
+            graph.label(w),
+            graph
                 .neighbors(w)
                 .iter()
                 .map(|&u| NodeId::from_index(node_index[u.index()])),
-        )?;
+        )
+        .expect("neighbors lie on the node side");
         edge_map.push(w);
     }
-    Ok((b.build(), node_map, edge_map))
-}
-
-/// The symmetric construction `H²_G` (nodes = `V2`, one edge per
-/// `V1`-node). Implemented by swapping sides and delegating to
-/// [`h1_of_bipartite`].
-pub fn h2_of_bipartite(
-    g: &BipartiteGraph,
-) -> Result<(Hypergraph, Vec<NodeId>, Vec<NodeId>), HypergraphError> {
-    h1_of_bipartite(&g.swap_sides())
+    (b.build(), node_map, edge_map)
 }
 
 /// The incidence bipartite graph of a hypergraph: `V1` = nodes of `h`,
@@ -144,6 +172,26 @@ mod tests {
         let (h2, _, _) = h2_of_bipartite(&g).unwrap();
         let d = dual(&h1).unwrap();
         assert!(index_identical(&d, &h2));
+    }
+
+    #[test]
+    fn side_hypergraph_skips_isolated_edge_side_nodes() {
+        // Isolated `2` is skipped; `V1` gives H² with isolated `B` skipped.
+        let g = bipartite_from_lists(&["A", "B"], &["1", "2"], &[(0, 0)]);
+        let (h, node_map, edge_map) = side_hypergraph(&g, Side::V2);
+        assert_eq!((h.node_count(), h.edge_count()), (2, 1));
+        assert_eq!(node_map, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(edge_map, vec![NodeId(2)]);
+        let (h, node_map, edge_map) = side_hypergraph(&g, Side::V1);
+        assert_eq!((h.node_count(), h.edge_count()), (2, 1));
+        assert_eq!(node_map, vec![NodeId(2), NodeId(3)]);
+        assert_eq!(edge_map, vec![NodeId(0)]);
+        // `V1` as the edge side is `V2` on the swapped graph.
+        let g = fig2a();
+        assert!(index_identical(
+            &side_hypergraph(&g, Side::V1).0,
+            &h1_of_bipartite(&g.swap_sides()).unwrap().0
+        ));
     }
 
     #[test]

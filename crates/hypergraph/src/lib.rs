@@ -63,7 +63,7 @@ pub use dual::{check_dual_node_ordering, dual, dual_node_ordering};
 pub use error::HypergraphError;
 pub use gyo::{gyo_reduce, GyoOutcome};
 pub use hypergraph::{EdgeId, Hypergraph};
-pub use incidence::{h1_of_bipartite, h2_of_bipartite, incidence_bipartite};
+pub use incidence::{h1_of_bipartite, h2_of_bipartite, incidence_bipartite, side_hypergraph};
 pub use join_tree::{join_tree, mcs_edge_ordering, running_intersection_ordering, JoinTree};
 pub use primal::primal_graph;
 pub use repair::{repair_to_alpha, suggest_alpha_repair, AlphaRepair};

@@ -1,7 +1,7 @@
 //! # `mcc-obs` — observability for the solver stack
 //!
-//! PRs 1–4 made the engine fast, governed, and self-checking; this crate
-//! makes it **legible at runtime**. The ROADMAP's per-acyclicity-class
+//! This crate makes the solver stack **legible at runtime**. The
+//! ROADMAP's per-acyclicity-class
 //! performance envelopes (cf. Theorems 3–5 and the E10–E13 experiments)
 //! are only auditable in production if the serving system records *where*
 //! time goes — MCS ordering vs. elimination vs. exact DP vs. KMB — and

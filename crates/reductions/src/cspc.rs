@@ -114,7 +114,7 @@ mod tests {
     use super::*;
     use mcc_chordality::{is_chordal, is_vi_chordal, is_vi_conformal};
     use mcc_graph::builder::graph_from_edges;
-    use mcc_steiner::pseudo_steiner;
+    use mcc_steiner::algorithm1;
 
     #[test]
     fn gadget_shape() {
@@ -184,6 +184,6 @@ mod tests {
         let src = sample_chordal_source().unwrap();
         let g = CspcGadget::build(&src);
         let terms = g.lift_terminals(&NodeSet::from_nodes(5, [NodeId(0), NodeId(4)]));
-        assert!(pseudo_steiner(&g.graph, &terms, Side::V2).is_err());
+        assert!(algorithm1(&g.graph, &terms, Side::V2).is_err());
     }
 }

@@ -55,9 +55,9 @@ impl std::error::Error for ArtifactsError {}
 /// * a maximum-cardinality-search elimination order for Algorithm 2
 ///   (on (6,2)-chordal graphs every order is good — Corollary 5 — so the
 ///   MCS order is cached once instead of being rebuilt per solve);
-/// * on first use, the Lemma 1 ordering (and its `H¹` join-tree witness)
+/// * on first use, the Lemma 1 ordering (and its join-tree witness)
 ///   for Algorithm 1 on each side where the graph is Vᵢ-chordal ∧
-///   Vᵢ-conformal, plus the side-swapped graph the `V1` route runs on.
+///   Vᵢ-conformal.
 ///
 /// Cloning is cheap only through `Arc<SchemaArtifacts>` — the bundle
 /// itself owns the graph. All accessors are `&self`; the type is `Send +
@@ -69,10 +69,7 @@ pub struct SchemaArtifacts {
     classification: BipartiteClassification,
     elimination_order: Vec<NodeId>,
     lemma1_v2: OnceLock<Option<Lemma1Ordering>>,
-    /// The side-swapped graph with its ordering, present exactly when the
-    /// `V1` pseudo route is polynomial (Algorithm 1 always eliminates
-    /// `V2` nodes, so the `V1` route runs on this reoriented copy).
-    v1_route: OnceLock<Option<(BipartiteGraph, Lemma1Ordering)>>,
+    lemma1_v1: OnceLock<Option<Lemma1Ordering>>,
 }
 
 impl SchemaArtifacts {
@@ -90,7 +87,7 @@ impl SchemaArtifacts {
             classification,
             elimination_order,
             lemma1_v2: OnceLock::new(),
-            v1_route: OnceLock::new(),
+            lemma1_v1: OnceLock::new(),
         }
     }
 
@@ -106,11 +103,9 @@ impl SchemaArtifacts {
     /// * the classification respects the Theorem 1 hierarchy
     ///   (4,1) ⊆ (6,2) ⊆ (6,1);
     /// * each Lemma 1 ordering exists only when the classification says
-    ///   its route is polynomial, lists distinct `V₂`-side nodes of its
-    ///   graph, and carries a join tree of matching size whose parent
-    ///   pointers reference strictly earlier edges;
-    /// * the side-swapped copy is present exactly with the `V1`
-    ///   ordering and equals `bipartite.swap_sides()`.
+    ///   its route is polynomial, lists distinct nodes of its side, and
+    ///   carries a join tree of matching size whose parent pointers
+    ///   reference strictly earlier edges.
     ///
     /// What is **not** checked: that the orderings are *the* Lemma
     /// 1/MCS orderings of this graph (that would be a rebuild). A
@@ -123,7 +118,6 @@ impl SchemaArtifacts {
         classification: BipartiteClassification,
         elimination_order: Vec<NodeId>,
         lemma1_v2: Option<Lemma1Ordering>,
-        swapped: Option<BipartiteGraph>,
         lemma1_v1: Option<Lemma1Ordering>,
     ) -> Result<Self, ArtifactsError> {
         let err = |part, reason| ArtifactsError { part, reason };
@@ -148,55 +142,42 @@ impl SchemaArtifacts {
                 "violates the (4,1)⊆(6,2)⊆(6,1) hierarchy",
             ));
         }
-        if lemma1_v2.is_some() && !classification.pseudo_steiner_v2_polynomial() {
-            return Err(err(
-                "lemma1_v2",
-                "ordering present but route not polynomial",
-            ));
-        }
-        if let Some(l1) = &lemma1_v2 {
-            Self::check_lemma1(l1, &bipartite).map_err(|reason| err("lemma1_v2", reason))?;
-        }
-        if swapped.is_some() != lemma1_v1.is_some() {
-            return Err(err(
-                "swapped",
-                "present without its V1 ordering (or vice versa)",
-            ));
-        }
-        if lemma1_v1.is_some() && !classification.pseudo_steiner_v1_polynomial() {
-            return Err(err(
-                "lemma1_v1",
-                "ordering present but route not polynomial",
-            ));
-        }
-        if let (Some(sw), Some(l1)) = (&swapped, &lemma1_v1) {
-            if *sw != bipartite.swap_sides() {
-                return Err(err("swapped", "not the side-swapped copy of the substrate"));
+        for (part, side, l1) in [
+            ("lemma1_v2", Side::V2, &lemma1_v2),
+            ("lemma1_v1", Side::V1, &lemma1_v1),
+        ] {
+            let Some(l1) = l1 else { continue };
+            if !route_polynomial(&classification, side) {
+                return Err(err(part, "ordering present but route not polynomial"));
             }
-            Self::check_lemma1(l1, sw).map_err(|reason| err("lemma1_v1", reason))?;
+            Self::check_lemma1(l1, &bipartite, side).map_err(|reason| err(part, reason))?;
         }
         Ok(SchemaArtifacts {
             bipartite,
             classification,
             elimination_order,
             lemma1_v2: OnceLock::from(lemma1_v2),
-            v1_route: OnceLock::from(swapped.zip(lemma1_v1)),
+            lemma1_v1: OnceLock::from(lemma1_v1),
         })
     }
 
-    /// Structural sanity of one Lemma 1 ordering against the graph the
-    /// route runs on: distinct in-range `V₂` nodes, a join tree of the
-    /// same size, and parent pointers that reference strictly earlier
-    /// order positions (the RIP shape).
-    fn check_lemma1(l1: &Lemma1Ordering, bg: &BipartiteGraph) -> Result<(), &'static str> {
+    /// Structural sanity of one Lemma 1 ordering against the substrate:
+    /// distinct in-range nodes of `side`, a join tree of the same size,
+    /// and parent pointers that reference strictly earlier order
+    /// positions (the RIP shape).
+    fn check_lemma1(
+        l1: &Lemma1Ordering,
+        bg: &BipartiteGraph,
+        side: Side,
+    ) -> Result<(), &'static str> {
         let n = bg.graph().node_count();
         let mut seen = vec![false; n];
         for &v in &l1.order {
             if v.index() >= n || seen[v.index()] {
                 return Err("order nodes out of range or duplicated");
             }
-            if bg.side(v) != Side::V2 {
-                return Err("order contains a V1-side node");
+            if bg.side(v) != side {
+                return Err("order contains a node of the other side");
             }
             seen[v.index()] = true;
         }
@@ -226,12 +207,6 @@ impl SchemaArtifacts {
         &self.bipartite
     }
 
-    /// The cached side-swapped copy the `V1` pseudo route runs on, when
-    /// that route is polynomial (see [`SchemaArtifacts::algorithm1_route`]).
-    pub fn swapped(&self) -> Option<&BipartiteGraph> {
-        self.v1_route().map(|(sw, _)| sw)
-    }
-
     /// The classification computed at build time.
     pub fn classification(&self) -> &BipartiteClassification {
         &self.classification
@@ -243,9 +218,22 @@ impl SchemaArtifacts {
     }
 
     /// The Lemma 1 ordering for the pseudo-Steiner route minimizing
-    /// `side` nodes, when that route is polynomial.
+    /// `side` nodes, when that route is polynomial. The first call per
+    /// side builds the ordering; later calls (from any thread) read the
+    /// cached one.
     pub fn lemma1(&self, side: Side) -> Option<&Lemma1Ordering> {
-        self.algorithm1_route(side).map(|(_, l1)| l1)
+        let cell = match side {
+            Side::V2 => &self.lemma1_v2,
+            Side::V1 => &self.lemma1_v1,
+        };
+        cell.get_or_init(|| {
+            if route_polynomial(&self.classification, side) {
+                lemma1_ordering(&self.bipartite, side)
+            } else {
+                None
+            }
+        })
+        .as_ref()
     }
 
     /// The `H¹` join tree witnessing α-acyclicity (the Lemma 1
@@ -253,38 +241,14 @@ impl SchemaArtifacts {
     pub fn join_tree(&self) -> Option<&JoinTree> {
         self.lemma1(Side::V2).map(|l1| &l1.join_tree)
     }
+}
 
-    /// The graph and ordering Algorithm 1 should run on to minimize
-    /// `side` nodes: the substrate itself for `V2`, the cached
-    /// side-swapped copy for `V1`. `None` when the route is not
-    /// polynomial for this schema. The first call per side builds the
-    /// route; later calls (from any thread) read the cached one.
-    pub fn algorithm1_route(&self, side: Side) -> Option<(&BipartiteGraph, &Lemma1Ordering)> {
-        match side {
-            Side::V2 => {
-                let l1 = self.lemma1_v2.get_or_init(|| {
-                    if self.classification.pseudo_steiner_v2_polynomial() {
-                        lemma1_ordering(&self.bipartite)
-                    } else {
-                        None
-                    }
-                });
-                Some((&self.bipartite, l1.as_ref()?))
-            }
-            Side::V1 => self.v1_route().map(|(sw, l1)| (sw, l1)),
-        }
-    }
-
-    fn v1_route(&self) -> Option<&(BipartiteGraph, Lemma1Ordering)> {
-        self.v1_route
-            .get_or_init(|| {
-                if !self.classification.pseudo_steiner_v1_polynomial() {
-                    return None;
-                }
-                let sw = self.bipartite.swap_sides();
-                lemma1_ordering(&sw).map(|l1| (sw, l1))
-            })
-            .as_ref()
+/// Whether Algorithm 1 minimizing `side` is polynomial (and optimal) on
+/// a schema of this class.
+fn route_polynomial(c: &BipartiteClassification, side: Side) -> bool {
+    match side {
+        Side::V2 => c.pseudo_steiner_v2_polynomial(),
+        Side::V1 => c.pseudo_steiner_v1_polynomial(),
     }
 }
 
@@ -314,10 +278,10 @@ mod tests {
         let a = SchemaArtifacts::build(bg.clone());
         assert!(a.classification().six_two);
         assert_eq!(a.elimination_order().len(), bg.graph().node_count());
-        let (g2, l1) = a.algorithm1_route(Side::V2).expect("V2 route polynomial");
-        assert!(verify_lemma1_ordering(g2, &l1.order));
-        let (g1, l1v1) = a.algorithm1_route(Side::V1).expect("V1 route polynomial");
-        assert!(verify_lemma1_ordering(g1, &l1v1.order));
+        let l1 = a.lemma1(Side::V2).expect("V2 route polynomial");
+        assert!(verify_lemma1_ordering(&bg, &l1.order, Side::V2));
+        let l1v1 = a.lemma1(Side::V1).expect("V1 route polynomial");
+        assert!(verify_lemma1_ordering(&bg, &l1v1.order, Side::V1));
         assert!(a.join_tree().is_some());
     }
 
@@ -334,7 +298,6 @@ mod tests {
             a.classification,
             a.elimination_order.clone(),
             a.lemma1(Side::V2).cloned(),
-            a.swapped().cloned(),
             a.lemma1(Side::V1).cloned(),
         )
         .expect("a built bundle is valid by construction");
@@ -355,9 +318,9 @@ mod tests {
             &[(0, 0), (1, 0), (1, 1), (2, 1)],
         );
         let a = SchemaArtifacts::build(bg);
-        assert!(a.lemma1_v2.get().is_none() && a.v1_route.get().is_none());
+        assert!(a.lemma1_v2.get().is_none() && a.lemma1_v1.get().is_none());
         let first = a.lemma1(Side::V2).expect("V2 route polynomial") as *const _;
-        assert!(a.lemma1_v2.get().is_some() && a.v1_route.get().is_none());
+        assert!(a.lemma1_v2.get().is_some() && a.lemma1_v1.get().is_none());
         assert_eq!(a.lemma1(Side::V2).map(|l| l as *const _), Some(first));
         // A decoded bundle keeps exactly the routes it was given.
         let b = SchemaArtifacts::from_parts(
@@ -366,11 +329,10 @@ mod tests {
             a.elimination_order.clone(),
             None,
             None,
-            None,
         )
         .expect("absent orderings are allowed");
-        assert!(b.algorithm1_route(Side::V2).is_none());
-        assert!(b.algorithm1_route(Side::V1).is_none());
+        assert!(b.lemma1(Side::V2).is_none());
+        assert!(b.lemma1(Side::V1).is_none());
     }
 
     #[test]
@@ -383,15 +345,9 @@ mod tests {
         let a = SchemaArtifacts::build(bg);
         // Truncated elimination order.
         let short = a.elimination_order[..3].to_vec();
-        let e = SchemaArtifacts::from_parts(
-            a.bipartite.clone(),
-            a.classification,
-            short,
-            None,
-            None,
-            None,
-        )
-        .unwrap_err();
+        let e =
+            SchemaArtifacts::from_parts(a.bipartite.clone(), a.classification, short, None, None)
+                .unwrap_err();
         assert_eq!(e.part, "elimination_order");
         // Duplicated entry.
         let mut dup = a.elimination_order.clone();
@@ -400,7 +356,6 @@ mod tests {
             a.bipartite.clone(),
             a.classification,
             dup,
-            None,
             None,
             None
         )
@@ -414,20 +369,20 @@ mod tests {
             cls,
             a.elimination_order.clone(),
             None,
-            None,
             None
         )
         .is_err());
-        // Swapped copy without its ordering.
-        assert!(SchemaArtifacts::from_parts(
+        // Each side's ordering is checked against its own side: the
+        // orderings swapped between the routes are rejected.
+        let e = SchemaArtifacts::from_parts(
             a.bipartite.clone(),
             a.classification,
             a.elimination_order.clone(),
+            a.lemma1(Side::V1).cloned(),
             a.lemma1(Side::V2).cloned(),
-            a.swapped().cloned(),
-            None
         )
-        .is_err());
+        .unwrap_err();
+        assert_eq!(e.part, "lemma1_v2");
     }
 
     #[test]
@@ -440,8 +395,8 @@ mod tests {
         );
         let a = SchemaArtifacts::build(bg);
         assert!(!a.classification().six_two);
-        assert!(a.algorithm1_route(Side::V2).is_none());
-        assert!(a.algorithm1_route(Side::V1).is_none());
+        assert!(a.lemma1(Side::V2).is_none());
+        assert!(a.lemma1(Side::V1).is_none());
         assert!(a.join_tree().is_none());
         // The scan order is still cached (Algorithm 2 off-class is the
         // e8 heuristic experiment, not a solver route, but the order is

@@ -17,9 +17,10 @@
 //!   pseudo-Steiner ground truth). Exponential in `|P̄|`, the baseline
 //!   that the NP-hardness experiments push until it blows up;
 //! * [`algorithm1`](mod@algorithm1) — the paper's **Algorithm 1** (Theorem 3/4):
-//!   pseudo-Steiner w.r.t. `V₂` on V₂-chordal, V₂-conformal graphs in
-//!   `O(|V|·|A|)`, driven by the reversed Tarjan–Yannakakis ordering of
-//!   `H¹`'s edges (Lemma 1);
+//!   pseudo-Steiner w.r.t. either side on Vᵢ-chordal, Vᵢ-conformal
+//!   graphs in `O(|V|·|A|)`, driven by the reversed Tarjan–Yannakakis
+//!   ordering of the side's hypergraph edges (Lemma 1; `V₁` by
+//!   Corollary 4's duality);
 //! * [`algorithm2`](mod@algorithm2) — the paper's **Algorithm 2** (Theorem 5): the full
 //!   Steiner problem on (6,2)-chordal graphs by arbitrary-order node
 //!   elimination (Lemmas 4/5 make every nonredundant cover minimum);
@@ -30,7 +31,6 @@
 //!   (`*_budgeted`) entry point;
 //! * [`ordering`] — good orderings (Definition 11), the machinery behind
 //!   Corollary 5 and the Theorem 6 counterexample;
-//! * [`pseudo`] — side-aware wrappers (Corollary 4's swapped-side route);
 //! * [`artifacts`] — the per-schema bundle (classification, elimination
 //!   order, Lemma 1 routes built on first use) shared across solvers;
 //! * [`solver`] — the one routing ladder: [`Solver`] picks the strongest
@@ -50,13 +50,11 @@ pub mod heuristic;
 pub mod instance;
 pub mod ordering;
 pub mod outcome;
-pub mod pseudo;
 pub mod solver;
 
 pub use algorithm1::{
-    algorithm1, algorithm1_budgeted_in, algorithm1_with_ordering_budgeted_in, check_lemma1_order,
-    lemma1_ordering, verify_lemma1_ordering, Algorithm1Error, Lemma1Ordering,
-    CHECK_LEMMA1_MAX_NODES,
+    algorithm1, algorithm1_budgeted_in, check_lemma1_order, lemma1_ordering,
+    verify_lemma1_ordering, Algorithm1Error, Lemma1Ordering, CHECK_LEMMA1_MAX_NODES,
 };
 pub use algorithm2::{
     algorithm2, algorithm2_budgeted_in, algorithm2_with_order, algorithm2_with_order_in,
@@ -78,5 +76,4 @@ pub use heuristic::{steiner_kmb, steiner_kmb_budgeted};
 pub use instance::{SteinerInstance, SteinerTree};
 pub use ordering::{eliminate_with_ordering, is_good_ordering_for, ordering_landscape};
 pub use outcome::{Degraded, SolveError, SolveOutcome};
-pub use pseudo::pseudo_steiner;
-pub use solver::{Solution, SolveStats, Solver, SolverConfig, SolverError, SteinerStrategy};
+pub use solver::{Solution, SolveStats, Solver, SolverConfig, SteinerStrategy};

@@ -1,13 +1,11 @@
 //! The unified solver-facing error taxonomy.
 //!
-//! Before this module, every layer grew its own ad-hoc error enum
-//! (`Algorithm1Error`, `SolverError`, `QueryError`, `SessionError`, …)
-//! and the solver-facing cases — "terminals disconnected", "ordering
-//! does not exist", "too large" — were re-declared and re-mapped at each
-//! boundary. [`SolveError`] folds those cases into one structured type
-//! with context: which [`Stage`] failed, which budget tripped (via the
-//! embedded [`BudgetExceeded`]), and what an internal inconsistency
-//! actually was instead of an `unreachable!` abort.
+//! The solver-facing cases — "terminals disconnected", "ordering does
+//! not exist", "too large" — are one structured type, [`SolveError`],
+//! shared by every layer, with context: which [`Stage`] failed, which
+//! budget tripped (via the embedded [`BudgetExceeded`]), and what an
+//! internal inconsistency actually was instead of an `unreachable!`
+//! abort.
 //!
 //! [`SolveOutcome`] is the standard result alias; [`Degraded`] records a
 //! ladder downgrade (Exact → heuristic) on an otherwise successful
@@ -26,9 +24,10 @@ pub enum SolveError {
     /// The terminals do not lie in one connected component: no tree over
     /// them exists in any route.
     Disconnected,
-    /// Algorithm 1's precondition failed: the graph is not V₂-chordal and
-    /// V₂-conformal (its `H¹` is not α-acyclic), so no Lemma 1 ordering
-    /// exists and the optimality guarantee is void.
+    /// Algorithm 1's precondition failed: the graph is not Vᵢ-chordal and
+    /// Vᵢ-conformal on the minimized side (`H¹` for `V₂`, `H²` for `V₁`
+    /// is not α-acyclic), so no Lemma 1 ordering exists and the
+    /// optimality guarantee is void.
     NotAlphaAcyclic,
     /// A resource budget tripped (deadline, DP size, terminal cap). The
     /// payload says which stage, which knob, and how much was consumed.
@@ -50,7 +49,7 @@ impl fmt::Display for SolveError {
             SolveError::Disconnected => write!(f, "terminals cannot be connected"),
             SolveError::NotAlphaAcyclic => write!(
                 f,
-                "graph is not V2-chordal/V2-conformal (H1 not alpha-acyclic); no Lemma 1 ordering"
+                "graph is not Vi-chordal/Vi-conformal on the minimized side (its hypergraph is not alpha-acyclic); no Lemma 1 ordering"
             ),
             SolveError::Budget(b) => write!(f, "{b}"),
             SolveError::Internal { stage, detail } => {

@@ -1,14 +1,14 @@
 //! One-call Steiner/pseudo-Steiner solving with automatic algorithm
-//! selection along the paper's complexity map — now *governed*: every
-//! solve runs under the [`SolverConfig`]'s [`SolveBudget`], walks a
-//! degradation ladder (Exact → KMB heuristic → `Err`) instead of hanging
-//! on adversarial instances, and is panic-isolated so a bug in one query
-//! cannot take down a long-lived solver shared across sessions.
+//! selection along the paper's complexity map. Every solve runs under
+//! the [`SolverConfig`]'s [`SolveBudget`], walks a degradation ladder
+//! (Exact → KMB heuristic → `Err`) instead of hanging on adversarial
+//! instances, and is panic-isolated so a bug in one query cannot take
+//! down a long-lived solver shared across sessions.
 
-use crate::algorithm1::algorithm1_cached_in;
 use crate::artifacts::SchemaArtifacts;
 use crate::{
-    algorithm2_budgeted_in, steiner_exact_node_weighted_budgeted, steiner_kmb_budgeted, SteinerTree,
+    algorithm1_budgeted_in, algorithm2_budgeted_in, steiner_exact_node_weighted_budgeted,
+    steiner_kmb_budgeted, tree_side_cost, SteinerTree,
 };
 use mcc_chordality::BipartiteClassification;
 use mcc_graph::{
@@ -24,11 +24,6 @@ use std::time::Duration;
 
 pub use crate::outcome::{Degraded, SolveError, SolveOutcome};
 pub use mcc_obs::SolveTrace;
-
-/// Back-compatible alias: the solver reports the unified [`SolveError`]
-/// taxonomy (the old two-variant enum's cases map to
-/// [`SolveError::Disconnected`] and [`SolveError::Budget`]).
-pub type SolverError = SolveError;
 
 /// Which algorithm answered, and with what guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +106,26 @@ pub struct Solution {
     /// vs. elimination vs. exact DP vs. KMB, …). All-zero when telemetry
     /// is disabled — see `mcc-obs`.
     pub trace: SolveTrace,
+}
+
+impl Solution {
+    /// A solution as a route returns it; [`Solver`]'s boundary stamps the
+    /// stats and the trace.
+    fn new(
+        tree: SteinerTree,
+        strategy: SteinerStrategy,
+        cost: usize,
+        degraded: Option<Degraded>,
+    ) -> Self {
+        Solution {
+            tree,
+            strategy,
+            cost,
+            stats: SolveStats::default(),
+            degraded,
+            trace: SolveTrace::EMPTY,
+        }
+    }
 }
 
 /// Tuning knobs for the fallback chain.
@@ -215,7 +230,7 @@ impl Solver {
     /// class allows, otherwise exact for small terminal sets, otherwise
     /// the heuristic — stepping down the ladder on budget trips.
     pub fn solve_steiner(&self, terminals: &NodeSet) -> Result<Solution, SolveError> {
-        self.guarded(|token| self.solve_steiner_inner(terminals, token))
+        self.guarded(|token| self.solve_inner(terminals, None, token))
     }
 
     /// Solves the pseudo-Steiner problem w.r.t. `side`: Algorithm 1 when
@@ -223,7 +238,7 @@ impl Solver {
     /// node-weighted Dreyfus–Wagner for small terminal sets, degrading to
     /// the (side-cost-oblivious) KMB tree on budget trips.
     pub fn solve_pseudo(&self, terminals: &NodeSet, side: Side) -> Result<Solution, SolveError> {
-        self.guarded(|token| self.solve_pseudo_inner(terminals, side, token))
+        self.guarded(|token| self.solve_inner(terminals, Some(side), token))
     }
 
     /// The panic-isolation and accounting boundary shared by the public
@@ -299,143 +314,92 @@ impl Solver {
         }
     }
 
-    fn solve_steiner_inner(
+    /// The one routing ladder. `side` is the objective: `None` minimizes
+    /// every tree node (Steiner), `Some(s)` the nodes of side `s`
+    /// (pseudo-Steiner). The in-class route is Algorithm 2 on (6,2)
+    /// schemas for Steiner and Algorithm 1 along the cached Lemma 1
+    /// ordering for pseudo-Steiner. Otherwise, up to the exact cap, the
+    /// DP runs with unit or side-indicator weights, and a budget trip
+    /// falls to KMB with a [`Degraded`] mark. Over the cap, Steiner goes
+    /// to KMB undegraded and pseudo-Steiner is refused: KMB ignores the
+    /// side cost, so it answers pseudo-Steiner only as a marked fallback.
+    fn solve_inner(
         &self,
         terminals: &NodeSet,
+        side: Option<Side>,
         token: &CancelToken,
     ) -> Result<Solution, SolveError> {
-        let budget = &self.config.budget;
-        let g = self.graph().graph();
-        if self.classification().six_two {
-            // Warm path: the MCS scan order is a schema artifact — no
-            // per-solve ordering work, just the elimination loop.
-            let mut ws = self.ws.borrow_mut();
-            let order = self.artifacts.elimination_order();
-            let tree = algorithm2_budgeted_in(&mut ws, g, terminals, order, token)?;
-            let cost = tree.node_cost();
-            return Ok(Solution {
-                tree,
-                strategy: SteinerStrategy::Algorithm2,
-                cost,
-                stats: SolveStats::default(),
-                degraded: None,
-                trace: SolveTrace::EMPTY,
-            });
-        }
-        let stats = SolveStats::default();
-        if terminals.len() <= self.config.max_exact_terminals {
-            let unit = vec![1u64; g.node_count()];
-            match steiner_exact_node_weighted_budgeted(g, terminals, &unit, budget, token) {
-                Ok(sol) => {
-                    let cost = sol.tree.node_cost();
-                    return Ok(Solution {
-                        tree: sol.tree,
-                        strategy: SteinerStrategy::Exact,
-                        cost,
-                        stats,
-                        degraded: None,
-                        trace: SolveTrace::EMPTY,
-                    });
-                }
-                // The ladder: a budget trip in the exact route falls to
-                // the heuristic under the same (partly consumed) clock.
-                Err(SolveError::Budget(reason)) => {
-                    let tree = steiner_kmb_budgeted(g, terminals, token)?;
-                    let cost = tree.node_cost();
-                    return Ok(Solution {
-                        tree,
-                        strategy: SteinerStrategy::Heuristic,
-                        cost,
-                        stats,
-                        degraded: Some(Degraded {
-                            from: Stage::ExactDp,
-                            reason,
-                        }),
-                        trace: SolveTrace::EMPTY,
-                    });
-                }
-                Err(e) => return Err(e),
+        let bg = self.graph();
+        let g = bg.graph();
+        match side {
+            None if self.classification().six_two => {
+                // The MCS scan order is a schema artifact: no per-solve
+                // ordering work, just the elimination loop.
+                let mut ws = self.ws.borrow_mut();
+                let order = self.artifacts.elimination_order();
+                let tree = algorithm2_budgeted_in(&mut ws, g, terminals, order, token)?;
+                let cost = tree.node_cost();
+                return Ok(Solution::new(tree, SteinerStrategy::Algorithm2, cost, None));
             }
+            Some(side) => {
+                if let Some(l1) = self.artifacts.lemma1(side) {
+                    // The ordering is a schema artifact, borrowed: the
+                    // per-solve cost is just the Step 2 elimination loop.
+                    let mut ws = self.ws.borrow_mut();
+                    let out = algorithm1_budgeted_in(
+                        &mut ws,
+                        bg,
+                        terminals,
+                        side,
+                        Some(&l1.order),
+                        token,
+                    )?;
+                    return Ok(Solution::new(
+                        out.tree,
+                        SteinerStrategy::Algorithm1,
+                        out.side_cost,
+                        None,
+                    ));
+                }
+            }
+            None => {}
         }
-        let tree = steiner_kmb_budgeted(g, terminals, token)?;
-        let cost = tree.node_cost();
-        Ok(Solution {
-            tree,
-            strategy: SteinerStrategy::Heuristic,
-            cost,
-            stats,
-            degraded: None,
-            trace: SolveTrace::EMPTY,
-        })
-    }
-
-    fn solve_pseudo_inner(
-        &self,
-        terminals: &NodeSet,
-        side: Side,
-        token: &CancelToken,
-    ) -> Result<Solution, SolveError> {
-        let budget = &self.config.budget;
-        if let Some((oriented, l1)) = self.artifacts.algorithm1_route(side) {
-            // Warm path: the Lemma 1 ordering (and, for the V1 side, the
-            // reoriented graph) are schema artifacts — the per-solve cost
-            // is just the Step 2 elimination loop. Before the artifact
-            // bundle existed this route cloned the whole graph and
-            // rebuilt H¹'s join tree on every solve. The ordering is
-            // borrowed, not copied.
-            let mut ws = self.ws.borrow_mut();
-            let (tree, cost) =
-                algorithm1_cached_in(&mut ws, oriented, terminals, &l1.order, token)?;
-            return Ok(Solution {
-                tree,
-                strategy: SteinerStrategy::Algorithm1,
-                cost,
-                stats: SolveStats::default(),
-                degraded: None,
-                trace: SolveTrace::EMPTY,
-            });
-        }
-        if terminals.len() <= self.config.max_exact_terminals {
-            let stats = SolveStats::default();
-            let bg = self.graph();
-            let g = bg.graph();
-            let weights: Vec<u64> = g.nodes().map(|v| u64::from(bg.side(v) == side)).collect();
+        let degraded = if terminals.len() > self.config.max_exact_terminals {
+            if side.is_some() {
+                return Err(SolveError::Budget(self.too_many_terminals(terminals.len())));
+            }
+            None
+        } else {
+            let weights: Vec<u64> = match side {
+                None => vec![1; g.node_count()],
+                Some(side) => g.nodes().map(|v| u64::from(bg.side(v) == side)).collect(),
+            };
+            let budget = &self.config.budget;
             match steiner_exact_node_weighted_budgeted(g, terminals, &weights, budget, token) {
                 Ok(sol) => {
-                    return Ok(Solution {
-                        tree: sol.tree,
-                        strategy: SteinerStrategy::Exact,
-                        cost: sol.cost as usize,
-                        stats,
-                        degraded: None,
-                        trace: SolveTrace::EMPTY,
-                    });
+                    let cost = sol.cost as usize;
+                    return Ok(Solution::new(sol.tree, SteinerStrategy::Exact, cost, None));
                 }
-                // Ladder: best-effort KMB tree; its side cost carries no
-                // optimality guarantee, which `degraded` records.
-                Err(SolveError::Budget(reason)) => {
-                    let tree = steiner_kmb_budgeted(g, terminals, token)?;
-                    let side_set = match side {
-                        Side::V1 => bg.v1_set(),
-                        Side::V2 => bg.v2_set(),
-                    };
-                    let cost = tree.nodes.intersection(&side_set).len();
-                    return Ok(Solution {
-                        tree,
-                        strategy: SteinerStrategy::Heuristic,
-                        cost,
-                        stats,
-                        degraded: Some(Degraded {
-                            from: Stage::ExactDp,
-                            reason,
-                        }),
-                        trace: SolveTrace::EMPTY,
-                    });
-                }
+                // The ladder: a budget trip in the exact route falls to
+                // KMB under the same (partly consumed) clock.
+                Err(SolveError::Budget(reason)) => Some(Degraded {
+                    from: Stage::ExactDp,
+                    reason,
+                }),
                 Err(e) => return Err(e),
             }
-        }
-        Err(SolveError::Budget(self.too_many_terminals(terminals.len())))
+        };
+        let tree = steiner_kmb_budgeted(g, terminals, token)?;
+        let cost = match side {
+            None => tree.node_cost(),
+            Some(side) => tree_side_cost(bg, &tree, side),
+        };
+        Ok(Solution::new(
+            tree,
+            SteinerStrategy::Heuristic,
+            cost,
+            degraded,
+        ))
     }
 
     /// The schema's chordality class as a metric label, most specific

@@ -1,5 +1,5 @@
 //! Allocation regression tests for Algorithm 2's elimination loop, the
-//! solver's warm Algorithm 1 and Algorithm 2 routes, the Theorem 1
+//! solver's warm Algorithm 1 (both sides) and Algorithm 2 routes, the Theorem 1
 //! recognizers and the exact DP.
 //!
 //! The whole point of the workspace refactor is that Step 1 of
@@ -346,9 +346,11 @@ fn exact_dp_allocation_count_is_independent_of_k_and_n() {
 
 /// A warm `Solver::solve_pseudo` on Algorithm 1's route allocates
 /// exactly what building its result tree allocates, whatever the schema
-/// size: never a copy of the cached Lemma 1 ordering or a side set of the
-/// graph. Each solver is warmed by one solve first (the Lemma 1 route is
-/// built on first use, and the workspace grows to the schema).
+/// size and whichever side it minimizes: never a copy of the cached
+/// Lemma 1 ordering, a side set or a side-swapped copy of the graph. The
+/// inputs are α-acyclic schemas for `V2` and (6,2) block trees for `V1`.
+/// Each solver is warmed by one solve first (the Lemma 1 route is built
+/// on first use, and the workspace grows to the schema).
 ///
 /// Debug builds also run the route's tree certificate, whose graph
 /// rebuild allocates in proportion to the tree; the same certificate is
@@ -356,31 +358,23 @@ fn exact_dp_allocation_count_is_independent_of_k_and_n() {
 /// build profiles.
 #[test]
 fn warm_solve_pseudo_allocates_only_its_result() {
+    use mcc_gen::block_tree::BlockTreeShape;
     use mcc_gen::join_tree::JoinTreeShape;
-    use mcc_gen::{random_alpha_acyclic, random_terminals};
-    use mcc_graph::Side;
+    use mcc_gen::{random_alpha_acyclic, random_six_two_block_tree, random_terminals};
+    use mcc_graph::{BipartiteGraph, Side};
     use mcc_steiner::{
         check_steiner_solution, Solver, SteinerStrategy, SteinerTree, CHECK_STEINER_MAX_NODES,
     };
 
-    for num_edges in [4, 8, 20, 60, 150] {
-        let shape = JoinTreeShape {
-            num_edges,
-            ..JoinTreeShape::default()
-        };
-        let (_, bg) = random_alpha_acyclic(shape, 3);
+    let check = |bg: BipartiteGraph, side: Side, size: usize| {
         let v1 = bg.v1_set();
         let terminals = random_terminals(bg.graph(), Some(&v1), 3, 5);
         let solver = Solver::new(bg);
-        let warm = solver
-            .solve_pseudo(&terminals, Side::V2)
-            .expect("connected");
+        let warm = solver.solve_pseudo(&terminals, side).expect("connected");
         assert_eq!(warm.strategy, SteinerStrategy::Algorithm1);
 
         let before = allocation_count();
-        let sol = solver
-            .solve_pseudo(&terminals, Side::V2)
-            .expect("connected");
+        let sol = solver.solve_pseudo(&terminals, side).expect("connected");
         let mut allocs = allocation_count() - before;
         assert_eq!(sol.tree, warm.tree);
         let g = solver.graph().graph();
@@ -400,8 +394,24 @@ fn warm_solve_pseudo_allocates_only_its_result() {
         assert_eq!(result.as_ref(), Some(&sol.tree));
         assert_eq!(
             allocs, result_allocs,
-            "warm solve_pseudo allocated beyond its result tree ({num_edges} relations)"
+            "warm solve_pseudo({side:?}) allocated beyond its result tree (size {size})"
         );
+    };
+
+    for num_edges in [4, 8, 20, 60, 150] {
+        let shape = JoinTreeShape {
+            num_edges,
+            ..JoinTreeShape::default()
+        };
+        let (_, bg) = random_alpha_acyclic(shape, 3);
+        check(bg, Side::V2, num_edges);
+    }
+    for blocks in [2, 6, 20, 80] {
+        let shape = BlockTreeShape {
+            blocks,
+            ..BlockTreeShape::default()
+        };
+        check(random_six_two_block_tree(shape, 3), Side::V1, blocks);
     }
 }
 

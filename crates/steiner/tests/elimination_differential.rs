@@ -14,11 +14,26 @@
 //! terminal, disconnected terminals, and every connected bipartite graph
 //! with `|V1|, |V2| ≤ 3` under every terminal subset and both the id and
 //! the reversed order.
+//!
+//! The `V1` route has its own oracle, Corollary 4's textbook reduction:
+//! the `V2` algorithm on the side-swapped graph. Algorithm 1 minimizing
+//! `V1` on the graph itself, and the solver's `V1` route, must return
+//! its trees and costs exactly.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers may panic"
+)]
+
+use mcc_chordality::classify_bipartite;
 use mcc_gen::block_tree::BlockTreeShape;
+use mcc_gen::interval::IntervalShape;
 use mcc_gen::join_tree::JoinTreeShape;
 use mcc_gen::{
-    random_alpha_acyclic, random_bipartite, random_six_two_block_tree, random_terminals, rng,
+    random_alpha_acyclic, random_bipartite, random_interval_hypergraph, random_six_two_block_tree,
+    random_terminals, rng,
 };
 use mcc_graph::builder::graph_from_edges;
 use mcc_graph::{
@@ -26,8 +41,9 @@ use mcc_graph::{
     NodeSet, Side, Workspace,
 };
 use mcc_steiner::{
-    algorithm1_with_ordering_budgeted_in, algorithm2_with_order_in, eliminate_nonredundant_in,
-    lemma1_ordering, SolveError,
+    algorithm1, algorithm1_budgeted_in, algorithm2_with_order_in, eliminate_nonredundant_in,
+    lemma1_ordering, side_minimum_cover_bruteforce, Algorithm1Error, SolveError, Solver,
+    SteinerStrategy,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -151,8 +167,8 @@ fn check_algorithm1(
     ordering: &[NodeId],
 ) {
     let token = CancelToken::unbounded();
-    let fast = algorithm1_with_ordering_budgeted_in(ws, bg, terminals, ordering, &token)
-        .map(|out| (out.tree.nodes, out.v2_cost));
+    let fast = algorithm1_budgeted_in(ws, bg, terminals, Side::V2, Some(ordering), &token)
+        .map(|out| (out.tree.nodes, out.side_cost));
     let slow = oracle::algorithm1(bg, terminals, ordering);
     assert_eq!(
         fast,
@@ -209,7 +225,7 @@ fn alpha_acyclic_schemas_match_under_lemma1_and_shuffled_orders() {
         };
         let (_, bg) = random_alpha_acyclic(shape, seed);
         let g = bg.graph();
-        let lemma1 = lemma1_ordering(&bg).expect("join-tree schemas are alpha-acyclic");
+        let lemma1 = lemma1_ordering(&bg, Side::V2).expect("join-tree schemas are alpha-acyclic");
         let v1 = bg.v1_set();
         for k in [1, 2, 3, 4, 6] {
             let k = k.min(v1.len());
@@ -400,4 +416,125 @@ fn every_small_connected_bipartite_graph_and_terminal_set() {
     // Connected spanning subgraphs of K(n1,n2) for n1, n2 ≤ 3:
     // 1 + 1 + 1 + 1 + 5 + 19 + 1 + 19 + 205.
     assert_eq!(graphs, 253);
+}
+
+/// Checks the `V1` route on `bg` against Corollary 4's reduction: the
+/// Lemma 1 ordering of the `V1` side equals the `V2` ordering of the
+/// swapped graph (order and join tree), and for every terminal set
+/// Algorithm 1 minimizing `V1`, the `V2` algorithm on the swapped graph
+/// and `Solver::solve_pseudo(_, V1)` agree in tree and cost. On graphs of
+/// at most `BRUTE_MAX_NODES` nodes the cost is also the brute-force
+/// `V1` minimum. Returns how many solves succeeded.
+fn check_v1_route(bg: &BipartiteGraph, terminal_sets: &[NodeSet]) -> usize {
+    const BRUTE_MAX_NODES: usize = 14;
+    let swapped = bg.swap_sides();
+    let l1 = lemma1_ordering(bg, Side::V1);
+    assert_eq!(l1, lemma1_ordering(&swapped, Side::V2));
+    assert!(l1.is_some(), "H² must be alpha-acyclic on these inputs");
+    let solver = Solver::new(bg.clone());
+    let v1 = bg.v1_set();
+    let mut solved = 0;
+    for terminals in terminal_sets {
+        let oracle = algorithm1(&swapped, terminals, Side::V2);
+        let direct = algorithm1(bg, terminals, Side::V1);
+        let routed = solver.solve_pseudo(terminals, Side::V1);
+        match (&oracle, &direct) {
+            (Ok(want), Ok(have)) => {
+                assert_eq!(want.tree, have.tree, "terminals {:?}", terminals.to_vec());
+                assert_eq!(want.side_cost, have.side_cost);
+                assert_eq!(want.ordering, have.ordering);
+                let sol = routed.expect("the V1 route solves what Algorithm 1 solves");
+                assert_eq!(sol.strategy, SteinerStrategy::Algorithm1);
+                assert_eq!(sol.tree, have.tree);
+                assert_eq!(sol.cost, have.side_cost);
+                if bg.graph().node_count() <= BRUTE_MAX_NODES {
+                    let bf = side_minimum_cover_bruteforce(bg.graph(), terminals, &v1)
+                        .expect("Algorithm 1 solved it, so it is feasible");
+                    assert_eq!(have.side_cost, bf.intersection(&v1).len());
+                }
+                solved += 1;
+            }
+            (Err(Algorithm1Error::Infeasible), Err(Algorithm1Error::Infeasible)) => {
+                assert_eq!(routed.unwrap_err(), SolveError::Disconnected);
+            }
+            (want, have) => panic!("V1 route diverged: oracle {want:?}, direct {have:?}"),
+        }
+    }
+    solved
+}
+
+fn terminal_sets(bg: &BipartiteGraph, seed: u64) -> Vec<NodeSet> {
+    let g = bg.graph();
+    let n = g.node_count();
+    let v1 = bg.v1_set();
+    let mut sets = Vec::new();
+    for k in [1, 2, 3, 5] {
+        sets.push(random_terminals(g, None, k.min(n), seed * 23 + k as u64));
+        sets.push(random_terminals(
+            g,
+            Some(&v1),
+            k.min(v1.len()),
+            seed * 29 + k as u64,
+        ));
+    }
+    sets
+}
+
+#[test]
+fn v1_route_matches_the_swapped_graph_on_six_two_block_trees() {
+    let mut solved = 0;
+    for seed in 0..80u64 {
+        let shape = BlockTreeShape {
+            blocks: 1 + (seed as usize % 8),
+            max_block: 2 + (seed as usize % 3),
+        };
+        let bg = random_six_two_block_tree(shape, seed);
+        solved += check_v1_route(&bg, &terminal_sets(&bg, seed));
+    }
+    assert!(solved > 400, "only {solved} solves succeeded");
+}
+
+#[test]
+fn v1_route_matches_the_swapped_graph_on_six_one_graphs() {
+    let mut solved = 0;
+    for seed in 0..80u64 {
+        let shape = IntervalShape {
+            nodes: 4 + (seed as usize % 7),
+            edges: 2 + (seed as usize % 5),
+            max_len: 2 + (seed as usize % 3),
+        };
+        let (_, bg) = random_interval_hypergraph(shape, seed);
+        assert!(classify_bipartite(&bg).six_one);
+        solved += check_v1_route(&bg, &terminal_sets(&bg, seed));
+    }
+    assert!(solved > 200, "only {solved} solves succeeded");
+}
+
+#[test]
+fn v1_route_matches_the_swapped_graph_where_h2_is_alpha_acyclic() {
+    let mut solved = 0;
+    let mut graphs = 0;
+    for seed in 0..300u64 {
+        let mut r = rng(seed);
+        // Join-tree schemas with the sides swapped have an α-acyclic H²;
+        // random graphs are kept when theirs is.
+        let bg = if seed % 2 == 0 {
+            let shape = JoinTreeShape {
+                num_edges: 1 + (seed as usize % 10),
+                max_shared: 1 + (seed as usize % 3),
+                max_fresh: 1 + (seed as usize % 3),
+            };
+            random_alpha_acyclic(shape, seed).1.swap_sides()
+        } else {
+            let (n1, n2) = (r.gen_range(2..8), r.gen_range(2..8));
+            random_bipartite(n1, n2, 0.2 + r.gen_range(0..40u32) as f64 / 100.0, seed)
+        };
+        if !classify_bipartite(&bg).h2_alpha_acyclic() {
+            continue;
+        }
+        graphs += 1;
+        solved += check_v1_route(&bg, &terminal_sets(&bg, seed));
+    }
+    assert!(graphs > 200, "only {graphs} graphs had an alpha-acyclic H²");
+    assert!(solved > 800, "only {solved} solves succeeded");
 }

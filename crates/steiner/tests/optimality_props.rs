@@ -12,7 +12,7 @@
 use mcc_chordality::{is_six_two_chordal, is_vi_chordal, is_vi_conformal};
 use mcc_graph::{builder::graph_from_edges, BipartiteGraph, NodeId, NodeSet, Side};
 use mcc_steiner::{
-    algorithm1, algorithm2, algorithm2_with_order, minimum_cover_bruteforce, pseudo_steiner,
+    algorithm1, algorithm2, algorithm2_with_order, minimum_cover_bruteforce,
     side_minimum_cover_bruteforce, steiner_exact, steiner_kmb, Algorithm1Error, SteinerInstance,
 };
 use proptest::prelude::*;
@@ -59,14 +59,14 @@ proptest! {
     /// a V₂-minimum tree over the terminals.
     #[test]
     fn algorithm1_is_v2_minimum_on_class((bg, terminals) in bipartite_with_terminals()) {
-        match algorithm1(&bg, &terminals) {
+        match algorithm1(&bg, &terminals, Side::V2) {
             Ok(out) => {
                 prop_assert!(out.tree.is_valid_tree(bg.graph()));
                 prop_assert!(terminals.is_subset_of(&out.tree.nodes));
                 let v2 = bg.v2_set();
                 let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &v2)
                     .expect("algorithm succeeded, so the instance is feasible");
-                prop_assert_eq!(out.v2_cost, bf.intersection(&v2).len());
+                prop_assert_eq!(out.side_cost, bf.intersection(&v2).len());
             }
             Err(Algorithm1Error::Infeasible) => {
                 prop_assert!(minimum_cover_bruteforce(bg.graph(), &terminals).is_none());
@@ -79,11 +79,11 @@ proptest! {
         }
     }
 
-    /// Corollary 4 route: pseudo-Steiner w.r.t. V₁ through the swapped
-    /// graph is V₁-minimum whenever it applies.
+    /// Corollary 4 route: pseudo-Steiner w.r.t. V₁ (Algorithm 1 along
+    /// `H²`'s join tree) is V₁-minimum whenever it applies.
     #[test]
     fn pseudo_v1_is_v1_minimum_on_class((bg, terminals) in bipartite_with_terminals()) {
-        if let Ok(sol) = pseudo_steiner(&bg, &terminals, Side::V1) {
+        if let Ok(sol) = algorithm1(&bg, &terminals, Side::V1) {
             let v1 = bg.v1_set();
             let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &v1)
                 .expect("feasible");

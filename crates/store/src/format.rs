@@ -18,10 +18,9 @@
 //! Sections appear in ascending tag order. `GRAPH`, `CLASSIFICATION`,
 //! and `ELIMINATION` are mandatory; the two Lemma 1 sections are present
 //! exactly when the corresponding route is polynomial for the schema.
-//! The side-swapped graph of the `V1` route is **not** stored — it is
-//! recomputed as `bipartite.swap_sides()` at decode (structural sharing:
-//! the copy is derived data, and [`SchemaArtifacts::from_parts`](mcc::SchemaArtifacts::from_parts) verifies
-//! the reconstruction).
+//! Both orderings are node ids of the one stored graph: the `V2` route
+//! orders relation-side nodes, the `V1` route attribute-side nodes, and
+//! Algorithm 1 runs either on the graph as stored.
 //!
 //! ## Integrity and versioning contract
 //!
@@ -511,17 +510,8 @@ pub fn decode(
     let elimination =
         elimination.ok_or(FormatError::SectionTable("missing elimination section"))?;
 
-    // The swapped copy is derived data: recompute it (structural
-    // sharing), present exactly when the V1 ordering is.
-    let swapped = lemma1_v1.as_ref().map(|_| bipartite.swap_sides());
-    let artifacts = SchemaArtifacts::from_parts(
-        bipartite,
-        classification,
-        elimination,
-        lemma1_v2,
-        swapped,
-        lemma1_v1,
-    )?;
+    let artifacts =
+        SchemaArtifacts::from_parts(bipartite, classification, elimination, lemma1_v2, lemma1_v1)?;
     Ok((fingerprint, artifacts))
 }
 
@@ -557,11 +547,12 @@ mod tests {
             assert_eq!(decoded.bipartite(), a.bipartite());
             assert_eq!(decoded.classification(), a.classification());
             assert_eq!(decoded.elimination_order(), a.elimination_order());
-            assert_eq!(
-                decoded.lemma1(Side::V2).map(|l| &l.order),
-                a.lemma1(Side::V2).map(|l| &l.order)
-            );
-            assert_eq!(decoded.swapped().is_some(), a.swapped().is_some());
+            for side in [Side::V1, Side::V2] {
+                assert_eq!(
+                    decoded.lemma1(side).map(|l| &l.order),
+                    a.lemma1(side).map(|l| &l.order)
+                );
+            }
             // Re-encoding the decoded bundle is byte-identical.
             assert_eq!(encode(42, &decoded), bytes);
         }

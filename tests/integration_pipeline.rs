@@ -83,7 +83,7 @@ fn solve_and_certify_across_families() {
                     );
                     assert_eq!(sol.cost, sol.tree.node_cost());
                 }
-                Err(mcc::SolverError::Disconnected) => {
+                Err(mcc::SolveError::Disconnected) => {
                     // Fine: terminals may span components on sparse inputs.
                 }
                 Err(e) => panic!("unexpected solver error: {e}"),
@@ -173,7 +173,7 @@ fn algorithms_scale_to_thousands_of_nodes() {
     assert!(bg.graph().node_count() > 1500);
     let terminals = random_terminals(bg.graph(), Some(&bg.v1_set()), 10, 5);
     let t0 = Instant::now();
-    let out = mcc::steiner::algorithm1(&bg, &terminals).expect("on-class");
+    let out = mcc::steiner::algorithm1(&bg, &terminals, Side::V2).expect("on-class");
     let alg1 = t0.elapsed();
     assert!(out.tree.is_valid_tree(bg.graph()));
     assert!(alg1.as_secs() < 30, "Algorithm 1 took {alg1:?}");

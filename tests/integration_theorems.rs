@@ -9,8 +9,8 @@ use mcc_gen::{
 use mcc_graph::NodeId;
 use mcc_reductions::Theorem2Gadget;
 use mcc_steiner::{
-    algorithm1, algorithm2_with_order, minimum_cover_bruteforce, pseudo_steiner,
-    side_minimum_cover_bruteforce, steiner_exact,
+    algorithm1, algorithm2_with_order, minimum_cover_bruteforce, side_minimum_cover_bruteforce,
+    steiner_exact,
 };
 
 /// Theorem 2 end-to-end: the X3C instance is solvable **iff** the gadget
@@ -57,15 +57,15 @@ fn theorem2_gadget_is_algorithm1_friendly() {
     for seed in 0..4 {
         let gadget = Theorem2Gadget::build(random_x3c_planted(2, 2, seed));
         let terms = gadget.terminals();
-        let out = algorithm1(&gadget.graph, &terms).expect("gadget is alpha-acyclic");
+        let out = algorithm1(&gadget.graph, &terms, Side::V2).expect("gadget is alpha-acyclic");
         // All terminals are V2; the V2-cost is forced to 3q + 1.
-        assert_eq!(out.v2_cost, 3 * gadget.instance.q + 1, "seed {seed}");
+        assert_eq!(out.side_cost, 3 * gadget.instance.q + 1, "seed {seed}");
         let bf =
             side_minimum_cover_bruteforce(gadget.graph.graph(), &terms, &gadget.graph.v2_set())
                 .unwrap();
         assert_eq!(
             bf.intersection(&gadget.graph.v2_set()).len(),
-            out.v2_cost,
+            out.side_cost,
             "seed {seed}"
         );
     }
@@ -86,12 +86,12 @@ fn theorem3_algorithm1_on_generated_schemas() {
             continue; // keep brute force cheap
         }
         let terminals = random_terminals(bg.graph(), Some(&bg.v1_set()), 2, seed);
-        match algorithm1(&bg, &terminals) {
+        match algorithm1(&bg, &terminals, Side::V2) {
             Ok(out) => {
                 let v2 = bg.v2_set();
                 let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &v2)
                     .expect("algorithm found a tree, so feasible");
-                assert_eq!(out.v2_cost, bf.intersection(&v2).len(), "seed {seed}");
+                assert_eq!(out.side_cost, bf.intersection(&v2).len(), "seed {seed}");
             }
             Err(mcc_steiner::Algorithm1Error::Infeasible) => {
                 assert!(
@@ -112,9 +112,9 @@ fn lemma1_ordering_properties_hold() {
     for seed in 0..8 {
         let (_, bg) = random_alpha_acyclic(Default::default(), seed);
         let terminals = random_terminals(bg.graph(), Some(&bg.v1_set()), 2, seed + 77);
-        match algorithm1(&bg, &terminals) {
+        match algorithm1(&bg, &terminals, Side::V2) {
             Ok(out) => assert!(
-                mcc_steiner::verify_lemma1_ordering(&bg, &out.ordering),
+                mcc_steiner::verify_lemma1_ordering(&bg, &out.ordering, Side::V2),
                 "seed {seed}: Lemma 1 properties violated"
             ),
             Err(mcc_steiner::Algorithm1Error::Infeasible) => {}
@@ -169,7 +169,7 @@ fn corollary4_both_sides_on_interval_schemas() {
         let g = bg.graph();
         let terminals = random_terminals(g, None, 2, seed + 100);
         for side in [Side::V1, Side::V2] {
-            match pseudo_steiner(&bg, &terminals, side) {
+            match algorithm1(&bg, &terminals, side) {
                 Ok(sol) => {
                     let side_set = match side {
                         Side::V1 => bg.v1_set(),
