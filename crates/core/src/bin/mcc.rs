@@ -19,7 +19,7 @@
 //! ```
 
 use mcc::datamodel::{
-    audit_relational, enumerate_tree_interpretations, join_plan, parse_schema, QueryEngine,
+    audit_relational, join_plan, parse_schema, try_enumerate_tree_interpretations, QueryEngine,
     RelationalSchema,
 };
 use std::process::ExitCode;
@@ -130,10 +130,8 @@ fn interpret(schema: &RelationalSchema, objects: &[String]) -> Result<(), String
     let names: Vec<&str> = objects.iter().map(String::as_str).collect();
     let terminals = engine.resolve(&names).map_err(|e| e.to_string())?;
     let g = engine.graph().graph();
-    if g.node_count() > 20 {
-        return Err("interpretation enumeration is limited to small schemas (≤ 20 objects)".into());
-    }
-    let alts = enumerate_tree_interpretations(g, &terminals, 5, 2);
+    let alts =
+        try_enumerate_tree_interpretations(g, &terminals, 5, 2).map_err(|e| e.to_string())?;
     if alts.is_empty() {
         return Err("the named objects cannot be connected".into());
     }

@@ -13,10 +13,10 @@
 use mcc_graph::{BudgetExceeded, BudgetKind, Graph, NodeId, NodeSet, Stage};
 use mcc_steiner::is_nonredundant_cover;
 
-/// Hard size cap of [`enumerate_connections`] (the sweep is `O(2^n)`).
+/// Hard size cap of [`try_enumerate_connections`] (the sweep is `O(2^n)`).
 pub const MAX_CONNECTION_ENUM_NODES: usize = 24;
 
-/// Hard size cap of [`enumerate_tree_interpretations`] (spanning-tree
+/// Hard size cap of [`try_enumerate_tree_interpretations`] (spanning-tree
 /// enumeration on top of the `O(2^n)` cover sweep).
 pub const MAX_TREE_ENUM_NODES: usize = 20;
 
@@ -24,30 +24,10 @@ pub const MAX_TREE_ENUM_NODES: usize = 20;
 /// `max_results` results and at most `max_slack` nodes above the minimum.
 /// Deterministic order: by size, then lexicographic node sets.
 ///
-/// # Panics
-/// Panics on graphs with more than 24 nodes (the enumeration is
-/// exponential by design). Use [`try_enumerate_connections`] to get the
-/// size violation as a value instead.
-pub fn enumerate_connections(
-    g: &Graph,
-    terminals: &NodeSet,
-    max_results: usize,
-    max_slack: usize,
-) -> Vec<NodeSet> {
-    match try_enumerate_connections(g, terminals, max_results, max_slack) {
-        Ok(covers) => covers,
-        #[expect(
-            clippy::panic,
-            reason = "the `# Panics` contract of this unbudgeted convenience wrapper; `try_enumerate_connections` is the fallible production path"
-        )]
-        Err(e) => panic!("interpretation enumeration is for concept-graph scale: {e}"),
-    }
-}
-
-/// [`enumerate_connections`] with the size cap reported as a
-/// [`BudgetExceeded`] value (stage [`Stage::Enumeration`], kind
-/// [`BudgetKind::Nodes`]) instead of a panic — the entry point for
-/// user-reachable surfaces such as [`crate::DisambiguationSession`].
+/// The sweep is exponential by design: graphs over
+/// [`MAX_CONNECTION_ENUM_NODES`] nodes are refused with a
+/// [`BudgetExceeded`] (stage [`Stage::Enumeration`], kind
+/// [`BudgetKind::Nodes`]).
 pub fn try_enumerate_connections(
     g: &Graph,
     terminals: &NodeSet,
@@ -104,29 +84,9 @@ pub fn try_enumerate_connections(
 /// minimum cover size, then spanning-tree enumeration of each induced
 /// subgraph.
 ///
-/// # Panics
-/// Panics on graphs with more than 20 nodes. Use
-/// [`try_enumerate_tree_interpretations`] to get the size violation as a
-/// value instead.
-pub fn enumerate_tree_interpretations(
-    g: &Graph,
-    terminals: &NodeSet,
-    max_results: usize,
-    max_slack: usize,
-) -> Vec<mcc_steiner::SteinerTree> {
-    match try_enumerate_tree_interpretations(g, terminals, max_results, max_slack) {
-        Ok(trees) => trees,
-        #[expect(
-            clippy::panic,
-            reason = "the `# Panics` contract of this unbudgeted convenience wrapper; `try_enumerate_tree_interpretations` is the fallible production path"
-        )]
-        Err(e) => panic!("tree interpretation enumeration is for concept-graph scale: {e}"),
-    }
-}
-
-/// [`enumerate_tree_interpretations`] with the size cap reported as a
-/// [`BudgetExceeded`] value (stage [`Stage::Enumeration`], kind
-/// [`BudgetKind::Nodes`]) instead of a panic.
+/// Graphs over [`MAX_TREE_ENUM_NODES`] nodes are refused with a
+/// [`BudgetExceeded`] (stage [`Stage::Enumeration`], kind
+/// [`BudgetKind::Nodes`]).
 pub fn try_enumerate_tree_interpretations(
     g: &Graph,
     terminals: &NodeSet,
@@ -284,7 +244,7 @@ mod tests {
         let emp = er.node("EMPLOYEE").unwrap();
         let date = er.node("DATE").unwrap();
         let terminals = NodeSet::from_nodes(g.node_count(), [emp, date]);
-        let alts = enumerate_tree_interpretations(g, &terminals, 10, 2);
+        let alts = try_enumerate_tree_interpretations(g, &terminals, 10, 2).unwrap();
         assert!(
             alts.len() >= 2,
             "expected at least the two interpretations of the intro"
@@ -316,7 +276,7 @@ mod tests {
     fn square_has_two_minimal_routes() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let terminals = NodeSet::from_nodes(4, [NodeId(0), NodeId(2)]);
-        let alts = enumerate_connections(&g, &terminals, 10, 0);
+        let alts = try_enumerate_connections(&g, &terminals, 10, 0).unwrap();
         assert_eq!(alts.len(), 2);
         assert!(alts.iter().all(|c| c.len() == 3));
     }
@@ -325,15 +285,24 @@ mod tests {
     fn result_budget_respected() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let terminals = NodeSet::from_nodes(4, [NodeId(0), NodeId(2)]);
-        assert_eq!(enumerate_connections(&g, &terminals, 1, 5).len(), 1);
-        assert!(enumerate_connections(&g, &terminals, 0, 5).is_empty());
+        assert_eq!(
+            try_enumerate_connections(&g, &terminals, 1, 5)
+                .unwrap()
+                .len(),
+            1
+        );
+        assert!(try_enumerate_connections(&g, &terminals, 0, 5)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn disconnected_terminals_yield_nothing() {
         let g = graph_from_edges(4, &[(0, 1), (2, 3)]);
         let terminals = NodeSet::from_nodes(4, [NodeId(0), NodeId(2)]);
-        assert!(enumerate_connections(&g, &terminals, 10, 5).is_empty());
+        assert!(try_enumerate_connections(&g, &terminals, 10, 5)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -350,28 +319,14 @@ mod tests {
     }
 
     #[test]
-    fn try_variants_match_panicking_entry_points_in_range() {
-        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let terminals = NodeSet::from_nodes(4, [NodeId(0), NodeId(2)]);
-        assert_eq!(
-            try_enumerate_connections(&g, &terminals, 10, 1).unwrap(),
-            enumerate_connections(&g, &terminals, 10, 1)
-        );
-        assert_eq!(
-            try_enumerate_tree_interpretations(&g, &terminals, 10, 1).unwrap(),
-            enumerate_tree_interpretations(&g, &terminals, 10, 1)
-        );
-    }
-
-    #[test]
     fn slack_zero_keeps_only_minima() {
         // Path of length 2 vs detour of length 3.
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)]);
         let terminals = NodeSet::from_nodes(5, [NodeId(0), NodeId(2)]);
-        let tight = enumerate_connections(&g, &terminals, 10, 0);
+        let tight = try_enumerate_connections(&g, &terminals, 10, 0).unwrap();
         assert_eq!(tight.len(), 1);
         assert_eq!(tight[0].len(), 3);
-        let loose = enumerate_connections(&g, &terminals, 10, 1);
+        let loose = try_enumerate_connections(&g, &terminals, 10, 1).unwrap();
         assert_eq!(loose.len(), 2);
     }
 }

@@ -57,10 +57,7 @@ pub use classify::{apply_repair_suggestion, audit_relational, SchemaReport};
 pub use dsl::{parse_schema, render_schema};
 pub use encode::er_to_relational;
 pub use er::{ErGraph, ErSchema, NodeKind};
-pub use interpret::{
-    enumerate_connections, enumerate_tree_interpretations, try_enumerate_connections,
-    try_enumerate_tree_interpretations,
-};
+pub use interpret::{try_enumerate_connections, try_enumerate_tree_interpretations};
 pub use join_plan::{join_plan, JoinPlan};
 pub use query::{Interpretation, QueryEngine, QueryError, Strategy};
 pub use relational::{Relation, RelationalSchema, RelationalSchemaError};

@@ -35,18 +35,23 @@
 //!   to a clean rebuild (and overwrite);
 //! * [`SchemaArtifactCache::invalidate`] removes the disk object *under
 //!   the slot write lock*, so a racing rebuilder can never re-serve the
-//!   pre-invalidation bundle from disk for the new generation.
+//!   pre-invalidation bundle from disk for the new generation. That
+//!   unlink is the engine's one blocking call under a lock, and it has
+//!   one home: `remove_from_disk_under_slot_lock`, which takes the write
+//!   guard as proof (see [`crate::lock`] for the rule it is the exception
+//!   to).
 //!
 //! The store degrades itself to memory-only on persistent I/O errors;
 //! the cache keeps working identically (every `store`/`load` just
 //! becomes a no-op miss).
 
+use crate::lock::{read, write, Unlocked};
 use mcc::SchemaArtifacts;
 use mcc_datamodel::{RelationalSchema, RelationalSchemaError};
 use mcc_store::{ArtifactStore, StoreStats};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 /// Opaque handle to a registered schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,9 +165,18 @@ impl SchemaArtifactCache {
     /// an already-registered one is deduplicated: the existing id comes
     /// back and the lookup counts a **hit**.
     pub fn register(&self, schema: RelationalSchema) -> Result<SchemaId, CacheError> {
+        self.register_in(schema, &mut Unlocked::new())
+    }
+
+    /// [`SchemaArtifactCache::register`] on the caller's token.
+    pub(crate) fn register_in(
+        &self,
+        schema: RelationalSchema,
+        t: &mut Unlocked,
+    ) -> Result<SchemaId, CacheError> {
         let fingerprint = schema.fingerprint();
         {
-            let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+            let slots = read(&self.slots, t);
             if let Some(i) = slots
                 .iter()
                 .position(|s| s.fingerprint == fingerprint && *s.schema == schema)
@@ -176,8 +190,8 @@ impl SchemaArtifactCache {
         // stall every concurrent lookup. Racing registrations of the
         // same schema may duplicate the build; the re-check under the
         // write lock below keeps ids unique and discards the loser.
-        let artifacts = self.build_or_load(&schema)?;
-        let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+        let artifacts = self.build_or_load(&schema, t)?;
+        let mut slots = write(&self.slots, t);
         if let Some(i) = slots
             .iter()
             .position(|s| s.fingerprint == fingerprint && *s.schema == schema)
@@ -206,7 +220,8 @@ impl SchemaArtifactCache {
     /// fails at the mutation site instead of at some later query.
     pub fn replace(&self, id: SchemaId, schema: RelationalSchema) -> Result<(), CacheError> {
         schema.to_bipartite().map_err(CacheError::Schema)?;
-        let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+        let t = &mut Unlocked::new();
+        let mut slots = write(&self.slots, t);
         let slot = slots.get_mut(id.0).ok_or(CacheError::UnknownSchema(id))?;
         let observed = slot.generation;
         slot.fingerprint = schema.fingerprint();
@@ -224,38 +239,38 @@ impl SchemaArtifactCache {
     /// changing the schema — forcing the next lookup to rebuild (a
     /// **miss**). Returns `false` for an unknown id.
     pub fn invalidate(&self, id: SchemaId) -> bool {
-        let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
-        match slots.get_mut(id.0) {
-            Some(slot) => {
-                slot.generation += 1;
-                slot.artifacts = None;
-                // Drop the disk object while still holding the write
-                // lock: a racing rebuilder re-reads the slot (blocking
-                // on this lock) before consulting the store, so by the
-                // time it can observe the new generation the old bytes
-                // are gone and it must genuinely rebuild.
-                if let Some(store) = &self.store {
-                    // lint:allow(blocking-under-lock): the unlink under
-                    // the write lock is the invalidation barrier itself —
-                    // moving it outside reopens the stale-read race this
-                    // ordering closes (pinned by store_tier.rs).
-                    store.remove(slot.fingerprint);
-                }
-                true
-            }
-            None => false,
+        let t = &mut Unlocked::new();
+        let mut slots = write(&self.slots, t);
+        let Some(slot) = slots.get_mut(id.0) else {
+            return false;
+        };
+        slot.generation += 1;
+        slot.artifacts = None;
+        let fingerprint = slot.fingerprint;
+        if let Some(store) = &self.store {
+            remove_from_disk_under_slot_lock(store, &slots, fingerprint);
         }
+        true
     }
 
     /// The artifacts for `id`: the cached bundle (a **hit**), or a lazy
     /// rebuild if the slot was invalidated (a **miss**).
     pub fn artifacts(&self, id: SchemaId) -> Result<CachedArtifacts, CacheError> {
+        self.artifacts_in(id, &mut Unlocked::new())
+    }
+
+    /// [`SchemaArtifactCache::artifacts`] on the caller's token.
+    pub(crate) fn artifacts_in(
+        &self,
+        id: SchemaId,
+        t: &mut Unlocked,
+    ) -> Result<CachedArtifacts, CacheError> {
         // Each pass either returns or observed a strictly newer
         // generation than the one it built for. A loop rather than a
         // retrying call keeps sustained churn from growing the stack.
         loop {
             {
-                let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+                let slots = read(&self.slots, t);
                 let slot = slots.get(id.0).ok_or(CacheError::UnknownSchema(id))?;
                 if let Some(a) = &slot.artifacts {
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -271,13 +286,13 @@ impl SchemaArtifactCache {
             // generation is re-checked and a bundle built for an older
             // generation is discarded.
             let (schema, generation) = {
-                let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+                let slots = read(&self.slots, t);
                 let slot = slots.get(id.0).ok_or(CacheError::UnknownSchema(id))?;
                 (Arc::clone(&slot.schema), slot.generation)
             };
-            let built = self.build_or_load(&schema)?;
+            let built = self.build_or_load(&schema, t)?;
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+            let mut slots = write(&self.slots, t);
             let slot = slots.get_mut(id.0).ok_or(CacheError::UnknownSchema(id))?;
             // Generations never move backwards, even across the unlocked
             // rebuild window (debug-build certificate).
@@ -302,16 +317,14 @@ impl SchemaArtifactCache {
 
     /// The schema behind `id`, if registered.
     pub fn schema(&self, id: SchemaId) -> Option<Arc<RelationalSchema>> {
-        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
-        slots.get(id.0).map(|s| Arc::clone(&s.schema))
+        read(&self.slots, &mut Unlocked::new())
+            .get(id.0)
+            .map(|s| Arc::clone(&s.schema))
     }
 
     /// Number of registered schemas.
     pub fn len(&self) -> usize {
-        self.slots
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        read(&self.slots, &mut Unlocked::new()).len()
     }
 
     /// Whether no schema is registered.
@@ -333,8 +346,13 @@ impl SchemaArtifactCache {
 
     /// The tiered build: a validated disk hit skips classification; a
     /// miss builds and writes through. Without a store this is exactly
-    /// the old cold build.
-    fn build_or_load(&self, schema: &RelationalSchema) -> Result<Arc<SchemaArtifacts>, CacheError> {
+    /// the old cold build. Classification and the disk tier both block,
+    /// hence the token.
+    fn build_or_load(
+        &self,
+        schema: &RelationalSchema,
+        _: &mut Unlocked,
+    ) -> Result<Arc<SchemaArtifacts>, CacheError> {
         let bg = schema.to_bipartite().map_err(CacheError::Schema)?;
         let Some(store) = &self.store else {
             return Ok(Arc::new(SchemaArtifacts::build(bg)));
@@ -352,6 +370,25 @@ impl SchemaArtifactCache {
         store.store(fingerprint, &built);
         Ok(built)
     }
+}
+
+/// Unlinks `fingerprint`'s disk object while the slot write lock is held —
+/// the guard is the proof. This is the invalidation barrier: a racing
+/// rebuilder re-reads its slot (blocking on this lock) before it consults
+/// the store, so by the time it can see the new generation the old bytes
+/// are gone and it must genuinely rebuild. Moving the unlink outside the
+/// lock reopens that stale-read race (pinned by `store_tier.rs`). It is
+/// the one blocking call the engine makes under a lock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned unlink: under the slot write lock, by design"
+)]
+fn remove_from_disk_under_slot_lock(
+    store: &ArtifactStore,
+    _proof: &RwLockWriteGuard<'_, Vec<Slot>>,
+    fingerprint: u64,
+) {
+    store.remove(fingerprint);
 }
 
 #[cfg(test)]

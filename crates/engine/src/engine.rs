@@ -48,6 +48,7 @@
 //! finds the job. Every other wakeup is a predicate loop under the lock.
 
 use crate::cache::{SchemaArtifactCache, SchemaId};
+use crate::lock::{lock, Unlocked};
 use crate::request::{
     backoff, reply_slot, EngineError, QueryKind, QueryRequest, Rejected, Reply, Response, Ticket,
 };
@@ -57,7 +58,7 @@ use mcc_graph::{NodeSet, Stage};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
 /// Engine sizing and solver tuning.
@@ -129,10 +130,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Wakes a worker for a freshly pushed job, after the queue lock is
     /// released. `lone` means the push left exactly one job queued: if
     /// the spin token is held, its holder will find that job, so the
@@ -248,7 +245,7 @@ impl Engine {
         &self,
         schema: mcc_datamodel::RelationalSchema,
     ) -> Result<SchemaId, crate::cache::CacheError> {
-        self.shared.cache.register(schema)
+        self.shared.cache.register_in(schema, &mut Unlocked::new())
     }
 
     /// Admits `request`, or rejects it without blocking. The returned
@@ -257,7 +254,8 @@ impl Engine {
     pub fn submit(&self, request: QueryRequest) -> Result<Ticket, Rejected> {
         let (reply, ticket) = reply_slot();
         let lone = {
-            let mut q = self.shared.lock_queue();
+            let t = &mut Unlocked::new();
+            let mut q = lock(&self.shared.queue, t);
             if q.shutdown {
                 self.shared
                     .counters
@@ -296,7 +294,11 @@ impl Engine {
 
     /// A point-in-time activity snapshot.
     pub fn stats(&self) -> EngineStats {
-        let depth = self.shared.lock_queue().jobs.len();
+        self.stats_in(&mut Unlocked::new())
+    }
+
+    fn stats_in(&self, t: &mut Unlocked) -> EngineStats {
+        let depth = lock(&self.shared.queue, t).jobs.len();
         EngineStats::snapshot(
             &self.shared.counters,
             depth,
@@ -310,15 +312,16 @@ impl Engine {
     /// workers, and returns the final stats. With zero workers the queue
     /// cannot drain; pending tickets resolve to [`EngineError::Lost`].
     pub fn shutdown(mut self) -> EngineStats {
-        self.begin_shutdown();
+        let t = &mut Unlocked::new();
+        self.begin_shutdown(t);
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        self.stats()
+        self.stats_in(t)
     }
 
-    fn begin_shutdown(&self) {
-        let mut q = self.shared.lock_queue();
+    fn begin_shutdown(&self, t: &mut Unlocked) {
+        let mut q = lock(&self.shared.queue, t);
         q.shutdown = true;
         // No one will ever drain a zero-worker engine: drop its pending
         // jobs so their tickets resolve to `Lost` instead of hanging —
@@ -338,7 +341,7 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.begin_shutdown();
+        self.begin_shutdown(&mut Unlocked::new());
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -351,14 +354,11 @@ fn worker_loop(shared: &Shared, solver_config: SolverConfig) {
     // every request. The solvers (and their workspaces) never leave this
     // thread.
     let mut solvers: HashMap<SchemaId, (u64, Solver)> = HashMap::new();
+    let t = &mut Unlocked::new();
     loop {
         let job = {
-            let mut q = shared.lock_queue();
+            let mut q = lock(&shared.queue, t);
             let mut spun = false;
-            // Condvar discipline: re-check the predicate (job available or
-            // shutdown) on every wakeup — `Condvar::wait` may wake
-            // spuriously, and `notify_one` may race a worker that grabbed
-            // the job on its own.
             loop {
                 if let Some(job) = q.jobs.pop_front() {
                     shared.queued.store(q.jobs.len(), Ordering::Relaxed);
@@ -376,14 +376,17 @@ fn worker_loop(shared: &Shared, solver_config: SolverConfig) {
                     drop(q);
                     backoff(|| shared.queued.load(Ordering::Relaxed) != 0);
                     shared.release_spin_token();
-                    q = shared.lock_queue();
+                    q = lock(&shared.queue, t);
                     continue;
                 }
                 #[cfg(test)]
                 shared.probe.parked.fetch_add(1, Ordering::SeqCst);
+                // The predicate is re-checked on every wakeup: a wait may
+                // wake spuriously, and `notify_one` may race a worker that
+                // grabbed the job on its own.
                 q = shared
                     .work_ready
-                    .wait(q)
+                    .wait_while(q, |q| q.jobs.is_empty() && !q.shutdown)
                     .unwrap_or_else(PoisonError::into_inner);
                 #[cfg(test)]
                 shared.probe.parked.fetch_sub(1, Ordering::SeqCst);
@@ -401,9 +404,9 @@ fn worker_loop(shared: &Shared, solver_config: SolverConfig) {
         // shutdown guarantee that every admitted request is answered. No
         // lock is held across `serve`, so nothing is poisoned.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve(shared, &mut solvers, solver_config, &job.request)
+            serve(shared, &mut solvers, solver_config, &job.request, t)
         }));
-        deliver(shared, &mut solvers, outcome, job.reply);
+        deliver(shared, &mut solvers, outcome, job.reply, t);
     }
 }
 
@@ -422,6 +425,7 @@ fn deliver(
     solvers: &mut HashMap<SchemaId, (u64, Solver)>,
     outcome: std::thread::Result<Response>,
     reply: Reply,
+    t: &mut Unlocked,
 ) {
     let result = match outcome {
         Ok(result) => result,
@@ -451,7 +455,7 @@ fn deliver(
     }
     // A dropped ticket is not an error: the request was served and
     // counted either way.
-    reply.send(result);
+    reply.send(result, t);
     shared.counters.completed.fetch_add(1, Ordering::SeqCst);
 }
 
@@ -461,10 +465,11 @@ fn serve(
     solvers: &mut HashMap<SchemaId, (u64, Solver)>,
     solver_config: SolverConfig,
     request: &QueryRequest,
+    t: &mut Unlocked,
 ) -> Response {
     let cached = shared
         .cache
-        .artifacts(request.schema)
+        .artifacts_in(request.schema, t)
         .map_err(EngineError::Cache)?;
     // Test-only fault injection: a reserved object name panics inside the
     // serve path, letting the isolation regression tests exercise the
@@ -598,7 +603,7 @@ mod tests {
     fn submit_after_shutdown_flag_is_rejected() {
         let engine = Engine::new(EngineConfig::with_workers(1));
         let id = engine.register(acyclic()).unwrap();
-        engine.begin_shutdown();
+        engine.begin_shutdown(&mut Unlocked::new());
         assert!(matches!(
             engine.submit(QueryRequest::steiner(id, &["name"])),
             Err(Rejected::Shutdown)
@@ -749,7 +754,7 @@ mod tests {
                     while engine.stats().completed < (CLIENTS * PER_CLIENT / 4) as u64 {
                         thread::yield_now();
                     }
-                    engine.begin_shutdown();
+                    engine.begin_shutdown(&mut Unlocked::new());
                 }
             });
             let stats = engine.shutdown();
@@ -765,7 +770,7 @@ mod tests {
     /// The one case where `submit` must signal: every worker is parked.
     /// The probe's parked count is bumped under the queue lock just
     /// before the wait releases it, so a submit that follows it finds
-    /// every worker inside `Condvar::wait`.
+    /// every worker inside `Condvar::wait_while`.
     #[test]
     fn a_lone_submit_wakes_a_fully_parked_pool() {
         for workers in [1, 2] {

@@ -29,6 +29,10 @@
 //!   was admitted, and [`EngineStats`] reports depth, outcomes,
 //!   degradations, and cache traffic.
 //!
+//! No engine lock is ever held while another is taken, nor while
+//! anything blocks but the cache's one unlink on invalidation; [`lock`]
+//! turns that rule into a borrow the compiler checks.
+//!
 //! ```
 //! use mcc_engine::{Engine, EngineConfig, QueryRequest};
 //! use mcc_datamodel::RelationalSchema;
@@ -52,6 +56,7 @@
 
 mod cache;
 mod engine;
+pub mod lock;
 mod request;
 mod stats;
 

@@ -10,11 +10,12 @@
 //! either side.
 
 use crate::cache::{CacheError, SchemaId};
+use crate::lock::{lock, Unlocked};
 use mcc::{Solution, SolveBudget, SolveError};
 use mcc_graph::Side;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -170,7 +171,8 @@ pub struct Ticket {
 
 /// The worker's end of a [`Ticket`]: [`Reply::send`] resolves it once.
 /// Dropped unsent (a job discarded at a zero-worker shutdown), it
-/// resolves the ticket to [`EngineError::Lost`].
+/// resolves the ticket to [`EngineError::Lost`] — taking the slot lock
+/// in `Drop`, where no token reaches: never drop one under a guard.
 pub(crate) struct Reply {
     slot: Option<Arc<Slot>>,
 }
@@ -214,12 +216,8 @@ enum SlotState {
 }
 
 impl Slot {
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn resolve(&self, to: SlotState) {
-        let mut state = self.lock();
+    fn resolve(&self, to: SlotState, t: &mut Unlocked) {
+        let mut state = lock(&self.state, t);
         let parked = matches!(*state, SlotState::Pending { parked: true });
         *state = to;
         self.ready.store(true, Ordering::Release);
@@ -254,9 +252,9 @@ impl SlotState {
 
 impl Reply {
     /// Resolves the ticket with `response`.
-    pub(crate) fn send(mut self, response: Response) {
+    pub(crate) fn send(mut self, response: Response, t: &mut Unlocked) {
         if let Some(slot) = self.slot.take() {
-            slot.resolve(SlotState::Done(response));
+            slot.resolve(SlotState::Done(response), t);
         }
     }
 }
@@ -264,7 +262,7 @@ impl Reply {
 impl Drop for Reply {
     fn drop(&mut self) {
         if let Some(slot) = self.slot.take() {
-            slot.resolve(SlotState::Closed);
+            slot.resolve(SlotState::Closed, &mut Unlocked::new());
         }
     }
 }
@@ -282,7 +280,8 @@ impl Ticket {
     /// engine dropped the request (shutdown race, worker death).
     pub fn wait(self) -> Response {
         backoff(|| self.slot.ready.load(Ordering::Acquire));
-        let state = self.slot.lock();
+        let t = &mut Unlocked::new();
+        let state = lock(&self.slot.state, t);
         let mut state = self
             .slot
             .resolved
@@ -294,7 +293,8 @@ impl Ticket {
     /// As [`Ticket::wait`], giving up (and consuming the ticket) after
     /// `timeout`; `None` on timeout.
     pub fn wait_timeout(self, timeout: Duration) -> Option<Response> {
-        let state = self.slot.lock();
+        let t = &mut Unlocked::new();
+        let state = lock(&self.slot.state, t);
         let (mut state, _) = self
             .slot
             .resolved
@@ -311,7 +311,7 @@ impl Ticket {
         if !self.slot.ready.load(Ordering::Acquire) {
             return None;
         }
-        Some(self.slot.lock().take())
+        Some(lock(&self.slot.state, &mut Unlocked::new()).take())
     }
 }
 
@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn wait_returns_the_answer_sent_from_another_thread() {
         let (reply, ticket) = reply_slot();
-        let worker = thread::spawn(move || reply.send(answer()));
+        let worker = thread::spawn(move || reply.send(answer(), &mut Unlocked::new()));
         assert_eq!(ticket.wait(), answer());
         worker.join().unwrap();
     }
@@ -341,10 +341,13 @@ mod tests {
         let slot = Arc::clone(&ticket.slot);
         let (tx, rx) = std::sync::mpsc::channel();
         let waiter = thread::spawn(move || tx.send(ticket.wait()).unwrap());
-        while !matches!(*slot.lock(), SlotState::Pending { parked: true }) {
+        while !matches!(
+            *lock(&slot.state, &mut Unlocked::new()),
+            SlotState::Pending { parked: true }
+        ) {
             thread::yield_now();
         }
-        reply.send(answer());
+        reply.send(answer(), &mut Unlocked::new());
         assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(answer()));
         waiter.join().unwrap();
     }
@@ -353,7 +356,7 @@ mod tests {
     fn try_wait_is_none_in_flight_and_some_after() {
         let (reply, ticket) = reply_slot();
         assert_eq!(ticket.try_wait(), None);
-        reply.send(answer());
+        reply.send(answer(), &mut Unlocked::new());
         assert_eq!(ticket.try_wait(), Some(answer()));
         // The answer is delivered once; the slot is closed after.
         assert_eq!(ticket.try_wait(), Some(Err(EngineError::Lost)));
@@ -364,7 +367,7 @@ mod tests {
         let (_reply, ticket) = reply_slot();
         assert_eq!(ticket.wait_timeout(Duration::from_millis(5)), None);
         let (reply, ticket) = reply_slot();
-        reply.send(answer());
+        reply.send(answer(), &mut Unlocked::new());
         assert_eq!(ticket.wait_timeout(Duration::from_secs(30)), Some(answer()));
     }
 
@@ -389,7 +392,7 @@ mod tests {
     fn sending_to_a_dropped_ticket_is_harmless() {
         let (reply, ticket) = reply_slot();
         drop(ticket);
-        reply.send(answer());
+        reply.send(answer(), &mut Unlocked::new());
     }
 
     #[test]

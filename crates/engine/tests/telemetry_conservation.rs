@@ -103,6 +103,10 @@ proptest! {
         submitters in 1usize..=4,
         per_submitter in 5usize..=40,
     ) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only lock serializing two tests; no engine lock is taken under it"
+        )]
         let _serial = SERIAL.lock().unwrap();
         let expected = (submitters * per_submitter) as u64;
         let (stats, d_queue_wait, d_serve) = run_load(workers, submitters, per_submitter);
@@ -125,6 +129,10 @@ proptest! {
 /// recording off, the load runs to completion and leaves no samples.
 #[test]
 fn kill_switch_off_leaves_no_samples_but_books_balance() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-only lock serializing two tests; no engine lock is taken under it"
+    )]
     let _serial = SERIAL.lock().unwrap();
     mcc_obs::set_enabled(false);
     let (stats, d_queue_wait, d_serve) = run_load(2, 2, 10);

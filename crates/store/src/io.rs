@@ -27,7 +27,7 @@
 use std::fs;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The filesystem primitives the store's write protocol is built from.
 ///
@@ -181,7 +181,7 @@ impl FaultPlan {
     /// `root`. Passing an empty trigger list disarms the scope.
     pub fn arm(&self, root: impl Into<PathBuf>, triggers: Vec<Trigger>) {
         let root = root.into();
-        let mut scopes = self.scopes.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scopes = self.scopes();
         scopes.retain(|s| s.root != root);
         scopes.push(Scope {
             root,
@@ -198,23 +198,32 @@ impl FaultPlan {
 
     /// Removes the scope for `root` entirely.
     pub fn disarm(&self, root: impl AsRef<Path>) {
-        let mut scopes = self.scopes.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scopes = self.scopes();
         scopes.retain(|s| s.root != root.as_ref());
     }
 
     /// How many triggers have fired under `root` since it was armed.
     pub fn fired(&self, root: impl AsRef<Path>) -> u64 {
-        let scopes = self.scopes.lock().unwrap_or_else(PoisonError::into_inner);
-        scopes
+        self.scopes()
             .iter()
             .find(|s| s.root == root.as_ref())
             .map_or(0, |s| s.fired_total)
     }
 
+    /// The one acquisition of the plan's lock. A leaf: no other lock is
+    /// taken and no I/O runs while it is held.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "leaf lock: only Vec work while held"
+    )]
+    fn scopes(&self) -> MutexGuard<'_, Vec<Scope>> {
+        self.scopes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Consulted by [`SystemIo`] before each primitive: the fault to
     /// inject for this call, if any. Advances skip counters.
     fn decide(&self, op: FaultOp, path: &Path) -> Option<FaultKind> {
-        let mut scopes = self.scopes.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scopes = self.scopes();
         let scope = scopes.iter_mut().find(|s| path.starts_with(&s.root))?;
         for armed in scope.triggers.iter_mut() {
             if armed.fired || armed.trigger.op != op {

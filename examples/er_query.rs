@@ -7,7 +7,7 @@
 //! ```
 
 use mcc::figures;
-use mcc_datamodel::{enumerate_tree_interpretations, DisambiguationSession};
+use mcc_datamodel::{try_enumerate_tree_interpretations, DisambiguationSession};
 use mcc_graph::NodeSet;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Enumerate interpretations, minimal first — the paper's interactive
     // disambiguation loop: disclose as few auxiliary concepts as possible.
-    let alternatives = enumerate_tree_interpretations(g, &terminals, 5, 2);
+    let alternatives = try_enumerate_tree_interpretations(g, &terminals, 5, 2)?;
     for (i, tree) in alternatives.iter().enumerate() {
         let objects: Vec<&str> = tree.nodes.iter().map(|v| g.label(v)).collect();
         let arcs: Vec<String> = tree

@@ -4,7 +4,7 @@
 use mcc::figures;
 use mcc::prelude::*;
 use mcc_chordality::{is_chordal, is_chordal_bipartite_via_beta, project_onto};
-use mcc_datamodel::enumerate_tree_interpretations;
+use mcc_datamodel::try_enumerate_tree_interpretations;
 use mcc_hypergraph::{
     gyo_reduce, is_alpha_acyclic, is_berge_acyclic, is_beta_acyclic, is_conformal, is_gamma_acyclic,
 };
@@ -19,7 +19,7 @@ fn f1_employee_date_interpretations() {
     let date = er.node("DATE").unwrap();
     let terminals = NodeSet::from_nodes(g.node_count(), [emp, date]);
 
-    let alts = enumerate_tree_interpretations(g, &terminals, 5, 2);
+    let alts = try_enumerate_tree_interpretations(g, &terminals, 5, 2).unwrap();
     assert!(alts.len() >= 2);
     // "list employees with their birthdate": no auxiliary objects.
     assert_eq!(alts[0].node_cost(), 2);

@@ -11,7 +11,7 @@
 
 use mcc::prelude::*;
 use mcc::SolverConfig;
-use mcc_datamodel::{audit_relational, enumerate_tree_interpretations, QueryError, Strategy};
+use mcc_datamodel::{audit_relational, try_enumerate_tree_interpretations, QueryError, Strategy};
 use mcc_hypergraph::AcyclicityDegree;
 
 /// A small university schema that is γ-acyclic (interval-structured), so
@@ -97,7 +97,8 @@ fn interpretations_are_ranked_by_disclosure() {
     // interpretation; alternatives must disclose strictly more concepts.
     let engine = QueryEngine::new(university()).unwrap();
     let terminals = engine.resolve(&["student", "grade"]).unwrap();
-    let alts = enumerate_tree_interpretations(engine.graph().graph(), &terminals, 5, 2);
+    let alts =
+        try_enumerate_tree_interpretations(engine.graph().graph(), &terminals, 5, 2).unwrap();
     assert!(!alts.is_empty());
     assert_eq!(alts[0].node_cost(), 3); // student-ENROLLED-grade
     for w in alts.windows(2) {
@@ -128,7 +129,7 @@ fn fig1_as_er_query_pipeline() {
         g.node_count(),
         [er.node("EMPLOYEE").unwrap(), er.node("DATE").unwrap()],
     );
-    let alts = enumerate_tree_interpretations(g, &terminals, 4, 3);
+    let alts = try_enumerate_tree_interpretations(g, &terminals, 4, 3).unwrap();
     // Interpretation 1: direct arc (2 nodes). Interpretation 2: via
     // WORKS (3 nodes). Both are offered, minimal first.
     assert!(alts.len() >= 2);
