@@ -28,7 +28,7 @@ use mcc::chordality::{
 };
 use mcc::figures;
 use mcc::gen::{random_bipartite, random_terminals};
-use mcc::graph::{NodeId, Side};
+use mcc::graph::{component_of, NodeId, NodeSet, Side};
 use mcc::hypergraph::{h1_of_bipartite, AcyclicityDegree};
 use mcc::steiner::{
     algorithm1, algorithm2, algorithm2_with_order, eliminate_with_ordering,
@@ -50,6 +50,7 @@ fn main() {
     }
     if want("e3") {
         exp_e3_np_hardness();
+        exp_e3_exact_per_k();
     }
     if want("e4") {
         exp_e4_algorithm1();
@@ -240,6 +241,64 @@ fn exp_e3_np_hardness() {
             ids_us,
             alg1_us,
             exact_us as f64 / alg1_us as f64
+        );
+    }
+    println!();
+}
+
+/// E3, per terminal count — the exact DP's cost on offclass-sized graphs
+/// (random bipartite, 40 + 40 nodes, p = 0.1), the size of the off-class
+/// schemas the serving benchmark sends to it: 40 graphs × 5 terminal sets
+/// per `k`, terminals drawn from the component of the highest-degree
+/// node. Every tree must be valid, span its terminals and have as many
+/// nodes as its cost; the cost is also checked against iterative
+/// deepening where that is affordable (`k = 3` takes 0.25 s in release
+/// on a 2-vCPU x86-64 VM; `k = 4` would take 3 s, `k = 5` 30 s).
+fn exp_e3_exact_per_k() {
+    const GRAPHS: u64 = 40;
+    const SOLVES: u64 = 5;
+    const IDS_MAX_K: usize = 3;
+    println!(
+        "## E3: exact DP per terminal count (random bipartite 40+40, p=0.1, {GRAPHS} graphs x {SOLVES} solves)"
+    );
+    println!();
+    println!("| k | solves | us per solve | ns per 3^k*n | checked vs IDS |");
+    println!("|---|---|---|---|---|");
+    for k in 3..=8usize {
+        let (mut us, mut nodes, mut checked) = (0.0, 0usize, 0usize);
+        for seed in 0..GRAPHS {
+            let bg = random_bipartite(40, 40, 0.1, 100 + seed);
+            let g = bg.graph();
+            let hub = g.nodes().max_by_key(|&v| g.degree(v)).expect("nonempty");
+            let pool = component_of(g, &NodeSet::full(g.node_count()), hub);
+            for s in 0..SOLVES {
+                let terminals = random_terminals(g, Some(&pool), k, seed * SOLVES + s);
+                let inst = SteinerInstance::new(g.clone(), terminals);
+                let (sol, t) = timed(|| steiner_exact(&inst).expect("one component"));
+                us += t;
+                nodes += g.node_count();
+                assert!(
+                    sol.tree.is_valid_tree(g),
+                    "exact tree must be a tree (k = {k})"
+                );
+                assert!(inst.terminals.is_subset_of(&sol.tree.nodes));
+                assert_eq!(sol.tree.nodes.len() as u64, sol.cost);
+                if k <= IDS_MAX_K {
+                    let ids =
+                        mcc::steiner::steiner_exact_ids(g, &inst.terminals).expect("feasible");
+                    assert_eq!(
+                        ids.cost, sol.cost,
+                        "exact solvers must agree (k = {k}, seed {seed})"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        let solves = (GRAPHS * SOLVES) as f64;
+        let per_3k_n = us * 1e3 / (3f64.powi(k as i32) * nodes as f64);
+        println!(
+            "| {k} | {solves} | {:.1} | {per_3k_n:.2} | {checked} |",
+            us / solves
         );
     }
     println!();

@@ -1,12 +1,14 @@
-//! Exact Steiner solving: a node-weighted Dreyfus–Wagner dynamic program.
+//! Exact Steiner solving: a node-weighted Dreyfus–Wagner dynamic program
+//! on 0/1 node weights.
 //!
 //! The paper's Steiner problem minimizes the **number of nodes** of the
 //! tree (Definition 8), and the pseudo-Steiner problem the number of
 //! nodes on one side (Definition 9). Both are node-weighted Steiner
-//! problems — unit weights and indicator weights respectively — so a
-//! single DP serves as ground truth for Algorithms 1 and 2 and as the
+//! problems — unit weights and side indicators respectively — so a single
+//! DP serves as ground truth for Algorithms 1 and 2 and as the
 //! exponential baseline the NP-hardness experiments (Theorem 2) push
-//! until it blows up.
+//! until it blows up. Those are the only objectives the paper has, and
+//! the DP's contract is exactly theirs: every node weighs 0 or 1.
 //!
 //! The DP is Erickson–Monma–Veinott's form of Dreyfus–Wagner. The tree is
 //! rooted at the first terminal `t₀`; for every mask `S` over the other
@@ -15,27 +17,34 @@
 //!
 //! 1. **merge** — `dp[S][v] = min dp[A][v] + dp[S∖A][v] − w(v)` over the
 //!    splits of `S` (a terminal's own row is seeded at that terminal);
-//! 2. **relax** — one multi-source Dijkstra over the CSR graph, seeded by
-//!    the merged row, with `dp[S][u] ≤ dp[S][v] + w(u)` along every edge.
+//! 2. **relax** — one multi-source shortest-path pass over the CSR graph,
+//!    seeded by the merged row, with `dp[S][u] ≤ dp[S][v] + w(u)` along
+//!    every edge.
 //!
-//! The answer is `dp[all][t₀]`; the last mask's Dijkstra stops once `t₀`
-//! settles. Time is `O(3^k·n + 2^k·(n + m)·log n)` for `k` terminals on
-//! `n` nodes and `m` edges, and memory is the two flat tables of
-//! `2^(k−1)·n` entries: the `u64` values and a `u32` back-pointer per entry
+//! With 0/1 weights a relaxation from value `d` lands at `d` (a zero-cost
+//! node) or at `d + 1`, so the relax needs no heap: the row's finite
+//! entries are listed by value, and two level lists settle the nodes in
+//! order — a zero-cost node joins the level being settled, any other the
+//! next one. An entry whose node has meanwhile dropped below its level is
+//! stale and skipped.
+//!
+//! The answer is `dp[all][t₀]`; the last mask's relax stops once `t₀`
+//! settles. Time is `O(3^k·n + 2^k·(n + m))` for `k` terminals on `n`
+//! nodes and `m` edges, and memory is the two flat tables of `2^(k−1)·n`
+//! entries: the `u64` values and a `u32` back-pointer per entry
 //! ("relaxed from neighbour `u`", or "seed or merge"). The tree is read
 //! back from the back-pointers with an explicit stack; a merge re-finds
 //! its split at that node.
 //!
-//! [`steiner_exact_node_weighted_budgeted`] is the governed version: the
-//! DP table footprint is checked against the [`SolveBudget`] *before*
-//! anything is allocated, the merge, relaxation and read-back loops tick
-//! a [`CancelToken`], and a reconstruction inconsistency comes back as
-//! [`SolveError::Internal`] instead of aborting the process.
+//! [`steiner_exact_node_weighted_budgeted`] is the governed version: a
+//! weight other than 0 or 1 is refused, and the DP table footprint is
+//! checked against the [`SolveBudget`], *before* anything is allocated;
+//! the merge, relaxation and read-back loops tick a [`CancelToken`], and
+//! a reconstruction inconsistency comes back as [`SolveError::Internal`]
+//! instead of aborting the process.
 
 use crate::{SolveError, SolveOutcome, SteinerInstance, SteinerTree};
 use mcc_graph::{CancelToken, Graph, NodeId, NodeSet, SolveBudget, Stage};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 const INF: u64 = u64::MAX / 4;
 
@@ -44,8 +53,8 @@ const INF: u64 = u64::MAX / 4;
 /// nodes would need a 96 GiB table for two terminals.
 const SEED: u32 = u32::MAX;
 
-/// One pending heap entry of the relaxation: (distance, node).
-type HeapEntry = Reverse<(u64, u32)>;
+/// The end of a list of seeds of one value.
+const END: u32 = u32::MAX;
 
 /// An exact solution: the tree plus its weighted cost.
 #[derive(Debug, Clone)]
@@ -75,15 +84,17 @@ pub fn steiner_exact(inst: &SteinerInstance) -> Option<ExactSolution> {
     steiner_exact_node_weighted(&inst.graph, &inst.terminals, &w)
 }
 
-/// Exact minimum-weight Steiner tree under arbitrary non-negative node
-/// weights. See module docs for the recurrence; the terminal count is the
-/// exponential dimension.
+/// Exact minimum-weight Steiner tree under 0/1 node weights, one per node
+/// of `g`: all 1 for Steiner, a side indicator for pseudo-Steiner. See
+/// module docs for the recurrence; the terminal count is the exponential
+/// dimension.
 ///
 /// # Panics
 /// Panics when more than 24 terminals are supplied (the mask would not
-/// fit sensible memory anyway). Use
+/// fit sensible memory anyway), when `weights` does not hold one weight
+/// per node, or when a weight is neither 0 nor 1. Use
 /// [`steiner_exact_node_weighted_budgeted`] to get a structured
-/// [`SolveError::Budget`] verdict instead.
+/// [`SolveError::Budget`] or [`SolveError::Internal`] verdict instead.
 pub fn steiner_exact_node_weighted(
     g: &Graph,
     terminals: &NodeSet,
@@ -109,7 +120,11 @@ pub fn steiner_exact_node_weighted(
 
 /// [`steiner_exact_node_weighted`] under a [`SolveBudget`].
 ///
-/// Admission happens first: the terminal count against the 24-terminal
+/// The weights are checked first: a slice whose length is not `g`'s node
+/// count, or a weight other than 0 or 1, is refused as
+/// [`SolveError::Internal`] at [`Stage::ExactDp`].
+///
+/// Admission comes next: the terminal count against the 24-terminal
 /// mask width ([`mcc_graph::budget::HARD_MAX_EXACT_TERMINALS`]) and the
 /// *projected* DP footprint ([`mcc_graph::budget::dp_table_bytes`],
 /// exactly the two tables allocated below) against `max_dp_bytes` — so an
@@ -127,7 +142,19 @@ pub fn steiner_exact_node_weighted_budgeted(
 ) -> SolveOutcome<ExactSolution> {
     let _span = mcc_obs::span!(ExactDp);
     let n = g.node_count();
-    assert_eq!(weights.len(), n, "one weight per node");
+    let refuse = |detail: String| SolveError::Internal {
+        stage: Stage::ExactDp,
+        detail,
+    };
+    if weights.len() != n {
+        return Err(refuse(format!("{} weights for {n} nodes", weights.len())));
+    }
+    if let Some(v) = weights.iter().position(|&w| w > 1) {
+        return Err(refuse(format!(
+            "node {v} weighs {}; the DP takes 0/1 weights",
+            weights[v]
+        )));
+    }
     let k = terminals.len();
     budget.admit_exact_dp(k, n)?;
     token.checkpoint(Stage::ExactDp)?;
@@ -158,9 +185,13 @@ pub fn steiner_exact_node_weighted_budgeted(
     let full = rows - 1;
     let mut dp = vec![INF; rows * n];
     let mut bp = vec![SEED; rows * n];
-    // Every entry is a seed or a strict improvement along a directed
-    // edge, so one relaxation never holds more than n + 2m entries.
-    let mut heap: Vec<HeapEntry> = Vec::with_capacity(n + 2 * g.edge_count());
+    let pushes = n + 2 * g.edge_count();
+    let mut buckets = Buckets {
+        head: vec![END; 2 * n + 2],
+        link: vec![END; n],
+        cur: Vec::with_capacity(pushes),
+        next: Vec::with_capacity(pushes),
+    };
     for mask in 1..=full {
         let (done, rest) = dp.split_at_mut(mask * n);
         let row = &mut rest[..n];
@@ -177,7 +208,7 @@ pub fn steiner_exact_node_weighted_budgeted(
             row,
             &mut bp[mask * n..(mask + 1) * n],
             stop,
-            &mut heap,
+            &mut buckets,
             token,
         )?;
     }
@@ -244,49 +275,98 @@ fn merge(
     Ok(())
 }
 
-/// One multi-source Dijkstra over `g`, seeded by every finite entry of
-/// `row`: afterwards `row[u] ≤ row[v] + w(u)` along every edge, and
-/// `bp[u]` names the neighbour an improved entry was relaxed from. With
-/// `stop`, the search ends once that node settles.
+/// The relaxation's buffers, sized once per solve so that no mask
+/// allocates.
+struct Buckets {
+    /// `head[d]`: the first seed of value `d`, or [`END`]. A merged value
+    /// is at most `2n` (two subtrees of at most `n` unit nodes each), and
+    /// each level takes its list, so a relax that runs to the end leaves
+    /// every list empty.
+    head: Vec<u32>,
+    /// `link[v]`: the seed after `v` in its value's list.
+    link: Vec<u32>,
+    /// The nodes of the level being settled. Every entry is a seed or a
+    /// strict improvement along a directed edge, so one relax pushes at
+    /// most `n + 2m` entries into the two levels together.
+    cur: Vec<u32>,
+    /// The nodes of the level after it.
+    next: Vec<u32>,
+}
+
+/// One multi-source shortest-path pass over `g` under 0/1 weights `w`,
+/// seeded by every finite entry of `row`: afterwards `row[u] ≤ row[v] +
+/// w(u)` along every edge, and `bp[u]` names the neighbour an improved
+/// entry was relaxed from. Nodes settle level by level in order of value.
+/// With `stop`, the pass ends once that node settles and leaves the seed
+/// lists of later levels behind, so it is passed only on a solve's last
+/// relax.
 fn relax(
     g: &Graph,
     w: &[u64],
     row: &mut [u64],
     bp: &mut [u32],
     stop: Option<usize>,
-    heap: &mut Vec<HeapEntry>,
+    b: &mut Buckets,
     token: &CancelToken,
 ) -> SolveOutcome<()> {
-    heap.clear();
-    heap.extend(
-        (0..row.len())
-            .filter(|&v| row[v] < INF)
-            .map(|v| Reverse((row[v], v as u32))),
-    );
-    // Heapify in place and hand the buffer back afterwards, so the
-    // relaxations of all masks share one allocation.
-    let mut queue = BinaryHeap::from(std::mem::take(heap));
-    while let Some(Reverse((d, v))) = queue.pop() {
-        let v = v as usize;
-        if d > row[v] {
-            continue;
-        }
-        if stop == Some(v) {
-            break;
-        }
-        let nbrs = g.neighbors(NodeId::from_index(v));
-        token.tick(Stage::ExactDp, 1 + nbrs.len() as u64)?;
-        for &u in nbrs {
-            let nd = d + w[u.index()];
-            if nd < row[u.index()] {
-                row[u.index()] = nd;
-                bp[u.index()] = v as u32;
-                queue.push(Reverse((nd, u.0)));
-            }
+    let Buckets {
+        head,
+        link,
+        cur,
+        next,
+    } = b;
+    for (v, &d) in row.iter().enumerate() {
+        if d < INF {
+            link[v] = std::mem::replace(&mut head[d as usize], v as u32);
         }
     }
-    *heap = queue.into_vec();
-    Ok(())
+    cur.clear();
+    next.clear();
+    let mut level = 0usize;
+    loop {
+        // An empty level jumps to the next one holding a seed.
+        if cur.is_empty() {
+            let rest = head.get(level..).unwrap_or_default();
+            let Some(skip) = rest.iter().position(|&s| s != END) else {
+                return Ok(());
+            };
+            level += skip;
+        }
+        if let Some(first) = head.get_mut(level) {
+            let mut s = std::mem::replace(first, END);
+            while s != END {
+                cur.push(s);
+                s = link[s as usize];
+            }
+        }
+        let d = level as u64;
+        while let Some(v) = cur.pop() {
+            let v = v as usize;
+            if row[v] < d {
+                continue;
+            }
+            if stop == Some(v) {
+                return Ok(());
+            }
+            let nbrs = g.neighbors(NodeId::from_index(v));
+            token.tick(Stage::ExactDp, 1 + nbrs.len() as u64)?;
+            for &u in nbrs {
+                let wu = w[u.index()];
+                let nd = d + wu;
+                if nd < row[u.index()] {
+                    row[u.index()] = nd;
+                    bp[u.index()] = v as u32;
+                    if wu == 0 {
+                        cur.push(u.0);
+                    } else {
+                        next.push(u.0);
+                    }
+                }
+            }
+        }
+        std::mem::swap(cur, next);
+        level += 1;
+    }
 }
 
 /// Reads the tree behind `dp[root]` back from the tables: walk the
@@ -488,14 +568,68 @@ mod tests {
 
     #[test]
     fn node_weights_steer_the_tree() {
-        // Diamond: 0-1-3 and 0-2-3; node 1 heavy.
-        let g = graph_from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
+        // Terminals 0 and 4 (weight 1 each): a cost-1 shortcut through
+        // node 1 against a longer all-zero detour 2-3-5. Unit weights take
+        // the shortcut; 0/1 weights must take the detour.
+        let g = graph_from_edges(6, &[(0, 1), (1, 4), (0, 2), (2, 3), (3, 5), (5, 4)]);
+        let terminals = NodeSet::from_nodes(6, [NodeId(0), NodeId(4)]);
+        assert_eq!(solve_unit(&g, &[0, 4]).unwrap().cost, 3);
+        let w = vec![1, 1, 0, 0, 1, 0];
+        let s = steiner_exact_node_weighted(&g, &terminals, &w).unwrap();
+        assert_eq!(s.cost, 2);
+        assert!(s.tree.is_valid_tree(&g));
+        assert!(!s.tree.nodes.contains(NodeId(1)));
+        for v in [2, 3, 5] {
+            assert!(s.tree.nodes.contains(NodeId(v)));
+        }
+    }
+
+    #[test]
+    fn weights_outside_the_contract_are_typed_errors() {
+        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let terminals = NodeSet::from_nodes(4, [NodeId(0), NodeId(3)]);
-        let w = vec![1, 10, 1, 1];
+        let budget = SolveBudget::default();
+        let token = budget.start();
+        for w in [vec![1, 2, 1, 1], vec![1, 1, 1], vec![1; 5]] {
+            let e = steiner_exact_node_weighted_budgeted(&g, &terminals, &w, &budget, &token)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    SolveError::Internal {
+                        stage: Stage::ExactDp,
+                        ..
+                    }
+                ),
+                "{w:?}: {e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn long_zero_weight_chain() {
+        // A chain 0..=L of zero-cost nodes with terminals 0, L/2 and L
+        // (weight 1 each), and a weight-1 pendant on every chain node.
+        // Zero-cost nodes settle on the level that reached them; the last
+        // mask's merged row holds stale seeds (value 3 left of L/2, beaten
+        // by the zero-cost relax from value 2), and it stops at t₀ = 0.
+        const L: usize = 200;
+        let n = 2 * (L + 1);
+        let mut edges: Vec<(usize, usize)> = (0..L).map(|i| (i, i + 1)).collect();
+        edges.extend((0..=L).map(|i| (i, L + 1 + i)));
+        let g = graph_from_edges(n, &edges);
+        let ts = [0, L / 2, L];
+        let terminals = NodeSet::from_nodes(n, ts.map(NodeId::from_index));
+        let w: Vec<u64> = (0..n)
+            .map(|v| u64::from(v > L || ts.contains(&v)))
+            .collect();
         let s = steiner_exact_node_weighted(&g, &terminals, &w).unwrap();
         assert_eq!(s.cost, 3);
-        assert!(s.tree.nodes.contains(NodeId(2)));
-        assert!(!s.tree.nodes.contains(NodeId(1)));
+        assert!(s.tree.is_valid_tree(&g));
+        assert_eq!(
+            s.tree.nodes,
+            NodeSet::from_nodes(n, (0..=L).map(NodeId::from_index))
+        );
     }
 
     #[test]

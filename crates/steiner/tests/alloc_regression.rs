@@ -285,8 +285,11 @@ fn telemetry_spans_add_zero_allocations_on_the_budgeted_route() {
 }
 
 /// One exact DP solve allocates a fixed number of times, whatever the
-/// terminal count or the graph size: two flat tables, one heap buffer,
-/// one read-back stack and the result, never a row per mask. A return of
+/// terminal count, the graph size or the weights: two flat tables, the
+/// relaxation's four bucket buffers, one read-back stack and the result,
+/// never a row or a bucket per mask. Unit weights and a side indicator
+/// (zero on the articulation nodes, so relaxations also push onto the
+/// level being settled) are both measured. A return of
 /// per-mask `Vec` rows (or of per-node matrices) makes the count grow
 /// with `k` (or `n`) and fails this test.
 ///
@@ -302,14 +305,15 @@ fn exact_dp_allocation_count_is_independent_of_k_and_n() {
     };
 
     let budget = SolveBudget::unbounded();
-    let measure = |blocks: usize, k: usize| -> u64 {
+    let measure = |blocks: usize, k: usize, side: bool| -> u64 {
         let (g, _) = c4_chain(blocks);
         let n = g.node_count();
         // k articulation nodes a_i, spread along the chain.
         let terminals =
             NodeSet::from_nodes(n, (0..k).map(|i| NodeId((i * blocks / (k - 1)) as u32)));
         assert_eq!(terminals.len(), k);
-        let w = vec![1u64; n];
+        // The side indicator weighs the block midpoints b_i, c_i only.
+        let w: Vec<u64> = (0..n).map(|v| u64::from(!side || v > blocks)).collect();
         let token = CancelToken::unbounded();
         let before = allocation_count();
         let sol = steiner_exact_node_weighted_budgeted(&g, &terminals, &w, &budget, &token)
@@ -317,7 +321,8 @@ fn exact_dp_allocation_count_is_independent_of_k_and_n() {
         let mut allocs = allocation_count() - before;
         // On a C4 chain the optimum is the a-path between the outermost
         // terminals plus one midpoint per block.
-        assert_eq!(sol.cost as usize, 2 * blocks + 1);
+        let a_path = if side { 0 } else { blocks + 1 };
+        assert_eq!(sol.cost as usize, a_path + blocks);
         if cfg!(debug_assertions) && n <= CHECK_STEINER_MAX_NODES {
             let before = allocation_count();
             assert!(check_steiner_solution(
@@ -332,15 +337,17 @@ fn exact_dp_allocation_count_is_independent_of_k_and_n() {
     };
 
     // Warm-up: the first span on this thread sets up its telemetry shard.
-    let _ = measure(4, 2);
+    let _ = measure(4, 2, false);
 
-    let baseline = measure(4, 2);
-    for (blocks, k) in [(4, 4), (10, 2), (10, 7), (40, 3), (40, 8)] {
-        assert_eq!(
-            measure(blocks, k),
-            baseline,
-            "exact DP allocation count moved with size ({blocks} blocks, k = {k})"
-        );
+    let baseline = measure(4, 2, false);
+    for side in [false, true] {
+        for (blocks, k) in [(4, 2), (4, 4), (10, 2), (10, 7), (40, 3), (40, 8)] {
+            assert_eq!(
+                measure(blocks, k, side),
+                baseline,
+                "exact DP allocation count moved ({blocks} blocks, k = {k}, side indicator: {side})"
+            );
+        }
     }
 }
 

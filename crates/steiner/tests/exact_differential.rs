@@ -1,19 +1,22 @@
 //! Differential suite for the exact Dreyfus–Wagner DP.
 //!
-//! The production DP (`mcc_steiner::exact`) roots the tree at one
-//! terminal, relaxes each mask with one multi-source Dijkstra and reads
-//! the tree back from per-mask back-pointers. The oracle below is the
-//! earlier textbook form, kept verbatim: all-pairs node-weighted
-//! Dijkstra, an `O(2^k·n²)` relaxation through the distance matrix and a
-//! recursive argmin replay. A third, unrelated algorithm — iterative
+//! The production DP (`mcc_steiner::exact`) takes 0/1 node weights, roots
+//! the tree at one terminal, relaxes each mask with one multi-source
+//! two-level bucket pass and reads the tree back from per-mask
+//! back-pointers. The oracle below is the earlier textbook form, kept
+//! verbatim with its binary heap and general weights: all-pairs
+//! node-weighted Dijkstra, an `O(2^k·n²)` relaxation through the distance
+//! matrix and a recursive argmin replay. A third, unrelated algorithm — iterative
 //! deepening over connected node sets (`steiner_exact_ids`) — checks both
 //! on unit weights where it is fast.
 //!
 //! Instances are seeded random bipartite graphs of up to ~100 nodes with
 //! `k ≤ 8` terminals (plus a few graphs above the debug certificate's
-//! node cap), under three weight sets: unit (Steiner), a 0/1 side
-//! indicator (pseudo-Steiner) and small integers with zero-weight
-//! plateaus, which exercise the acyclicity of the back-pointers. Costs
+//! node cap), under three 0/1 weight sets: unit (Steiner), a side
+//! indicator (pseudo-Steiner) and random 0/1 weights with about a third
+//! zeros. The last puts zero-cost nodes next to each other, which the
+//! bipartite side indicator never does; that exercises the bucket pass's
+//! same-level pushes and the acyclicity of the back-pointers. Costs
 //! must agree exactly, and every tree must pass `check_steiner_solution`
 //! and realize its reported cost.
 //!
@@ -286,8 +289,8 @@ enum Weights {
     Unit,
     /// Pseudo-Steiner (Definition 9): 1 on one side, 0 on the other.
     SideIndicator(Side),
-    /// Small integers, about a third of them zero.
-    Plateaus,
+    /// Random 0/1 weights, about a third of them zero.
+    ZeroOne,
 }
 
 impl Weights {
@@ -298,17 +301,9 @@ impl Weights {
             Weights::SideIndicator(side) => {
                 g.nodes().map(|v| u64::from(bg.side(v) == side)).collect()
             }
-            Weights::Plateaus => {
+            Weights::ZeroOne => {
                 let mut r = rng(seed ^ 0x9e37_79b9);
-                g.nodes()
-                    .map(|_| {
-                        if r.gen_bool(0.35) {
-                            0
-                        } else {
-                            r.gen_range(1..=4)
-                        }
-                    })
-                    .collect()
+                g.nodes().map(|_| u64::from(!r.gen_bool(0.35))).collect()
             }
         }
     }
@@ -390,7 +385,7 @@ fn dp_matches_the_matrix_oracle_on_random_bipartite_graphs() {
         for weights in [
             Weights::Unit,
             Weights::SideIndicator(side),
-            Weights::Plateaus,
+            Weights::ZeroOne,
         ] {
             let w = weights.of(&bg, seed);
             let what = format!("seed {seed}, {n1}+{n2} nodes, k = {k}, {weights:?}");
@@ -445,7 +440,7 @@ fn trees_above_the_debug_certificate_cap_are_certified() {
         let (bg, terminals) = instance(n, n, 3.0, 4 + seed as usize, false, 3000 + seed);
         let g = bg.graph();
         assert!(g.node_count() > CHECK_STEINER_MAX_NODES);
-        for weights in [Weights::Unit, Weights::Plateaus] {
+        for weights in [Weights::Unit, Weights::ZeroOne] {
             let w = weights.of(&bg, seed);
             let what = format!("large seed {seed}, {weights:?}");
             compare(g, &terminals, &w, &what).expect("terminals share a component");
