@@ -9,15 +9,15 @@
 //! * [`chordal_maximal_cliques`] extracts the maximal cliques of a
 //!   chordal graph from an MCS perfect-elimination ordering in
 //!   `O(n + m)`-ish time (a chordal graph has ≤ n maximal cliques);
-//! * [`clique_tree`] assembles them into a join tree via the
-//!   running-intersection machinery of `mcc-hypergraph`, returning the
+//! * [`clique_tree`] assembles them into a join tree with
+//!   `mcc-hypergraph`'s Tarjan–Yannakakis [`join_tree()`], returning the
 //!   tree in parent-pointer form.
 //!
 //! Both are cross-checked against Bron–Kerbosch in tests.
 
 use crate::{is_perfect_elimination_ordering, mcs_order};
 use mcc_graph::{Graph, NodeSet};
-use mcc_hypergraph::{running_intersection_ordering, HypergraphBuilder, JoinTree};
+use mcc_hypergraph::{join_tree, HypergraphBuilder, JoinTree};
 
 /// The maximal cliques of a **chordal** graph, via the classic PEO scan:
 /// for each vertex `v` (in elimination order) the set `{v} ∪ RN(v)` of
@@ -90,8 +90,7 @@ pub fn clique_tree(g: &Graph) -> Option<(JoinTree, Vec<NodeSet>)> {
         clippy::expect_used,
         reason = "the clique hypergraph of a chordal graph is alpha-acyclic (Gavril), so a running-intersection ordering exists"
     )]
-    let jt = running_intersection_ordering(&h)
-        .expect("clique hypergraphs of chordal graphs are alpha-acyclic");
+    let jt = join_tree(&h).expect("clique hypergraphs of chordal graphs are alpha-acyclic");
     Some((jt, cliques))
 }
 

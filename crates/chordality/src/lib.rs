@@ -34,7 +34,8 @@
 //!
 //! ## Contents
 //!
-//! * [`lexbfs`] / [`mcs`] — linear-style vertex orderings;
+//! * [`mcs`] — maximum cardinality search, the vertex ordering behind
+//!   chordal recognition;
 //! * [`peo`] — perfect-elimination-ordering verification;
 //! * [`chordal`] — chordal graph recognition (MCS + PEO check);
 //! * [`chordal_bipartite`] — (6,1) recognition by bisimplicial-edge
@@ -57,7 +58,6 @@ pub mod chordal;
 pub mod chordal_bipartite;
 pub mod classify;
 pub mod clique_tree;
-pub mod lexbfs;
 pub mod mcs;
 pub mod mn_chordal;
 pub mod peo;
@@ -67,9 +67,7 @@ pub mod vi_chordal;
 pub mod vi_conformal;
 
 pub use check::{check_peo, CHECK_PEO_MAX_NODES};
-pub use chordal::{
-    find_chordless_cycle, is_chordal, is_chordal_in, is_chordal_lexbfs, is_chordal_lexbfs_in,
-};
+pub use chordal::{find_chordless_cycle, is_chordal, is_chordal_in};
 pub use chordal_bipartite::{
     is_chordal_bipartite, is_chordal_bipartite_in, is_chordal_bipartite_via_beta,
 };
@@ -77,14 +75,13 @@ pub use classify::{
     classify_bipartite, classify_bipartite_in, explain_classification, BipartiteClassification,
 };
 pub use clique_tree::{chordal_maximal_cliques, clique_tree};
-pub use lexbfs::{lexbfs_order, lexbfs_order_in};
 pub use mcs::{mcs_order, mcs_order_in};
 pub use mn_chordal::{is_forest, is_forest_in, is_mn_chordal_bruteforce};
 pub use peo::{is_perfect_elimination_ordering, is_perfect_elimination_ordering_in};
 pub use projection::project_onto;
 pub use six_two::{
     find_sparse_six_cycle, find_sparse_six_cycle_in, is_six_two_chordal,
-    is_six_two_chordal_blockwise, is_six_two_chordal_bruteforce, is_six_two_chordal_in,
+    is_six_two_chordal_bruteforce, is_six_two_chordal_in,
 };
 pub use vi_chordal::{is_vi_chordal, is_vi_chordal_bruteforce, is_vi_chordal_in};
 pub use vi_conformal::{

@@ -31,6 +31,11 @@
 //! algebra per triple, no cycle enumeration, and only triples that
 //! pairwise share a neighbor — the triangles of the projection onto
 //! `V1` — need it (`sparse_six_cycle_in`).
+//!
+//! This is the one (6,2) route. Tests hold it to the literal Definition 4
+//! predicate ([`is_six_two_chordal_bruteforce`]) on every subgraph of
+//! `K(3,3)` here and on every 4+4 bipartite graph in the exhaustive
+//! classification suite.
 
 use crate::{is_chordal_bipartite_in, is_mn_chordal_bruteforce};
 use mcc_graph::{BipartiteGraph, CycleLimits, Graph, NodeId, Side, Workspace};
@@ -163,38 +168,6 @@ pub fn is_six_two_chordal_bruteforce(g: &Graph, limits: CycleLimits) -> bool {
     is_mn_chordal_bruteforce(g, 6, 2, limits)
 }
 
-/// Block-local (6,2) recognition: cycles never cross articulation
-/// points, so a bipartite graph is (6,2)-chordal iff each biconnected
-/// block is. A third independent route (after the direct scan and the
-/// γ-acyclicity of `H¹`), and the natural one for block-tree-shaped
-/// schemas; cross-checked against [`is_six_two_chordal`] in tests.
-pub fn is_six_two_chordal_blockwise(bg: &BipartiteGraph) -> bool {
-    let g = bg.graph();
-    let blocks = mcc_graph::biconnected_components(g);
-    for i in 0..blocks.components.len() {
-        let nodes = blocks.component_nodes(i, g.node_count());
-        if nodes.len() < 6 {
-            continue; // no cycle of length ≥ 6 fits
-        }
-        let sub = mcc_graph::induced_subgraph(g, &nodes);
-        let side = sub
-            .to_parent
-            .iter()
-            .map(|&p| bg.side(p))
-            .collect::<Vec<_>>();
-        #[expect(
-            clippy::expect_used,
-            reason = "an induced subgraph of a bipartite graph keeps a valid 2-coloring"
-        )]
-        let sub_bg = mcc_graph::BipartiteGraph::new(sub.graph, side)
-            .expect("induced subgraph of a bipartite graph is bipartite");
-        if !is_six_two_chordal(&sub_bg) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,29 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn blockwise_agrees_with_direct_on_k33_subgraphs() {
-        let pool: Vec<(usize, usize)> = (0..3)
-            .flat_map(|i| (0..3).map(move |j| (i, 3 + j)))
-            .collect();
-        for mask in 0u32..(1 << 9) {
-            let edges: Vec<(usize, usize)> = pool
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &e)| e)
-                .collect();
-            let bg = bipartite(6, &edges);
-            assert_eq!(
-                is_six_two_chordal(&bg),
-                is_six_two_chordal_blockwise(&bg),
-                "mask={mask}"
-            );
-        }
-    }
-
-    #[test]
-    fn blockwise_handles_glued_blocks() {
-        // Two C4 blocks glued at a node, plus a pendant: (6,2) blockwise.
+    fn glued_c4_blocks_are_six_two() {
+        // Two C4 blocks glued at a node, plus a pendant: no cycle of
+        // length ≥ 6 crosses the cut node, so the graph is (6,2).
         let bg = bipartite(
             8,
             &[
@@ -346,7 +299,6 @@ mod tests {
                 (6, 7),
             ],
         );
-        assert!(is_six_two_chordal_blockwise(&bg));
         assert!(is_six_two_chordal(&bg));
     }
 

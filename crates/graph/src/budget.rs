@@ -49,8 +49,6 @@ pub enum Stage {
     Algorithm2,
     /// The Dreyfus–Wagner exact dynamic program.
     ExactDp,
-    /// The iterative-deepening exact search.
-    ExactIds,
     /// The KMB-style 2-approximation heuristic.
     Heuristic,
     /// Interpretation/cover enumeration (data-model layer).
@@ -67,7 +65,6 @@ impl fmt::Display for Stage {
             Stage::Algorithm1 => "algorithm1",
             Stage::Algorithm2 => "algorithm2",
             Stage::ExactDp => "exact-dp",
-            Stage::ExactIds => "exact-ids",
             Stage::Heuristic => "heuristic",
             Stage::Enumeration => "enumeration",
             Stage::Session => "session",

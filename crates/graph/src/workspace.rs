@@ -202,7 +202,7 @@ pub struct Workspace {
     usize_bufs: Vec<Vec<usize>>,
     /// Pool of `Vec<u64>` word buffers (see [`Workspace::take_word_buf`]).
     word_bufs: Vec<Vec<u64>>,
-    /// Pool of bucket lists for the ordering algorithms (MCS, LexBFS).
+    /// Pool of bucket lists for maximum cardinality search.
     bucket_lists: Vec<Vec<Vec<NodeId>>>,
     /// Pool of [`BitRow`] scratch rows (see [`Workspace::take_bit_row`]).
     bit_rows: Vec<BitRow>,

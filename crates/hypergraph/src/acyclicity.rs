@@ -6,7 +6,7 @@
 //! | Berge | incidence forest test ([`crate::berge`]) | Berge-cycle finder |
 //! | γ | β-acyclic **and** no special 3-edge γ-cycle | γ-cycle finder |
 //! | β | nest-point elimination | β-cycle finder; "every partial hypergraph α-acyclic" |
-//! | α | Tarjan–Yannakakis MCS / running-intersection ([`crate::join_tree`](mod@crate::join_tree)) | GYO reduction |
+//! | α | Tarjan–Yannakakis MCS join tree ([`crate::join_tree`](mod@crate::join_tree)) | GYO reduction |
 //!
 //! The special 3-cycle scan follows directly from Definition 6: a γ-cycle
 //! that is not a β-cycle is a cycle `(e1, e2, e3)` with `n1 ∉ e3` and
@@ -14,7 +14,7 @@
 //! `(e1∩e2)\e3 ≠ ∅`, `(e1∩e3)\e2 ≠ ∅`, and `e2∩e3 ≠ ∅` (the middle node
 //! `n2` is then automatically distinct from `n1` and `n3`).
 
-use crate::{is_berge_acyclic, running_intersection_ordering, EdgeId, Hypergraph};
+use crate::{is_berge_acyclic, join_tree, EdgeId, Hypergraph};
 use mcc_graph::NodeId;
 
 /// The strongest acyclicity degree a hypergraph satisfies.
@@ -74,11 +74,11 @@ impl AcyclicityDegree {
     }
 }
 
-/// α-acyclicity via the Tarjan–Yannakakis maximum-cardinality-search /
-/// running-intersection test (with an ear-decomposition fallback); see
-/// [`crate::join_tree`](mod@crate::join_tree). Cross-checked against GYO in tests.
+/// α-acyclicity via the Tarjan–Yannakakis maximum-cardinality-search
+/// join tree; see [`crate::join_tree`](mod@crate::join_tree).
+/// Cross-checked against GYO in tests.
 pub fn is_alpha_acyclic(h: &Hypergraph) -> bool {
-    running_intersection_ordering(h).is_some()
+    join_tree(h).is_some()
 }
 
 /// β-acyclicity via nest-point elimination.

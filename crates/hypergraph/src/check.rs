@@ -106,7 +106,7 @@ pub fn check_join_tree(h: &Hypergraph, jt: &JoinTree) -> bool {
 mod tests {
     use super::*;
     use crate::builder::hypergraph_from_lists;
-    use crate::join_tree::running_intersection_ordering;
+    use crate::join_tree::join_tree;
 
     #[test]
     fn accepts_production_join_trees() {
@@ -114,14 +114,14 @@ mod tests {
             &["a", "b", "c", "d"],
             &[("x", &[0, 1]), ("y", &[1, 2]), ("z", &[2, 3])],
         );
-        let jt = running_intersection_ordering(&chain).unwrap();
+        let jt = join_tree(&chain).unwrap();
         assert!(check_join_tree(&chain, &jt));
 
         let star = hypergraph_from_lists(
             &["a", "b", "c", "x1", "x2"],
             &[("center", &[0, 1, 2]), ("p1", &[0, 3]), ("p2", &[1, 4])],
         );
-        let jt = running_intersection_ordering(&star).unwrap();
+        let jt = join_tree(&star).unwrap();
         assert!(check_join_tree(&star, &jt));
     }
 
@@ -131,7 +131,7 @@ mod tests {
             &["a", "b", "c", "d"],
             &[("x", &[0, 1]), ("y", &[1, 2]), ("z", &[2, 3])],
         );
-        let jt = running_intersection_ordering(&h).unwrap();
+        let jt = join_tree(&h).unwrap();
         // Reparent the last edge onto the first: the middle edge is no
         // longer on the path between overlapping neighbors.
         let mut bad = jt.clone();
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn rejects_shape_violations() {
         let h = hypergraph_from_lists(&["a", "b"], &[("x", &[0, 1]), ("y", &[0, 1])]);
-        let jt = running_intersection_ordering(&h).unwrap();
+        let jt = join_tree(&h).unwrap();
         let mut short = jt.clone();
         short.order.pop();
         short.parent.pop();

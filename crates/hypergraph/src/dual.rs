@@ -61,7 +61,7 @@ pub fn dual(h: &Hypergraph) -> Result<Hypergraph, HypergraphError> {
 /// position (`None` for positions whose prefix-intersection is empty).
 pub fn dual_node_ordering(h: &Hypergraph) -> Result<Option<DualNodeOrdering>, HypergraphError> {
     let d = dual(h)?;
-    let Some(jt) = crate::running_intersection_ordering(&d) else {
+    let Some(jt) = crate::join_tree(&d) else {
         return Ok(None);
     };
     // Dual edges are indexed by the nodes of `h` (same dense order).

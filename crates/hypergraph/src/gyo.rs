@@ -5,10 +5,11 @@
 //! 1. delete a node that belongs to at most one edge (an *ear node*);
 //! 2. delete an edge that is contained in another (surviving) edge.
 //!
-//! `H` is α-acyclic iff the reduction erases every edge. This is one of
-//! the two α-acyclicity recognizers in the crate (the other is the
-//! Tarjan–Yannakakis MCS/running-intersection test in
-//! [`crate::join_tree`](mod@crate::join_tree)); tests assert they agree.
+//! `H` is α-acyclic iff the reduction erases every edge. The crate's
+//! α-acyclicity recognizer is the Tarjan–Yannakakis join tree in
+//! [`crate::join_tree`](mod@crate::join_tree); GYO is the independent
+//! oracle tests hold it to, and the engine of
+//! [`crate::suggest_alpha_repair`], which reads its residual edges.
 
 use crate::{EdgeId, Hypergraph};
 use mcc_graph::{NodeId, NodeSet};
@@ -42,7 +43,7 @@ pub struct GyoOutcome {
 ///
 /// `O(n · m · |E|)` worst case with the straightforward fixpoint loop —
 /// ample for this workspace, where α-acyclicity certificates on big
-/// instances come from the (linear-time-style) MCS test instead.
+/// instances come from the MCS join tree instead.
 pub fn gyo_reduce(h: &Hypergraph) -> GyoOutcome {
     let n = h.node_count();
     // Working copies of edge contents; `None` = deleted edge.

@@ -1,5 +1,5 @@
-//! Edge orderings with the running intersection property, join trees, and
-//! the Tarjan–Yannakakis maximum cardinality search.
+//! Join trees: edge orderings with the running intersection property,
+//! built by the Tarjan–Yannakakis maximum cardinality search.
 //!
 //! The proof of the paper's Theorem 4 rests on Tarjan–Yannakakis'
 //! *(restricted) maximum cardinality search*: for a connected α-acyclic
@@ -9,18 +9,13 @@
 //! RIP). Reversing such an ordering yields exactly the `V2`-elimination
 //! ordering of Lemma 1 that drives Algorithm 1.
 //!
-//! Two constructions are provided:
-//!
-//! * [`mcs_edge_ordering`] — greedy maximum-cardinality selection (the
-//!   TY ordering; linear-ish, used on large generated workloads);
-//! * an ear-decomposition construction used as a fallback inside
-//!   [`running_intersection_ordering`] — unconditionally correct, `O(m³)`.
-//!
-//! [`running_intersection_ordering`] first verifies the MCS ordering and
-//! falls back to ears; it returns `None` exactly when the hypergraph is
-//! not α-acyclic. Tests assert the MCS path never needs the fallback on
-//! α-acyclic inputs (an empirical check of TY's Theorem 5 as cited by the
-//! paper).
+//! [`join_tree`] is the one construction: it selects edges by maximum
+//! cardinality and finds each edge's RIP parent as it is selected. By
+//! the TY theorem the paper cites as reference \[12\], the MCS order has
+//! RIP exactly when the hypergraph is α-acyclic, so the first edge
+//! without a parent proves the hypergraph cyclic and the pass returns
+//! `None` there. The GYO reduction ([`crate::gyo_reduce`]) is the
+//! independent oracle it is held to in tests.
 
 use crate::{EdgeId, Hypergraph};
 use mcc_graph::NodeSet;
@@ -78,29 +73,29 @@ impl JoinTree {
     }
 }
 
-/// The Tarjan–Yannakakis maximum-cardinality edge ordering: repeatedly
-/// select the edge containing the largest number of already-selected
-/// nodes (ties toward the smallest id; a zero-weight pick starts a new
-/// connected component).
+/// The join tree of `h` by the Tarjan–Yannakakis maximum cardinality
+/// search, or `None` when `h` is not α-acyclic.
 ///
-/// For α-acyclic hypergraphs this ordering satisfies RIP (TY, Theorem 5 as
-/// quoted in the paper); for cyclic ones it merely is *some* ordering —
-/// [`verify_rip`] tells the difference.
-pub fn mcs_edge_ordering(h: &Hypergraph) -> Vec<EdgeId> {
+/// Repeatedly selects the unused edge containing the most
+/// already-selected nodes (ties toward the smallest id; a zero-weight
+/// pick starts a new connected component, as a root). Each selected
+/// edge's parent is the latest earlier edge containing its intersection
+/// with the union so far, matching the TY statement quoted in the paper
+/// ("j is the maximum k"); the first edge with no such edge ends the
+/// pass with `None`.
+pub fn join_tree(h: &Hypergraph) -> Option<JoinTree> {
     let m = h.edge_count();
-    let mut selected_nodes = NodeSet::new(h.node_count());
+    let mut union = NodeSet::new(h.node_count());
     let mut used = vec![false; m];
     let mut order = Vec::with_capacity(m);
+    let mut parent = Vec::with_capacity(m);
     for _ in 0..m {
         let mut best: Option<(usize, usize)> = None; // (weight, index)
         for (i, &done) in used.iter().enumerate() {
             if done {
                 continue;
             }
-            let w = h
-                .edge(EdgeId::from_index(i))
-                .intersection(&selected_nodes)
-                .len();
+            let w = h.edge(EdgeId::from_index(i)).intersection(&union).len();
             if best.map_or(true, |(bw, _)| w > bw) {
                 best = Some((w, i));
             }
@@ -109,125 +104,32 @@ pub fn mcs_edge_ordering(h: &Hypergraph) -> Vec<EdgeId> {
             clippy::expect_used,
             reason = "the outer loop runs while an unused edge remains, so the scan finds one"
         )]
-        let (_, i) = best.expect("an unused edge remains");
+        let (w, i) = best.expect("an unused edge remains");
         used[i] = true;
         let e = EdgeId::from_index(i);
-        selected_nodes.union_with(h.edge(e));
-        order.push(e);
-    }
-    order
-}
-
-/// Verifies the running intersection property of `order`, returning the
-/// parent witnesses when it holds.
-pub fn verify_rip(h: &Hypergraph, order: &[EdgeId]) -> Option<Vec<Option<EdgeId>>> {
-    let mut union = NodeSet::new(h.node_count());
-    let mut parents = Vec::with_capacity(order.len());
-    for (i, &e) in order.iter().enumerate() {
-        let inter = h.edge(e).intersection(&union);
-        if inter.is_empty() {
-            parents.push(None);
+        let p = if w == 0 {
+            None
         } else {
-            // Prefer the latest witness, matching the TY statement quoted
-            // in the paper ("j is the maximum k").
-            let witness = order[..i]
-                .iter()
-                .rev()
-                .find(|&&p| inter.is_subset_of(h.edge(p)))
-                .copied();
-            match witness {
-                Some(p) => parents.push(Some(p)),
-                None => return None,
-            }
-        }
+            let inter = h.edge(e).intersection(&union);
+            Some(
+                *order
+                    .iter()
+                    .rev()
+                    .find(|&&p| inter.is_subset_of(h.edge(p)))?,
+            )
+        };
         union.union_with(h.edge(e));
+        order.push(e);
+        parent.push(p);
     }
-    Some(parents)
-}
-
-/// An RIP ordering via ear decomposition: repeatedly remove an edge whose
-/// intersection with the union of the *other* remaining edges lies inside
-/// a single remaining edge, and prepend it. Correct for every α-acyclic
-/// hypergraph; returns `None` otherwise. `O(m³)` set operations.
-pub fn ear_ordering(h: &Hypergraph) -> Option<JoinTree> {
-    let m = h.edge_count();
-    let mut alive: Vec<bool> = vec![true; m];
-    let mut rev_order: Vec<EdgeId> = Vec::with_capacity(m);
-    let mut rev_parent: Vec<Option<EdgeId>> = Vec::with_capacity(m);
-    let mut remaining = m;
-    while remaining > 0 {
-        let mut found = false;
-        'scan: for i in 0..m {
-            if !alive[i] {
-                continue;
-            }
-            let e = EdgeId::from_index(i);
-            // Union of the other alive edges restricted to e.
-            let mut inter = NodeSet::new(h.node_count());
-            for (j, &live) in alive.iter().enumerate() {
-                if j != i && live {
-                    inter.union_with(&h.edge(EdgeId::from_index(j)).intersection(h.edge(e)));
-                }
-            }
-            if inter.is_empty() {
-                alive[i] = false;
-                remaining -= 1;
-                rev_order.push(e);
-                rev_parent.push(None);
-                found = true;
-                break 'scan;
-            }
-            for j in 0..m {
-                if j != i && alive[j] && inter.is_subset_of(h.edge(EdgeId::from_index(j))) {
-                    alive[i] = false;
-                    remaining -= 1;
-                    rev_order.push(e);
-                    rev_parent.push(Some(EdgeId::from_index(j)));
-                    found = true;
-                    break 'scan;
-                }
-            }
-        }
-        if !found {
-            return None;
-        }
-    }
-    rev_order.reverse();
-    rev_parent.reverse();
-    Some(JoinTree {
-        order: rev_order,
-        parent: rev_parent,
-    })
-}
-
-/// Computes an RIP edge ordering (with witnesses) or determines that none
-/// exists — i.e. decides α-acyclicity constructively.
-///
-/// Strategy: try the fast MCS ordering and verify it; fall back to the
-/// `O(m³)` ear decomposition. The fallback is a safety net: per the TY
-/// theorem the MCS ordering already satisfies RIP whenever the hypergraph
-/// is α-acyclic (tests measure that the fallback is never the one to
-/// succeed).
-pub fn running_intersection_ordering(h: &Hypergraph) -> Option<JoinTree> {
-    let order = mcs_edge_ordering(h);
-    let jt = if let Some(parent) = verify_rip(h, &order) {
-        JoinTree { order, parent }
-    } else {
-        ear_ordering(h)?
-    };
+    let jt = JoinTree { order, parent };
     // Certificate (debug builds only): the incremental RIP construction
     // must satisfy the pairwise join-tree definition.
     debug_assert!(
-        h.edge_count() > crate::check::CHECK_JOIN_TREE_MAX_EDGES
-            || crate::check::check_join_tree(h, &jt),
+        m > crate::check::CHECK_JOIN_TREE_MAX_EDGES || crate::check::check_join_tree(h, &jt),
         "constructed join tree violates the pairwise join-tree property"
     );
     Some(jt)
-}
-
-/// Alias with the join-tree reading of the result.
-pub fn join_tree(h: &Hypergraph) -> Option<JoinTree> {
-    running_intersection_ordering(h)
 }
 
 #[cfg(test)]
@@ -252,7 +154,7 @@ mod tests {
     #[test]
     fn mcs_orders_all_edges() {
         let h = chain();
-        let order = mcs_edge_ordering(&h);
+        let order = join_tree(&h).expect("chain is alpha-acyclic").order;
         assert_eq!(order.len(), 3);
         let mut sorted = order.clone();
         sorted.sort_unstable();
@@ -263,31 +165,22 @@ mod tests {
     #[test]
     fn chain_has_rip_ordering() {
         let h = chain();
-        let jt = running_intersection_ordering(&h).expect("chain is alpha-acyclic");
+        let jt = join_tree(&h).expect("chain is alpha-acyclic");
         assert!(jt.is_valid(&h));
-        assert!(verify_rip(&h, &jt.order).is_some());
+        assert_eq!(jt.parent[0], None);
+        assert!(jt.parent[1..].iter().all(Option::is_some));
     }
 
     #[test]
     fn triangle_has_no_rip_ordering() {
         let h = triangle();
-        assert!(running_intersection_ordering(&h).is_none());
-        assert!(ear_ordering(&h).is_none());
-    }
-
-    #[test]
-    fn ear_ordering_matches_mcs_verdict() {
-        for h in [chain(), triangle()] {
-            let via_mcs = verify_rip(&h, &mcs_edge_ordering(&h)).is_some();
-            let via_ears = ear_ordering(&h).is_some();
-            assert_eq!(via_mcs, via_ears, "disagreement on {h:?}");
-        }
+        assert!(join_tree(&h).is_none());
     }
 
     #[test]
     fn disconnected_acyclic_hypergraph_ok() {
         let h = hypergraph_from_lists(&["a", "b", "c", "d"], &[("x", &[0, 1]), ("y", &[2, 3])]);
-        let jt = running_intersection_ordering(&h).expect("two components, both trivial");
+        let jt = join_tree(&h).expect("two components, both trivial");
         assert!(jt.is_valid(&h));
         // Both edges are roots (disjoint).
         assert_eq!(jt.parent.iter().filter(|p| p.is_none()).count(), 2);
@@ -296,7 +189,7 @@ mod tests {
     #[test]
     fn duplicate_edges_have_rip() {
         let h = hypergraph_from_lists(&["a", "b"], &[("x", &[0, 1]), ("y", &[0, 1])]);
-        let jt = running_intersection_ordering(&h).expect("duplicates are acyclic");
+        let jt = join_tree(&h).expect("duplicates are acyclic");
         assert!(jt.is_valid(&h));
         assert_eq!(jt.parent[1], Some(jt.order[0]));
     }
@@ -304,7 +197,7 @@ mod tests {
     #[test]
     fn join_tree_validation_rejects_bogus() {
         let h = chain();
-        let jt = running_intersection_ordering(&h).unwrap();
+        let jt = join_tree(&h).unwrap();
         // Break the parent pointer.
         let mut bad = jt.clone();
         if bad.parent[1].is_some() {
@@ -321,7 +214,7 @@ mod tests {
     #[test]
     fn empty_hypergraph_has_empty_join_tree() {
         let h = hypergraph_from_lists(&["a"], &[]);
-        let jt = running_intersection_ordering(&h).unwrap();
+        let jt = join_tree(&h).unwrap();
         assert!(jt.order.is_empty());
         assert!(jt.is_valid(&h));
     }
@@ -338,7 +231,7 @@ mod tests {
                 ("p3", &[2, 6]),
             ],
         );
-        let jt = running_intersection_ordering(&h).expect("star is acyclic");
+        let jt = join_tree(&h).expect("star is acyclic");
         assert!(jt.is_valid(&h));
     }
 }

@@ -19,9 +19,8 @@
 //!   - γ-acyclicity (β-acyclicity + absence of the special 3-edge
 //!     γ-cycle of Definition 6),
 //!   - β-acyclicity (nest-point elimination),
-//!   - α-acyclicity (GYO reduction **and** the Tarjan–Yannakakis
-//!     maximum-cardinality-search / running-intersection test — both
-//!     exposed, cross-checked in tests);
+//!   - α-acyclicity (the Tarjan–Yannakakis maximum-cardinality-search
+//!     join tree, held in tests to the GYO reduction);
 //! * definitional (exponential, test-oriented) Berge-/β-/γ-cycle
 //!   enumerators that follow Definition 6 literally, used as ground truth;
 //! * join trees / running-intersection orderings, which Algorithm 1 of the
@@ -64,6 +63,6 @@ pub use error::HypergraphError;
 pub use gyo::{gyo_reduce, GyoOutcome};
 pub use hypergraph::{EdgeId, Hypergraph};
 pub use incidence::{h1_of_bipartite, h2_of_bipartite, incidence_bipartite, side_hypergraph};
-pub use join_tree::{join_tree, mcs_edge_ordering, running_intersection_ordering, JoinTree};
+pub use join_tree::{join_tree, JoinTree};
 pub use primal::primal_graph;
 pub use repair::{repair_to_alpha, suggest_alpha_repair, AlphaRepair};

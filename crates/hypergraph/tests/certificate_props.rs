@@ -11,9 +11,7 @@
     reason = "test helpers may panic"
 )]
 
-use mcc_hypergraph::{
-    check_join_tree, running_intersection_ordering, Hypergraph, HypergraphBuilder,
-};
+use mcc_hypergraph::{check_join_tree, join_tree, Hypergraph, HypergraphBuilder};
 use proptest::prelude::*;
 
 /// A random connected α-acyclic hypergraph on `2..=8` edges: edge 0 is
@@ -48,7 +46,7 @@ proptest! {
     /// join-tree property — and both validators must notice.
     #[test]
     fn broken_running_intersection_edge_is_rejected(h in random_acyclic_hypergraph()) {
-        let jt = running_intersection_ordering(&h).expect("acyclic by construction");
+        let jt = join_tree(&h).expect("acyclic by construction");
         prop_assert!(check_join_tree(&h, &jt), "genuine join tree rejected");
         prop_assert!(jt.is_valid(&h));
 

@@ -12,8 +12,7 @@ use mcc_hypergraph::{
     dual::{dual, index_identical},
     find_beta_cycle, find_gamma_cycle, gyo_reduce, incidence_bipartite, is_alpha_acyclic,
     is_berge_acyclic, is_beta_acyclic, is_conformal, is_conformal_bruteforce, is_gamma_acyclic,
-    join_tree::{ear_ordering, mcs_edge_ordering, verify_rip},
-    running_intersection_ordering, AcyclicityDegree, Hypergraph, HypergraphBuilder,
+    join_tree, AcyclicityDegree, Hypergraph, HypergraphBuilder,
 };
 use proptest::prelude::*;
 
@@ -41,21 +40,12 @@ fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// GYO and the MCS/RIP test are two independent α-acyclicity
-    /// recognizers; they must agree everywhere.
+    /// GYO and the Tarjan–Yannakakis join tree are two independent
+    /// α-acyclicity recognizers; they must agree everywhere (the TY
+    /// theorem: the MCS order has RIP exactly on α-acyclic inputs).
     #[test]
     fn alpha_recognizers_agree(h in small_hypergraph()) {
         prop_assert_eq!(gyo_reduce(&h).acyclic, is_alpha_acyclic(&h));
-    }
-
-    /// The ear-decomposition construction agrees with MCS+verify, and per
-    /// the Tarjan–Yannakakis theorem the MCS ordering itself already
-    /// satisfies RIP whenever the hypergraph is α-acyclic.
-    #[test]
-    fn mcs_ordering_satisfies_rip_on_acyclic(h in small_hypergraph()) {
-        let ears = ear_ordering(&h).is_some();
-        let mcs_ok = verify_rip(&h, &mcs_edge_ordering(&h)).is_some();
-        prop_assert_eq!(ears, mcs_ok, "TY theorem violated: MCS and ears disagree");
     }
 
     /// β-acyclicity via nest points ⟺ no definitional β-cycle.
@@ -146,7 +136,7 @@ proptest! {
     /// A RIP ordering, when it exists, is a valid join tree.
     #[test]
     fn rip_ordering_is_valid_join_tree(h in small_hypergraph()) {
-        if let Some(jt) = running_intersection_ordering(&h) {
+        if let Some(jt) = join_tree(&h) {
             prop_assert!(jt.is_valid(&h));
         }
     }

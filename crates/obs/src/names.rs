@@ -18,37 +18,34 @@ pub enum SpanKind {
     Classify = 0,
     /// Maximum-cardinality-search ordering (`mcs_order_in`).
     McsOrder = 1,
-    /// Lexicographic BFS ordering (`lexbfs_order_in`).
-    LexBfs = 2,
     /// The Lemma 1 ordering build (H¹ join tree + reversal).
-    Lemma1Order = 3,
+    Lemma1Order = 2,
     /// Algorithm 1's Step 2 elimination loop (Theorems 3–4).
-    Algorithm1 = 4,
+    Algorithm1 = 3,
     /// Algorithm 2's elimination loop (Theorem 5).
-    Algorithm2 = 5,
+    Algorithm2 = 4,
     /// The Dreyfus–Wagner exact dynamic program.
-    ExactDp = 6,
+    ExactDp = 5,
     /// The KMB-style 2-approximation heuristic.
-    Kmb = 7,
+    Kmb = 6,
     /// A `SchemaArtifacts` bundle build (registration or rebuild).
-    ArtifactBuild = 8,
+    ArtifactBuild = 7,
     /// Time a request spent admitted but not yet picked up by a worker.
-    QueueWait = 9,
+    QueueWait = 8,
     /// One engine worker serving one request end to end.
-    Serve = 10,
+    Serve = 9,
     /// One `Solver` solve end to end (ladder fallbacks included).
-    SolveTotal = 11,
+    SolveTotal = 10,
 }
 
 /// Number of [`SpanKind`] variants (array dimension).
-pub const N_SPANS: usize = 12;
+pub const N_SPANS: usize = 11;
 
 impl SpanKind {
     /// Every variant, in index order.
     pub const ALL: [SpanKind; N_SPANS] = [
         SpanKind::Classify,
         SpanKind::McsOrder,
-        SpanKind::LexBfs,
         SpanKind::Lemma1Order,
         SpanKind::Algorithm1,
         SpanKind::Algorithm2,
@@ -65,7 +62,6 @@ impl SpanKind {
         match self {
             SpanKind::Classify => "classify",
             SpanKind::McsOrder => "mcs_order",
-            SpanKind::LexBfs => "lexbfs",
             SpanKind::Lemma1Order => "lemma1_order",
             SpanKind::Algorithm1 => "algorithm1",
             SpanKind::Algorithm2 => "algorithm2",

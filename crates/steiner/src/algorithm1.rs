@@ -51,7 +51,7 @@ use mcc_graph::{
     component_of_in, remove_if_redundant_in, BipartiteGraph, CancelToken, NodeId, NodeSet, Side,
     Stage, Workspace,
 };
-use mcc_hypergraph::{running_intersection_ordering, side_hypergraph, JoinTree};
+use mcc_hypergraph::{join_tree, side_hypergraph, JoinTree};
 use std::fmt;
 
 /// Failure modes of Algorithm 1.
@@ -114,7 +114,7 @@ pub struct Lemma1Ordering {
 pub fn lemma1_ordering(bg: &BipartiteGraph, side: Side) -> Option<Lemma1Ordering> {
     let _span = mcc_obs::span!(Lemma1Order);
     let (h, _node_map, edge_map) = side_hypergraph(bg, side);
-    let jt = running_intersection_ordering(&h)?;
+    let jt = join_tree(&h)?;
     let mut order: Vec<NodeId> = jt.order.iter().map(|e| edge_map[e.index()]).collect();
     order.reverse();
     // Certificate (debug builds only): the reversed RIP ordering must

@@ -15,44 +15,26 @@
 //! Dreyfus–Wagner DP in [`crate::exact`]: the two are cross-checked in
 //! property tests, and the NP-hardness experiment can report both
 //! exponential baselines. Its sweet spot is few *extra* nodes (small
-//! `k − |P̄|`) rather than few terminals.
-//!
-//! [`steiner_exact_ids_budgeted`] is the governed entry point: each DFS
-//! node ticks the [`CancelToken`], so an adversarial instance stops at
-//! the deadline instead of enumerating forever.
+//! `k − |P̄|`) rather than few terminals. It is an oracle: no serving
+//! path runs it, so it takes no budget.
 
-use crate::{ExactSolution, SolveError, SolveOutcome, SteinerTree};
-use mcc_graph::{bfs_distances, CancelToken, Graph, NodeId, NodeSet, Stage, INFINITE_DISTANCE};
+use crate::{ExactSolution, SteinerTree};
+use mcc_graph::{bfs_distances, Graph, NodeId, NodeSet, INFINITE_DISTANCE};
 
 /// Exact minimum-node Steiner tree by iterative deepening. Returns
 /// `None` when the terminals are disconnected. Equivalent to
 /// [`crate::steiner_exact`] (unit weights), by a different algorithm.
+///
+/// # Panics
+///
+/// If the search finds no connected node set of any size up to `|V|`
+/// for connected terminals, or grows a disconnected one — both would
+/// mean the prunes are unsound.
 pub fn steiner_exact_ids(g: &Graph, terminals: &NodeSet) -> Option<ExactSolution> {
-    match steiner_exact_ids_budgeted(g, terminals, &CancelToken::unbounded()) {
-        Ok(sol) => Some(sol),
-        Err(SolveError::Disconnected) => None,
-        #[expect(
-            clippy::panic,
-            reason = "unbudgeted wrapper: residual errors are internal bugs; the budgeted twin is the production path"
-        )]
-        Err(e) => panic!("unbudgeted iterative-deepening solve failed: {e}"),
-    }
-}
-
-/// [`steiner_exact_ids`] under a [`CancelToken`]: a tick per search node,
-/// disconnection as [`SolveError::Disconnected`], and the "spanning set
-/// always succeeds" invariant surfaced as [`SolveError::Internal`]
-/// instead of a panic.
-pub fn steiner_exact_ids_budgeted(
-    g: &Graph,
-    terminals: &NodeSet,
-    token: &CancelToken,
-) -> SolveOutcome<ExactSolution> {
     let n = g.node_count();
     assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
-    token.checkpoint(Stage::ExactIds)?;
     if terminals.is_empty() {
-        return Ok(ExactSolution {
+        return Some(ExactSolution {
             tree: SteinerTree {
                 nodes: NodeSet::new(n),
                 edges: vec![],
@@ -71,7 +53,7 @@ pub fn steiner_exact_ids_budgeted(
     for t in terminals.iter() {
         let d = dist_root[t.index()];
         if d == INFINITE_DISTANCE {
-            return Err(SolveError::Disconnected);
+            return None;
         }
         lb = lb.max(d as usize + 1);
     }
@@ -83,7 +65,6 @@ pub fn steiner_exact_ids_budgeted(
         let mut state = SearchState {
             g,
             term_dist: &term_dist,
-            token,
             budget: k,
             chosen: NodeSet::from_nodes(n, [root]),
             missing: {
@@ -93,23 +74,26 @@ pub fn steiner_exact_ids_budgeted(
             },
         };
         let mut forbidden = NodeSet::new(n);
-        if let Some(nodes) = state.dfs(&mut forbidden)? {
-            let tree = SteinerTree::from_cover(g, &nodes).ok_or_else(|| SolveError::Internal {
-                stage: Stage::ExactIds,
-                detail: "grown node set is not connected".to_string(),
-            })?;
-            return Ok(ExactSolution {
+        if let Some(nodes) = state.dfs(&mut forbidden) {
+            #[expect(
+                clippy::expect_used,
+                reason = "the search only grows sets along edges from the root, so they stay connected"
+            )]
+            let tree = SteinerTree::from_cover(g, &nodes).expect("grown node set is connected");
+            return Some(ExactSolution {
                 cost: tree.node_cost() as u64,
                 tree,
             });
         }
     }
-    // The spanning set of the component succeeds by k = n; reaching here
-    // means the prunes are unsound — degrade one query, don't abort.
-    Err(SolveError::Internal {
-        stage: Stage::ExactIds,
-        detail: format!("iterative deepening exhausted k = {n} without a spanning witness"),
-    })
+    // The spanning set of the component succeeds by k = n.
+    #[expect(
+        clippy::panic,
+        reason = "reaching here means the prunes are unsound; this oracle has no caller to degrade for"
+    )]
+    {
+        panic!("iterative deepening exhausted k = {n} without a spanning witness")
+    }
 }
 
 /// BFS distances to the nearest member of `sources`.
@@ -134,7 +118,6 @@ fn multi_source_distances(g: &Graph, sources: &NodeSet) -> Vec<u32> {
 struct SearchState<'a> {
     g: &'a Graph,
     term_dist: &'a [u32],
-    token: &'a CancelToken,
     budget: usize,
     chosen: NodeSet,
     missing: NodeSet,
@@ -144,15 +127,12 @@ impl SearchState<'_> {
     /// Depth-first growth. `forbidden` nodes were declined earlier on
     /// this branch. Returns a connected superset of the terminals with
     /// at most `budget` nodes, or `None`.
-    fn dfs(&mut self, forbidden: &mut NodeSet) -> SolveOutcome<Option<NodeSet>> {
-        // Each search node costs a restricted BFS: charge |V| units.
-        self.token
-            .tick(Stage::ExactIds, self.g.node_count() as u64)?;
+    fn dfs(&mut self, forbidden: &mut NodeSet) -> Option<NodeSet> {
         if self.missing.is_empty() {
-            return Ok(Some(self.chosen.clone()));
+            return Some(self.chosen.clone());
         }
         if self.chosen.len() >= self.budget {
-            return Ok(None);
+            return None;
         }
         let slack = self.budget - self.chosen.len();
         // Reachability prune: every missing terminal must be within
@@ -166,7 +146,7 @@ impl SearchState<'_> {
         for t in self.missing.iter() {
             let d = dist[t.index()];
             if d == INFINITE_DISTANCE || d as usize > slack {
-                return Ok(None);
+                return None;
             }
         }
 
@@ -192,26 +172,15 @@ impl SearchState<'_> {
             self.chosen.insert(u);
             let was_missing = self.missing.remove(u);
             let hit = self.dfs(forbidden);
-            // Restore before returning in every case (callers own the
-            // state; a budget trip must not leave it half-mutated).
             self.chosen.remove(u);
             if was_missing {
                 self.missing.insert(u);
             }
-            match hit {
-                Ok(Some(hit)) => {
-                    for &w in &locally_forbidden {
-                        forbidden.remove(w);
-                    }
-                    return Ok(Some(hit));
+            if hit.is_some() {
+                for &w in &locally_forbidden {
+                    forbidden.remove(w);
                 }
-                Ok(None) => {}
-                Err(e) => {
-                    for &w in &locally_forbidden {
-                        forbidden.remove(w);
-                    }
-                    return Err(e);
-                }
+                return hit;
             }
             // Exclude u for the rest of this branch (don't-look).
             forbidden.insert(u);
@@ -220,7 +189,7 @@ impl SearchState<'_> {
         for &w in &locally_forbidden {
             forbidden.remove(w);
         }
-        Ok(None)
+        None
     }
 }
 
@@ -248,8 +217,6 @@ mod tests {
     use super::*;
     use crate::{steiner_exact, SteinerInstance};
     use mcc_graph::builder::graph_from_edges;
-    use mcc_graph::{BudgetKind, SolveBudget};
-    use std::time::Duration;
 
     fn terminals(n: usize, ts: &[u32]) -> NodeSet {
         NodeSet::from_nodes(n, ts.iter().map(|&t| NodeId(t)))
@@ -304,16 +271,6 @@ mod tests {
     fn disconnected_is_none() {
         let g = graph_from_edges(4, &[(0, 1), (2, 3)]);
         assert!(steiner_exact_ids(&g, &terminals(4, &[0, 3])).is_none());
-    }
-
-    #[test]
-    fn budgeted_cancels_on_expired_deadline() {
-        let g = graph_from_edges(40, &(0..39).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let p = terminals(40, &[0, 13, 26, 39]);
-        let token = SolveBudget::with_deadline(Duration::ZERO).start();
-        std::thread::sleep(Duration::from_millis(2));
-        let e = steiner_exact_ids_budgeted(&g, &p, &token).unwrap_err();
-        assert_eq!(e.budget().unwrap().kind, BudgetKind::WallClockMs);
     }
 
     #[test]

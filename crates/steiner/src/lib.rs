@@ -71,7 +71,7 @@ pub use cover::{
 pub use exact::{
     steiner_exact, steiner_exact_node_weighted, steiner_exact_node_weighted_budgeted, ExactSolution,
 };
-pub use exact_ids::{steiner_exact_ids, steiner_exact_ids_budgeted};
+pub use exact_ids::steiner_exact_ids;
 pub use heuristic::{steiner_kmb, steiner_kmb_budgeted};
 pub use instance::{SteinerInstance, SteinerTree};
 pub use ordering::{eliminate_with_ordering, is_good_ordering_for, ordering_landscape};
