@@ -250,29 +250,39 @@ fn exp_e3_np_hardness() {
 /// (random bipartite, 40 + 40 nodes, p = 0.1), the size of the off-class
 /// schemas the serving benchmark sends to it: 40 graphs × 5 terminal sets
 /// per `k`, terminals drawn from the component of the highest-degree
-/// node. Every tree must be valid, span its terminals and have as many
-/// nodes as its cost; the cost is also checked against iterative
-/// deepening where that is affordable (`k = 3` takes 0.25 s in release
-/// on a 2-vCPU x86-64 VM; `k = 4` would take 3 s, `k = 5` 30 s).
+/// node. The solves rotate over the 40 graphs, one terminal set each per
+/// round, as the serving benchmark's requests rotate over its schemas:
+/// repeating one instance lets the branch predictor learn its sweep, and
+/// reads 10–50% below the rotated time (EXPERIMENTS §E26). Every tree must
+/// be valid, span its terminals and have as many nodes as its cost; the
+/// cost is also checked against iterative deepening where that is
+/// affordable (`k = 3` takes 0.25 s in release on a 2-vCPU x86-64 VM;
+/// `k = 4` would take 3 s, `k = 5` 30 s).
 fn exp_e3_exact_per_k() {
     const GRAPHS: u64 = 40;
     const SOLVES: u64 = 5;
     const IDS_MAX_K: usize = 3;
     println!(
-        "## E3: exact DP per terminal count (random bipartite 40+40, p=0.1, {GRAPHS} graphs x {SOLVES} solves)"
+        "## E3: exact DP per terminal count (random bipartite 40+40, p=0.1, {GRAPHS} graphs x {SOLVES} solves, rotating over the graphs)"
     );
     println!();
     println!("| k | solves | us per solve | ns per 3^k*n | checked vs IDS |");
     println!("|---|---|---|---|---|");
-    for k in 3..=8usize {
-        let (mut us, mut nodes, mut checked) = (0.0, 0usize, 0usize);
-        for seed in 0..GRAPHS {
+    let graphs: Vec<_> = (0..GRAPHS)
+        .map(|seed| {
             let bg = random_bipartite(40, 40, 0.1, 100 + seed);
             let g = bg.graph();
             let hub = g.nodes().max_by_key(|&v| g.degree(v)).expect("nonempty");
             let pool = component_of(g, &NodeSet::full(g.node_count()), hub);
-            for s in 0..SOLVES {
-                let terminals = random_terminals(g, Some(&pool), k, seed * SOLVES + s);
+            (bg, pool)
+        })
+        .collect();
+    for k in 3..=8usize {
+        let (mut us, mut nodes, mut checked) = (0.0, 0usize, 0usize);
+        for s in 0..SOLVES {
+            for (seed, (bg, pool)) in (0..).zip(&graphs) {
+                let g = bg.graph();
+                let terminals = random_terminals(g, Some(pool), k, seed * SOLVES + s);
                 let inst = SteinerInstance::new(g.clone(), terminals);
                 let (sol, t) = timed(|| steiner_exact(&inst).expect("one component"));
                 us += t;

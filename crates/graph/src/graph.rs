@@ -382,6 +382,55 @@ impl Graph {
         }
     }
 
+    /// Visits `Adj(v) ∖ seen` in increasing id order, adding each node to
+    /// `seen` (a word row like [`Graph::or_neighbors_into`]'s) as it goes:
+    /// a sweep of `row(v) & !seen` one word at a time when `v` has a dense
+    /// row, else a scan of its CSR slice. Stops at the first node for
+    /// which `visit` returns `true`, and returns whether one did; the rest
+    /// of that node's word may then be marked seen unvisited. This is the
+    /// frontier step of the exact DP's relax and of KMB's closure rows,
+    /// which offer each node once per sweep instead of once per edge.
+    #[inline]
+    pub fn visit_unseen_neighbors(
+        &self,
+        v: NodeId,
+        seen: &mut [u64],
+        mut visit: impl FnMut(NodeId) -> bool,
+    ) -> bool {
+        debug_assert_eq!(
+            seen.len(),
+            self.node_count().div_ceil(64),
+            "row length mismatch"
+        );
+        match self.neighbors_bits(v) {
+            Some(bits) => {
+                for (wi, (&r, s)) in bits.iter().zip(seen.iter_mut()).enumerate() {
+                    let mut fresh = r & !*s;
+                    *s |= fresh;
+                    while fresh != 0 {
+                        let u = NodeId::from_index(wi * 64 + fresh.trailing_zeros() as usize);
+                        fresh &= fresh - 1;
+                        if visit(u) {
+                            return true;
+                        }
+                    }
+                }
+            }
+            None => {
+                for &u in self.neighbors(v) {
+                    let (wi, bit) = (u.index() / 64, 1u64 << (u.index() % 64));
+                    if seen[wi] & bit == 0 {
+                        seen[wi] |= bit;
+                        if visit(u) {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+        false
+    }
+
     /// The set `Adj*(v)` used by the paper's Algorithm 1: nodes adjacent to
     /// `v` **and to no other alive node** (private neighbors of `v` within
     /// the subgraph induced by `alive`).
@@ -806,6 +855,36 @@ mod tests {
         g.private_neighbors_into(NodeId(4), &alive, &mut sparse);
         assert_eq!(dense, sparse);
         assert_eq!(dense, vec![NodeId(5)]); // the pendant is private to 4
+    }
+
+    #[test]
+    fn visit_unseen_neighbors_agrees_across_representations() {
+        // A star over three words: the center sees 1, 5, 63, 64, 70, 129.
+        let leaves = [1usize, 5, 63, 64, 70, 129];
+        let mut g = crate::builder::graph_from_edges(130, &leaves.map(|u| (0, u)));
+        for threshold in [0, usize::MAX] {
+            g.rebuild_bit_rows(threshold);
+            let mut seen = vec![0u64; 3];
+            seen[0] |= 1 << 5;
+            let mut order = Vec::new();
+            let stopped = g.visit_unseen_neighbors(NodeId(0), &mut seen, |u| {
+                order.push(u.index());
+                false
+            });
+            assert!(!stopped);
+            assert_eq!(order, [1, 63, 64, 70, 129], "threshold {threshold}");
+            assert!(leaves.iter().all(|&u| seen[u / 64] >> (u % 64) & 1 == 1));
+            assert!(!g.visit_unseen_neighbors(NodeId(0), &mut seen, |_| true));
+
+            let mut seen = vec![0u64; 3];
+            order.clear();
+            let stopped = g.visit_unseen_neighbors(NodeId(0), &mut seen, |u| {
+                order.push(u.index());
+                u.index() == 64
+            });
+            assert!(stopped);
+            assert_eq!(order, [1, 5, 63, 64], "threshold {threshold}");
+        }
     }
 
     #[test]

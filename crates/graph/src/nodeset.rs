@@ -227,6 +227,17 @@ impl NodeSet {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
+    /// `|self ∩ other|` by a popcount over the words, without building
+    /// the intersection.
+    pub fn intersection_len(&self, other: &NodeSet) -> usize {
+        assert_eq!(self.capacity, other.capacity, "NodeSet universes differ");
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// The raw `u64` words backing this set (bit `i % 64` of word
     /// `i / 64` is node `i`; bits at or beyond the capacity are zero).
     /// Word-parallel sweeps read these directly, such as the adjacency
@@ -338,6 +349,16 @@ mod tests {
         assert!(!a.is_subset_of(&b));
         assert!(a.is_disjoint_from(&NodeSet::from_nodes(10, ids(&[7]))));
         assert!(!a.is_disjoint_from(&b));
+    }
+
+    #[test]
+    fn intersection_len_counts_across_words() {
+        let a = NodeSet::from_nodes(200, ids(&[0, 5, 63, 64, 130, 199]));
+        let b = NodeSet::from_nodes(200, ids(&[5, 64, 65, 199]));
+        assert_eq!(a.intersection_len(&b), 3);
+        assert_eq!(a.intersection_len(&b), a.intersection(&b).len());
+        assert_eq!(a.intersection_len(&NodeSet::new(200)), 0);
+        assert_eq!(a.intersection_len(&a), a.len());
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub fn join_tree(h: &Hypergraph) -> Option<JoinTree> {
             if done {
                 continue;
             }
-            let w = h.edge(EdgeId::from_index(i)).intersection(&union).len();
+            let w = h.edge(EdgeId::from_index(i)).intersection_len(&union);
             if best.map_or(true, |(bw, _)| w > bw) {
                 best = Some((w, i));
             }

@@ -7,8 +7,10 @@
 //!
 //! 1. **Closure rows.** The metric closure of the `k` terminals is one
 //!    BFS per terminal, into two flat `k·n` `u32` buffers: distances and
-//!    BFS parents. A row stops as soon as it has discovered every other
-//!    terminal, since only terminal distances enter the closure.
+//!    BFS parents. A queued node with a dense bit row discovers `row(v) &
+//!    !seen`, one word at a time; a CSR-only row is walked entry by entry.
+//!    A row stops as soon as it has discovered every other terminal,
+//!    since only terminal distances enter the closure.
 //! 2. **Prim** over the closure, ties to the lowest terminal.
 //! 3. **Paths.** Each closure edge the spanning tree takes is expanded
 //!    into a shortest path by walking its source terminal's parent row
@@ -25,7 +27,8 @@
 //! the union induces. This form returns node- and edge-identical trees:
 //!
 //! - A BFS discovers nodes in a fixed order, because adjacency rows are
-//!   sorted and every neighbour loop walks them in increasing id order.
+//!   sorted and every neighbour loop walks them in increasing id order;
+//!   a bit row's words and bits are read in increasing id order too.
 //!   So a row's parents equal those of a fresh BFS from the same
 //!   terminal for every node it discovers, and the nodes on a path to a
 //!   terminal are discovered before that terminal. Stopping early
@@ -42,11 +45,12 @@
 //!
 //! ## Scratch
 //!
-//! The rows and the sweep's scratch are allocated per call, each once
-//! from `k` and `n`, and freed on return. The solver's own workspace is
-//! not used: the engine keeps one solver per worker and schema, and
-//! rows kept warm in each of them cost more resident memory than
-//! allocating them per call costs time (EXPERIMENTS §E23).
+//! The rows, the BFS queue and its `seen` mask, and the sweep's scratch
+//! are allocated per call, each once from `k` and `n`, and freed on
+//! return. The solver's own workspace is not used: the engine keeps one
+//! solver per worker and schema, and rows kept warm in each of them cost
+//! more resident memory than allocating them per call costs time
+//! (EXPERIMENTS §E23).
 
 use crate::algorithm2::prune_and_span_in;
 use crate::{SolveError, SolveOutcome, SteinerTree};
@@ -94,6 +98,7 @@ pub fn steiner_kmb_budgeted(
     let mut dist = vec![INFINITE_DISTANCE; k * n];
     let mut parent = vec![0u32; k * n];
     let mut queue = Vec::with_capacity(n);
+    let mut seen = vec![0u64; n.div_ceil(64)];
     for (i, &t) in ts.iter().enumerate() {
         token.tick(Stage::Heuristic, row_cost)?;
         let row = i * n..(i + 1) * n;
@@ -104,6 +109,7 @@ pub fn steiner_kmb_budgeted(
             &mut dist[row.clone()],
             &mut parent[row],
             &mut queue,
+            &mut seen,
         );
     }
     let dist_to = |i: usize, j: usize| dist[i * n + ts[j].index()];
@@ -156,8 +162,13 @@ pub fn steiner_kmb_budgeted(
 
 /// One closure row: a BFS from terminal `t` over the whole graph that
 /// writes each discovered node's distance and BFS parent, and stops once
-/// every terminal has been discovered. `queue` is an empty buffer with
-/// room for `n` nodes; it is left empty.
+/// every terminal has been discovered. A queued node is expanded by
+/// [`Graph::visit_unseen_neighbors`]: `row(v) & !seen` one word at a time
+/// when it has a dense row, its CSR row otherwise. Both append new nodes
+/// in increasing id, so the queue order, the parents and the stop are the
+/// same whichever form a row has. `queue` is an empty buffer with room
+/// for `n` nodes, and is left empty; `seen` holds `⌈n/64⌉` words, and is
+/// cleared on entry.
 fn closure_row(
     g: &Graph,
     terminals: &NodeSet,
@@ -165,28 +176,29 @@ fn closure_row(
     dist: &mut [u32],
     parent: &mut [u32],
     queue: &mut Vec<NodeId>,
+    seen: &mut [u64],
 ) {
     let mut missing = terminals.len() - 1;
+    seen.fill(0);
+    seen[t.index() / 64] |= 1 << (t.index() % 64);
     dist[t.index()] = 0;
     queue.push(t);
     let mut head = 0;
-    'bfs: while missing > 0 && head < queue.len() {
+    while missing > 0 && head < queue.len() {
         let v = queue[head];
         head += 1;
         let dv = dist[v.index()] + 1;
-        for &u in g.neighbors(v) {
-            if dist[u.index()] == INFINITE_DISTANCE {
-                dist[u.index()] = dv;
-                parent[u.index()] = v.0;
-                queue.push(u);
-                if terminals.contains(u) {
-                    missing -= 1;
-                    if missing == 0 {
-                        break 'bfs;
-                    }
-                }
+        // Discovers each unseen neighbour `u`, and stops at the last
+        // terminal; the loop condition then ends the row.
+        g.visit_unseen_neighbors(v, seen, |u| {
+            dist[u.index()] = dv;
+            parent[u.index()] = v.0;
+            queue.push(u);
+            if terminals.contains(u) {
+                missing -= 1;
             }
-        }
+            missing == 0
+        });
     }
     queue.clear();
 }

@@ -2,8 +2,9 @@
 //!
 //! The production DP (`mcc_steiner::exact`) takes 0/1 node weights, roots
 //! the tree at one terminal, relaxes each mask with one multi-source
-//! two-level bucket pass and reads the tree back from per-mask
-//! back-pointers. The oracle below is the earlier textbook form, kept
+//! level-synchronous sweep (each node on a level offers its unseen
+//! neighbours a bit-row word or a CSR entry at a time) and reads the tree
+//! back from per-mask back-pointers. The oracle below is the earlier textbook form, kept
 //! verbatim with its binary heap and general weights: all-pairs
 //! node-weighted Dijkstra, an `O(2^k·n²)` relaxation through the distance
 //! matrix and a recursive argmin replay. A third, unrelated algorithm — iterative
@@ -15,10 +16,14 @@
 //! node cap), under three 0/1 weight sets: unit (Steiner), a side
 //! indicator (pseudo-Steiner) and random 0/1 weights with about a third
 //! zeros. The last puts zero-cost nodes next to each other, which the
-//! bipartite side indicator never does; that exercises the bucket pass's
-//! same-level pushes and the acyclicity of the back-pointers. Costs
+//! bipartite side indicator never does; that exercises the sweep's
+//! same-level joins and the acyclicity of the back-pointers. Costs
 //! must agree exactly, and every tree must pass `check_steiner_solution`
-//! and realize its reported cost.
+//! and realize its reported cost. The sweep reads dense bit rows and CSR
+//! rows in different code, so one test also solves each graph with a
+//! dense row for every node and with CSR rows only
+//! (`Graph::rebuild_bit_rows`): the costs must match the graph as built,
+//! and a repeated solve must return the identical tree.
 //!
 //! The sweep is sized for release builds (`cargo test --release -p
 //! mcc-steiner --test exact_differential`) and stays a few seconds in
@@ -446,4 +451,48 @@ fn trees_above_the_debug_certificate_cap_are_certified() {
             compare(g, &terminals, &w, &what).expect("terminals share a component");
         }
     }
+}
+
+#[test]
+fn dp_costs_agree_across_bit_row_representations() {
+    // The relax sweeps a node's dense bit row word by word and its CSR
+    // row entry by entry. Each graph is solved as built (the default
+    // degree threshold), with a dense row for every node and with CSR
+    // rows only; graphs up to 140 nodes give rows of one to three words.
+    let mut r = rng(0xb17_f00d);
+    let mut compared = 0;
+    for seed in 0..30u64 {
+        let n1 = r.gen_range(20..=70);
+        let n2 = r.gen_range(20..=70);
+        let degree = f64::from(r.gen_range(15u32..60)) / 10.0;
+        let k = r.gen_range(2..=6usize);
+        let (bg, terminals) = instance(n1, n2, degree, k, false, 4000 + seed);
+        let built = bg.graph();
+        let mut dense = built.clone();
+        dense.rebuild_bit_rows(0);
+        let mut sparse = built.clone();
+        sparse.rebuild_bit_rows(usize::MAX);
+        let side = if seed % 2 == 0 { Side::V1 } else { Side::V2 };
+        for weights in [
+            Weights::Unit,
+            Weights::SideIndicator(side),
+            Weights::ZeroOne,
+        ] {
+            let w = weights.of(&bg, seed);
+            let what = format!("seed {seed}, {n1}+{n2} nodes, k = {k}, {weights:?}");
+            let Some(cost) = compare(built, &terminals, &w, &what) else {
+                continue;
+            };
+            compared += 1;
+            for (form, g) in [("all-dense", &dense), ("CSR-only", &sparse)] {
+                let what = format!("{what}, {form}");
+                let sol = steiner_exact_node_weighted(g, &terminals, &w).expect("connected");
+                assert_eq!(sol.cost, cost, "{what}: cost differs from the built form");
+                certify(g, &terminals, &w, &sol, &what);
+                let again = steiner_exact_node_weighted(g, &terminals, &w).expect("connected");
+                assert_eq!(again.tree, sol.tree, "{what}: a repeated solve moved");
+            }
+        }
+    }
+    assert!(compared >= 80, "only {compared} connected comparisons");
 }
