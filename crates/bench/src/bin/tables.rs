@@ -28,11 +28,13 @@ use mcc::chordality::{
 };
 use mcc::figures;
 use mcc::gen::{random_bipartite, random_terminals};
-use mcc::graph::{component_of, NodeId, NodeSet, Side};
+use mcc::graph::{
+    component_of, BipartiteGraph, CancelToken, Graph, NodeId, NodeSet, Side, Workspace,
+};
 use mcc::hypergraph::{h1_of_bipartite, AcyclicityDegree};
 use mcc::steiner::{
-    algorithm1, algorithm2, algorithm2_with_order, eliminate_with_ordering,
-    minimum_cover_bruteforce, steiner_exact, steiner_kmb, SteinerInstance,
+    algorithm1, algorithm2, lemma1_ordering, minimum_cover_bruteforce, steiner_exact, steiner_kmb,
+    tree_side_cost, SteinerInstance, SteinerTree,
 };
 use mcc_bench::{alpha_workload, offclass_workload, six_two_workload, x3c_workload};
 use std::time::Instant;
@@ -77,6 +79,24 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64() * 1e6)
+}
+
+/// Algorithm 1, Steps 1–3 (the Lemma 1 ordering, then the elimination),
+/// with no deadline: the tree's `side` cost, `None` when the terminals
+/// are not connected. Every caller runs it on schemas whose `side`
+/// hypergraph is α-acyclic.
+fn algorithm1_cost(bg: &BipartiteGraph, terminals: &NodeSet, side: Side) -> Option<usize> {
+    let order = lemma1_ordering(bg, side).expect("alpha-acyclic side").order;
+    let token = CancelToken::unbounded();
+    let tree = algorithm1(&mut Workspace::new(), bg, terminals, side, &order, &token).ok()?;
+    Some(tree_side_cost(bg, &tree, side))
+}
+
+/// Algorithm 2 along `order` with no deadline; `None` when the
+/// terminals are not connected.
+fn algorithm2_along(g: &Graph, terminals: &NodeSet, order: &[NodeId]) -> Option<SteinerTree> {
+    let token = CancelToken::unbounded();
+    algorithm2(&mut Workspace::new(), g, terminals, order, &token).ok()
 }
 
 /// E1 — Theorem 1's recognizers on (6,2)-chordal block trees: the
@@ -230,9 +250,9 @@ fn exp_e3_np_hardness() {
         };
         assert_eq!(ids_cost, sol.cost, "exact solvers must agree");
         let t0 = Instant::now();
-        let a1 = algorithm1(&w.bipartite, &w.terminals, Side::V2).expect("gadget alpha-acyclic");
+        let a1 = algorithm1_cost(&w.bipartite, &w.terminals, Side::V2).expect("gadget feasible");
         let alg1_us = t0.elapsed().as_micros().max(1);
-        assert_eq!(a1.side_cost, 3 * q + 1);
+        assert_eq!(a1, 3 * q + 1);
         println!(
             "| {q} | {} | {} | {} | {} | {} | {:.1} |",
             w.graph().node_count(),
@@ -325,7 +345,7 @@ fn exp_e4_algorithm1() {
     for edges in [8usize, 16, 32, 64, 128, 256] {
         let w = alpha_workload(edges, 4, 5);
         let t0 = Instant::now();
-        let out = algorithm1(&w.bipartite, &w.terminals, Side::V2).expect("on-class");
+        let side_cost = algorithm1_cost(&w.bipartite, &w.terminals, Side::V2).expect("feasible");
         let us = t0.elapsed().as_micros().max(1);
         // Exact cross-check with node weights where affordable.
         let optimal = if w.graph().node_count() <= 120 && w.terminals.len() <= 8 {
@@ -337,7 +357,7 @@ fn exp_e4_algorithm1() {
             let exact =
                 mcc::steiner::steiner_exact_node_weighted(w.graph(), &w.terminals, &weights)
                     .expect("feasible");
-            if exact.cost as usize == out.side_cost {
+            if exact.cost as usize == side_cost {
                 "yes"
             } else {
                 "NO"
@@ -366,7 +386,8 @@ fn exp_e5_algorithm2() {
     for blocks in [4usize, 8, 16, 32, 64] {
         let w = six_two_workload(blocks, 5, 3);
         let t0 = Instant::now();
-        let tree = algorithm2(w.graph(), &w.terminals).expect("connected");
+        let order: Vec<NodeId> = w.graph().nodes().collect();
+        let tree = algorithm2_along(w.graph(), &w.terminals, &order).expect("connected");
         let us = t0.elapsed().as_micros().max(1);
         let (exact_us, agree) = if blocks <= 16 {
             let inst = SteinerInstance::new(w.graph().clone(), w.terminals.clone());
@@ -426,19 +447,19 @@ fn exp_e6_corollary4() {
                 Side::V1 => bg.v1_set(),
                 Side::V2 => bg.v2_set(),
             };
-            match algorithm1(&bg, &terminals, side) {
-                Ok(sol) => {
+            match algorithm1_cost(&bg, &terminals, side) {
+                Some(side_cost) => {
                     let bf = mcc::steiner::side_minimum_cover_bruteforce(&g, &terminals, &side_set)
                         .expect("feasible");
                     let bfc = bf.intersection(&side_set).len();
                     println!(
                         "| {seed} | {} | {side:?} | {} | {bfc} | {} |",
                         g.node_count(),
-                        sol.side_cost,
-                        if sol.side_cost == bfc { "yes" } else { "NO" }
+                        side_cost,
+                        if side_cost == bfc { "yes" } else { "NO" }
                     );
                 }
-                Err(_) => println!(
+                None => println!(
                     "| {seed} | {} | {side:?} | - | - | (infeasible) |",
                     g.node_count()
                 ),
@@ -465,7 +486,7 @@ fn exp_e7_good_orderings() {
             let order: Vec<NodeId> = (0..n)
                 .map(|i| NodeId::from_index((i + rot * 3) % n))
                 .collect();
-            if let Some(t) = algorithm2_with_order(g, &w.terminals, &order) {
+            if let Some(t) = algorithm2_along(g, &w.terminals, &order) {
                 costs.insert(t.node_cost());
             }
         }
@@ -493,9 +514,9 @@ fn exp_e7_good_orderings() {
     for (first, terms) in &f.cases {
         let mut order: Vec<NodeId> = vec![*first];
         order.extend(g.nodes().filter(|v| v != first));
-        let got = eliminate_with_ordering(g, &order, terms)
+        let got = algorithm2_along(g, terms, &order)
             .expect("feasible")
-            .len();
+            .node_cost();
         let min = minimum_cover_bruteforce(g, terms).expect("feasible").len();
         let labels: Vec<&str> = terms.iter().map(|v| g.label(v)).collect();
         println!(
@@ -526,8 +547,10 @@ fn exp_e8_offclass() {
             seed += 1;
             continue;
         };
-        let greedy = algorithm2(w.graph(), &w.terminals).expect("feasible");
-        let kmb = steiner_kmb(w.graph(), &w.terminals).expect("feasible");
+        let order: Vec<NodeId> = w.graph().nodes().collect();
+        let greedy = algorithm2_along(w.graph(), &w.terminals, &order).expect("feasible");
+        let token = CancelToken::unbounded();
+        let kmb = steiner_kmb(w.graph(), &w.terminals, &token).expect("feasible");
         let exact = steiner_exact(&SteinerInstance::new(
             w.graph().clone(),
             w.terminals.clone(),

@@ -212,10 +212,7 @@ impl QueryEngine {
     }
 }
 
-/// Maps the solver taxonomy onto query errors. `NotAlphaAcyclic` is an
-/// internal contradiction here: the engine only asks for the
-/// Algorithm 1 route after the classification said the schema is
-/// α-acyclic.
+/// Maps the solver taxonomy onto query errors.
 fn solve_error(e: SolveError) -> QueryError {
     match e {
         SolveError::Disconnected => QueryError::Disconnected,
@@ -223,7 +220,6 @@ fn solve_error(e: SolveError) -> QueryError {
         SolveError::Internal { stage, detail } => {
             QueryError::Internal(format!("{stage}: {detail}"))
         }
-        other @ SolveError::NotAlphaAcyclic => QueryError::Internal(other.to_string()),
     }
 }
 

@@ -9,7 +9,7 @@
 //! recognizer in tests.
 
 use crate::rng;
-use mcc_graph::{BipartiteGraph, Graph, GraphBuilder, NodeId, Side};
+use mcc_graph::{BipartiteGraph, GraphBuilder, NodeId, Side};
 use rand::Rng;
 
 /// Shape parameters for [`random_six_two_block_tree`].
@@ -92,12 +92,6 @@ pub fn random_six_two_block_tree(shape: BlockTreeShape, seed: u64) -> BipartiteG
         }
     }
     BipartiteGraph::new(b.build(), side).expect("blocks respect sides")
-}
-
-/// The underlying plain graph (handy for Algorithm 2, which is
-/// side-agnostic).
-pub fn block_tree_graph(shape: BlockTreeShape, seed: u64) -> Graph {
-    random_six_two_block_tree(shape, seed).graph().clone()
 }
 
 #[cfg(test)]

@@ -35,11 +35,6 @@ pub fn is_cover(g: &Graph, alive: &NodeSet, terminals: &NodeSet) -> bool {
     terminals.is_subset_of(alive) && is_connected_within(g, alive)
 }
 
-/// Allocation-free [`is_cover`].
-pub fn is_cover_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet, terminals: &NodeSet) -> bool {
-    terminals.is_subset_of(alive) && is_connected_within_in(ws, g, alive)
-}
-
 /// `true` iff every terminal is alive and all terminals lie in **one**
 /// connected component of the subgraph induced by `alive`.
 ///

@@ -433,16 +433,8 @@ impl Graph {
 
     /// The set `Adj*(v)` used by the paper's Algorithm 1: nodes adjacent to
     /// `v` **and to no other alive node** (private neighbors of `v` within
-    /// the subgraph induced by `alive`).
-    pub fn private_neighbors(&self, v: NodeId, alive: &crate::NodeSet) -> crate::NodeSet {
-        let mut buf = Vec::new();
-        self.private_neighbors_into(v, alive, &mut buf);
-        crate::NodeSet::from_nodes(self.node_count(), buf)
-    }
-
-    /// Allocation-free variant of [`Graph::private_neighbors`]: clears
-    /// `out` and fills it with the private neighbors of `v`, in increasing
-    /// order.
+    /// the subgraph induced by `alive`). Clears `out` and fills it with
+    /// them, in increasing order, without allocating once `out` has room.
     pub fn private_neighbors_into(&self, v: NodeId, alive: &crate::NodeSet, out: &mut Vec<NodeId>) {
         out.clear();
         for &u in self.neighbors(v) {
@@ -734,17 +726,16 @@ mod tests {
         b.add_edge(l2, x).unwrap();
         let g = b.build();
 
+        let mut p = Vec::new();
         let alive = NodeSet::full(4);
-        let p = g.private_neighbors(c, &alive);
-        assert!(p.contains(l1));
-        assert!(!p.contains(l2)); // l2 also sees x
+        g.private_neighbors_into(c, &alive, &mut p);
+        assert_eq!(p, [l1]); // l2 also sees x
 
         // With x dead, l2 becomes private to c.
         let mut alive2 = NodeSet::full(4);
         alive2.remove(x);
-        let p2 = g.private_neighbors(c, &alive2);
-        assert!(p2.contains(l1));
-        assert!(p2.contains(l2));
+        g.private_neighbors_into(c, &alive2, &mut p);
+        assert_eq!(p, [l1, l2]);
     }
 
     #[test]

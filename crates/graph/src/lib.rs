@@ -49,7 +49,7 @@ pub use budget::{BudgetExceeded, BudgetKind, CancelToken, SolveBudget, Stage};
 pub use builder::GraphBuilder;
 pub use connectivity::{
     component_of, component_of_in, connected_components, connected_components_in, is_connected,
-    is_connected_within, is_connected_within_in, is_cover, is_cover_in, terminals_connected,
+    is_connected_within, is_connected_within_in, is_cover, terminals_connected,
     terminals_connected_in,
 };
 pub use cycles::{chords_of_cycle, enumerate_cycles, Cycle, CycleLimits};

@@ -107,27 +107,9 @@ impl BitRow {
         }
     }
 
-    /// `self &= !other` (same universe).
-    pub fn andnot_with(&mut self, other: &BitRow) {
-        debug_assert_eq!(self.capacity, other.capacity, "row universes differ");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
     /// Number of set bits (computed on demand).
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `|self ∩ other|` without materializing the intersection.
-    pub fn and_count(&self, other: &BitRow) -> usize {
-        debug_assert_eq!(self.capacity, other.capacity, "row universes differ");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
     }
 
     /// The smallest bit of `self & !other` (same universe), without
@@ -553,11 +535,10 @@ mod tests {
         r0.load_neighbors(&g, NodeId(0));
         r1.load_neighbors(&g, NodeId(1));
         assert_eq!(r0.count(), 4);
-        assert_eq!(r0.and_count(&r1), 1); // N(0) ∩ N(1) = {2}
-        r0.and_with(&r1);
+        r0.and_with(&r1); // N(0) ∩ N(1) = {2}
+        assert_eq!(r0.count(), 1);
         assert_eq!(r0.first(), Some(NodeId(2)));
-        r0.andnot_with(&r1);
-        assert_eq!(r0.count(), 0);
+        assert_eq!(r0.first_andnot(&r1), None);
         let cap = r1.words.capacity();
         ws.return_bit_row(r0);
         ws.return_bit_row(r1);

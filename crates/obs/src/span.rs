@@ -18,13 +18,6 @@ pub struct Span {
     live: bool,
 }
 
-impl Span {
-    /// Discards the span without recording (for abandoned stages).
-    pub fn cancel(mut self) {
-        self.live = false;
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if self.live {
@@ -68,14 +61,6 @@ mod tests {
         }
         let t = trace::snapshot();
         assert_eq!(t.count(SpanKind::Lemma1Order), 1);
-    }
-
-    #[test]
-    fn cancelled_span_records_nothing() {
-        let _g = trace::begin();
-        let s = crate::span!(Algorithm2);
-        s.cancel();
-        assert!(trace::snapshot().is_empty());
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! Step 2. return a spanning tree of G
 //! ```
 //!
+//! [`algorithm2()`] takes the scan order, a workspace and a
+//! [`CancelToken`], and returns a [`SolveOutcome`]: disconnection and
+//! budget trips are errors, never panics.
+//!
 //! Step 1 produces a *nonredundant* cover; Lemma 5 shows that on
 //! (6,2)-chordal graphs **every** nonredundant cover is minimum, so any
 //! scan order works (Corollary 5: all orderings are good). Off-class the
@@ -67,75 +71,48 @@
 //! bound above. `tests/elimination_differential.rs` keeps the
 //! whole-graph sweep as an oracle and checks node-identical results.
 
+use crate::outcome::check_terminal_universe;
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{
     component_of_in, remove_if_redundant_in, terminal_blocks_in, BudgetExceeded, CancelToken,
     Graph, NodeId, NodeSet, Stage, Workspace,
 };
 
-/// Runs Algorithm 2 with the default elimination order (increasing node
-/// id). Returns `None` when the terminals are not connected.
+/// Runs Algorithm 2 on `g`, eliminating candidates in `order` (nodes
+/// missing from `order` are never eliminated). On a (6,2)-chordal graph
+/// every order yields a minimum tree (Theorem 5, Corollary 5), so the
+/// solver passes the schema's cached MCS order; the good-ordering
+/// experiments (Definition 11, Theorem 6) pass their own.
+///
+/// Errors: [`SolveError::Disconnected`] when the terminals do not lie in
+/// one component, a budget trip of `token`, and
+/// [`SolveError::Internal`] when `terminals` is a set over another
+/// universe than `g`'s nodes (refused before any work).
+///
+/// The elimination loop mutates one alive mask in place (remove →
+/// connectivity test → re-insert on failure) and every connectivity
+/// test runs through the workspace, so after warm-up Step 1 performs
+/// **no heap allocation at all** — the `alloc_regression` integration
+/// test pins this down. Only the returned [`SteinerTree`] is allocated.
+/// A tick per candidate is a [`std::cell::Cell`] decrement, and the
+/// clock is consulted only every [`mcc_graph::budget::TICK_PERIOD`] work
+/// units.
 ///
 /// ```
-/// use mcc_graph::{builder::graph_from_edges, NodeId, NodeSet};
+/// use mcc_graph::{builder::graph_from_edges, CancelToken, NodeId, NodeSet, Workspace};
 /// use mcc_steiner::algorithm2;
 ///
 /// // A square (C4, trivially (6,2)-chordal): connect two opposite
 /// // corners; the optimum uses one of the two midpoints.
 /// let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
 /// let terminals = NodeSet::from_nodes(4, [NodeId(0), NodeId(2)]);
-/// let tree = algorithm2(&g, &terminals).expect("connected");
+/// let order: Vec<NodeId> = g.nodes().collect();
+/// let token = CancelToken::unbounded();
+/// let tree = algorithm2(&mut Workspace::new(), &g, &terminals, &order, &token)
+///     .expect("connected");
 /// assert_eq!(tree.node_cost(), 3); // minimum, per Theorem 5
 /// ```
-pub fn algorithm2(g: &Graph, terminals: &NodeSet) -> Option<SteinerTree> {
-    let order: Vec<NodeId> = g.nodes().collect();
-    algorithm2_with_order(g, terminals, &order)
-}
-
-/// Runs Algorithm 2 eliminating candidates in the given order (nodes
-/// missing from `order` are never eliminated). This is the entry point
-/// for the good-ordering experiments (Definition 11 / Theorem 6).
-///
-/// Thin wrapper over [`algorithm2_with_order_in`] with a transient
-/// workspace.
-pub fn algorithm2_with_order(
-    g: &Graph,
-    terminals: &NodeSet,
-    order: &[NodeId],
-) -> Option<SteinerTree> {
-    algorithm2_with_order_in(&mut Workspace::new(), g, terminals, order)
-}
-
-/// [`algorithm2_with_order`] through a workspace. The elimination loop
-/// mutates one alive mask in place (remove → connectivity test → re-insert
-/// on failure) and every connectivity test runs through the workspace, so
-/// after warm-up Step 1 performs **no heap allocation at all** — the
-/// `alloc_regression` integration test pins this down. Only the returned
-/// [`SteinerTree`] is allocated.
-pub fn algorithm2_with_order_in(
-    ws: &mut Workspace,
-    g: &Graph,
-    terminals: &NodeSet,
-    order: &[NodeId],
-) -> Option<SteinerTree> {
-    match algorithm2_budgeted_in(ws, g, terminals, order, &CancelToken::unbounded()) {
-        Ok(tree) => Some(tree),
-        Err(SolveError::Disconnected) => None,
-        #[expect(
-            clippy::panic,
-            reason = "unbudgeted wrapper: residual errors are internal bugs; `algorithm2_budgeted_in` is the production path"
-        )]
-        Err(e) => panic!("unbudgeted Algorithm 2 failed: {e}"),
-    }
-}
-
-/// [`algorithm2_with_order_in`] under a [`CancelToken`]: a token tick per
-/// elimination candidate, and the unified [`SolveError`] taxonomy
-/// (disconnection is an error, not `None`). The Step 1 loop keeps its
-/// zero-steady-state-allocation property — a tick is a
-/// [`std::cell::Cell`] decrement, and the clock is consulted only every
-/// [`mcc_graph::budget::TICK_PERIOD`] work units.
-pub fn algorithm2_budgeted_in(
+pub fn algorithm2(
     ws: &mut Workspace,
     g: &Graph,
     terminals: &NodeSet,
@@ -144,7 +121,7 @@ pub fn algorithm2_budgeted_in(
 ) -> SolveOutcome<SteinerTree> {
     let _span = mcc_obs::span!(Algorithm2);
     let n = g.node_count();
-    assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
+    check_terminal_universe(terminals, n, Stage::Algorithm2)?;
     token.checkpoint(Stage::Algorithm2)?;
     // The block pass replaces a search for the terminals' component:
     // nodes outside it are free, and the final trim drops any that the
@@ -304,12 +281,23 @@ mod tests {
         NodeSet::from_nodes(n, ts.iter().map(|&t| NodeId(t)))
     }
 
+    /// Algorithm 2 along `order` with a fresh workspace and no deadline.
+    fn along(g: &Graph, p: &NodeSet, order: &[NodeId]) -> SolveOutcome<SteinerTree> {
+        let token = CancelToken::unbounded();
+        algorithm2(&mut Workspace::new(), g, p, order, &token)
+    }
+
+    /// Algorithm 2 in increasing id order.
+    fn by_id(g: &Graph, p: &NodeSet) -> SolveOutcome<SteinerTree> {
+        along(g, p, &g.nodes().collect::<Vec<_>>())
+    }
+
     #[test]
     fn produces_nonredundant_cover() {
         // C4 plus pendant: a (6,2)-chordal bipartite graph.
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]);
         let p = terminals(5, &[1, 3]);
-        let t = algorithm2(&g, &p).unwrap();
+        let t = by_id(&g, &p).unwrap();
         assert!(t.is_valid_tree(&g));
         assert!(p.is_subset_of(&t.nodes));
         assert!(is_nonredundant_cover(&g, &t.nodes, &p));
@@ -324,9 +312,9 @@ mod tests {
         // versa; both are minimum here.
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let p = terminals(4, &[1, 3]);
-        let via2 = algorithm2_with_order(&g, &p, &[NodeId(0), NodeId(2)]).unwrap();
+        let via2 = along(&g, &p, &[NodeId(0), NodeId(2)]).unwrap();
         assert!(via2.nodes.contains(NodeId(2)) && !via2.nodes.contains(NodeId(0)));
-        let via0 = algorithm2_with_order(&g, &p, &[NodeId(2), NodeId(0)]).unwrap();
+        let via0 = along(&g, &p, &[NodeId(2), NodeId(0)]).unwrap();
         assert!(via0.nodes.contains(NodeId(0)) && !via0.nodes.contains(NodeId(2)));
     }
 
@@ -335,7 +323,7 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let p = terminals(3, &[0]);
         // Only node 1 may be eliminated; 2 stays even though removable.
-        let t = algorithm2_with_order(&g, &p, &[NodeId(1)]).unwrap();
+        let t = along(&g, &p, &[NodeId(1)]).unwrap();
         assert!(t.nodes.contains(NodeId(2)));
         assert_eq!(t.node_cost(), 2);
     }
@@ -343,13 +331,16 @@ mod tests {
     #[test]
     fn disconnected_terminals_rejected() {
         let g = graph_from_edges(4, &[(0, 1), (2, 3)]);
-        assert!(algorithm2(&g, &terminals(4, &[0, 2])).is_none());
+        assert_eq!(
+            by_id(&g, &terminals(4, &[0, 2])),
+            Err(SolveError::Disconnected)
+        );
     }
 
     #[test]
     fn other_components_are_dropped() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
-        let t = algorithm2(&g, &terminals(5, &[0, 2])).unwrap();
+        let t = by_id(&g, &terminals(5, &[0, 2])).unwrap();
         assert_eq!(t.node_cost(), 3);
         assert!(!t.nodes.contains(NodeId(3)));
     }
@@ -360,19 +351,18 @@ mod tests {
         let token = SolveBudget::default().start();
         let mut ws = Workspace::new();
         let order: Vec<NodeId> = g.nodes().collect();
-        let e = algorithm2_budgeted_in(&mut ws, &g, &terminals(4, &[0, 2]), &order, &token)
-            .unwrap_err();
+        let e = algorithm2(&mut ws, &g, &terminals(4, &[0, 2]), &order, &token).unwrap_err();
         assert_eq!(e, SolveError::Disconnected);
 
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]);
         let token = SolveBudget::with_deadline(std::time::Duration::ZERO).start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let order: Vec<NodeId> = g.nodes().collect();
-        let e = algorithm2_budgeted_in(&mut ws, &g, &terminals(5, &[1, 3]), &order, &token)
-            .unwrap_err();
+        let e = algorithm2(&mut ws, &g, &terminals(5, &[1, 3]), &order, &token).unwrap_err();
         assert!(e.budget().is_some());
-        // The workspace survives a trip: the legacy path still solves.
-        let t = algorithm2_with_order_in(&mut ws, &g, &terminals(5, &[1, 3]), &order).unwrap();
+        // The workspace survives a trip: an unbounded token still solves.
+        let unbounded = CancelToken::unbounded();
+        let t = algorithm2(&mut ws, &g, &terminals(5, &[1, 3]), &order, &unbounded).unwrap();
         assert_eq!(t.node_cost(), 3);
     }
 
@@ -402,9 +392,9 @@ mod tests {
     #[test]
     fn empty_and_singleton_terminals() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
-        let t = algorithm2(&g, &terminals(3, &[])).unwrap();
+        let t = by_id(&g, &terminals(3, &[])).unwrap();
         assert_eq!(t.node_cost(), 0);
-        let t = algorithm2(&g, &terminals(3, &[1])).unwrap();
+        let t = by_id(&g, &terminals(3, &[1])).unwrap();
         assert_eq!(t.node_cost(), 1);
     }
 }

@@ -48,6 +48,7 @@
 //! a reconstruction inconsistency comes back as [`SolveError::Internal`]
 //! instead of aborting the process.
 
+use crate::outcome::check_terminal_universe;
 use crate::{SolveError, SolveOutcome, SteinerInstance, SteinerTree};
 use mcc_graph::{CancelToken, Graph, NodeId, NodeSet, SolveBudget, Stage};
 
@@ -125,7 +126,8 @@ pub fn steiner_exact_node_weighted(
 
 /// [`steiner_exact_node_weighted`] under a [`SolveBudget`].
 ///
-/// The weights are checked first: a slice whose length is not `g`'s node
+/// The inputs are checked first: a terminal set over another universe
+/// than `g`'s nodes, a weight slice whose length is not `g`'s node
 /// count, or a weight other than 0 or 1, is refused as
 /// [`SolveError::Internal`] at [`Stage::ExactDp`].
 ///
@@ -147,6 +149,7 @@ pub fn steiner_exact_node_weighted_budgeted(
 ) -> SolveOutcome<ExactSolution> {
     let _span = mcc_obs::span!(ExactDp);
     let n = g.node_count();
+    check_terminal_universe(terminals, n, Stage::ExactDp)?;
     let refuse = |detail: String| SolveError::Internal {
         stage: Stage::ExactDp,
         detail,

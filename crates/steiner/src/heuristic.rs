@@ -3,7 +3,9 @@
 //! the last rung of the solver's degradation ladder (cheap enough to run
 //! inside whatever deadline remains after an exact attempt trips).
 //!
-//! Everything runs on the schema graph itself; no subgraph is copied.
+//! [`steiner_kmb`] takes the ladder's [`CancelToken`] and returns a
+//! [`SolveOutcome`]. Everything runs on the schema graph itself; no
+//! subgraph is copied.
 //!
 //! 1. **Closure rows.** The metric closure of the `k` terminals is one
 //!    BFS per terminal, into two flat `k·n` `u32` buffers: distances and
@@ -53,36 +55,25 @@
 //! (EXPERIMENTS §E23).
 
 use crate::algorithm2::prune_and_span_in;
+use crate::outcome::check_terminal_universe;
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{CancelToken, Graph, NodeId, NodeSet, Stage, Workspace, INFINITE_DISTANCE};
 
-/// Runs the KMB-style heuristic. Returns `None` when the terminals are
-/// not connected.
-pub fn steiner_kmb(g: &Graph, terminals: &NodeSet) -> Option<SteinerTree> {
-    match steiner_kmb_budgeted(g, terminals, &CancelToken::unbounded()) {
-        Ok(tree) => Some(tree),
-        Err(SolveError::Disconnected) => None,
-        #[expect(
-            clippy::panic,
-            reason = "unbudgeted wrapper: residual errors are internal bugs; the budgeted twin is the production path"
-        )]
-        Err(e) => panic!("unbudgeted KMB heuristic failed: {e}"),
-    }
-}
-
-/// [`steiner_kmb`] under a [`CancelToken`]: a tick per BFS row / Prim
-/// round / pruning candidate, and disconnection as
-/// [`SolveError::Disconnected`]. This is the fallback rung of the
-/// degradation ladder, so it shares the ladder's one token — a deadline
-/// spans the exact attempt *and* this fallback.
-pub fn steiner_kmb_budgeted(
+/// Runs the KMB-style heuristic under a [`CancelToken`]: a tick per
+/// BFS row / Prim round / pruning candidate. Disconnection is
+/// [`SolveError::Disconnected`], and a terminal set over another
+/// universe than `g`'s nodes is refused as [`SolveError::Internal`]
+/// before any work. This is the fallback rung of the degradation
+/// ladder, so it shares the ladder's one token — a deadline spans the
+/// exact attempt *and* this fallback.
+pub fn steiner_kmb(
     g: &Graph,
     terminals: &NodeSet,
     token: &CancelToken,
 ) -> SolveOutcome<SteinerTree> {
     let _span = mcc_obs::span!(Kmb);
     let n = g.node_count();
-    assert_eq!(terminals.capacity(), n, "terminal universe mismatch");
+    check_terminal_universe(terminals, n, Stage::Heuristic)?;
     token.checkpoint(Stage::Heuristic)?;
     let ts: Vec<NodeId> = terminals.to_vec();
     let k = ts.len();
@@ -216,10 +207,14 @@ mod tests {
         NodeSet::from_nodes(n, ts.iter().map(|&t| NodeId(t)))
     }
 
+    fn kmb(g: &Graph, p: &NodeSet) -> SolveOutcome<SteinerTree> {
+        steiner_kmb(g, p, &CancelToken::unbounded())
+    }
+
     #[test]
     fn two_terminals_gives_shortest_path() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let t = steiner_kmb(&g, &terminals(5, &[0, 2])).unwrap();
+        let t = kmb(&g, &terminals(5, &[0, 2])).unwrap();
         assert_eq!(t.node_cost(), 3);
         assert!(t.is_valid_tree(&g));
     }
@@ -227,7 +222,7 @@ mod tests {
     #[test]
     fn star_three_leaves() {
         let g = graph_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let t = steiner_kmb(&g, &terminals(5, &[1, 2, 3])).unwrap();
+        let t = kmb(&g, &terminals(5, &[1, 2, 3])).unwrap();
         assert_eq!(t.node_cost(), 4);
     }
 
@@ -252,7 +247,7 @@ mod tests {
         );
         for ts in [vec![0, 8], vec![0, 2, 6], vec![0, 2, 6, 8]] {
             let p = terminals(9, &ts);
-            let h = steiner_kmb(&g, &p).unwrap();
+            let h = kmb(&g, &p).unwrap();
             let e = steiner_exact(&SteinerInstance::new(g.clone(), p.clone())).unwrap();
             assert!(h.node_cost() as u64 <= 2 * e.cost, "ts={ts:?}");
             assert!(h.node_cost() as u64 >= e.cost);
@@ -263,14 +258,17 @@ mod tests {
     #[test]
     fn disconnected_terminals_none() {
         let g = graph_from_edges(4, &[(0, 1), (2, 3)]);
-        assert!(steiner_kmb(&g, &terminals(4, &[0, 3])).is_none());
+        assert_eq!(
+            kmb(&g, &terminals(4, &[0, 3])),
+            Err(SolveError::Disconnected)
+        );
     }
 
     #[test]
     fn budgeted_solves_within_a_generous_deadline() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
         let token = SolveBudget::with_deadline(Duration::from_secs(30)).start();
-        let t = steiner_kmb_budgeted(&g, &terminals(5, &[0, 2]), &token).unwrap();
+        let t = steiner_kmb(&g, &terminals(5, &[0, 2]), &token).unwrap();
         assert_eq!(t.node_cost(), 3);
     }
 
@@ -279,14 +277,14 @@ mod tests {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
         let token = SolveBudget::with_deadline(Duration::ZERO).start();
         std::thread::sleep(Duration::from_millis(2));
-        let e = steiner_kmb_budgeted(&g, &terminals(5, &[0, 2]), &token).unwrap_err();
+        let e = steiner_kmb(&g, &terminals(5, &[0, 2]), &token).unwrap_err();
         assert_eq!(e.budget().unwrap().kind, BudgetKind::WallClockMs);
     }
 
     #[test]
     fn empty_terminals() {
         let g = graph_from_edges(2, &[(0, 1)]);
-        let t = steiner_kmb(&g, &terminals(2, &[])).unwrap();
+        let t = kmb(&g, &terminals(2, &[])).unwrap();
         assert_eq!(t.node_cost(), 0);
     }
 }

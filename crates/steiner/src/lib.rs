@@ -27,8 +27,7 @@
 //! * [`heuristic`] — a KMB-style shortest-path/MST 2-approximation used
 //!   as the off-class baseline;
 //! * [`outcome`] — the unified [`SolveError`]/[`SolveOutcome`] taxonomy
-//!   and the [`Degraded`] downgrade record shared by every budgeted
-//!   (`*_budgeted`) entry point;
+//!   that every route returns, and the [`Degraded`] downgrade record;
 //! * [`ordering`] — good orderings (Definition 11), the machinery behind
 //!   Corollary 5 and the Theorem 6 counterexample;
 //! * [`artifacts`] — the per-schema bundle (classification, elimination
@@ -36,6 +35,15 @@
 //! * [`solver`] — the one routing ladder: [`Solver`] picks the strongest
 //!   algorithm the schema's class licenses, under a budget, with the
 //!   Exact → KMB degradation ladder and a panic boundary.
+//!
+//! Algorithm 1, Algorithm 2 and KMB each have one public function, the
+//! form [`Solver`] calls: [`algorithm1`](fn@algorithm1),
+//! [`algorithm2`](fn@algorithm2) and [`steiner_kmb`]. Each takes a
+//! [`CancelToken`](mcc_graph::CancelToken) and returns a
+//! [`SolveOutcome`], so disconnection, a budget trip and a terminal set
+//! over the wrong universe are typed errors, never panics. Algorithm 1
+//! takes its Lemma 1 ordering ([`lemma1_ordering`]) as an argument: the
+//! ordering exists exactly when its precondition holds.
 
 #![forbid(unsafe_code)]
 
@@ -53,13 +61,10 @@ pub mod outcome;
 pub mod solver;
 
 pub use algorithm1::{
-    algorithm1, algorithm1_budgeted_in, check_lemma1_order, lemma1_ordering,
-    verify_lemma1_ordering, Algorithm1Error, Lemma1Ordering, CHECK_LEMMA1_MAX_NODES,
+    algorithm1, check_lemma1_order, lemma1_ordering, verify_lemma1_ordering, Lemma1Ordering,
+    CHECK_LEMMA1_MAX_NODES,
 };
-pub use algorithm2::{
-    algorithm2, algorithm2_budgeted_in, algorithm2_with_order, algorithm2_with_order_in,
-    eliminate_nonredundant_in,
-};
+pub use algorithm2::{algorithm2, eliminate_nonredundant_in};
 pub use artifacts::{ArtifactsError, SchemaArtifacts};
 pub use certify::{
     check_steiner_solution, is_steiner_tree_for, tree_side_cost, CHECK_STEINER_MAX_NODES,
@@ -72,8 +77,8 @@ pub use exact::{
     steiner_exact, steiner_exact_node_weighted, steiner_exact_node_weighted_budgeted, ExactSolution,
 };
 pub use exact_ids::steiner_exact_ids;
-pub use heuristic::{steiner_kmb, steiner_kmb_budgeted};
+pub use heuristic::steiner_kmb;
 pub use instance::{SteinerInstance, SteinerTree};
-pub use ordering::{eliminate_with_ordering, is_good_ordering_for, ordering_landscape};
+pub use ordering::{is_good_ordering_for, ordering_landscape};
 pub use outcome::{Degraded, SolveError, SolveOutcome};
 pub use solver::{Solution, SolveStats, Solver, SolverConfig, SteinerStrategy};

@@ -7,19 +7,21 @@
 //! cover of `P̄`. Corollary 5: on (6,2)-chordal graphs every ordering is
 //! good. Theorem 6: there is a (6,1)-chordal graph (the paper's Fig. 11)
 //! on which **no** ordering is good.
+//!
+//! The greedy elimination is [`algorithm2()`] itself, run with the
+//! ordering as its scan order; the checks here compare what it keeps
+//! with the brute-force minimum cover.
 
-use crate::{algorithm2_with_order, cover::minimum_cover_bruteforce};
-use mcc_graph::{Graph, NodeId, NodeSet};
+use crate::{algorithm2, cover::minimum_cover_bruteforce};
+use mcc_graph::{CancelToken, Graph, NodeId, NodeSet, Workspace};
 
 /// Greedy elimination along `order` for terminal set `terminals`:
-/// exactly Step 1 of Algorithm 2 with an explicit scan order, returning
-/// the surviving cover (`None` if the terminals are disconnected).
-pub fn eliminate_with_ordering(
-    g: &Graph,
-    order: &[NodeId],
-    terminals: &NodeSet,
-) -> Option<NodeSet> {
-    algorithm2_with_order(g, terminals, order).map(|t| t.nodes)
+/// [`algorithm2()`] with an explicit scan order, returning the surviving
+/// cover (`None` if the terminals are disconnected).
+fn greedy_cover(g: &Graph, order: &[NodeId], terminals: &NodeSet) -> Option<NodeSet> {
+    let token = CancelToken::unbounded();
+    let tree = algorithm2(&mut Workspace::new(), g, terminals, order, &token).ok()?;
+    Some(tree.nodes)
 }
 
 /// `true` iff `order` is good **for the given terminal set**: the greedy
@@ -28,7 +30,7 @@ pub fn eliminate_with_ordering(
 /// [`is_good_ordering_exhaustive`].)
 pub fn is_good_ordering_for(g: &Graph, order: &[NodeId], terminals: &NodeSet) -> bool {
     match (
-        eliminate_with_ordering(g, order, terminals),
+        greedy_cover(g, order, terminals),
         minimum_cover_bruteforce(g, terminals),
     ) {
         (Some(got), Some(min)) => got.len() == min.len(),
@@ -58,7 +60,7 @@ pub fn find_bad_terminal_set(g: &Graph, order: &[NodeId]) -> Option<NodeSet> {
                 .map(NodeId::from_index),
         );
         // Only feasible sets constrain the ordering.
-        let Some(got) = eliminate_with_ordering(g, order, &terminals) else {
+        let Some(got) = greedy_cover(g, order, &terminals) else {
             continue;
         };
         #[expect(

@@ -1,7 +1,7 @@
 //! The unified solver-facing error taxonomy.
 //!
-//! The solver-facing cases — "terminals disconnected", "ordering does
-//! not exist", "too large" — are one structured type, [`SolveError`],
+//! The solver-facing cases — "terminals disconnected", "too large", "a
+//! broken invariant" — are one structured type, [`SolveError`],
 //! shared by every layer, with context: which [`Stage`] failed, which
 //! budget tripped (via the embedded [`BudgetExceeded`]), and what an
 //! internal inconsistency actually was instead of an `unreachable!`
@@ -12,10 +12,10 @@
 //! solution, so callers can distinguish "optimal" from "best-effort
 //! under budget".
 
-use mcc_graph::{BudgetExceeded, Stage};
+use mcc_graph::{BudgetExceeded, NodeSet, Stage};
 use std::fmt;
 
-/// Result alias for the budgeted solver entry points.
+/// Result alias for the solver entry points.
 pub type SolveOutcome<T> = Result<T, SolveError>;
 
 /// Everything a budgeted solve can report instead of an answer.
@@ -24,11 +24,6 @@ pub enum SolveError {
     /// The terminals do not lie in one connected component: no tree over
     /// them exists in any route.
     Disconnected,
-    /// Algorithm 1's precondition failed: the graph is not Vᵢ-chordal and
-    /// Vᵢ-conformal on the minimized side (`H¹` for `V₂`, `H²` for `V₁`
-    /// is not α-acyclic), so no Lemma 1 ordering exists and the
-    /// optimality guarantee is void.
-    NotAlphaAcyclic,
     /// A resource budget tripped (deadline, DP size, terminal cap). The
     /// payload says which stage, which knob, and how much was consumed.
     Budget(BudgetExceeded),
@@ -47,10 +42,6 @@ impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolveError::Disconnected => write!(f, "terminals cannot be connected"),
-            SolveError::NotAlphaAcyclic => write!(
-                f,
-                "graph is not Vi-chordal/Vi-conformal on the minimized side (its hypergraph is not alpha-acyclic); no Lemma 1 ordering"
-            ),
             SolveError::Budget(b) => write!(f, "{b}"),
             SolveError::Internal { stage, detail } => {
                 write!(f, "internal solver error in {stage}: {detail}")
@@ -67,15 +58,6 @@ impl From<BudgetExceeded> for SolveError {
     }
 }
 
-impl From<crate::Algorithm1Error> for SolveError {
-    fn from(e: crate::Algorithm1Error) -> Self {
-        match e {
-            crate::Algorithm1Error::Infeasible => SolveError::Disconnected,
-            crate::Algorithm1Error::NotAlphaAcyclic => SolveError::NotAlphaAcyclic,
-        }
-    }
-}
-
 impl SolveError {
     /// The budget verdict, when this error is a budget trip.
     pub fn budget(&self) -> Option<&BudgetExceeded> {
@@ -84,13 +66,26 @@ impl SolveError {
             _ => None,
         }
     }
+}
 
-    /// `true` when stepping down the degradation ladder could still
-    /// produce a best-effort answer (budget trips), `false` when no route
-    /// can succeed (disconnection) or the solver itself is suspect.
-    pub fn is_degradable(&self) -> bool {
-        matches!(self, SolveError::Budget(_))
+/// Refuses, as [`SolveError::Internal`] at `stage`, a terminal set over
+/// another universe than the graph's `n` nodes. Every route runs it
+/// before any work, so a wrong set never indexes past the graph.
+pub(crate) fn check_terminal_universe(
+    terminals: &NodeSet,
+    n: usize,
+    stage: Stage,
+) -> SolveOutcome<()> {
+    if terminals.capacity() == n {
+        return Ok(());
     }
+    Err(SolveError::Internal {
+        stage,
+        detail: format!(
+            "terminal set over {} nodes for a graph of {n}",
+            terminals.capacity()
+        ),
+    })
 }
 
 /// A downgrade record on an otherwise successful solution: the route the
@@ -127,14 +122,24 @@ mod tests {
     #[test]
     fn conversions_and_accessors() {
         let e: SolveError = sample_budget().into();
-        assert!(e.is_degradable());
         assert_eq!(e.budget().unwrap().kind, BudgetKind::DpTableBytes);
-        let e: SolveError = crate::Algorithm1Error::Infeasible.into();
-        assert_eq!(e, SolveError::Disconnected);
-        assert!(!e.is_degradable());
-        assert!(e.budget().is_none());
-        let e: SolveError = crate::Algorithm1Error::NotAlphaAcyclic.into();
-        assert_eq!(e, SolveError::NotAlphaAcyclic);
+        assert!(SolveError::Disconnected.budget().is_none());
+    }
+
+    #[test]
+    fn terminal_universe_check_names_the_stage() {
+        let terminals = NodeSet::new(5);
+        assert_eq!(
+            check_terminal_universe(&terminals, 5, Stage::Heuristic),
+            Ok(())
+        );
+        match check_terminal_universe(&terminals, 4, Stage::Heuristic) {
+            Err(SolveError::Internal { stage, detail }) => {
+                assert_eq!(stage, Stage::Heuristic);
+                assert_eq!(detail, "terminal set over 5 nodes for a graph of 4");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 
 use crate::artifacts::SchemaArtifacts;
 use crate::{
-    algorithm1_budgeted_in, algorithm2_budgeted_in, steiner_exact_node_weighted_budgeted,
-    steiner_kmb_budgeted, tree_side_cost, SteinerTree,
+    algorithm1, algorithm2, steiner_exact_node_weighted_budgeted, steiner_kmb, tree_side_cost,
+    SteinerTree,
 };
 use mcc_chordality::BipartiteClassification;
 use mcc_graph::{
@@ -331,14 +331,19 @@ impl Solver {
     ) -> Result<Solution, SolveError> {
         let bg = self.graph();
         let g = bg.graph();
+        // The minimized cost of a tree: every node, or the side's nodes.
+        let cost_of = |tree: &SteinerTree| match side {
+            None => tree.node_cost(),
+            Some(side) => tree_side_cost(bg, tree, side),
+        };
         match side {
             None if self.classification().six_two => {
                 // The MCS scan order is a schema artifact: no per-solve
                 // ordering work, just the elimination loop.
                 let mut ws = self.ws.borrow_mut();
                 let order = self.artifacts.elimination_order();
-                let tree = algorithm2_budgeted_in(&mut ws, g, terminals, order, token)?;
-                let cost = tree.node_cost();
+                let tree = algorithm2(&mut ws, g, terminals, order, token)?;
+                let cost = cost_of(&tree);
                 return Ok(Solution::new(tree, SteinerStrategy::Algorithm2, cost, None));
             }
             Some(side) => {
@@ -346,20 +351,9 @@ impl Solver {
                     // The ordering is a schema artifact, borrowed: the
                     // per-solve cost is just the Step 2 elimination loop.
                     let mut ws = self.ws.borrow_mut();
-                    let out = algorithm1_budgeted_in(
-                        &mut ws,
-                        bg,
-                        terminals,
-                        side,
-                        Some(&l1.order),
-                        token,
-                    )?;
-                    return Ok(Solution::new(
-                        out.tree,
-                        SteinerStrategy::Algorithm1,
-                        out.side_cost,
-                        None,
-                    ));
+                    let tree = algorithm1(&mut ws, bg, terminals, side, &l1.order, token)?;
+                    let cost = cost_of(&tree);
+                    return Ok(Solution::new(tree, SteinerStrategy::Algorithm1, cost, None));
                 }
             }
             None => {}
@@ -389,11 +383,8 @@ impl Solver {
                 Err(e) => return Err(e),
             }
         };
-        let tree = steiner_kmb_budgeted(g, terminals, token)?;
-        let cost = match side {
-            None => tree.node_cost(),
-            Some(side) => tree_side_cost(bg, &tree, side),
-        };
+        let tree = steiner_kmb(g, terminals, token)?;
+        let cost = cost_of(&tree);
         Ok(Solution::new(
             tree,
             SteinerStrategy::Heuristic,
@@ -457,6 +448,7 @@ mod tests {
     use super::*;
     use mcc_gen::{random_six_two_block_tree, random_terminals};
     use mcc_graph::bipartite::bipartite_from_lists;
+    use mcc_graph::NodeId;
 
     #[test]
     fn six_two_graphs_use_algorithm2() {
@@ -737,6 +729,63 @@ mod tests {
         for trace in [sol.trace, degraded.trace] {
             assert_eq!(trace.count(SpanKind::Kmb), 1);
             assert_eq!(trace.count(SpanKind::Algorithm2), 1);
+        }
+    }
+
+    /// A terminal set over `n + 1` nodes is refused, before any work,
+    /// with a typed error naming the route's stage: no route panics or
+    /// answers. The next correct solve on that solver reports the same
+    /// tree and the same per-solve stats as a fresh solver's.
+    #[test]
+    fn wrong_terminal_universe_is_refused_on_every_route() {
+        let six_two = random_six_two_block_tree(Default::default(), 1);
+        let (_, alpha) = mcc_gen::random_alpha_acyclic(Default::default(), 4);
+        let c6 = bipartite_from_lists(
+            &["x1", "x2", "x3"],
+            &["y1", "y2", "y3"],
+            &[(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)],
+        );
+        let over_cap = SolverConfig {
+            max_exact_terminals: 0,
+            ..SolverConfig::default()
+        };
+        let default = SolverConfig::default();
+        let cases = [
+            (six_two, None, default, Stage::Algorithm2),
+            (alpha, Some(Side::V2), default, Stage::Algorithm1),
+            (c6.clone(), None, default, Stage::ExactDp),
+            (c6, None, over_cap, Stage::Heuristic),
+        ];
+        for (bg, side, config, stage) in cases {
+            let solve = |solver: &Solver, terminals: &NodeSet| match side {
+                None => solver.solve_steiner(terminals),
+                Some(side) => solver.solve_pseudo(terminals, side),
+            };
+            let g = bg.graph();
+            let n = g.node_count();
+            let reach = mcc_graph::component_of(g, &NodeSet::full(n), mcc_graph::NodeId(0));
+            let terminals = random_terminals(g, Some(&reach), 2, 9);
+            let wide = NodeSet::from_nodes(n + 1, terminals.iter().chain([NodeId::from_index(n)]));
+            let solver = Solver::with_config(bg.clone(), config);
+            match solve(&solver, &wide) {
+                Err(SolveError::Internal { stage: at, detail }) => {
+                    assert_eq!(at, stage);
+                    assert!(!detail.starts_with("solver panicked"), "{detail}");
+                }
+                other => panic!("{stage}: expected a typed refusal, got {other:?}"),
+            }
+            let after = solve(&solver, &terminals).unwrap();
+            let fresh = solve(&Solver::with_config(bg, config), &terminals).unwrap();
+            assert_eq!(after, fresh);
+            let counters = |s: SolveStats| {
+                (
+                    s.bfs_runs,
+                    s.elimination_steps,
+                    s.scratch_bytes,
+                    s.budget_checks,
+                )
+            };
+            assert_eq!(counters(after.stats), counters(fresh.stats), "{stage}");
         }
     }
 

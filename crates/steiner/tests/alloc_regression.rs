@@ -26,7 +26,7 @@
     reason = "a counting `GlobalAlloc` cannot be written without `unsafe impl`"
 )]
 
-use mcc_graph::{builder::graph_from_edges, NodeId, NodeSet, Workspace};
+use mcc_graph::{builder::graph_from_edges, CancelToken, NodeId, NodeSet, Workspace};
 use mcc_steiner::{algorithm2, eliminate_nonredundant_in};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -142,8 +142,9 @@ fn elimination_loop_allocates_nothing_after_warmup() {
     );
     assert_eq!(alive.len(), blocks + 1 + blocks);
 
-    // The full wrapper agrees with the loop-plus-trim decomposition.
-    let tree = algorithm2(&g, &terminals).expect("terminals connected");
+    // Algorithm 2 itself agrees with the loop-plus-trim decomposition.
+    let token = CancelToken::unbounded();
+    let tree = algorithm2(&mut ws, &g, &terminals, &order, &token).expect("terminals connected");
     assert_eq!(tree.node_cost(), alive.len());
 }
 
@@ -242,7 +243,7 @@ fn warm_classification_allocation_count_is_independent_of_n() {
     assert_eq!(small, 0, "warm classification must not allocate");
 }
 
-/// The tracing span in `algorithm2_budgeted_in` must not change the
+/// The tracing span in `algorithm2` must not change the
 /// function's allocation profile: recording is `Cell`/atomic arithmetic
 /// only. The budgeted route allocates for its *result tree* (that is
 /// inherent to returning an owned `SteinerTree`), so the assertion is
@@ -251,7 +252,6 @@ fn warm_classification_allocation_count_is_independent_of_n() {
 #[test]
 fn telemetry_spans_add_zero_allocations_on_the_budgeted_route() {
     use mcc_graph::SolveBudget;
-    use mcc_steiner::algorithm2_budgeted_in;
 
     let (g, terminals) = c4_chain(8);
     let order: Vec<NodeId> = g.nodes().collect();
@@ -261,8 +261,7 @@ fn telemetry_spans_add_zero_allocations_on_the_budgeted_route() {
     let measure = |ws: &mut Workspace| {
         let token = budget.start();
         let before = allocation_count();
-        let tree = algorithm2_budgeted_in(ws, &g, &terminals, &order, &token)
-            .expect("terminals connected");
+        let tree = algorithm2(ws, &g, &terminals, &order, &token).expect("terminals connected");
         let allocs = allocation_count() - before;
         (allocs, tree.node_cost())
     };
@@ -490,10 +489,7 @@ fn warm_solve_steiner_allocates_only_its_result() {
 /// tree and subtracted too, so the pin holds in both build profiles.
 #[test]
 fn kmb_allocation_count_is_independent_of_k_and_n() {
-    use mcc_graph::CancelToken;
-    use mcc_steiner::{
-        check_steiner_solution, steiner_kmb_budgeted, SteinerTree, CHECK_STEINER_MAX_NODES,
-    };
+    use mcc_steiner::{check_steiner_solution, steiner_kmb, SteinerTree, CHECK_STEINER_MAX_NODES};
 
     let measure = |blocks: usize, k: usize| -> u64 {
         let (g, _) = c4_chain(blocks);
@@ -504,7 +500,7 @@ fn kmb_allocation_count_is_independent_of_k_and_n() {
         assert_eq!(terminals.len(), k);
         let token = CancelToken::unbounded();
         let before = allocation_count();
-        let tree = steiner_kmb_budgeted(&g, &terminals, &token).expect("terminals connected");
+        let tree = steiner_kmb(&g, &terminals, &token).expect("terminals connected");
         let mut allocs = allocation_count() - before;
         // The a-path between the outermost terminals plus one midpoint
         // per block: the optimum, which the pruning reaches here.

@@ -41,9 +41,9 @@ use mcc_graph::{
     NodeSet, Side, Workspace,
 };
 use mcc_steiner::{
-    algorithm1, algorithm1_budgeted_in, algorithm2_with_order_in, eliminate_nonredundant_in,
-    lemma1_ordering, side_minimum_cover_bruteforce, Algorithm1Error, SolveError, Solver,
-    SteinerStrategy,
+    algorithm1, algorithm2, eliminate_nonredundant_in, lemma1_ordering,
+    side_minimum_cover_bruteforce, tree_side_cost, SolveError, SolveOutcome, Solver,
+    SteinerStrategy, SteinerTree,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -124,9 +124,44 @@ mod oracle {
     }
 }
 
+/// Algorithm 1 with its Step 1: the tree, its side cost, and the
+/// Lemma 1 ordering it ran along.
+#[derive(Debug)]
+struct Step1Run {
+    tree: SteinerTree,
+    side_cost: usize,
+    ordering: Vec<NodeId>,
+}
+
+fn algorithm1_with_step1(
+    bg: &BipartiteGraph,
+    terminals: &NodeSet,
+    side: Side,
+) -> SolveOutcome<Step1Run> {
+    let ordering = lemma1_ordering(bg, side).expect("alpha-acyclic side").order;
+    let token = CancelToken::unbounded();
+    let tree = algorithm1(
+        &mut Workspace::new(),
+        bg,
+        terminals,
+        side,
+        &ordering,
+        &token,
+    )?;
+    let side_cost = tree_side_cost(bg, &tree, side);
+    Ok(Step1Run {
+        tree,
+        side_cost,
+        ordering,
+    })
+}
+
 /// Runs Algorithm 2 both ways and asserts identical node sets.
 fn check_algorithm2(ws: &mut Workspace, g: &Graph, terminals: &NodeSet, order: &[NodeId]) {
-    let fast = algorithm2_with_order_in(ws, g, terminals, order).map(|t| t.nodes);
+    let token = CancelToken::unbounded();
+    let fast = algorithm2(ws, g, terminals, order, &token)
+        .ok()
+        .map(|t| t.nodes);
     let slow = oracle::algorithm2(g, terminals, order);
     assert_eq!(
         fast,
@@ -167,8 +202,10 @@ fn check_algorithm1(
     ordering: &[NodeId],
 ) {
     let token = CancelToken::unbounded();
-    let fast = algorithm1_budgeted_in(ws, bg, terminals, Side::V2, Some(ordering), &token)
-        .map(|out| (out.tree.nodes, out.side_cost));
+    let fast = algorithm1(ws, bg, terminals, Side::V2, ordering, &token).map(|tree| {
+        let side_cost = tree_side_cost(bg, &tree, Side::V2);
+        (tree.nodes, side_cost)
+    });
     let slow = oracle::algorithm1(bg, terminals, ordering);
     assert_eq!(
         fast,
@@ -435,8 +472,8 @@ fn check_v1_route(bg: &BipartiteGraph, terminal_sets: &[NodeSet]) -> usize {
     let v1 = bg.v1_set();
     let mut solved = 0;
     for terminals in terminal_sets {
-        let oracle = algorithm1(&swapped, terminals, Side::V2);
-        let direct = algorithm1(bg, terminals, Side::V1);
+        let oracle = algorithm1_with_step1(&swapped, terminals, Side::V2);
+        let direct = algorithm1_with_step1(bg, terminals, Side::V1);
         let routed = solver.solve_pseudo(terminals, Side::V1);
         match (&oracle, &direct) {
             (Ok(want), Ok(have)) => {
@@ -454,7 +491,7 @@ fn check_v1_route(bg: &BipartiteGraph, terminal_sets: &[NodeSet]) -> usize {
                 }
                 solved += 1;
             }
-            (Err(Algorithm1Error::Infeasible), Err(Algorithm1Error::Infeasible)) => {
+            (Err(SolveError::Disconnected), Err(SolveError::Disconnected)) => {
                 assert_eq!(routed.unwrap_err(), SolveError::Disconnected);
             }
             (want, have) => panic!("V1 route diverged: oracle {want:?}, direct {have:?}"),

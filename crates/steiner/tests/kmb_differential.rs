@@ -1,6 +1,6 @@
 //! Differential suite for the KMB heuristic.
 //!
-//! The production `steiner_kmb_budgeted` runs on the schema graph
+//! The production `steiner_kmb` runs on the schema graph
 //! itself: closure rows that stop once every terminal is found, paths
 //! read off the rows' BFS parents, and Algorithm 2's sweep run in place
 //! over the path union. The oracle (`support/kmb_oracle.rs`) is the
@@ -31,7 +31,7 @@ use mcc_gen::{
     random_alpha_acyclic, random_bipartite, random_six_two_block_tree, random_terminals, rng,
 };
 use mcc_graph::{CancelToken, Graph, NodeSet};
-use mcc_steiner::{algorithm2_budgeted_in, steiner_kmb_budgeted, SolveError, SteinerTree};
+use mcc_steiner::{algorithm2, steiner_kmb, SolveError, SteinerTree};
 use rand::Rng;
 
 #[path = "support/kmb_oracle.rs"]
@@ -50,7 +50,7 @@ fn check(g: &Graph, terminals: &NodeSet) -> bool {
         ("all dense", &dense),
         ("pure CSR", &sparse),
     ] {
-        let fast = steiner_kmb_budgeted(g, terminals, &CancelToken::unbounded());
+        let fast = steiner_kmb(g, terminals, &CancelToken::unbounded());
         let slow = kmb_oracle::steiner_kmb(g, terminals);
         assert!(
             matches!(slow, Ok(_) | Err(SolveError::Disconnected)),

@@ -10,12 +10,38 @@
 )]
 
 use mcc_chordality::{is_six_two_chordal, is_vi_chordal, is_vi_conformal};
-use mcc_graph::{builder::graph_from_edges, BipartiteGraph, NodeId, NodeSet, Side};
+use mcc_graph::{
+    builder::graph_from_edges, BipartiteGraph, CancelToken, Graph, NodeId, NodeSet, Side, Workspace,
+};
 use mcc_steiner::{
-    algorithm1, algorithm2, algorithm2_with_order, minimum_cover_bruteforce,
-    side_minimum_cover_bruteforce, steiner_exact, steiner_kmb, Algorithm1Error, SteinerInstance,
+    algorithm1, algorithm2, lemma1_ordering, minimum_cover_bruteforce,
+    side_minimum_cover_bruteforce, steiner_exact, steiner_kmb, tree_side_cost, SolveError,
+    SolveOutcome, SteinerInstance, SteinerTree,
 };
 use proptest::prelude::*;
+
+/// Algorithm 1 with its Step 1: `None` when the side's hypergraph is not
+/// α-acyclic (no Lemma 1 ordering exists), else the tree and its side
+/// cost.
+fn algorithm1_with_step1(
+    bg: &BipartiteGraph,
+    terminals: &NodeSet,
+    side: Side,
+) -> Option<SolveOutcome<(SteinerTree, usize)>> {
+    let order = lemma1_ordering(bg, side)?.order;
+    let token = CancelToken::unbounded();
+    let solved = algorithm1(&mut Workspace::new(), bg, terminals, side, &order, &token);
+    Some(solved.map(|tree| {
+        let cost = tree_side_cost(bg, &tree, side);
+        (tree, cost)
+    }))
+}
+
+/// Algorithm 2 along `order`; `None` when the terminals are disconnected.
+fn algorithm2_along(g: &Graph, terminals: &NodeSet, order: &[NodeId]) -> Option<SteinerTree> {
+    let token = CancelToken::unbounded();
+    algorithm2(&mut Workspace::new(), g, terminals, order, &token).ok()
+}
 
 /// Random bipartite graph (≤ 4+4 nodes) plus a random terminal subset.
 fn bipartite_with_terminals() -> impl Strategy<Value = (BipartiteGraph, NodeSet)> {
@@ -59,19 +85,20 @@ proptest! {
     /// a V₂-minimum tree over the terminals.
     #[test]
     fn algorithm1_is_v2_minimum_on_class((bg, terminals) in bipartite_with_terminals()) {
-        match algorithm1(&bg, &terminals, Side::V2) {
-            Ok(out) => {
-                prop_assert!(out.tree.is_valid_tree(bg.graph()));
-                prop_assert!(terminals.is_subset_of(&out.tree.nodes));
+        match algorithm1_with_step1(&bg, &terminals, Side::V2) {
+            Some(Ok((tree, side_cost))) => {
+                prop_assert!(tree.is_valid_tree(bg.graph()));
+                prop_assert!(terminals.is_subset_of(&tree.nodes));
                 let v2 = bg.v2_set();
                 let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &v2)
                     .expect("algorithm succeeded, so the instance is feasible");
-                prop_assert_eq!(out.side_cost, bf.intersection(&v2).len());
+                prop_assert_eq!(side_cost, bf.intersection(&v2).len());
             }
-            Err(Algorithm1Error::Infeasible) => {
+            Some(Err(e)) => {
+                prop_assert_eq!(e, SolveError::Disconnected);
                 prop_assert!(minimum_cover_bruteforce(bg.graph(), &terminals).is_none());
             }
-            Err(Algorithm1Error::NotAlphaAcyclic) => {
+            None => {
                 // Must genuinely be off-class.
                 let on_class = is_vi_chordal(&bg, Side::V2) && is_vi_conformal(&bg, Side::V2);
                 prop_assert!(!on_class);
@@ -83,11 +110,11 @@ proptest! {
     /// `H²`'s join tree) is V₁-minimum whenever it applies.
     #[test]
     fn pseudo_v1_is_v1_minimum_on_class((bg, terminals) in bipartite_with_terminals()) {
-        if let Ok(sol) = algorithm1(&bg, &terminals, Side::V1) {
+        if let Some(Ok((_, side_cost))) = algorithm1_with_step1(&bg, &terminals, Side::V1) {
             let v1 = bg.v1_set();
             let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &v1)
                 .expect("feasible");
-            prop_assert_eq!(sol.side_cost, bf.intersection(&v1).len());
+            prop_assert_eq!(side_cost, bf.intersection(&v1).len());
         }
     }
 
@@ -110,7 +137,7 @@ proptest! {
             .collect();
         let bf = minimum_cover_bruteforce(g, &terminals);
         for order in [forward, reverse, interleave] {
-            match (algorithm2_with_order(g, &terminals, &order), &bf) {
+            match (algorithm2_along(g, &terminals, &order), &bf) {
                 (Some(tree), Some(min)) => {
                     prop_assert!(tree.is_valid_tree(g));
                     prop_assert!(terminals.is_subset_of(&tree.nodes));
@@ -179,7 +206,8 @@ proptest! {
     fn kmb_is_sound_and_two_approx((bg, terminals) in bipartite_with_terminals()) {
         let g = bg.graph();
         let inst = SteinerInstance::new(g.clone(), terminals.clone());
-        match (steiner_kmb(g, &terminals), steiner_exact(&inst)) {
+        let kmb = steiner_kmb(g, &terminals, &CancelToken::unbounded()).ok();
+        match (kmb, steiner_exact(&inst)) {
             (Some(h), Some(e)) => {
                 prop_assert!(h.is_valid_tree(g));
                 prop_assert!(terminals.is_subset_of(&h.nodes));
@@ -200,7 +228,8 @@ proptest! {
     /// Algorithm 2 always returns a nonredundant cover, on- or off-class.
     #[test]
     fn algorithm2_always_nonredundant((bg, terminals) in bipartite_with_terminals()) {
-        if let Some(tree) = algorithm2(bg.graph(), &terminals) {
+        let order: Vec<NodeId> = bg.graph().nodes().collect();
+        if let Some(tree) = algorithm2_along(bg.graph(), &terminals, &order) {
             if !terminals.is_empty() {
                 prop_assert!(mcc_steiner::is_nonredundant_cover(
                     bg.graph(),

@@ -1,15 +1,15 @@
 //! The textbook KMB heuristic, kept as a test oracle for the production
-//! `steiner_kmb_budgeted`: a full BFS row per terminal, Prim over the
+//! `steiner_kmb`: a full BFS row per terminal, Prim over the
 //! metric closure, a second BFS per closure edge for its path, and
 //! Algorithm 2 on a copy of the subgraph the path union induces, lifted
 //! back to the parent graph. The production form must return the same
 //! trees and the same disconnection verdicts.
 //!
 //! Shared by `tests/kmb_differential.rs` and the solver's unit tests,
-//! which both import `algorithm2_budgeted_in`, `SolveError` and
+//! which both import `algorithm2`, `SolveError` and
 //! `SteinerTree` at their crate root.
 
-use crate::{algorithm2_budgeted_in, SolveError, SteinerTree};
+use crate::{algorithm2, SolveError, SteinerTree};
 use mcc_graph::{
     bfs_distances, induced_subgraph, shortest_path, CancelToken, Graph, NodeId, NodeSet, Workspace,
     INFINITE_DISTANCE,
@@ -63,7 +63,7 @@ pub fn steiner_kmb(g: &Graph, terminals: &NodeSet) -> Result<SteinerTree, SolveE
             .map(|&t| sub.child_of(t).expect("terminal in union")),
     );
     let local_order: Vec<NodeId> = sub.graph.nodes().collect();
-    let local = algorithm2_budgeted_in(
+    let local = algorithm2(
         &mut Workspace::new(),
         &sub.graph,
         &local_terminals,

@@ -1,17 +1,20 @@
-//! The store's I/O seam: a [`StoreIo`] trait covering exactly the
-//! filesystem primitives the write-ahead protocol uses, the production
-//! [`SystemIo`] implementation, and a deterministic [`FaultPlan`] that
-//! can make any primitive fail (or lie) on demand.
+//! The store's filesystem primitives — exactly the ones the write-ahead
+//! protocol uses, one function each over `std::fs` — and a
+//! deterministic [`FaultPlan`] that can make any of them fail (or lie)
+//! on demand.
 //!
-//! ## Why a seam
+//! ## Why fault injection
 //!
 //! The crash-safety claims of [`crate::ArtifactStore`] are only worth
 //! anything if they are *tested against the failures they defend
 //! against*: short writes, `EIO` on fsync, bit rot, torn renames, and a
 //! process dying between any two protocol steps. None of those can be
-//! provoked reliably through a real filesystem, so every primitive is
-//! routed through this trait and the chaos suite injects faults at the
-//! exact step it wants to break.
+//! provoked reliably through a real filesystem, so every primitive
+//! consults the plan before it touches the disk and the chaos suite
+//! injects faults at the exact step it wants to break. Each protocol
+//! step is its own primitive, so a fault (or a simulated crash) can land
+//! *between* any two steps — e.g. after the data write but before the
+//! fsync, or after the rename but before the directory sync.
 //!
 //! ## The fault plan
 //!
@@ -29,49 +32,24 @@ use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The filesystem primitives the store's write protocol is built from.
-///
-/// Each protocol step is its own method so a fault (or a simulated
-/// crash) can land *between* any two steps — e.g. after the data write
-/// but before the fsync, or after the rename but before the directory
-/// sync.
-pub trait StoreIo: Send + Sync {
-    /// Reads the whole file at `path`.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Creates (or truncates) `path` and writes `bytes` to it.
-    fn create_and_write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Flushes the file at `path` to stable storage (`fsync`).
-    fn sync_file(&self, path: &Path) -> io::Result<()>;
-    /// Atomically renames `from` to `to` (same directory).
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Removes the file at `path`.
-    fn remove(&self, path: &Path) -> io::Result<()>;
-    /// Lists the entries of `dir` (files only, unsorted).
-    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
-    /// Creates `dir` and any missing parents.
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
-    /// Flushes the directory at `dir` (makes a rename durable).
-    fn sync_dir(&self, dir: &Path) -> io::Result<()>;
-}
-
 /// Which primitive a [`Trigger`] is armed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// [`StoreIo::read`]
+    /// Reading a whole file.
     Read,
-    /// [`StoreIo::create_and_write`]
+    /// Creating (or truncating) a file and writing its bytes.
     CreateAndWrite,
-    /// [`StoreIo::sync_file`]
+    /// Flushing a file to stable storage (`fsync`).
     SyncFile,
-    /// [`StoreIo::rename`]
+    /// Renaming a file within its directory.
     Rename,
-    /// [`StoreIo::remove`]
+    /// Removing a file.
     Remove,
-    /// [`StoreIo::list`]
+    /// Listing the files of a directory.
     List,
-    /// [`StoreIo::create_dir_all`]
+    /// Creating a directory and its missing parents.
     CreateDirAll,
-    /// [`StoreIo::sync_dir`]
+    /// Flushing a directory (makes a rename durable).
     SyncDir,
 }
 
@@ -220,8 +198,8 @@ impl FaultPlan {
         self.scopes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Consulted by [`SystemIo`] before each primitive: the fault to
-    /// inject for this call, if any. Advances skip counters.
+    /// Consulted before each primitive: the fault to inject for this
+    /// call, if any. Advances skip counters.
     fn decide(&self, op: FaultOp, path: &Path) -> Option<FaultKind> {
         let mut scopes = self.scopes();
         let scope = scopes.iter_mut().find(|s| path.starts_with(&s.root))?;
@@ -282,108 +260,111 @@ fn error_for(kind: FaultKind) -> io::Error {
     }
 }
 
-/// The production [`StoreIo`]: `std::fs`, with the fault plan consulted
-/// before every primitive (a no-op unless a plan is installed *and* a
-/// scope covers the path).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SystemIo;
+// The primitives: `std::fs`, with the fault plan consulted before each
+// (a no-op unless a plan is installed *and* a scope covers the path).
 
-impl StoreIo for SystemIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match decide(FaultOp::Read, path) {
-            None => fs::read(path),
-            Some(FaultKind::FlipByte(offset)) => {
-                let mut bytes = fs::read(path)?;
-                if !bytes.is_empty() {
-                    let at = offset % bytes.len();
-                    bytes[at] ^= 0x01;
-                }
-                Ok(bytes)
+/// Reads the whole file at `path`.
+pub(crate) fn read(path: &Path) -> io::Result<Vec<u8>> {
+    match decide(FaultOp::Read, path) {
+        None => fs::read(path),
+        Some(FaultKind::FlipByte(offset)) => {
+            let mut bytes = fs::read(path)?;
+            if !bytes.is_empty() {
+                let at = offset % bytes.len();
+                bytes[at] ^= 0x01;
             }
-            Some(FaultKind::ShortWrite(n)) => {
-                let bytes = fs::read(path)?;
-                let n = n.min(bytes.len());
-                Ok(bytes[..n].to_vec())
+            Ok(bytes)
+        }
+        Some(FaultKind::ShortWrite(n)) => {
+            let bytes = fs::read(path)?;
+            let n = n.min(bytes.len());
+            Ok(bytes[..n].to_vec())
+        }
+        Some(kind) => Err(error_for(kind)),
+    }
+}
+
+/// Creates (or truncates) `path` and writes `bytes` to it.
+pub(crate) fn create_and_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    match decide(FaultOp::CreateAndWrite, path) {
+        None => write_all(path, bytes),
+        Some(FaultKind::ShortWrite(n)) => {
+            // The lie: persist a prefix, report success. Only CRC
+            // validation at load time can catch this.
+            write_all(path, &bytes[..n.min(bytes.len())])
+        }
+        Some(FaultKind::FlipByte(offset)) => {
+            let mut corrupt = bytes.to_vec();
+            if !corrupt.is_empty() {
+                let at = offset % corrupt.len();
+                corrupt[at] ^= 0x01;
             }
-            Some(kind) => Err(error_for(kind)),
+            write_all(path, &corrupt)
+        }
+        Some(kind) => Err(error_for(kind)),
+    }
+}
+
+/// Flushes the file at `path` to stable storage (`fsync`).
+pub(crate) fn sync_file(path: &Path) -> io::Result<()> {
+    match decide(FaultOp::SyncFile, path) {
+        None => fs::File::open(path)?.sync_all(),
+        Some(kind) => Err(error_for(kind)),
+    }
+}
+
+/// Atomically renames `from` to `to` (same directory).
+pub(crate) fn rename(from: &Path, to: &Path) -> io::Result<()> {
+    match decide(FaultOp::Rename, from) {
+        None => fs::rename(from, to),
+        Some(FaultKind::TornRename) => {
+            // Destination appears, source survives: a rename the
+            // journal replayed as link-without-unlink. Open-time
+            // recovery must sweep the leftover source.
+            let mut data = Vec::new();
+            fs::File::open(from)?.read_to_end(&mut data)?;
+            write_all(to, &data)
+        }
+        Some(kind) => Err(error_for(kind)),
+    }
+}
+
+/// Removes the file at `path`.
+pub(crate) fn remove(path: &Path) -> io::Result<()> {
+    match decide(FaultOp::Remove, path) {
+        None => fs::remove_file(path),
+        Some(kind) => Err(error_for(kind)),
+    }
+}
+
+/// Lists the entries of `dir` (files only, unsorted).
+pub(crate) fn list(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    if let Some(kind) = decide(FaultOp::List, dir) {
+        return Err(error_for(kind));
+    }
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if entry.file_type()?.is_file() {
+            out.push(entry.path());
         }
     }
+    Ok(out)
+}
 
-    fn create_and_write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match decide(FaultOp::CreateAndWrite, path) {
-            None => write_all(path, bytes),
-            Some(FaultKind::ShortWrite(n)) => {
-                // The lie: persist a prefix, report success. Only CRC
-                // validation at load time can catch this.
-                write_all(path, &bytes[..n.min(bytes.len())])
-            }
-            Some(FaultKind::FlipByte(offset)) => {
-                let mut corrupt = bytes.to_vec();
-                if !corrupt.is_empty() {
-                    let at = offset % corrupt.len();
-                    corrupt[at] ^= 0x01;
-                }
-                write_all(path, &corrupt)
-            }
-            Some(kind) => Err(error_for(kind)),
-        }
+/// Creates `dir` and any missing parents.
+pub(crate) fn create_dir_all(dir: &Path) -> io::Result<()> {
+    match decide(FaultOp::CreateDirAll, dir) {
+        None => fs::create_dir_all(dir),
+        Some(kind) => Err(error_for(kind)),
     }
+}
 
-    fn sync_file(&self, path: &Path) -> io::Result<()> {
-        match decide(FaultOp::SyncFile, path) {
-            None => fs::File::open(path)?.sync_all(),
-            Some(kind) => Err(error_for(kind)),
-        }
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        match decide(FaultOp::Rename, from) {
-            None => fs::rename(from, to),
-            Some(FaultKind::TornRename) => {
-                // Destination appears, source survives: a rename the
-                // journal replayed as link-without-unlink. Open-time
-                // recovery must sweep the leftover source.
-                let mut data = Vec::new();
-                fs::File::open(from)?.read_to_end(&mut data)?;
-                write_all(to, &data)
-            }
-            Some(kind) => Err(error_for(kind)),
-        }
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        match decide(FaultOp::Remove, path) {
-            None => fs::remove_file(path),
-            Some(kind) => Err(error_for(kind)),
-        }
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        if let Some(kind) = decide(FaultOp::List, dir) {
-            return Err(error_for(kind));
-        }
-        let mut out = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry.file_type()?.is_file() {
-                out.push(entry.path());
-            }
-        }
-        Ok(out)
-    }
-
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        match decide(FaultOp::CreateDirAll, dir) {
-            None => fs::create_dir_all(dir),
-            Some(kind) => Err(error_for(kind)),
-        }
-    }
-
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        match decide(FaultOp::SyncDir, dir) {
-            None => fs::File::open(dir)?.sync_all(),
-            Some(kind) => Err(error_for(kind)),
-        }
+/// Flushes the directory at `dir` (makes a rename durable).
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    match decide(FaultOp::SyncDir, dir) {
+        None => fs::File::open(dir)?.sync_all(),
+        Some(kind) => Err(error_for(kind)),
     }
 }
 

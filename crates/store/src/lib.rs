@@ -20,9 +20,9 @@
 //! * **Graceful degradation** — transient errors retry with backoff;
 //!   persistent ones flip the store into memory-only mode and the
 //!   engine keeps serving from RAM.
-//! * **Testable failure model** — every filesystem primitive goes
-//!   through the [`StoreIo`] seam, and a process-global write-once
-//!   [`FaultPlan`] injects short writes, `EIO`, bit rot, torn renames,
+//! * **Testable failure model** — every filesystem primitive consults a
+//!   process-global write-once [`FaultPlan`] before it touches the
+//!   disk, which injects short writes, `EIO`, bit rot, torn renames,
 //!   and kill-points deterministically (see `tests/chaos.rs`).
 //!
 //! ```no_run
@@ -51,13 +51,11 @@
 mod crc;
 /// The versioned, checksummed on-disk representation.
 pub mod format;
-/// The [`StoreIo`] seam, production filesystem, and fault injection.
+/// The filesystem primitives and their fault injection.
 pub mod io;
 mod store;
 
 pub use crc::crc32;
 pub use format::{decode, encode, FormatError, MAGIC, VERSION};
-pub use io::{
-    install_fault_plan, is_kill, FaultKind, FaultOp, FaultPlan, StoreIo, SystemIo, Trigger,
-};
+pub use io::{install_fault_plan, is_kill, FaultKind, FaultOp, FaultPlan, Trigger};
 pub use store::{ArtifactStore, StoreStats};

@@ -37,12 +37,11 @@
 //!   failed once is not trusted again until reopen.
 
 use crate::format::{decode, encode, FormatError};
-use crate::io::{is_kill, StoreIo, SystemIo};
+use crate::io::{self as disk, is_kill};
 use mcc::SchemaArtifacts;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How many times an `Interrupted` primitive is retried before the
@@ -80,7 +79,6 @@ pub struct StoreStats {
 pub struct ArtifactStore {
     objects: PathBuf,
     quarantine: PathBuf,
-    io: Arc<dyn StoreIo>,
     degraded: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -100,24 +98,16 @@ impl std::fmt::Debug for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Opens (creating if needed) the store rooted at `root`, using the
-    /// production filesystem.
+    /// Opens (creating if needed) the store rooted at `root`.
     ///
     /// Never fails hard: if the directories cannot be created the store
     /// opens directly in degraded memory-only mode — callers keep one
     /// code path and the condition is visible via [`StoreStats::degraded`].
     pub fn open(root: impl Into<PathBuf>) -> ArtifactStore {
-        ArtifactStore::open_with_io(root, Arc::new(SystemIo))
-    }
-
-    /// [`ArtifactStore::open`] with an explicit I/O implementation —
-    /// the seam the chaos suite drives.
-    pub fn open_with_io(root: impl Into<PathBuf>, io: Arc<dyn StoreIo>) -> ArtifactStore {
         let root = root.into();
         let store = ArtifactStore {
             objects: root.join("objects"),
             quarantine: root.join("quarantine"),
-            io,
             degraded: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -125,9 +115,8 @@ impl ArtifactStore {
             stores: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         };
-        let ready = store
-            .retrying(|io| io.create_dir_all(&store.objects))
-            .and_then(|_| store.retrying(|io| io.create_dir_all(&store.quarantine)));
+        let ready = retrying(|| disk::create_dir_all(&store.objects))
+            .and_then(|_| retrying(|| disk::create_dir_all(&store.quarantine)));
         match ready {
             Ok(()) => store.sweep_stale_tmp(),
             Err(e) => store.degrade(&e),
@@ -140,7 +129,7 @@ impl ArtifactStore {
     /// dying before its rename; sweeping it on open restores the
     /// invariant that `objects/` holds only complete, renamed blobs.
     fn sweep_stale_tmp(&self) {
-        let entries = match self.retrying(|io| io.list(&self.objects)) {
+        let entries = match retrying(|| disk::list(&self.objects)) {
             Ok(entries) => entries,
             Err(e) => return self.degrade(&e),
         };
@@ -152,7 +141,7 @@ impl ArtifactStore {
             if stale {
                 // Best-effort: a sweep failure is not worth degrading
                 // over — the file will be retried next open.
-                let _ = self.retrying(|io| io.remove(&path));
+                let _ = retrying(|| disk::remove(&path));
             }
         }
     }
@@ -180,23 +169,6 @@ impl ArtifactStore {
             .join(format!("{fingerprint:016x}.{OBJ_EXT}"))
     }
 
-    /// Runs a primitive with bounded retry on `Interrupted`. Kill
-    /// signals (simulated process death) are never retried.
-    fn retrying<T>(&self, op: impl Fn(&dyn StoreIo) -> io::Result<T>) -> io::Result<T> {
-        let mut attempt = 0;
-        loop {
-            match op(self.io.as_ref()) {
-                Ok(v) => return Ok(v),
-                Err(e) if is_kill(&e) => return Err(e),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted && attempt < MAX_RETRIES => {
-                    attempt += 1;
-                    std::thread::sleep(BACKOFF * attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Flips to degraded memory-only mode (idempotent).
     fn degrade(&self, _cause: &io::Error) {
         self.degraded.store(true, Ordering::SeqCst);
@@ -219,7 +191,7 @@ impl ArtifactStore {
             return None;
         }
         let path = self.object_path(fingerprint);
-        let bytes = match self.retrying(|io| io.read(&path)) {
+        let bytes = match retrying(|| disk::read(&path)) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.miss();
@@ -256,10 +228,10 @@ impl ArtifactStore {
     fn quarantine_object(&self, fingerprint: u64, path: &Path, _why: &FormatError) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         let dest = self.quarantine_path(fingerprint);
-        if self.retrying(|io| io.rename(path, &dest)).is_err() {
+        if retrying(|| disk::rename(path, &dest)).is_err() {
             // The rename failed: at minimum get the corrupt blob out of
             // the serving path. Best-effort on an already-sick disk.
-            let _ = self.retrying(|io| io.remove(path));
+            let _ = retrying(|| disk::remove(path));
         }
     }
 
@@ -275,11 +247,10 @@ impl ArtifactStore {
         let bytes = encode(fingerprint, artifacts);
         let tmp = self.tmp_path(fingerprint);
         let path = self.object_path(fingerprint);
-        let protocol = self
-            .retrying(|io| io.create_and_write(&tmp, &bytes))
-            .and_then(|_| self.retrying(|io| io.sync_file(&tmp)))
-            .and_then(|_| self.retrying(|io| io.rename(&tmp, &path)))
-            .and_then(|_| self.retrying(|io| io.sync_dir(&self.objects)));
+        let protocol = retrying(|| disk::create_and_write(&tmp, &bytes))
+            .and_then(|_| retrying(|| disk::sync_file(&tmp)))
+            .and_then(|_| retrying(|| disk::rename(&tmp, &path)))
+            .and_then(|_| retrying(|| disk::sync_dir(&self.objects)));
         match protocol {
             Ok(()) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
@@ -291,7 +262,7 @@ impl ArtifactStore {
                 false
             }
             Err(e) => {
-                let _ = self.retrying(|io| io.remove(&tmp));
+                let _ = retrying(|| disk::remove(&tmp));
                 self.degrade(&e);
                 false
             }
@@ -306,7 +277,7 @@ impl ArtifactStore {
             return false;
         }
         let path = self.object_path(fingerprint);
-        match self.retrying(|io| io.remove(&path)) {
+        match retrying(|| disk::remove(&path)) {
             Ok(()) => true,
             Err(e) if e.kind() == io::ErrorKind::NotFound => true,
             Err(e) => {
@@ -327,7 +298,7 @@ impl ArtifactStore {
             return false;
         }
         let path = self.object_path(fingerprint);
-        self.retrying(|io| io.list(&self.objects))
+        retrying(|| disk::list(&self.objects))
             .map(|entries| entries.contains(&path))
             .unwrap_or(false)
     }
@@ -340,6 +311,23 @@ impl ArtifactStore {
             quarantined: self.quarantined.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
             degraded: self.is_degraded(),
+        }
+    }
+}
+
+/// Runs a primitive with bounded retry on `Interrupted`. Kill signals
+/// (simulated process death) are never retried.
+fn retrying<T>(op: impl Fn() -> io::Result<T>) -> io::Result<T> {
+    let mut attempt = 0;
+    loop {
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(e) if is_kill(&e) => return Err(e),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted && attempt < MAX_RETRIES => {
+                attempt += 1;
+                std::thread::sleep(BACKOFF * attempt);
+            }
+            Err(e) => return Err(e),
         }
     }
 }

@@ -6,8 +6,8 @@
 //! ```
 
 use mcc::figures;
-use mcc::graph::NodeId;
-use mcc::steiner::{eliminate_with_ordering, minimum_cover_bruteforce, ordering_landscape};
+use mcc::graph::{CancelToken, NodeId, Workspace};
+use mcc::steiner::{algorithm2, minimum_cover_bruteforce, ordering_landscape};
 use mcc_graph::builder::graph_from_edges;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,9 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (first, terms) in &f.cases {
         let mut order: Vec<NodeId> = vec![*first];
         order.extend(g.nodes().filter(|v| v != first));
-        let got = eliminate_with_ordering(g, &order, terms)
-            .ok_or("infeasible case")?
-            .len();
+        // The greedy elimination along `order` is Algorithm 2 itself.
+        let token = CancelToken::unbounded();
+        let got = algorithm2(&mut Workspace::new(), g, terms, &order, &token)?.node_cost();
         let min = minimum_cover_bruteforce(g, terms)
             .ok_or("infeasible case")?
             .len();

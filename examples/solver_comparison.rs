@@ -17,10 +17,14 @@
 
 use mcc::prelude::*;
 use mcc_gen::{random_bipartite, random_six_two_block_tree, random_terminals};
+use mcc_graph::{CancelToken, NodeId, Workspace};
 use mcc_steiner::{algorithm2, steiner_exact, steiner_exact_ids, steiner_kmb};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Algorithm 2 and KMB take a deadline token; these runs have none.
+    let token = CancelToken::unbounded();
+    let mut ws = Workspace::new();
     println!("--- on-class: (6,2)-chordal block trees ---");
     println!(
         "{:>4} {:>6} {:>6} {:>7} {:>7} {:>7} {:>10} {:>10}",
@@ -35,8 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let g = bg.graph().clone();
         let terminals = random_terminals(&g, None, 5, seed + 1000);
 
+        let order: Vec<NodeId> = g.nodes().collect();
         let t0 = Instant::now();
-        let a2 = algorithm2(&g, &terminals).ok_or("block trees are connected")?;
+        let a2 = algorithm2(&mut ws, &g, &terminals, &order, &token)?;
         let alg2_us = t0.elapsed().as_micros();
 
         let t0 = Instant::now();
@@ -44,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .ok_or("block trees are connected")?;
         let exact_us = t0.elapsed().as_micros();
 
-        let kmb = steiner_kmb(&g, &terminals).ok_or("block trees are connected")?;
+        let kmb = steiner_kmb(&g, &terminals, &token)?;
         assert_eq!(a2.node_cost() as u64, exact.cost, "Theorem 5 must hold");
         // Second exact baseline agrees too (different algorithm).
         let ids = steiner_exact_ids(&g, &terminals).ok_or("block trees are connected")?;
@@ -73,10 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let bg = random_bipartite(9, 9, 0.25, seed);
         let g = bg.graph().clone();
         let terminals = random_terminals(&g, None, 4, seed + 2000);
-        let (Some(greedy), Some(exact), Some(kmb)) = (
-            algorithm2(&g, &terminals),
+        let order: Vec<NodeId> = g.nodes().collect();
+        let (Ok(greedy), Some(exact), Ok(kmb)) = (
+            algorithm2(&mut ws, &g, &terminals, &order, &token),
             steiner_exact(&SteinerInstance::new(g.clone(), terminals.clone())),
-            steiner_kmb(&g, &terminals),
+            steiner_kmb(&g, &terminals, &token),
         ) else {
             println!(
                 "{seed:>4} {:>6} {:>6}  (terminals disconnected)",

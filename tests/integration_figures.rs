@@ -5,10 +5,20 @@ use mcc::figures;
 use mcc::prelude::*;
 use mcc_chordality::{is_chordal, is_chordal_bipartite_via_beta, project_onto};
 use mcc_datamodel::try_enumerate_tree_interpretations;
+use mcc_graph::{CancelToken, Workspace};
 use mcc_hypergraph::{
     gyo_reduce, is_alpha_acyclic, is_berge_acyclic, is_beta_acyclic, is_conformal, is_gamma_acyclic,
 };
-use mcc_steiner::{eliminate_with_ordering, minimum_cover_bruteforce, steiner_exact};
+use mcc_steiner::{algorithm2, minimum_cover_bruteforce, steiner_exact};
+
+/// Greedy elimination along `order`: Algorithm 2 with that scan order,
+/// returning the cover it keeps (`None` if the terminals are
+/// disconnected).
+fn eliminate_with_ordering(g: &Graph, order: &[NodeId], terminals: &NodeSet) -> Option<NodeSet> {
+    let token = CancelToken::unbounded();
+    let tree = algorithm2(&mut Workspace::new(), g, terminals, order, &token).ok()?;
+    Some(tree.nodes)
+}
 
 #[test]
 fn f1_employee_date_interpretations() {

@@ -155,8 +155,12 @@ fn algorithms_scale_to_thousands_of_nodes() {
     let g = bg.graph();
     assert!(g.node_count() > 1500, "got {}", g.node_count());
     let terminals = random_terminals(g, None, 12, 99);
+    let token = mcc_graph::CancelToken::unbounded();
+    let mut ws = mcc_graph::Workspace::new();
+    let order: Vec<NodeId> = g.nodes().collect();
     let t0 = Instant::now();
-    let tree = mcc::steiner::algorithm2(g, &terminals).expect("block trees are connected");
+    let tree = mcc::steiner::algorithm2(&mut ws, g, &terminals, &order, &token)
+        .expect("block trees are connected");
     let alg2 = t0.elapsed();
     assert!(terminals.is_subset_of(&tree.nodes));
     assert!(alg2.as_secs() < 30, "Algorithm 2 took {alg2:?}");
@@ -173,9 +177,13 @@ fn algorithms_scale_to_thousands_of_nodes() {
     assert!(bg.graph().node_count() > 1500);
     let terminals = random_terminals(bg.graph(), Some(&bg.v1_set()), 10, 5);
     let t0 = Instant::now();
-    let out = mcc::steiner::algorithm1(&bg, &terminals, Side::V2).expect("on-class");
+    let order = mcc::steiner::lemma1_ordering(&bg, Side::V2)
+        .expect("on-class")
+        .order;
+    let tree = mcc::steiner::algorithm1(&mut ws, &bg, &terminals, Side::V2, &order, &token)
+        .expect("connected");
     let alg1 = t0.elapsed();
-    assert!(out.tree.is_valid_tree(bg.graph()));
+    assert!(tree.is_valid_tree(bg.graph()));
     assert!(alg1.as_secs() < 30, "Algorithm 1 took {alg1:?}");
 
     println!(

@@ -6,12 +6,31 @@ use mcc_gen::{
     random_alpha_acyclic, random_six_two_block_tree, random_terminals, random_x3c,
     random_x3c_planted,
 };
-use mcc_graph::NodeId;
+use mcc_graph::{CancelToken, NodeId, Workspace};
 use mcc_reductions::Theorem2Gadget;
 use mcc_steiner::{
-    algorithm1, algorithm2_with_order, minimum_cover_bruteforce, side_minimum_cover_bruteforce,
-    steiner_exact,
+    algorithm1, algorithm2, lemma1_ordering, minimum_cover_bruteforce,
+    side_minimum_cover_bruteforce, steiner_exact, tree_side_cost,
 };
+
+/// Algorithm 1, Steps 1–3: the side's Lemma 1 ordering, then the
+/// elimination along it. Returns the tree and its `side` cost; panics
+/// when the side's hypergraph is not α-acyclic.
+#[expect(
+    clippy::expect_used,
+    reason = "every caller runs it on an alpha-acyclic side"
+)]
+fn algorithm1_with_step1(
+    bg: &BipartiteGraph,
+    terminals: &NodeSet,
+    side: Side,
+) -> SolveOutcome<(SteinerTree, usize)> {
+    let order = lemma1_ordering(bg, side).expect("alpha-acyclic side").order;
+    let token = CancelToken::unbounded();
+    let tree = algorithm1(&mut Workspace::new(), bg, terminals, side, &order, &token)?;
+    let cost = tree_side_cost(bg, &tree, side);
+    Ok((tree, cost))
+}
 
 /// Theorem 2 end-to-end: the X3C instance is solvable **iff** the gadget
 /// admits a Steiner tree with at most `4q + 1` nodes.
@@ -57,15 +76,16 @@ fn theorem2_gadget_is_algorithm1_friendly() {
     for seed in 0..4 {
         let gadget = Theorem2Gadget::build(random_x3c_planted(2, 2, seed));
         let terms = gadget.terminals();
-        let out = algorithm1(&gadget.graph, &terms, Side::V2).expect("gadget is alpha-acyclic");
+        let (_, side_cost) =
+            algorithm1_with_step1(&gadget.graph, &terms, Side::V2).expect("hub connects all");
         // All terminals are V2; the V2-cost is forced to 3q + 1.
-        assert_eq!(out.side_cost, 3 * gadget.instance.q + 1, "seed {seed}");
+        assert_eq!(side_cost, 3 * gadget.instance.q + 1, "seed {seed}");
         let bf =
             side_minimum_cover_bruteforce(gadget.graph.graph(), &terms, &gadget.graph.v2_set())
                 .unwrap();
         assert_eq!(
             bf.intersection(&gadget.graph.v2_set()).len(),
-            out.side_cost,
+            side_cost,
             "seed {seed}"
         );
     }
@@ -86,14 +106,14 @@ fn theorem3_algorithm1_on_generated_schemas() {
             continue; // keep brute force cheap
         }
         let terminals = random_terminals(bg.graph(), Some(&bg.v1_set()), 2, seed);
-        match algorithm1(&bg, &terminals, Side::V2) {
-            Ok(out) => {
+        match algorithm1_with_step1(&bg, &terminals, Side::V2) {
+            Ok((_, side_cost)) => {
                 let v2 = bg.v2_set();
                 let bf = side_minimum_cover_bruteforce(bg.graph(), &terminals, &v2)
                     .expect("algorithm found a tree, so feasible");
-                assert_eq!(out.side_cost, bf.intersection(&v2).len(), "seed {seed}");
+                assert_eq!(side_cost, bf.intersection(&v2).len(), "seed {seed}");
             }
-            Err(mcc_steiner::Algorithm1Error::Infeasible) => {
+            Err(SolveError::Disconnected) => {
                 assert!(
                     minimum_cover_bruteforce(bg.graph(), &terminals).is_none(),
                     "seed {seed}"
@@ -104,20 +124,22 @@ fn theorem3_algorithm1_on_generated_schemas() {
     }
 }
 
-/// Lemma 1: the ordering Algorithm 1 derives (reversed Tarjan–Yannakakis
-/// running-intersection order) satisfies both of Lemma 1's properties,
-/// checked literally on connected generated schemas.
+/// Lemma 1: the ordering Algorithm 1 runs along (reversed
+/// Tarjan–Yannakakis running-intersection order) satisfies both of
+/// Lemma 1's properties, checked literally on connected generated
+/// schemas.
 #[test]
 fn lemma1_ordering_properties_hold() {
     for seed in 0..8 {
         let (_, bg) = random_alpha_acyclic(Default::default(), seed);
         let terminals = random_terminals(bg.graph(), Some(&bg.v1_set()), 2, seed + 77);
-        match algorithm1(&bg, &terminals, Side::V2) {
-            Ok(out) => assert!(
-                mcc_steiner::verify_lemma1_ordering(&bg, &out.ordering, Side::V2),
+        let ordering = lemma1_ordering(&bg, Side::V2).expect("on-class").order;
+        match algorithm1_with_step1(&bg, &terminals, Side::V2) {
+            Ok(_) => assert!(
+                mcc_steiner::verify_lemma1_ordering(&bg, &ordering, Side::V2),
                 "seed {seed}: Lemma 1 properties violated"
             ),
-            Err(mcc_steiner::Algorithm1Error::Infeasible) => {}
+            Err(SolveError::Disconnected) => {}
             Err(e) => panic!("generated schema must be on-class: {e}"),
         }
     }
@@ -145,7 +167,9 @@ fn theorem5_algorithm2_under_random_orderings() {
         let n = g.node_count();
         for rot in 0..n.min(6) {
             let order: Vec<NodeId> = (0..n).map(|i| NodeId::from_index((i + rot) % n)).collect();
-            let tree = algorithm2_with_order(g, &terminals, &order).expect("feasible");
+            let token = CancelToken::unbounded();
+            let tree =
+                algorithm2(&mut Workspace::new(), g, &terminals, &order, &token).expect("feasible");
             assert_eq!(
                 tree.node_cost(),
                 min.len(),
@@ -169,8 +193,8 @@ fn corollary4_both_sides_on_interval_schemas() {
         let g = bg.graph();
         let terminals = random_terminals(g, None, 2, seed + 100);
         for side in [Side::V1, Side::V2] {
-            match algorithm1(&bg, &terminals, side) {
-                Ok(sol) => {
+            match algorithm1_with_step1(&bg, &terminals, side) {
+                Ok((_, side_cost)) => {
                     let side_set = match side {
                         Side::V1 => bg.v1_set(),
                         Side::V2 => bg.v2_set(),
@@ -178,12 +202,12 @@ fn corollary4_both_sides_on_interval_schemas() {
                     let bf =
                         side_minimum_cover_bruteforce(g, &terminals, &side_set).expect("feasible");
                     assert_eq!(
-                        sol.side_cost,
+                        side_cost,
                         bf.intersection(&side_set).len(),
                         "seed {seed} side {side:?}"
                     );
                 }
-                Err(mcc_steiner::Algorithm1Error::Infeasible) => {}
+                Err(SolveError::Disconnected) => {}
                 Err(e) => {
                     panic!("interval schemas are beta-acyclic, Corollary 4 applies: {e}")
                 }
@@ -215,7 +239,8 @@ fn strategies_are_consistent_on_six_two_graphs() {
         let exact =
             steiner_exact(&SteinerInstance::new(g.clone(), terminals.clone())).expect("connected");
         assert_eq!(auto.cost as u64, exact.cost, "seed {seed}");
-        let kmb = mcc_steiner::steiner_kmb(g, &terminals).expect("connected");
+        let kmb =
+            mcc_steiner::steiner_kmb(g, &terminals, &CancelToken::unbounded()).expect("connected");
         assert!(kmb.node_cost() >= auto.cost);
         assert!(kmb.node_cost() as u64 <= 2 * exact.cost);
     }
