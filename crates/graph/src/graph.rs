@@ -1,6 +1,7 @@
 //! The immutable core graph type.
 
-use crate::{GraphBuilder, NodeId, NodeSet};
+use crate::{BlockTree, GraphBuilder, NodeId, NodeSet};
+use std::sync::OnceLock;
 
 /// Sentinel in the per-node dense-row table marking a CSR-only row.
 const SPARSE_ROW: u32 = u32::MAX;
@@ -58,11 +59,16 @@ pub struct Graph {
     bit_words: Vec<u64>,
     /// Words per dense row: `⌈node_count / 64⌉`.
     words_per_row: usize,
+    /// The tree of blocks of the whole graph, built on the first
+    /// [`Graph::block_tree`] call (the first Algorithm 1 or 2 solve) and
+    /// kept, never persisted.
+    blocks: OnceLock<BlockTree>,
 }
 
 /// Graphs compare by their adjacency structure and labels only: the
-/// hybrid bitset acceleration is derived data (and tunable via
-/// [`Graph::rebuild_bit_rows`]), so it never affects equality.
+/// hybrid bitset acceleration (tunable via [`Graph::rebuild_bit_rows`])
+/// and the tree of blocks are derived data, so they never affect
+/// equality.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.labels == other.labels
@@ -97,6 +103,7 @@ impl Graph {
             bit_rows: Vec::new(),
             bit_words: Vec::new(),
             words_per_row: 0,
+            blocks: OnceLock::new(),
         };
         g.rebuild_bit_rows(Self::default_dense_threshold(g.node_count()));
         debug_assert!(
@@ -154,7 +161,18 @@ impl Graph {
             bit_rows: Vec::new(),
             bit_words: Vec::new(),
             words_per_row: 0,
+            blocks: OnceLock::new(),
         }
+    }
+
+    /// The tree of blocks of the whole graph, rooted at each connected
+    /// component's smallest node id. It depends on the graph alone, so
+    /// the first call builds it (one `O(|V| + |A|)` Hopcroft–Tarjan DFS
+    /// per component, about 8 bytes per node) and later calls return the
+    /// same tree. Algorithms 1 and 2 read it through their block pass
+    /// (`terminal_blocks_in`); graphs that never run them never build it.
+    pub fn block_tree(&self) -> &BlockTree {
+        self.blocks.get_or_init(|| BlockTree::build(self))
     }
 
     /// Starts building a new graph.
@@ -191,8 +209,11 @@ impl Graph {
         &self.labels[v.index()]
     }
 
-    /// Looks up a node by its label (linear scan; labels need not be unique,
-    /// the first match wins). Intended for tests and figure construction.
+    /// Looks up a node by its label; labels need not be unique, and the
+    /// first match wins. This resolves every name a query serves
+    /// (`QueryEngine::resolve` in `mcc-datamodel` and the `mcc-engine`
+    /// request path), by a linear scan that compares `label` with each
+    /// node's label in turn: `O(n)` string comparisons per name.
     pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
         self.labels
             .iter()

@@ -42,7 +42,7 @@ pub mod traversal;
 pub mod workspace;
 
 pub use biconnected::{
-    biconnected_components, remove_if_redundant_in, terminal_blocks_in, Biconnected,
+    biconnected_components, remove_if_redundant_in, terminal_blocks_in, Biconnected, BlockTree,
 };
 pub use bipartite::{BipartiteGraph, Side};
 pub use budget::{BudgetExceeded, BudgetKind, CancelToken, SolveBudget, Stage};

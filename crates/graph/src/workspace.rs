@@ -145,7 +145,7 @@ pub struct WorkspaceStats {
     /// sweeps of Algorithms 1 and 2 count one per connectivity test they
     /// still search, and each such test is confined to one biconnected
     /// block (`remove_if_redundant_in`); their one block pass per sweep
-    /// is a DFS and is not counted.
+    /// (`terminal_blocks_in`) is no BFS and is not counted.
     pub bfs_runs: u64,
     /// Number of elimination-candidate tests recorded by the Steiner
     /// algorithms (incremented by `mcc-steiner`, not by this crate).
@@ -191,7 +191,8 @@ pub struct Workspace {
     /// Epoch stamped onto every [`BitRow`] handed out; bumped by
     /// [`Workspace::reset`] so stale rows are detected on return.
     bit_epoch: u32,
-    /// The last block pass (see `crate::biconnected`).
+    /// The marking of the last block pass and the block searches' scratch
+    /// (see `crate::biconnected`).
     pub(crate) blocks: BlockScratch,
     /// Set when a solve panicked mid-flight while holding this workspace;
     /// see [`Workspace::poison`].
@@ -389,11 +390,13 @@ impl Workspace {
     }
 
     /// Restores a consistent state: clears the visited marks and queue
-    /// (capacity retained) and lifts poisoning. Buffers lost to an
-    /// unwound borrower are simply re-pooled on next use.
+    /// (capacity retained), drops the block pass's marking and search
+    /// bits, and lifts poisoning. Buffers lost to an unwound borrower are
+    /// simply re-pooled on next use.
     pub fn reset(&mut self) {
         self.clear_visited(0);
         self.queue.clear();
+        self.blocks = BlockScratch::default();
         self.bit_epoch = self.bit_epoch.wrapping_add(1);
         self.poisoned = false;
     }

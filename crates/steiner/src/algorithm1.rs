@@ -46,14 +46,16 @@
 //! ## Block-local elimination
 //!
 //! Step 2 settles its candidates the way Algorithm 2's Step 1 does (see
-//! the proof in [`mod@crate::algorithm2`]): one block pass per solve, then
-//! each candidate is free, separating, or tested by a BFS confined to its
-//! one relevant block. The private neighbours removed with a candidate
-//! have no other alive neighbour, so they lie on no simple path between
-//! terminals and never change the verdict, unless one of them is a
-//! terminal: then the removal fails, as it does when the candidate is a
-//! terminal itself. The results are node-identical to the whole-graph
-//! test (`tests/elimination_differential.rs`).
+//! the proof in [`mod@crate::algorithm2`]): one block pass per solve,
+//! which marks the terminals' blocks in the tree of blocks the graph
+//! built on its first solve, then each candidate is free, separating, or
+//! tested by a BFS confined to its one relevant block. The private
+//! neighbours removed with a candidate have no other alive neighbour, so
+//! they lie on no simple path between terminals and never change the
+//! verdict, unless one of them is a terminal: then the removal fails, as
+//! it does when the candidate is a terminal itself. The results are
+//! node-identical to the whole-graph test
+//! (`tests/elimination_differential.rs`).
 
 use crate::algorithm2::block_pass_in;
 use crate::outcome::check_terminal_universe;
@@ -159,9 +161,11 @@ pub fn check_lemma1_order(bg: &BipartiteGraph, ordering: &[NodeId], side: Side) 
 /// allocates only its result (a tick is a [`std::cell::Cell`]
 /// decrement).
 ///
-/// Token charges: `|V| + |A|` units for the block pass; per candidate
-/// its degree (the private-neighbour scan) plus the nodes its
-/// block-local test visits, if it needs one.
+/// Token charges: for the block pass, the elements of the graph's tree
+/// of blocks its marking visits (the terminals' paths to the root; the
+/// tree itself is built once per graph, uncharged); per candidate its
+/// degree (the private-neighbour scan) plus the nodes its block-local
+/// test visits, if it needs one.
 pub fn algorithm1(
     ws: &mut Workspace,
     bg: &BipartiteGraph,
@@ -197,30 +201,16 @@ pub fn algorithm1(
         });
     }
 
-    // The block pass over the whole graph doubles as the connectivity
-    // check: nodes outside the terminals' component are free.
+    // The block pass over the whole graph's tree doubles as the
+    // connectivity check: nodes outside the terminals' component are
+    // free.
+    match block_pass_in(ws, g, None, terminals, Stage::Algorithm1, token) {
+        Ok(true) => {}
+        Ok(false) => return Err(SolveError::Disconnected),
+        Err(e) => return Err(e.into()),
+    }
     let mut alive = ws.take_set_buf(n);
     alive.fill();
-    let pass_cost = (n + g.edge_count()) as u64;
-    match block_pass_in(
-        ws,
-        g,
-        &alive,
-        terminals,
-        pass_cost,
-        Stage::Algorithm1,
-        token,
-    ) {
-        Ok(true) => {}
-        Ok(false) => {
-            ws.return_set_buf(alive);
-            return Err(SolveError::Disconnected);
-        }
-        Err(e) => {
-            ws.return_set_buf(alive);
-            return Err(e.into());
-        }
-    }
 
     // Step 2: elimination on one alive mask. A removal that takes a
     // terminal (the candidate or one of its private neighbours) always

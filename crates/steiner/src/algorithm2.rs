@@ -39,37 +39,51 @@
 //! ## Block-local elimination
 //!
 //! The paper tests each candidate with a search of the whole graph. This
-//! sweep runs one block pass first ([`terminal_blocks_in`]: a
-//! Hopcroft–Tarjan DFS from a terminal) and returns exactly the node set
-//! the whole-graph sweep returns, for any order, on-class or off-class.
-//! The argument, for a sweep that keeps the terminals connected (each
-//! step does):
+//! sweep runs one block pass first ([`terminal_blocks_in`]: a marking of
+//! the terminals' blocks in the tree of blocks, which the graph builds
+//! once and keeps) and returns exactly the node set the whole-graph sweep
+//! returns, for any order, on-class or off-class. The argument, for a
+//! sweep that keeps the terminals connected (each step does):
 //!
 //! - A simple path between two terminals stays inside the blocks on
 //!   their path in the tree of blocks: once it leaves a block through a
 //!   cut vertex it can come back only through that same vertex. Call
-//!   these blocks *relevant*.
+//!   these blocks *relevant*. Which blocks are relevant does not depend
+//!   on where the tree is rooted.
+//! - The *ports* of a relevant block are its nodes through which terminal
+//!   paths enter it: its terminals, and its cut vertices with a terminal
+//!   beyond them (outside the block's side of the cut). Ports do not
+//!   depend on the root either; the block's top is a port exactly when a
+//!   terminal lies beyond it.
 //! - A candidate in no relevant block (a *free* node) lies on no such
 //!   path, so removing it keeps the terminals connected: it goes with no
 //!   search.
-//! - A cut vertex that tops a relevant block (a *separating* node) has
-//!   terminals on both sides, so removing it disconnects them: it stays
-//!   with no search.
+//! - A non-terminal port (a *separating* node) has terminals on both
+//!   sides, so removing it disconnects them: it stays with no search.
 //! - Any other candidate lies in exactly one relevant block `B`. Every
-//!   terminal path crosses `B` between two of its *ports* (its top, its
-//!   terminals, and its cut vertices that lead to terminals), so the
+//!   terminal path crosses `B` between two of its ports, so the
 //!   terminals stay connected without the candidate iff the ports stay
-//!   connected inside `B`: one BFS confined to `B`
+//!   connected inside `B`: one BFS confined to `B`, started from a port
 //!   ([`remove_if_redundant_in`]). The ports never leave the alive set:
 //!   terminals are never candidates and separating nodes always stay.
+//! - The graph's tree is rooted at a fixed node, not at a terminal, so
+//!   the topmost relevant block may contain all terminal paths (the
+//!   *apex*). Its top then has no terminal beyond it: it is no port but
+//!   an ordinary member of the apex, tested by the apex's search, which
+//!   starts from one of the apex's ports instead. The blocks above the
+//!   point where the terminal paths meet are not relevant, and the
+//!   marking unmarks them. A pass over a partial alive set (KMB's prune)
+//!   roots its tree at the first terminal, where neither case arises;
+//!   both trees give every candidate the same verdict.
 //! - Both settled verdicts are monotone as the alive set shrinks: a
 //!   simple path of the smaller set is one of the larger, so it still
 //!   avoids a free node, and a set that a separating node cut still falls
 //!   apart without it. So one pass serves the whole sweep.
 //!
-//! A search costs its block's nodes and their adjacency rows, whence the
-//! bound above. `tests/elimination_differential.rs` keeps the
-//! whole-graph sweep as an oracle and checks node-identical results.
+//! A search costs its block's nodes and their adjacency rows, and the
+//! marking costs the terminals' paths to the root, whence the bound
+//! above. `tests/elimination_differential.rs` keeps the whole-graph
+//! sweep as an oracle and checks node-identical results.
 
 use crate::outcome::check_terminal_universe;
 use crate::{SolveError, SolveOutcome, SteinerTree};
@@ -128,16 +142,15 @@ pub fn algorithm2(
     // order left alive.
     let mut alive = ws.take_set_buf(n);
     alive.fill();
-    let pass_cost = (n + g.edge_count()) as u64;
-    prune_and_span_in(ws, g, terminals, order, alive, pass_cost, token)
+    prune_and_span_in(ws, g, terminals, order, alive, true, token)
 }
 
 /// Steps 1 and 2 over a caller-given `alive` set (a pooled set of `ws`,
-/// which this returns to the pool): the block pass, charged `pass_cost`
-/// token units, the sweep along `order`, the trim to the terminals'
-/// component and the spanning tree on `g` itself, certified in debug
-/// builds. Algorithm 2 passes the whole
-/// graph; KMB passes its union of shortest paths, which is the same
+/// which this returns to the pool): the block pass, the sweep along
+/// `order`, the trim to the terminals' component and the spanning tree
+/// on `g` itself, certified in debug builds. Algorithm 2 passes the
+/// whole graph (`whole`, so the pass marks the graph's own tree of
+/// blocks); KMB passes its union of shortest paths, which is the same
 /// sweep as on the induced subgraph because connectivity within `alive`
 /// reads only edges between alive nodes.
 pub(crate) fn prune_and_span_in(
@@ -146,7 +159,7 @@ pub(crate) fn prune_and_span_in(
     terminals: &NodeSet,
     order: &[NodeId],
     mut alive: NodeSet,
-    pass_cost: u64,
+    whole: bool,
     token: &CancelToken,
 ) -> SolveOutcome<SteinerTree> {
     let n = g.node_count();
@@ -157,15 +170,8 @@ pub(crate) fn prune_and_span_in(
             edges: vec![],
         });
     };
-    let swept = match block_pass_in(
-        ws,
-        g,
-        &alive,
-        terminals,
-        pass_cost,
-        Stage::Algorithm2,
-        token,
-    ) {
+    let within = (!whole).then_some(&alive);
+    let swept = match block_pass_in(ws, g, within, terminals, Stage::Algorithm2, token) {
         Ok(true) => sweep_in(ws, g, terminals, order, &mut alive, token).map_err(SolveError::from),
         Ok(false) => Err(SolveError::Disconnected),
         Err(e) => Err(e.into()),
@@ -206,13 +212,13 @@ pub(crate) fn prune_and_span_in(
 ///
 /// The result is node for node that of testing each deletion with a
 /// search of the whole graph (the module docs give the proof); one block
-/// pass and block-local searches make it cheaper. Everything runs through
-/// the workspace and the alive mask is the caller's, so once the
-/// workspace has warmed up to this graph size the sweep performs **zero
-/// heap allocations**, which `tests/alloc_regression.rs` asserts with a
-/// counting global allocator. When the terminals are not connected
-/// within `alive`, no deletion keeps them connected and `alive` is left
-/// as it is.
+/// pass, over a tree of blocks built for `alive`, and block-local
+/// searches make it cheaper. Everything runs through the workspace and
+/// the alive mask is the caller's, so once the workspace has warmed up
+/// to this graph size the sweep performs **zero heap allocations**,
+/// which `tests/alloc_regression.rs` asserts with a counting global
+/// allocator. When the terminals are not connected within `alive`, no
+/// deletion keeps them connected and `alive` is left as it is.
 pub fn eliminate_nonredundant_in(
     ws: &mut Workspace,
     g: &Graph,
@@ -222,27 +228,29 @@ pub fn eliminate_nonredundant_in(
 ) {
     // An unbounded token never cancels; the sweep always completes.
     let token = CancelToken::unbounded();
-    if let Ok(true) = block_pass_in(ws, g, alive, terminals, 0, Stage::Algorithm2, &token) {
+    if let Ok(true) = block_pass_in(ws, g, Some(alive), terminals, Stage::Algorithm2, &token) {
         let _ = sweep_in(ws, g, terminals, order, alive, &token);
     }
 }
 
-/// Runs [`terminal_blocks_in`] over `alive` and charges it `cost` token
-/// units (`|V| + |A|` of the graph `alive` induces). `Ok(false)` means
-/// the terminals are not connected within `alive`.
+/// Runs [`terminal_blocks_in`] over `within` (`None`: the whole graph)
+/// and charges the token the work it reports: on the whole graph, the
+/// elements of the tree of blocks its marking visits (the graph's tree
+/// is built once, uncharged); within an alive set, also the nodes and
+/// arcs of the DFS that builds that set's tree. `Ok(false)` means the
+/// terminals are not connected.
 pub(crate) fn block_pass_in(
     ws: &mut Workspace,
     g: &Graph,
-    alive: &NodeSet,
+    within: Option<&NodeSet>,
     terminals: &NodeSet,
-    cost: u64,
     stage: Stage,
     token: &CancelToken,
 ) -> Result<bool, BudgetExceeded> {
-    if !terminal_blocks_in(ws, g, alive, terminals) {
+    let Some(work) = terminal_blocks_in(ws, g, within, terminals) else {
         return Ok(false);
-    }
-    token.tick(stage, cost)?;
+    };
+    token.tick(stage, work)?;
     Ok(true)
 }
 
@@ -374,13 +382,13 @@ mod tests {
         let mut alive = NodeSet::full(6);
         let token = SolveBudget::with_deadline(std::time::Duration::ZERO).start();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let pass = (g.node_count() + g.edge_count()) as u64;
+        let pass = mcc_graph::terminal_blocks_in(&mut ws, &g, None, &p).unwrap();
         assert_eq!(
-            block_pass_in(&mut ws, &g, &alive, &p, pass, Stage::Algorithm2, &token),
+            block_pass_in(&mut ws, &g, None, &p, Stage::Algorithm2, &token),
             Ok(true)
         );
-        // The pass charged |V| + |A| units; burn the rest of the fuel so
-        // the very first candidate consults the clock.
+        // The pass charged the work it reports; burn the rest of the fuel
+        // so the very first candidate consults the clock.
         let _ = token.tick(Stage::Algorithm2, mcc_graph::budget::TICK_PERIOD - pass - 1);
         let order: Vec<NodeId> = g.nodes().collect();
         let r = sweep_in(&mut ws, &g, &p, &order, &mut alive, &token);

@@ -141,14 +141,11 @@ pub fn steiner_kmb(
             }
         }
     }
-    // Prune to a nonredundant cover, in place, then span. The block pass
-    // is charged the size of the graph the union induces.
+    // Prune to a nonredundant cover, in place, then span.
     let order = union.to_vec();
-    let union_edges: usize = order.iter().map(|&v| g.intersect_count(v, &union)).sum();
-    let pass_cost = (order.len() + union_edges / 2) as u64;
     let _prune = mcc_obs::span!(Algorithm2);
     token.checkpoint(Stage::Algorithm2)?;
-    prune_and_span_in(&mut ws, g, terminals, &order, union, pass_cost, token)
+    prune_and_span_in(&mut ws, g, terminals, &order, union, false, token)
 }
 
 /// One closure row: a BFS from terminal `t` over the whole graph that
