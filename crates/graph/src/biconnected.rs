@@ -1,27 +1,18 @@
-//! Biconnected components, articulation points and the tree of blocks
-//! (Hopcroft–Tarjan).
+//! The tree of blocks (Hopcroft–Tarjan) and the block pass of the
+//! elimination sweeps.
 //!
-//! Cycles never cross articulation points, so every cycle-quantified
-//! property — all of the paper's (m,n)-chordality classes — holds for a
-//! graph iff it holds for each biconnected block. `mcc-chordality` uses
-//! this for a block-local (6,2) cross-check, and the (6,2) block-tree
-//! *generator* is literally a tree of blocks, so these components also
-//! certify generated workloads.
-//!
-//! The same fact drives the elimination sweeps of Algorithms 1 and 2: a
-//! simple path between two terminals never leaves the blocks on their
-//! path in the tree of blocks. A [`BlockTree`] is that tree, rooted:
-//! every node knows the block of its DFS tree edge, and every block its
-//! top. A [`Graph`] builds the tree of its whole node set once, on first
-//! use ([`Graph::block_tree`]), since it depends on the graph alone. A
-//! pass over a smaller alive set builds one per call, rooted at the first
-//! terminal. [`terminal_blocks_in`] marks the blocks between terminals on
-//! either tree, walking only the terminals' paths to the root;
+//! Cycles never cross articulation points, so a simple path between two
+//! terminals never leaves the blocks on their path in the tree of blocks.
+//! That fact drives the elimination sweeps of Algorithms 1 and 2 and of
+//! KMB's prune. A [`BlockTree`] is that tree, rooted: every node knows the
+//! block of its DFS tree edge, and every block its top. A [`Graph`] builds
+//! the tree once, on first use ([`Graph::block_tree`]), since it depends
+//! on the graph alone; the DFS is iterative (no recursion, so deep graphs
+//! are safe). [`terminal_blocks_in`] marks the blocks between terminals,
+//! walking only the terminals' paths to the root;
 //! [`remove_if_redundant_in`] then settles most candidates outright and
-//! tests the rest with a search confined to one block.
-//!
-//! Every tree comes from the same iterative DFS core (no recursion, so
-//! deep graphs are safe).
+//! tests the rest with a search confined to one block. The verdicts hold
+//! for every alive set in which the terminals are connected.
 //!
 //! # The marking
 //!
@@ -36,10 +27,10 @@
 //! *apex*), the apex's top has no terminal beyond it: it is an ordinary
 //! member of the apex, not a port, and the apex's searches start from one
 //! of its ports instead. With the chain unmarked and the apex handled,
-//! every verdict is the one a tree rooted at the first terminal gives,
-//! where all climbs meet at the root; the unit tests compare the two on
-//! every small bipartite graph. When the climbs end at two different
-//! roots, the terminals are disconnected.
+//! every verdict is the one a tree rooted at the first terminal would
+//! give, where all climbs meet at the root; the unit tests hold every
+//! verdict and every block search to a connectivity test. When the climbs
+//! end at two different roots, the terminals are disconnected.
 
 use crate::{Graph, NodeId, NodeSet, Workspace};
 
@@ -55,141 +46,94 @@ const PORT: u8 = 1;
 /// terminal paths meet here.
 const MEET: u8 = 2;
 
-/// The tree of blocks of a graph, rooted at one node per connected
-/// component: each node records the block holding its DFS tree edge, and
-/// each block its top, the node it hangs from (a cut vertex or the
-/// root). About 8 bytes per node.
-///
-/// [`Graph::block_tree`] builds and keeps the tree of the whole graph,
-/// rooted at each component's smallest node id.
-#[derive(Debug, Clone, Default)]
+/// The tree of blocks of a graph, rooted at each connected component's
+/// smallest node id: each node records the block holding its DFS tree
+/// edge, and each block its top, the node it hangs from (a cut vertex or
+/// the root). About 8 bytes per node; [`Graph::block_tree`] builds and
+/// keeps it.
+#[derive(Debug, Clone)]
 pub struct BlockTree {
     /// While the DFS runs, the node's Hopcroft–Tarjan low point (the
     /// earliest discovery time one back edge reaches from its DFS
     /// subtree). After that, the block holding the DFS tree edge into it
-    /// ([`NO_BLOCK`] for roots and unreached nodes).
+    /// ([`NO_BLOCK`] for roots).
     block: Vec<u32>,
     /// Per block id: its top. Id 0 is unused.
     top: Vec<u32>,
 }
 
 impl BlockTree {
-    /// The tree of the whole graph: one DFS per connected component, from
-    /// its smallest node id.
+    /// The tree of the whole graph: one iterative Hopcroft–Tarjan DFS per
+    /// connected component, from its smallest node id.
     pub(crate) fn build(g: &Graph) -> Self {
         let n = g.node_count();
-        let all = NodeSet::full(n);
-        let mut tree = BlockTree::default();
-        tree.reset(n);
-        let (mut next, mut disc) = (vec![0; n], vec![0; n]);
-        let (mut calls, mut verts) = (Vec::new(), Vec::new());
+        let mut block = vec![NO_BLOCK; n];
+        // Every block holds a node other than its top, so there are fewer
+        // than `n` of them.
+        let mut top = Vec::with_capacity(n);
+        top.push(0);
+        // Per node: its discovery time from 1 (0 while unreached), and the
+        // next neighbour index to scan while it is on the DFS stack.
+        let (mut disc, mut next) = (vec![0u32; n], vec![0u32; n]);
+        // The DFS stack, and the reached nodes still without a block;
+        // neither holds a node twice.
+        let (mut calls, mut verts) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut time = 0;
         for root in g.nodes() {
-            if disc[root.index()] == 0 {
-                tree.dfs(g, &all, root, &mut next, &mut disc, &mut calls, &mut verts);
+            if disc[root.index()] != 0 {
+                continue;
             }
+            time += 1;
+            disc[root.index()] = time;
+            block[root.index()] = time;
+            calls.push(root);
+            while let Some(&v) = calls.last() {
+                let vi = v.index();
+                if let Some(&u) = g.neighbors(v).get(next[vi] as usize) {
+                    next[vi] += 1;
+                    let ui = u.index();
+                    if disc[ui] == 0 {
+                        time += 1;
+                        disc[ui] = time;
+                        block[ui] = time;
+                        calls.push(u);
+                        verts.push(u);
+                    } else {
+                        // A back edge; the tree edge to the parent lands
+                        // here too, but it cannot pull `low` below the
+                        // parent.
+                        block[vi] = block[vi].min(disc[ui]);
+                    }
+                    continue;
+                }
+                calls.pop();
+                let Some(&p) = calls.last() else { break };
+                let (pi, low) = (p.index(), block[vi]);
+                block[pi] = block[pi].min(low);
+                if low >= disc[pi] {
+                    // No back edge from below `v` climbs above `p`: `v` and
+                    // the nodes reached after it that still lack a block
+                    // (all finished, so their low points are spent) form
+                    // one block hanging from `p`.
+                    let id = top.len() as u32;
+                    top.push(p.0);
+                    while let Some(w) = verts.pop() {
+                        block[w.index()] = id;
+                        if w == v {
+                            break;
+                        }
+                    }
+                }
+            }
+            block[root.index()] = NO_BLOCK;
         }
-        tree.top.shrink_to_fit();
-        tree
+        top.shrink_to_fit();
+        BlockTree { block, top }
     }
 
     /// Number of blocks; a bridge is a block of its own.
     pub fn block_count(&self) -> usize {
-        self.top.len().saturating_sub(1)
-    }
-
-    /// Clears the tree for a graph of `n` nodes: nothing reached, no
-    /// block.
-    fn reset(&mut self, n: usize) {
-        self.block.clear();
-        self.block.resize(n, NO_BLOCK);
-        // Sized once: every block holds a node other than its top, so
-        // there are fewer than `n` of them.
-        self.top.clear();
-        self.top.reserve(n);
-        self.top.push(0);
-    }
-
-    /// Heap bytes held.
-    fn bytes(&self) -> usize {
-        4 * (self.block.capacity() + self.top.capacity())
-    }
-
-    /// The DFS core: an iterative Hopcroft–Tarjan search from `root`
-    /// within `alive`. Every node it reaches, except `root`, gets its
-    /// block, and every block its top. `next` holds each node's next
-    /// neighbour index while it is on the stack; `disc` holds discovery
-    /// times from 1, and 0 for nodes not reached yet; `calls` (the DFS
-    /// stack) and `verts` (reached nodes still without a block) are
-    /// scratch. Returns the nodes reached plus the arcs scanned.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the DFS's scratch arrays come from two different owners"
-    )]
-    fn dfs(
-        &mut self,
-        g: &Graph,
-        alive: &NodeSet,
-        root: NodeId,
-        next: &mut [u32],
-        disc: &mut [u32],
-        calls: &mut Vec<NodeId>,
-        verts: &mut Vec<NodeId>,
-    ) -> u64 {
-        let mut time = 1;
-        let mut arcs = 0;
-        disc[root.index()] = time;
-        self.block[root.index()] = time;
-        next[root.index()] = 0;
-        calls.clear();
-        verts.clear();
-        // Sized once: neither stack holds a node twice.
-        calls.reserve(g.node_count());
-        verts.reserve(g.node_count());
-        calls.push(root);
-        while let Some(&v) = calls.last() {
-            let vi = v.index();
-            if let Some(&u) = g.neighbors(v).get(next[vi] as usize) {
-                next[vi] += 1;
-                arcs += 1;
-                let ui = u.index();
-                if !alive.contains(u) {
-                    continue;
-                }
-                if disc[ui] == 0 {
-                    time += 1;
-                    disc[ui] = time;
-                    self.block[ui] = time;
-                    next[ui] = 0;
-                    calls.push(u);
-                    verts.push(u);
-                } else {
-                    // A back edge; the tree edge to the parent lands here
-                    // too, but it cannot pull `low` below the parent.
-                    self.block[vi] = self.block[vi].min(disc[ui]);
-                }
-                continue;
-            }
-            calls.pop();
-            let Some(&p) = calls.last() else { break };
-            let (pi, low) = (p.index(), self.block[vi]);
-            self.block[pi] = self.block[pi].min(low);
-            if low >= disc[pi] {
-                // No back edge from below `v` climbs above `p`: `v` and
-                // the nodes reached after it that still lack a block
-                // (all finished, so their low points are spent) form one
-                // block hanging from `p`.
-                let id = self.top.len() as u32;
-                self.top.push(p.0);
-                while let Some(w) = verts.pop() {
-                    self.block[w.index()] = id;
-                    if w == v {
-                        break;
-                    }
-                }
-            }
-        }
-        self.block[root.index()] = NO_BLOCK;
-        u64::from(time) + arcs
+        self.top.len() - 1
     }
 }
 
@@ -337,20 +281,9 @@ impl Marks {
 }
 
 /// Scratch of the block pass and the block searches, kept in a
-/// [`Workspace`]: the marking, the visited bits of a block search and,
-/// for passes over a partial alive set, that set's tree of blocks and its
-/// DFS cursor. The DFS keeps its discovery times in the workspace's
-/// visited array.
+/// [`Workspace`]: the marking and the visited bits of a block search.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockScratch {
-    /// The tree of the last pass over a partial alive set.
-    own: BlockTree,
-    /// The next neighbour index to scan while the node is on the DFS
-    /// stack.
-    next: Vec<u32>,
-    /// `true` when the last pass marked `own`, `false` when it marked
-    /// the graph's tree.
-    own_tree: bool,
     marks: Marks,
     /// The nodes a block search has visited; empty between searches.
     seen: NodeSet,
@@ -359,135 +292,34 @@ pub(crate) struct BlockScratch {
 impl BlockScratch {
     /// Heap bytes held.
     pub(crate) fn bytes(&self) -> usize {
-        self.own.bytes()
-            + 4 * self.next.capacity()
-            + self.marks.bytes()
-            + self.seen.capacity().div_ceil(64) * 8
-    }
-}
-
-/// The biconnected structure of a graph.
-#[derive(Debug, Clone)]
-pub struct Biconnected {
-    /// Each biconnected component as its edge list. Bridges appear as
-    /// single-edge components; isolated nodes appear in no component.
-    pub components: Vec<Vec<(NodeId, NodeId)>>,
-    /// The articulation (cut) points.
-    pub articulation_points: NodeSet,
-}
-
-impl Biconnected {
-    /// The node set of component `i`.
-    pub fn component_nodes(&self, i: usize, n: usize) -> NodeSet {
-        let mut s = NodeSet::new(n);
-        for &(a, b) in &self.components[i] {
-            s.insert(a);
-            s.insert(b);
-        }
-        s
-    }
-}
-
-/// Computes the biconnected components of the whole graph from a tree of
-/// blocks built for the call (the graph's own tree is left unbuilt).
-pub fn biconnected_components(g: &Graph) -> Biconnected {
-    let n = g.node_count();
-    let tree = BlockTree::build(g);
-    // A top with a block of its own is a cut vertex; a DFS root is one
-    // when it tops two blocks.
-    let mut articulation_points = NodeSet::new(n);
-    let mut roots = NodeSet::new(n);
-    for &t in &tree.top[1..] {
-        let t = NodeId(t);
-        if tree.block[t.index()] != NO_BLOCK || !roots.insert(t) {
-            articulation_points.insert(t);
-        }
-    }
-    let mut components = vec![Vec::new(); tree.block_count()];
-    for u in g.nodes() {
-        let b = tree.block[u.index()];
-        if b == NO_BLOCK {
-            continue;
-        }
-        for &w in g.neighbors(u) {
-            // Every edge of block `b` once: from its non-top end, or
-            // from the smaller end when neither is the top.
-            if w.0 == tree.top[b as usize] || (tree.block[w.index()] == b && u < w) {
-                components[b as usize - 1].push((u, w));
-            }
-        }
-    }
-    Biconnected {
-        components,
-        articulation_points,
+        self.marks.bytes() + self.seen.capacity().div_ceil(64) * 8
     }
 }
 
 /// The block pass of an elimination sweep: marks the blocks between
-/// terminals in the tree of blocks and counts their ports. The result
-/// lives in the workspace until the next pass and is read by
-/// [`remove_if_redundant_in`].
+/// terminals in the graph's tree of blocks ([`Graph::block_tree`], built
+/// on the first pass) and counts their ports. The result lives in the
+/// workspace until the next pass and is read by
+/// [`remove_if_redundant_in`]. The pass visits only the terminals' paths
+/// to the root, and returns the elements visited, its work.
 ///
-/// With `within` `None` the pass covers the whole graph and marks the
-/// graph's own tree ([`Graph::block_tree`], built on the first such
-/// pass): it visits only the terminals' paths to the root, and the
-/// elements visited are its work. With `Some(alive)` it first builds the
-/// tree of the graph `alive` induces, by a DFS from the first terminal,
-/// and its work also counts the nodes that DFS reached and the arcs it
-/// scanned.
-///
-/// Returns the work, or `None` when some terminal is not alive or not
-/// connected to the first: then no removal keeps the terminals
-/// connected, and the pass must not be used. An empty terminal set is
-/// connected, and every node is then removable. Allocation-free once the
-/// workspace has warmed up to the graph size.
-pub fn terminal_blocks_in(
-    ws: &mut Workspace,
-    g: &Graph,
-    within: Option<&NodeSet>,
-    terminals: &NodeSet,
-) -> Option<u64> {
+/// The verdicts hold for every alive set in which the terminals are
+/// connected; the caller must know that they are. Returns `None` when the
+/// terminals lie in different components of the graph: then no removal
+/// keeps them connected, and the pass must not be used. An empty terminal
+/// set is connected, and every node is then removable. Allocation-free
+/// once the workspace has warmed up to the graph size.
+pub fn terminal_blocks_in(ws: &mut Workspace, g: &Graph, terminals: &NodeSet) -> Option<u64> {
     let n = g.node_count();
-    let mut work = 0;
-    if ws.blocks.seen.capacity() < n {
-        ws.blocks.seen.reset(n);
-    }
-    ws.blocks.own_tree = within.is_some();
-    if let Some(alive) = within {
-        if !terminals.is_subset_of(alive) {
-            return None;
-        }
-        let s = &mut ws.blocks;
-        s.own.reset(n);
-        if s.next.len() < n {
-            s.next.resize(n, 0);
-        }
-        if let Some(root) = terminals.first() {
-            let mut calls = ws.take_node_buf();
-            let mut verts = std::mem::take(&mut ws.queue);
-            ws.clear_visited(n);
-            let s = &mut ws.blocks;
-            work = s.own.dfs(
-                g,
-                alive,
-                root,
-                &mut s.next,
-                &mut ws.visited,
-                &mut calls,
-                &mut verts,
-            );
-            ws.clear_visited(n);
-            ws.queue = verts;
-            ws.return_node_buf(calls);
-        }
-    }
     let s = &mut ws.blocks;
-    let tree = if s.own_tree { &s.own } else { g.block_tree() };
-    Some(work + s.marks.mark(tree, terminals, n)?)
+    if s.seen.capacity() < n {
+        s.seen.reset(n);
+    }
+    s.marks.mark(g.block_tree(), terminals, n)
 }
 
-/// One elimination step after a successful [`terminal_blocks_in`] pass
-/// over `alive`: removes `v`, together with `pendants`, when the
+/// One elimination step after a successful [`terminal_blocks_in`] pass,
+/// on an alive set in which the terminals are connected: removes `v`, together with `pendants`, when the
 /// terminals stay connected without them, and leaves `alive` as it was
 /// otherwise. `v` must be an alive non-terminal and `pendants`
 /// non-terminals whose only alive neighbour is `v`; such nodes lie on no
@@ -496,8 +328,9 @@ pub fn terminal_blocks_in(
 /// The pass settles most candidates with no search. The rest get one
 /// BFS confined to their block, which counts as a BFS run. Returns the
 /// number of nodes that search visited, 0 when none ran. The answer is
-/// the whole-graph connectivity test's at every step of a sweep that
-/// only ever removes through this function (proof in the docs of
+/// the connectivity test's within `alive` at every step of a sweep that
+/// starts from an alive set in which the terminals are connected and only
+/// ever removes through this function (proof in the docs of
 /// `mcc-steiner`'s `algorithm2` module).
 pub fn remove_if_redundant_in(
     ws: &mut Workspace,
@@ -536,8 +369,7 @@ pub fn remove_if_redundant_in(
 /// node, and a set that a [`BlockVerdict::Separating`] node cut still
 /// falls apart without it.
 fn block_verdict(ws: &Workspace, g: &Graph, v: NodeId) -> BlockVerdict {
-    let (s, vi) = (&ws.blocks, v.index());
-    let tree = if s.own_tree { &s.own } else { g.block_tree() };
+    let (s, tree, vi) = (&ws.blocks, g.block_tree(), v.index());
     let b = tree.block[vi];
     if s.marks.flags[vi] & PORT != 0 {
         BlockVerdict::Separating
@@ -562,14 +394,8 @@ fn block_verdict(ws: &Workspace, g: &Graph, v: NodeId) -> BlockVerdict {
 /// alive nodes, a whole word at a time; the search clears its own bits on
 /// the way out. The queue is the workspace's.
 fn ports_connected_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet, id: u32) -> (bool, usize) {
-    let BlockScratch {
-        own,
-        own_tree,
-        marks,
-        seen,
-        ..
-    } = &mut ws.blocks;
-    let tree = if *own_tree { &*own } else { g.block_tree() };
+    let BlockScratch { marks, seen } = &mut ws.blocks;
+    let tree = g.block_tree();
     let queue = &mut ws.queue;
     let start = if id == marks.apex {
         NodeId(marks.apex_start)
@@ -635,140 +461,126 @@ fn enter(
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use crate::terminals_connected;
+    use crate::{shortest_path, terminals_connected};
+
+    /// The node sets of the graph's blocks, each with its top, sorted.
+    fn blocks(g: &Graph) -> Vec<Vec<usize>> {
+        let tree = g.block_tree();
+        let mut out: Vec<_> = tree.top[1..].iter().map(|&t| vec![t as usize]).collect();
+        for v in g.nodes().filter(|v| tree.block[v.index()] != NO_BLOCK) {
+            out[tree.block[v.index()] as usize - 1].push(v.index());
+        }
+        out.iter_mut().for_each(|b| b.sort_unstable());
+        out.sort();
+        out
+    }
 
     #[test]
     fn two_triangles_sharing_a_node() {
         // Triangles 0-1-2 and 2-3-4 share node 2.
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]);
-        let b = biconnected_components(&g);
-        assert_eq!(b.components.len(), 2);
-        assert_eq!(b.articulation_points.to_vec(), vec![NodeId(2)]);
-        for (i, comp) in b.components.iter().enumerate() {
-            assert_eq!(comp.len(), 3, "component {i} is a triangle");
-        }
+        assert_eq!(blocks(&g), [vec![0, 1, 2], vec![2, 3, 4]]);
     }
 
     #[test]
     fn path_is_all_bridges() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let b = biconnected_components(&g);
-        assert_eq!(b.components.len(), 3);
-        assert!(b.components.iter().all(|c| c.len() == 1));
-        assert_eq!(b.articulation_points.to_vec(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(blocks(&g), [[0, 1], [1, 2], [2, 3]]);
     }
 
     #[test]
     fn cycle_is_one_component_no_cuts() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let b = biconnected_components(&g);
-        assert_eq!(b.components.len(), 1);
-        assert_eq!(b.components[0].len(), 5);
-        assert!(b.articulation_points.is_empty());
+        assert_eq!(blocks(&g), [[0, 1, 2, 3, 4]]);
     }
 
     #[test]
     fn disconnected_graph_and_isolated_nodes() {
+        // Node 4 is isolated: in no block. Terminals in two components
+        // fail the pass.
         let g = graph_from_edges(5, &[(0, 1), (2, 3)]);
-        let b = biconnected_components(&g);
-        assert_eq!(b.components.len(), 2);
-        assert!(b.articulation_points.is_empty());
-        // Node 4 is isolated: in no component.
-        for i in 0..b.components.len() {
-            assert!(!b.component_nodes(i, 5).contains(NodeId(4)));
-        }
+        assert_eq!(blocks(&g), [[0, 1], [2, 3]]);
+        assert!(verdicts(&g, &[0, 3]).is_none());
+        assert!(verdicts(&g, &[0, 4]).is_none());
     }
 
     #[test]
     fn components_partition_edges() {
-        let g = graph_from_edges(
-            7,
-            &[
-                (0, 1),
-                (1, 2),
-                (0, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 3),
-                (5, 6),
-            ],
-        );
-        let b = biconnected_components(&g);
-        let total: usize = b.components.iter().map(|c| c.len()).sum();
-        assert_eq!(total, g.edge_count());
-        // Cut points: 2 (triangle/bridge), 3 (bridge/square), 5 (square/bridge).
-        assert_eq!(
-            b.articulation_points.to_vec(),
-            vec![NodeId(2), NodeId(3), NodeId(5)]
-        );
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (0, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 3),
+            (5, 6),
+        ];
+        let g = graph_from_edges(7, &edges);
+        let b = blocks(&g);
+        assert_eq!(b, [vec![0, 1, 2], vec![2, 3], vec![3, 4, 5], vec![5, 6]]);
+        for (x, y) in edges {
+            let holding = b.iter().filter(|b| b.contains(&x) && b.contains(&y));
+            assert_eq!(holding.count(), 1, "edge {x}-{y}");
+        }
     }
 
-    /// Runs the block pass over `within` (`None`: the graph's own tree)
-    /// and returns every node's verdict.
-    fn verdicts_in(
-        ws: &mut Workspace,
-        g: &Graph,
-        within: Option<&NodeSet>,
-        t: &NodeSet,
-    ) -> Option<Vec<BlockVerdict>> {
-        terminal_blocks_in(ws, g, within, t)?;
+    /// Runs the block pass and returns every node's verdict.
+    fn verdicts_in(ws: &mut Workspace, g: &Graph, t: &NodeSet) -> Option<Vec<BlockVerdict>> {
+        terminal_blocks_in(ws, g, t)?;
         Some(g.nodes().map(|v| block_verdict(ws, g, v)).collect())
     }
 
-    /// The pass over `alive`, with a tree built for the call.
-    fn verdicts(g: &Graph, alive: &NodeSet, terminals: &[u32]) -> Option<Vec<BlockVerdict>> {
-        let t = NodeSet::from_nodes(g.node_count(), terminals.iter().map(|&v| NodeId(v)));
-        verdicts_in(&mut Workspace::new(), g, Some(alive), &t)
+    fn verdicts(g: &Graph, terminals: &[u32]) -> Option<Vec<BlockVerdict>> {
+        verdicts_in(&mut Workspace::new(), g, &set(g.node_count(), terminals))
     }
 
-    /// A verdict with its block named by the least node in that block
-    /// (block ids differ between trees).
-    fn named(v: &[BlockVerdict]) -> Vec<(u8, u32)> {
-        let first = |id| v.iter().position(|&x| x == BlockVerdict::InBlock(id));
-        v.iter()
-            .map(|&x| match x {
-                BlockVerdict::Free => (0, 0),
-                BlockVerdict::Separating => (1, 0),
-                BlockVerdict::InBlock(id) => (2, first(id).unwrap_or(0) as u32),
-            })
-            .collect()
-    }
-
-    /// The marking of the graph's own tree against a tree built per call
-    /// from the first terminal (the pass before the graph kept its
-    /// tree): every non-terminal gets the same verdict, and every
-    /// in-block search gives the same answer. Both are also held to the
-    /// whole-graph connectivity test.
-    fn assert_same_verdicts(g: &Graph, t: &NodeSet) {
+    /// Holds the pass to the connectivity test within `alive`, a set in
+    /// which the terminals are connected (or the whole graph): the pass
+    /// fails iff the terminals are disconnected in the graph, and for
+    /// every alive non-terminal `v` its verdict, or its block search,
+    /// says whether the terminals stay connected in `alive − v`.
+    fn assert_verdicts_hold(g: &Graph, alive: &NodeSet, t: &NodeSet) {
+        let mut ws = Workspace::new();
+        let v = verdicts_in(&mut ws, g, t);
         let all = NodeSet::full(g.node_count());
-        let (mut shared, mut per_call) = (Workspace::new(), Workspace::new());
-        let a = verdicts_in(&mut shared, g, None, t);
-        let b = verdicts_in(&mut per_call, g, Some(&all), t);
-        let connected = terminals_connected(g, &all, t);
-        assert_eq!(a.is_some(), connected, "{g:?} {t:?}");
-        assert_eq!(b.is_some(), connected, "{g:?} {t:?}");
-        let (Some(a), Some(b)) = (a, b) else { return };
-        let (na, nb) = (named(&a), named(&b));
-        for v in g.nodes().filter(|&v| !t.contains(v)) {
-            let i = v.index();
-            assert_eq!(na[i], nb[i], "verdict of {v:?} in {g:?} {t:?}");
-            let mut alive = all.clone();
-            alive.remove(v);
-            let truth = terminals_connected(g, &alive, t);
-            match (a[i], b[i]) {
-                (BlockVerdict::InBlock(x), BlockVerdict::InBlock(y)) => {
-                    let (pa, _) = ports_connected_in(&mut shared, g, &alive, x);
-                    let (pb, _) = ports_connected_in(&mut per_call, g, &alive, y);
-                    assert_eq!(pa, pb, "search for {v:?} in {g:?} {t:?}");
-                    assert_eq!(pa, truth, "search for {v:?} in {g:?} {t:?}");
-                }
-                (verdict, _) => {
-                    let keeps = verdict == BlockVerdict::Free;
-                    assert_eq!(keeps, truth, "verdict of {v:?} in {g:?} {t:?}");
-                }
+        assert_eq!(v.is_some(), terminals_connected(g, &all, t), "{g:?} {t:?}");
+        let Some(v) = v else { return };
+        assert!(terminals_connected(g, alive, t), "{alive:?} {t:?}");
+        for u in alive.iter().filter(|&u| !t.contains(u)) {
+            let mut rest = alive.clone();
+            rest.remove(u);
+            let keeps = match v[u.index()] {
+                BlockVerdict::InBlock(b) => ports_connected_in(&mut ws, g, &rest, b).0,
+                verdict => verdict == BlockVerdict::Free,
+            };
+            let truth = terminals_connected(g, &rest, t);
+            assert_eq!(
+                keeps,
+                truth,
+                "{u:?} {:?} in {alive:?} {g:?} {t:?}",
+                v[u.index()]
+            );
+        }
+    }
+
+    /// [`assert_verdicts_hold`] on the whole graph and, when the
+    /// terminals are connected, on a KMB-like alive set: the union of
+    /// shortest paths from the first terminal to each other one.
+    fn assert_verdicts_hold_twice(g: &Graph, t: &NodeSet) {
+        let all = NodeSet::full(g.node_count());
+        assert_verdicts_hold(g, &all, t);
+        let Some(t0) = t.first() else { return };
+        let mut union = NodeSet::new(g.node_count());
+        for ti in t.iter() {
+            let Some(path) = shortest_path(g, &all, t0, ti) else {
+                return;
+            };
+            for v in path {
+                union.insert(v);
             }
         }
+        assert_verdicts_hold(g, &union, t);
     }
 
     /// A chain of squares `a_i — b_i — a_{i+1}`, `a_i — c_i — a_{i+1}`:
@@ -804,8 +616,7 @@ mod tests {
                 (6, 7),
             ],
         );
-        let all = NodeSet::full(8);
-        let v = verdicts(&g, &all, &[0, 5]).unwrap();
+        let v = verdicts(&g, &[0, 5]).unwrap();
         use BlockVerdict::*;
         // 2 and 3 separate 0 from 5; the pendant 7 hangs off the path.
         assert_eq!(v[2], Separating);
@@ -816,15 +627,10 @@ mod tests {
         assert_eq!(v[4], v[6], "4 and 6 share the square");
         assert_ne!(v[1], v[4]);
         // With one terminal nothing is between terminals.
-        let v = verdicts(&g, &all, &[5]).unwrap();
+        let v = verdicts(&g, &[5]).unwrap();
         assert!(v.iter().enumerate().all(|(i, &x)| i == 5 || x == Free));
-        // A dead or unreachable terminal fails the pass.
-        let mut alive = all.clone();
-        alive.remove(NodeId(3));
-        assert!(verdicts(&g, &alive, &[0, 5]).is_none());
-        assert!(verdicts(&g, &alive, &[0, 3]).is_none());
         for ts in [&[0, 5][..], &[5], &[1, 7], &[4, 6, 7], &[]] {
-            assert_same_verdicts(&g, &set(8, ts));
+            assert_verdicts_hold_twice(&g, &set(8, ts));
         }
     }
 
@@ -836,7 +642,7 @@ mod tests {
         let mut alive = NodeSet::full(6);
         let t = set(6, &[0, 2]);
         let mut ws = Workspace::new();
-        assert!(terminal_blocks_in(&mut ws, &g, Some(&alive), &t).is_some());
+        assert!(terminal_blocks_in(&mut ws, &g, &t).is_some());
         let BlockVerdict::InBlock(b) = block_verdict(&ws, &g, NodeId(1)) else {
             panic!("node 1 lies in the terminals' block");
         };
@@ -865,22 +671,19 @@ mod tests {
         // chain must be unmarked: a_0..a_3 and the first four squares'
         // midpoints lie between no terminals.
         let g = square_chain(5);
-        let t = set(16, &[4, 5]);
-        let mut ws = Workspace::new();
-        let v = verdicts_in(&mut ws, &g, None, &t).unwrap();
+        let v = verdicts(&g, &[4, 5]).unwrap();
         for i in (0..4).chain(6..14) {
             assert_eq!(v[i], BlockVerdict::Free, "node {i}");
         }
         assert!(matches!(v[14], BlockVerdict::InBlock(_)));
         assert_eq!(v[14], v[15]);
         // Terminals a_1 and a_3: a_2 separates them, a_4 hangs below.
-        let t2 = set(16, &[1, 3]);
-        let v = verdicts_in(&mut ws, &g, None, &t2).unwrap();
+        let v = verdicts(&g, &[1, 3]).unwrap();
         assert_eq!(v[2], BlockVerdict::Separating);
         assert_eq!(v[0], BlockVerdict::Free);
         assert_eq!(v[4], BlockVerdict::Free);
         for ts in [&[4, 5][..], &[1, 3], &[5, 15], &[3, 14], &[12, 15]] {
-            assert_same_verdicts(&g, &set(16, ts));
+            assert_verdicts_hold_twice(&g, &set(16, ts));
         }
     }
 
@@ -893,7 +696,7 @@ mod tests {
         let g = square_chain(5);
         let t = set(16, &[14, 15]);
         let mut ws = Workspace::new();
-        let v = verdicts_in(&mut ws, &g, None, &t).unwrap();
+        let v = verdicts_in(&mut ws, &g, &t).unwrap();
         let BlockVerdict::InBlock(b) = v[4] else {
             panic!("a_4 is a member of the apex: {:?}", v[4]);
         };
@@ -904,15 +707,15 @@ mod tests {
         assert!(ports_connected_in(&mut ws, &g, &alive, b).0);
         alive.remove(NodeId(5));
         assert!(!ports_connected_in(&mut ws, &g, &alive, b).0);
-        assert_same_verdicts(&g, &t);
+        assert_verdicts_hold_twice(&g, &t);
         // The same with a pendant path above the square's top.
         let h = graph_from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)]);
-        assert_same_verdicts(&h, &set(6, &[3, 5]));
-        assert_same_verdicts(&h, &set(6, &[3, 4]));
+        assert_verdicts_hold_twice(&h, &set(6, &[3, 5]));
+        assert_verdicts_hold_twice(&h, &set(6, &[3, 4]));
     }
 
     #[test]
-    fn marking_matches_a_first_terminal_tree_on_small_bipartite_graphs() {
+    fn verdicts_hold_on_small_bipartite_graphs() {
         // Every bipartite graph with |V1|, |V2| <= 3 (V1 first), under
         // every terminal subset.
         for (a, b) in (1..=3).flat_map(|a| (1..=3).map(move |b| (a, b))) {
@@ -931,14 +734,14 @@ mod tests {
                         n,
                         (0..n as u32).filter(|&v| ts >> v & 1 == 1).map(NodeId),
                     );
-                    assert_same_verdicts(&g, &t);
+                    assert_verdicts_hold_twice(&g, &t);
                 }
             }
         }
     }
 
     #[test]
-    fn marking_matches_a_first_terminal_tree_on_random_graphs() {
+    fn verdicts_hold_on_random_graphs() {
         // splitmix64: a local, seeded generator.
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = move |bound: u64| {
@@ -969,16 +772,8 @@ mod tests {
             for _ in 0..4 {
                 let k = next(7);
                 let t = NodeSet::from_nodes(n, (0..k).map(|_| NodeId(next(n as u64) as u32)));
-                assert_same_verdicts(&g, &t);
+                assert_verdicts_hold_twice(&g, &t);
             }
         }
-    }
-
-    #[test]
-    fn component_nodes_helper() {
-        let g = graph_from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        let b = biconnected_components(&g);
-        let nodes = b.component_nodes(0, 3);
-        assert_eq!(nodes.len(), 3);
     }
 }

@@ -60,8 +60,8 @@ pub struct Graph {
     /// Words per dense row: `⌈node_count / 64⌉`.
     words_per_row: usize,
     /// The tree of blocks of the whole graph, built on the first
-    /// [`Graph::block_tree`] call (the first Algorithm 1 or 2 solve) and
-    /// kept, never persisted.
+    /// [`Graph::block_tree`] call (the first elimination sweep) and kept,
+    /// never persisted.
     blocks: OnceLock<BlockTree>,
 }
 
@@ -169,8 +169,9 @@ impl Graph {
     /// component's smallest node id. It depends on the graph alone, so
     /// the first call builds it (one `O(|V| + |A|)` Hopcroft–Tarjan DFS
     /// per component, about 8 bytes per node) and later calls return the
-    /// same tree. Algorithms 1 and 2 read it through their block pass
-    /// (`terminal_blocks_in`); graphs that never run them never build it.
+    /// same tree. The elimination sweeps (Algorithms 1 and 2, KMB's
+    /// prune) read it through their block pass (`terminal_blocks_in`);
+    /// graphs that never run one never build it.
     pub fn block_tree(&self) -> &BlockTree {
         self.blocks.get_or_init(|| BlockTree::build(self))
     }

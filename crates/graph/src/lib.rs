@@ -41,9 +41,7 @@ pub mod subgraph;
 pub mod traversal;
 pub mod workspace;
 
-pub use biconnected::{
-    biconnected_components, remove_if_redundant_in, terminal_blocks_in, Biconnected, BlockTree,
-};
+pub use biconnected::{remove_if_redundant_in, terminal_blocks_in, BlockTree};
 pub use bipartite::{BipartiteGraph, Side};
 pub use budget::{BudgetExceeded, BudgetKind, CancelToken, SolveBudget, Stage};
 pub use builder::GraphBuilder;

@@ -169,9 +169,7 @@ pub struct WorkspaceStats {
 #[derive(Debug, Clone)]
 pub struct Workspace {
     /// `visited[v] == epoch` means `v` is marked in the current sweep.
-    /// The block pass borrows it for DFS discovery times between two
-    /// [`Workspace::clear_visited`] calls.
-    pub(crate) visited: Vec<u32>,
+    visited: Vec<u32>,
     epoch: u32,
     /// BFS queue; after a sweep, `queue[..]` is the BFS order (the head
     /// pointer is a local index, so pushed order and visit order agree).
@@ -246,16 +244,6 @@ impl Workspace {
             self.epoch = 0;
         }
         self.epoch += 1;
-    }
-
-    /// Zeroes the visited array, grown to at least `n` nodes, and
-    /// restarts the epochs.
-    pub(crate) fn clear_visited(&mut self, n: usize) {
-        if self.visited.len() < n {
-            self.visited.resize(n, 0);
-        }
-        self.visited.fill(0);
-        self.epoch = 0;
     }
 
     /// Mark `v` in the current sweep; returns `true` if it was unmarked.
@@ -394,7 +382,8 @@ impl Workspace {
     /// bits, and lifts poisoning. Buffers lost to an unwound borrower are
     /// simply re-pooled on next use.
     pub fn reset(&mut self) {
-        self.clear_visited(0);
+        self.visited.fill(0);
+        self.epoch = 0;
         self.queue.clear();
         self.blocks = BlockScratch::default();
         self.bit_epoch = self.bit_epoch.wrapping_add(1);

@@ -14,10 +14,11 @@
 )]
 
 use mcc_graph::{
-    bfs_distances, bfs_order, bfs_order_in, biconnected_components, check_adjacency_symmetric,
-    chords_of_cycle, connected_components, dfs_order, enumerate_cycles, induced_subgraph,
-    is_connected_within, shortest_path, spanning_tree, terminals_connected, terminals_connected_in,
-    CycleLimits, Graph, GraphBuilder, NodeId, NodeSet, Workspace, INFINITE_DISTANCE,
+    bfs_distances, bfs_order, bfs_order_in, check_adjacency_symmetric, chords_of_cycle,
+    connected_components, dfs_order, enumerate_cycles, induced_subgraph, is_connected_within,
+    remove_if_redundant_in, shortest_path, spanning_tree, terminal_blocks_in, terminals_connected,
+    terminals_connected_in, CycleLimits, Graph, GraphBuilder, NodeId, NodeSet, Workspace,
+    INFINITE_DISTANCE,
 };
 use proptest::prelude::*;
 
@@ -191,23 +192,26 @@ proptest! {
         }
     }
 
-    /// Biconnected components partition the edge set, and removing an
-    /// articulation point increases the component count.
+    /// The tree of blocks settles single removals as a search does: with
+    /// the first and the last node as terminals, the block pass fails iff
+    /// they are disconnected, and otherwise `remove_if_redundant_in`
+    /// removes a non-terminal iff they stay connected without it.
     #[test]
     fn biconnectivity_invariants(g in small_graph()) {
-        let b = biconnected_components(&g);
-        let total: usize = b.components.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(total, g.edge_count());
-        let full = NodeSet::full(g.node_count());
-        let base = connected_components(&g, &full).len();
-        for cut in b.articulation_points.iter() {
-            let mut without = full.clone();
-            without.remove(cut);
-            let now = connected_components(&g, &without).len();
-            // Removing the cut node loses one node but splits something:
-            // component count (over remaining nodes) must strictly exceed
-            // base minus the vanished singleton case.
-            prop_assert!(now > base - 1, "cut {cut:?} did not separate");
+        let n = g.node_count();
+        let full = NodeSet::full(n);
+        let t = NodeSet::from_nodes(n, [NodeId(0), NodeId::from_index(n - 1)]);
+        let mut ws = Workspace::new();
+        let pass = terminal_blocks_in(&mut ws, &g, &t);
+        prop_assert_eq!(pass.is_some(), terminals_connected(&g, &full, &t));
+        if pass.is_some() {
+            for v in (1..n - 1).map(NodeId::from_index) {
+                let mut alive = full.clone();
+                remove_if_redundant_in(&mut ws, &g, &mut alive, v, &[]);
+                let mut without = full.clone();
+                without.remove(v);
+                prop_assert_eq!(!alive.contains(v), terminals_connected(&g, &without, &t));
+            }
         }
     }
 

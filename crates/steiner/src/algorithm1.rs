@@ -57,12 +57,11 @@
 //! node-identical to the whole-graph test
 //! (`tests/elimination_differential.rs`).
 
-use crate::algorithm2::block_pass_in;
+use crate::algorithm2::{block_pass_in, span_cover_in};
 use crate::outcome::check_terminal_universe;
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{
-    component_of_in, remove_if_redundant_in, BipartiteGraph, CancelToken, NodeId, NodeSet, Side,
-    Stage, Workspace,
+    remove_if_redundant_in, BipartiteGraph, CancelToken, NodeId, NodeSet, Side, Stage, Workspace,
 };
 use mcc_hypergraph::{join_tree, side_hypergraph, JoinTree};
 
@@ -184,16 +183,10 @@ pub fn algorithm1(
     );
     token.checkpoint(Stage::Algorithm1)?;
 
-    let Some(t0) = terminals.first() else {
-        return Ok(SteinerTree {
-            nodes: NodeSet::new(n),
-            edges: vec![],
-        });
-    };
-    if terminals.len() == 1 {
+    if terminals.len() <= 1 {
         // Degenerate case the elimination cannot reach: the last
-        // candidate adjacent to the lone terminal can never be dropped
-        // (the terminal would go with it as a private neighbor), yet the
+        // candidate adjacent to a lone terminal can never be dropped (the
+        // terminal would go with it as a private neighbor), yet the
         // singleton tree is plainly side-minimum. Return it directly.
         return Ok(SteinerTree {
             nodes: terminals.clone(),
@@ -204,7 +197,7 @@ pub fn algorithm1(
     // The block pass over the whole graph's tree doubles as the
     // connectivity check: nodes outside the terminals' component are
     // free.
-    match block_pass_in(ws, g, None, terminals, Stage::Algorithm1, token) {
+    match block_pass_in(ws, g, terminals, Stage::Algorithm1, token) {
         Ok(true) => {}
         Ok(false) => return Err(SolveError::Disconnected),
         Err(e) => return Err(e.into()),
@@ -240,32 +233,9 @@ pub fn algorithm1(
         ws.return_set_buf(alive);
         return Err(e.into());
     }
-    // Trim to the terminals' component: outside it, the other side's
-    // nodes and any candidate the ordering skips are still alive.
-    let mut trimmed = ws.take_set_buf(n);
-    component_of_in(ws, g, &alive, t0, &mut trimmed);
-    ws.return_set_buf(alive);
-
-    // Step 3: spanning tree.
-    let tree = match SteinerTree::from_cover(g, &trimmed) {
-        Some(t) => t,
-        None => {
-            ws.return_set_buf(trimmed);
-            return Err(SolveError::Internal {
-                stage: Stage::Algorithm1,
-                detail: "elimination did not preserve terminal coverage".to_string(),
-            });
-        }
-    };
-    // Certificate (debug builds only): valid tree, all terminals
-    // connected, nodes drawn from the trimmed alive set.
-    debug_assert!(
-        n > crate::certify::CHECK_STEINER_MAX_NODES
-            || crate::certify::check_steiner_solution(g, &trimmed, terminals, &tree),
-        "Algorithm 1 produced a tree failing its own certificate"
-    );
-    ws.return_set_buf(trimmed);
-    Ok(tree)
+    // Step 3: outside the terminals' component, the other side's nodes
+    // and any candidate the ordering skips are still alive; trim, span.
+    span_cover_in(ws, g, terminals, alive, Stage::Algorithm1)
 }
 
 /// Verifies the two Lemma 1 properties of an ordering

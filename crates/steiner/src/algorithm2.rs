@@ -72,13 +72,15 @@
 //!   an ordinary member of the apex, tested by the apex's search, which
 //!   starts from one of the apex's ports instead. The blocks above the
 //!   point where the terminal paths meet are not relevant, and the
-//!   marking unmarks them. A pass over a partial alive set (KMB's prune)
-//!   roots its tree at the first terminal, where neither case arises;
-//!   both trees give every candidate the same verdict.
+//!   marking unmarks them.
 //! - Both settled verdicts are monotone as the alive set shrinks: a
 //!   simple path of the smaller set is one of the larger, so it still
 //!   avoids a free node, and a set that a separating node cut still falls
-//!   apart without it. So one pass serves the whole sweep.
+//!   apart without it. So one pass over the whole graph serves every
+//!   sweep that starts from an alive set in which the terminals are
+//!   connected: the whole graph for Algorithms 1 and 2, KMB's union of
+//!   shortest paths for its prune. The ports are alive in any such set,
+//!   since each lies on every path between some two terminals.
 //!
 //! A search costs its block's nodes and their adjacency rows, and the
 //! marking costs the terminals' paths to the root, whence the bound
@@ -88,8 +90,8 @@
 use crate::outcome::check_terminal_universe;
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{
-    component_of_in, remove_if_redundant_in, terminal_blocks_in, BudgetExceeded, CancelToken,
-    Graph, NodeId, NodeSet, Stage, Workspace,
+    component_of_in, remove_if_redundant_in, terminal_blocks_in, terminals_connected_in,
+    BudgetExceeded, CancelToken, Graph, NodeId, NodeSet, Stage, Workspace,
 };
 
 /// Runs Algorithm 2 on `g`, eliminating candidates in `order` (nodes
@@ -142,36 +144,25 @@ pub fn algorithm2(
     // order left alive.
     let mut alive = ws.take_set_buf(n);
     alive.fill();
-    prune_and_span_in(ws, g, terminals, order, alive, true, token)
+    prune_and_span_in(ws, g, terminals, order, alive, token)
 }
 
-/// Steps 1 and 2 over a caller-given `alive` set (a pooled set of `ws`,
-/// which this returns to the pool): the block pass, the sweep along
-/// `order`, the trim to the terminals' component and the spanning tree
-/// on `g` itself, certified in debug builds. Algorithm 2 passes the
-/// whole graph (`whole`, so the pass marks the graph's own tree of
-/// blocks); KMB passes its union of shortest paths, which is the same
-/// sweep as on the induced subgraph because connectivity within `alive`
-/// reads only edges between alive nodes.
+/// Steps 1 and 2 over a caller-given `alive` set in which the terminals
+/// are connected, or the whole graph (a pooled set of `ws`, which this
+/// returns to the pool): the block pass, the sweep along `order`, then
+/// [`span_cover_in`]. Algorithm 2 passes the whole graph; KMB passes its
+/// union of shortest paths, which is the same sweep as on the induced
+/// subgraph because connectivity within `alive` reads only edges between
+/// alive nodes.
 pub(crate) fn prune_and_span_in(
     ws: &mut Workspace,
     g: &Graph,
     terminals: &NodeSet,
     order: &[NodeId],
     mut alive: NodeSet,
-    whole: bool,
     token: &CancelToken,
 ) -> SolveOutcome<SteinerTree> {
-    let n = g.node_count();
-    let Some(t0) = terminals.first() else {
-        ws.return_set_buf(alive);
-        return Ok(SteinerTree {
-            nodes: NodeSet::new(n),
-            edges: vec![],
-        });
-    };
-    let within = (!whole).then_some(&alive);
-    let swept = match block_pass_in(ws, g, within, terminals, Stage::Algorithm2, token) {
+    let swept = match block_pass_in(ws, g, terminals, Stage::Algorithm2, token) {
         Ok(true) => sweep_in(ws, g, terminals, order, &mut alive, token).map_err(SolveError::from),
         Ok(false) => Err(SolveError::Disconnected),
         Err(e) => Err(e.into()),
@@ -180,13 +171,29 @@ pub(crate) fn prune_and_span_in(
         ws.return_set_buf(alive);
         return Err(e);
     }
-    // When `order` covers every candidate of the terminals' component the
-    // survivors there are already connected (every kept node separates
-    // terminals, hence lies on a terminal path); nodes the order skips,
-    // in or out of that component, may remain — trim to the terminals'
-    // component.
+    span_cover_in(ws, g, terminals, alive, Stage::Algorithm2)
+}
+
+/// The tail of Algorithms 1 and 2 after their sweep: trims `alive` (a
+/// pooled set of `ws`, which this returns to the pool) to the terminals'
+/// component and spans it on `g` itself, certified in debug builds. When
+/// the order covers every candidate of that component, the survivors
+/// there are already connected (every kept node separates terminals,
+/// hence lies on a terminal path); nodes the order skips, in or out of
+/// that component, may remain, and the trim drops those outside it. An
+/// empty terminal set yields the empty tree.
+pub(crate) fn span_cover_in(
+    ws: &mut Workspace,
+    g: &Graph,
+    terminals: &NodeSet,
+    alive: NodeSet,
+    stage: Stage,
+) -> SolveOutcome<SteinerTree> {
+    let n = g.node_count();
     let mut trimmed = ws.take_set_buf(n);
-    component_of_in(ws, g, &alive, t0, &mut trimmed);
+    if let Some(t0) = terminals.first() {
+        component_of_in(ws, g, &alive, t0, &mut trimmed);
+    }
     ws.return_set_buf(alive);
     let tree = SteinerTree::from_cover(g, &trimmed);
     // Certificate (debug builds only): valid tree, all terminals
@@ -195,12 +202,12 @@ pub(crate) fn prune_and_span_in(
         debug_assert!(
             n > crate::certify::CHECK_STEINER_MAX_NODES
                 || crate::certify::check_steiner_solution(g, &trimmed, terminals, t),
-            "Algorithm 2 produced a tree failing its own certificate"
+            "{stage} produced a tree failing its own certificate"
         );
     }
     ws.return_set_buf(trimmed);
     tree.ok_or_else(|| SolveError::Internal {
-        stage: Stage::Algorithm2,
+        stage,
         detail: "elimination did not preserve terminal coverage".to_string(),
     })
 }
@@ -211,14 +218,15 @@ pub(crate) fn prune_and_span_in(
 /// stay connected.
 ///
 /// The result is node for node that of testing each deletion with a
-/// search of the whole graph (the module docs give the proof); one block
-/// pass, over a tree of blocks built for `alive`, and block-local
-/// searches make it cheaper. Everything runs through the workspace and
-/// the alive mask is the caller's, so once the workspace has warmed up
-/// to this graph size the sweep performs **zero heap allocations**,
-/// which `tests/alloc_regression.rs` asserts with a counting global
-/// allocator. When the terminals are not connected within `alive`, no
-/// deletion keeps them connected and `alive` is left as it is.
+/// search of the whole graph (the module docs give the proof). One search
+/// first checks that the terminals are connected within `alive`: when
+/// they are not, no deletion keeps them connected and `alive` is left as
+/// it is. Then one block pass over the graph's tree of blocks and
+/// block-local searches make the sweep cheap. Everything runs through the
+/// workspace and the alive mask is the caller's, so once the workspace
+/// has warmed up to this graph size the sweep performs **zero heap
+/// allocations**, which `tests/alloc_regression.rs` asserts with a
+/// counting global allocator.
 pub fn eliminate_nonredundant_in(
     ws: &mut Workspace,
     g: &Graph,
@@ -226,37 +234,37 @@ pub fn eliminate_nonredundant_in(
     order: &[NodeId],
     alive: &mut NodeSet,
 ) {
+    if !terminals_connected_in(ws, g, alive, terminals) {
+        return;
+    }
     // An unbounded token never cancels; the sweep always completes.
     let token = CancelToken::unbounded();
-    if let Ok(true) = block_pass_in(ws, g, Some(alive), terminals, Stage::Algorithm2, &token) {
+    if let Ok(true) = block_pass_in(ws, g, terminals, Stage::Algorithm2, &token) {
         let _ = sweep_in(ws, g, terminals, order, alive, &token);
     }
 }
 
-/// Runs [`terminal_blocks_in`] over `within` (`None`: the whole graph)
-/// and charges the token the work it reports: on the whole graph, the
-/// elements of the tree of blocks its marking visits (the graph's tree
-/// is built once, uncharged); within an alive set, also the nodes and
-/// arcs of the DFS that builds that set's tree. `Ok(false)` means the
+/// Runs [`terminal_blocks_in`] and charges the token the work it reports:
+/// the elements of the graph's tree of blocks its marking visits (the
+/// tree is built once per graph, uncharged). `Ok(false)` means the
 /// terminals are not connected.
 pub(crate) fn block_pass_in(
     ws: &mut Workspace,
     g: &Graph,
-    within: Option<&NodeSet>,
     terminals: &NodeSet,
     stage: Stage,
     token: &CancelToken,
 ) -> Result<bool, BudgetExceeded> {
-    let Some(work) = terminal_blocks_in(ws, g, within, terminals) else {
+    let Some(work) = terminal_blocks_in(ws, g, terminals) else {
         return Ok(false);
     };
     token.tick(stage, work)?;
     Ok(true)
 }
 
-/// Step 1 after a successful block pass over `alive`. A candidate the
-/// pass settles costs one token unit, a block-local test the nodes it
-/// visits. On a budget trip the sweep stops early and `alive` is left a
+/// Step 1 after a successful block pass, on an alive set in which the
+/// terminals are connected. A candidate the pass settles costs one token
+/// unit, a block-local test the nodes it visits. On a budget trip the sweep stops early and `alive` is left a
 /// *valid cover* of the terminals (every step leaves them connected),
 /// merely not yet nonredundant.
 fn sweep_in(
@@ -382,9 +390,9 @@ mod tests {
         let mut alive = NodeSet::full(6);
         let token = SolveBudget::with_deadline(std::time::Duration::ZERO).start();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let pass = mcc_graph::terminal_blocks_in(&mut ws, &g, None, &p).unwrap();
+        let pass = mcc_graph::terminal_blocks_in(&mut ws, &g, &p).unwrap();
         assert_eq!(
-            block_pass_in(&mut ws, &g, None, &p, Stage::Algorithm2, &token),
+            block_pass_in(&mut ws, &g, &p, Stage::Algorithm2, &token),
             Ok(true)
         );
         // The pass charged the work it reports; burn the rest of the fuel

@@ -20,7 +20,9 @@
 //!    the union.
 //! 4. **Pruning.** Algorithm 2's Step 1 runs in place with the union as
 //!    the alive set, in increasing id order, and the surviving
-//!    nonredundant cover is spanned on the graph itself.
+//!    nonredundant cover is spanned on the graph itself. Its block pass
+//!    marks the graph's own tree of blocks, as Algorithm 2's does: the
+//!    union connects the terminals, and that is all the pass needs.
 //!
 //! ## Same trees as a subgraph copy
 //!
@@ -142,10 +144,14 @@ pub fn steiner_kmb(
         }
     }
     // Prune to a nonredundant cover, in place, then span.
+    debug_assert!(
+        mcc_graph::terminals_connected_in(&mut ws, g, &union, terminals),
+        "the union of closure paths must connect the terminals"
+    );
     let order = union.to_vec();
     let _prune = mcc_obs::span!(Algorithm2);
     token.checkpoint(Stage::Algorithm2)?;
-    prune_and_span_in(&mut ws, g, terminals, &order, union, false, token)
+    prune_and_span_in(&mut ws, g, terminals, &order, union, token)
 }
 
 /// One closure row: a BFS from terminal `t` over the whole graph that

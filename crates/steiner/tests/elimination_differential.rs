@@ -11,7 +11,8 @@
 //! Inputs: (6,2) block trees, α-acyclic join-tree schemas under the
 //! Lemma 1 order and under shuffled orders, off-class random bipartite
 //! graphs swept the way KMB prunes its path union, partial orders, one
-//! terminal, disconnected terminals, and every connected bipartite graph
+//! terminal, disconnected terminals (in the graph, or only within the
+//! alive set), and every connected bipartite graph
 //! with `|V1|, |V2| ≤ 3` under every terminal subset and both the id and
 //! the reversed order.
 //!
@@ -402,6 +403,30 @@ fn one_terminal_and_disconnected_terminals() {
             check_algorithm1(&mut ws, &bg, &terminals, &v2_nodes(&bg));
         }
     }
+    // Terminals connected in the graph but not within `alive`: squares
+    // 0-1-2-3 and 4-5-6-7 joined by the bridge 2-4, a pendant 8 on 1, and
+    // the cut vertex 4 dead. The graph's tree of blocks would call 8 free
+    // and find the ports of both squares connected; Step 1 must leave
+    // `alive` as it is, as the whole-graph sweep does.
+    let g = graph_from_edges(
+        9,
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (2, 4),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 4),
+            (1, 8),
+        ],
+    );
+    let terminals = NodeSet::from_nodes(9, [NodeId(0), NodeId(6)]);
+    let mut alive = NodeSet::full(9);
+    alive.remove(NodeId(4));
+    check_step1(&mut ws, &g, &terminals, &id_order(&g), &alive);
 }
 
 #[test]
