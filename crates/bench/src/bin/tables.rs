@@ -81,6 +81,21 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1e6)
 }
 
+/// Solves per row of the E4 and E5 scaling tables, after one warm-up.
+const SCALING_SOLVES: usize = 21;
+
+/// Runs `solve` once to warm up (caches, the workspace it reuses), then
+/// [`SCALING_SOLVES`] more times; returns the warm-up's value and the
+/// median microseconds of the timed runs.
+fn warm_median_us<T>(mut solve: impl FnMut() -> T) -> (T, f64) {
+    let out = solve();
+    let mut us: Vec<f64> = (0..SCALING_SOLVES)
+        .map(|_| timed(|| std::hint::black_box(solve())).1)
+        .collect();
+    us.sort_by(f64::total_cmp);
+    (out, us[SCALING_SOLVES / 2])
+}
+
 /// Algorithm 1, Steps 1–3 (the Lemma 1 ordering, then the elimination),
 /// with no deadline: the tree's `side` cost, `None` when the terminals
 /// are not connected. Every caller runs it on schemas whose `side`
@@ -345,7 +360,8 @@ fn block_tree_us(g: &Graph) -> f64 {
 /// be flat-ish (Theorem 4), and results must match the exact V2-optimum
 /// at the small end. The graph's one-time tree of blocks and the Lemma 1
 /// ordering (Step 1, which the solver computes once per schema) are
-/// their own columns, so each row times one query's Steps 2–3.
+/// their own columns, so each row times one query's Steps 2–3: the
+/// median of [`SCALING_SOLVES`] warm solves on one workspace.
 fn exp_e4_algorithm1() {
     println!("## E4: Algorithm 1 scaling on alpha-acyclic schemas");
     println!();
@@ -358,10 +374,10 @@ fn exp_e4_algorithm1() {
         let tree_us = block_tree_us(w.graph());
         let (l1, order_us) = timed(|| lemma1_ordering(&w.bipartite, Side::V2));
         let order = l1.expect("alpha-acyclic").order;
-        let token = CancelToken::unbounded();
-        let (tree, us) = timed(|| {
+        let (token, mut ws) = (CancelToken::unbounded(), Workspace::new());
+        let (tree, us) = warm_median_us(|| {
             algorithm1(
-                &mut Workspace::new(),
+                &mut ws,
                 &w.bipartite,
                 &w.terminals,
                 Side::V2,
@@ -389,7 +405,7 @@ fn exp_e4_algorithm1() {
             "(unchecked)"
         };
         println!(
-            "| {edges} | {} | {} | {} | {tree_us:.1} | {order_us:.1} | {us:.1} | {:.1} | {optimal} |",
+            "| {edges} | {} | {} | {} | {tree_us:.1} | {order_us:.1} | {us:.2} | {:.3} | {optimal} |",
             w.graph().node_count(),
             w.graph().edge_count(),
             w.va(),
@@ -401,7 +417,8 @@ fn exp_e4_algorithm1() {
 
 /// E5 — Algorithm 2 scaling on (6,2)-chordal block trees, with exact
 /// agreement at the small end and the crossover in plain sight. As in
-/// E4, the one-time tree of blocks is its own column.
+/// E4, the one-time tree of blocks is its own column and `alg2 us` the
+/// median of warm solves on one workspace; the exact DP is timed once.
 fn exp_e5_algorithm2() {
     println!("## E5: Algorithm 2 scaling on (6,2)-chordal block trees");
     println!();
@@ -410,17 +427,16 @@ fn exp_e5_algorithm2() {
     for blocks in [4usize, 8, 16, 32, 64] {
         let w = six_two_workload(blocks, 5, 3);
         let tree_us = block_tree_us(w.graph());
-        let t0 = Instant::now();
         let order: Vec<NodeId> = w.graph().nodes().collect();
-        let tree = algorithm2_along(w.graph(), &w.terminals, &order).expect("connected");
-        let us = t0.elapsed().as_micros().max(1);
+        let (token, mut ws) = (CancelToken::unbounded(), Workspace::new());
+        let (tree, us) =
+            warm_median_us(|| algorithm2(&mut ws, w.graph(), &w.terminals, &order, &token));
+        let tree = tree.expect("connected");
         let (exact_us, agree) = if blocks <= 16 {
             let inst = SteinerInstance::new(w.graph().clone(), w.terminals.clone());
-            let t0 = Instant::now();
-            let exact = steiner_exact(&inst).expect("connected");
-            let e_us = t0.elapsed().as_micros().max(1);
+            let (exact, e_us) = timed(|| steiner_exact(&inst).expect("connected"));
             (
-                e_us.to_string(),
+                format!("{e_us:.1}"),
                 if exact.cost as usize == tree.node_cost() {
                     "yes"
                 } else {
@@ -431,11 +447,11 @@ fn exp_e5_algorithm2() {
             ("-".into(), "(skipped)")
         };
         println!(
-            "| {blocks} | {} | {} | {} | {tree_us:.1} | {us} | {:.1} | {exact_us} | {agree} |",
+            "| {blocks} | {} | {} | {} | {tree_us:.1} | {us:.2} | {:.3} | {exact_us} | {agree} |",
             w.graph().node_count(),
             w.graph().edge_count(),
             w.va(),
-            us as f64 * 1000.0 / w.va() as f64
+            us * 1000.0 / w.va() as f64
         );
     }
     println!();

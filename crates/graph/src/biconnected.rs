@@ -14,6 +14,17 @@
 //! tests the rest with a search confined to one block. The verdicts hold
 //! for every alive set in which the terminals are connected.
 //!
+//! # The block test
+//!
+//! The tree also lists each block's members, its top first, and gives
+//! each node a slot in its own block. A block of at most 64 members
+//! keeps its adjacency as one `u64` row per slot, so its test is a flood
+//! of words: gather the alive members and the ports into one word each,
+//! then OR the rows of the frontier level by level, `O(|V_B|)` word
+//! operations and no queue. It reads the same alive bits and port flags
+//! as the BFS that larger blocks still run over the graph's adjacency,
+//! so both give the same verdict.
+//!
 //! # The marking
 //!
 //! Each terminal climbs from its own block towards the root and stops
@@ -49,8 +60,10 @@ const MEET: u8 = 2;
 /// The tree of blocks of a graph, rooted at each connected component's
 /// smallest node id: each node records the block holding its DFS tree
 /// edge, and each block its top, the node it hangs from (a cut vertex or
-/// the root). About 8 bytes per node; [`Graph::block_tree`] builds and
-/// keeps it.
+/// the root). Each block also lists its members, top first, and a block
+/// of at most 64 members keeps its own adjacency as one bit row per
+/// member over the member list, so its port test is a flood of words.
+/// About 20–30 bytes per node; [`Graph::block_tree`] builds and keeps it.
 #[derive(Debug, Clone)]
 pub struct BlockTree {
     /// While the DFS runs, the node's Hopcroft–Tarjan low point (the
@@ -60,7 +73,24 @@ pub struct BlockTree {
     block: Vec<u32>,
     /// Per block id: its top. Id 0 is unused.
     top: Vec<u32>,
+    /// Per block id `b`: its members are `members[first[b]..first[b + 1]]`.
+    first: Vec<u32>,
+    /// Every block's members, block after block: the top, then the nodes
+    /// of the block in increasing id. A node's position in its block's
+    /// list is its *slot*; a top is slot 0 of every block it heads.
+    members: Vec<NodeId>,
+    /// Per node: its slot in its own block (saturated at `u8::MAX` in
+    /// blocks of more than [`FLOOD_MAX`] members, where no one reads it).
+    slot: Vec<u8>,
+    /// Parallel to `members`: in a block of at most [`FLOOD_MAX`]
+    /// members, the member's neighbours inside the block as a bit row
+    /// over the block's slots; 0 in larger blocks.
+    rows: Vec<u64>,
 }
+
+/// The largest block whose port test is a flood of one-word rows; larger
+/// blocks run a BFS over the graph's adjacency.
+const FLOOD_MAX: usize = 64;
 
 impl BlockTree {
     /// The tree of the whole graph: one iterative Hopcroft–Tarjan DFS per
@@ -128,7 +158,65 @@ impl BlockTree {
             block[root.index()] = NO_BLOCK;
         }
         top.shrink_to_fit();
-        BlockTree { block, top }
+        // A counting sort lays the blocks out: `first[b + 1]` counts block
+        // `b`'s top and nodes, then becomes the end of its slice.
+        let mut first = vec![0u32; top.len() + 1];
+        first[2..].fill(1);
+        for &b in &block {
+            first[b as usize + 1] += u32::from(b != NO_BLOCK);
+        }
+        for b in 1..first.len() {
+            first[b] += first[b - 1];
+        }
+        let mut members = vec![NodeId(0); first[top.len()] as usize];
+        let mut slot = vec![0u8; n];
+        // Reuses `next` as the next free position of each block's slice.
+        for b in 1..top.len() {
+            members[first[b] as usize] = NodeId(top[b]);
+            next[b] = first[b] + 1;
+        }
+        for v in g.nodes().filter(|v| block[v.index()] != NO_BLOCK) {
+            let b = block[v.index()] as usize;
+            members[next[b] as usize] = v;
+            slot[v.index()] = u8::try_from(next[b] - first[b]).unwrap_or(u8::MAX);
+            next[b] += 1;
+        }
+        // Each node other than a top is scanned once, in its own block,
+        // and sets both ends of every edge it has there.
+        let mut rows = vec![0u64; members.len()];
+        for b in 1..top.len() {
+            let lo = first[b] as usize;
+            let (row, list) = (&mut rows[lo..first[b + 1] as usize], &members[lo..]);
+            if row.len() > FLOOD_MAX {
+                continue;
+            }
+            for i in 1..row.len() {
+                for &x in g.neighbors(list[i]) {
+                    let j = if block[x.index()] == b as u32 {
+                        usize::from(slot[x.index()])
+                    } else if x.0 == top[b] {
+                        0
+                    } else {
+                        continue;
+                    };
+                    row[i] |= 1 << j;
+                    row[j] |= 1 << i;
+                }
+            }
+        }
+        BlockTree {
+            block,
+            top,
+            first,
+            members,
+            slot,
+            rows,
+        }
+    }
+
+    /// The positions of block `id`'s members in `members` and `rows`.
+    fn span(&self, id: u32) -> std::ops::Range<usize> {
+        self.first[id as usize] as usize..self.first[id as usize + 1] as usize
     }
 
     /// Number of blocks; a bridge is a block of its own.
@@ -384,26 +472,36 @@ fn block_verdict(ws: &Workspace, g: &Graph, v: NodeId) -> BlockVerdict {
 }
 
 /// Tests an [`BlockVerdict::InBlock`] candidate that has just been
-/// removed from `alive`: a BFS from a port of the block (its top, or the
-/// apex's start port) that never leaves the block and stops once it has
-/// reached every port. Every path between terminals crosses the block
+/// removed from `alive`: a search from a port of the block (its top, or
+/// the apex's start port) that never leaves the block and stops once it
+/// has reached every port. Every path between terminals crosses the block
 /// from port to port, so the terminals stay connected iff this returns
-/// `true`. Also returns the number of nodes visited.
+/// `true`. Also returns the number of nodes reached. Either search counts
+/// as a BFS run.
 ///
-/// The visited set is a bitset, so a dense row yields only unvisited
-/// alive nodes, a whole word at a time; the search clears its own bits on
-/// the way out. The queue is the workspace's.
+/// A block of at most [`FLOOD_MAX`] members is searched as a flood over
+/// its slots: one word of alive members, one of ports, and the block's
+/// own adjacency rows ORed level by level, `O(|V_B|)` word operations
+/// with no queue and nothing to clear. A larger block runs a BFS over the
+/// graph's adjacency; its visited set is a bitset, so a dense row yields
+/// only unvisited alive nodes, a whole word at a time, and the search
+/// clears its own bits on the way out. The queue is the workspace's.
 fn ports_connected_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet, id: u32) -> (bool, usize) {
     let BlockScratch { marks, seen } = &mut ws.blocks;
     let tree = g.block_tree();
-    let queue = &mut ws.queue;
-    let start = if id == marks.apex {
-        NodeId(marks.apex_start)
+    // The start node, and its slot in the block.
+    let (start, from) = if id == marks.apex {
+        let a = NodeId(marks.apex_start);
+        (a, tree.slot[a.index()])
     } else {
-        NodeId(tree.top[id as usize])
+        (NodeId(tree.top[id as usize]), 0)
     };
-    let want = marks.ports[id as usize];
     ws.stats.bfs_runs += 1;
+    if tree.span(id).len() <= FLOOD_MAX {
+        return flood(tree, id, &marks.flags, alive, from);
+    }
+    let queue = &mut ws.queue;
+    let want = marks.ports[id as usize];
     queue.clear();
     queue.push(start);
     seen.insert(start);
@@ -436,6 +534,33 @@ fn ports_connected_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet, id: u32) -
         seen.remove(u);
     }
     (found == want, queue.len())
+}
+
+/// The search of block `id`, of at most [`FLOOD_MAX`] members: floods
+/// from slot `from` through the alive members until every port is reached
+/// or the flood stops growing. Returns whether it reached every port, and
+/// the members it reached.
+fn flood(tree: &BlockTree, id: u32, flags: &[u8], alive: &NodeSet, from: u8) -> (bool, usize) {
+    let span = tree.span(id);
+    let rows = &tree.rows[span.clone()];
+    let (mut alive_l, mut ports_l) = (0u64, 0u64);
+    for (i, &u) in tree.members[span].iter().enumerate() {
+        let ui = u.index();
+        alive_l |= (alive.words()[ui / 64] >> (ui % 64) & 1) << i;
+        ports_l |= u64::from(flags[ui] & PORT) << i;
+    }
+    let mut reach = 1u64 << from;
+    let mut frontier = reach;
+    while frontier != 0 && ports_l & !reach != 0 {
+        let mut next = 0;
+        while frontier != 0 {
+            next |= rows[frontier.trailing_zeros() as usize];
+            frontier &= frontier - 1;
+        }
+        frontier = next & alive_l & !reach;
+        reach |= frontier;
+    }
+    (ports_l & !reach == 0, reach.count_ones() as usize)
 }
 
 /// Admits `u` to the search of block `id` when it belongs to that block
@@ -540,18 +665,25 @@ mod tests {
     /// fails iff the terminals are disconnected in the graph, and for
     /// every alive non-terminal `v` its verdict, or its block search,
     /// says whether the terminals stay connected in `alive − v`.
-    fn assert_verdicts_hold(g: &Graph, alive: &NodeSet, t: &NodeSet) {
+    ///
+    /// Returns the member count of the largest block it searched, 0 when
+    /// it searched none.
+    fn assert_verdicts_hold(g: &Graph, alive: &NodeSet, t: &NodeSet) -> usize {
         let mut ws = Workspace::new();
         let v = verdicts_in(&mut ws, g, t);
         let all = NodeSet::full(g.node_count());
         assert_eq!(v.is_some(), terminals_connected(g, &all, t), "{g:?} {t:?}");
-        let Some(v) = v else { return };
+        let Some(v) = v else { return 0 };
         assert!(terminals_connected(g, alive, t), "{alive:?} {t:?}");
+        let mut largest = 0;
         for u in alive.iter().filter(|&u| !t.contains(u)) {
             let mut rest = alive.clone();
             rest.remove(u);
             let keeps = match v[u.index()] {
-                BlockVerdict::InBlock(b) => ports_connected_in(&mut ws, g, &rest, b).0,
+                BlockVerdict::InBlock(b) => {
+                    largest = largest.max(block_len(g, b));
+                    ports_connected_in(&mut ws, g, &rest, b).0
+                }
                 verdict => verdict == BlockVerdict::Free,
             };
             let truth = terminals_connected(g, &rest, t);
@@ -562,25 +694,45 @@ mod tests {
                 v[u.index()]
             );
         }
+        largest
     }
 
     /// [`assert_verdicts_hold`] on the whole graph and, when the
     /// terminals are connected, on a KMB-like alive set: the union of
-    /// shortest paths from the first terminal to each other one.
-    fn assert_verdicts_hold_twice(g: &Graph, t: &NodeSet) {
+    /// shortest paths from the first terminal to each other one. Returns
+    /// the larger of the two largest blocks searched.
+    fn assert_verdicts_hold_twice(g: &Graph, t: &NodeSet) -> usize {
         let all = NodeSet::full(g.node_count());
-        assert_verdicts_hold(g, &all, t);
-        let Some(t0) = t.first() else { return };
+        let largest = assert_verdicts_hold(g, &all, t);
+        let Some(t0) = t.first() else {
+            return largest;
+        };
         let mut union = NodeSet::new(g.node_count());
         for ti in t.iter() {
             let Some(path) = shortest_path(g, &all, t0, ti) else {
-                return;
+                return largest;
             };
             for v in path {
                 union.insert(v);
             }
         }
-        assert_verdicts_hold(g, &union, t);
+        largest.max(assert_verdicts_hold(g, &union, t))
+    }
+
+    /// Members of block `b`, its top included.
+    fn block_len(g: &Graph, b: u32) -> usize {
+        g.block_tree().span(b).len()
+    }
+
+    /// splitmix64: a local, seeded generator of values below `bound`.
+    fn splitmix(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        }
     }
 
     /// A chain of squares `a_i — b_i — a_{i+1}`, `a_i — c_i — a_{i+1}`:
@@ -742,15 +894,8 @@ mod tests {
 
     #[test]
     fn verdicts_hold_on_random_graphs() {
-        // splitmix64: a local, seeded generator.
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = move |bound: u64| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % bound
-        };
+        let mut next = splitmix(0);
+        let mut largest = 0;
         for round in 0..400 {
             let n = 2 + next(90) as usize;
             let mut edges = Vec::new();
@@ -772,7 +917,131 @@ mod tests {
             for _ in 0..4 {
                 let k = next(7);
                 let t = NodeSet::from_nodes(n, (0..k).map(|_| NodeId(next(n as u64) as u32)));
-                assert_verdicts_hold_twice(&g, &t);
+                largest = largest.max(assert_verdicts_hold_twice(&g, &t));
+            }
+        }
+        // Both searches ran: the flood on small blocks, the BFS on these.
+        assert!(largest > FLOOD_MAX, "largest block searched: {largest}");
+    }
+
+    /// `K(a, b)` on nodes `2..2 + a + b`, the `a` side first, below the
+    /// pendant path `0 — 1 — 2`, with the pendant path `2 + a — n − 2 —
+    /// n − 1` hanging off the `b` side: the complete block has `a + b`
+    /// members and hangs from node 2.
+    fn complete_with_pendants(a: usize, b: usize) -> Graph {
+        let n = a + b + 4;
+        let mut edges = vec![(0, 1), (1, 2), (2 + a, n - 2), (n - 2, n - 1)];
+        edges.extend((2..2 + a).flat_map(|x| (2 + a..2 + a + b).map(move |y| (x, y))));
+        graph_from_edges(n, &edges)
+    }
+
+    #[test]
+    fn flood_and_bfs_hold_at_the_64_member_cut() {
+        let mut next = splitmix(64);
+        for (a, b) in [(32, 32), (32, 33)] {
+            let mut g = complete_with_pendants(a, b);
+            let n = g.node_count() as u32;
+            let (l, r) = (2 + a as u32, 2 + (a + b) as u32);
+            assert_eq!(block_len(&g, g.block_tree().block[3]), a + b);
+            // Beyond the block on both sides, one port inside and one
+            // beyond, all inside (ordinary top: the apex), and mixed.
+            let sets = [
+                vec![0, n - 1],
+                vec![0, 5],
+                vec![n - 1, 4, l + 3],
+                vec![3, l + 4],
+                vec![3, 4, l + 1],
+                vec![1, r - 1, n - 2],
+            ];
+            for csr in [false, true] {
+                if csr {
+                    g.rebuild_bit_rows(usize::MAX);
+                }
+                for ts in &sets {
+                    let t = set(n as usize, ts);
+                    assert_eq!(assert_verdicts_hold_twice(&g, &t), a + b, "{ts:?}");
+                    // Sparse alive sets, where single removals matter:
+                    // the pendant paths and a quarter of the block.
+                    for _ in 0..8 {
+                        let mut alive = t.clone();
+                        for v in (0..n).filter(|&v| v < 2 || v >= r || next(4) == 0) {
+                            alive.insert(NodeId(v));
+                        }
+                        if terminals_connected(&g, &alive, &t) {
+                            assert_verdicts_hold(&g, &alive, &t);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_apex_flood_starts_from_a_port() {
+        // K(2,3) on 2..7 below the path 0-1-2, so its top 2 is a left
+        // node; terminals 4 and 5 on the right side meet in the block,
+        // whose top is then an ordinary member. Without 3, removing the
+        // top cuts 4 from 5: a flood from the top's slot would still
+        // reach both through the top's row.
+        let g = complete_with_pendants(2, 3);
+        let t = set(9, &[4, 5]);
+        let mut ws = Workspace::new();
+        let v = verdicts_in(&mut ws, &g, &t).unwrap();
+        let BlockVerdict::InBlock(b) = v[2] else {
+            panic!("the top is a member of the apex: {:?}", v[2]);
+        };
+        assert_eq!(ws.blocks.marks.apex, b);
+        assert_eq!(block_len(&g, b), 5);
+        let mut alive = NodeSet::full(9);
+        alive.remove(NodeId(2));
+        assert!(ports_connected_in(&mut ws, &g, &alive, b).0);
+        alive.remove(NodeId(3));
+        assert!(!ports_connected_in(&mut ws, &g, &alive, b).0);
+        assert_verdicts_hold_twice(&g, &t);
+    }
+
+    #[test]
+    fn blocks_list_their_members_and_in_block_rows() {
+        let mut next = splitmix(7);
+        for a in 1..40 {
+            let g = complete_with_pendants(a, a);
+            let n = 2 + next(70) as usize;
+            let edges: Vec<_> = (0..2 * n)
+                .map(|_| (next(n as u64) as usize, next(n as u64) as usize))
+                .filter(|(x, y)| x != y)
+                .collect();
+            for g in [g, graph_from_edges(n, &edges)] {
+                let tree = g.block_tree();
+                for b in 1..tree.top.len() {
+                    let (list, rows) = (
+                        &tree.members[tree.span(b as u32)],
+                        &tree.rows[tree.span(b as u32)],
+                    );
+                    assert_eq!(list[0].0, tree.top[b]);
+                    assert!(list[1..].windows(2).all(|w| w[0] < w[1]));
+                    for (i, &u) in list.iter().enumerate().skip(1) {
+                        assert_eq!(tree.block[u.index()], b as u32);
+                        if list.len() <= FLOOD_MAX {
+                            assert_eq!(usize::from(tree.slot[u.index()]), i);
+                        }
+                    }
+                    for (i, &u) in list.iter().enumerate() {
+                        let want = if list.len() > FLOOD_MAX {
+                            0
+                        } else {
+                            (0..list.len())
+                                .filter(|&j| g.has_edge(u, list[j]))
+                                .fold(0, |row, j| row | 1 << j)
+                        };
+                        assert_eq!(rows[i], want, "block {b} slot {i}");
+                    }
+                }
+                // Every node but a root is listed once below a top.
+                let below: usize = (1..tree.top.len())
+                    .map(|b| block_len(&g, b as u32) - 1)
+                    .sum();
+                let roots = g.nodes().filter(|v| tree.block[v.index()] == NO_BLOCK);
+                assert_eq!(below + roots.count(), g.node_count());
             }
         }
     }

@@ -168,8 +168,9 @@ impl Graph {
     /// The tree of blocks of the whole graph, rooted at each connected
     /// component's smallest node id. It depends on the graph alone, so
     /// the first call builds it (one `O(|V| + |A|)` Hopcroft–Tarjan DFS
-    /// per component, about 8 bytes per node) and later calls return the
-    /// same tree. The elimination sweeps (Algorithms 1 and 2, KMB's
+    /// per component, then each block's member list and, for blocks of at
+    /// most 64 members, their in-block adjacency rows; about 20–30 bytes
+    /// per node) and later calls return the same tree. The elimination sweeps (Algorithms 1 and 2, KMB's
     /// prune) read it through their block pass (`terminal_blocks_in`);
     /// graphs that never run one never build it.
     pub fn block_tree(&self) -> &BlockTree {

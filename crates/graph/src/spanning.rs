@@ -3,39 +3,40 @@
 //! Step 3 of the paper's Algorithm 1 and Step 2 of Algorithm 2 both end by
 //! "determine a spanning tree" of the surviving cover. Any spanning tree
 //! does (every node of the cover is needed, by nonredundancy), so we take
-//! the BFS tree.
+//! the BFS tree, and allocate nothing but the tree itself: two buffers,
+//! its node set and its edge list.
 
 use crate::{Graph, NodeId, NodeSet};
-use std::collections::VecDeque;
 
-/// A spanning tree of the subgraph induced by `alive`, as a list of edges.
+/// A spanning tree of the subgraph induced by `alive`: its node set (equal
+/// to `alive`) and its edges, the BFS tree from the least node with
+/// neighbours taken in increasing id.
 ///
 /// Returns `None` if the induced subgraph is disconnected (no spanning tree
-/// exists). An empty or singleton alive set yields `Some(vec![])`.
-pub fn spanning_tree(g: &Graph, alive: &NodeSet) -> Option<Vec<(NodeId, NodeId)>> {
+/// exists). An empty or singleton alive set yields no edges. Allocates
+/// only the result: the node set doubles as the visited set, and the edge
+/// list as the queue (the BFS's node `i + 1` is the far end of edge `i`).
+pub fn spanning_tree(g: &Graph, alive: &NodeSet) -> Option<(NodeSet, Vec<(NodeId, NodeId)>)> {
+    let mut nodes = NodeSet::new(g.node_count());
     let Some(start) = alive.first() else {
-        return Some(Vec::new());
+        return Some((nodes, Vec::new()));
     };
-    let mut seen = NodeSet::new(g.node_count());
-    seen.insert(start);
-    // Sized up front: the allocation count stays independent of the
-    // tree's size.
-    let mut queue = VecDeque::with_capacity(alive.len());
-    queue.push_back(start);
-    let mut edges = Vec::with_capacity(alive.len().saturating_sub(1));
-    while let Some(v) = queue.pop_front() {
+    nodes.insert(start);
+    // Sized up front, so the allocation count does not grow with the tree.
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(alive.len() - 1);
+    let (mut v, mut head) = (start, 0);
+    loop {
         for &u in g.neighbors(v) {
-            if alive.contains(u) && seen.insert(u) {
+            if alive.contains(u) && nodes.insert(u) {
                 edges.push((v, u));
-                queue.push_back(u);
             }
         }
+        let Some(&(_, next)) = edges.get(head) else {
+            break;
+        };
+        (v, head) = (next, head + 1);
     }
-    if seen.len() == alive.len() {
-        Some(edges)
-    } else {
-        None
-    }
+    (nodes.len() == alive.len()).then_some((nodes, edges))
 }
 
 #[cfg(test)]
@@ -46,7 +47,8 @@ mod tests {
     #[test]
     fn tree_has_n_minus_one_edges() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let t = spanning_tree(&g, &NodeSet::full(4)).unwrap();
+        let (nodes, t) = spanning_tree(&g, &NodeSet::full(4)).unwrap();
+        assert_eq!(nodes, NodeSet::full(4));
         assert_eq!(t.len(), 3);
         // Every tree edge is a graph edge.
         for (a, b) in &t {
@@ -63,18 +65,20 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let g = graph_from_edges(2, &[]);
-        assert_eq!(spanning_tree(&g, &NodeSet::new(2)), Some(vec![]));
         assert_eq!(
-            spanning_tree(&g, &NodeSet::from_nodes(2, [NodeId(1)])),
-            Some(vec![])
+            spanning_tree(&g, &NodeSet::new(2)),
+            Some((NodeSet::new(2), vec![]))
         );
+        let one = NodeSet::from_nodes(2, [NodeId(1)]);
+        assert_eq!(spanning_tree(&g, &one), Some((one, vec![])));
     }
 
     #[test]
     fn restricted_to_mask() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let alive = NodeSet::from_nodes(4, [NodeId(0), NodeId(1), NodeId(2)]);
-        let t = spanning_tree(&g, &alive).unwrap();
+        let (nodes, t) = spanning_tree(&g, &alive).unwrap();
+        assert_eq!(nodes, alive);
         assert_eq!(t.len(), 2);
         for (a, b) in &t {
             assert!(alive.contains(*a) && alive.contains(*b));

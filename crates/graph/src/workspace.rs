@@ -144,7 +144,8 @@ pub struct WorkspaceStats {
     /// Number of BFS sweeps run through this workspace. The elimination
     /// sweeps of Algorithms 1 and 2 count one per connectivity test they
     /// still search, and each such test is confined to one biconnected
-    /// block (`remove_if_redundant_in`); their one block pass per sweep
+    /// block (`remove_if_redundant_in`: a BFS, or a flood of bit rows on
+    /// blocks of at most 64 members); their one block pass per sweep
     /// (`terminal_blocks_in`) is no BFS and is not counted.
     pub bfs_runs: u64,
     /// Number of elimination-candidate tests recorded by the Steiner

@@ -141,7 +141,7 @@ proptest! {
     #[test]
     fn spanning_tree_iff_connected((g, alive) in graph_with_set()) {
         match spanning_tree(&g, &alive) {
-            Some(t) => {
+            Some((_, t)) => {
                 prop_assert!(is_connected_within(&g, &alive));
                 prop_assert_eq!(t.len(), alive.len().saturating_sub(1));
             }

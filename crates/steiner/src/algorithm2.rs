@@ -82,9 +82,11 @@
 //!   shortest paths for its prune. The ports are alive in any such set,
 //!   since each lies on every path between some two terminals.
 //!
-//! A search costs its block's nodes and their adjacency rows, and the
-//! marking costs the terminals' paths to the root, whence the bound
-//! above. `tests/elimination_differential.rs` keeps the whole-graph
+//! A search costs its block's nodes and their adjacency rows: on a block
+//! of at most 64 members it is a flood over the block's own one-word rows
+//! (built with the tree of blocks), `O(|V_B|)` word operations; a larger
+//! block runs a BFS over the graph's adjacency. The marking costs the
+//! terminals' paths to the root, whence the bound above. `tests/elimination_differential.rs` keeps the whole-graph
 //! sweep as an oracle and checks node-identical results.
 
 use crate::outcome::check_terminal_universe;

@@ -56,14 +56,13 @@ pub struct SteinerTree {
 }
 
 impl SteinerTree {
-    /// Builds a tree from an alive node set by taking a spanning tree;
-    /// `None` when the induced subgraph is disconnected.
+    /// Builds a tree from an alive node set by taking its BFS spanning
+    /// tree from the least node ([`mcc_graph::spanning_tree`]); `None`
+    /// when the induced subgraph is disconnected. Two allocations: the
+    /// tree's node set and its edge list.
     pub fn from_cover(g: &Graph, cover: &NodeSet) -> Option<SteinerTree> {
-        let edges = mcc_graph::spanning_tree(g, cover)?;
-        Some(SteinerTree {
-            nodes: cover.clone(),
-            edges,
-        })
+        let (nodes, edges) = mcc_graph::spanning_tree(g, cover)?;
+        Some(SteinerTree { nodes, edges })
     }
 
     /// Number of nodes — the cost the Steiner problem minimizes.
@@ -164,6 +163,74 @@ mod tests {
             edges: vec![(NodeId(0), NodeId(1)), (NodeId(0), NodeId(1))],
         };
         assert!(!t3.is_valid_tree(&g));
+    }
+
+    /// The textbook tail: a `VecDeque` BFS from the least cover node,
+    /// neighbours in increasing id, and the cover itself as the node set.
+    fn textbook_from_cover(g: &Graph, cover: &NodeSet) -> Option<SteinerTree> {
+        let mut edges = Vec::new();
+        if let Some(start) = cover.first() {
+            let mut seen = NodeSet::from_nodes(g.node_count(), [start]);
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(v) = queue.pop_front() {
+                for &u in g.neighbors(v) {
+                    if cover.contains(u) && seen.insert(u) {
+                        edges.push((v, u));
+                        queue.push_back(u);
+                    }
+                }
+            }
+            if seen != *cover {
+                return None;
+            }
+        }
+        Some(SteinerTree {
+            nodes: cover.clone(),
+            edges,
+        })
+    }
+
+    #[test]
+    fn from_cover_is_the_textbook_bfs_tree_edge_for_edge() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        let (mut connected, mut disconnected) = (0, 0);
+        for round in 0..300 {
+            let n = rng.gen_range(1..=80);
+            let edges: Vec<_> = (0..rng.gen_range(0..3 * n))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .filter(|(x, y)| x != y)
+                .collect();
+            let mut g = graph_from_edges(n, &edges);
+            // As built, then all dense rows, then pure CSR.
+            g.rebuild_bit_rows([Graph::default_dense_threshold(n), 0, usize::MAX][round % 3]);
+            for _ in 0..4 {
+                let keep = rng.gen_range(1..=4u32);
+                let mut cover = NodeSet::from_nodes(
+                    n,
+                    (0..n as u32)
+                        .filter(|_| rng.gen_range(0..4u32) < keep)
+                        .map(NodeId),
+                );
+                // Every other cover is cut down to one of its components.
+                if rng.gen_bool(0.5) {
+                    if let Some(v) = cover.first() {
+                        cover = mcc_graph::connectivity::component_of(&g, &cover, v);
+                    }
+                }
+                let want = textbook_from_cover(&g, &cover);
+                if want.is_some() {
+                    connected += 1;
+                } else {
+                    disconnected += 1;
+                }
+                assert_eq!(SteinerTree::from_cover(&g, &cover), want, "{g:?} {cover:?}");
+            }
+        }
+        assert!(
+            connected > 100 && disconnected > 100,
+            "{connected} {disconnected}"
+        );
     }
 
     #[test]
