@@ -591,7 +591,8 @@ fn exp_e8_offclass() {
         let order: Vec<NodeId> = w.graph().nodes().collect();
         let greedy = algorithm2_along(w.graph(), &w.terminals, &order).expect("feasible");
         let token = CancelToken::unbounded();
-        let kmb = steiner_kmb(w.graph(), &w.terminals, &token).expect("feasible");
+        let kmb =
+            steiner_kmb(&mut Workspace::new(), w.graph(), &w.terminals, &token).expect("feasible");
         let exact = steiner_exact(&SteinerInstance::new(
             w.graph().clone(),
             w.terminals.clone(),

@@ -4,11 +4,11 @@
 //! straight from the definition — all pairs of later neighbors tested for
 //! adjacency — independently of the deferred Golumbic check the
 //! production recognizer uses
-//! ([`crate::is_perfect_elimination_ordering_in`]). The recognizers call
+//! ([`crate::is_perfect_elimination_ordering`]). The recognizers call
 //! it through `debug_assert!`, so the cross-check runs on every debug
 //! test execution and costs nothing in release builds.
 
-use mcc_graph::{Adjacency, NodeId, Workspace};
+use mcc_graph::{Adjacency, NodeId};
 
 /// Largest graph the definitional PEO re-check runs on; above this the
 /// callers skip the certificate (the naive check is quadratic in the
@@ -23,46 +23,21 @@ pub const CHECK_PEO_MAX_NODES: usize = 512;
 ///
 /// This is the literal Definition-4 reading, `O(Σ deg²)` worst case —
 /// deliberately independent of the deferred `R(v)\{p(v)} ⊆ R(p(v))`
-/// check used by [`crate::is_perfect_elimination_ordering_in`], so the
+/// check used by [`crate::is_perfect_elimination_ordering`], so the
 /// two validate each other when cross-asserted in debug builds.
 pub fn check_peo<G: Adjacency + ?Sized>(g: &G, order: &[NodeId]) -> bool {
-    check_peo_in(&mut Workspace::new(), g, order)
-}
-
-/// [`check_peo`] with its position table and later-neighbor list taken
-/// from `ws`, so the debug-build certificate inside the recognizers adds
-/// no allocation to a warm call.
-pub(crate) fn check_peo_in<G: Adjacency + ?Sized>(
-    ws: &mut Workspace,
-    g: &G,
-    order: &[NodeId],
-) -> bool {
     let n = g.node_count();
     if order.len() != n {
         return false;
     }
-    let mut pos = ws.take_usize_buf();
-    pos.resize(n, usize::MAX);
-    let mut later = ws.take_node_buf();
-    let ok = definitional_peo(g, order, &mut pos, &mut later);
-    ws.return_node_buf(later);
-    ws.return_usize_buf(pos);
-    ok
-}
-
-fn definitional_peo<G: Adjacency + ?Sized>(
-    g: &G,
-    order: &[NodeId],
-    pos: &mut [usize],
-    later: &mut Vec<NodeId>,
-) -> bool {
-    let n = pos.len();
+    let mut pos = vec![usize::MAX; n];
     for (i, &v) in order.iter().enumerate() {
         if v.index() >= n || pos[v.index()] != usize::MAX {
             return false; // out of range or duplicate
         }
         pos[v.index()] = i;
     }
+    let mut later = Vec::with_capacity(n);
     for &v in order {
         later.clear();
         later.extend(

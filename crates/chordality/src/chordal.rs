@@ -1,36 +1,27 @@
 //! Chordal ((4,1)-chordal, "triangulated") graph recognition.
 
-use crate::{is_perfect_elimination_ordering_in, mcs_order_in};
-use mcc_graph::{Adjacency, Graph, Workspace};
+use crate::{is_perfect_elimination_ordering, mcs_order};
+use mcc_graph::{Adjacency, Graph};
 
 /// `true` iff `g` is a chordal graph (every cycle of length ≥ 4 has a
 /// chord).
 ///
-/// Thin wrapper over [`is_chordal_in`] with a transient workspace.
-pub fn is_chordal(g: &Graph) -> bool {
-    is_chordal_in(&mut Workspace::new(), g)
-}
-
-/// [`is_chordal`] through a workspace: recognition runs maximum
-/// cardinality search and verifies that the reverse order is a perfect
-/// elimination ordering — the Tarjan–Yannakakis method the paper cites as
-/// reference \[12\]. All scratch (ordering, weights, position table) comes
-/// from the workspace pools, so repeated classification calls stop
-/// re-allocating. Runs on any [`Adjacency`], including the unlabelled
-/// side projections the Vᵢ-chordality recognizer builds.
-pub fn is_chordal_in<G: Adjacency + ?Sized>(ws: &mut Workspace, g: &G) -> bool {
-    let mut order = ws.take_node_buf();
-    mcs_order_in(ws, g, &mut order);
+/// Recognition runs maximum cardinality search and verifies that the
+/// reverse order is a perfect elimination ordering — the
+/// Tarjan–Yannakakis method the paper cites as reference \[12\]. Runs on
+/// any [`Adjacency`], including the unlabelled side projections the
+/// Vᵢ-chordality recognizer builds.
+pub fn is_chordal<G: Adjacency + ?Sized>(g: &G) -> bool {
+    let mut order = mcs_order(g);
     order.reverse();
-    let ok = is_perfect_elimination_ordering_in(ws, g, &order);
+    let ok = is_perfect_elimination_ordering(g, &order);
     // Certificate cross-check (debug builds only): the deferred Golumbic
     // verdict must agree with the literal all-pairs PEO definition.
     debug_assert!(
         g.node_count() > crate::check::CHECK_PEO_MAX_NODES
-            || ok == crate::check::check_peo_in(ws, g, &order),
+            || ok == crate::check::check_peo(g, &order),
         "deferred PEO check disagrees with the definitional certificate (MCS order)"
     );
-    ws.return_node_buf(order);
     ok
 }
 

@@ -23,22 +23,15 @@
 //!   `H¹_G` (Theorem 1(iii)). Keeping both non-circular lets the test
 //!   suite *verify* Theorem 1(iii) instead of assuming it.
 
-use mcc_graph::{BipartiteGraph, Graph, NodeId, Workspace};
+use mcc_graph::{BipartiteGraph, Graph, NodeId};
 use mcc_hypergraph::{h1_of_bipartite, is_beta_acyclic};
+use std::collections::VecDeque;
 
-/// Golumbic–Goss bisimplicial-edge elimination. See module docs.
-///
-/// Thin wrapper over [`is_chordal_bipartite_in`] with a transient
-/// workspace.
-pub fn is_chordal_bipartite(g: &Graph) -> bool {
-    is_chordal_bipartite_in(&mut Workspace::new(), g)
-}
-
-/// [`is_chordal_bipartite`] through a workspace, run on the graph's own
-/// CSR: an edge is deleted by setting a *dead* bit on its two arc slots,
-/// each node keeps a live degree, and each node with a dense bitset row
-/// keeps a live copy of it (`O(m)` words in all, by the graph's density
-/// threshold). `xy` is bisimplicial iff `N(x) ⊆ N(u)` for every
+/// Golumbic–Goss bisimplicial-edge elimination (see module docs), run
+/// on the graph's own CSR: an edge is deleted by setting a *dead* bit on
+/// its two arc slots, each node keeps a live degree, and each node with a
+/// dense bitset row keeps a live copy of it (`O(m)` words in all, by the
+/// graph's density threshold). `xy` is bisimplicial iff `N(x) ⊆ N(u)` for every
 /// `u ∈ N(y)` (each `u ∈ N(y)`, `w ∈ N(x)` pair must be adjacent), tested
 /// on the live lists word by word when `x` and `u` both have live rows,
 /// by bit probes when only `u` has one, and by a merge of the two sorted
@@ -50,30 +43,35 @@ pub fn is_chordal_bipartite(g: &Graph) -> bool {
 /// `xy` shrinks `N(x)` and `N(y)` and makes every other test harder or
 /// leaves it unchanged. By the module's soundness and completeness
 /// argument any deletion order decides the class, so the graph is
-/// chordal bipartite iff the worklist empties with no edge left. All
-/// scratch comes from `ws`; a warm call allocates nothing.
+/// chordal bipartite iff the worklist empties with no edge left. Each
+/// table is sized before the scan, and the worklist holds each edge at
+/// most once, so nothing grows by reallocation.
 ///
 /// Cost: each test is `O(Σ_{u ∈ N(y)} (deg x + deg u))`, and each
 /// deletion re-queues `deg x + deg y` edges, so `O(m · Δ²)` per sweep
 /// over the edges with a worst case of `O(m · Δ³)`; linear on graphs of
 /// bounded degree such as block trees, with memory `O(n + m)`.
-pub fn is_chordal_bipartite_in(ws: &mut Workspace, g: &Graph) -> bool {
+pub fn is_chordal_bipartite(g: &Graph) -> bool {
+    let n = g.node_count();
+    // One slot per arc: each edge has two.
+    let arcs = 2 * g.edge_count();
+    let dense = g.nodes().filter(|&v| g.neighbors_bits(v).is_some()).count();
     let mut e = Elimination {
         g,
-        words: g.node_count().div_ceil(64),
-        start: ws.take_usize_buf(),
-        live: ws.take_usize_buf(),
-        dead: ws.take_word_buf(),
-        slot: ws.take_usize_buf(),
-        rows: ws.take_word_buf(),
+        words: n.div_ceil(64),
+        start: Vec::with_capacity(n),
+        live: Vec::with_capacity(n),
+        dead: vec![0; arcs.div_ceil(64)],
+        slot: Vec::with_capacity(n),
+        rows: Vec::with_capacity(dense * n.div_ceil(64)),
     };
     // `start[v]` is the first arc slot of `v`'s row (a prefix sum of the
     // degrees), so arc `(v, neighbors(v)[p])` is slot `start[v] + p`.
-    let mut total = 0;
+    let mut first = 0;
     for v in g.nodes() {
-        e.start.push(total);
+        e.start.push(first);
         e.live.push(g.degree(v));
-        total += g.degree(v);
+        first += g.degree(v);
         match g.neighbors_bits(v) {
             Some(bits) => {
                 e.slot.push(e.rows.len() / e.words);
@@ -82,31 +80,22 @@ pub fn is_chordal_bipartite_in(ws: &mut Workspace, g: &Graph) -> bool {
             None => e.slot.push(usize::MAX),
         }
     }
-    e.dead.resize(total.div_ceil(64), 0);
-    let mut queued = ws.take_word_buf();
-    queued.resize(total.div_ceil(64), 0);
+    let mut queued = vec![0u64; arcs.div_ceil(64)];
     // The worklist is a FIFO of arc slots: every edge is queued once, by
     // its arc from the lower endpoint, in CSR order, and re-queued edges
-    // wait behind the rest of the first sweep.
-    let mut work = ws.take_usize_buf();
+    // wait behind the rest of the first sweep. The `queued` bits keep
+    // each edge in it at most once, so `m` slots always suffice.
+    let mut work = VecDeque::with_capacity(g.edge_count());
     for x in g.nodes() {
         for (p, &y) in g.neighbors(x).iter().enumerate() {
             if y > x {
-                work.push(e.start[x.index()] + p);
+                work.push_back(e.start[x.index()] + p);
                 set_bit(&mut queued, e.start[x.index()] + p);
             }
         }
     }
     let mut edges_left = g.edge_count();
-    let mut head = 0;
-    while let Some(&arc) = work.get(head) {
-        head += 1;
-        if head >= 1024 && 2 * head >= work.len() {
-            // Reclaim the popped prefix, so the buffer stays within
-            // twice the queued edges.
-            work.drain(..head);
-            head = 0;
-        }
+    while let Some(arc) = work.pop_front() {
         clear_bit(&mut queued, arc);
         if bit(&e.dead, arc) {
             continue;
@@ -134,18 +123,11 @@ pub fn is_chordal_bipartite_in(ws: &mut Workspace, g: &Graph) -> bool {
                 };
                 if !bit(&queued, s) {
                     set_bit(&mut queued, s);
-                    work.push(s);
+                    work.push_back(s);
                 }
             }
         }
     }
-    ws.return_usize_buf(work);
-    ws.return_word_buf(queued);
-    ws.return_word_buf(e.rows);
-    ws.return_usize_buf(e.slot);
-    ws.return_word_buf(e.dead);
-    ws.return_usize_buf(e.live);
-    ws.return_usize_buf(e.start);
     edges_left == 0
 }
 

@@ -1,12 +1,12 @@
 //! One-call classification of a bipartite graph into every class studied
 //! by the paper.
 
-use crate::six_two::sparse_six_cycle_in;
+use crate::six_two::sparse_six_cycle;
 use crate::{
-    find_sparse_six_cycle, find_vi_conformality_violation, is_chordal_bipartite_in, is_forest_in,
-    is_vi_chordal_in, is_vi_conformal_in,
+    find_sparse_six_cycle, find_vi_conformality_violation, is_chordal_bipartite, is_forest,
+    is_vi_chordal, is_vi_conformal,
 };
-use mcc_graph::{BipartiteGraph, Side, Workspace};
+use mcc_graph::{BipartiteGraph, Side};
 use mcc_hypergraph::AcyclicityDegree;
 use std::fmt;
 
@@ -154,16 +154,11 @@ impl fmt::Display for BipartiteClassification {
 /// assert!(class.steiner_polynomial());           // Theorem 5 applies
 /// assert!(class.pseudo_steiner_v2_polynomial()); // so does Theorem 4
 /// ```
-pub fn classify_bipartite(bg: &BipartiteGraph) -> BipartiteClassification {
-    classify_bipartite_in(&mut Workspace::new(), bg)
-}
-
-/// [`classify_bipartite`] through a workspace, so a long-lived caller
-/// (schema registration, through `SchemaArtifacts`) reuses one set of
-/// recognizer scratch buffers across schemas. Every recognizer reads the
-/// bipartite CSR and its dense bit rows directly — no labelled graph,
-/// hypergraph or side-swapped copy is built — so a warm call allocates
-/// nothing.
+///
+/// Every recognizer reads the bipartite CSR and its dense bit rows
+/// directly — no labelled graph, hypergraph or side-swapped copy is
+/// built — and allocates its scratch sized up front, so the allocation
+/// count does not grow with the graph on the in-class path.
 ///
 /// The classes are tested from the strongest down, as Theorem 1 and
 /// Corollary 2 order them: (4,1) ⊂ (6,2) ⊂ (6,1) ⊂ Vᵢ-chordal ∧
@@ -174,14 +169,14 @@ pub fn classify_bipartite(bg: &BipartiteGraph) -> BipartiteClassification {
 /// when (6,1) fails. The differential suite
 /// (`tests/exhaustive_differential.rs`) checks every field against an
 /// independent recognizer on all graphs with `|V1| = |V2| = 4`.
-pub fn classify_bipartite_in(ws: &mut Workspace, bg: &BipartiteGraph) -> BipartiteClassification {
+pub fn classify_bipartite(bg: &BipartiteGraph) -> BipartiteClassification {
     let _span = mcc_obs::span!(Classify);
-    let four_one = is_forest_in(ws, bg.graph());
-    if four_one || is_chordal_bipartite_in(ws, bg.graph()) {
+    let four_one = is_forest(bg.graph());
+    if four_one || is_chordal_bipartite(bg.graph()) {
         return BipartiteClassification {
             four_one,
             // (6,2) = (6,1) ∧ no sparse 6-cycle (`six_two` module docs).
-            six_two: four_one || sparse_six_cycle_in(ws, bg).is_none(),
+            six_two: four_one || sparse_six_cycle(bg).is_none(),
             six_one: true,
             v1_chordal: true,
             v1_conformal: true,
@@ -193,10 +188,10 @@ pub fn classify_bipartite_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Biparti
         four_one,
         six_two: false,
         six_one: false,
-        v1_chordal: is_vi_chordal_in(ws, bg, Side::V1),
-        v1_conformal: is_vi_conformal_in(ws, bg, Side::V1),
-        v2_chordal: is_vi_chordal_in(ws, bg, Side::V2),
-        v2_conformal: is_vi_conformal_in(ws, bg, Side::V2),
+        v1_chordal: is_vi_chordal(bg, Side::V1),
+        v1_conformal: is_vi_conformal(bg, Side::V1),
+        v2_chordal: is_vi_chordal(bg, Side::V2),
+        v2_conformal: is_vi_conformal(bg, Side::V2),
     }
 }
 

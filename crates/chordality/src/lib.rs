@@ -67,23 +67,16 @@ pub mod vi_chordal;
 pub mod vi_conformal;
 
 pub use check::{check_peo, CHECK_PEO_MAX_NODES};
-pub use chordal::{find_chordless_cycle, is_chordal, is_chordal_in};
-pub use chordal_bipartite::{
-    is_chordal_bipartite, is_chordal_bipartite_in, is_chordal_bipartite_via_beta,
-};
-pub use classify::{
-    classify_bipartite, classify_bipartite_in, explain_classification, BipartiteClassification,
-};
+pub use chordal::{find_chordless_cycle, is_chordal};
+pub use chordal_bipartite::{is_chordal_bipartite, is_chordal_bipartite_via_beta};
+pub use classify::{classify_bipartite, explain_classification, BipartiteClassification};
 pub use clique_tree::{chordal_maximal_cliques, clique_tree};
-pub use mcs::{mcs_order, mcs_order_in};
-pub use mn_chordal::{is_forest, is_forest_in, is_mn_chordal_bruteforce};
-pub use peo::{is_perfect_elimination_ordering, is_perfect_elimination_ordering_in};
+pub use mcs::mcs_order;
+pub use mn_chordal::{is_forest, is_mn_chordal_bruteforce};
+pub use peo::is_perfect_elimination_ordering;
 pub use projection::project_onto;
-pub use six_two::{
-    find_sparse_six_cycle, find_sparse_six_cycle_in, is_six_two_chordal,
-    is_six_two_chordal_bruteforce, is_six_two_chordal_in,
-};
-pub use vi_chordal::{is_vi_chordal, is_vi_chordal_bruteforce, is_vi_chordal_in};
+pub use six_two::{find_sparse_six_cycle, is_six_two_chordal, is_six_two_chordal_bruteforce};
+pub use vi_chordal::{is_vi_chordal, is_vi_chordal_bruteforce};
 pub use vi_conformal::{
-    find_vi_conformality_violation, is_vi_conformal, is_vi_conformal_bruteforce, is_vi_conformal_in,
+    find_vi_conformality_violation, is_vi_conformal, is_vi_conformal_bruteforce,
 };

@@ -1,6 +1,6 @@
 //! Maximum cardinality search on graphs (Tarjan–Yannakakis).
 
-use mcc_graph::{Adjacency, Graph, NodeId, Workspace};
+use mcc_graph::{Adjacency, NodeId, NodeSet};
 
 /// Computes a maximum-cardinality-search ordering: repeatedly select an
 /// unvisited node adjacent to the largest number of visited nodes (ties
@@ -8,89 +8,101 @@ use mcc_graph::{Adjacency, Graph, NodeId, Workspace};
 /// a perfect elimination ordering (Tarjan & Yannakakis, reference \[12\] of
 /// the paper).
 ///
-/// Thin wrapper over [`mcs_order_in`] with a transient workspace.
-pub fn mcs_order(g: &Graph) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    mcs_order_in(&mut Workspace::new(), g, &mut order);
+/// The unvisited nodes sit in one doubly linked list per weight, so a
+/// weight increment moves a node between lists in `O(1)`, and a
+/// selection scans the highest non-empty list for its smallest id. Every
+/// table is sized from `n` up front, so the allocation count does not
+/// depend on the graph. It runs on any [`Adjacency`]: a
+/// [`mcc_graph::Graph`], or an unlabelled [`mcc_graph::CsrRef`].
+pub fn mcs_order<G: Adjacency + ?Sized>(g: &G) -> Vec<NodeId> {
+    let _span = mcc_obs::span!(McsOrder);
+    let n = g.node_count();
+    let mut order = Vec::with_capacity(n);
+    let mut weight = vec![0usize; n];
+    let mut lists = Lists::new(n);
+    // Unvisited nodes as a bitset so the neighbor sweep can run
+    // word-parallel against dense adjacency rows.
+    let mut unvisited = NodeSet::full(n);
+    let mut max_weight = 0usize;
+    while order.len() < n {
+        while lists.head[max_weight] == NIL {
+            assert!(max_weight > 0, "weight-0 list holds all unvisited nodes");
+            max_weight -= 1;
+        }
+        let v = lists.min(max_weight);
+        lists.unlink(max_weight, v);
+        let v = NodeId::from_index(v);
+        unvisited.remove(v);
+        order.push(v);
+        for u in g.alive_neighbors(v, &unvisited) {
+            let u = u.index();
+            lists.unlink(weight[u], u);
+            weight[u] += 1;
+            lists.push(weight[u], u);
+            max_weight = max_weight.max(weight[u]);
+        }
+    }
     order
 }
 
-/// [`mcs_order`] through a workspace: visited marks use the epoch array
-/// and the weight table and buckets come from the workspace pools, so
-/// repeated recognizer calls stop re-allocating. The ordering is written
-/// into `out` (cleared first).
-///
-/// This implementation keeps per-node weights and scans buckets, giving
-/// `O(n + m)` up to the bucket bookkeeping. It runs on any
-/// [`Adjacency`]: a [`Graph`], or an unlabelled [`mcc_graph::CsrRef`].
-pub fn mcs_order_in<G: Adjacency + ?Sized>(ws: &mut Workspace, g: &G, out: &mut Vec<NodeId>) {
-    let _span = mcc_obs::span!(McsOrder);
-    let n = g.node_count();
-    out.clear();
-    out.reserve(n);
-    let mut weight = ws.take_usize_buf();
-    weight.resize(n, 0);
-    // buckets[w] = nodes with current weight w (lazily cleaned).
-    let mut buckets = ws.take_bucket_list();
-    if buckets.is_empty() {
-        // Warm-up growth of the pooled bucket spine; steady state is
-        // allocation-free (pinned by alloc_regression.rs).
-        buckets.push(Vec::new());
-    }
-    buckets[0].extend((0..n).map(NodeId::from_index));
-    // Unvisited nodes as a bitset so the neighbor sweep can run
-    // word-parallel against dense adjacency rows.
-    let mut unvisited = ws.take_set_buf(n);
-    unvisited.fill();
-    let mut max_weight = 0usize;
-    while out.len() < n {
-        // Find the highest non-empty bucket with an unvisited node; ties
-        // break toward the smallest id for determinism.
-        let v = loop {
-            // One pass purges stale entries (visited, or promoted to a
-            // higher bucket) and finds the minimum survivor, which is
-            // then removed; bucket order is irrelevant to the choice.
-            let bucket = &mut buckets[max_weight];
-            let mut kept = 0;
-            let mut best: Option<usize> = None;
-            for r in 0..bucket.len() {
-                let c = bucket[r];
-                if unvisited.contains(c) && weight[c.index()] == max_weight {
-                    bucket[kept] = c;
-                    if best.map_or(true, |b| c < bucket[b]) {
-                        best = Some(kept);
-                    }
-                    kept += 1;
-                }
-            }
-            bucket.truncate(kept);
-            match best {
-                Some(b) => break bucket.swap_remove(b),
-                None => {
-                    assert!(max_weight > 0, "weight-0 bucket holds all unvisited nodes");
-                    max_weight -= 1;
-                }
-            }
+/// No node: the end of a list.
+const NIL: usize = usize::MAX;
+
+/// The unvisited nodes by weight, one doubly linked list per weight
+/// (a weight never exceeds `n - 1`). List order is irrelevant: a
+/// selection takes the smallest id.
+struct Lists {
+    head: Vec<usize>,
+    next: Vec<usize>,
+    prev: Vec<usize>,
+}
+
+impl Lists {
+    /// Every node of `0..n` in the weight-0 list.
+    fn new(n: usize) -> Self {
+        let mut lists = Lists {
+            head: vec![NIL; n + 1],
+            next: vec![NIL; n],
+            prev: vec![NIL; n],
         };
-        unvisited.remove(v);
-        out.push(v);
-        for u in g.alive_neighbors(v, &unvisited) {
-            weight[u.index()] += 1;
-            let w = weight[u.index()];
-            if w >= buckets.len() {
-                // Bucket-spine growth to the max weight seen, amortized
-                // away across reuse (pinned by alloc_regression.rs).
-                buckets.resize(w + 1, Vec::new());
-            }
-            buckets[w].push(u);
-            if w > max_weight {
-                max_weight = w;
-            }
+        for v in 0..n {
+            lists.push(0, v);
+        }
+        lists
+    }
+
+    /// The smallest node of the non-empty list `w`.
+    fn min(&self, w: usize) -> usize {
+        let mut best = self.head[w];
+        let mut c = self.next[best];
+        while c != NIL {
+            best = best.min(c);
+            c = self.next[c];
+        }
+        best
+    }
+
+    /// Puts `v` at the front of list `w`.
+    fn push(&mut self, w: usize, v: usize) {
+        self.next[v] = self.head[w];
+        self.prev[v] = NIL;
+        if self.head[w] != NIL {
+            self.prev[self.head[w]] = v;
+        }
+        self.head[w] = v;
+    }
+
+    /// Takes `v` out of list `w`.
+    fn unlink(&mut self, w: usize, v: usize) {
+        let (p, nx) = (self.prev[v], self.next[v]);
+        match p {
+            NIL => self.head[w] = nx,
+            p => self.next[p] = nx,
+        }
+        if nx != NIL {
+            self.prev[nx] = p;
         }
     }
-    ws.return_set_buf(unvisited);
-    ws.return_usize_buf(weight);
-    ws.return_bucket_list(buckets);
 }
 
 #[cfg(test)]

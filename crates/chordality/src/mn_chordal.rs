@@ -1,6 +1,6 @@
 //! The literal Definition 4 predicate, and the (4,1)-bipartite case.
 
-use mcc_graph::{chords_of_cycle, enumerate_cycles, CycleLimits, Graph, Workspace};
+use mcc_graph::{chords_of_cycle, enumerate_cycles, CycleLimits, Graph, NodeSet};
 
 /// Definitional `(m, n)`-chordality: every cycle of length ≥ `m` has at
 /// least `n` chords.
@@ -25,36 +25,31 @@ pub fn is_mn_chordal_bruteforce(g: &Graph, m: usize, n: usize, limits: CycleLimi
 /// (4,1)-chordality (Theorem 1(i): a bipartite graph has no odd cycles and
 /// its 4-cycles cannot have chords, so "every cycle ≥ 4 has a chord"
 /// collapses to "no cycles at all").
+///
+/// `m + c = n` with the `c` components counted by one search, whose
+/// marks and stack are sized from `n` up front.
 pub fn is_forest(g: &Graph) -> bool {
-    is_forest_in(&mut Workspace::new(), g)
-}
-
-/// [`is_forest`] through a workspace: `m + c = n` with the `c`
-/// components counted by a search on the workspace's epoch marks and a
-/// pooled stack, so a warm call allocates nothing.
-pub fn is_forest_in(ws: &mut Workspace, g: &Graph) -> bool {
     let n = g.node_count();
     if g.edge_count() >= n {
         return n == 0 && g.edge_count() == 0;
     }
-    let mut stack = ws.take_node_buf();
+    let mut seen = NodeSet::new(n);
+    let mut stack = Vec::with_capacity(n);
     let mut components = 0;
-    ws.begin_visit(n);
     for root in g.nodes() {
-        if !ws.mark(root) {
+        if !seen.insert(root) {
             continue;
         }
         components += 1;
         stack.push(root);
         while let Some(v) = stack.pop() {
             for &u in g.neighbors(v) {
-                if ws.mark(u) {
+                if seen.insert(u) {
                     stack.push(u);
                 }
             }
         }
     }
-    ws.return_node_buf(stack);
     g.edge_count() + components == n
 }
 

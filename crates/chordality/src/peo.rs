@@ -1,20 +1,11 @@
 //! Perfect elimination orderings.
 
-use mcc_graph::{Adjacency, Graph, NodeId, Workspace};
+use mcc_graph::{Adjacency, NodeId};
 
 /// Checks whether `order` (an elimination order: `order[0]` is eliminated
 /// first) is a **perfect elimination ordering** of `g`: for every node
 /// `v`, the neighbors of `v` that occur *later* in the order form a
 /// clique.
-///
-/// Thin wrapper over [`is_perfect_elimination_ordering_in`] with a
-/// transient workspace.
-pub fn is_perfect_elimination_ordering(g: &Graph, order: &[NodeId]) -> bool {
-    is_perfect_elimination_ordering_in(&mut Workspace::new(), g, order)
-}
-
-/// [`is_perfect_elimination_ordering`] through a workspace (the position
-/// table and later-neighbor scratch come from the pools).
 ///
 /// Uses the standard deferred check (Golumbic; Tarjan–Yannakakis): for
 /// each `v` let `R(v)` be its later neighbors and `p(v)` the earliest of
@@ -22,29 +13,19 @@ pub fn is_perfect_elimination_ordering(g: &Graph, order: &[NodeId]) -> bool {
 /// `O(n + m·deg)` overall instead of testing all pairs.
 ///
 /// Returns `false` when `order` is not a permutation of the nodes.
-pub fn is_perfect_elimination_ordering_in<G: Adjacency + ?Sized>(
-    ws: &mut Workspace,
-    g: &G,
-    order: &[NodeId],
-) -> bool {
+pub fn is_perfect_elimination_ordering<G: Adjacency + ?Sized>(g: &G, order: &[NodeId]) -> bool {
     let n = g.node_count();
     if order.len() != n {
         return false;
     }
-    let mut pos = ws.take_usize_buf();
-    pos.resize(n, usize::MAX);
-    let mut later = ws.take_node_buf();
-    let done = |ws: &mut Workspace, pos: Vec<usize>, later: Vec<NodeId>, ok: bool| {
-        ws.return_usize_buf(pos);
-        ws.return_node_buf(later);
-        ok
-    };
+    let mut pos = vec![usize::MAX; n];
     for (i, &v) in order.iter().enumerate() {
         if v.index() >= n || pos[v.index()] != usize::MAX {
-            return done(ws, pos, later, false); // out of range or duplicate
+            return false; // out of range or duplicate
         }
         pos[v.index()] = i;
     }
+    let mut later = Vec::with_capacity(n);
     for &v in order {
         // Later neighbors of v, i.e. the ones surviving when v is
         // eliminated.
@@ -62,13 +43,11 @@ pub fn is_perfect_elimination_ordering_in<G: Adjacency + ?Sized>(
         // `p` is the earliest later neighbor; on dense graphs its bitset
         // row answers each membership probe in O(1) words.
         let p = later[0];
-        for &u in &later[1..] {
-            if !g.has_edge(p, u) {
-                return done(ws, pos, later, false);
-            }
+        if later[1..].iter().any(|&u| !g.has_edge(p, u)) {
+            return false;
         }
     }
-    done(ws, pos, later, true)
+    true
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Side projections of bipartite graphs (the primal graphs of `H¹`/`H²`).
 
-use mcc_graph::{BipartiteGraph, Graph, NodeId, Side, Workspace};
+use mcc_graph::{BipartiteGraph, Graph, NodeId, Side};
 
 /// The projection of `bg` onto side `s`: a graph whose nodes are the
 /// `s`-side nodes of `bg`, with an arc between two of them iff they share
@@ -43,35 +43,30 @@ pub fn project_onto(bg: &BipartiteGraph, s: Side) -> (Graph, Vec<NodeId>) {
     (b.build(), to_parent)
 }
 
-/// [`project_onto`] without labels: writes the projection of `bg` onto
-/// side `s` as an unlabelled CSR into `offsets` and `targets` (both
-/// cleared first; wrap them in [`mcc_graph::CsrRef`]). Node `i` is the
-/// `i`-th node of side `s` in increasing id order — the numbering of
-/// [`project_onto`]. Each row is the OR of the neighbors' adjacency rows
+/// [`project_onto`] without labels: the projection of `bg` onto side
+/// `s` as an unlabelled CSR `(offsets, targets)` (wrap them in
+/// [`mcc_graph::CsrRef`]). Node `i` is the `i`-th node of side `s` in
+/// increasing id order — the numbering of [`project_onto`]. Each row is
+/// the OR of the neighbors' adjacency rows
 /// ([`mcc_graph::Graph::or_neighbors_into`]), read back in increasing
-/// order, so rows come out sorted and duplicate-free with no sort. All
-/// scratch comes from `ws`; a warm call allocates nothing. Cost
-/// `O(Σ_{v ∈ s} (Σ_{w ∈ N(v)} min(deg w, ⌈n/64⌉) + ⌈n/64⌉))` word
-/// operations.
-pub(crate) fn project_csr_in(
-    ws: &mut Workspace,
-    bg: &BipartiteGraph,
-    s: Side,
-    offsets: &mut Vec<usize>,
-    targets: &mut Vec<NodeId>,
-) {
+/// order, so rows come out sorted and duplicate-free with no sort. Node
+/// `v` has at most `Σ_{w ∈ N(v)} (deg w − 1)` projected neighbors, and
+/// `targets` is reserved to that bound, so it never grows by
+/// reallocation. Cost `O(Σ_{v ∈ s} (Σ_{w ∈ N(v)} min(deg w, ⌈n/64⌉) +
+/// ⌈n/64⌉))` word operations.
+pub(crate) fn project_csr(bg: &BipartiteGraph, s: Side) -> (Vec<usize>, Vec<NodeId>) {
     let g = bg.graph();
     let n = g.node_count();
-    let words = n.div_ceil(64);
-    let mut index = ws.take_usize_buf();
-    index.resize(n, usize::MAX);
+    let mut index = vec![usize::MAX; n];
+    let mut bound = 0;
     for (i, v) in bg.side_nodes(s).enumerate() {
         index[v.index()] = i;
+        let paths: usize = g.neighbors(v).iter().map(|&w| g.degree(w) - 1).sum();
+        bound += paths.min(n);
     }
-    let mut row = ws.take_word_buf();
-    row.resize(words, 0);
-    offsets.clear();
-    targets.clear();
+    let mut row = vec![0u64; n.div_ceil(64)];
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(bound);
     for v in bg.side_nodes(s) {
         offsets.push(targets.len());
         for &w in g.neighbors(v) {
@@ -87,8 +82,7 @@ pub(crate) fn project_csr_in(
         }
     }
     offsets.push(targets.len());
-    ws.return_word_buf(row);
-    ws.return_usize_buf(index);
+    (offsets, targets)
 }
 
 #[cfg(test)]
@@ -142,11 +136,9 @@ mod tests {
         sparse.rebuild_bit_rows(usize::MAX);
         let sides = bg.graph().nodes().map(|v| bg.side(v)).collect();
         let sparse = BipartiteGraph::new(sparse, sides).unwrap();
-        let mut ws = Workspace::new();
         for (bg, side) in [(&bg, Side::V1), (&bg, Side::V2), (&sparse, Side::V1)] {
             let (p, _) = project_onto(bg, side);
-            let (mut offsets, mut targets) = (Vec::new(), Vec::new());
-            project_csr_in(&mut ws, bg, side, &mut offsets, &mut targets);
+            let (offsets, targets) = project_csr(bg, side);
             let csr = CsrRef::new(&offsets, &targets);
             assert_eq!(csr.node_count(), p.node_count());
             for v in p.nodes() {

@@ -30,136 +30,107 @@
 //! remaining pairwise intersection is nonempty. That check is pure set
 //! algebra per triple, no cycle enumeration, and only triples that
 //! pairwise share a neighbor — the triangles of the projection onto
-//! `V1` — need it (`sparse_six_cycle_in`).
+//! `V1` — need it (`sparse_six_cycle`).
 //!
 //! This is the one (6,2) route. Tests hold it to the literal Definition 4
 //! predicate ([`is_six_two_chordal_bruteforce`]) on every subgraph of
 //! `K(3,3)` here and on every 4+4 bipartite graph in the exhaustive
 //! classification suite.
 
-use crate::{is_chordal_bipartite_in, is_mn_chordal_bruteforce};
-use mcc_graph::{BipartiteGraph, CycleLimits, Graph, NodeId, Side, Workspace};
+use crate::{is_chordal_bipartite, is_mn_chordal_bruteforce};
+use mcc_graph::words::{and_into, bits, first_andnot};
+use mcc_graph::{BipartiteGraph, CycleLimits, Graph, NodeId, Side};
 use mcc_hypergraph::{Incidence, SideIncidence};
 
 /// Production (6,2)-chordality recognizer. See module docs.
-///
-/// Thin wrapper over [`is_six_two_chordal_in`] with a transient
-/// workspace.
 pub fn is_six_two_chordal(bg: &BipartiteGraph) -> bool {
-    is_six_two_chordal_in(&mut Workspace::new(), bg)
-}
-
-/// [`is_six_two_chordal`] through a workspace: both recognizers run on
-/// pooled scratch, so repeated classification calls stop re-allocating.
-pub fn is_six_two_chordal_in(ws: &mut Workspace, bg: &BipartiteGraph) -> bool {
-    is_chordal_bipartite_in(ws, bg.graph()) && sparse_six_cycle_in(ws, bg).is_none()
+    is_chordal_bipartite(bg.graph()) && sparse_six_cycle(bg).is_none()
 }
 
 /// Finds a concrete 6-cycle with at most one chord, as its node sequence
 /// `x₁ y₁₂ x₂ y₂₃ x₃ y₃₁` — the violation witness behind a negative
 /// (6,2) verdict. `None` when every 6-cycle has ≥ 2 chords.
-///
-/// Thin wrapper over [`find_sparse_six_cycle_in`] with a transient
-/// workspace.
 pub fn find_sparse_six_cycle(bg: &BipartiteGraph) -> Option<Vec<NodeId>> {
-    find_sparse_six_cycle_in(&mut Workspace::new(), bg)
+    sparse_six_cycle(bg).map(|c| c.to_vec())
 }
 
-/// [`find_sparse_six_cycle`] through a workspace. The scan (module docs)
-/// runs on pooled scratch; the only steady-state allocation is the
-/// returned witness itself.
-pub fn find_sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Option<Vec<NodeId>> {
-    sparse_six_cycle_in(ws, bg).map(|c| c.to_vec())
-}
-
-/// The scan behind [`find_sparse_six_cycle_in`], returning the witness
-/// by value so a warm call allocates nothing.
+/// The scan behind [`find_sparse_six_cycle`], returning the witness by
+/// value.
 ///
 /// Only `V1`-triples that pairwise share a neighbor can carry a 6-cycle,
 /// so the scan visits exactly the triangles of the projection onto `V1`
 /// (its 2-section), as Gilmore's conformality scan does: for each `x₁`
 /// it marks its partners (the higher `V1` nodes sharing a neighbor, from
-/// [`Incidence::higher_partners_in`] on the graph read as `H²`), and for
+/// [`Incidence::higher_partners`] on the graph read as `H²`), and for
 /// each partner `x₂` walks `x₂`'s partners `x₃`, keeping the marked
-/// ones. Triples come in increasing `i < j < k` order, as in a
-/// scan of all triples, so the witness is the same. The per-triple set
-/// algebra runs word-parallel on pooled [`mcc_graph::BitRow`] scratch:
-/// each adjacency row is loaded once per loop level (a `memcpy` when
-/// the graph keeps a dense bitset row for that node), and the pairwise
-/// and triple connector sets are computed by whole-word AND sweeps.
-pub(crate) fn sparse_six_cycle_in(ws: &mut Workspace, bg: &BipartiteGraph) -> Option<[NodeId; 6]> {
+/// ones; the marks of `x₁` are cleared through its own partner list.
+/// Triples come in increasing `i < j < k` order, as in a scan of all
+/// triples, so the witness is the same. The per-triple set algebra runs
+/// word-parallel on seven word rows ([`mcc_graph::words`]), allocated
+/// once per scan: each adjacency row is loaded once per loop level, and the
+/// pairwise and triple connector sets are computed by whole-word AND
+/// sweeps.
+pub(crate) fn sparse_six_cycle(bg: &BipartiteGraph) -> Option<[NodeId; 6]> {
     let g = bg.graph();
     let n = g.node_count();
-    let mut offsets = ws.take_usize_buf();
-    let mut partners = ws.take_usize_buf();
-    SideIncidence::new(bg, Side::V1).higher_partners_in(ws, &mut offsets, &mut partners);
-    let mut row_i = ws.take_bit_row(n);
-    let mut row_j = ws.take_bit_row(n);
-    let mut row_k = ws.take_bit_row(n);
-    let mut c12 = ws.take_bit_row(n);
-    let mut c23 = ws.take_bit_row(n);
-    let mut c31 = ws.take_bit_row(n);
-    let mut c123 = ws.take_bit_row(n);
+    let (mut offsets, mut partners) = (Vec::new(), Vec::new());
+    SideIncidence::new(bg, Side::V1).higher_partners(&mut offsets, &mut partners);
+    let mut marked = vec![false; n];
+    let row = || vec![0u64; n.div_ceil(64)];
+    let (mut row_i, mut row_j, mut row_k) = (row(), row(), row());
+    let (mut c12, mut c23, mut c31, mut c123) = (row(), row(), row(), row());
+    let load = |row: &mut [u64], v: NodeId| {
+        row.fill(0);
+        g.or_neighbors_into(v, row);
+    };
 
-    let mut witness = None;
-    'search: for x1 in bg.side_nodes(Side::V1) {
+    for x1 in bg.side_nodes(Side::V1) {
         let pi = &partners[offsets[x1.index()]..offsets[x1.index() + 1]];
         if pi.len() < 2 {
             continue; // a triple needs two partners of `x₁`
         }
-        ws.begin_visit(n);
         for &j in pi {
-            ws.mark(NodeId::from_index(j));
+            marked[j] = true;
         }
-        row_i.load_neighbors(g, x1);
+        load(&mut row_i, x1);
         for &j in pi {
             let x2 = NodeId::from_index(j);
-            row_j.load_neighbors(g, x2);
-            c12.copy_from(&row_i);
-            c12.and_with(&row_j);
+            load(&mut row_j, x2);
+            and_into(&mut c12, &row_i, &row_j);
             for &k in &partners[offsets[j]..offsets[j + 1]] {
-                let x3 = NodeId::from_index(k);
-                if !ws.is_marked(x3) {
+                if !marked[k] {
                     continue;
                 }
+                let x3 = NodeId::from_index(k);
                 // Partnership makes all three connector sets nonempty.
-                row_k.load_neighbors(g, x3);
-                c23.copy_from(&row_j);
-                c23.and_with(&row_k);
-                c31.copy_from(&row_k);
-                c31.and_with(&row_i);
-                c123.copy_from(&c12);
-                c123.and_with(&row_k);
-                let a = c12.first_andnot(&c123); // connector missing the x3 chord
-                let b = c23.first_andnot(&c123); // … missing the x1 chord
-                let d = c31.first_andnot(&c123); // … missing the x2 chord
-                                                 // A 6-cycle with ≤ 1 chord picks two private connectors
-                                                 // from different pair-sets (the third connector is then
-                                                 // automatically distinct from both); the remaining slot
-                                                 // takes any connector of its pair.
+                load(&mut row_k, x3);
+                and_into(&mut c23, &row_j, &row_k);
+                and_into(&mut c31, &row_k, &row_i);
+                and_into(&mut c123, &c12, &row_k);
+                let a = first_andnot(&c12, &c123); // connector missing the x3 chord
+                let b = first_andnot(&c23, &c123); // … missing the x1 chord
+                let d = first_andnot(&c31, &c123); // … missing the x2 chord
+
+                // A 6-cycle with ≤ 1 chord picks two private connectors
+                // from different pair-sets (the third connector is then
+                // automatically distinct from both); the remaining slot
+                // takes any connector of its pair.
                 let cycle = match (a, b, d) {
-                    (Some(y12), Some(y23), _) => c31.first().map(|y31| (y12, y23, y31)),
-                    (_, Some(y23), Some(y31)) => c12.first().map(|y12| (y12, y23, y31)),
-                    (Some(y12), _, Some(y31)) => c23.first().map(|y23| (y12, y23, y31)),
+                    (Some(y12), Some(y23), _) => bits(&c31).next().map(|y31| (y12, y23, y31)),
+                    (_, Some(y23), Some(y31)) => bits(&c12).next().map(|y12| (y12, y23, y31)),
+                    (Some(y12), _, Some(y31)) => bits(&c23).next().map(|y23| (y12, y23, y31)),
                     _ => None,
                 };
                 if let Some((y12, y23, y31)) = cycle {
-                    witness = Some([x1, y12, x2, y23, x3, y31]);
-                    break 'search;
+                    return Some([x1, y12, x2, y23, x3, y31]);
                 }
             }
         }
+        for &j in pi {
+            marked[j] = false;
+        }
     }
-    ws.return_bit_row(c123);
-    ws.return_bit_row(c31);
-    ws.return_bit_row(c23);
-    ws.return_bit_row(c12);
-    ws.return_bit_row(row_k);
-    ws.return_bit_row(row_j);
-    ws.return_bit_row(row_i);
-    ws.return_usize_buf(partners);
-    ws.return_usize_buf(offsets);
-    witness
+    None
 }
 
 /// Definitional (6,2)-chordality by full cycle enumeration (exponential;

@@ -8,32 +8,17 @@
 //! `G` onto `V_{3-i}` (the primal graph of the hypergraph whose edges
 //! come from `Vᵢ`) is chordal.
 
-use crate::is_chordal_in;
-use crate::projection::project_csr_in;
-use mcc_graph::{
-    chords_of_cycle, enumerate_cycles, BipartiteGraph, CsrRef, CycleLimits, Side, Workspace,
-};
+use crate::is_chordal;
+use crate::projection::project_csr;
+use mcc_graph::{chords_of_cycle, enumerate_cycles, BipartiteGraph, CsrRef, CycleLimits, Side};
 
 /// Production Vᵢ-chordality test: chordality of the projection of `bg`
-/// onto the side opposite the witness side.
-///
-/// Thin wrapper over [`is_vi_chordal_in`] with a transient workspace.
+/// onto the side opposite the witness side. The projection is an
+/// unlabelled CSR (no labels, no `Graph`), and the linear MCS + PEO
+/// check runs on it directly.
 pub fn is_vi_chordal(bg: &BipartiteGraph, witness_side: Side) -> bool {
-    is_vi_chordal_in(&mut Workspace::new(), bg, witness_side)
-}
-
-/// [`is_vi_chordal`] through a workspace: the projection is an
-/// unlabelled CSR in workspace buffers (no labels, no `Graph`) and the
-/// linear MCS + PEO check runs on it directly, so a warm call allocates
-/// nothing.
-pub fn is_vi_chordal_in(ws: &mut Workspace, bg: &BipartiteGraph, witness_side: Side) -> bool {
-    let mut offsets = ws.take_usize_buf();
-    let mut targets = ws.take_node_buf();
-    project_csr_in(ws, bg, witness_side.opposite(), &mut offsets, &mut targets);
-    let chordal = is_chordal_in(ws, &CsrRef::new(&offsets, &targets));
-    ws.return_node_buf(targets);
-    ws.return_usize_buf(offsets);
-    chordal
+    let (offsets, targets) = project_csr(bg, witness_side.opposite());
+    is_chordal(&CsrRef::new(&offsets, &targets))
 }
 
 /// Definitional Vᵢ-chordality: enumerate cycles of length ≥ 8 and look

@@ -8,9 +8,9 @@
 
 use crate::chordal_bipartite::drop_isolated_v2;
 use crate::project_onto;
-use mcc_graph::{BipartiteGraph, Side, Workspace};
+use mcc_graph::{BipartiteGraph, Side};
 use mcc_hypergraph::conformal::maximal_cliques;
-use mcc_hypergraph::{h1_of_bipartite, side_conformality_violation_in, Hypergraph};
+use mcc_hypergraph::{h1_of_bipartite, side_conformality_violation, Hypergraph};
 
 /// Builds the hypergraph whose **edges** come from side `witness_side` of
 /// `bg` (so `witness_side = V2` gives `H¹_G`), dropping isolated
@@ -32,20 +32,12 @@ pub fn hypergraph_of_witness_side(bg: &BipartiteGraph, witness_side: Side) -> Hy
 }
 
 /// Production Vᵢ-conformity: Gilmore's criterion on the witness-side
-/// hypergraph, read straight off `bg`.
-///
-/// Thin wrapper over [`is_vi_conformal_in`] with a transient workspace.
+/// hypergraph, read straight off `bg`. The scan runs on the witness-side
+/// nodes' neighborhoods as the edges and `neighbors(v)` as the incidence
+/// lists ([`side_conformality_violation`]), with no labelled hypergraph
+/// or side-swapped copy.
 pub fn is_vi_conformal(bg: &BipartiteGraph, witness_side: Side) -> bool {
-    is_vi_conformal_in(&mut Workspace::new(), bg, witness_side)
-}
-
-/// [`is_vi_conformal`] through a workspace. Gilmore's scan runs on the
-/// witness-side nodes' neighborhoods as the edges and `neighbors(v)` as
-/// the incidence lists ([`side_conformality_violation_in`]), with no
-/// labelled hypergraph or side-swapped copy; a warm call allocates
-/// nothing.
-pub fn is_vi_conformal_in(ws: &mut Workspace, bg: &BipartiteGraph, witness_side: Side) -> bool {
-    !side_conformality_violation_in(ws, bg, witness_side, None)
+    !side_conformality_violation(bg, witness_side, None)
 }
 
 /// The witness version: a set `S ⊆ V_{3-i}` of nodes at mutual distance
@@ -57,8 +49,7 @@ pub fn find_vi_conformality_violation(
     witness_side: Side,
 ) -> Option<mcc_graph::NodeSet> {
     let mut witness = mcc_graph::NodeSet::new(bg.graph().node_count());
-    side_conformality_violation_in(&mut Workspace::new(), bg, witness_side, Some(&mut witness))
-        .then_some(witness)
+    side_conformality_violation(bg, witness_side, Some(&mut witness)).then_some(witness)
 }
 
 /// Definitional Vᵢ-conformity: sets of `V_{3-i}` nodes at mutual distance

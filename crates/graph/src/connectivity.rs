@@ -13,14 +13,10 @@ use crate::{bfs_order_in, Graph, NodeId, NodeSet, Workspace};
 /// connected (an empty cover can only cover an empty `P`), as is any
 /// singleton.
 pub fn is_connected_within(g: &Graph, alive: &NodeSet) -> bool {
-    is_connected_within_in(&mut Workspace::new(), g, alive)
-}
-
-/// Allocation-free [`is_connected_within`].
-pub fn is_connected_within_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet) -> bool {
+    let mut ws = Workspace::with_capacity(g.node_count());
     match alive.first() {
         None => true,
-        Some(start) => bfs_order_in(ws, g, alive, start).len() == alive.len(),
+        Some(start) => bfs_order_in(&mut ws, g, alive, start).len() == alive.len(),
     }
 }
 
@@ -51,7 +47,8 @@ pub fn is_cover(g: &Graph, alive: &NodeSet, terminals: &NodeSet) -> bool {
 ///
 /// An empty terminal set is vacuously connected.
 pub fn terminals_connected(g: &Graph, alive: &NodeSet, terminals: &NodeSet) -> bool {
-    terminals_connected_in(&mut Workspace::new(), g, alive, terminals)
+    let mut ws = Workspace::with_capacity(g.node_count());
+    terminals_connected_in(&mut ws, g, alive, terminals)
 }
 
 /// Allocation-free [`terminals_connected`]: one BFS from the first
@@ -96,16 +93,11 @@ pub fn terminals_connected_in(
 }
 
 /// The connected components of the subgraph induced by `alive`, each as a
-/// [`NodeSet`], ordered by smallest member.
+/// [`NodeSet`], ordered by smallest member: a single BFS sweep under one
+/// visited epoch, instead of cloning the alive mask and subtracting each
+/// component from it.
 pub fn connected_components(g: &Graph, alive: &NodeSet) -> Vec<NodeSet> {
-    connected_components_in(&mut Workspace::new(), g, alive)
-}
-
-/// [`connected_components`] through a workspace: a single BFS sweep under
-/// one visited epoch, instead of cloning the alive mask and subtracting
-/// each component from it. (The output sets themselves are still
-/// allocated — they are the result.)
-pub fn connected_components_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet) -> Vec<NodeSet> {
+    let mut ws = Workspace::with_capacity(g.node_count());
     let mut comps = Vec::new();
     ws.begin_visit(g.node_count());
     for start in alive.iter() {
@@ -126,7 +118,8 @@ pub fn connected_components_in(ws: &mut Workspace, g: &Graph, alive: &NodeSet) -
 /// alive.
 pub fn component_of(g: &Graph, alive: &NodeSet, v: NodeId) -> NodeSet {
     let mut out = NodeSet::new(g.node_count());
-    component_of_in(&mut Workspace::new(), g, alive, v, &mut out);
+    let mut ws = Workspace::with_capacity(g.node_count());
+    component_of_in(&mut ws, g, alive, v, &mut out);
     out
 }
 

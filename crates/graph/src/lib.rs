@@ -39,6 +39,7 @@ pub mod spanning;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
+pub mod words;
 pub mod workspace;
 
 pub use biconnected::{remove_if_redundant_in, terminal_blocks_in, BlockTree};
@@ -46,9 +47,8 @@ pub use bipartite::{BipartiteGraph, Side};
 pub use budget::{BudgetExceeded, BudgetKind, CancelToken, SolveBudget, Stage};
 pub use builder::GraphBuilder;
 pub use connectivity::{
-    component_of, component_of_in, connected_components, connected_components_in, is_connected,
-    is_connected_within, is_connected_within_in, is_cover, terminals_connected,
-    terminals_connected_in,
+    component_of, component_of_in, connected_components, is_connected, is_connected_within,
+    is_cover, terminals_connected, terminals_connected_in,
 };
 pub use cycles::{chords_of_cycle, enumerate_cycles, Cycle, CycleLimits};
 pub use error::GraphError;
@@ -62,4 +62,4 @@ pub use spanning::spanning_tree;
 pub use stats::{graph_stats, GraphStats};
 pub use subgraph::{induced_subgraph, InducedSubgraph};
 pub use traversal::{bfs_order, bfs_order_in, dfs_order};
-pub use workspace::{BitRow, Workspace, WorkspaceStats};
+pub use workspace::{Workspace, WorkspaceStats};

@@ -9,7 +9,7 @@ use crate::{Graph, NodeId, NodeSet, Workspace};
 /// Thin wrapper over [`bfs_order_in`] with a transient workspace; hot
 /// paths should hold a [`Workspace`] and call the `_in` variant instead.
 pub fn bfs_order(g: &Graph, alive: &NodeSet, start: NodeId) -> Vec<NodeId> {
-    let mut ws = Workspace::new();
+    let mut ws = Workspace::with_capacity(g.node_count());
     bfs_order_in(&mut ws, g, alive, start).to_vec()
 }
 

@@ -30,7 +30,7 @@
 //! The scan therefore only visits triangles of the *edge-intersection
 //! graph*: for each edge `i` it takes its partners
 //! (the higher-indexed edges sharing a node with it, built once by
-//! [`Incidence::higher_partners_in`]), marks them, and for each partner
+//! [`Incidence::higher_partners`]), marks them, and for each partner
 //! `j` walks `j`'s partners `k`, keeping those that are marked.
 //! Each surviving triple is dropped as soon as one pairwise intersection
 //! lies inside the third edge. Only then is `need` tested, and only
@@ -45,10 +45,11 @@
 //! enumeration one mark test per path (`O(W)`), and the set algebra
 //! `O(T · (1 + max d) · ⌈|N|/64⌉)` word operations.
 //! The dense criterion visits all `|E|³/6` triples however sparsely the
-//! edges overlap and tests each against up to `|E|` edges. All scratch
-//! (three word rows, the partner lists) comes from the caller's
-//! [`Workspace`], and the partner marks use its epoch array, so a warm
-//! scan allocates nothing. Triples are visited in the lexicographic
+//! edges overlap and tests each against up to `|E|` edges. The scratch
+//! (three word rows, the partner lists, one mark per edge id) is
+//! allocated once per scan, and the marks of edge `i` are cleared
+//! through `i`'s own partner list, so moving to the next `i` costs no
+//! fill of the mark array. Triples are visited in the lexicographic
 //! order of the dense criterion, so the witness is the same one the
 //! dense scan would return.
 //!
@@ -63,7 +64,8 @@
 //! bipartite graph.
 
 use crate::{primal_graph, EdgeId, Hypergraph};
-use mcc_graph::{BipartiteGraph, Graph, NodeId, NodeSet, Side, Workspace};
+use mcc_graph::words::{and_into, bits, is_subset};
+use mcc_graph::{BipartiteGraph, Graph, NodeId, NodeSet, Side};
 
 /// The incidence structure the partner lists are built from: edges with
 /// dense ids below [`Incidence::edge_bound`], their member nodes, and for
@@ -85,18 +87,14 @@ pub trait Incidence {
     /// edges). Both buffers are cleared first.
     ///
     /// The provided version walks the incidence lists, deduplicates with
-    /// the workspace's epoch marks and sorts each list once:
-    /// `O(Σᵥ d(v)²)` steps plus the sorts.
-    fn higher_partners_in(
-        &self,
-        ws: &mut Workspace,
-        offsets: &mut Vec<usize>,
-        partners: &mut Vec<usize>,
-    ) {
+    /// one mark per edge id (cleared through each finished list) and
+    /// sorts each list once: `O(Σᵥ d(v)²)` steps plus the sorts.
+    fn higher_partners(&self, offsets: &mut Vec<usize>, partners: &mut Vec<usize>) {
         let bound = self.edge_bound();
         offsets.clear();
         offsets.resize(bound + 1, 0);
         partners.clear();
+        let mut marked = vec![false; bound];
         let mut next = 0;
         for i in self.edges() {
             // Ids between edges get empty lists.
@@ -105,15 +103,18 @@ pub trait Incidence {
             }
             next = i + 1;
             let start = partners.len();
-            ws.begin_visit(bound);
             for v in self.members(i) {
                 for k in self.containing(v) {
-                    if k > i && ws.mark(NodeId::from_index(k)) {
+                    if k > i && !marked[k] {
+                        marked[k] = true;
                         partners.push(k);
                     }
                 }
             }
             partners[start..].sort_unstable();
+            for &k in &partners[start..] {
+                marked[k] = false;
+            }
         }
         for slot in &mut offsets[next..] {
             *slot = partners.len();
@@ -201,18 +202,25 @@ impl Incidence for SideIncidence<'_> {
     /// The partners of edge-side node `e` are the edge-side nodes above
     /// it at distance 2: the OR of its neighbors' adjacency rows
     /// ([`mcc_graph::Graph::or_neighbors_into`]) read back in increasing
-    /// order, so no marks or sorts are needed.
-    fn higher_partners_in(
-        &self,
-        ws: &mut Workspace,
-        offsets: &mut Vec<usize>,
-        partners: &mut Vec<usize>,
-    ) {
+    /// order, so no marks or sorts are needed. Both lists are reserved
+    /// up front — `e` has at most `Σ_{v ∈ N(e)} (deg v − 1)` partners —
+    /// so they never grow by reallocation.
+    fn higher_partners(&self, offsets: &mut Vec<usize>, partners: &mut Vec<usize>) {
         let g = self.bg.graph();
-        let mut row = ws.take_word_buf();
-        row.resize(g.node_count().div_ceil(64), 0);
+        let n = g.node_count();
+        let bound: usize = self
+            .edges()
+            .map(|e| {
+                let e = NodeId::from_index(e);
+                let paths: usize = g.neighbors(e).iter().map(|&v| g.degree(v) - 1).sum();
+                paths.min(n)
+            })
+            .sum();
+        let mut row = vec![0u64; n.div_ceil(64)];
         offsets.clear();
+        offsets.reserve(n + 1);
         partners.clear();
+        partners.reserve(bound);
         for e in g.nodes() {
             offsets.push(partners.len());
             if self.bg.side(e) != self.edge_side {
@@ -233,7 +241,6 @@ impl Incidence for SideIncidence<'_> {
             }
         }
         offsets.push(partners.len());
-        ws.return_word_buf(row);
     }
 }
 
@@ -263,13 +270,8 @@ impl Incidence for SideRows<'_> {
         self.inc.containing(v)
     }
 
-    fn higher_partners_in(
-        &self,
-        ws: &mut Workspace,
-        offsets: &mut Vec<usize>,
-        partners: &mut Vec<usize>,
-    ) {
-        self.inc.higher_partners_in(ws, offsets, partners);
+    fn higher_partners(&self, offsets: &mut Vec<usize>, partners: &mut Vec<usize>) {
+        self.inc.higher_partners(offsets, partners);
     }
 }
 
@@ -286,7 +288,7 @@ impl EdgeRows for SideRows<'_> {
 
 /// Gilmore's polynomial conformality test.
 pub fn is_conformal(h: &Hypergraph) -> bool {
-    !conformality_violation_in(&mut Workspace::new(), h, None)
+    !conformality_violation(h, None)
 }
 
 /// The witness version of Gilmore's test: a set of nodes that pairwise
@@ -296,7 +298,7 @@ pub fn is_conformal(h: &Hypergraph) -> bool {
 /// that licenses the pruning and for the cost.
 pub fn find_conformality_violation(h: &Hypergraph) -> Option<NodeSet> {
     let mut witness = NodeSet::new(h.node_count());
-    conformality_violation_in(&mut Workspace::new(), h, Some(&mut witness)).then_some(witness)
+    conformality_violation(h, Some(&mut witness)).then_some(witness)
 }
 
 /// Gilmore's test on the hypergraph whose edges are the neighborhoods of
@@ -304,9 +306,8 @@ pub fn find_conformality_violation(h: &Hypergraph) -> Option<NodeSet> {
 /// [`SideIncidence`]): `true` iff it is **not** conformal. When
 /// `witness` is given and a violation is found, it is overwritten with
 /// the violating node set, in the ids of `bg`. The edge rows are laid
-/// out in workspace buffers, so a warm call allocates nothing.
-pub fn side_conformality_violation_in(
-    ws: &mut Workspace,
+/// out back to back in one buffer, with no labelled copy of the graph.
+pub fn side_conformality_violation(
     bg: &BipartiteGraph,
     edge_side: Side,
     witness: Option<&mut NodeSet>,
@@ -314,25 +315,15 @@ pub fn side_conformality_violation_in(
     let g = bg.graph();
     let n = g.node_count();
     let words = n.div_ceil(64);
-    let mut slot = ws.take_usize_buf();
-    slot.resize(n, usize::MAX);
-    let mut rows = ws.take_word_buf();
+    let mut slot = vec![usize::MAX; n];
     let mut next = 0;
     for w in bg.side_nodes(edge_side) {
         slot[w.index()] = next;
         next += 1;
     }
-    rows.resize(next * words, 0);
+    let mut rows = vec![0u64; next * words];
     for w in bg.side_nodes(edge_side) {
-        let row = &mut rows[slot[w.index()] * words..][..words];
-        match g.neighbors_bits(w) {
-            Some(bits) => row.copy_from_slice(bits),
-            None => {
-                for &u in g.neighbors(w) {
-                    row[u.index() / 64] |= 1 << (u.index() % 64);
-                }
-            }
-        }
+        g.or_neighbors_into(w, &mut rows[slot[w.index()] * words..][..words]);
     }
     let view = SideRows {
         inc: SideIncidence::new(bg, edge_side),
@@ -340,46 +331,39 @@ pub fn side_conformality_violation_in(
         slot: &slot,
         words,
     };
-    let found = conformality_violation_in(ws, &view, witness);
-    ws.return_word_buf(rows);
-    ws.return_usize_buf(slot);
-    found
+    conformality_violation(&view, witness)
 }
 
 /// The scan of the module docs on any `EdgeRows` view: `true` iff the
 /// view is **not** conformal. When `witness` is given and a violation is
 /// found, it is overwritten with the first violating node set in the
-/// dense criterion's triple order. All scratch comes from `ws`.
-pub(crate) fn conformality_violation_in<V: EdgeRows + ?Sized>(
-    ws: &mut Workspace,
+/// dense criterion's triple order.
+pub(crate) fn conformality_violation<V: EdgeRows + ?Sized>(
     view: &V,
     witness: Option<&mut NodeSet>,
 ) -> bool {
     let n = view.node_count();
     let words = n.div_ceil(64);
-    let mut offsets = ws.take_usize_buf();
-    let mut partners = ws.take_usize_buf();
-    view.higher_partners_in(ws, &mut offsets, &mut partners);
-    let mut scratch = ws.take_word_buf();
-    scratch.resize(3 * words, 0);
+    let (mut offsets, mut partners) = (Vec::new(), Vec::new());
+    view.higher_partners(&mut offsets, &mut partners);
+    let mut scratch = vec![0u64; 3 * words];
     let (ij, rest) = scratch.split_at_mut(words);
     let (ik, jk) = rest.split_at_mut(words);
-    let mut found = false;
-    'scan: for i in view.edges() {
+    let mut marked = vec![false; view.edge_bound()];
+    for i in view.edges() {
         let pi = &partners[offsets[i]..offsets[i + 1]];
         if pi.len() < 2 {
             continue; // a triple needs two partners of `i`
         }
         let ei = view.edge_row(i);
-        ws.begin_visit(view.edge_bound());
         for &j in pi {
-            ws.mark(NodeId::from_index(j));
+            marked[j] = true;
         }
         for &j in pi {
             let ej = view.edge_row(j);
             and_into(ij, ei, ej);
             for &k in &partners[offsets[j]..offsets[j + 1]] {
-                if !ws.is_marked(NodeId::from_index(k)) {
+                if !marked[k] {
                     continue;
                 }
                 let ek = view.edge_row(k);
@@ -411,42 +395,15 @@ pub(crate) fn conformality_violation_in<V: EdgeRows + ?Sized>(
                             out.insert(v);
                         }
                     }
-                    found = true;
-                    break 'scan;
+                    return true;
                 }
             }
         }
+        for &j in pi {
+            marked[j] = false;
+        }
     }
-    ws.return_word_buf(scratch);
-    ws.return_usize_buf(partners);
-    ws.return_usize_buf(offsets);
-    found
-}
-
-/// `out = a & b`, word by word.
-fn and_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x & y;
-    }
-}
-
-/// `a ⊆ b` on word rows.
-fn is_subset(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x & !y == 0)
-}
-
-/// The set bits of a word row, ascending.
-fn bits(row: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
-    row.iter().enumerate().flat_map(|(wi, &word)| {
-        let mut w = word;
-        std::iter::from_fn(move || {
-            (w != 0).then(|| {
-                let tz = w.trailing_zeros() as usize;
-                w &= w - 1;
-                NodeId::from_index(wi * 64 + tz)
-            })
-        })
-    })
+    false
 }
 
 /// Ground-truth conformality: enumerate the maximal cliques of the primal

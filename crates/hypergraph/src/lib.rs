@@ -56,7 +56,7 @@ pub use builder::HypergraphBuilder;
 pub use check::{check_join_tree, CHECK_JOIN_TREE_MAX_EDGES};
 pub use conformal::{
     find_conformality_violation, is_conformal, is_conformal_bruteforce,
-    side_conformality_violation_in, Incidence, SideIncidence,
+    side_conformality_violation, Incidence, SideIncidence,
 };
 pub use dual::{check_dual_node_ordering, dual, dual_node_ordering};
 pub use error::HypergraphError;

@@ -14,9 +14,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum SpanKind {
-    /// Theorem 1 recognizers (`classify_bipartite_in`).
+    /// Theorem 1 recognizers (`classify_bipartite`).
     Classify = 0,
-    /// Maximum-cardinality-search ordering (`mcs_order_in`).
+    /// Maximum-cardinality-search ordering (`mcs_order`).
     McsOrder = 1,
     /// The Lemma 1 ordering build (H¹ join tree + reversal).
     Lemma1Order = 2,

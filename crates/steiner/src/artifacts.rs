@@ -18,8 +18,8 @@
 //! pays for its join trees.
 
 use crate::{lemma1_ordering, Lemma1Ordering};
-use mcc_chordality::{classify_bipartite_in, mcs_order_in, BipartiteClassification};
-use mcc_graph::{BipartiteGraph, NodeId, Side, Workspace};
+use mcc_chordality::{classify_bipartite, mcs_order, BipartiteClassification};
+use mcc_graph::{BipartiteGraph, NodeId, Side};
 use mcc_hypergraph::JoinTree;
 use std::fmt;
 use std::sync::OnceLock;
@@ -73,15 +73,12 @@ pub struct SchemaArtifacts {
 }
 
 impl SchemaArtifacts {
-    /// Classifies `bg` and derives its elimination order, through a
-    /// transient workspace. The Lemma 1 routes are left for their first
-    /// use.
+    /// Classifies `bg` and derives its elimination order. The Lemma 1
+    /// routes are left for their first use.
     pub fn build(bg: BipartiteGraph) -> Self {
         let _span = mcc_obs::span!(ArtifactBuild);
-        let mut ws = Workspace::with_capacity(bg.graph().node_count());
-        let classification = classify_bipartite_in(&mut ws, &bg);
-        let mut elimination_order = Vec::new();
-        mcs_order_in(&mut ws, bg.graph(), &mut elimination_order);
+        let classification = classify_bipartite(&bg);
+        let elimination_order = mcs_order(bg.graph());
         SchemaArtifacts {
             bipartite: bg,
             classification,

@@ -49,26 +49,29 @@
 //!
 //! ## Scratch
 //!
-//! The rows, the BFS queue and its `seen` mask, and the sweep's scratch
-//! are allocated per call, each once from `k` and `n`, and freed on
-//! return. The solver's own workspace is not used: the engine keeps one
-//! solver per worker and schema, and rows kept warm in each of them cost
-//! more resident memory than allocating them per call costs time
-//! (EXPERIMENTS §E23).
+//! The closure rows, the BFS queue and its `seen` mask are allocated per
+//! call, each once from `k` and `n`, and freed on return: the engine
+//! keeps one solver per worker and schema, and `k·n` rows kept warm in
+//! each of them would cost more resident memory than allocating them per
+//! call costs time (EXPERIMENTS §E23). The union and the pruning run on
+//! the caller's workspace, as Algorithm 2's sweep does, so the solver's
+//! [`SolveStats`](crate::SolveStats) count the prune's elimination steps
+//! and block searches.
 
 use crate::algorithm2::prune_and_span_in;
 use crate::outcome::check_terminal_universe;
 use crate::{SolveError, SolveOutcome, SteinerTree};
 use mcc_graph::{CancelToken, Graph, NodeId, NodeSet, Stage, Workspace, INFINITE_DISTANCE};
 
-/// Runs the KMB-style heuristic under a [`CancelToken`]: a tick per
-/// BFS row / Prim round / pruning candidate. Disconnection is
+/// Runs the KMB-style heuristic on `ws` under a [`CancelToken`]: a tick
+/// per BFS row / Prim round / pruning candidate. Disconnection is
 /// [`SolveError::Disconnected`], and a terminal set over another
 /// universe than `g`'s nodes is refused as [`SolveError::Internal`]
 /// before any work. This is the fallback rung of the degradation
 /// ladder, so it shares the ladder's one token — a deadline spans the
 /// exact attempt *and* this fallback.
 pub fn steiner_kmb(
+    ws: &mut Workspace,
     g: &Graph,
     terminals: &NodeSet,
     token: &CancelToken,
@@ -105,10 +108,41 @@ pub fn steiner_kmb(
             &mut seen,
         );
     }
-    let dist_to = |i: usize, j: usize| dist[i * n + ts[j].index()];
-    // Prim over the closure; the pruning's scratch holds the union.
-    let mut ws = Workspace::with_capacity(n);
+    // Prim over the closure; a pooled set of `ws` holds the union.
     let mut union = ws.take_set_buf(n);
+    let built = prim_union(g, &ts, &dist, &parent, &mut union, token).and_then(|()| {
+        token
+            .checkpoint(Stage::Algorithm2)
+            .map_err(SolveError::from)
+    });
+    if let Err(e) = built {
+        ws.return_set_buf(union);
+        return Err(e);
+    }
+    // Prune to a nonredundant cover, in place, then span.
+    debug_assert!(
+        mcc_graph::terminals_connected(g, &union, terminals),
+        "the union of closure paths must connect the terminals"
+    );
+    let order = union.to_vec();
+    let _prune = mcc_obs::span!(Algorithm2);
+    prune_and_span_in(ws, g, terminals, &order, union, token)
+}
+
+/// Prim over the metric closure of the terminals `ts` (closure rows
+/// `dist` and `parent`, `k·n` each), ties to the lowest terminal: each
+/// closure edge the spanning tree takes is expanded along its source
+/// row's parents into `union`, which starts empty.
+fn prim_union(
+    g: &Graph,
+    ts: &[NodeId],
+    dist: &[u32],
+    parent: &[u32],
+    union: &mut NodeSet,
+    token: &CancelToken,
+) -> SolveOutcome<()> {
+    let (n, k) = (g.node_count(), ts.len());
+    let dist_to = |i: usize, j: usize| dist[i * n + ts[j].index()];
     let mut in_tree = vec![false; k];
     let mut best: Vec<u32> = (0..k).map(|j| dist_to(0, j)).collect();
     let mut best_from = vec![0usize; k];
@@ -143,15 +177,7 @@ pub fn steiner_kmb(
             }
         }
     }
-    // Prune to a nonredundant cover, in place, then span.
-    debug_assert!(
-        mcc_graph::terminals_connected_in(&mut ws, g, &union, terminals),
-        "the union of closure paths must connect the terminals"
-    );
-    let order = union.to_vec();
-    let _prune = mcc_obs::span!(Algorithm2);
-    token.checkpoint(Stage::Algorithm2)?;
-    prune_and_span_in(&mut ws, g, terminals, &order, union, token)
+    Ok(())
 }
 
 /// One closure row: a BFS from terminal `t` over the whole graph that
@@ -211,7 +237,7 @@ mod tests {
     }
 
     fn kmb(g: &Graph, p: &NodeSet) -> SolveOutcome<SteinerTree> {
-        steiner_kmb(g, p, &CancelToken::unbounded())
+        steiner_kmb(&mut Workspace::new(), g, p, &CancelToken::unbounded())
     }
 
     #[test]
@@ -271,7 +297,7 @@ mod tests {
     fn budgeted_solves_within_a_generous_deadline() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
         let token = SolveBudget::with_deadline(Duration::from_secs(30)).start();
-        let t = steiner_kmb(&g, &terminals(5, &[0, 2]), &token).unwrap();
+        let t = steiner_kmb(&mut Workspace::new(), &g, &terminals(5, &[0, 2]), &token).unwrap();
         assert_eq!(t.node_cost(), 3);
     }
 
@@ -280,7 +306,7 @@ mod tests {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
         let token = SolveBudget::with_deadline(Duration::ZERO).start();
         std::thread::sleep(Duration::from_millis(2));
-        let e = steiner_kmb(&g, &terminals(5, &[0, 2]), &token).unwrap_err();
+        let e = steiner_kmb(&mut Workspace::new(), &g, &terminals(5, &[0, 2]), &token).unwrap_err();
         assert_eq!(e.budget().unwrap().kind, BudgetKind::WallClockMs);
     }
 

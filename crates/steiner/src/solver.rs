@@ -50,10 +50,11 @@ impl SteinerStrategy {
 
 /// Workspace traffic and budget consumption observed during one solve
 /// (deltas of the solver's long-lived [`Workspace`] counters, plus its
-/// current scratch footprint). The polynomial routes (Algorithms 1 and 2)
-/// account all their traversals here; the exact and heuristic fallbacks
-/// run outside the workspace, so their traversal deltas are zero — but
-/// `elapsed`/`budget_checks` cover every route.
+/// current scratch footprint). Algorithms 1 and 2 and the KMB heuristic
+/// (its prune is Algorithm 2's sweep) account all their traversals here;
+/// the exact DP runs outside the workspace, so an exact answer's
+/// traversal deltas are zero — but `elapsed`/`budget_checks` cover every
+/// route.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// BFS sweeps run through the solver's workspace during this solve.
@@ -186,9 +187,8 @@ impl Solver {
 
     /// Classifies `bg` with explicit configuration.
     pub fn with_config(bg: BipartiteGraph, config: SolverConfig) -> Self {
-        // Classification scratch is freed after the build and the solver
-        // keeps only its query workspace, so building solvers in a row
-        // (one per schema) recycles the same scratch memory.
+        // The recognizers free their scratch when the build returns; the
+        // solver keeps only its query workspace.
         Self::from_artifacts(Arc::new(SchemaArtifacts::build(bg)), config)
     }
 
@@ -383,7 +383,7 @@ impl Solver {
                 Err(e) => return Err(e),
             }
         };
-        let tree = steiner_kmb(g, terminals, token)?;
+        let tree = steiner_kmb(&mut self.ws.borrow_mut(), g, terminals, token)?;
         let cost = cost_of(&tree);
         Ok(Solution::new(
             tree,
@@ -652,6 +652,36 @@ mod tests {
         assert_eq!(sol.strategy, SteinerStrategy::Heuristic);
         assert!(sol.degraded.is_none(), "routed, not degraded");
         assert!(terminals.is_subset_of(&sol.tree.nodes));
+    }
+
+    /// An off-class Steiner solve over the exact cap goes to KMB, whose
+    /// prune runs on the solver's workspace: the answer's stats count
+    /// its elimination steps, and a repeat query reports the same.
+    #[test]
+    fn kmb_answer_reports_its_prune_traffic() {
+        let bg = mcc_gen::random_bipartite(40, 40, 0.1, 3);
+        let g = bg.graph();
+        let reach =
+            mcc_graph::component_of(g, &NodeSet::full(g.node_count()), mcc_graph::NodeId(0));
+        let terminals = random_terminals(g, Some(&reach), 9, 5);
+        let cfg = SolverConfig {
+            max_exact_terminals: 7,
+            ..SolverConfig::default()
+        };
+        let solver = Solver::with_config(bg, cfg);
+        assert!(!solver.classification().six_two);
+        let first = solver.solve_steiner(&terminals).unwrap();
+        assert_eq!(first.strategy, SteinerStrategy::Heuristic);
+        assert!(first.degraded.is_none(), "routed, not degraded");
+        assert!(first.stats.elimination_steps > 0);
+        assert!(first.stats.scratch_bytes > 0);
+        let second = solver.solve_steiner(&terminals).unwrap();
+        assert_eq!(second.tree, first.tree);
+        assert_eq!(second.stats.bfs_runs, first.stats.bfs_runs);
+        assert_eq!(
+            second.stats.elimination_steps,
+            first.stats.elimination_steps
+        );
     }
 
     #[test]

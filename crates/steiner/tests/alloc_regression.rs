@@ -176,71 +176,125 @@ fn adjacent_to_set_into_allocates_nothing_after_warmup() {
     assert_eq!(out, expected);
 }
 
-/// The (6,2) sparse-six-cycle scan runs on pooled `BitRow` scratch: on a
-/// negative instance (no witness to return) a warm workspace performs
-/// zero heap allocations across the whole triple-intersection sweep.
+/// The (6,2) sparse-six-cycle scan sizes all its scratch up front — the
+/// partner lists, one mark per node and seven word rows — so on a
+/// negative instance (no witness to return) it allocates as many times
+/// on `c4_chain(8)` as on `c4_chain(64)`. A buffer allocated per node,
+/// or one that grows inside the scan, makes the count move with `n`.
+/// Both orientations are measured: with the articulation nodes as `V1`
+/// no node has two partners, and with the midpoints as `V1` every node
+/// does, so the triple loop runs.
 #[test]
-fn sparse_six_cycle_scan_allocates_nothing_after_warmup() {
-    use mcc_chordality::find_sparse_six_cycle_in;
+fn sparse_six_cycle_scan_allocation_count_is_independent_of_n() {
+    use mcc_chordality::find_sparse_six_cycle;
     use mcc_graph::BipartiteGraph;
 
-    let (g, _) = c4_chain(8);
-    let bg = BipartiteGraph::from_graph(g).expect("C4 chains are bipartite");
-    let mut ws = Workspace::new();
+    let measure = |blocks: usize, swap: bool| -> u64 {
+        let (g, _) = c4_chain(blocks);
+        let bg = BipartiteGraph::from_graph(g).expect("C4 chains are bipartite");
+        let bg = if swap { bg.swap_sides() } else { bg };
+        let before = allocation_count();
+        let witness = find_sparse_six_cycle(&bg);
+        let allocs = allocation_count() - before;
+        assert_eq!(witness, None, "C4 chains have no 6-cycle");
+        allocs
+    };
 
-    assert_eq!(find_sparse_six_cycle_in(&mut ws, &bg), None);
+    for swap in [false, true] {
+        let (small, large) = (measure(8, swap), measure(64, swap));
+        assert_eq!(
+            small, large,
+            "sparse-six-cycle scan allocations moved with n ({small} at 8 blocks, {large} at 64, sides swapped: {swap})"
+        );
+    }
+}
 
-    let before = allocation_count();
-    let witness = find_sparse_six_cycle_in(&mut ws, &bg);
-    let after = allocation_count();
-    assert_eq!(witness, None);
+/// `classify_bipartite` on a (6,2)-chordal block tree — the in-class
+/// path every served schema takes: the forest test, Golumbic–Goss and
+/// the six-cycle scan — allocates as many times on the 1,224-node tree
+/// as on one about four times larger. Each recognizer sizes its scratch
+/// up front, so a per-node allocation, or a buffer that grows inside a
+/// scan, makes the count move with `n`.
+#[test]
+fn classification_allocation_count_is_independent_of_n() {
+    use mcc_chordality::classify_bipartite;
+    use mcc_gen::block_tree::BlockTreeShape;
+    use mcc_gen::random_six_two_block_tree;
+
+    let measure = |blocks: usize| -> (u64, usize) {
+        let shape = BlockTreeShape {
+            blocks,
+            max_block: 4,
+        };
+        let tree = random_six_two_block_tree(shape, 7);
+        let before = allocation_count();
+        let class = classify_bipartite(&tree);
+        let allocs = allocation_count() - before;
+        assert!(class.six_two, "block trees are (6,2)-chordal");
+        (allocs, tree.graph().node_count())
+    };
+
+    // Warm-up: the first span on this thread sets up its telemetry shard.
+    let _ = measure(4);
+
+    let (small, n_small) = measure(256);
+    assert_eq!(n_small, 1224);
+    let (large, n_large) = measure(1024);
+    assert!(n_large >= 4 * n_small - 100, "{n_large} nodes");
     assert_eq!(
-        after - before,
-        0,
-        "sparse-six-cycle scan must not allocate after warm-up ({} allocations observed)",
-        after - before
+        small, large,
+        "classification allocations moved with n ({small} at {n_small} nodes, {large} at {n_large})"
     );
 }
 
-/// A warm `classify_bipartite_in` reads the bipartite CSR through
-/// pooled scratch only, so its allocation count does not depend on the
-/// schema: the same on an 80-node off-class graph, where every
-/// recognizer runs (the Vᵢ tests included), as on a 1,224-node
-/// (6,2)-chordal block tree, where (6,1) holds and the Vᵢ tests are
-/// skipped. Each graph gets its own workspace, warmed by two calls.
+/// Off the class, `classify_bipartite` runs every recognizer, the four
+/// Vᵢ tests included: two side projections, MCS and the PEO check on
+/// each, and two conformity scans. On α-acyclic schemas that are not
+/// (6,1), the `V2` PEO check and conformity scan find no violation to
+/// stop them early, and the count is the same at about 240 nodes as at
+/// about 480. On a cyclic random graph of 300 nodes it stays below the
+/// node count. A buffer allocated per node or per relation, or one that
+/// grows inside a scan, fails this test.
 #[test]
-fn warm_classification_allocation_count_is_independent_of_n() {
-    use mcc_chordality::{classify_bipartite_in, BipartiteClassification};
-    use mcc_gen::block_tree::BlockTreeShape;
-    use mcc_gen::{random_bipartite, random_six_two_block_tree};
+fn offclass_classification_allocation_count_is_independent_of_n() {
+    use mcc_chordality::classify_bipartite;
+    use mcc_gen::join_tree::JoinTreeShape;
+    use mcc_gen::{random_alpha_acyclic, random_bipartite};
     use mcc_graph::BipartiteGraph;
 
-    let measure = |bg: &BipartiteGraph| -> (u64, BipartiteClassification) {
-        let mut ws = Workspace::new();
-        classify_bipartite_in(&mut ws, bg);
-        classify_bipartite_in(&mut ws, bg);
+    let measure = |bg: &BipartiteGraph| -> u64 {
         let before = allocation_count();
-        let class = classify_bipartite_in(&mut ws, bg);
-        (allocation_count() - before, class)
+        let class = classify_bipartite(bg);
+        let allocs = allocation_count() - before;
+        assert!(!class.six_one, "the graph must be off-class");
+        allocs
+    };
+    let alpha = |num_edges: usize| -> BipartiteGraph {
+        let shape = JoinTreeShape {
+            num_edges,
+            max_shared: 4,
+            max_fresh: 2,
+        };
+        let (_, bg) = random_alpha_acyclic(shape, 0);
+        assert!(classify_bipartite(&bg).h1_alpha_acyclic());
+        bg
     };
 
-    let offclass = random_bipartite(40, 40, 0.1, 3);
-    let shape = BlockTreeShape {
-        blocks: 256,
-        max_block: 4,
-    };
-    let tree = random_six_two_block_tree(shape, 7);
-    assert_eq!(tree.graph().node_count(), 1224);
-
-    let (small, class) = measure(&offclass);
-    assert!(!class.six_one, "the 80-node graph must be off-class");
-    let (large, class) = measure(&tree);
-    assert!(class.six_two, "block trees are (6,2)-chordal");
+    let (small, large) = (alpha(120), alpha(240));
+    let (n_small, n_large) = (small.graph().node_count(), large.graph().node_count());
+    assert!(n_large >= 2 * n_small - 20, "{n_small} and {n_large} nodes");
+    let (small, large) = (measure(&small), measure(&large));
     assert_eq!(
         small, large,
-        "warm classification allocations moved with n ({small} at 80 nodes, {large} at 1,224)"
+        "off-class classification allocations moved with n ({small} at {n_small} nodes, {large} at {n_large})"
     );
-    assert_eq!(small, 0, "warm classification must not allocate");
+
+    let cyclic = random_bipartite(150, 150, 0.03, 3);
+    let allocs = measure(&cyclic);
+    assert!(
+        allocs < cyclic.graph().node_count() as u64,
+        "off-class classification allocated {allocs} times on 300 nodes"
+    );
 }
 
 /// The tracing span in `algorithm2` must not change the
@@ -478,10 +532,11 @@ fn warm_solve_steiner_allocates_only_its_result() {
 
 /// One KMB solve allocates a fixed number of times, whatever the
 /// terminal count or the graph size: the two flat `k·n` closure
-/// buffers, one queue, the Prim arrays, the pruning's workspace (each
-/// buffer sized once from `n`) and the result. A closure row or a path
-/// allocated per terminal, or a buffer that grows inside a loop, makes
-/// the count move with `k` or `n` and fails this test.
+/// buffers, one queue, the Prim arrays and the result. The union and
+/// the pruning run on the caller's workspace, which is sized to the
+/// graph before the measured call, as `Solver` sizes its own. A closure
+/// row or a path allocated per terminal, or a buffer that grows inside a
+/// loop, makes the count move with `k` or `n` and fails this test.
 ///
 /// The result tree's own allocations are measured by rebuilding it with
 /// `SteinerTree::from_cover` and subtracted. Debug builds also run the
@@ -499,8 +554,9 @@ fn kmb_allocation_count_is_independent_of_k_and_n() {
             NodeSet::from_nodes(n, (0..k).map(|i| NodeId((i * blocks / (k - 1)) as u32)));
         assert_eq!(terminals.len(), k);
         let token = CancelToken::unbounded();
+        let mut ws = Workspace::with_capacity(n);
         let before = allocation_count();
-        let tree = steiner_kmb(&g, &terminals, &token).expect("terminals connected");
+        let tree = steiner_kmb(&mut ws, &g, &terminals, &token).expect("terminals connected");
         let mut allocs = allocation_count() - before;
         // The a-path between the outermost terminals plus one midpoint
         // per block: the optimum, which the pruning reaches here.

@@ -30,7 +30,7 @@ use mcc_gen::join_tree::JoinTreeShape;
 use mcc_gen::{
     random_alpha_acyclic, random_bipartite, random_six_two_block_tree, random_terminals, rng,
 };
-use mcc_graph::{CancelToken, Graph, NodeSet};
+use mcc_graph::{CancelToken, Graph, NodeSet, Workspace};
 use mcc_steiner::{algorithm2, steiner_kmb, SolveError, SteinerTree};
 use rand::Rng;
 
@@ -50,7 +50,12 @@ fn check(g: &Graph, terminals: &NodeSet) -> bool {
         ("all dense", &dense),
         ("pure CSR", &sparse),
     ] {
-        let fast = steiner_kmb(g, terminals, &CancelToken::unbounded());
+        let fast = steiner_kmb(
+            &mut Workspace::new(),
+            g,
+            terminals,
+            &CancelToken::unbounded(),
+        );
         let slow = kmb_oracle::steiner_kmb(g, terminals);
         assert!(
             matches!(slow, Ok(_) | Err(SolveError::Disconnected)),

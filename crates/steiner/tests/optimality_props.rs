@@ -206,7 +206,7 @@ proptest! {
     fn kmb_is_sound_and_two_approx((bg, terminals) in bipartite_with_terminals()) {
         let g = bg.graph();
         let inst = SteinerInstance::new(g.clone(), terminals.clone());
-        let kmb = steiner_kmb(g, &terminals, &CancelToken::unbounded()).ok();
+        let kmb = steiner_kmb(&mut Workspace::new(), g, &terminals, &CancelToken::unbounded()).ok();
         match (kmb, steiner_exact(&inst)) {
             (Some(h), Some(e)) => {
                 prop_assert!(h.is_valid_tree(g));

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .ok_or("block trees are connected")?;
         let exact_us = t0.elapsed().as_micros();
 
-        let kmb = steiner_kmb(&g, &terminals, &token)?;
+        let kmb = steiner_kmb(&mut ws, &g, &terminals, &token)?;
         assert_eq!(a2.node_cost() as u64, exact.cost, "Theorem 5 must hold");
         // Second exact baseline agrees too (different algorithm).
         let ids = steiner_exact_ids(&g, &terminals).ok_or("block trees are connected")?;
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (Ok(greedy), Some(exact), Ok(kmb)) = (
             algorithm2(&mut ws, &g, &terminals, &order, &token),
             steiner_exact(&SteinerInstance::new(g.clone(), terminals.clone())),
-            steiner_kmb(&g, &terminals, &token),
+            steiner_kmb(&mut ws, &g, &terminals, &token),
         ) else {
             println!(
                 "{seed:>4} {:>6} {:>6}  (terminals disconnected)",

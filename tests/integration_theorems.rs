@@ -239,8 +239,9 @@ fn strategies_are_consistent_on_six_two_graphs() {
         let exact =
             steiner_exact(&SteinerInstance::new(g.clone(), terminals.clone())).expect("connected");
         assert_eq!(auto.cost as u64, exact.cost, "seed {seed}");
-        let kmb =
-            mcc_steiner::steiner_kmb(g, &terminals, &CancelToken::unbounded()).expect("connected");
+        let token = CancelToken::unbounded();
+        let kmb = mcc_steiner::steiner_kmb(&mut Workspace::new(), g, &terminals, &token)
+            .expect("connected");
         assert!(kmb.node_cost() >= auto.cost);
         assert!(kmb.node_cost() as u64 <= 2 * exact.cost);
     }
