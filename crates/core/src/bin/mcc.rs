@@ -109,8 +109,10 @@ fn connect(schema: &RelationalSchema, objects: &[String]) -> Result<(), String> 
     let names: Vec<&str> = objects.iter().map(String::as_str).collect();
     let it = engine.connect(&names).map_err(|e| e.to_string())?;
     println!("query {names:?} via {:?}:", it.strategy);
-    println!("  relations:  {}", it.relations.join(", "));
-    println!("  attributes: {}", it.attributes.join(", "));
+    let relations: Vec<&str> = it.relations().collect();
+    let attributes: Vec<&str> = it.attributes().collect();
+    println!("  relations:  {}", relations.join(", "));
+    println!("  attributes: {}", attributes.join(", "));
     // Projection = the queried *attributes* (queried relations only join).
     let projection: Vec<String> = objects
         .iter()

@@ -165,7 +165,7 @@ LOCATED(lecturer, room)
         let s = parse_schema(SAMPLE).unwrap();
         let engine = crate::QueryEngine::new(s).unwrap();
         let it = engine.connect(&["student", "room"]).unwrap();
-        assert_eq!(it.relations.len(), 3);
+        assert_eq!(it.relations().count(), 3);
     }
 
     #[test]

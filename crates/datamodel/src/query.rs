@@ -3,26 +3,32 @@
 
 use crate::relational::{RelationalSchema, RelationalSchemaError};
 use mcc_chordality::BipartiteClassification;
-use mcc_graph::{BipartiteGraph, BudgetExceeded, NodeId, NodeSet, Side, SolveBudget};
+use mcc_graph::{BipartiteGraph, BudgetExceeded, NodeSet, Side, SolveBudget};
 use mcc_steiner::solver::SolveTrace;
-use mcc_steiner::{Degraded, Solution, SolveError, Solver, SolverConfig, SteinerTree};
+use mcc_steiner::{
+    Degraded, SchemaArtifacts, Solution, SolveError, Solver, SolverConfig, SteinerTree,
+};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which solver produced an interpretation — the provenance the paper's
 /// complexity map dictates. The same type the core [`Solver`] reports.
 pub use mcc_steiner::SteinerStrategy as Strategy;
 
 /// One interpretation of a query: a connection over the named objects.
-#[derive(Debug, Clone)]
+///
+/// The names of the objects it uses are read, on demand, from the
+/// schema's graph: [`Interpretation::relations`] and
+/// [`Interpretation::attributes`] borrow the labels of the tree's nodes
+/// from the artifacts the answering [`Solver`] holds (the interpretation
+/// keeps one more reference to them), so answering a query copies no
+/// name.
+#[derive(Clone)]
 pub struct Interpretation {
     /// The connecting tree.
     pub tree: SteinerTree,
     /// How it was computed.
     pub strategy: Strategy,
-    /// Names of the relations used (V2 nodes of the tree).
-    pub relations: Vec<String>,
-    /// Names of the attributes used (V1 nodes of the tree).
-    pub attributes: Vec<String>,
     /// Set when the intended route tripped its budget and the engine fell
     /// back to the heuristic — the connection is valid but possibly
     /// non-minimal.
@@ -30,12 +36,50 @@ pub struct Interpretation {
     /// Where the solve spent its time, per tracing stage (see
     /// [`Solution::trace`]).
     pub trace: SolveTrace,
+    /// The schema's artifacts, for the names of the tree's nodes.
+    artifacts: Arc<SchemaArtifacts>,
 }
 
 impl Interpretation {
     /// Total number of objects in the connection.
     pub fn node_cost(&self) -> usize {
         self.tree.node_cost()
+    }
+
+    /// Names of the relations used (the `V2` nodes of the tree), in node
+    /// id order.
+    pub fn relations(&self) -> impl Iterator<Item = &str> + '_ {
+        self.names_on(Side::V2)
+    }
+
+    /// Names of the attributes used (the `V1` nodes of the tree), in node
+    /// id order.
+    pub fn attributes(&self) -> impl Iterator<Item = &str> + '_ {
+        self.names_on(Side::V1)
+    }
+
+    fn names_on(&self, side: Side) -> impl Iterator<Item = &str> + '_ {
+        let bg = self.artifacts.bipartite();
+        self.tree
+            .nodes
+            .iter()
+            .filter(move |&v| bg.side(v) == side)
+            .map(|v| bg.graph().label(v))
+    }
+}
+
+/// Prints the names the interpretation uses, not the artifacts behind
+/// them.
+impl fmt::Debug for Interpretation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Interpretation")
+            .field("tree", &self.tree)
+            .field("strategy", &self.strategy)
+            .field("relations", &self.relations().collect::<Vec<_>>())
+            .field("attributes", &self.attributes().collect::<Vec<_>>())
+            .field("degraded", &self.degraded)
+            .field("trace", &self.trace)
+            .finish()
     }
 }
 
@@ -87,7 +131,7 @@ impl std::error::Error for QueryError {}
 /// );
 /// let engine = QueryEngine::new(schema).unwrap();
 /// let it = engine.connect(&["emp", "budget"]).unwrap();
-/// assert_eq!(it.relations.len(), 2); // WORKS_IN ⋈ FUNDING over dept
+/// assert_eq!(it.relations().count(), 2); // WORKS_IN ⋈ FUNDING over dept
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
@@ -145,17 +189,10 @@ impl QueryEngine {
 
     /// Resolves query names to node ids.
     pub fn resolve(&self, names: &[&str]) -> Result<NodeSet, QueryError> {
-        let g = self.graph().graph();
-        let mut terminals = NodeSet::new(g.node_count());
-        for name in names {
-            match g.node_by_label(name) {
-                Some(v) => {
-                    terminals.insert(v);
-                }
-                None => return Err(QueryError::UnknownName(name.to_string())),
-            }
-        }
-        Ok(terminals)
+        self.graph()
+            .graph()
+            .nodes_by_labels(names)
+            .map_err(|name| QueryError::UnknownName(name.to_string()))
     }
 
     /// Answers a query: the most immediate interpretation — the minimal
@@ -190,24 +227,12 @@ impl QueryEngine {
     }
 
     fn interpret(&self, solution: Solution) -> Interpretation {
-        let bg = self.graph();
-        let name_of = |v: NodeId| bg.graph().label(v).to_string();
-        let names_on = |side| {
-            solution
-                .tree
-                .nodes
-                .iter()
-                .filter(|&v| bg.side(v) == side)
-                .map(name_of)
-                .collect()
-        };
         Interpretation {
-            relations: names_on(Side::V2),
-            attributes: names_on(Side::V1),
             tree: solution.tree,
             strategy: solution.strategy,
             degraded: solution.degraded,
             trace: solution.trace,
+            artifacts: Arc::clone(self.solver.artifacts()),
         }
     }
 }
@@ -224,7 +249,7 @@ fn solve_error(e: SolveError) -> QueryError {
 }
 
 impl PartialEq for Interpretation {
-    /// Interpretations compare by tree and strategy (the name lists are
+    /// Interpretations compare by tree and strategy (the names are
     /// derived data).
     fn eq(&self, other: &Self) -> bool {
         self.tree == other.tree && self.strategy == other.strategy
@@ -247,9 +272,8 @@ mod tests {
     fn connects_attributes_across_relations() {
         let engine = QueryEngine::new(acyclic_schema()).unwrap();
         let it = engine.connect(&["name", "budget"]).unwrap();
-        assert!(it.relations.contains(&"EMP".to_string()));
-        assert!(it.relations.contains(&"DEPT".to_string()));
-        assert!(it.attributes.contains(&"dept".to_string())); // the join attribute
+        assert!(it.relations().eq(["EMP", "DEPT"]));
+        assert!(it.attributes().any(|a| a == "dept")); // the join attribute
         assert!(it.node_cost() >= 4);
     }
 
@@ -278,7 +302,7 @@ mod tests {
     fn relation_names_are_queryable_too() {
         let engine = QueryEngine::new(acyclic_schema()).unwrap();
         let it = engine.connect(&["EMP", "budget"]).unwrap();
-        assert!(it.relations.contains(&"EMP".to_string()));
+        assert!(it.relations().any(|r| r == "EMP"));
         assert!(it.tree.is_valid_tree(engine.graph().graph()));
     }
 
@@ -300,7 +324,7 @@ mod tests {
         let engine = QueryEngine::new(acyclic_schema()).unwrap();
         let it = engine.connect(&["name"]).unwrap();
         assert_eq!(it.node_cost(), 1);
-        assert!(it.relations.is_empty());
+        assert_eq!(it.relations().count(), 0);
     }
 
     fn cyclic_schema() -> RelationalSchema {

@@ -54,7 +54,7 @@ use crate::request::{
 };
 use crate::stats::{Counters, EngineStats};
 use mcc::{SolveError, Solver, SolverConfig};
-use mcc_graph::{NodeSet, Stage};
+use mcc_graph::Stage;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -494,16 +494,12 @@ fn serve(
         *solver = Solver::from_artifacts(Arc::clone(&cached.artifacts), solver_config);
     }
 
-    let g = cached.artifacts.bipartite().graph();
-    let mut terminals = NodeSet::new(g.node_count());
-    for name in &request.objects {
-        match g.node_by_label(name) {
-            Some(v) => {
-                terminals.insert(v);
-            }
-            None => return Err(EngineError::UnknownName(name.clone())),
-        }
-    }
+    let terminals = cached
+        .artifacts
+        .bipartite()
+        .graph()
+        .nodes_by_labels(&request.objects)
+        .map_err(|name| EngineError::UnknownName(name.to_string()))?;
 
     // A per-request budget gets a transient solver over the same shared
     // artifacts — warm construction is just a workspace allocation, and

@@ -1,5 +1,6 @@
 //! Mutable construction of [`Graph`] values.
 
+use crate::labels::Labels;
 use crate::{Graph, GraphError, NodeId};
 
 /// Incremental builder for [`Graph`].
@@ -8,6 +9,10 @@ use crate::{Graph, GraphError, NodeId};
 /// any order; parallel edges are merged and self-loops are rejected at
 /// insertion time. [`GraphBuilder::build`] sorts and deduplicates the
 /// adjacency lists, producing an immutable graph.
+///
+/// Nothing is allocated per node: labels are appended to one arena
+/// string and edges to one flat list, which `build` counting-sorts by
+/// endpoint into the graph's CSR rows.
 ///
 /// ```
 /// use mcc_graph::Graph;
@@ -21,8 +26,9 @@ use crate::{Graph, GraphError, NodeId};
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct GraphBuilder {
-    labels: Vec<String>,
-    adj: Vec<Vec<NodeId>>,
+    labels: Labels,
+    /// Every edge as added, once, duplicates included.
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -47,10 +53,9 @@ impl GraphBuilder {
     }
 
     /// Adds a node and returns its identifier.
-    pub fn add_node(&mut self, label: impl Into<String>) -> NodeId {
+    pub fn add_node(&mut self, label: impl AsRef<str>) -> NodeId {
         let id = NodeId::from_index(self.labels.len());
-        self.labels.push(label.into());
-        self.adj.push(Vec::new());
+        self.labels.push(label.as_ref());
         id
     }
 
@@ -70,8 +75,7 @@ impl GraphBuilder {
                 });
             }
         }
-        self.adj[a.index()].push(b);
-        self.adj[b.index()].push(a);
+        self.edges.push((a, b));
         Ok(())
     }
 
@@ -86,16 +90,60 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Finalizes the graph: sorts adjacency lists, merges parallel edges.
-    pub fn build(mut self) -> Graph {
-        let mut num_edges = 0;
-        for list in &mut self.adj {
-            list.sort_unstable();
-            list.dedup();
-            num_edges += list.len();
+    /// Finalizes the graph: counting-sorts both arcs of every edge into
+    /// CSR rows, then sorts each row and merges parallel edges in place.
+    ///
+    /// # Panics
+    /// Panics when the arcs added, parallel ones included, or the label
+    /// bytes do not fit `u32` offsets.
+    pub fn build(self) -> Graph {
+        let n = self.labels.len();
+        let arcs = 2 * self.edges.len();
+        assert!(
+            u32::try_from(arcs).is_ok(),
+            "graph too large for u32 CSR offsets ({arcs} directed arcs)"
+        );
+        // Row `v` is `offsets[v]..offsets[v + 1]`: count each node's arcs
+        // one slot up, then sum the counts into row starts.
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, b) in &self.edges {
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
         }
-        debug_assert_eq!(num_edges % 2, 0);
-        Graph::from_parts(self.labels, self.adj, num_edges / 2)
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Scatter with `offsets[v]` as row `v`'s cursor; each cursor ends
+        // at the next row's start, so shifting the table back restores it.
+        let mut targets = vec![NodeId(0); arcs];
+        for &(a, b) in &self.edges {
+            for (from, to) in [(a, b), (b, a)] {
+                let cursor = &mut offsets[from.index()];
+                targets[*cursor as usize] = to;
+                *cursor += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        // Sort and deduplicate each row, compacting the rows forward.
+        let (mut start, mut kept) = (0u32, 0u32);
+        for v in 0..n {
+            let end = offsets[v + 1];
+            targets[start as usize..end as usize].sort_unstable();
+            let row_start = kept;
+            for k in start..end {
+                let u = targets[k as usize];
+                if kept == row_start || targets[kept as usize - 1] != u {
+                    targets[kept as usize] = u;
+                    kept += 1;
+                }
+            }
+            offsets[v + 1] = kept;
+            start = end;
+        }
+        targets.truncate(kept as usize);
+        debug_assert_eq!(kept % 2, 0);
+        Graph::from_parts(self.labels, offsets, targets, kept as usize / 2)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The immutable core graph type.
 
+use crate::labels::Labels;
 use crate::{BlockTree, GraphBuilder, NodeId, NodeSet};
 use std::sync::OnceLock;
 
@@ -23,6 +24,10 @@ pub const CHECK_ADJACENCY_MAX_NODES: usize = 2048;
 ///
 /// Node labels exist purely for presentation (figures, DOT output, query
 /// interfaces); algorithms only ever touch the dense [`NodeId`] indices.
+/// They live back to back in one arena string with `u32` end offsets,
+/// and a hashed table of node slots, built with the graph, finds a node
+/// by name ([`Graph::node_by_label`]) without holding a copy of any
+/// label.
 ///
 /// Adjacency is stored in CSR (compressed sparse row) form: one flat
 /// `targets` array holding every adjacency list back to back, indexed by a
@@ -44,7 +49,8 @@ pub const CHECK_ADJACENCY_MAX_NODES: usize = 2048;
 /// where a short sorted scan is already optimal.
 #[derive(Clone)]
 pub struct Graph {
-    labels: Vec<String>,
+    /// The node labels in one arena, with their hashed index.
+    labels: Labels,
     /// Row offsets: the neighbors of node `i` occupy
     /// `targets[offsets[i] as usize..offsets[i + 1] as usize]`.
     offsets: Vec<u32>,
@@ -65,10 +71,10 @@ pub struct Graph {
     blocks: OnceLock<BlockTree>,
 }
 
-/// Graphs compare by their adjacency structure and labels only: the
-/// hybrid bitset acceleration (tunable via [`Graph::rebuild_bit_rows`])
-/// and the tree of blocks are derived data, so they never affect
-/// equality.
+/// Graphs compare by their adjacency structure and label sequence only:
+/// the hybrid bitset acceleration (tunable via
+/// [`Graph::rebuild_bit_rows`]), the label index and the tree of blocks
+/// are derived data, so they never affect equality.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.labels == other.labels
@@ -81,20 +87,25 @@ impl PartialEq for Graph {
 impl Eq for Graph {}
 
 impl Graph {
-    pub(crate) fn from_parts(labels: Vec<String>, adj: Vec<Vec<NodeId>>, num_edges: usize) -> Self {
-        debug_assert_eq!(labels.len(), adj.len());
-        let total: usize = adj.iter().map(Vec::len).sum();
+    /// Wraps a built CSR (`offsets` of `n + 1` entries, rows sorted and
+    /// deduplicated) and its labels, indexing the labels and laying out
+    /// the dense rows.
+    ///
+    /// # Panics
+    /// Panics when the arcs or the label bytes do not fit `u32` offsets.
+    pub(crate) fn from_parts(
+        mut labels: Labels,
+        offsets: Vec<u32>,
+        targets: Vec<NodeId>,
+        num_edges: usize,
+    ) -> Self {
+        debug_assert_eq!(labels.len() + 1, offsets.len());
         assert!(
-            u32::try_from(total).is_ok(),
-            "graph too large for u32 CSR offsets ({total} directed arcs)"
+            u32::try_from(targets.len()).is_ok(),
+            "graph too large for u32 CSR offsets ({} directed arcs)",
+            targets.len()
         );
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let mut targets = Vec::with_capacity(total);
-        offsets.push(0);
-        for list in adj {
-            targets.extend_from_slice(&list);
-            offsets.push(targets.len() as u32);
-        }
+        labels.build_index();
         let mut g = Graph {
             labels,
             offsets,
@@ -154,7 +165,7 @@ impl Graph {
     /// A graph with no nodes and no edges.
     pub fn empty() -> Self {
         Graph {
-            labels: Vec::new(),
+            labels: Labels::default(),
             offsets: vec![0],
             targets: Vec::new(),
             num_edges: 0,
@@ -197,30 +208,41 @@ impl Graph {
     /// `true` when the graph has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.labels.len() == 0
     }
 
     /// Iterates over all node identifiers in increasing order.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
-        (0..self.labels.len()).map(NodeId::from_index)
+        (0..self.node_count()).map(NodeId::from_index)
     }
 
     /// The label attached to `v`.
     #[inline]
     pub fn label(&self, v: NodeId) -> &str {
-        &self.labels[v.index()]
+        self.labels.get(v.index())
     }
 
     /// Looks up a node by its label; labels need not be unique, and the
-    /// first match wins. This resolves every name a query serves
-    /// (`QueryEngine::resolve` in `mcc-datamodel` and the `mcc-engine`
-    /// request path), by a linear scan that compares `label` with each
-    /// node's label in turn: `O(n)` string comparisons per name.
+    /// lowest id wins. This resolves every name a query serves (through
+    /// [`Graph::nodes_by_labels`]): one hash of `label`, then a probe of
+    /// the graph's label index, an open-addressing table of node slots
+    /// built with the graph, comparing `label` with the arena label of
+    /// each node the probe meets. Expected `O(1)` comparisons; colliding
+    /// labels can only lengthen a probe towards a scan of every label.
     pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
-        self.labels
-            .iter()
-            .position(|l| l == label)
-            .map(NodeId::from_index)
+        self.labels.find(label)
+    }
+
+    /// Resolves query names to the set of their nodes, each by
+    /// [`Graph::node_by_label`], or returns the first name no node
+    /// carries, for the caller to wrap in its own error.
+    pub fn nodes_by_labels<'a, S: AsRef<str>>(&self, names: &'a [S]) -> Result<NodeSet, &'a str> {
+        let mut set = NodeSet::new(self.node_count());
+        for name in names {
+            let name = name.as_ref();
+            set.insert(self.node_by_label(name).ok_or(name)?);
+        }
+        Ok(set)
     }
 
     /// The sorted adjacency list of `v` — the set `Adj(v)` of the paper.

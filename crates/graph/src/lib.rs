@@ -33,6 +33,7 @@ pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod ids;
+mod labels;
 pub mod nodeset;
 pub mod paths;
 pub mod spanning;

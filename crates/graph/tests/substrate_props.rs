@@ -1,6 +1,7 @@
 //! Property tests for the graph substrate: set-algebra laws, traversal
-//! invariants, spanning trees, and the cycle enumerator's self-
-//! consistency. Everything downstream leans on these primitives.
+//! invariants, spanning trees, the cycle enumerator's self-consistency,
+//! and the hashed label lookup against a scan of the labels. Everything
+//! downstream leans on these primitives.
 
 #![allow(
     clippy::unwrap_used,
@@ -17,8 +18,8 @@ use mcc_graph::{
     bfs_distances, bfs_order, bfs_order_in, check_adjacency_symmetric, chords_of_cycle,
     connected_components, dfs_order, enumerate_cycles, induced_subgraph, is_connected_within,
     remove_if_redundant_in, shortest_path, spanning_tree, terminal_blocks_in, terminals_connected,
-    terminals_connected_in, CycleLimits, Graph, GraphBuilder, NodeId, NodeSet, Workspace,
-    INFINITE_DISTANCE,
+    terminals_connected_in, BipartiteGraph, CycleLimits, Graph, GraphBuilder, NodeId, NodeSet,
+    Side, Workspace, INFINITE_DISTANCE,
 };
 use proptest::prelude::*;
 
@@ -69,6 +70,125 @@ fn messy_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     (2usize..=8).prop_flat_map(|n| {
         proptest::collection::vec((0usize..n, 0usize..n), 0..=40).prop_map(move |pairs| (n, pairs))
     })
+}
+
+/// Label stems: the empty label, multi-byte UTF-8, and stems that agree
+/// in their first eight bytes (the lookup hashes eight bytes at a time).
+const LABEL_STEMS: [&str; 10] = [
+    "",
+    "a",
+    "R1",
+    "é",
+    "日本語",
+    "ünïcödé-ß",
+    "attribute",
+    "attribute_1",
+    "attribute_2",
+    "attributé",
+];
+
+/// A bipartite graph of 0–150 nodes (so below and above 64) whose labels
+/// are stems with an optional numeric suffix, duplicates common: node
+/// `v` is on `V1` when `v` is even, and the edges join the two parities.
+fn labelled_graph() -> impl Strategy<Value = BipartiteGraph> {
+    (0usize..=150).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((0usize..LABEL_STEMS.len(), 0usize..4), n),
+            proptest::collection::vec((0usize..n.max(1), 0usize..n.max(1)), 0..=2 * n),
+        )
+            .prop_map(move |(labels, pairs)| {
+                let mut b = GraphBuilder::new();
+                for (stem, suffix) in labels {
+                    match suffix {
+                        0 => b.add_node(LABEL_STEMS[stem]),
+                        k => b.add_node(format!("{}{k}", LABEL_STEMS[stem])),
+                    };
+                }
+                for (x, y) in pairs {
+                    if x % 2 != y % 2 {
+                        b.add_edge(NodeId::from_index(x), NodeId::from_index(y))
+                            .expect("in range");
+                    }
+                }
+                let side = (0..n)
+                    .map(|v| if v % 2 == 0 { Side::V1 } else { Side::V2 })
+                    .collect();
+                BipartiteGraph::new(b.build(), side).expect("edges join the parities")
+            })
+    })
+}
+
+/// The first-match scan the hashed lookup replaces.
+fn scan(g: &Graph, name: &str) -> Option<NodeId> {
+    g.nodes().find(|&v| g.label(v) == name)
+}
+
+/// `node_by_label` agrees with the scan on every label of `g` and on
+/// names no generated graph carries, and `nodes_by_labels` resolves a
+/// list of names to the set of their scanned nodes, or returns its first
+/// unknown name.
+fn lookup_matches_scan(g: &Graph) -> Result<(), TestCaseError> {
+    let absent = ["absent", "attribute_", "attribute_19", "a\0", "é9", "日本"];
+    let names: Vec<&str> = g.nodes().map(|v| g.label(v)).chain(absent).collect();
+    for &name in &names {
+        prop_assert_eq!(g.node_by_label(name), scan(g, name), "label {:?}", name);
+    }
+    let known: Vec<&str> = names[..g.node_count()].to_vec();
+    let expected = NodeSet::from_nodes(g.node_count(), known.iter().filter_map(|&l| scan(g, l)));
+    prop_assert_eq!(g.nodes_by_labels(&known), Ok(expected));
+    let mixed = [
+        known.first().copied().unwrap_or("a"),
+        "absent",
+        "attribute_",
+    ];
+    let first_unknown = mixed.iter().copied().find(|&l| scan(g, l).is_none());
+    prop_assert_eq!(g.nodes_by_labels(&mixed).err(), first_unknown);
+    Ok(())
+}
+
+fn labels_of(g: &Graph) -> Vec<&str> {
+    g.nodes().map(|v| g.label(v)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The hashed label lookup agrees with a first-match scan on the
+    /// graph, on an induced subgraph and on the side-swapped graph; the
+    /// graph, its equality and its label sequence survive both.
+    #[test]
+    fn label_lookup_matches_a_scan(
+        bg in labelled_graph(),
+        coins in proptest::collection::vec(proptest::bool::ANY, 150),
+    ) {
+        let g = bg.graph();
+        lookup_matches_scan(g)?;
+
+        let whole = induced_subgraph(g, &NodeSet::full(g.node_count()));
+        prop_assert_eq!(&whole.graph, g);
+        let keep = NodeSet::from_nodes(g.node_count(), g.nodes().filter(|v| coins[v.index()]));
+        let sub = induced_subgraph(g, &keep);
+        let kept: Vec<&str> = keep.iter().map(|v| g.label(v)).collect();
+        prop_assert_eq!(labels_of(&sub.graph), kept);
+        lookup_matches_scan(&sub.graph)?;
+
+        let swapped = bg.swap_sides();
+        prop_assert_eq!(swapped.graph(), g);
+        prop_assert_eq!(labels_of(swapped.graph()), labels_of(g));
+        prop_assert_eq!(&swapped.swap_sides(), &bg);
+        lookup_matches_scan(swapped.graph())?;
+    }
+}
+
+#[test]
+fn label_lookup_on_empty_graphs() {
+    for g in [Graph::empty(), GraphBuilder::new().build()] {
+        assert_eq!(g, Graph::empty());
+        assert_eq!(g.node_by_label(""), None);
+        assert_eq!(g.node_by_label("a"), None);
+        assert_eq!(g.nodes_by_labels(&[""]), Err(""));
+        assert_eq!(g.nodes_by_labels::<&str>(&[]), Ok(NodeSet::new(0)));
+    }
 }
 
 proptest! {

@@ -176,14 +176,18 @@ pub(crate) fn prune_and_span_in(
     span_cover_in(ws, g, terminals, alive, Stage::Algorithm2)
 }
 
-/// The tail of Algorithms 1 and 2 after their sweep: trims `alive` (a
-/// pooled set of `ws`, which this returns to the pool) to the terminals'
-/// component and spans it on `g` itself, certified in debug builds. When
-/// the order covers every candidate of that component, the survivors
-/// there are already connected (every kept node separates terminals,
-/// hence lies on a terminal path); nodes the order skips, in or out of
-/// that component, may remain, and the trim drops those outside it. An
-/// empty terminal set yields the empty tree.
+/// The tail of Algorithms 1 and 2 and KMB's prune after their sweep:
+/// spans `alive` (a pooled set of `ws`, which this returns to the pool)
+/// on `g` itself, certified in debug builds. When the order covers every
+/// candidate of the terminals' component, the survivors are already
+/// connected (every kept node separates terminals, hence lies on a
+/// terminal path), so one BFS, the span's, is the whole tail: the first
+/// terminal's component is then all of `alive`, and the tree is the one
+/// the trim below would span. Only when that span fails, because the
+/// order skipped nodes outside the terminals' component (a partial
+/// order, or isolated nodes Algorithm 1's order never lists), or when
+/// there are no terminals, does it trim `alive` to the first terminal's
+/// component and span that. An empty terminal set yields the empty tree.
 pub(crate) fn span_cover_in(
     ws: &mut Workspace,
     g: &Graph,
@@ -191,23 +195,31 @@ pub(crate) fn span_cover_in(
     alive: NodeSet,
     stage: Stage,
 ) -> SolveOutcome<SteinerTree> {
-    let n = g.node_count();
-    let mut trimmed = ws.take_set_buf(n);
-    if let Some(t0) = terminals.first() {
-        component_of_in(ws, g, &alive, t0, &mut trimmed);
-    }
-    ws.return_set_buf(alive);
-    let tree = SteinerTree::from_cover(g, &trimmed);
+    let (cover, tree) = match terminals
+        .first()
+        .and_then(|_| SteinerTree::from_cover(g, &alive))
+    {
+        Some(tree) => (alive, Some(tree)),
+        None => {
+            let mut trimmed = ws.take_set_buf(g.node_count());
+            if let Some(t0) = terminals.first() {
+                component_of_in(ws, g, &alive, t0, &mut trimmed);
+            }
+            ws.return_set_buf(alive);
+            let tree = SteinerTree::from_cover(g, &trimmed);
+            (trimmed, tree)
+        }
+    };
     // Certificate (debug builds only): valid tree, all terminals
-    // connected, nodes drawn from the trimmed alive set.
+    // connected, nodes drawn from the spanned set.
     if let Some(t) = &tree {
         debug_assert!(
-            n > crate::certify::CHECK_STEINER_MAX_NODES
-                || crate::certify::check_steiner_solution(g, &trimmed, terminals, t),
+            g.node_count() > crate::certify::CHECK_STEINER_MAX_NODES
+                || crate::certify::check_steiner_solution(g, &cover, terminals, t),
             "{stage} produced a tree failing its own certificate"
         );
     }
-    ws.return_set_buf(trimmed);
+    ws.return_set_buf(cover);
     tree.ok_or_else(|| SolveError::Internal {
         stage,
         detail: "elimination did not preserve terminal coverage".to_string(),

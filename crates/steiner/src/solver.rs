@@ -532,6 +532,30 @@ mod tests {
     }
 
     #[test]
+    fn six_two_solve_runs_no_bfs_beyond_its_block_searches() {
+        // Step 1 alone, from the whole graph, runs one whole-graph
+        // connectivity BFS and then the sweep's block searches. The
+        // solve runs the same sweep along the same order, and its tail
+        // spans the connected cover with no further BFS.
+        let bg = random_six_two_block_tree(Default::default(), 5);
+        let g = bg.graph();
+        let n = g.node_count();
+        let solver = Solver::new(bg.clone());
+        for (k, seed) in [(2, 3), (3, 4), (5, 6)] {
+            let terminals = random_terminals(g, None, k, seed);
+            let mut ws = Workspace::new();
+            let mut alive = NodeSet::full(n);
+            let order = solver.artifacts().elimination_order();
+            crate::eliminate_nonredundant_in(&mut ws, g, &terminals, order, &mut alive);
+            let block_searches = ws.stats.bfs_runs - 1;
+            let sol = solver.solve_steiner(&terminals).unwrap();
+            assert_eq!(sol.strategy, SteinerStrategy::Algorithm2);
+            assert_eq!(sol.tree.nodes, alive, "k = {k}");
+            assert_eq!(sol.stats.bfs_runs, block_searches, "k = {k}");
+        }
+    }
+
+    #[test]
     fn stats_reset_per_solve_not_accumulated() {
         // Regression: counters must reset at solve entry. A query issued
         // after an unrelated (larger) solve must report exactly what the

@@ -157,13 +157,19 @@ fn algorithm1_with_step1(
     })
 }
 
-/// Runs Algorithm 2 both ways and asserts identical node sets.
+/// The tree both sweeps must return from the oracle's surviving cover
+/// (already trimmed to the first terminal's component): its BFS
+/// spanning tree, edge for edge.
+fn spanned(g: &Graph, cover: &NodeSet) -> SteinerTree {
+    SteinerTree::from_cover(g, cover).expect("the oracle's cover is connected")
+}
+
+/// Runs Algorithm 2 both ways and asserts identical trees, node for node
+/// and edge for edge.
 fn check_algorithm2(ws: &mut Workspace, g: &Graph, terminals: &NodeSet, order: &[NodeId]) {
     let token = CancelToken::unbounded();
-    let fast = algorithm2(ws, g, terminals, order, &token)
-        .ok()
-        .map(|t| t.nodes);
-    let slow = oracle::algorithm2(g, terminals, order);
+    let fast = algorithm2(ws, g, terminals, order, &token).ok();
+    let slow = oracle::algorithm2(g, terminals, order).map(|cover| spanned(g, &cover));
     assert_eq!(
         fast,
         slow,
@@ -195,7 +201,8 @@ fn check_step1(
 }
 
 /// Runs Algorithm 1 both ways along `ordering` and asserts identical
-/// node sets and costs (or the same error).
+/// trees, node for node and edge for edge, and costs (or the same
+/// error).
 fn check_algorithm1(
     ws: &mut Workspace,
     bg: &BipartiteGraph,
@@ -205,9 +212,10 @@ fn check_algorithm1(
     let token = CancelToken::unbounded();
     let fast = algorithm1(ws, bg, terminals, Side::V2, ordering, &token).map(|tree| {
         let side_cost = tree_side_cost(bg, &tree, Side::V2);
-        (tree.nodes, side_cost)
+        (tree, side_cost)
     });
-    let slow = oracle::algorithm1(bg, terminals, ordering);
+    let slow = oracle::algorithm1(bg, terminals, ordering)
+        .map(|(cover, side_cost)| (spanned(bg.graph(), &cover), side_cost));
     assert_eq!(
         fast,
         slow,
@@ -427,6 +435,61 @@ fn one_terminal_and_disconnected_terminals() {
     let mut alive = NodeSet::full(9);
     alive.remove(NodeId(4));
     check_step1(&mut ws, &g, &terminals, &id_order(&g), &alive);
+}
+
+/// Algorithm 1's order lists no isolated node, so an isolated attribute
+/// and an isolated relation survive its sweep beside the terminals'
+/// connected cover. Spanning that cover fails, and the tail takes its
+/// fallback: the first terminal's component, one BFS more than the same
+/// solve without the isolated nodes, and the same tree.
+#[test]
+fn algorithm1_trims_isolated_nodes_in_its_fallback() {
+    use mcc_graph::bipartite::bipartite_from_lists;
+    let edges = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)];
+    let plain = bipartite_from_lists(&["a", "b", "c", "d"], &["R1", "R2", "R3"], &edges);
+    let isolated = bipartite_from_lists(
+        &["a", "b", "c", "d", "z"],
+        &["R1", "R2", "R3", "R0"],
+        &edges,
+    );
+    let (z, r0) = (NodeId(4), NodeId(8));
+    assert_eq!(isolated.graph().degree(z), 0);
+    assert_eq!(isolated.graph().degree(r0), 0);
+    let mut bfs_runs = Vec::new();
+    let mut trees = Vec::new();
+    for bg in [&plain, &isolated] {
+        let g = bg.graph();
+        let ordering = lemma1_ordering(bg, Side::V2)
+            .expect("a path is alpha-acyclic")
+            .order;
+        assert!(
+            !ordering.contains(&r0),
+            "the ordering lists no isolated relation"
+        );
+        let a = g.node_by_label("a").unwrap();
+        let d = g.node_by_label("d").unwrap();
+        let terminals = NodeSet::from_nodes(g.node_count(), [a, d]);
+        let mut ws = Workspace::new();
+        check_algorithm1(&mut ws, bg, &terminals, &ordering);
+        let before = ws.stats.bfs_runs;
+        let token = CancelToken::unbounded();
+        let tree = algorithm1(&mut ws, bg, &terminals, Side::V2, &ordering, &token).unwrap();
+        bfs_runs.push(ws.stats.bfs_runs - before);
+        let name = |v: NodeId| g.label(v).to_string();
+        let nodes: Vec<String> = tree.nodes.iter().map(name).collect();
+        let edges: Vec<(String, String)> = tree
+            .edges
+            .iter()
+            .map(|&(u, v)| (name(u), name(v)))
+            .collect();
+        trees.push((nodes, edges));
+    }
+    assert_eq!(
+        bfs_runs[1],
+        bfs_runs[0] + 1,
+        "the fallback's trim is one BFS"
+    );
+    assert_eq!(trees[0], trees[1], "the isolated nodes are trimmed");
 }
 
 #[test]

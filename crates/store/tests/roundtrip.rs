@@ -79,8 +79,9 @@ fn terminals(n: usize, picks: &[bool]) -> NodeSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// encode ∘ decode is the identity — on every part of the bundle
-    /// and on the bytes themselves (canonical form re-encodes equal).
+    /// encode ∘ decode is the identity — on every part of the bundle,
+    /// the graph's labels and their lookup included, and on the bytes
+    /// themselves (canonical form re-encodes equal).
     #[test]
     fn encode_decode_identity(bg in labelled_bipartite(), key in 0u64..=u64::MAX - 1) {
         let original = SchemaArtifacts::build(bg);
@@ -88,6 +89,13 @@ proptest! {
         let (fp, decoded) = decode(&bytes, Some(key)).expect("own encoding decodes");
         prop_assert_eq!(fp, key);
         prop_assert_eq!(decoded.bipartite(), original.bipartite());
+        // The label sequence survives, and so does lookup by label
+        // (duplicate labels resolve to the same, lowest, node).
+        let (og, dg) = (original.bipartite().graph(), decoded.bipartite().graph());
+        prop_assert!(og.nodes().map(|v| og.label(v)).eq(dg.nodes().map(|v| dg.label(v))));
+        for v in og.nodes() {
+            prop_assert_eq!(dg.node_by_label(og.label(v)), og.node_by_label(og.label(v)));
+        }
         prop_assert_eq!(decoded.classification(), original.classification());
         prop_assert_eq!(decoded.elimination_order(), original.elimination_order());
         for side in [Side::V1, Side::V2] {

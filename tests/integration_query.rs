@@ -52,7 +52,7 @@ fn university_queries_use_algorithm2_and_are_minimal() {
     let it = engine.connect(&["student", "room"]).unwrap();
     assert_eq!(it.strategy, Strategy::Algorithm2);
     // student → ENROLLED → course → TEACHES → lecturer → LOCATED → room.
-    assert_eq!(it.relations.len(), 3);
+    assert_eq!(it.relations().count(), 3);
     assert!(it.tree.is_valid_tree(engine.graph().graph()));
 
     // Verify minimality against the exact solver.
@@ -76,9 +76,7 @@ fn alpha_schema_minimizes_relations() {
     assert_eq!(it.strategy, Strategy::Algorithm1);
     // x lives only in R_AB, y only in R_BC: two relations are forced and
     // suffice (they share attribute b).
-    assert_eq!(it.relations.len(), 2);
-    assert!(it.relations.contains(&"R_AB".to_string()));
-    assert!(it.relations.contains(&"R_BC".to_string()));
+    assert!(it.relations().eq(["R_AB", "R_BC"]));
 }
 
 #[test]
@@ -86,9 +84,9 @@ fn queries_mixing_levels() {
     let engine = QueryEngine::new(university()).unwrap();
     // Relation + attribute in the same query.
     let it = engine.connect(&["ENROLLED", "lecturer"]).unwrap();
-    assert!(it.relations.contains(&"ENROLLED".to_string()));
-    assert!(it.relations.contains(&"TEACHES".to_string()));
-    assert!(it.attributes.contains(&"course".to_string()));
+    assert!(it.relations().any(|r| r == "ENROLLED"));
+    assert!(it.relations().any(|r| r == "TEACHES"));
+    assert!(it.attributes().any(|a| a == "course"));
 }
 
 #[test]
@@ -267,7 +265,7 @@ fn query_engine_and_solver_are_one_ladder() {
                 (got, expected) => panic!("{}: {got:?} vs {expected:?}", schema.name),
             };
             let cost = if pseudo {
-                it.relations.len()
+                it.relations().count()
             } else {
                 it.node_cost()
             };
